@@ -20,6 +20,14 @@ use crate::types::{ReplicaValue, Timestamp};
 /// The `&mut self` receivers exist because implementations mutate their
 /// environment: the simulator advances clocks and repairs routing state, the
 /// threaded client consumes its sockets.
+///
+/// Two methods exist only so that an environment with real message costs can
+/// do independent work at once, and default to the plain sequence of the
+/// primitives above: [`UmsAccess::put_replicas`] (the `|Hr|` puts of an
+/// insert are independent of each other) and
+/// [`UmsAccess::kts_last_ts_and_probe`] (`last_ts` and the first probe of a
+/// retrieve are independent of each other). Every other step of Figure 2
+/// depends on the one before it and stays a single call.
 pub trait UmsAccess {
     /// Asks the timestamping responsible `rsp(k, h_ts)` to generate a fresh
     /// timestamp for `key` (KTS `gen_ts`).
@@ -43,6 +51,37 @@ pub trait UmsAccess {
     /// Reads the replica stored at `rsp(k, h)` (the DHT `get_h` operation).
     /// `Ok(None)` means the responsible peer holds no replica for the key.
     fn get_replica(&mut self, hash: HashId, key: &Key) -> Result<Option<ReplicaValue>, UmsError>;
+
+    /// The opening of `retrieve` (Figure 2) as one operation: KTS `last_ts`
+    /// for `key` *and* the probe `get_h` of `hash`, the first replica
+    /// `retrieve` reads. The two are independent — the first probe is sent
+    /// whatever KTS answers, and neither request carries the other's result
+    /// — so an environment that pays per round trip overrides this to issue
+    /// both at once (`rdht_net::ClusterClient` does) and answers in one
+    /// round trip instead of two. The default is the two calls in sequence,
+    /// KTS first, exactly what `retrieve` did before the method existed —
+    /// so [`crate::InMemoryDht`] and the simulator are untouched.
+    ///
+    /// Overlapping cannot weaken the currency guarantee: both reads still
+    /// happen after the retrieve began, and `retrieve` certifies a replica
+    /// only when its stamp *equals* the `last_ts` returned here, in
+    /// whichever order the two reads were served. A probe served before a
+    /// concurrent insert's `gen_ts` and a `last_ts` served after it merely
+    /// disagree, and the replica is treated as stale — the same outcome
+    /// the sequential order produces when the insert lands between its two
+    /// calls.
+    fn kts_last_ts_and_probe(
+        &mut self,
+        key: &Key,
+        hash: HashId,
+    ) -> (
+        Result<Timestamp, UmsError>,
+        Result<Option<ReplicaValue>, UmsError>,
+    ) {
+        let last = self.kts_last_ts(key);
+        let probe = self.get_replica(hash, key);
+        (last, probe)
+    }
 
     /// Stores the stamped replica at `rsp(k, h)` for **every** replication
     /// hash function `h ∈ Hr` — the whole fan-out half of one insert as a

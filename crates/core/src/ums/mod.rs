@@ -12,6 +12,28 @@
 //! Both return reports ([`InsertReport`], [`RetrieveReport`]) that expose how
 //! much work was done (replicas written/probed), which is what the
 //! experiments and the Theorem 1 validation measure.
+//!
+//! ## Which steps of Figure 2 depend on which
+//!
+//! `insert` is a true chain: the puts carry the timestamp `gen_ts` returned,
+//! so they cannot leave before it arrived (the `|Hr|` puts themselves are
+//! independent of each other and go out as one fan-out,
+//! [`UmsAccess::put_replicas`]). `retrieve` is not: Figure 2 writes
+//! `ts_1 := last_ts(k)` and then the probe loop, but the *first* probe is
+//! sent whatever `ts_1` turns out to be and uses nothing from it — only the
+//! comparison `ts = ts_1` needs both. So [`retrieve`] asks for the two
+//! together ([`UmsAccess::kts_last_ts_and_probe`]), and an environment with
+//! real round trips overlaps them: one round trip to a current answer, not
+//! two. Every *later* probe stays sequential, as the paper prescribes —
+//! whether it is sent at all depends on the one before it — so the number
+//! and kind of messages is exactly Figure 2's.
+//!
+//! Currency is unaffected because it never rested on the order of the two
+//! reads: both happen after the retrieve began, and a replica is certified
+//! current only when its stamp *equals* the `last_ts` that was read. If a
+//! concurrent insert falls between the two reads (either way round) the
+//! stamps differ, the replica is treated as stale and probing continues —
+//! the sequential order has the same window between its two calls.
 
 use rdht_hashing::Key;
 
@@ -93,11 +115,13 @@ pub fn insert<A: UmsAccess + ?Sized>(
 /// Retrieves the most recent replica associated with `key`, following the
 /// `retrieve(k)` algorithm of Figure 2.
 ///
-/// KTS is asked for the last timestamp generated for the key (`ts_1`); the
-/// replicas are then probed one at a time and the first one stamped `ts_1` is
-/// returned immediately as *current*. If no current replica is reachable, the
-/// most recent replica seen is returned with `is_current == false` — the
-/// caller knows the guarantee could not be established.
+/// KTS is asked for the last timestamp generated for the key (`ts_1`) together
+/// with the first probe (they are independent, see the module docs); the
+/// remaining replicas are then probed one at a time and the first one stamped
+/// `ts_1` is returned immediately as *current*. If no current replica is
+/// reachable, the most recent replica seen is returned with
+/// `is_current == false` — the caller knows the guarantee could not be
+/// established.
 ///
 /// Retrieval degrades rather than fails: when KTS itself is unreachable the
 /// replicas are probed anyway and the best reachable stamp is returned with
@@ -108,7 +132,17 @@ pub fn retrieve<A: UmsAccess + ?Sized>(
     access: &mut A,
     key: &Key,
 ) -> Result<RetrieveReport, UmsError> {
-    let (last_timestamp, kts_error) = match access.kts_last_ts(key) {
+    // `last_ts` and the first probe are independent and asked for together
+    // (see the module docs); every later probe waits for the one before it.
+    let mut hashes = access.replication_ids();
+    let (last, first_probe) = match hashes.next() {
+        Some(hash) => {
+            let (last, probe) = access.kts_last_ts_and_probe(key, hash);
+            (last, Some(probe))
+        }
+        None => (access.kts_last_ts(key), None),
+    };
+    let (last_timestamp, kts_error) = match last {
         Ok(ts) => (ts, None),
         Err(error) => (Timestamp::ZERO, Some(error)),
     };
@@ -116,9 +150,10 @@ pub fn retrieve<A: UmsAccess + ?Sized>(
     let mut replicas_probed = 0;
     let mut probes_failed = 0;
 
-    for hash in access.replication_ids() {
+    let later_probes = hashes.map(|hash| access.get_replica(hash, key));
+    for probe in first_probe.into_iter().chain(later_probes) {
         replicas_probed += 1;
-        match access.get_replica(hash, key) {
+        match probe {
             Ok(Some(replica)) => {
                 // Currency can only be certified against a KTS answer.
                 if kts_error.is_none()
@@ -191,6 +226,7 @@ pub fn retrieve<A: UmsAccess + ?Sized>(
 mod tests {
     use super::*;
     use crate::memory::InMemoryDht;
+    use rdht_hashing::HashId;
 
     #[test]
     fn insert_then_retrieve_is_current() {
@@ -389,5 +425,112 @@ mod tests {
             "stale answer with unreachable holders is degraded"
         );
         assert_eq!(got.data.unwrap(), b"v1");
+    }
+
+    /// Records which access methods `retrieve` calls, and for which hashes,
+    /// over an [`InMemoryDht`] that does the actual work.
+    struct Recording {
+        dht: InMemoryDht,
+        overlapped_calls: usize,
+        last_ts_calls: usize,
+        probed: Vec<HashId>,
+    }
+
+    impl Recording {
+        fn over(dht: InMemoryDht) -> Self {
+            Recording {
+                dht,
+                overlapped_calls: 0,
+                last_ts_calls: 0,
+                probed: Vec::new(),
+            }
+        }
+    }
+
+    impl UmsAccess for Recording {
+        fn kts_gen_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
+            self.dht.kts_gen_ts(key)
+        }
+        fn kts_last_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
+            self.last_ts_calls += 1;
+            self.dht.kts_last_ts(key)
+        }
+        fn kts_last_ts_and_probe(
+            &mut self,
+            key: &Key,
+            hash: HashId,
+        ) -> (
+            Result<Timestamp, UmsError>,
+            Result<Option<ReplicaValue>, UmsError>,
+        ) {
+            self.overlapped_calls += 1;
+            self.probed.push(hash);
+            self.dht.kts_last_ts_and_probe(key, hash)
+        }
+        fn put_replica(
+            &mut self,
+            hash: HashId,
+            key: &Key,
+            value: &ReplicaValue,
+        ) -> Result<(), UmsError> {
+            self.dht.put_replica(hash, key, value)
+        }
+        fn get_replica(
+            &mut self,
+            hash: HashId,
+            key: &Key,
+        ) -> Result<Option<ReplicaValue>, UmsError> {
+            self.probed.push(hash);
+            self.dht.get_replica(hash, key)
+        }
+        fn replication_count(&self) -> usize {
+            self.dht.replication_count()
+        }
+    }
+
+    /// `retrieve` opens with exactly one `kts_last_ts_and_probe` (never a
+    /// bare `kts_last_ts`), and the replica that call probed is not probed
+    /// again — whether the first replica is current, stale, or KTS is down.
+    #[test]
+    fn retrieve_overlaps_last_ts_with_the_first_probe_exactly_once() {
+        let key = Key::new("doc");
+        let mut dht = InMemoryDht::new(6, 30);
+        insert(&mut dht, &key, b"v1".to_vec()).unwrap();
+        insert(&mut dht, &key, b"v2".to_vec()).unwrap();
+        let ids = dht.replication_ids_vec();
+
+        let mut access = Recording::over(dht);
+        let got = retrieve(&mut access, &key).unwrap();
+        assert!(got.is_current);
+        assert_eq!(got.replicas_probed, 1);
+        assert_eq!(access.probed, ids[..1]);
+
+        // Three stale replicas in front of the current one.
+        for h in ids.iter().take(3) {
+            access
+                .dht
+                .overwrite_replica(*h, &key, ReplicaValue::new(b"v1".to_vec(), Timestamp(1)));
+        }
+        access.probed.clear();
+        let got = retrieve(&mut access, &key).unwrap();
+        assert!(got.is_current);
+        assert_eq!(got.replicas_probed, 4);
+        assert_eq!(
+            access.probed,
+            ids[..4],
+            "each replica probed once, in order"
+        );
+
+        // KTS down: the probe the overlapped call made is the first of the
+        // |Hr| the degraded path reads, not an extra one.
+        access.dht.fail_kts(true);
+        access.probed.clear();
+        let got = retrieve(&mut access, &key).unwrap();
+        assert!(got.degraded && !got.is_current);
+        assert_eq!(got.replicas_probed, ids.len());
+        assert_eq!(access.probed, ids);
+
+        assert_eq!(access.overlapped_calls, 3, "one per retrieve");
+        assert_eq!(access.last_ts_calls, 0);
     }
 }

@@ -23,7 +23,7 @@ use crate::cluster::{
 use crate::message::{OpId, Reply, Request};
 use crate::metrics::names;
 use crate::tcp::TcpTransport;
-use crate::transport::{CallError, PeerEndpoint, PendingReply, Transport};
+use crate::transport::{CallError, Gather, Gathered, PeerEndpoint, Transport};
 
 /// How a client retries a call that produced no usable reply: `attempts`
 /// tries, each waiting `try_timeout` for the reply, with truncated
@@ -144,6 +144,21 @@ pub struct ClusterClient {
     retry_exhaustions: Counter,
     /// Distributed tracing, when attached ([`ClusterClient::attach_trace`]).
     tracing: Option<ClientTracing>,
+}
+
+/// Where a [`Call`] goes. Resolved against the directory on *every* attempt:
+/// churn may have moved a range, a restart may have replaced an endpoint.
+enum Target {
+    /// Whichever peer is responsible for this ring position right now.
+    Position(u64),
+    /// One named peer — introspection targets a peer, not a key.
+    Peer(PeerId),
+}
+
+/// One independent request of a [`ClusterClient::call_all`].
+struct Call {
+    target: Target,
+    request: Request,
 }
 
 /// Ring capacity of the client-side slowlog ([`ClusterClient::slow_calls`]).
@@ -343,58 +358,15 @@ impl ClusterClient {
     /// the same retry policy as every other call; the scrape itself
     /// bypasses the sampler, so it never appears in the log it reads.
     pub fn slow_requests(&mut self, peer: PeerId, k: u32) -> Result<Vec<RequestTree>, UmsError> {
-        let attempts = self.retry.attempts.max(1);
-        let mut last: Option<CallError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.retries.inc();
-                self.backoff_sleep(attempt - 1);
-            }
-            let endpoint = self
-                .directory
-                .peers
-                .read()
-                .get(&peer)
-                .map(|(endpoint, _)| endpoint.clone());
-            let Some(endpoint) = endpoint else {
-                return Err(UmsError::lookup(format!(
-                    "unknown slowlog scrape target {:016x}",
-                    peer.0
-                )));
-            };
-            let outcome = match endpoint.send(Request::SlowRequests { k }) {
-                Ok(pending) => {
-                    self.messages.inc();
-                    pending.wait(self.retry.try_timeout)
-                }
-                Err(error) => Err(CallError::Transport(error)),
-            };
-            match outcome {
-                Ok(reply) => {
-                    self.messages.inc();
-                    return match reply {
-                        Reply::SlowRequests(trees) => Ok(trees),
-                        Reply::Error { reason } => Err(UmsError::lookup(format!(
-                            "slowlog scrape refused: {reason}"
-                        ))),
-                        other => Err(UmsError::lookup(format!(
-                            "unexpected reply to slowlog scrape: {other:?}"
-                        ))),
-                    };
-                }
-                Err(error) => last = Some(error),
-            }
+        match self.call(Call {
+            target: Target::Peer(peer),
+            request: Request::SlowRequests { k },
+        })? {
+            Reply::SlowRequests(trees) => Ok(trees),
+            other => Err(UmsError::lookup(format!(
+                "unexpected reply to slowlog scrape: {other:?}"
+            ))),
         }
-        self.retry_exhaustions.inc();
-        let last = last.unwrap_or(CallError::Timeout);
-        Err(call_failed(if attempts == 1 {
-            last
-        } else {
-            CallError::Exhausted {
-                attempts,
-                last: Box::new(last),
-            }
-        }))
     }
 
     /// Rolls the sampler for one logical call of a traceable kind: `Some`
@@ -412,13 +384,14 @@ impl ClusterClient {
         Some(TraceContext::sampled_root(self.rng.gen::<u64>() | 1))
     }
 
-    /// Records one finished attempt as a `client.attempt` span, tagged with
-    /// the attempt index, the preceding backoff and the outcome.
+    /// Records one finished attempt (`start` to `end`) as a `client.attempt`
+    /// span, tagged with the attempt index, the preceding backoff and the
+    /// outcome.
     fn emit_attempt(
         &self,
         context: Option<TraceContext>,
         attempt: u32,
-        start: Instant,
+        (start, end): (Instant, Instant),
         backoff: Duration,
         outcome: &str,
     ) {
@@ -429,7 +402,7 @@ impl ClusterClient {
             u64::from(std::process::id()),
             0,
             sink_ts(&tracing.sink, start),
-            us(start.elapsed()),
+            us(end.saturating_duration_since(start)),
             vec![
                 ("trace_id".to_string(), format!("{:016x}", context.trace_id)),
                 ("attempt".to_string(), attempt.to_string()),
@@ -439,20 +412,22 @@ impl ClusterClient {
         );
     }
 
-    /// Finalizes one logical call: records the root `client.call` span and
-    /// a client-side [`RequestTree`] when the call was sampled — or when it
-    /// crossed the slow threshold, so unsampled tail calls still surface.
+    /// Finalizes one logical call that ran from `started` to `ended`:
+    /// records the root `client.call` span and a client-side
+    /// [`RequestTree`] when the call was sampled — or when it crossed the
+    /// slow threshold, so unsampled tail calls still surface.
     fn finish_trace(
-        &mut self,
+        &self,
         kind: &'static str,
         context: Option<TraceContext>,
         started: Option<Instant>,
+        ended: Instant,
         phases: Vec<(String, u64)>,
         outcome: &str,
     ) {
         let Some(started) = started else { return };
         let Some(tracing) = &self.tracing else { return };
-        let total = started.elapsed();
+        let total = ended.saturating_duration_since(started);
         let slow = total >= tracing.config.slow_threshold;
         if context.is_none() && !slow {
             return;
@@ -486,58 +461,15 @@ impl ClusterClient {
     /// stays unreachable through the retry budget, or runs with metrics
     /// disabled ([`crate::ClusterConfig::with_metrics`]).
     pub fn scrape_metrics(&mut self, peer: PeerId) -> Result<String, UmsError> {
-        let attempts = self.retry.attempts.max(1);
-        let mut last: Option<CallError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.retries.inc();
-                self.backoff_sleep(attempt - 1);
-            }
-            let endpoint = self
-                .directory
-                .peers
-                .read()
-                .get(&peer)
-                .map(|(endpoint, _)| endpoint.clone());
-            let Some(endpoint) = endpoint else {
-                return Err(UmsError::lookup(format!(
-                    "unknown scrape target {:016x}",
-                    peer.0
-                )));
-            };
-            let outcome = match endpoint.send(Request::Metrics) {
-                Ok(pending) => {
-                    self.messages.inc();
-                    pending.wait(self.retry.try_timeout)
-                }
-                Err(error) => Err(CallError::Transport(error)),
-            };
-            match outcome {
-                Ok(reply) => {
-                    self.messages.inc();
-                    return match reply {
-                        Reply::Metrics(exposition) => Ok(exposition),
-                        Reply::Error { reason } => Err(UmsError::lookup(format!(
-                            "metrics scrape refused: {reason}"
-                        ))),
-                        other => Err(UmsError::lookup(format!(
-                            "unexpected reply to metrics scrape: {other:?}"
-                        ))),
-                    };
-                }
-                Err(error) => last = Some(error),
-            }
+        match self.call(Call {
+            target: Target::Peer(peer),
+            request: Request::Metrics,
+        })? {
+            Reply::Metrics(exposition) => Ok(exposition),
+            other => Err(UmsError::lookup(format!(
+                "unexpected reply to metrics scrape: {other:?}"
+            ))),
         }
-        self.retry_exhaustions.inc();
-        let last = last.unwrap_or(CallError::Timeout);
-        Err(call_failed(if attempts == 1 {
-            last
-        } else {
-            CallError::Exhausted {
-                attempts,
-                last: Box::new(last),
-            }
-        }))
     }
 
     /// A fresh [`OpId`] for one logical operation; its retries repeat it.
@@ -550,128 +482,281 @@ impl ClusterClient {
         }
     }
 
-    /// Sleeps the truncated-exponential, jittered backoff before retry
-    /// number `retry_index` (0-based).
-    fn backoff_sleep(&mut self, retry_index: u32) {
-        let backoff = self.retry.backoff_for(retry_index);
+    /// Opens retry number `attempt` (1-based) of `legs` logical calls:
+    /// counts one retry per call, then sleeps the truncated-exponential,
+    /// jittered backoff. Returns the time slept.
+    fn back_off(&mut self, attempt: u32, legs: usize) -> Duration {
+        self.retries.add(legs as u64);
+        let backoff = self.retry.backoff_for(attempt - 1);
         if backoff.is_zero() {
-            return;
+            return Duration::ZERO;
         }
         let spread = 1.0 + self.retry.jitter * (self.rng.gen::<f64>() * 2.0 - 1.0);
+        let slept = Instant::now();
         std::thread::sleep(backoff.mul_f64(spread.max(0.0)));
+        slept.elapsed()
     }
 
-    /// One call under the retry policy: per attempt, re-resolve the peer
-    /// responsible for `position` (churn may have moved it between
-    /// retries), send, and wait `try_timeout`. *Every* failure kind is
+    /// The endpoint `target` currently resolves to.
+    fn resolve(&self, target: &Target) -> Result<PeerEndpoint, UmsError> {
+        match *target {
+            Target::Position(position) => self
+                .directory
+                .responsible_for(position)
+                .map(|(_peer, endpoint)| endpoint)
+                .ok_or(UmsError::EmptyOverlay),
+            Target::Peer(peer) => self
+                .directory
+                .peers
+                .read()
+                .get(&peer)
+                .map(|(endpoint, _)| endpoint.clone())
+                .ok_or_else(|| UmsError::lookup(format!("unknown peer {:016x}", peer.0))),
+        }
+    }
+
+    /// One scatter-gather round: every request goes out before anything is
+    /// awaited, then the client sleeps **once** — until the last reply
+    /// landed or `try_timeout` passed — however many requests there are.
+    /// Outcomes come back in `sends` order; messages are counted here (one
+    /// per request the transport accepted, one per reply).
+    fn round(
+        &mut self,
+        sends: Vec<(PeerEndpoint, Request, Option<TraceContext>)>,
+    ) -> Vec<Gathered> {
+        let gather = Gather::new(sends.len());
+        for (slot, (endpoint, request, trace)) in sends.into_iter().enumerate() {
+            if gather.send(slot, &endpoint, request, trace) {
+                self.messages.inc();
+            }
+        }
+        let landed = gather.wait(self.retry.try_timeout);
+        let replies = landed.iter().filter(|leg| leg.outcome.is_ok()).count();
+        self.messages.add(replies as u64);
+        landed
+    }
+
+    /// Runs independent calls under the retry policy, overlapped: attempt 0
+    /// of **every** call is sent before any reply is awaited and the client
+    /// blocks once for all of them ([`ClusterClient::round`]), so `n` calls
+    /// cost one round trip, one sleep and one deadline instead of `n`. Only
+    /// the calls that failed go on to attempt 1, 2, … — each round again one
+    /// backoff, one scatter and one wait for whatever is still unsettled.
+    /// Replies come back in `calls` order.
+    ///
+    /// Per call nothing changed from a call made alone: the target is
+    /// re-resolved every attempt (churn may have moved it between retries),
+    /// every re-send repeats the request — and so its [`OpId`] — verbatim,
+    /// each retry of each call counts once in `retries`, a call that spends
+    /// the budget counts once in `retry_exhaustions`, and a sampled call
+    /// gets its own `client.call` span with one `client.attempt` per
+    /// attempt, ended when *its* reply landed. *Every* failure kind is
     /// retried — a timeout may be loss, a teardown may be a crash another
     /// peer already failed over, a rejection may be a forward that raced a
     /// reap; re-resolving and re-sending is the answer to all of them, and
     /// the dedup windows make it safe for mutations.
-    fn request(&mut self, position: u64, request: Request) -> Result<Reply, UmsError> {
-        let kind = request_kind(&request);
-        let context = traceable(&request).then(|| self.sample()).flatten();
-        // Timing is captured whenever tracing is attached (not only when
-        // sampled), so the slow-threshold fallback can surface unsampled
-        // tail calls; without tracing the loop pays nothing.
-        let started = self.tracing.as_ref().map(|_| Instant::now());
-        let mut phases: Vec<(String, u64)> = Vec::new();
+    fn call_all(&mut self, calls: Vec<Call>) -> Vec<Result<Reply, UmsError>> {
+        struct Leg {
+            call: Call,
+            kind: &'static str,
+            context: Option<TraceContext>,
+            started: Option<Instant>,
+            phases: Vec<(String, u64)>,
+            last: Option<(CallError, Instant)>,
+            settled: Option<Result<Reply, UmsError>>,
+        }
+        let mut legs: Vec<Leg> = calls
+            .into_iter()
+            .map(|call| {
+                // Timing is captured whenever tracing is attached (not only
+                // when sampled), so the slow-threshold fallback can surface
+                // unsampled tail calls; introspection kinds bypass tracing
+                // altogether, and without tracing a call pays nothing.
+                let traced = self.tracing.is_some() && traceable(&call.request);
+                Leg {
+                    kind: request_kind(&call.request),
+                    context: if traced { self.sample() } else { None },
+                    started: traced.then(Instant::now),
+                    phases: Vec::new(),
+                    last: None,
+                    settled: None,
+                    call,
+                }
+            })
+            .collect();
         let attempts = self.retry.attempts.max(1);
-        let mut last: Option<CallError> = None;
         for attempt in 0..attempts {
-            let mut backoff = Duration::ZERO;
-            if attempt > 0 {
-                self.retries.inc();
-                let backoff_start = started.map(|_| Instant::now());
-                self.backoff_sleep(attempt - 1);
-                if let Some(backoff_start) = backoff_start {
-                    backoff = backoff_start.elapsed();
-                    phases.push((format!("backoff{attempt}"), us(backoff)));
-                }
+            let unsettled = legs.iter().filter(|leg| leg.settled.is_none()).count();
+            if unsettled == 0 {
+                break;
             }
-            let Some((_peer, endpoint)) = self.directory.responsible_for(position) else {
-                self.finish_trace(kind, context, started, phases, "empty-overlay");
-                return Err(UmsError::EmptyOverlay);
+            let backoff = if attempt > 0 {
+                self.back_off(attempt, unsettled)
+            } else {
+                Duration::ZERO
             };
-            let attempt_started = started.map(|_| Instant::now());
-            // Every attempt carries the same trace id; the attempt span is
-            // the wire parent, so peer spans nest under the attempt that
-            // reached them.
-            let wire_context = context.map(|root| root.child_of(rdht_metrics::next_span_id()));
-            let outcome = match endpoint.send_traced(request.clone(), wire_context) {
-                Ok(pending) => {
-                    self.messages.inc();
-                    pending.wait(self.retry.try_timeout)
+            // The legs this round sends, by index, and their requests.
+            let mut in_flight: Vec<usize> = Vec::with_capacity(unsettled);
+            let mut sends = Vec::with_capacity(unsettled);
+            for (index, leg) in legs.iter_mut().enumerate() {
+                if leg.settled.is_some() {
+                    continue;
                 }
-                Err(error) => Err(CallError::Transport(error)),
-            };
-            match outcome {
-                Ok(reply) => {
-                    self.messages.inc();
-                    if let Some(attempt_started) = attempt_started {
-                        phases.push((format!("attempt{attempt}"), us(attempt_started.elapsed())));
-                        self.emit_attempt(context, attempt, attempt_started, backoff, "ok");
+                if attempt > 0 && leg.started.is_some() {
+                    leg.phases.push((format!("backoff{attempt}"), us(backoff)));
+                }
+                match self.resolve(&leg.call.target) {
+                    Ok(endpoint) => {
+                        // Every attempt carries the same trace id; the
+                        // attempt span is the wire parent, so peer spans
+                        // nest under the attempt that reached them.
+                        let wire_context = leg
+                            .context
+                            .map(|root| root.child_of(rdht_metrics::next_span_id()));
+                        sends.push((endpoint, leg.call.request.clone(), wire_context));
+                        in_flight.push(index);
                     }
-                    self.finish_trace(kind, context, started, phases, "ok");
-                    return Ok(reply);
-                }
-                Err(error) => {
-                    if let Some(attempt_started) = attempt_started {
-                        phases.push((format!("attempt{attempt}"), us(attempt_started.elapsed())));
-                        self.emit_attempt(
-                            context,
-                            attempt,
-                            attempt_started,
-                            backoff,
-                            outcome_label(&error),
+                    // No route is not a network failure: nothing to retry.
+                    Err(error) => {
+                        let phases = std::mem::take(&mut leg.phases);
+                        self.finish_trace(
+                            leg.kind,
+                            leg.context,
+                            leg.started,
+                            Instant::now(),
+                            phases,
+                            "unroutable",
                         );
+                        leg.settled = Some(Err(error));
                     }
-                    last = Some(error);
+                }
+            }
+            let sent = Instant::now();
+            for (index, gathered) in in_flight.into_iter().zip(self.round(sends)) {
+                let leg = &mut legs[index];
+                if leg.started.is_some() {
+                    let took = gathered.landed.saturating_duration_since(sent);
+                    leg.phases.push((format!("attempt{attempt}"), us(took)));
+                    let label = gathered
+                        .outcome
+                        .as_ref()
+                        .map_or_else(outcome_label, |_| "ok");
+                    self.emit_attempt(
+                        leg.context,
+                        attempt,
+                        (sent, gathered.landed),
+                        backoff,
+                        label,
+                    );
+                }
+                match gathered.outcome {
+                    Ok(reply) => {
+                        let phases = std::mem::take(&mut leg.phases);
+                        self.finish_trace(
+                            leg.kind,
+                            leg.context,
+                            leg.started,
+                            gathered.landed,
+                            phases,
+                            "ok",
+                        );
+                        leg.settled = Some(Ok(reply));
+                    }
+                    Err(error) => leg.last = Some((error, gathered.landed)),
                 }
             }
         }
-        self.retry_exhaustions.inc();
-        let last = last.unwrap_or(CallError::Timeout);
-        self.finish_trace(kind, context, started, phases, outcome_label(&last));
-        Err(call_failed(if attempts == 1 {
-            last
-        } else {
-            CallError::Exhausted {
-                attempts,
-                last: Box::new(last),
-            }
-        }))
-    }
-
-    /// Gathers the indirect observation for a key: reads every replica and
-    /// returns the largest timestamp seen (Section 4.2.2), or
-    /// [`Timestamp::ZERO`] when no replica exists.
-    fn gather_observation(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
-        let mut max = Timestamp::ZERO;
-        for hash in self.replication_ids() {
-            if let Ok(Some(replica)) = self.get_replica(hash, key) {
-                if replica.timestamp > max {
-                    max = replica.timestamp;
+        legs.into_iter()
+            .map(|leg| {
+                if let Some(settled) = leg.settled {
+                    return settled;
                 }
-            }
-        }
-        Ok(max)
+                self.retry_exhaustions.inc();
+                let (last, ended) = leg.last.expect("an unsettled leg failed every attempt");
+                self.finish_trace(
+                    leg.kind,
+                    leg.context,
+                    leg.started,
+                    ended,
+                    leg.phases,
+                    outcome_label(&last),
+                );
+                Err(call_failed(if attempts == 1 {
+                    last
+                } else {
+                    CallError::Exhausted {
+                        attempts,
+                        last: Box::new(last),
+                    }
+                }))
+            })
+            .collect()
     }
 
-    fn timestamp_request(&mut self, key: &Key, generate: bool) -> Result<Timestamp, UmsError> {
-        let position = self.directory.family.eval_timestamp(key);
-        // Only a `gen_ts` is a mutation; `last_ts` is a pure read and needs
-        // no dedup identity.
-        let op = generate.then(|| self.next_op());
-        let first = self.request(
-            position,
-            Request::Timestamp {
-                op,
+    /// One call under the retry policy: a [`ClusterClient::call_all`] of one.
+    fn call(&mut self, call: Call) -> Result<Reply, UmsError> {
+        self.call_all(vec![call])
+            .pop()
+            .expect("call_all answers every call")
+    }
+
+    /// The `get_h` request for `key` under `hash`.
+    fn get_call(&self, hash: HashId, key: &Key) -> Call {
+        Call {
+            target: Target::Position(self.directory.family.eval(hash, key)),
+            request: Request::GetReplica {
+                hash,
+                key: key.clone(),
+            },
+        }
+    }
+
+    /// The KTS request for `key`. Only a `gen_ts` is a mutation and gets a
+    /// dedup identity; `last_ts` is a pure read and needs none.
+    fn timestamp_call(
+        &mut self,
+        key: &Key,
+        generate: bool,
+        observation_hint: Option<Timestamp>,
+    ) -> Call {
+        Call {
+            target: Target::Position(self.directory.family.eval_timestamp(key)),
+            request: Request::Timestamp {
+                op: generate.then(|| self.next_op()),
                 key: key.clone(),
                 generate,
-                observation_hint: None,
+                observation_hint,
             },
-        )?;
+        }
+    }
+
+    /// Gathers the indirect observation for a key: reads every replica —
+    /// all `|Hr|` probes in one overlapped [`ClusterClient::call_all`] — and
+    /// returns the largest timestamp seen (Section 4.2.2), or
+    /// [`Timestamp::ZERO`] when no replica answered with data.
+    fn gather_observation(&mut self, key: &Key) -> Timestamp {
+        let probes = self
+            .replication_ids()
+            .map(|hash| self.get_call(hash, key))
+            .collect();
+        self.call_all(probes)
+            .into_iter()
+            .filter_map(|reply| match reply {
+                Ok(Reply::Replica(Some((_payload, timestamp)))) => Some(timestamp),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(Timestamp::ZERO)
+    }
+
+    /// Turns the reply to a hint-less timestamp request into the timestamp,
+    /// running the indirect initialization when the responsible asks for it.
+    fn finish_timestamp(
+        &mut self,
+        key: &Key,
+        generate: bool,
+        first: Reply,
+    ) -> Result<Timestamp, UmsError> {
         match first {
             Reply::Timestamp(ts) => Ok(ts),
             Reply::NeedsInitialization => {
@@ -681,18 +766,9 @@ impl ClusterClient {
                 // get a fresh op — reusing the first op would be answered
                 // from the cached `NeedsInitialization` forever.
                 self.indirect_initializations.inc();
-                let observed = self.gather_observation(key)?;
-                let op = generate.then(|| self.next_op());
-                let second = self.request(
-                    position,
-                    Request::Timestamp {
-                        op,
-                        key: key.clone(),
-                        generate,
-                        observation_hint: Some(observed),
-                    },
-                )?;
-                match second {
+                let observed = self.gather_observation(key);
+                let second = self.timestamp_call(key, generate, Some(observed));
+                match self.call(second)? {
                     Reply::Timestamp(ts) => Ok(ts),
                     other => Err(UmsError::kts(format!(
                         "unexpected reply to initialized timestamp request: {other:?}"
@@ -703,6 +779,24 @@ impl ClusterClient {
                 "unexpected reply to timestamp request: {other:?}"
             ))),
         }
+    }
+
+    fn timestamp_request(&mut self, key: &Key, generate: bool) -> Result<Timestamp, UmsError> {
+        let first = self.timestamp_call(key, generate, None);
+        let first = self.call(first)?;
+        self.finish_timestamp(key, generate, first)
+    }
+}
+
+/// The replica a `get_h` reply carries.
+fn replica_of(reply: Reply) -> Result<Option<ReplicaValue>, UmsError> {
+    match reply {
+        Reply::Replica(stored) => {
+            Ok(stored.map(|(payload, timestamp)| ReplicaValue::new(payload, timestamp)))
+        }
+        other => Err(UmsError::lookup(format!(
+            "unexpected reply to get: {other:?}"
+        ))),
     }
 }
 
@@ -715,25 +809,51 @@ impl UmsAccess for ClusterClient {
         self.timestamp_request(key, false)
     }
 
+    /// The overlapped opening of `retrieve`: the `last_ts` request and the
+    /// probe of `hash` are one two-leg [`ClusterClient::call_all`] — one
+    /// round trip where the sequential default pays two. The messages are
+    /// the ones the sequential algorithm sends (the probe is the one it
+    /// would have sent next, whatever KTS answers), each leg retries on its
+    /// own, and a `NeedsInitialization` answer runs the indirect
+    /// initialization exactly as [`UmsAccess::kts_last_ts`] does.
+    fn kts_last_ts_and_probe(
+        &mut self,
+        key: &Key,
+        hash: HashId,
+    ) -> (
+        Result<Timestamp, UmsError>,
+        Result<Option<ReplicaValue>, UmsError>,
+    ) {
+        let calls = vec![
+            self.timestamp_call(key, false, None),
+            self.get_call(hash, key),
+        ];
+        let mut replies = self.call_all(calls);
+        let probe = replies.pop().expect("call_all answers every call");
+        let last = replies.pop().expect("call_all answers every call");
+        (
+            last.and_then(|first| self.finish_timestamp(key, false, first)),
+            probe.and_then(replica_of),
+        )
+    }
+
     fn put_replica(
         &mut self,
         hash: HashId,
         key: &Key,
         value: &ReplicaValue,
     ) -> Result<(), UmsError> {
-        let position = self.directory.family.eval(hash, key);
-        let op = Some(self.next_op());
-        let reply = self.request(
-            position,
-            Request::PutReplica {
-                op,
+        let put = Call {
+            target: Target::Position(self.directory.family.eval(hash, key)),
+            request: Request::PutReplica {
+                op: Some(self.next_op()),
                 hash,
                 key: key.clone(),
                 payload: value.data.clone(),
                 timestamp: value.timestamp,
             },
-        )?;
-        match reply {
+        };
+        match self.call(put)? {
             Reply::PutAck => Ok(()),
             other => Err(UmsError::lookup(format!(
                 "unexpected reply to put: {other:?}"
@@ -744,10 +864,11 @@ impl UmsAccess for ClusterClient {
     /// The batched fan-out: the `|Hr|` puts of one insert are grouped by
     /// responsible peer and shipped as one [`Request::PutReplicas`] per
     /// peer — over TCP that is one round trip per peer instead of one per
-    /// hash. The groups are sent before any reply is awaited, so the peers
-    /// work in parallel; each answers one [`Reply::PutsAck`] once its last
-    /// constituent put (including any it had to forward under churn)
-    /// completed.
+    /// hash. The groups go out and are awaited as one scatter-gather round
+    /// ([`ClusterClient::round`]): the peers work in parallel, the client
+    /// sleeps once, and the whole fan-out shares one `try_timeout` deadline.
+    /// Each peer answers one [`Reply::PutsAck`] once its last constituent
+    /// put (including any it had to forward under churn) completed.
     ///
     /// Under the retry policy, a group whose ack was lost (or that reported
     /// partial failure) is re-grouped against the *current* directory view
@@ -755,7 +876,9 @@ impl UmsAccess for ClusterClient {
     /// already-applied constituents from their dedup caches, so the final
     /// attempt's counts are correct without double-crediting. Only clean
     /// acks (`failed == 0`) are credited early; a partially failed group is
-    /// re-queued whole and credited solely by its last attempt.
+    /// re-queued whole and credited solely by its last attempt. The
+    /// re-grouping is why this is not a [`ClusterClient::call_all`]: what a
+    /// retry sends depends on where the directory puts each hash *then*.
     fn put_replicas(&mut self, key: &Key, value: &ReplicaValue) -> PutReplicasOutcome {
         let op = Some(self.next_op());
         let context = self.sample();
@@ -767,11 +890,8 @@ impl UmsAccess for ClusterClient {
         for attempt in 0..attempts {
             let mut backoff = Duration::ZERO;
             if attempt > 0 {
-                self.retries.inc();
-                let backoff_start = started.map(|_| Instant::now());
-                self.backoff_sleep(attempt - 1);
-                if let Some(backoff_start) = backoff_start {
-                    backoff = backoff_start.elapsed();
+                backoff = self.back_off(attempt, 1);
+                if started.is_some() {
                     phases.push((format!("backoff{attempt}"), us(backoff)));
                 }
             }
@@ -792,7 +912,8 @@ impl UmsAccess for ClusterClient {
                     None => unroutable.push(hash),
                 }
             }
-            let mut waits: Vec<(Vec<HashId>, PendingReply)> = Vec::new();
+            let mut sent: Vec<Vec<HashId>> = Vec::with_capacity(groups.len());
+            let mut sends = Vec::with_capacity(groups.len());
             for (_, (endpoint, hashes)) in groups {
                 let request = Request::PutReplicas {
                     op,
@@ -805,35 +926,24 @@ impl UmsAccess for ClusterClient {
                 // trace id, so the applying peers' span trees (one per
                 // constituent put) correlate back to this logical insert.
                 let wire_context = context.map(|root| root.child_of(rdht_metrics::next_span_id()));
-                match endpoint.send_traced(request, wire_context) {
-                    Ok(pending) => {
-                        self.messages.inc();
-                        waits.push((hashes, pending));
-                    }
-                    Err(_) if final_attempt => outcome.failed += hashes.len(),
-                    Err(_) => remaining.extend(hashes),
-                }
+                sends.push((endpoint, request, wire_context));
+                sent.push(hashes);
             }
-            for (hashes, pending) in waits {
-                match pending.wait(self.retry.try_timeout) {
+            for (hashes, group) in sent.into_iter().zip(self.round(sends)) {
+                match group.outcome {
                     Ok(Reply::PutsAck { written, failed: 0 }) => {
-                        self.messages.inc();
                         outcome.written += written as usize;
                     }
                     Ok(Reply::PutsAck { written, failed }) if final_attempt => {
-                        self.messages.inc();
                         outcome.written += written as usize;
                         outcome.failed += failed as usize;
                     }
-                    Ok(Reply::PutsAck { .. }) => {
-                        // Partial failure mid-budget: re-queue the whole
-                        // group uncredited — the retry's cached re-acks make
-                        // the final count correct without double-crediting.
-                        self.messages.inc();
-                        remaining.extend(hashes);
-                    }
-                    Ok(_) | Err(_) if final_attempt => outcome.failed += hashes.len(),
-                    Ok(_) | Err(_) => remaining.extend(hashes),
+                    // An undeliverable group, a lost ack, or partial failure
+                    // mid-budget: re-queue the whole group uncredited — the
+                    // retry's cached re-acks make the final count correct
+                    // without double-crediting.
+                    _ if final_attempt => outcome.failed += hashes.len(),
+                    _ => remaining.extend(hashes),
                 }
             }
             if final_attempt {
@@ -842,36 +952,32 @@ impl UmsAccess for ClusterClient {
                 remaining.extend(unroutable);
             }
             if let Some(attempt_started) = attempt_started {
-                phases.push((format!("attempt{attempt}"), us(attempt_started.elapsed())));
+                let attempt_ended = Instant::now();
+                phases.push((
+                    format!("attempt{attempt}"),
+                    us(attempt_ended.saturating_duration_since(attempt_started)),
+                ));
                 let label = if remaining.is_empty() { "ok" } else { "retry" };
-                self.emit_attempt(context, attempt, attempt_started, backoff, label);
+                self.emit_attempt(
+                    context,
+                    attempt,
+                    (attempt_started, attempt_ended),
+                    backoff,
+                    label,
+                );
             }
             if remaining.is_empty() {
                 break;
             }
         }
         let label = if outcome.failed == 0 { "ok" } else { "partial" };
-        self.finish_trace("puts", context, started, phases, label);
+        self.finish_trace("puts", context, started, Instant::now(), phases, label);
         outcome
     }
 
     fn get_replica(&mut self, hash: HashId, key: &Key) -> Result<Option<ReplicaValue>, UmsError> {
-        let position = self.directory.family.eval(hash, key);
-        let reply = self.request(
-            position,
-            Request::GetReplica {
-                hash,
-                key: key.clone(),
-            },
-        )?;
-        match reply {
-            Reply::Replica(stored) => {
-                Ok(stored.map(|(payload, timestamp)| ReplicaValue::new(payload, timestamp)))
-            }
-            other => Err(UmsError::lookup(format!(
-                "unexpected reply to get: {other:?}"
-            ))),
-        }
+        let get = self.get_call(hash, key);
+        self.call(get).and_then(replica_of)
     }
 
     fn replication_count(&self) -> usize {

@@ -836,6 +836,7 @@ impl Cluster {
                 kind: HandoffKind::Join,
                 fault,
             },
+            self.config.trace.is_some(),
         );
         match outcome {
             Ok(Reply::HandoffComplete {
@@ -959,6 +960,7 @@ impl Cluster {
                 kind: HandoffKind::Leave,
                 fault,
             },
+            self.config.trace.is_some(),
         );
         match outcome {
             Ok(Reply::HandoffComplete {
@@ -1124,10 +1126,19 @@ pub fn serve_tcp_peer(config: TcpPeerConfig) -> Result<(), TransportError> {
 /// [`COORDINATION_ATTEMPTS`] times. Anything other than a timeout — a
 /// reply, a rejection, a reply-path teardown — is definitive and returned
 /// as-is; spent budgets come back as [`CallError::Exhausted`].
-fn coordinate_handoff(endpoint: &PeerEndpoint, request: Request) -> Result<Reply, CallError> {
+///
+/// On a `traced` cluster the exchange runs under one sampled root context
+/// (re-sends included), so the source records its
+/// `peer.handoff_{export,install,commit}` spans.
+fn coordinate_handoff(
+    endpoint: &PeerEndpoint,
+    request: Request,
+    traced: bool,
+) -> Result<Reply, CallError> {
+    let context = traced.then(|| TraceContext::sampled_root(rdht_metrics::next_span_id()));
     let mut last = CallError::Timeout;
     for _ in 0..COORDINATION_ATTEMPTS {
-        let outcome = match endpoint.send(request.clone()) {
+        let outcome = match endpoint.send_traced(request.clone(), context) {
             Ok(pending) => pending.wait(COORDINATION_ATTEMPT_TIMEOUT),
             Err(error) => Err(CallError::Transport(error)),
         };
@@ -1469,15 +1480,18 @@ struct TracedUnit {
     apply_end: Instant,
     /// Index of this unit's deferred reply, to attribute its send time.
     deferred_at: usize,
-    /// When the deferred reply was sent (start, end).
-    reply: Option<(Instant, Instant)>,
+    /// When the deferred reply had been sent.
+    replied: Option<Instant>,
 }
 
 /// Finalizes the batch's traced units: one shared `peer.fsync` span linked
 /// to every traced request of the group-commit batch, then per-request
 /// phase spans and a [`RequestTree`] pushed into the peer's slowlog. The
-/// phases partition the request's wall time (queue wait → apply → batch
-/// wait → fsync → reply), so the slowlog attribution sums to ~100%.
+/// phases partition the request's wall time exactly (queue wait → apply →
+/// batch wait → fsync → reply): `reply` runs from the end of the covering
+/// sync to the moment this unit's reply was sent, so it includes the sends
+/// of the batch's earlier replies — on one core each of those can hand the
+/// CPU to the client it wakes.
 fn finish_traced_batch(
     traced: &mut Vec<TracedUnit>,
     slowlog: &SpanLog,
@@ -1507,9 +1521,9 @@ fn finish_traced_batch(
         let queue = unit.apply_start.saturating_duration_since(unit.arrived);
         let apply = unit.apply_end.saturating_duration_since(unit.apply_start);
         let batch_wait = sync_start.saturating_duration_since(unit.apply_end);
-        let (reply_start, reply_end) = unit.reply.unwrap_or((sync_end, sync_end));
-        let reply = reply_end.saturating_duration_since(reply_start);
-        let total = reply_end.saturating_duration_since(unit.arrived);
+        let replied = unit.replied.unwrap_or(sync_end);
+        let reply = replied.saturating_duration_since(sync_end);
+        let total = replied.saturating_duration_since(unit.arrived);
         if let Some(sink) = sink {
             let args = |extra: bool| {
                 let mut args = vec![(
@@ -1541,7 +1555,7 @@ fn finish_traced_batch(
                 "peer.reply",
                 pid,
                 tid,
-                sink_ts(sink, reply_start),
+                sink_ts(sink, sync_end),
                 us(reply),
                 args(false),
             );
@@ -2262,7 +2276,7 @@ fn peer_main(
                             apply_start,
                             apply_end: Instant::now(),
                             deferred_at: deferred_mark,
-                            reply: None,
+                            replied: None,
                         });
                     }
                 }
@@ -2289,10 +2303,9 @@ fn peer_main(
             // the one covering-fsync span the whole group-commit batch
             // shares.
             for (index, (reply, answer)) in deferred.drain(..).enumerate() {
-                let send_start = Instant::now();
                 reply.send(answer);
                 if let Some(unit) = traced.iter_mut().find(|unit| unit.deferred_at == index) {
-                    unit.reply = Some((send_start, Instant::now()));
+                    unit.replied = Some(Instant::now());
                 }
             }
             finish_traced_batch(

@@ -51,6 +51,16 @@
 //! indirect algorithm of Section 4.2.2, restructured so that peer threads
 //! never block on each other.
 //!
+//! Requests that do not need each other's answers are overlapped: the
+//! client sends them all, then blocks once on a [`Gather`] latch until the
+//! last reply (or the per-attempt deadline) releases it. A `retrieve` asks
+//! KTS for `last_ts` and probes the first replica in the same round trip
+//! (two one-way delays to a current answer, not four), the indirect
+//! observation reads its `|Hr|` replicas in one, and an insert's per-peer
+//! put groups share one wait. The messages are the sequential algorithm's,
+//! only their timing changes; an `insert` still pays `gen_ts` *then* the
+//! puts — the puts carry the stamp.
+//!
 //! ## Elastic membership
 //!
 //! The ring is not a fixed deployment: [`Cluster::join_peer`] adds a live
@@ -150,8 +160,8 @@ pub use rdht_metrics::{
 };
 pub use tcp::TcpTransport;
 pub use transport::{
-    CallError, ChannelTransport, EndpointImpl, Incoming, Mailbox, PeerEndpoint, PendingReply,
-    ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
+    CallError, ChannelTransport, EndpointImpl, Gather, Gathered, Incoming, Mailbox, PeerEndpoint,
+    PendingReply, ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
 };
 pub use wire::{WireError, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION};
 

@@ -174,12 +174,22 @@ fn crash_of_timestamp_responsible_triggers_indirect_initialization() {
     cluster.crash_peer(responsible).unwrap();
     assert!(cluster.live_peers() < 10);
 
+    let (messages, inits) = (client.messages(), client.indirect_initializations());
     let after = ums::retrieve(&mut client, &key).unwrap();
     assert_eq!(
         after.data.unwrap(),
         b"v4",
         "latest surviving value is still returned"
     );
+    // Fanning the observation probes out changes their timing, not their
+    // number: the first KTS exchange, |Hr| = 6 observation probes, the
+    // hint-carrying KTS exchange, and the retrieve's own probes.
+    assert_eq!(client.indirect_initializations() - inits, 1);
+    assert_eq!(
+        client.messages() - messages,
+        2 + 2 * 6 + 2 + 2 * after.replicas_probed as u64
+    );
+    assert_eq!(client.retries(), 0);
 
     // Updates keep working and remain monotonic after the failover.
     let report = ums::insert(&mut client, &key, b"v5".to_vec()).unwrap();
@@ -1271,4 +1281,159 @@ fn client_counters_are_registry_handles() {
         client.messages()
     )));
     cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Scatter-gather calls: same messages as the sequential algorithm
+// ---------------------------------------------------------------------------
+
+/// Overlapping `last_ts` with the first probe changes when messages are
+/// sent, never which: a current retrieve is the KTS exchange plus one probe,
+/// and `k` stale replicas in front of the current one cost `k` more probes.
+#[test]
+fn overlapped_retrieve_sends_the_sequential_algorithms_messages() {
+    use crate::{OpId, Reply, Request};
+    use rdht_core::Timestamp;
+    use rdht_hashing::HashId;
+    use std::time::Duration;
+
+    const REPLICAS: usize = 5;
+    let cluster = Cluster::spawn(6, REPLICAS, 0x5CA7);
+    let mut client = cluster.client();
+    let key = Key::new("counted:key");
+    ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+
+    let before = client.messages();
+    let got = ums::retrieve(&mut client, &key).unwrap();
+    assert!(got.is_current);
+    assert_eq!(got.replicas_probed, 1);
+    assert_eq!(
+        client.messages() - before,
+        4,
+        "last_ts + one probe, a request and a reply each"
+    );
+
+    // Version 2 reaches only the replicas from `stale` on: the ones in front
+    // keep version 1 and must each be probed (and skipped) first.
+    for stale in 1..REPLICAS {
+        let key = Key::new(format!("counted:stale{stale}"));
+        ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+        let call = |peer, request| {
+            cluster
+                .peer_endpoint(peer)
+                .unwrap()
+                .call(request, Duration::from_secs(5))
+                .unwrap()
+        };
+        let stamped = call(
+            cluster.timestamp_responsible(&key).unwrap(),
+            Request::Timestamp {
+                op: Some(OpId {
+                    client: 0x57A1E,
+                    seq: stale as u64,
+                }),
+                key: key.clone(),
+                generate: true,
+                observation_hint: None,
+            },
+        );
+        assert_eq!(stamped, Reply::Timestamp(Timestamp(2)));
+        for hash in (stale..REPLICAS).map(|h| HashId(h as u32)) {
+            let acked = call(
+                cluster.replica_responsible(hash, &key).unwrap(),
+                Request::PutReplica {
+                    op: None,
+                    hash,
+                    key: key.clone(),
+                    payload: b"v2".to_vec(),
+                    timestamp: Timestamp(2),
+                },
+            );
+            assert_eq!(acked, Reply::PutAck);
+        }
+        let before = client.messages();
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        assert!(got.is_current);
+        assert_eq!(got.data.unwrap(), b"v2");
+        assert_eq!(got.replicas_probed, stale + 1);
+        assert_eq!(
+            client.messages() - before,
+            2 + 2 * (stale as u64 + 1),
+            "{stale} stale replicas: the KTS exchange plus {} probes",
+            stale + 1
+        );
+    }
+    assert_eq!(client.retries(), 0);
+    cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Gather: the slot / fill / close protocol on real threads
+// ---------------------------------------------------------------------------
+
+mod gather {
+    use std::time::{Duration, Instant};
+
+    use crate::{CallError, Gather, Reply};
+
+    /// The last fill releases the waiter long before the deadline, and the
+    /// slots come back in index order whatever order they were filled in.
+    #[test]
+    fn the_last_reply_releases_the_waiter() {
+        let gather = Gather::new(3);
+        let sinks: Vec<_> = (0..3).map(|index| gather.sink(index)).collect();
+        let filler = std::thread::spawn(move || {
+            for (index, sink) in sinks.into_iter().enumerate().rev() {
+                sink.send(Reply::Metrics(index.to_string()));
+            }
+        });
+        let started = Instant::now();
+        let landed = gather.wait(Duration::from_secs(30));
+        assert!(started.elapsed() < Duration::from_secs(10));
+        filler.join().unwrap();
+        for (index, slot) in landed.into_iter().enumerate() {
+            assert_eq!(slot.outcome, Ok(Reply::Metrics(index.to_string())));
+        }
+    }
+
+    /// A slot takes the first outcome offered and nothing after the waiter
+    /// collected: the late reply of a timed-out slot is discarded.
+    #[test]
+    fn late_and_repeated_fills_are_discarded() {
+        let gather = Gather::new(3);
+        let (late_reply, late_teardown) = (gather.sink(1), gather.sink(1));
+        gather.sink(0).send(Reply::PutAck);
+        // Slot 0 is taken: neither a second reply nor a dropped sink moves it.
+        gather.sink(0).send(Reply::NeedsInitialization);
+        drop(gather.sink(0));
+        gather.sink(2).send(Reply::Error {
+            reason: "refused".to_string(),
+        });
+        let landed = gather.wait(Duration::from_millis(20));
+        let outcomes: Vec<_> = landed.into_iter().map(|slot| slot.outcome).collect();
+        assert_eq!(
+            outcomes,
+            vec![
+                Ok(Reply::PutAck),
+                Err(CallError::Timeout),
+                Err(CallError::Rejected("refused".to_string())),
+            ]
+        );
+        // The gather is closed and its slots are gone: both a late reply and
+        // a late teardown are no-ops.
+        late_reply.send(Reply::PutAck);
+        drop(late_teardown);
+    }
+
+    /// A sink dropped unsent reads as the prompt `Dropped` of a crash, not
+    /// as a timeout.
+    #[test]
+    fn a_dropped_sink_fills_its_slot_at_once() {
+        let gather = Gather::new(1);
+        drop(gather.sink(0));
+        let started = Instant::now();
+        let landed = gather.wait(Duration::from_secs(30));
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(landed[0].outcome, Err(CallError::Dropped));
+    }
 }

@@ -14,7 +14,8 @@
 //!   returns a [`PendingReply`]; `send_with_sink` relays an existing sink
 //!   (this is what makes request *forwarding* transparent — the forwarded
 //!   request carries the original reply path, whatever transport it came
-//!   in on).
+//!   in on). A caller with several independent requests sends them through
+//!   one [`Gather`] instead and waits once for all of their replies.
 //! * [`Transport`] — the factory tying both together with per-peer
 //!   addressing: `bind` (accept side), `endpoint` (connect side) and
 //!   `unbind` (teardown).
@@ -26,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -178,12 +179,18 @@ enum SinkInner {
     Fanin(Arc<Mutex<FaninState>>),
     /// A middleware interceptor wrapping another sink.
     Hooked(Box<dyn ReplyHook>),
+    /// One slot of a scatter-gather exchange ([`Gather`]).
+    Slot {
+        gather: Arc<GatherShared>,
+        index: usize,
+    },
 }
 
 /// The reply path of one in-flight request. Consume it with
 /// [`ReplySink::send`]; a sink dropped unsent signals failure instead of
 /// leaving the requester to time out (a channel disconnects, a remote
-/// requester receives [`Reply::Error`], a fan-in counts a failed put).
+/// requester receives [`Reply::Error`], a fan-in counts a failed put, a
+/// [`Gather`] slot reads [`CallError::Dropped`]).
 pub struct ReplySink {
     inner: SinkInner,
 }
@@ -196,6 +203,7 @@ impl fmt::Debug for ReplySink {
             SinkInner::Remote { .. } => "Remote",
             SinkInner::Fanin(_) => "Fanin",
             SinkInner::Hooked(_) => "Hooked",
+            SinkInner::Slot { .. } => "Slot",
         };
         write!(f, "ReplySink::{kind}")
     }
@@ -273,6 +281,7 @@ impl ReplySink {
                 FaninState::absorb(&state, ok);
             }
             SinkInner::Hooked(hook) => hook.deliver(reply),
+            SinkInner::Slot { gather, index } => gather.fill(index, answered(reply)),
         }
     }
 }
@@ -294,6 +303,7 @@ impl Drop for ReplySink {
             }
             SinkInner::Fanin(state) => FaninState::absorb(&state, false),
             SinkInner::Hooked(hook) => hook.dropped(),
+            SinkInner::Slot { gather, index } => gather.fill(index, Err(CallError::Dropped)),
         }
     }
 }
@@ -398,13 +408,21 @@ pub struct PendingReply {
     receiver: Receiver<Reply>,
 }
 
+/// What a delivered reply means to its caller: [`Reply::Error`] is the
+/// peer (or a forwarder) refusing the request, anything else is the answer.
+fn answered(reply: Reply) -> Result<Reply, CallError> {
+    match reply {
+        Reply::Error { reason } => Err(CallError::Rejected(reason)),
+        reply => Ok(reply),
+    }
+}
+
 impl PendingReply {
     /// Blocks until the reply arrives, the reply path is torn down, or
     /// `timeout` elapses.
     pub fn wait(self, timeout: Duration) -> Result<Reply, CallError> {
         match self.receiver.recv_timeout(timeout) {
-            Ok(Reply::Error { reason }) => Err(CallError::Rejected(reason)),
-            Ok(reply) => Ok(reply),
+            Ok(reply) => answered(reply),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(CallError::Timeout),
             Err(_) => Err(CallError::Dropped),
         }
@@ -417,10 +435,147 @@ impl PendingReply {
     /// transport tears the reply path down when the peer stops).
     pub fn wait_unbounded(self) -> Result<Reply, CallError> {
         match self.receiver.recv() {
-            Ok(Reply::Error { reason }) => Err(CallError::Rejected(reason)),
-            Ok(reply) => Ok(reply),
+            Ok(reply) => answered(reply),
             Err(_) => Err(CallError::Dropped),
         }
+    }
+}
+
+/// What one slot of a [`Gather`] ended up holding.
+#[derive(Debug)]
+pub struct Gathered {
+    /// The reply, or why there is none ([`CallError::Timeout`] for a slot
+    /// still empty when the waiter collected).
+    pub outcome: Result<Reply, CallError>,
+    /// When *this* slot's outcome landed (collection time for an empty one),
+    /// so a leg that answered early is not billed for the slowest one.
+    pub landed: Instant,
+}
+
+struct GatherState {
+    slots: Vec<Option<Gathered>>,
+    /// Slots still empty; the fill that takes this to zero wakes the waiter.
+    remaining: usize,
+    /// Set by [`Gather::wait`] when it collects: whatever lands afterwards
+    /// belongs to an exchange its caller already gave up on.
+    closed: bool,
+}
+
+struct GatherShared {
+    state: StdMutex<GatherState>,
+    all_landed: Condvar,
+}
+
+impl GatherShared {
+    /// Every update leaves the slots coherent (one assignment and one
+    /// decrement under the lock), so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, GatherState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fills slot `index` unless it is already filled or the waiter already
+    /// collected — each slot takes exactly one outcome, the first.
+    fn fill(&self, index: usize, outcome: Result<Reply, CallError>) {
+        let mut state = self.lock();
+        if state.closed || state.slots[index].is_some() {
+            return;
+        }
+        state.slots[index] = Some(Gathered {
+            outcome,
+            landed: Instant::now(),
+        });
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            drop(state);
+            self.all_landed.notify_one();
+        }
+    }
+}
+
+/// The receive side of a scatter-gather exchange: `n` reply slots behind a
+/// countdown latch. The caller sends every request of the exchange with
+/// [`Gather::send`], then blocks **once** in [`Gather::wait`]; the reply
+/// paths fill their slots from whatever thread delivers them (a peer loop, a
+/// TCP demux reader, the fault layer's timer), and the fill that empties the
+/// countdown — or the deadline — releases the waiter. One sleep and one
+/// wake-up for the whole exchange instead of one per request.
+///
+/// A slot takes the first outcome offered to it and nothing after the waiter
+/// collected: a reply that lands late (its sink was parked by a lossy link,
+/// or the peer was slow) is discarded, exactly as a dropped [`PendingReply`]
+/// discards it.
+pub struct Gather {
+    shared: Arc<GatherShared>,
+}
+
+impl Gather {
+    /// A gather of `slots` empty slots.
+    pub fn new(slots: usize) -> Self {
+        Gather {
+            shared: Arc::new(GatherShared {
+                state: StdMutex::new(GatherState {
+                    slots: (0..slots).map(|_| None).collect(),
+                    remaining: slots,
+                    closed: false,
+                }),
+                all_landed: Condvar::new(),
+            }),
+        }
+    }
+
+    /// The reply path of slot `index`: `send` fills it with the reply
+    /// ([`Reply::Error`] as [`CallError::Rejected`]), dropping it unsent
+    /// fills it with [`CallError::Dropped`].
+    pub fn sink(&self, index: usize) -> ReplySink {
+        ReplySink {
+            inner: SinkInner::Slot {
+                gather: Arc::clone(&self.shared),
+                index,
+            },
+        }
+    }
+
+    /// Sends `request` to `endpoint` with slot `index` as its reply path and
+    /// says whether the transport took it. A request it could not deliver
+    /// fills the slot with the typed [`CallError::Transport`] at once.
+    pub fn send(
+        &self,
+        index: usize,
+        endpoint: &PeerEndpoint,
+        request: Request,
+        trace: Option<TraceContext>,
+    ) -> bool {
+        match endpoint.send_with_sink_traced(request, self.sink(index), trace) {
+            Ok(()) => true,
+            Err(rejected) => {
+                // Filled before `rejected` (and the sink inside it) drops,
+                // so the slot reports the transport error, not `Dropped`.
+                self.shared
+                    .fill(index, Err(CallError::Transport(rejected.error)));
+                false
+            }
+        }
+    }
+
+    /// Blocks until every slot is filled or `timeout` elapses, then closes
+    /// the gather and returns the slots in index order; a slot still empty
+    /// reads [`CallError::Timeout`].
+    pub fn wait(self, timeout: Duration) -> Vec<Gathered> {
+        let (mut state, _timed_out) = self
+            .shared
+            .all_landed
+            .wait_timeout_while(self.shared.lock(), timeout, |state| state.remaining > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.closed = true;
+        std::mem::take(&mut state.slots)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| Gathered {
+                    outcome: Err(CallError::Timeout),
+                    landed: Instant::now(),
+                })
+            })
+            .collect()
     }
 }
 

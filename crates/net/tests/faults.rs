@@ -13,12 +13,12 @@ use std::time::{Duration, Instant};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rdht_core::{ums, Timestamp};
-use rdht_hashing::Key;
+use rdht_core::{ums, Timestamp, UmsAccess};
+use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
 use rdht_net::{
-    serve_tcp_peer, Cluster, ClusterConfig, End, FaultPlan, LinkFaults, OpId, PeerId, Reply,
-    Request, RetryPolicy, TcpPeerConfig, TcpTransport, Transport, TransportKind,
+    serve_tcp_peer, CallError, Cluster, ClusterConfig, End, FaultPlan, LinkFaults, OpId, PeerId,
+    Reply, Request, RetryPolicy, TcpPeerConfig, TcpTransport, Transport, TransportKind,
 };
 
 const REPLY_WAIT: Duration = Duration::from_secs(5);
@@ -288,14 +288,26 @@ fn retrieve_degrades_while_the_timestamp_peer_is_partitioned_away() {
         max_backoff: Duration::from_millis(20),
         jitter: 0.0,
     });
-    let key = Key::new("deg:key");
+    // A key none of whose replicas lives on its timestamping peer, so the
+    // partition cuts KTS off and nothing else.
+    let key = key_with_kts_apart_from_replicas(&cluster, "deg", 4);
     ums::insert(&mut client, &key, b"v".to_vec()).unwrap();
     let ts_peer = cluster.timestamp_responsible(&key).unwrap();
     plan.partition("kts", vec![End::Client], vec![End::Peer(ts_peer.0)]);
+    let before = client.messages();
     let got = ums::retrieve(&mut client, &key).unwrap();
     assert!(got.degraded, "unreachable KTS must surface as degraded");
     assert!(!got.is_current, "currency cannot be certified without KTS");
     assert_eq!(got.last_timestamp, Timestamp::ZERO);
+    // The probe sent alongside the doomed `last_ts` is the first of the
+    // |Hr| the degraded path reads — counted once, sent once.
+    assert_eq!((got.replicas_probed, got.probes_failed), (4, 0));
+    assert_eq!(
+        client.messages() - before,
+        2 + 2 * 4,
+        "two unanswered last_ts attempts, four answered probes"
+    );
+    assert_eq!((client.retries(), client.retry_exhaustions()), (1, 1));
     assert_eq!(
         got.data.unwrap(),
         b"v",
@@ -308,6 +320,132 @@ fn retrieve_degrades_while_the_timestamp_peer_is_partitioned_away() {
         "healing restores certification"
     );
     cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Scatter-gather client calls: overlap shown by time, retries per leg
+// ---------------------------------------------------------------------------
+
+/// The first `tag:i` key whose timestamping peer holds none of its
+/// `replicas` replicas: faults on that peer's links then touch KTS alone.
+fn key_with_kts_apart_from_replicas(cluster: &Cluster, tag: &str, replicas: u32) -> Key {
+    (0..)
+        .map(|i| Key::new(format!("{tag}:{i}")))
+        .find(|key| {
+            let kts = cluster.timestamp_responsible(key);
+            (0..replicas).all(|h| cluster.replica_responsible(HashId(h), key) != kts)
+        })
+        .expect("some key separates KTS from its replicas")
+}
+
+/// One-way latency of the overlap tests: wide enough that scheduling noise
+/// cannot blur one round trip (2 hops) into two.
+const HOP: Duration = Duration::from_millis(40);
+
+fn spawn_slow(kind: TransportKind, replicas: usize) -> Cluster {
+    let plan = FaultPlan::new(0x510).with_all_links(LinkFaults::delayed(HOP, Duration::ZERO));
+    spawn_faulty(kind, 6, replicas, plan)
+}
+
+/// `last_ts` and the first probe travel together: a current retrieve takes
+/// one round trip (2 hops), where asking KTS first took two (4 hops).
+#[test]
+fn current_retrieve_takes_one_round_trip() {
+    both(|kind| {
+        let cluster = spawn_slow(kind, 4);
+        let mut client = cluster.client();
+        let key = Key::new("overlap:key");
+        ums::insert(&mut client, &key, b"v".to_vec()).unwrap();
+        let started = Instant::now();
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        let took = started.elapsed();
+        assert!(got.is_current);
+        assert_eq!(got.replicas_probed, 1);
+        assert!(
+            took >= 2 * HOP,
+            "{kind:?}: {took:?} is under one round trip"
+        );
+        assert!(
+            took < 3 * HOP,
+            "{kind:?}: {took:?} — last_ts and the probe were not overlapped (sequential is {:?})",
+            4 * HOP
+        );
+        cluster.shutdown();
+    });
+}
+
+/// The indirect initialization reads all `|Hr|` replicas in one overlapped
+/// round trip, not `|Hr|` sequential ones.
+#[test]
+fn indirect_initialization_gathers_its_observation_in_one_round_trip() {
+    const REPLICAS: usize = 5;
+    both(|kind| {
+        let cluster = spawn_slow(kind, REPLICAS);
+        let mut client = cluster.client();
+        // A key KTS has never stamped: the responsible has no counter and
+        // asks for the indirect observation.
+        let key = Key::new("overlap:fresh");
+        let started = Instant::now();
+        client.kts_gen_ts(&key).unwrap();
+        let took = started.elapsed();
+        assert_eq!(client.indirect_initializations(), 1);
+        // Two KTS exchanges (4 hops) around the gather: the gather itself
+        // must stay under |Hr| hops where the sequential one took 2·|Hr|.
+        let gather = took.saturating_sub(4 * HOP);
+        assert!(
+            gather < REPLICAS as u32 * HOP,
+            "{kind:?}: the gather took {gather:?} of {took:?} (sequential is {:?})",
+            2 * REPLICAS as u32 * HOP
+        );
+        cluster.shutdown();
+    });
+}
+
+/// The first attempt of *one* leg of the overlapped pair is lost: that leg
+/// alone is re-sent, the operation succeeds certified, and `retries` counts
+/// the one re-send once.
+#[test]
+fn a_dropped_leg_retries_alone() {
+    both(|kind| {
+        let plan = FaultPlan::new(0x1E6);
+        let cluster = spawn_faulty(kind, 5, 4, plan.clone());
+        let mut client = cluster.client().with_retry_policy(RetryPolicy {
+            attempts: 3,
+            try_timeout: Duration::from_millis(300),
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(20),
+            jitter: 0.0,
+        });
+        let key = key_with_kts_apart_from_replicas(&cluster, "leg", 4);
+        ums::insert(&mut client, &key, b"v".to_vec()).unwrap();
+        let ts_peer = cluster.timestamp_responsible(&key).unwrap();
+        plan.partition("kts", vec![End::Client], vec![End::Peer(ts_peer.0)]);
+        // Heal as soon as the partition swallowed exactly one frame — the
+        // first `last_ts`; its re-send then goes through.
+        let healer = {
+            let plan = plan.clone();
+            thread::spawn(move || {
+                while plan.stats().totals.frames_dropped == 0 {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                plan.heal("kts");
+            })
+        };
+        let before = client.messages();
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        healer.join().unwrap();
+        assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
+        assert_eq!(got.replicas_probed, 1);
+        assert_eq!(plan.stats().totals.frames_dropped, 1);
+        assert_eq!(client.retries(), 1, "{kind:?}: only the lost leg retried");
+        assert_eq!(client.retry_exhaustions(), 0);
+        assert_eq!(
+            client.messages() - before,
+            5,
+            "{kind:?}: the lost request, its re-send and reply, the probe and its reply"
+        );
+        cluster.shutdown();
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -373,11 +511,18 @@ fn tcp_endpoint_redials_a_peer_restarted_on_a_new_port() {
     endpoint.send_no_reply(Request::Shutdown).unwrap();
     server.join().unwrap();
     let started = Instant::now();
-    let outcome = endpoint.send(Request::GetReplica {
-        hash: rdht_hashing::HashId(0),
-        key: key.clone(),
-    });
-    assert!(outcome.is_err(), "a downed peer must fail the send");
+    // The first write on a connection whose peer just closed can still
+    // succeed (the demux reader may not have seen the EOF yet); the
+    // exchange then fails at the wait, as a prompt teardown. Either way it
+    // must fail typed.
+    let outcome = endpoint
+        .send(Request::GetReplica {
+            hash: rdht_hashing::HashId(0),
+            key: key.clone(),
+        })
+        .map_err(CallError::Transport)
+        .and_then(|pending| pending.wait(REPLY_WAIT));
+    assert!(outcome.is_err(), "a downed peer must fail the exchange");
     assert!(
         started.elapsed() < Duration::from_secs(4),
         "the redial loop must give up at its deadline"

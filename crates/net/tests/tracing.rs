@@ -7,7 +7,9 @@
 
 use rdht_core::ums;
 use rdht_hashing::Key;
-use rdht_net::{Cluster, ClusterConfig, RequestTree, TraceConfig, TraceSink, TransportKind};
+use rdht_net::{
+    Cluster, ClusterConfig, PeerId, RequestTree, TraceConfig, TraceSink, TransportKind,
+};
 
 /// The five phases every peer-side request tree carries, in order.
 const PEER_PHASES: [&str; 5] = ["queue_wait", "apply", "batch_wait", "fsync", "reply"];
@@ -48,14 +50,14 @@ fn sampled_inserts_fill_peer_slowlogs_with_attributed_phases() {
     for tree in &trees {
         assert_eq!(phase_names(tree), PEER_PHASES, "tree {}", tree.name);
         assert_ne!(tree.trace_id, 0, "sampled trees carry the client trace id");
-        // The phases partition arrival → reply-sent by construction; each
-        // phase truncates to whole microseconds, so allow one microsecond
-        // of rounding per phase.
+        // The phases partition arrival → reply-sent exactly; each phase
+        // (and the total) truncates to whole microseconds, so the sum may
+        // fall short of the total by less than one microsecond per phase
+        // and can never exceed it.
         let attributed = tree.attributed_us();
-        let floor = (tree.total_us * 9) / 10;
         assert!(
-            attributed + PEER_PHASES.len() as u64 >= floor,
-            "only {attributed}µs of {}µs attributed in {:?}",
+            attributed <= tree.total_us && attributed + PEER_PHASES.len() as u64 > tree.total_us,
+            "{attributed}µs of {}µs attributed in {:?}",
             tree.total_us,
             tree
         );
@@ -97,6 +99,44 @@ fn sampled_inserts_fill_peer_slowlogs_with_attributed_phases() {
     assert!(
         events.iter().any(|event| event.name == "peer.fsync"),
         "batch-covering fsync spans recorded"
+    );
+}
+
+/// Membership coordination is traced on a traced cluster: the hand-off a
+/// join drives records its three phases at the source, under one trace id.
+#[test]
+fn a_join_records_the_three_handoff_phase_spans() {
+    let (mut cluster, sink) = traced_cluster(TransportKind::Channel, 7205);
+    let mut client = cluster.client();
+    for i in 0..8u8 {
+        ums::insert(&mut client, &Key::new(format!("handoff:{i}")), vec![i]).unwrap();
+    }
+    let ids = cluster.peer_ids();
+    cluster
+        .join_peer(PeerId(ids[0].0 + (ids[1].0 - ids[0].0) / 2))
+        .unwrap();
+    cluster.shutdown();
+
+    // No client sampled anything, so the coordinator's trace is the only one.
+    let events = sink.events();
+    let trace_ids: Vec<&str> = ["export", "install", "commit"]
+        .iter()
+        .map(|phase| {
+            let name = format!("peer.handoff_{phase}");
+            let mut spans = events.iter().filter(|event| event.name == name);
+            let span = spans.next().unwrap_or_else(|| panic!("no {name} span"));
+            assert!(spans.next().is_none(), "one {name} span per hand-off");
+            let (_, id) = span
+                .args
+                .iter()
+                .find(|(key, _)| key == "trace_id")
+                .expect("phase spans carry their trace id");
+            id.as_str()
+        })
+        .collect();
+    assert!(
+        trace_ids.iter().all(|id| *id == trace_ids[0]),
+        "the three phases belong to one hand-off: {trace_ids:?}"
     );
 }
 
