@@ -810,7 +810,7 @@ impl UmsAccess for ClusterClient {
     }
 
     /// The overlapped opening of `retrieve`: the `last_ts` request and the
-    /// probe of `hash` are one two-leg [`ClusterClient::call_all`] — one
+    /// probe of `hash` are one two-leg `call_all` — one
     /// round trip where the sequential default pays two. The messages are
     /// the ones the sequential algorithm sends (the probe is the one it
     /// would have sent next, whatever KTS answers), each leg retries on its
@@ -865,7 +865,7 @@ impl UmsAccess for ClusterClient {
     /// responsible peer and shipped as one [`Request::PutReplicas`] per
     /// peer — over TCP that is one round trip per peer instead of one per
     /// hash. The groups go out and are awaited as one scatter-gather round
-    /// ([`ClusterClient::round`]): the peers work in parallel, the client
+    /// (`round`): the peers work in parallel, the client
     /// sleeps once, and the whole fan-out shares one `try_timeout` deadline.
     /// Each peer answers one [`Reply::PutsAck`] once its last constituent
     /// put (including any it had to forward under churn) completed.
@@ -877,7 +877,7 @@ impl UmsAccess for ClusterClient {
     /// attempt's counts are correct without double-crediting. Only clean
     /// acks (`failed == 0`) are credited early; a partially failed group is
     /// re-queued whole and credited solely by its last attempt. The
-    /// re-grouping is why this is not a [`ClusterClient::call_all`]: what a
+    /// re-grouping is why this is not a `call_all`: what a
     /// retry sends depends on where the directory puts each hash *then*.
     fn put_replicas(&mut self, key: &Key, value: &ReplicaValue) -> PutReplicasOutcome {
         let op = Some(self.next_op());

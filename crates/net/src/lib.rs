@@ -52,7 +52,7 @@
 //! never block on each other.
 //!
 //! Requests that do not need each other's answers are overlapped: the
-//! client sends them all, then blocks once on a [`Gather`] latch until the
+//! client sends them all, then blocks once on a countdown latch until the
 //! last reply (or the per-attempt deadline) releases it. A `retrieve` asks
 //! KTS for `last_ts` and probes the first replica in the same round trip
 //! (two one-way delays to a current answer, not four), the indirect
@@ -160,8 +160,8 @@ pub use rdht_metrics::{
 };
 pub use tcp::TcpTransport;
 pub use transport::{
-    CallError, ChannelTransport, EndpointImpl, Gather, Gathered, Incoming, Mailbox, PeerEndpoint,
-    PendingReply, ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
+    CallError, ChannelTransport, EndpointImpl, Incoming, Mailbox, PeerEndpoint, PendingReply,
+    ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
 };
 pub use wire::{WireError, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION};
 

@@ -1374,7 +1374,8 @@ fn overlapped_retrieve_sends_the_sequential_algorithms_messages() {
 mod gather {
     use std::time::{Duration, Instant};
 
-    use crate::{CallError, Gather, Reply};
+    use crate::transport::Gather;
+    use crate::{CallError, Reply};
 
     /// The last fill releases the waiter long before the deadline, and the
     /// slots come back in index order whatever order they were filled in.

@@ -15,7 +15,8 @@
 //!   (this is what makes request *forwarding* transparent — the forwarded
 //!   request carries the original reply path, whatever transport it came
 //!   in on). A caller with several independent requests sends them through
-//!   one [`Gather`] instead and waits once for all of their replies.
+//!   one `Gather` (crate-internal) instead and waits once for all of their
+//!   replies.
 //! * [`Transport`] — the factory tying both together with per-peer
 //!   addressing: `bind` (accept side), `endpoint` (connect side) and
 //!   `unbind` (teardown).
@@ -179,7 +180,7 @@ enum SinkInner {
     Fanin(Arc<Mutex<FaninState>>),
     /// A middleware interceptor wrapping another sink.
     Hooked(Box<dyn ReplyHook>),
-    /// One slot of a scatter-gather exchange ([`Gather`]).
+    /// One slot of a scatter-gather exchange (`Gather`).
     Slot {
         gather: Arc<GatherShared>,
         index: usize,
@@ -190,7 +191,7 @@ enum SinkInner {
 /// [`ReplySink::send`]; a sink dropped unsent signals failure instead of
 /// leaving the requester to time out (a channel disconnects, a remote
 /// requester receives [`Reply::Error`], a fan-in counts a failed put, a
-/// [`Gather`] slot reads [`CallError::Dropped`]).
+/// scatter-gather slot reads [`CallError::Dropped`]).
 pub struct ReplySink {
     inner: SinkInner,
 }
@@ -443,13 +444,13 @@ impl PendingReply {
 
 /// What one slot of a [`Gather`] ended up holding.
 #[derive(Debug)]
-pub struct Gathered {
+pub(crate) struct Gathered {
     /// The reply, or why there is none ([`CallError::Timeout`] for a slot
     /// still empty when the waiter collected).
-    pub outcome: Result<Reply, CallError>,
+    pub(crate) outcome: Result<Reply, CallError>,
     /// When *this* slot's outcome landed (collection time for an empty one),
     /// so a leg that answered early is not billed for the slowest one.
-    pub landed: Instant,
+    pub(crate) landed: Instant,
 }
 
 struct GatherState {
@@ -504,13 +505,13 @@ impl GatherShared {
 /// collected: a reply that lands late (its sink was parked by a lossy link,
 /// or the peer was slow) is discarded, exactly as a dropped [`PendingReply`]
 /// discards it.
-pub struct Gather {
+pub(crate) struct Gather {
     shared: Arc<GatherShared>,
 }
 
 impl Gather {
     /// A gather of `slots` empty slots.
-    pub fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         Gather {
             shared: Arc::new(GatherShared {
                 state: StdMutex::new(GatherState {
@@ -526,7 +527,7 @@ impl Gather {
     /// The reply path of slot `index`: `send` fills it with the reply
     /// ([`Reply::Error`] as [`CallError::Rejected`]), dropping it unsent
     /// fills it with [`CallError::Dropped`].
-    pub fn sink(&self, index: usize) -> ReplySink {
+    pub(crate) fn sink(&self, index: usize) -> ReplySink {
         ReplySink {
             inner: SinkInner::Slot {
                 gather: Arc::clone(&self.shared),
@@ -538,7 +539,7 @@ impl Gather {
     /// Sends `request` to `endpoint` with slot `index` as its reply path and
     /// says whether the transport took it. A request it could not deliver
     /// fills the slot with the typed [`CallError::Transport`] at once.
-    pub fn send(
+    pub(crate) fn send(
         &self,
         index: usize,
         endpoint: &PeerEndpoint,
@@ -560,7 +561,7 @@ impl Gather {
     /// Blocks until every slot is filled or `timeout` elapses, then closes
     /// the gather and returns the slots in index order; a slot still empty
     /// reads [`CallError::Timeout`].
-    pub fn wait(self, timeout: Duration) -> Vec<Gathered> {
+    pub(crate) fn wait(self, timeout: Duration) -> Vec<Gathered> {
         let (mut state, _timed_out) = self
             .shared
             .all_landed

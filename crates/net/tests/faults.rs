@@ -17,8 +17,8 @@ use rdht_core::{ums, Timestamp, UmsAccess};
 use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
 use rdht_net::{
-    serve_tcp_peer, CallError, Cluster, ClusterConfig, End, FaultPlan, LinkFaults, OpId, PeerId,
-    Reply, Request, RetryPolicy, TcpPeerConfig, TcpTransport, Transport, TransportKind,
+    serve_tcp_peer, Cluster, ClusterConfig, End, FaultPlan, LinkFaults, OpId, PeerId, Reply,
+    Request, RetryPolicy, TcpPeerConfig, TcpTransport, Transport, TransportKind,
 };
 
 const REPLY_WAIT: Duration = Duration::from_secs(5);
@@ -467,6 +467,14 @@ fn wait_until_accepting(addr: &SocketAddr) {
     }
 }
 
+fn wait_until_refusing(addr: &SocketAddr) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while TcpStream::connect(addr).is_ok() {
+        assert!(Instant::now() < deadline, "peer at {addr} never went down");
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn spawn_tcp_peer(id: PeerId, addr: SocketAddr) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         serve_tcp_peer(TcpPeerConfig {
@@ -510,19 +518,25 @@ fn tcp_endpoint_redials_a_peer_restarted_on_a_new_port() {
     // while it is gone must fail typed within the redial deadline, not hang.
     endpoint.send_no_reply(Request::Shutdown).unwrap();
     server.join().unwrap();
+    // The acceptor thread closes the listener a moment after the peer
+    // returned; until then a dial still lands in its backlog.
+    wait_until_refusing(&first_addr);
     let started = Instant::now();
-    // The first write on a connection whose peer just closed can still
-    // succeed (the demux reader may not have seen the EOF yet); the
-    // exchange then fails at the wait, as a prompt teardown. Either way it
-    // must fail typed.
-    let outcome = endpoint
-        .send(Request::GetReplica {
+    let get = || {
+        endpoint.send(Request::GetReplica {
             hash: rdht_hashing::HashId(0),
             key: key.clone(),
         })
-        .map_err(CallError::Transport)
-        .and_then(|pending| pending.wait(REPLY_WAIT));
-    assert!(outcome.is_err(), "a downed peer must fail the exchange");
+    };
+    let mut outcome = get();
+    if let Ok(accepted) = outcome {
+        // The stale pooled connection took the write before its demux
+        // reader saw the EOF. That exchange dies at the wait, the teardown
+        // marks the connection dead, and the next send has to redial.
+        assert!(accepted.wait(REPLY_WAIT).is_err());
+        outcome = get();
+    }
+    assert!(outcome.is_err(), "a downed peer must fail the send");
     assert!(
         started.elapsed() < Duration::from_secs(4),
         "the redial loop must give up at its deadline"
