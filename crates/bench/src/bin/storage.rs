@@ -23,7 +23,12 @@
 //!   observability tax;
 //! * recovery time (`StorageEngine::recover`) as a function of WAL length,
 //!   and for the same state compacted into a snapshot — why compaction
-//!   exists.
+//!   exists;
+//! * the write path's own pieces, where its trajectory lives: the frame
+//!   checksum over a 4 KiB record (`crc32_4k`), and per record the snapshot
+//!   writer alone (`snapshot_write_{1k,10k,100k}_records`) and a whole
+//!   compaction — snapshot, fresh WAL, directory sync, unlink —
+//!   (`compact_{1k,10k,100k}_records`) over states of 256 B payloads.
 //!
 //! ```text
 //! cargo run --release -p rdht-bench --bin storage                 # full
@@ -44,7 +49,9 @@ use rdht_net::{
     Cluster, ClusterConfig, ClusterStorage, FaultPlan, RetryPolicy, TraceConfig, TraceSink,
     TransportKind,
 };
-use rdht_storage::{FsyncPolicy, StorageEngine, StorageOp, StorageOptions};
+use rdht_storage::{
+    frame, write_snapshot, FsyncPolicy, MemoryState, StorageEngine, StorageOp, StorageOptions,
+};
 
 /// One measured benchmark: mean wall-clock nanoseconds per operation, plus
 /// per-op p50/p99 estimated from the per-call (or, for the cluster rows,
@@ -400,6 +407,60 @@ fn bench_recovery(n_ops: u64, repeats: u64) -> Vec<BenchLine> {
     lines
 }
 
+/// The frame checksum over a 4 KiB record: `seal_frame` is the CRC-32 of the
+/// payload plus the eight header bytes it backfills — what every WAL append
+/// and snapshot record pays. One op = one 4 KiB record.
+fn bench_crc32_4k(calls: u64) -> BenchLine {
+    let batch = 256;
+    let mut record = vec![0u8; frame::FRAME_HEADER_LEN];
+    record.extend((0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8));
+    measure("crc32_4k", calls, batch, || {
+        for _ in 0..batch {
+            frame::seal_frame(std::hint::black_box(&mut record));
+        }
+    })
+}
+
+fn record_put(i: u64) -> StorageOp {
+    StorageOp::PutReplica {
+        hash: HashId((i % 5) as u32),
+        key: Key::new(format!("record-{i}")),
+        payload: vec![i as u8; 256],
+        stamp: Timestamp(i + 1),
+        position: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    }
+}
+
+/// Snapshot writing and whole compactions, per record, over a state of
+/// `records` replicas with 256 B payloads (`FsyncPolicy::Never`, automatic
+/// compaction off; the snapshot's own `sync_all` is part of both — it is
+/// issued under every policy — so these rows carry this disk).
+fn bench_snapshot_and_compact(records: u64, label: &str, repeats: u64) -> Vec<BenchLine> {
+    let dir = temp_dir(&format!("compact-{label}"));
+    let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
+    options.snapshot_every = 0;
+    let mut engine = StorageEngine::open(&dir, options).expect("open engine");
+    let mut state = MemoryState::new();
+    for i in 0..records {
+        state.apply(&record_put(i));
+        engine.apply_owned(record_put(i)).expect("apply");
+    }
+    let (tmp, fin) = (dir.join("bench.tmp"), dir.join("bench.snap"));
+    let snapshot = measure(
+        format!("snapshot_write_{label}_records"),
+        repeats,
+        records,
+        || write_snapshot(&tmp, &fin, 1, &state).expect("write snapshot"),
+    );
+    let _ = std::fs::remove_file(&fin);
+    let compact = measure(format!("compact_{label}_records"), repeats, records, || {
+        engine.compact().expect("compact")
+    });
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+    vec![snapshot, compact]
+}
+
 fn to_json(mode: &str, lines: &[BenchLine]) -> String {
     let meta = BenchMeta::new("rdht-bench-storage/v2", mode)
         .with_fsync("swept per row (never/every64/always/group_commit)")
@@ -522,6 +583,11 @@ fn main() {
     let recovery_repeats = if quick { 2 } else { 5 };
     for &n_ops in recovery_sizes {
         lines.extend(bench_recovery(n_ops, recovery_repeats));
+    }
+
+    lines.push(bench_crc32_4k(if quick { 20 } else { 200 }));
+    for (records, label) in [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")] {
+        lines.extend(bench_snapshot_and_compact(records, label, recovery_repeats));
     }
 
     // Where does the insert tail go? A traced rerun of the 8-writer

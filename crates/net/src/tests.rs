@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use rdht_core::{ums, UmsAccess};
 use rdht_hashing::Key;
-use rdht_storage::{FsyncPolicy, StorageOptions};
+use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 
 use crate::{Cluster, ClusterConfig, ClusterStorage, HandoffFault, MembershipError, PeerId};
 
@@ -335,6 +335,62 @@ fn whole_cluster_crash_restart_serves_current_data_from_disk() {
         client.indirect_initializations() >= keys.len() as u64,
         "every key's counter had to be re-initialized indirectly"
     );
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The same claim where the compaction rule matters: every peer's state is
+/// larger than the compaction floor, so its log is left to grow *past* the
+/// floor (a fixed cadence would have cut it there) before it is rewritten.
+/// A whole-cluster crash at that point must still recover every acknowledged
+/// insert from a snapshot plus a log longer than the floor.
+#[test]
+fn whole_cluster_crash_restart_recovers_from_logs_longer_than_the_compaction_floor() {
+    let root = fresh_storage_root("long-logs");
+    let options = StorageOptions::with_fsync(FsyncPolicy::Never);
+    let storage = ClusterStorage::with_options(&root, options);
+    // Seed 84 places the two peers so that each holds about half the ring.
+    let mut cluster =
+        Cluster::spawn_with(ClusterConfig::new(2, 4, 84).with_storage(storage.clone()));
+    let keys: Vec<Key> = (0..2_600).map(|i| Key::new(format!("doc-{i}"))).collect();
+    let rewritten = 1_100;
+    {
+        let mut client = cluster.client();
+        for key in &keys {
+            ums::insert(&mut client, key, b"v0".to_vec()).unwrap();
+        }
+        for key in &keys[..rewritten] {
+            ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
+        }
+    }
+
+    let peers = cluster.peer_ids();
+    for &peer in &peers {
+        cluster.crash_peer(peer).unwrap();
+    }
+    for &peer in &peers {
+        let on_disk = StorageEngine::recover_state(&storage.peer_dir(peer)).unwrap();
+        let records = (on_disk.replicas.len() + on_disk.counters.len()) as u64;
+        assert!(on_disk.generation >= 1, "{peer:?} compacted at the floor");
+        assert!(
+            on_disk.wal_ops > options.snapshot_every && on_disk.wal_ops < records,
+            "{peer:?}: a log of {} ops over {records} records",
+            on_disk.wal_ops
+        );
+    }
+    let mut recovered_replicas = 0;
+    for &peer in &peers {
+        recovered_replicas += cluster.restart_peer(peer).unwrap().recovered_replicas;
+    }
+    assert_eq!(recovered_replicas, keys.len() * 4);
+
+    let mut client = cluster.client();
+    for (i, key) in keys.iter().enumerate() {
+        let got = ums::retrieve(&mut client, key).unwrap();
+        assert!(got.is_current, "doc-{i} must re-certify from durable state");
+        let expected: &[u8] = if i < rewritten { b"v1" } else { b"v0" };
+        assert_eq!(got.data.unwrap(), expected);
+    }
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }

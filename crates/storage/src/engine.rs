@@ -16,6 +16,15 @@
 //! and only then deletes generation `g` — so a crash at any point leaves
 //! either generation fully recoverable.
 //!
+//! **When.** A journaled apply compacts once the WAL holds at least as many
+//! ops as the state has live records, and never fewer than the
+//! [`StorageOptions::snapshot_every`] floor: `ops_in_wal >= max(floor,
+//! replicas + counters)`. A log is rewritten when it is as long as the image
+//! that replaces it, so snapshots write at most one record per journaled op
+//! whatever the state size, and recovery replays at most `max(floor,
+//! records)` ops (plus the batch that crossed the line) on top of a snapshot
+//! of `records`.
+//!
 //! Recovery ([`StorageEngine::recover`] / [`StorageEngine::open`]) picks the
 //! newest generation with a *valid* snapshot (generation 0 if none), replays
 //! its WAL tolerating a torn final record, and reports what it found.
@@ -41,9 +50,15 @@ use crate::wal::{replay, FsyncPolicy, WalWriter};
 pub struct StorageOptions {
     /// When appended WAL records are fsynced ([`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Compact (write a snapshot, start a fresh WAL) after this many ops
-    /// have been appended to the current WAL. `0` disables automatic
-    /// compaction ([`StorageEngine::compact`] can still be called manually).
+    /// The floor of the compaction rule: compact (write a snapshot, start a
+    /// fresh WAL) once the current WAL holds `max(snapshot_every, live
+    /// records)` ops, live records being the replicas plus the counters of
+    /// the state after the apply. A small state compacts every
+    /// `snapshot_every` ops; a state larger than the floor compacts when its
+    /// log has grown as long as the snapshot that replaces it, which keeps
+    /// snapshot writes to at most one record per journaled op. `0` disables
+    /// automatic compaction ([`StorageEngine::compact`] can still be called
+    /// manually).
     pub snapshot_every: u64,
 }
 
@@ -57,7 +72,7 @@ impl Default for StorageOptions {
 }
 
 impl StorageOptions {
-    /// Options with the given fsync policy and default compaction cadence.
+    /// Options with the given fsync policy and the default compaction floor.
     pub fn with_fsync(fsync: FsyncPolicy) -> Self {
         StorageOptions {
             fsync,
@@ -464,14 +479,7 @@ impl StorageEngine {
         }
         self.state.apply_owned(op);
         journal?;
-        if self.wal.is_some()
-            && self.options.snapshot_every > 0
-            && self.ops_in_wal >= self.options.snapshot_every
-        {
-            self.compact()?;
-        }
-        self.publish_metrics();
-        Ok(())
+        self.compact_if_due()
     }
 
     /// [`StorageEngine::apply_owned`] for a whole batch: every op is framed
@@ -499,9 +507,17 @@ impl StorageEngine {
             self.state.apply_owned(op);
         }
         journal?;
+        self.compact_if_due()
+    }
+
+    /// The tail of every journaled apply: compacts when the WAL has grown to
+    /// `max(snapshot_every, live records)` ops (the rule in the module
+    /// header, evaluated against the state as it is now), then publishes.
+    fn compact_if_due(&mut self) -> io::Result<()> {
+        let floor = self.options.snapshot_every;
         if self.wal.is_some()
-            && self.options.snapshot_every > 0
-            && self.ops_in_wal >= self.options.snapshot_every
+            && floor > 0
+            && self.ops_in_wal >= floor.max(self.state.records() as u64)
         {
             self.compact()?;
         }
@@ -540,6 +556,7 @@ impl StorageEngine {
         let Some(dir) = self.dir.clone() else {
             return Ok(());
         };
+        let started = std::time::Instant::now();
         let next = self.generation + 1;
         let tmp = generation_file(&dir, "snapshot", next, "tmp");
         let fin = generation_file(&dir, "snapshot", next, "snap");
@@ -564,6 +581,11 @@ impl StorageEngine {
         self.generation = next;
         self.ops_in_wal = 0;
         self.stats.snapshots_written += 1;
+        if let Some(metrics) = &self.metrics {
+            metrics
+                .compaction_ns
+                .observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
         self.publish_metrics();
         Ok(())
     }
@@ -850,7 +872,10 @@ mod tests {
     #[test]
     fn group_commit_batch_across_a_compaction_boundary_stays_durable() {
         let dir = temp_dir("group-commit-compaction");
-        let ops: Vec<StorageOp> = (0..50).map(put).collect();
+        // `put` cycles through 51 distinct records, more than the floor of
+        // 16, so after the first compaction the state size is the trigger:
+        // run long enough to cross it twice more.
+        let ops: Vec<StorageOp> = (0..160).map(put).collect();
         let mut expected = MemoryState::new();
         for op in &ops {
             expected.apply(op);
@@ -871,6 +896,148 @@ mod tests {
         let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
         assert_eq!(replicas, expected.replicas);
         assert_eq!(counters, expected.counters);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A state of `records` distinct replicas, compacted and reopened under
+    /// `floor`: an empty WAL over a snapshot of `records`.
+    fn engine_over(tag: &str, records: u64, floor: u64) -> (PathBuf, StorageEngine) {
+        let dir = temp_dir(tag);
+        let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
+        options.snapshot_every = 0;
+        let mut engine = StorageEngine::open(&dir, options).unwrap();
+        for i in 0..records {
+            engine.apply_owned(record(i, 0)).unwrap();
+        }
+        engine.compact().unwrap();
+        drop(engine);
+        options.snapshot_every = floor;
+        let engine = StorageEngine::open(&dir, options).unwrap();
+        assert_eq!(engine.state.records() as u64, records);
+        assert_eq!(engine.ops_in_wal, 0);
+        (dir, engine)
+    }
+
+    /// Version `version` of the `i`-th of arbitrarily many distinct records.
+    fn record(i: u64, version: u64) -> StorageOp {
+        StorageOp::PutReplica {
+            hash: HashId(0),
+            key: Key::new(format!("record-{i}")),
+            payload: vec![version as u8; 24],
+            stamp: Timestamp(version + 1),
+            position: i,
+        }
+    }
+
+    /// The compaction rule, both sides of the floor: with R live records and
+    /// floor f, N overwriting ops compact floor(N / max(f, R)) times, so the
+    /// records snapshots write never outnumber the ops journaled.
+    #[test]
+    fn overwrites_compact_once_per_max_of_floor_and_live_records() {
+        for (tag, records, floor, ops) in [
+            ("cadence-large-state", 300u64, 8u64, 2_000u64),
+            ("cadence-small-state", 5, 64, 2_000),
+            ("cadence-equal", 50, 50, 499),
+        ] {
+            let (dir, mut engine) = engine_over(tag, records, floor);
+            for n in 0..ops {
+                engine.apply_owned(record(n % records, n + 1)).unwrap();
+            }
+            let compactions = engine.stats().snapshots_written;
+            assert_eq!(compactions, ops / floor.max(records), "{tag}");
+            assert!(
+                compactions * records <= ops,
+                "{tag}: snapshot records <= ops"
+            );
+            assert_eq!(engine.ops_in_wal, ops % floor.max(records), "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_zero_floor_never_compacts() {
+        let (dir, mut engine) = engine_over("cadence-disabled", 10, 0);
+        for n in 0..500 {
+            engine.apply_owned(record(n % 10, n + 1)).unwrap();
+            engine.apply_batch(vec![record(n % 10, n + 2)]).unwrap();
+        }
+        assert_eq!(engine.stats().snapshots_written, 0);
+        assert_eq!(engine.generation(), 1, "the set-up compaction's");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The live-record count is read at each apply, not remembered from the
+    /// last compaction: a state that grows (or is drained) between two
+    /// compactions moves the threshold with it.
+    #[test]
+    fn the_threshold_follows_the_state_as_it_grows_and_shrinks() {
+        let dir = temp_dir("cadence-growing");
+        let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
+        options.snapshot_every = 4;
+        let mut engine = StorageEngine::open(&dir, options).unwrap();
+        let mut version = 0;
+        let mut apply = |engine: &mut StorageEngine, i: u64| {
+            version += 1;
+            engine.apply_owned(record(i, version)).unwrap();
+            engine.stats().snapshots_written
+        };
+        // Four new records: log 4 >= max(4, 4).
+        assert_eq!((0..4).map(|i| apply(&mut engine, i)).last(), Some(1));
+        // Six more: the log (6) trails the state (10).
+        assert_eq!((4..10).map(|i| apply(&mut engine, i)).last(), Some(1));
+        // Overwrites let the log catch up: 10 >= 10 on the fourth.
+        assert_eq!((0..3).map(|i| apply(&mut engine, i)).last(), Some(1));
+        assert_eq!(apply(&mut engine, 3), 2);
+        // Nine overwrites, then a *new* record: the log reaches 10 as the
+        // state reaches 11, so the tenth op does not compact — the eleventh
+        // does.
+        assert_eq!((0..9).map(|i| apply(&mut engine, i)).last(), Some(2));
+        assert_eq!(apply(&mut engine, 10), 2);
+        assert_eq!(apply(&mut engine, 0), 3);
+        // Draining the state drops the threshold back to the floor.
+        engine
+            .apply_owned(StorageOp::TransferRange { start: 0, end: 0 })
+            .unwrap();
+        assert_eq!(engine.state.records(), 0);
+        assert_eq!((0..2).map(|i| apply(&mut engine, i)).last(), Some(3));
+        assert_eq!(apply(&mut engine, 2), 4, "log 4 >= max(4, 3)");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash with a log longer than the floor over a state larger still —
+    /// what the fixed 4 096-op cadence never left behind — recovers every op.
+    #[test]
+    fn crash_with_a_wal_longer_than_the_floor_recovers_every_op() {
+        let dir = temp_dir("long-wal-crash");
+        let options = StorageOptions::with_fsync(FsyncPolicy::Never);
+        let floor = options.snapshot_every;
+        let records = floor + 1_904;
+        let overwrites = 3_000;
+        let expected = {
+            let mut engine = StorageEngine::open(&dir, options).unwrap();
+            for i in 0..records {
+                engine.apply_owned(record(i, 0)).unwrap();
+            }
+            for n in 0..overwrites {
+                engine.apply_owned(record(n * 7 % records, n + 1)).unwrap();
+            }
+            assert_eq!(engine.stats().snapshots_written, 1, "at op `floor` only");
+            engine.state.clone()
+            // Crash: dropped without sync or compaction.
+        };
+        let mut engine = StorageEngine::open(&dir, options).unwrap();
+        let stats = engine.stats();
+        assert!(stats.recovered_from_snapshot);
+        assert_eq!(stats.recovered_wal_ops, records - floor + overwrites);
+        assert!(stats.recovered_wal_ops > floor);
+        assert_eq!(engine.state, expected);
+
+        // The recovered log length still counts towards the next compaction.
+        for n in 0..records - stats.recovered_wal_ops {
+            assert_eq!(engine.generation(), 1);
+            engine.apply_owned(record(n, 9)).unwrap();
+        }
+        assert_eq!(engine.generation(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -922,7 +1089,9 @@ mod tests {
             &registry,
             &[("peer", "7")],
         ));
-        let ops: Vec<StorageOp> = (0..80).map(put).collect();
+        // 51 distinct records against a floor of 32: long enough that the
+        // log outgrows the state, not just the floor.
+        let ops: Vec<StorageOp> = (0..160).map(put).collect();
         for batch in ops.chunks(8) {
             engine.apply_batch(batch.to_vec()).unwrap();
             engine.sync().unwrap();
@@ -934,14 +1103,23 @@ mod tests {
         assert_eq!(metrics.ops_appended.get(), stats.ops_appended);
         assert_eq!(metrics.wal_bytes.get(), stats.wal_bytes_appended);
         assert_eq!(metrics.compactions.get(), stats.snapshots_written);
-        assert_eq!(metrics.batch_ops.count(), 10, "one observation per batch");
+        assert_eq!(metrics.batch_ops.count(), 20, "one observation per batch");
+        assert_eq!(
+            metrics.compaction_ns.count(),
+            stats.snapshots_written,
+            "one duration observed per compaction"
+        );
         let text = rdht_metrics::encode(&registry);
         assert!(
             text.contains("storage_wal_syncs_total{peer=\"7\"}"),
             "{text}"
         );
         assert!(
-            text.contains("storage_batch_ops_bucket{peer=\"7\",le=\"8\"} 10"),
+            text.contains("storage_compaction_duration_ns_count{peer=\"7\"}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("storage_batch_ops_bucket{peer=\"7\",le=\"8\"} 20"),
             "{text}"
         );
         fs::remove_dir_all(&dir).unwrap();

@@ -47,6 +47,16 @@ pub fn seal_frame(buf: &mut [u8]) {
     buf[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Appends one record framed in place: reserves the header at the end of
+/// `out`, lets `encode` append the payload behind it, then seals it — the
+/// write path of both the WAL and the snapshot writer.
+pub fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.resize(start + FRAME_HEADER_LEN, 0);
+    encode(out);
+    seal_frame(&mut out[start..]);
+}
+
 /// Walks the framed records of `buf` from the front.
 ///
 /// Returns the payload slices of every valid record, the byte length of the
@@ -105,6 +115,15 @@ mod tests {
         sealed.extend_from_slice(payload);
         seal_frame(&mut sealed);
         assert_eq!(sealed, appended);
+    }
+
+    #[test]
+    fn frame_with_appends_what_append_frame_appends() {
+        let mut appended = b"earlier bytes".to_vec();
+        let mut framed = appended.clone();
+        append_frame(&mut appended, b"payload");
+        frame_with(&mut framed, |out| out.extend_from_slice(b"payload"));
+        assert_eq!(framed, appended);
     }
 
     #[test]

@@ -46,6 +46,19 @@
 //!   unless complete. Compaction writes the next generation to a `.tmp`
 //!   file, fsyncs, atomically renames, starts a fresh WAL, then deletes the
 //!   previous generation.
+//! * **Compaction rule** ([`StorageOptions::snapshot_every`]): a journaled
+//!   apply compacts once the WAL holds `max(snapshot_every, live records)`
+//!   ops, live records being the state's replicas plus counters. Snapshots
+//!   therefore write at most one record per journaled op whatever the state
+//!   size, and recovery replays at most `max(snapshot_every, records)` ops
+//!   on top of a snapshot of `records`. The snapshot is streamed from the
+//!   stores in bounded chunks — compaction's memory is a constant, not a
+//!   copy of the state.
+//!
+//! The bytes are unchanged since the engine was introduced (PR 3): the
+//! `fixtures/pr13` snapshot and WAL, written before the checksum went eight
+//! bytes a step and the snapshot writer streamed, still recover, and today's
+//! writers reproduce them byte for byte.
 //!
 //! # Crash/restart walkthrough
 //!
@@ -106,8 +119,11 @@ mod engine;
 pub use engine::{RecoveredState, StorageEngine, StorageOptions, StorageStats, SyncObserver};
 pub use metrics::StorageMetrics;
 pub use op::StorageOp;
+pub use snapshot::write_snapshot;
 pub use state::{CounterSet, MemoryState, ReplicaStore, StoredReplica};
 pub use wal::{replay, FsyncPolicy, WalReplay, WalWriter};
 
+#[cfg(test)]
+mod format_tests;
 #[cfg(test)]
 mod proptests;

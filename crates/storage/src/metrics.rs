@@ -24,6 +24,9 @@ pub mod names {
     pub const BATCH_OPS: &str = "storage_batch_ops";
     /// Time spent recovering the directory at open, in nanoseconds.
     pub const RECOVERY_NS: &str = "storage_recovery_duration_ns";
+    /// Time one compaction blocked its caller, in nanoseconds — the stall an
+    /// insert p99 is laid against.
+    pub const COMPACTION_NS: &str = "storage_compaction_duration_ns";
 }
 
 /// Instrument handles for one engine. Create with
@@ -43,6 +46,8 @@ pub struct StorageMetrics {
     pub batch_ops: Histogram,
     /// Recovery wall time observed once at attach.
     pub recovery_ns: Histogram,
+    /// Wall time of each [`crate::StorageEngine::compact`].
+    pub compaction_ns: Histogram,
 }
 
 impl StorageMetrics {
@@ -79,6 +84,11 @@ impl StorageMetrics {
             recovery_ns: registry.histogram(
                 names::RECOVERY_NS,
                 "directory recovery wall time at engine open, nanoseconds",
+                labels,
+            ),
+            compaction_ns: registry.histogram(
+                names::COMPACTION_NS,
+                "wall time one snapshot compaction blocked its caller, nanoseconds",
                 labels,
             ),
         }

@@ -72,6 +72,32 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Appends the encoding of a [`StorageOp::PutReplica`] from borrowed fields,
+/// so a snapshot can stream a stored replica without first building (and
+/// cloning the payload into) an owned op.
+pub(crate) fn encode_put_replica(
+    out: &mut Vec<u8>,
+    hash: HashId,
+    key: &Key,
+    payload: &[u8],
+    stamp: Timestamp,
+    position: u64,
+) {
+    out.push(TAG_PUT_REPLICA);
+    out.extend_from_slice(&hash.0.to_le_bytes());
+    out.extend_from_slice(&stamp.0.to_le_bytes());
+    out.extend_from_slice(&position.to_le_bytes());
+    put_bytes(out, key.as_bytes());
+    put_bytes(out, payload);
+}
+
+/// Appends the encoding of a [`StorageOp::SetCounter`] from borrowed fields.
+pub(crate) fn encode_set_counter(out: &mut Vec<u8>, key: &Key, value: Timestamp) {
+    out.push(TAG_SET_COUNTER);
+    out.extend_from_slice(&value.0.to_le_bytes());
+    put_bytes(out, key.as_bytes());
+}
+
 /// Little-endian, bounds-checked cursor over an encoded op.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -126,24 +152,13 @@ impl StorageOp {
                 payload,
                 stamp,
                 position,
-            } => {
-                out.push(TAG_PUT_REPLICA);
-                out.extend_from_slice(&hash.0.to_le_bytes());
-                out.extend_from_slice(&stamp.0.to_le_bytes());
-                out.extend_from_slice(&position.to_le_bytes());
-                put_bytes(out, key.as_bytes());
-                put_bytes(out, payload);
-            }
+            } => encode_put_replica(out, *hash, key, payload, *stamp, *position),
             StorageOp::RemoveReplica { hash, key } => {
                 out.push(TAG_REMOVE_REPLICA);
                 out.extend_from_slice(&hash.0.to_le_bytes());
                 put_bytes(out, key.as_bytes());
             }
-            StorageOp::SetCounter { key, value } => {
-                out.push(TAG_SET_COUNTER);
-                out.extend_from_slice(&value.0.to_le_bytes());
-                put_bytes(out, key.as_bytes());
-            }
+            StorageOp::SetCounter { key, value } => encode_set_counter(out, key, *value),
             StorageOp::RemoveCounter { key } => {
                 out.push(TAG_REMOVE_COUNTER);
                 put_bytes(out, key.as_bytes());

@@ -95,9 +95,13 @@ proptest! {
             }
             engine.sync().unwrap();
         }
-        let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
-        prop_assert_eq!(&replicas, &expected.replicas);
-        prop_assert_eq!(&counters, &expected.counters);
+        let recovered = StorageEngine::recover_state(&dir).unwrap();
+        prop_assert_eq!(&recovered.replicas, &expected.replicas);
+        prop_assert_eq!(&recovered.counters, &expected.counters);
+        // The cases do cross compactions: a first-generation log cannot be
+        // shorter than the state it built, so the floor alone decides.
+        let floor_reached = snapshot_every > 0 && ops.len() as u64 >= snapshot_every;
+        prop_assert_eq!(recovered.generation > 0, floor_reached);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

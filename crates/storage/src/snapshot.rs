@@ -17,8 +17,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use crate::frame::{append_frame, read_frames};
-use crate::op::StorageOp;
+use crate::frame::{frame_with, read_frames};
+use crate::op::{encode_put_replica, encode_set_counter, StorageOp};
 use crate::state::MemoryState;
 
 const MAGIC: &[u8; 8] = b"RDHTSNAP";
@@ -27,42 +27,73 @@ const TAG_HEADER: u8 = 0xF0;
 const TAG_FOOTER: u8 = 0xF1;
 const TAG_OP: u8 = 0x01;
 
+/// Bytes of framed records gathered before each `write` of a snapshot: what
+/// bounds compaction's memory to a constant (plus one record) instead of a
+/// second copy of the state.
+const WRITE_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Writes a snapshot of `state` to `tmp_path`, fsyncs it, then renames it
 /// into place at `final_path` (rename is the atomic commit point).
+///
+/// Records are encoded from a borrow of the stores straight into the output
+/// buffer, framed in place, and handed to the file a chunk at a time —
+/// nothing of the state is cloned.
 pub fn write_snapshot(
     tmp_path: &Path,
     final_path: &Path,
     generation: u64,
     state: &MemoryState,
 ) -> io::Result<()> {
-    let ops = state.to_ops();
-    let mut buf = Vec::new();
-
-    let mut header = Vec::with_capacity(21);
-    header.push(TAG_HEADER);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&generation.to_le_bytes());
-    append_frame(&mut buf, &header);
-
-    let mut scratch = Vec::new();
-    for op in &ops {
-        scratch.clear();
-        scratch.push(TAG_OP);
-        op.encode(&mut scratch);
-        append_frame(&mut buf, &scratch);
-    }
-
-    let mut footer = Vec::with_capacity(9);
-    footer.push(TAG_FOOTER);
-    footer.extend_from_slice(&(ops.len() as u64).to_le_bytes());
-    append_frame(&mut buf, &footer);
-
     let mut file = OpenOptions::new()
         .create(true)
         .write(true)
         .truncate(true)
         .open(tmp_path)?;
+    let mut buf = Vec::with_capacity(WRITE_CHUNK_BYTES);
+    let mut flush_full = |buf: &mut Vec<u8>| -> io::Result<()> {
+        if buf.len() >= WRITE_CHUNK_BYTES {
+            file.write_all(buf)?;
+            buf.clear();
+        }
+        Ok(())
+    };
+
+    frame_with(&mut buf, |out| {
+        out.push(TAG_HEADER);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&generation.to_le_bytes());
+    });
+
+    let mut records = 0u64;
+    for (hash, key, replica) in state.replicas.iter() {
+        frame_with(&mut buf, |out| {
+            out.push(TAG_OP);
+            encode_put_replica(
+                out,
+                hash,
+                key,
+                &replica.payload,
+                replica.stamp,
+                replica.position,
+            );
+        });
+        records += 1;
+        flush_full(&mut buf)?;
+    }
+    for (key, value) in state.counters.iter() {
+        frame_with(&mut buf, |out| {
+            out.push(TAG_OP);
+            encode_set_counter(out, key, value);
+        });
+        records += 1;
+        flush_full(&mut buf)?;
+    }
+
+    frame_with(&mut buf, |out| {
+        out.push(TAG_FOOTER);
+        out.extend_from_slice(&records.to_le_bytes());
+    });
     file.write_all(&buf)?;
     file.sync_all()?;
     drop(file);
@@ -112,7 +143,7 @@ pub fn load_snapshot(path: &Path) -> io::Result<Option<MemoryState>> {
             return Ok(None);
         }
         match StorageOp::decode(&payload[1..]) {
-            Some(op) => state.apply(&op),
+            Some(op) => state.apply_owned(op),
             None => return Ok(None),
         }
     }

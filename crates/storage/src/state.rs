@@ -70,16 +70,6 @@ impl ReplicaStore {
         self.map.remove(&(hash, key.clone()))
     }
 
-    /// The greatest stamp stored for `key` under any hash function — the
-    /// local contribution to an indirect counter initialization.
-    pub fn max_stamp_for_key(&self, key: &Key) -> Option<Timestamp> {
-        self.map
-            .iter()
-            .filter(|((_, k), _)| k == key)
-            .map(|(_, replica)| replica.stamp)
-            .max()
-    }
-
     /// Iterates over every stored replica.
     pub fn iter(&self) -> impl Iterator<Item = (HashId, &Key, &StoredReplica)> {
         self.map
@@ -171,6 +161,12 @@ impl MemoryState {
         MemoryState::default()
     }
 
+    /// Live records held: replicas plus counters — the number of records a
+    /// snapshot of this state writes.
+    pub fn records(&self) -> usize {
+        self.replicas.len() + self.counters.len()
+    }
+
     /// Applies one op by value, moving its payload straight into the store —
     /// the allocation-free path for callers that own the op (the engine's
     /// journaling hooks, WAL replay). Semantics identical to
@@ -230,28 +226,6 @@ impl MemoryState {
             }
         }
     }
-
-    /// The ops that rebuild this state from empty, in a deterministic order
-    /// — the body of a snapshot.
-    pub fn to_ops(&self) -> Vec<StorageOp> {
-        let mut ops = Vec::with_capacity(self.replicas.len() + self.counters.len());
-        for (hash, key, replica) in self.replicas.iter() {
-            ops.push(StorageOp::PutReplica {
-                hash,
-                key: key.clone(),
-                payload: replica.payload.clone(),
-                stamp: replica.stamp,
-                position: replica.position,
-            });
-        }
-        for (key, value) in self.counters.iter() {
-            ops.push(StorageOp::SetCounter {
-                key: key.clone(),
-                value,
-            });
-        }
-        ops
-    }
 }
 
 #[cfg(test)]
@@ -305,49 +279,5 @@ mod tests {
         assert_eq!(store.clone().remove_range(7, 7), 3);
         // Exclusive start, inclusive end.
         assert_eq!(store.clone().remove_range(100, 200), 1);
-    }
-
-    #[test]
-    fn max_stamp_spans_hash_functions() {
-        let mut store = ReplicaStore::new();
-        let k = Key::new("doc");
-        store.put(HashId(0), k.clone(), replica(5, 1));
-        store.put(HashId(3), k.clone(), replica(12, 2));
-        store.put(HashId(0), Key::new("other"), replica(99, 3));
-        assert_eq!(store.max_stamp_for_key(&k), Some(Timestamp(12)));
-        assert_eq!(store.max_stamp_for_key(&Key::new("missing")), None);
-    }
-
-    #[test]
-    fn to_ops_rebuilds_the_state() {
-        let mut state = MemoryState::new();
-        let ops = vec![
-            StorageOp::PutReplica {
-                hash: HashId(1),
-                key: Key::new("x"),
-                payload: b"one".to_vec(),
-                stamp: Timestamp(4),
-                position: 77,
-            },
-            StorageOp::SetCounter {
-                key: Key::new("x"),
-                value: Timestamp(4),
-            },
-            StorageOp::PutReplica {
-                hash: HashId(2),
-                key: Key::new("y"),
-                payload: b"two".to_vec(),
-                stamp: Timestamp(9),
-                position: 12,
-            },
-        ];
-        for op in &ops {
-            state.apply(op);
-        }
-        let mut rebuilt = MemoryState::new();
-        for op in state.to_ops() {
-            rebuilt.apply(&op);
-        }
-        assert_eq!(rebuilt, state);
     }
 }

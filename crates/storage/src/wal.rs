@@ -18,7 +18,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::frame::{read_frames, seal_frame, FRAME_HEADER_LEN};
+use crate::frame::{frame_with, read_frames, FRAME_HEADER_LEN};
 use crate::op::StorageOp;
 
 /// When appended records are `fsync`ed to stable storage.
@@ -129,17 +129,18 @@ pub fn replay(path: &Path) -> io::Result<WalReplay> {
     }
     let (payloads, mut valid_len, mut torn) = read_frames(&buf);
     let mut ops = Vec::with_capacity(payloads.len());
+    let mut decoded_len = 0;
     for payload in payloads {
         match StorageOp::decode(payload) {
-            Some(op) => ops.push(op),
+            Some(op) => {
+                ops.push(op);
+                decoded_len += FRAME_HEADER_LEN + payload.len();
+            }
             None => {
                 // A frame that checksums but does not decode: corruption (or
                 // a future op tag). Keep the prefix before it.
                 torn = true;
-                valid_len = ops
-                    .iter()
-                    .map(|op| op.encode_to_vec().len() + crate::frame::FRAME_HEADER_LEN)
-                    .sum();
+                valid_len = decoded_len;
                 break;
             }
         }
@@ -271,9 +272,7 @@ impl WalWriter {
     /// before acknowledging the op.
     pub fn append(&mut self, op: &StorageOp) -> io::Result<()> {
         self.scratch.clear();
-        self.scratch.resize(FRAME_HEADER_LEN, 0);
-        op.encode(&mut self.scratch);
-        seal_frame(&mut self.scratch);
+        frame_with(&mut self.scratch, |out| op.encode(out));
         self.file.write_all(&self.scratch)?;
         self.appends_since_sync += 1;
         self.bytes_appended += self.scratch.len() as u64;
@@ -293,10 +292,7 @@ impl WalWriter {
         }
         self.scratch.clear();
         for op in ops {
-            let frame_start = self.scratch.len();
-            self.scratch.resize(frame_start + FRAME_HEADER_LEN, 0);
-            op.encode(&mut self.scratch);
-            seal_frame(&mut self.scratch[frame_start..]);
+            frame_with(&mut self.scratch, |out| op.encode(out));
         }
         self.file.write_all(&self.scratch)?;
         self.appends_since_sync += ops.len() as u64;
@@ -400,6 +396,32 @@ mod tests {
         let replayed = replay(Path::new("/nonexistent/definitely/missing.log")).unwrap();
         assert!(replayed.ops.is_empty());
         assert!(!replayed.torn_tail);
+    }
+
+    #[test]
+    fn a_frame_that_checksums_but_does_not_decode_ends_the_prefix() {
+        let path = temp_path("undecodable");
+        let ops = sample_ops(4);
+        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never).unwrap();
+        for op in &ops {
+            wal.append(op).unwrap();
+        }
+        let prefix_len = wal.bytes_appended();
+        drop(wal);
+        // A well-framed record with an op tag no version ever wrote, then
+        // one more good record that must not be reached.
+        let mut tail = Vec::new();
+        crate::frame::append_frame(&mut tail, &[0xee, 1, 2, 3]);
+        frame_with(&mut tail, |out| ops[0].encode(out));
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&tail).unwrap();
+        drop(file);
+
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.ops, ops);
+        assert_eq!(replayed.valid_len, prefix_len);
+        assert!(replayed.torn_tail);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
