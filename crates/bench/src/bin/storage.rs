@@ -17,10 +17,7 @@
 //! * the same comparison end to end through the threaded deployment
 //!   (`cluster_insert_{always,group_commit}_w{w}`): real writer threads and
 //!   real mailboxes against a single storage-backed peer running the
-//!   drain-apply-sync-reply request loop — plus a
-//!   `cluster_insert_group_commit_nometrics_w8` control with the per-peer
-//!   instruments off (`ClusterConfig::with_metrics(false)`), bounding the
-//!   observability tax;
+//!   drain-apply-sync-reply request loop;
 //! * recovery time (`StorageEngine::recover`) as a function of WAL length,
 //!   and for the same state compacted into a snapshot — why compaction
 //!   exists;
@@ -193,15 +190,13 @@ fn bench_cluster_insert(
     writers: usize,
     inserts_per_writer: usize,
     transport: TransportKind,
-    metrics: bool,
 ) -> BenchLine {
     let dir = temp_dir(&format!("cluster-{label}-w{writers}"));
     let mut options = StorageOptions::with_fsync(policy);
     options.snapshot_every = 0;
     let config = ClusterConfig::new(1, 8, 0xc0ffee)
         .with_storage(ClusterStorage::with_options(&dir, options))
-        .with_transport(transport)
-        .with_metrics(metrics);
+        .with_transport(transport);
     let cluster = Arc::new(Cluster::spawn_with(config));
     {
         // Warm-up outside the clock (thread spin-up, first-touch paths).
@@ -520,7 +515,6 @@ fn main() {
             writers,
             cluster_inserts,
             TransportKind::Channel,
-            true,
         ));
         // Clients here are closed-loop (each writer has one request in
         // flight), so every op that can join a batch is already queued when
@@ -533,22 +527,8 @@ fn main() {
             writers,
             cluster_inserts,
             TransportKind::Channel,
-            true,
         ));
     }
-    // The observability tax: the same 8-writer group-commit deployment with
-    // per-peer metrics disabled (`ClusterConfig::with_metrics(false)`). The
-    // delta against `cluster_insert_group_commit_w8` is what the request
-    // counters, queue-depth gauge and service-time histogram cost per
-    // insert end to end — the budget is < 2%.
-    lines.push(bench_cluster_insert(
-        "group_commit_nometrics",
-        FsyncPolicy::group_commit(64, Duration::ZERO),
-        8,
-        cluster_inserts,
-        TransportKind::Channel,
-        false,
-    ));
     // The same end-to-end path over the TCP transport: every insert's
     // messages cross the wire codec and loopback sockets, so the rows
     // quantify the framing + socket tax relative to the channel rows.
@@ -559,7 +539,6 @@ fn main() {
             writers,
             cluster_inserts,
             TransportKind::Tcp,
-            true,
         ));
         lines.push(bench_cluster_insert(
             "tcp_group_commit",
@@ -567,7 +546,6 @@ fn main() {
             writers,
             cluster_inserts,
             TransportKind::Tcp,
-            true,
         ));
     }
     // The retry tax: the same 8-writer insert workload with 0%, 1% and 5%

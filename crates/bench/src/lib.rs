@@ -16,7 +16,7 @@
 //! | [`experiments::theorem1`] | Theorem 1 / Eq. 1–5 | churn (⇒ p_t) | probes vs bound |
 //!
 //! Every experiment accepts a [`Scale`]: `Quick` shrinks peer counts and
-//! durations so the whole suite runs in seconds (CI, `cargo bench`), `Paper`
+//! durations so the whole suite runs in seconds (CI), `Paper`
 //! uses the paper's sizes (10,000 peers). The absolute times differ from the
 //! published numbers — the network model is a simulator, not the authors'
 //! 2007 testbed — but the orderings, growth trends and crossovers are the

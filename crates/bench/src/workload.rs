@@ -1,9 +1,5 @@
-//! Shared workload builders for the hot-path benchmark targets.
-//!
-//! Both `benches/hotpath.rs` (criterion suite) and `src/bin/hotpath.rs` (the
-//! JSON-emitting harness) time the same operations; building their inputs
-//! here keeps the two sets of numbers comparable — a tweak to key counts,
-//! payload sizes or drain widths lands in both automatically.
+//! Workload builders for the hot-path bench bin (`src/bin/hotpath.rs`): the
+//! keys, records and stores its rows time.
 
 use rdht_hashing::{HashFamily, Key};
 use rdht_overlay::{PeerStore, Record, WritePolicy};

@@ -4,7 +4,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `no-eprintln` | all diagnostics flow through `EventLog` (structured, rate-limited, `RDHT_LOG`-gated); `eprintln!` is allowed only inside the `EventLog` implementation itself |
-//! | `blessed-wait-unbounded` | `wait_unbounded` (no-timeout blocking) may be *called* only at sites carrying a `// blessed: wait_unbounded` comment, and at most two such sites exist |
+//! | `max-fn-lines` | no function in the non-test sources directly under `crates/net/src` runs past 150 lines (`fn` line through closing brace) — the peer loop stays one handler per request kind |
 //! | `sim-virtual-time` | `rdht-sim` runs on virtual time only: no `Instant::now`/`SystemTime::now` under `crates/sim/src` |
 //! | `relaxed-justified` | every `Ordering::Relaxed` carries a `// relaxed:` justification on the same line or in the comment block directly above |
 //! | `wire-exhaustive` | every `Request`/`Reply` variant in `message.rs` has an encode arm and a decode arm in `wire.rs`, and every `Request` variant a `RequestCounters` entry in `metrics.rs` |
@@ -17,7 +17,6 @@
 //! `Request::Metrics` or a log message containing `Relaxed` cannot
 //! confuse the rules.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -25,15 +24,13 @@ use std::path::{Path, PathBuf};
 // banned tokens verbatim — the linter must survive being pointed at
 // itself (or at a vendored copy of itself) without self-reporting.
 const EPRINTLN: &str = concat!("eprint", "ln!");
-const WAIT_UNBOUNDED: &str = concat!("wait_", "unbounded");
 const INSTANT_NOW: &str = concat!("Instant", "::now");
 const SYSTEM_TIME_NOW: &str = concat!("SystemTime", "::now");
 const RELAXED: &str = concat!("Ordering::", "Relaxed");
 const RELAXED_MARKER: &str = concat!("// relaxed", ":");
-const BLESS_MARKER: &str = concat!("// blessed", ": ", "wait_", "unbounded");
 
-/// Maximum number of blessed `wait_unbounded` call sites.
-pub const MAX_BLESSED_WAIT_SITES: usize = 2;
+/// Longest function `max-fn-lines` tolerates, `fn` line through closing brace.
+pub const MAX_FN_LINES: usize = 150;
 
 /// A single lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,33 +172,45 @@ fn contains_word(hay: &str, needle: &str) -> bool {
     false
 }
 
-/// Result of linting one file: findings plus the blessed
-/// `wait_unbounded` sites it contains (counted globally by the caller).
-#[derive(Default)]
-pub struct FileLint {
-    /// Findings in this file.
-    pub findings: Vec<Finding>,
-    /// Lines carrying a blessed `wait_unbounded` call.
-    pub blessed_wait_sites: Vec<usize>,
+/// Whether `rel` is a non-test source directly under `crates/net/src` —
+/// the files `max-fn-lines` covers (`tests.rs`, `peer_tests.rs` and
+/// `wire_proptests.rs` are test modules).
+fn is_net_source(rel: &str) -> bool {
+    rel.strip_prefix("crates/net/src/")
+        .is_some_and(|name| !name.contains('/') && !name.ends_with("tests.rs"))
 }
 
 /// Lints a single file's content. `rel` is the path relative to the
 /// workspace root, '/'-separated.
-pub fn lint_file(rel: &str, content: &str) -> FileLint {
-    let mut out = FileLint::default();
+pub fn lint_file(rel: &str, content: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
     let in_sim = rel.starts_with("crates/sim/src/");
     let is_eventlog = rel == "crates/metrics/src/log.rs";
-    let is_wait_def = rel == "crates/net/src/transport.rs";
+
+    if is_net_source(rel) {
+        for (name, line, len) in fn_lengths(content) {
+            if len > MAX_FN_LINES {
+                findings.push(Finding {
+                    file: rel.to_string(),
+                    line,
+                    rule: "max-fn-lines",
+                    message: format!(
+                        "fn {name} is {len} lines long (limit {MAX_FN_LINES}); give each \
+                         request kind, phase or rule its own function"
+                    ),
+                });
+            }
+        }
+    }
 
     let mut stripper = Stripper::default();
     let lines: Vec<&str> = content.lines().collect();
-    let mut prev_raw = "";
     for (idx, raw) in lines.iter().enumerate() {
         let line_no = idx + 1;
         let code = stripper.code_of(raw);
 
         if !is_eventlog && code.contains(EPRINTLN) {
-            out.findings.push(Finding {
+            findings.push(Finding {
                 file: rel.to_string(),
                 line: line_no,
                 rule: "no-eprintln",
@@ -212,24 +221,8 @@ pub fn lint_file(rel: &str, content: &str) -> FileLint {
             });
         }
 
-        if !is_wait_def && contains_word(&code, WAIT_UNBOUNDED) {
-            if raw.contains(BLESS_MARKER) || prev_raw.contains(BLESS_MARKER) {
-                out.blessed_wait_sites.push(line_no);
-            } else {
-                out.findings.push(Finding {
-                    file: rel.to_string(),
-                    line: line_no,
-                    rule: "blessed-wait-unbounded",
-                    message: format!(
-                        "{WAIT_UNBOUNDED} call without a `{BLESS_MARKER}` comment on this \
-                         or the preceding line; prefer a bounded wait"
-                    ),
-                });
-            }
-        }
-
         if in_sim && (code.contains(INSTANT_NOW) || code.contains(SYSTEM_TIME_NOW)) {
-            out.findings.push(Finding {
+            findings.push(Finding {
                 file: rel.to_string(),
                 line: line_no,
                 rule: "sim-virtual-time",
@@ -249,7 +242,7 @@ pub fn lint_file(rel: &str, content: &str) -> FileLint {
                 .take_while(|l| l.trim_start().starts_with("//"))
                 .any(|l| l.contains(RELAXED_MARKER));
             if !justified {
-                out.findings.push(Finding {
+                findings.push(Finding {
                     file: rel.to_string(),
                     line: line_no,
                     rule: "relaxed-justified",
@@ -261,10 +254,8 @@ pub fn lint_file(rel: &str, content: &str) -> FileLint {
                 });
             }
         }
-
-        prev_raw = raw;
     }
-    out
+    findings
 }
 
 /// Extracts the variant names of `pub enum <name>` from comment-stripped
@@ -309,44 +300,84 @@ fn enum_variants(content: &str, name: &str) -> Vec<(String, usize)> {
     variants
 }
 
-/// Maps each line of `content` to the name of the `fn` it falls in.
-fn fn_regions(content: &str) -> Vec<Option<String>> {
+/// The functions of `content` that have a body, as `(name, line of the
+/// `fn` keyword, line count through the body's closing brace)`. Brace
+/// matching on comment-stripped text; a nested function is measured on its
+/// own as well as inside its parent.
+fn fn_lengths(content: &str) -> Vec<(String, usize, usize)> {
     let mut stripper = Stripper::default();
-    let mut current: Option<String> = None;
-    let mut regions = Vec::new();
-    for raw in content.lines() {
+    let mut lengths = Vec::new();
+    // Functions whose body is open: name, first line, brace depth inside.
+    let mut open: Vec<(String, usize, usize)> = Vec::new();
+    // A signature seen whose body has not opened yet.
+    let mut pending: Option<(String, usize)> = None;
+    let mut depth = 0usize;
+    // Nesting of `(`/`[` inside a pending signature: a `;` there (an array
+    // type) does not end the item.
+    let mut nesting = 0usize;
+    for (idx, raw) in content.lines().enumerate() {
         let code = stripper.code_of(raw);
-        if let Some(pos) = code.find("fn ") {
-            let boundary_ok =
-                pos == 0 || !is_ident_char(code[..pos].chars().next_back().unwrap_or(' '));
-            if boundary_ok {
-                let name: String = code[pos + 3..]
+        let mut rest = code.as_str();
+        while !rest.is_empty() {
+            if rest.starts_with("fn ") && pending.is_none() {
+                let name: String = rest[3..]
                     .chars()
                     .take_while(|&c| is_ident_char(c))
                     .collect();
-                if !name.is_empty() {
-                    current = Some(name);
+                let boundary_ok = !code[..code.len() - rest.len()]
+                    .chars()
+                    .next_back()
+                    .is_some_and(is_ident_char);
+                if boundary_ok && !name.is_empty() {
+                    pending = Some((name, idx + 1));
+                    nesting = 0;
                 }
             }
+            let c = rest.chars().next().unwrap_or(' ');
+            match c {
+                '(' | '[' if pending.is_some() => nesting += 1,
+                ')' | ']' if pending.is_some() => nesting = nesting.saturating_sub(1),
+                // A declaration without a body (trait method, extern).
+                ';' if nesting == 0 => pending = None,
+                '{' => {
+                    depth += 1;
+                    if let Some((name, line)) = pending.take() {
+                        open.push((name, line, depth));
+                    }
+                }
+                '}' => {
+                    if open.last().is_some_and(|(_, _, at)| *at == depth) {
+                        let (name, line, _) = open.pop().expect("checked non-empty");
+                        lengths.push((name, line, idx + 1 - line + 1));
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                _ => {}
+            }
+            rest = &rest[c.len_utf8()..];
         }
-        regions.push(current.clone());
     }
-    regions
+    lengths.sort_by_key(|(_, line, _)| *line);
+    lengths
 }
 
 /// In how many distinct functions of `content` does `needle` occur
 /// (word-delimited, comment-stripped)?
 fn distinct_fn_mentions(content: &str, needle: &str) -> usize {
-    let regions = fn_regions(content);
+    let spans = fn_lengths(content);
     let mut stripper = Stripper::default();
-    let mut fns: Vec<String> = Vec::new();
+    let mut fns: Vec<&str> = Vec::new();
     for (idx, raw) in content.lines().enumerate() {
-        let code = stripper.code_of(raw);
-        if contains_word(&code, needle) {
-            if let Some(Some(name)) = regions.get(idx) {
-                if !fns.contains(name) {
-                    fns.push(name.clone());
-                }
+        if !contains_word(&stripper.code_of(raw), needle) {
+            continue;
+        }
+        // The innermost function around the line: spans are sorted by their
+        // first line, so the last one that contains it.
+        let around =
+            |(_, first, len): &&(String, usize, usize)| (*first..first + len).contains(&(idx + 1));
+        if let Some((name, _, _)) = spans.iter().rev().find(around) {
+            if !fns.contains(&name.as_str()) {
+                fns.push(name);
             }
         }
     }
@@ -430,7 +461,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     files.sort();
 
     let mut findings = Vec::new();
-    let mut blessed: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -442,29 +472,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             continue;
         }
         let content = std::fs::read_to_string(path)?;
-        let file_lint = lint_file(&rel, &content);
-        findings.extend(file_lint.findings);
-        if !file_lint.blessed_wait_sites.is_empty() {
-            blessed.insert(rel, file_lint.blessed_wait_sites);
-        }
-    }
-
-    let blessed_total: usize = blessed.values().map(Vec::len).sum();
-    if blessed_total > MAX_BLESSED_WAIT_SITES {
-        let sites: Vec<String> = blessed
-            .iter()
-            .flat_map(|(f, lines)| lines.iter().map(move |l| format!("{f}:{l}")))
-            .collect();
-        findings.push(Finding {
-            file: sites.first().cloned().unwrap_or_default(),
-            line: 0,
-            rule: "blessed-wait-unbounded",
-            message: format!(
-                "{blessed_total} blessed {WAIT_UNBOUNDED} sites ({}); at most \
-                 {MAX_BLESSED_WAIT_SITES} are allowed — unbless one before adding another",
-                sites.join(", ")
-            ),
-        });
+        findings.extend(lint_file(&rel, &content));
     }
 
     let message = std::fs::read_to_string(root.join("crates/net/src/message.rs"));
@@ -495,71 +503,94 @@ mod tests {
     fn eprintln_is_flagged_outside_eventlog() {
         let src = format!("fn f() {{ {EPRINTLN}(\"x\"); }}\n");
         let out = lint_file("crates/net/src/peer.rs", &src);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "no-eprintln");
-        assert_eq!(out.findings[0].line, 1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "no-eprintln");
+        assert_eq!(out[0].line, 1);
         let ok = lint_file("crates/metrics/src/log.rs", &src);
-        assert!(ok.findings.is_empty());
+        assert!(ok.is_empty());
     }
 
     #[test]
     fn eprintln_in_comment_or_string_is_ignoredonly() {
         let src = format!("// {EPRINTLN} is banned\nlet s = \"{EPRINTLN}\";\n");
         let out = lint_file("crates/net/src/peer.rs", &src);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// A function of `body_lines` statement lines (so `body_lines + 2` in
+    /// all), preceded by a short one and followed by a bodiless declaration.
+    fn source_with_fn_of(body_lines: usize) -> String {
+        let body = "    let v = [0u8; 4]; // } not a brace\n".repeat(body_lines);
+        format!(
+            "fn short(a: [u8; 2]) {{\n}}\nimpl P {{\n    fn long(&self) {{\n{body}    }}\n}}\ntrait T {{\n    fn declared(&self);\n}}\n"
+        )
     }
 
     #[test]
-    fn wait_unbounded_needs_blessing() {
-        let bare = format!("x.{WAIT_UNBOUNDED}();\n");
-        let out = lint_file("crates/net/src/cluster.rs", &bare);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "blessed-wait-unbounded");
+    fn function_at_the_line_limit_passes() {
+        let src = source_with_fn_of(MAX_FN_LINES - 2);
+        assert_eq!(
+            fn_lengths(&src),
+            vec![
+                ("short".to_string(), 1, 2),
+                ("long".to_string(), 4, MAX_FN_LINES)
+            ]
+        );
+        assert!(lint_file("crates/net/src/peer.rs", &src).is_empty());
+    }
 
-        let blessed = format!("{BLESS_MARKER} drain barrier\nx.{WAIT_UNBOUNDED}();\n");
-        let out = lint_file("crates/net/src/cluster.rs", &blessed);
-        assert!(out.findings.is_empty());
-        assert_eq!(out.blessed_wait_sites, vec![2]);
-
-        let def = format!("pub fn {WAIT_UNBOUNDED}(&self) {{}}\n");
-        let out = lint_file("crates/net/src/transport.rs", &def);
-        assert!(out.findings.is_empty());
-        assert!(out.blessed_wait_sites.is_empty());
+    #[test]
+    fn function_past_the_line_limit_is_flagged_in_net_sources_only() {
+        let src = source_with_fn_of(MAX_FN_LINES - 1);
+        let out = lint_file("crates/net/src/peer.rs", &src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "max-fn-lines");
+        assert_eq!(out[0].line, 4);
+        assert!(out[0].message.contains("fn long"), "{out:?}");
+        for exempt in [
+            "crates/net/src/tests.rs",
+            "crates/net/src/peer_tests.rs",
+            "crates/net/src/wire_proptests.rs",
+            "crates/net/tests/faults.rs",
+            "crates/storage/src/engine.rs",
+        ] {
+            assert!(lint_file(exempt, &src).is_empty(), "{exempt}");
+        }
     }
 
     #[test]
     fn sim_wall_clock_is_flagged() {
         let src = format!("let t = {INSTANT_NOW}();\n");
         let out = lint_file("crates/sim/src/engine.rs", &src);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "sim-virtual-time");
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "sim-virtual-time");
         let elsewhere = lint_file("crates/net/src/tcp.rs", &src);
-        assert!(elsewhere.findings.is_empty());
+        assert!(elsewhere.is_empty());
     }
 
     #[test]
     fn relaxed_needs_justification() {
         let bare = format!("a.load({RELAXED});\n");
         let out = lint_file("crates/storage/src/engine.rs", &bare);
-        assert_eq!(out.findings.len(), 1);
-        assert_eq!(out.findings[0].rule, "relaxed-justified");
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "relaxed-justified");
 
         let same_line = format!("a.load({RELAXED}); {RELAXED_MARKER} monotonic counter\n");
-        assert!(lint_file("x.rs", &same_line).findings.is_empty());
+        assert!(lint_file("x.rs", &same_line).is_empty());
 
         let prev_line = format!("{RELAXED_MARKER} monotonic counter\na.load({RELAXED});\n");
-        assert!(lint_file("x.rs", &prev_line).findings.is_empty());
+        assert!(lint_file("x.rs", &prev_line).is_empty());
 
         // Multi-line justification: marker anywhere in the contiguous
         // comment block above the site counts.
         let block = format!(
             "{RELAXED_MARKER} monotonic counter;\n// scrapes tolerate stale reads.\na.load({RELAXED});\n"
         );
-        assert!(lint_file("x.rs", &block).findings.is_empty());
+        assert!(lint_file("x.rs", &block).is_empty());
 
         // ...but a marker separated from the site by code does not.
         let separated = format!("{RELAXED_MARKER} stale comment\nlet x = 1;\na.load({RELAXED});\n");
-        assert_eq!(lint_file("x.rs", &separated).findings.len(), 1);
+        assert_eq!(lint_file("x.rs", &separated).len(), 1);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,12 +15,10 @@ use rdht_core::{PutReplicasOutcome, ReplicaValue, Timestamp, UmsAccess, UmsError
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_metrics::{Counter, Registry, RequestTree, SpanLog, TraceConfig, TraceContext, TraceSink};
 
-use crate::cluster::{
-    request_kind, sink_ts, traceable, us, DedupCounters, Directory, PeerId,
-    DEFAULT_FORWARDER_REAP_IDLE,
-};
+use crate::cluster::{Directory, PeerId, DEFAULT_FORWARDER_REAP_IDLE};
 use crate::message::{OpId, Reply, Request};
 use crate::metrics::names;
+use crate::peer::{request_kind, sink_ts, traceable, us};
 use crate::tcp::TcpTransport;
 use crate::transport::{CallError, Gather, Gathered, PeerEndpoint, Transport};
 
@@ -232,21 +229,12 @@ impl ClusterClient {
         let peers: Vec<(PeerId, SocketAddr)> = peers.into_iter().collect();
         let transport: Arc<dyn Transport> =
             Arc::new(TcpTransport::with_peers(peers.iter().copied()));
-        let mut ring: BTreeMap<PeerId, (PeerEndpoint, bool)> = BTreeMap::new();
-        for (peer, _) in &peers {
-            let endpoint = transport
-                .endpoint(*peer)
-                .expect("every address-book entry resolves to an endpoint");
-            ring.insert(*peer, (endpoint, true));
-        }
-        let directory = Arc::new(Directory {
-            family: HashFamily::new(num_replicas, seed),
+        let directory = Arc::new(Directory::new(
+            HashFamily::new(num_replicas, seed),
             transport,
-            peers: RwLock::new(ring),
-            message_delay: Duration::ZERO,
-            forwarder_reap_idle: DEFAULT_FORWARDER_REAP_IDLE,
-            dedup: DedupCounters::default(),
-        });
+            peers.iter().map(|(peer, _)| *peer),
+            DEFAULT_FORWARDER_REAP_IDLE,
+        ));
         ClusterClient::new(directory)
     }
 
@@ -457,9 +445,8 @@ impl ClusterClient {
 
     /// Scrapes `peer`'s metrics over the wire: sends [`Request::Metrics`]
     /// and returns the peer's Prometheus text exposition, under the same
-    /// retry policy as every other call. Errors when the peer is unknown,
-    /// stays unreachable through the retry budget, or runs with metrics
-    /// disabled ([`crate::ClusterConfig::with_metrics`]).
+    /// retry policy as every other call. Errors when the peer is unknown or
+    /// stays unreachable through the retry budget.
     pub fn scrape_metrics(&mut self, peer: PeerId) -> Result<String, UmsError> {
         match self.call(Call {
             target: Target::Peer(peer),
@@ -507,10 +494,8 @@ impl ClusterClient {
                 .ok_or(UmsError::EmptyOverlay),
             Target::Peer(peer) => self
                 .directory
-                .peers
-                .read()
-                .get(&peer)
-                .map(|(endpoint, _)| endpoint.clone())
+                .member(peer)
+                .map(|(endpoint, _)| endpoint)
                 .ok_or_else(|| UmsError::lookup(format!("unknown peer {:016x}", peer.0))),
         }
     }

@@ -6,13 +6,25 @@
 //! [`Transport`]. Clients ([`ClusterClient`]) talk to peers only by sending
 //! messages: replica reads and writes go to the peer currently responsible
 //! for the key, timestamp requests go to the responsible of timestamping,
-//! and an optional artificial per-message delay models network latency.
+//! and network latency is modelled by a [`FaultPlan`] on the transport.
 //! Unlike the discrete-event simulator, nothing here is virtual time:
 //! concurrency, interleavings and races are real, which is what this crate
 //! is for — validating that the UMS/KTS logic (which is the *same*
 //! `rdht-core` code the simulator runs) behaves correctly when updates and
 //! retrievals genuinely race and when the timestamping responsible genuinely
 //! crashes mid-workload.
+//!
+//! ## Which file owns what
+//!
+//! * `peer.rs` — one peer: its state, the drain → apply → covering sync →
+//!   reply loop, one handler per request kind, and the one definition of
+//!   each protocol rule (exactly-once, forwarding, ack-after-sync, hand-off).
+//! * `cluster.rs` — the coordinator: [`ClusterConfig`], the membership
+//!   directory, and spawn / crash / restart / join / leave.
+//! * `client.rs` — [`ClusterClient`]: `UmsAccess` over messages, with
+//!   deadlines, retries and overlapped calls.
+//! * `transport.rs`, `tcp.rs`, `wire.rs`, `fault.rs` — how messages travel;
+//!   `message.rs`, `metrics.rs` — what they say and what a peer counts.
 //!
 //! ## Transports
 //!
@@ -106,8 +118,7 @@
 //!
 //! ## Observability
 //!
-//! Every peer of a metrics-enabled cluster (the default; see
-//! [`ClusterConfig::with_metrics`]) carries an `rdht-metrics` registry
+//! Every peer carries an `rdht-metrics` registry
 //! ([`metrics::PeerMetrics`]): request counts by kind, queue depth and
 //! drained batch sizes of the group-commit loop, per-message service-time
 //! histograms, hand-off phase durations and stall time, indirect counter
@@ -142,6 +153,7 @@ mod cluster;
 pub mod fault;
 mod message;
 pub mod metrics;
+mod peer;
 mod tcp;
 mod transport;
 pub mod wire;
@@ -163,7 +175,7 @@ pub use transport::{
     CallError, ChannelTransport, EndpointImpl, Incoming, Mailbox, PeerEndpoint, PendingReply,
     ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
 };
-pub use wire::{WireError, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{WireError, MAX_FRAME_LEN, WIRE_VERSION};
 
 #[cfg(test)]
 mod tests;

@@ -1,8 +1,8 @@
 //! Per-peer instruments of the cluster runtime.
 //!
-//! Every peer of a metrics-enabled cluster owns one `rdht_metrics::Registry`
-//! holding its whole observable state: the request counters and service-time
-//! histograms maintained by the peer loop (this module), the storage
+//! Every peer owns one `rdht_metrics::Registry` holding its whole
+//! observable state: the request counters and service-time histograms
+//! maintained by the peer loop (this module), the storage
 //! engine's WAL/compaction instruments (`rdht_storage::StorageMetrics`), the
 //! hand-off phase durations (`rdht_membership::TransferMetrics`), and —
 //! registered as *shared handles* — the cluster-wide dedup totals and fault

@@ -9,13 +9,16 @@ use rdht_core::{ums, UmsAccess};
 use rdht_hashing::Key;
 use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 
-use crate::{Cluster, ClusterConfig, ClusterStorage, HandoffFault, MembershipError, PeerId};
+use crate::{
+    Cluster, ClusterConfig, ClusterStorage, FaultPlan, HandoffFault, LinkFaults, MembershipError,
+    PeerId,
+};
 
 static STORAGE_ROOT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A fresh storage root for one test, removed up-front in case a previous
 /// run left debris.
-fn fresh_storage_root(tag: &str) -> PathBuf {
+pub(crate) fn fresh_storage_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!(
         "rdht-net-test-{}-{}-{tag}",
         std::process::id(),
@@ -24,6 +27,15 @@ fn fresh_storage_root(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&root);
     root
+}
+
+/// A fault plan holding every frame back `millis` one way — the one way to
+/// model network latency.
+fn delayed_links(seed: u64, millis: u64) -> FaultPlan {
+    FaultPlan::new(seed).with_all_links(LinkFaults::delayed(
+        std::time::Duration::from_millis(millis),
+        std::time::Duration::ZERO,
+    ))
 }
 
 #[test]
@@ -490,28 +502,25 @@ fn cluster_respawn_over_same_root_keeps_data() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// The ISSUE 3 satellite: the artificial message delay must not apply to
-/// shutdown drains — a delayed cluster shuts down promptly.
+/// Link latency must not apply to shutdown drains (lifecycle messages are
+/// exempt from the fault plan) — a delayed cluster shuts down promptly.
 #[test]
 fn delayed_cluster_shuts_down_promptly() {
-    let mut config = ClusterConfig::new(8, 3, 16);
-    config.message_delay = std::time::Duration::from_millis(150);
+    let config = ClusterConfig::new(8, 3, 16).with_faults(delayed_links(16, 150));
     let cluster = Cluster::spawn_with(config);
     let start = std::time::Instant::now();
     cluster.shutdown();
     let elapsed = start.elapsed();
     assert!(
         elapsed < std::time::Duration::from_millis(100),
-        "shutdown must skip the artificial delay, took {elapsed:?}"
+        "shutdown must skip the link delay, took {elapsed:?}"
     );
 }
 
 #[test]
 fn artificial_delay_slows_operations_down() {
     let fast = Cluster::spawn(4, 3, 8);
-    let mut config = ClusterConfig::new(4, 3, 8);
-    config.message_delay = std::time::Duration::from_millis(2);
-    let slow = Cluster::spawn_with(config);
+    let slow = Cluster::spawn_with(ClusterConfig::new(4, 3, 8).with_faults(delayed_links(8, 2)));
 
     let key = Key::new("doc");
     let mut fast_client = fast.client();
@@ -1296,26 +1305,6 @@ fn metrics_scrape_exposes_roadmap_instruments() {
         })
         .sum();
     assert!(total_puts >= 1, "the insert's put groups were counted");
-    cluster.shutdown();
-}
-
-/// With metrics disabled the cluster answers scrapes with a typed error and
-/// exposes no registries, and the workload still completes — the
-/// instrumentation is strictly optional.
-#[test]
-fn metrics_can_be_disabled() {
-    let cluster = Cluster::spawn_with(ClusterConfig::new(2, 3, 92).with_metrics(false));
-    let mut client = cluster.client();
-    let key = Key::new("dark");
-    ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
-    let got = ums::retrieve(&mut client, &key).unwrap();
-    assert!(got.is_current);
-    for peer in cluster.peer_ids() {
-        assert!(cluster.registry(peer).is_none());
-        assert!(cluster.scrape(peer).is_none());
-        let refused = client.scrape_metrics(peer);
-        assert!(refused.is_err(), "scrape of a dark peer is refused");
-    }
     cluster.shutdown();
 }
 

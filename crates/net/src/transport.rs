@@ -428,18 +428,6 @@ impl PendingReply {
             Err(_) => Err(CallError::Dropped),
         }
     }
-
-    /// Blocks until the reply arrives or its path is torn down — **no
-    /// clock**. Membership coordination waits this way: a deadline could
-    /// race a slow-but-alive peer into committing after the coordinator
-    /// already gave up, whereas a disconnect is unambiguous (every
-    /// transport tears the reply path down when the peer stops).
-    pub fn wait_unbounded(self) -> Result<Reply, CallError> {
-        match self.receiver.recv() {
-            Ok(reply) => answered(reply),
-            Err(_) => Err(CallError::Dropped),
-        }
-    }
 }
 
 /// What one slot of a [`Gather`] ended up holding.
@@ -663,6 +651,33 @@ impl PeerEndpoint {
             .send_traced(request, trace)
             .map_err(CallError::Transport)?;
         pending.wait(timeout)
+    }
+
+    /// Bounded re-send on silence — the one retry discipline of the
+    /// hand-off protocol (coordinator → source, source → target): send,
+    /// wait `timeout`, and on a pure timeout re-send the *same* request
+    /// (same [`crate::OpId`], so a receiver that already applied it answers
+    /// again from its dedup cache) up to `attempts` times. Anything other
+    /// than a timeout — a reply, a rejection, a reply-path teardown — is
+    /// definitive and returned as-is; a spent budget comes back as
+    /// [`CallError::Exhausted`].
+    pub(crate) fn call_resending(
+        &self,
+        request: &Request,
+        trace: Option<TraceContext>,
+        attempts: u32,
+        timeout: Duration,
+    ) -> Result<Reply, CallError> {
+        for _ in 0..attempts {
+            match self.call_traced(request.clone(), timeout, trace) {
+                Err(CallError::Timeout) => continue,
+                other => return other,
+            }
+        }
+        Err(CallError::Exhausted {
+            attempts,
+            last: Box::new(CallError::Timeout),
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! payload := version: u8                         (WIRE_VERSION, currently 4)
 //!            kind: u8                            (0 = request, 1 = reply)
 //!            request_id: u64 LE                  (matches replies to requests)
-//!            trace: Option<TraceContext>         (requests only, v4+ only)
+//!            trace: Option<TraceContext>         (requests only)
 //!            body                                (tagged per message variant)
 //! ```
 //!
@@ -41,23 +41,10 @@ use crate::cluster::PeerId;
 use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 
 /// Version byte every frame starts with. Bumped on any incompatible layout
-/// change; decoders reject frames from versions outside
-/// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] with
-/// [`WireError::UnsupportedVersion`].
-///
-/// Version 2 added the optional [`OpId`] dedup metadata to the mutating
-/// request variants. Version 3 added the metrics scrape exchange
-/// ([`Request::Metrics`], request tag 8 / [`Reply::Metrics`], reply tag 9).
-/// Version 4 added the optional [`TraceContext`] to the request envelope
-/// header and the slow-request scrape ([`Request::SlowRequests`], request
-/// tag 9 / [`Reply::SlowRequests`], reply tag 10). v4 is a pure extension:
-/// the bodies of v2/v3 frames decode unchanged (the trace field is simply
-/// absent), so old peers interoperate — they just carry no trace.
+/// change; the decoder accepts exactly this version and rejects every other
+/// with [`WireError::UnsupportedVersion`] — there is no deployed fleet to
+/// stay compatible with, so there is one wire version.
 pub const WIRE_VERSION: u8 = 4;
-
-/// Oldest version this decoder still accepts. Frames from
-/// `MIN_WIRE_VERSION..WIRE_VERSION` decode with the trace context absent.
-pub const MIN_WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix above
 /// this is rejected *before* any allocation — a garbage or hostile prefix
@@ -83,8 +70,7 @@ pub enum WireError {
         /// What was being decoded when the bytes ran out.
         context: &'static str,
     },
-    /// The frame's version byte is outside
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`].
+    /// The frame's version byte is not [`WIRE_VERSION`].
     UnsupportedVersion(u8),
     /// An enum tag byte (message kind, variant tag, option/bool tag) has no
     /// defined meaning.
@@ -121,8 +107,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(version) => {
                 write!(
                     f,
-                    "unsupported wire version {version} \
-                     (expected {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+                    "unsupported wire version {version} (expected {WIRE_VERSION})"
                 )
             }
             WireError::UnknownTag { context, tag } => {
@@ -790,26 +775,20 @@ fn decode_reply_body(cursor: &mut Cursor<'_>) -> Result<Reply, WireError> {
 }
 
 /// Decodes a frame *payload* (the bytes after the length prefix) into an
-/// envelope. Every byte must be accounted for; all failures are typed.
-///
-/// Versions [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] are accepted: a v2 or
-/// v3 request decodes with `trace: None` (the field did not exist yet), so
-/// a v4 peer interoperates with old senders.
+/// envelope. Every byte must be accounted for; all failures are typed, and
+/// any version byte other than [`WIRE_VERSION`] is
+/// [`WireError::UnsupportedVersion`].
 pub fn decode_payload(payload: &[u8]) -> Result<Envelope, WireError> {
     let mut cursor = Cursor::new(payload);
     let version = cursor.u8("version")?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = cursor.u8("message kind")?;
     let request_id = cursor.u64("request id")?;
     let envelope = match kind {
         KIND_REQUEST => {
-            let trace = if version >= 4 {
-                cursor.trace("trace context")?
-            } else {
-                None
-            };
+            let trace = cursor.trace("trace context")?;
             Envelope::Request {
                 request_id,
                 request: decode_request_body(&mut cursor)?,

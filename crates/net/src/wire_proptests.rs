@@ -223,9 +223,8 @@ proptest! {
     }
 
     /// Any trace context — arbitrary trace id, parent span and flag bits —
-    /// survives the v4 round trip bit-for-bit, and a frame rewritten to
-    /// wire v2 or v3 (the pre-trace layout, context bytes stripped) still
-    /// decodes, with the context absent.
+    /// survives the round trip bit-for-bit, and the same frame under a v2
+    /// or v3 version byte is refused: there is one wire version.
     #[test]
     fn trace_context_round_trip_and_downlevel_decode(
         request_id in any::<u64>(),
@@ -244,19 +243,14 @@ proptest! {
         let (_, body) = split_frame(&frame);
         prop_assert_eq!(
             decode_payload(body),
-            Ok(Envelope::Request { request_id, request: request.clone(), trace })
+            Ok(Envelope::Request { request_id, request, trace })
         );
 
-        // Rebuild the same frame as an old sender would have written it:
-        // version byte downgraded, the trace bytes (tag + context) gone.
-        // Offset 10 is the first trace byte (version + kind + request id).
-        let untraced = encode_request(request_id, &request, None);
-        let mut old = untraced[4..].to_vec();
-        old.remove(10); // the `absent` trace tag v2/v3 never wrote
+        let mut old = body.to_vec();
         old[0] = old_version;
         prop_assert_eq!(
             decode_payload(&old),
-            Ok(Envelope::Request { request_id, request, trace: None })
+            Err(WireError::UnsupportedVersion(old_version))
         );
     }
 
@@ -312,9 +306,8 @@ proptest! {
 
     /// Decoding arbitrary bytes never panics, and when it *does* succeed the
     /// bytes must be the canonical encoding of what was decoded (the codec
-    /// has no redundant encodings, so within one wire version decode is the
-    /// exact inverse of encode; down-level frames re-encode at v4, so the
-    /// inverse claim only applies when the version byte is current).
+    /// has no redundant encodings and one version, so decode is the exact
+    /// inverse of encode).
     #[test]
     fn garbage_decodes_to_typed_error_or_canonical_message(
         bytes in vec(any::<u8>(), 0..400),
@@ -322,14 +315,10 @@ proptest! {
         match decode_payload(&bytes) {
             Err(_) => {} // typed rejection is the expected outcome
             Ok(Envelope::Request { request_id, request, trace }) => {
-                if bytes[0] == WIRE_VERSION {
-                    prop_assert_eq!(&encode_request(request_id, &request, trace)[4..], &bytes[..]);
-                }
+                prop_assert_eq!(&encode_request(request_id, &request, trace)[4..], &bytes[..]);
             }
             Ok(Envelope::Reply { request_id, reply }) => {
-                if bytes[0] == WIRE_VERSION {
-                    prop_assert_eq!(&encode_reply(request_id, &reply)[4..], &bytes[..]);
-                }
+                prop_assert_eq!(&encode_reply(request_id, &reply)[4..], &bytes[..]);
             }
         }
     }
