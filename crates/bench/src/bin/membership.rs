@@ -1,6 +1,6 @@
 //! Membership benchmark harness: measures what the elastic ring costs and
 //! what the direct algorithm saves, and emits `BENCH_membership.json`
-//! alongside the hotpath and storage artifacts.
+//! alongside the storage artifact.
 //!
 //! Measured:
 //!

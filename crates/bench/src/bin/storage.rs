@@ -1,7 +1,6 @@
-//! Storage benchmark harness: quantifies the durability tax, the
-//! group-commit amortization and the recovery cost of `rdht-storage`, and
-//! emits a machine-readable `BENCH_storage.json` alongside
-//! `BENCH_hotpath.json`.
+//! Storage benchmark harness: quantifies the durability tax and the
+//! group-commit amortization of `rdht-storage`, and emits a machine-readable
+//! `BENCH_storage.json`.
 //!
 //! Measured:
 //!
@@ -18,14 +17,13 @@
 //!   (`cluster_insert_{always,group_commit}_w{w}`): real writer threads and
 //!   real mailboxes against a single storage-backed peer running the
 //!   drain-apply-sync-reply request loop;
-//! * recovery time (`StorageEngine::recover`) as a function of WAL length,
-//!   and for the same state compacted into a snapshot — why compaction
-//!   exists;
-//! * the write path's own pieces, where its trajectory lives: the frame
-//!   checksum over a 4 KiB record (`crc32_4k`), and per record the snapshot
-//!   writer alone (`snapshot_write_{1k,10k,100k}_records`) and a whole
-//!   compaction — snapshot, fresh WAL, directory sync, unlink —
+//! * the write path's own pieces: per record, the snapshot writer alone
+//!   (`snapshot_write_{1k,10k,100k}_records`) and a whole compaction —
+//!   snapshot, fresh WAL, directory sync, unlink —
 //!   (`compact_{1k,10k,100k}_records`) over states of 256 B payloads.
+//!
+//! Recovery time is `storage.recover_ms` of `/BENCHMARK.json`, not a row
+//! here.
 //!
 //! ```text
 //! cargo run --release -p rdht-bench --bin storage                 # full
@@ -37,7 +35,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rdht_bench::workload::bench_keys;
 use rdht_bench::BenchMeta;
 use rdht_core::{ums, InMemoryDht, Timestamp};
 use rdht_hashing::{HashId, Key};
@@ -47,7 +44,7 @@ use rdht_net::{
     TransportKind,
 };
 use rdht_storage::{
-    frame, write_snapshot, FsyncPolicy, MemoryState, StorageEngine, StorageOp, StorageOptions,
+    write_snapshot, FsyncPolicy, MemoryState, StorageEngine, StorageOp, StorageOptions,
 };
 
 /// One measured benchmark: mean wall-clock nanoseconds per operation, plus
@@ -59,6 +56,11 @@ struct BenchLine {
     ns_per_op: f64,
     p50_ns: f64,
     p99_ns: f64,
+}
+
+/// `n` distinct workload keys, named like the simulator's data items.
+fn bench_keys(n: usize) -> Vec<Key> {
+    (0..n).map(|i| Key::new(format!("data-{i}"))).collect()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -356,66 +358,6 @@ fn slowlog_report(writers: usize, inserts_per_writer: usize) -> Option<String> {
     ))
 }
 
-fn sample_put(i: u64) -> StorageOp {
-    // A heavily-overwriting workload (1010 distinct records regardless of
-    // log length): this is the case compaction exists for — the WAL grows
-    // with the op count, the snapshot stays the size of the live state.
-    StorageOp::PutReplica {
-        hash: HashId((i % 10) as u32),
-        key: Key::new(format!("data-{}", i % 101)),
-        payload: vec![0u8; 32],
-        stamp: Timestamp(i + 1),
-        position: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    }
-}
-
-/// Recovery wall-clock vs log length: replaying `n_ops` from a pure WAL,
-/// and recovering the same state after compaction into a snapshot.
-fn bench_recovery(n_ops: u64, repeats: u64) -> Vec<BenchLine> {
-    let mut lines = Vec::new();
-    for compacted in [false, true] {
-        let tag = if compacted { "snapshot" } else { "wal" };
-        let dir = temp_dir(&format!("recover-{tag}-{n_ops}"));
-        {
-            // Automatic compaction off: the `wal` leg must actually replay
-            // `n_ops` from the log (with the default snapshot cadence a
-            // "10k-op WAL" would silently be a snapshot plus a short tail),
-            // and the `snapshot` leg compacts explicitly below.
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
-            options.snapshot_every = 0;
-            let mut engine = StorageEngine::open(&dir, options).expect("open engine");
-            for i in 0..n_ops {
-                engine.apply(&sample_put(i)).expect("apply");
-            }
-            if compacted {
-                engine.compact().expect("compact");
-            }
-            engine.sync().expect("sync");
-        }
-        let line = measure(format!("recover_{tag}_{n_ops}_ops"), repeats, 1, || {
-            let (replicas, _) = StorageEngine::recover(&dir).expect("recover");
-            std::hint::black_box(replicas.len());
-        });
-        lines.push(line);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    lines
-}
-
-/// The frame checksum over a 4 KiB record: `seal_frame` is the CRC-32 of the
-/// payload plus the eight header bytes it backfills — what every WAL append
-/// and snapshot record pays. One op = one 4 KiB record.
-fn bench_crc32_4k(calls: u64) -> BenchLine {
-    let batch = 256;
-    let mut record = vec![0u8; frame::FRAME_HEADER_LEN];
-    record.extend((0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8));
-    measure("crc32_4k", calls, batch, || {
-        for _ in 0..batch {
-            frame::seal_frame(std::hint::black_box(&mut record));
-        }
-    })
-}
-
 fn record_put(i: u64) -> StorageOp {
     StorageOp::PutReplica {
         hash: HashId((i % 5) as u32),
@@ -553,19 +495,9 @@ fn main() {
     for percent in [0u32, 1, 5] {
         lines.push(bench_cluster_insert_lossy(percent, 8, cluster_inserts));
     }
-    let recovery_sizes: &[u64] = if quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let recovery_repeats = if quick { 2 } else { 5 };
-    for &n_ops in recovery_sizes {
-        lines.extend(bench_recovery(n_ops, recovery_repeats));
-    }
-
-    lines.push(bench_crc32_4k(if quick { 20 } else { 200 }));
+    let compact_repeats = if quick { 2 } else { 5 };
     for (records, label) in [(1_000, "1k"), (10_000, "10k"), (100_000, "100k")] {
-        lines.extend(bench_snapshot_and_compact(records, label, recovery_repeats));
+        lines.extend(bench_snapshot_and_compact(records, label, compact_repeats));
     }
 
     // Where does the insert tail go? A traced rerun of the 8-writer

@@ -28,7 +28,6 @@
 pub mod experiments;
 pub mod parallel;
 mod result;
-pub mod workload;
 
 pub use result::{BenchMeta, ExperimentResult, Series};
 

@@ -14,7 +14,7 @@ pub struct UmsConfig {
     /// that it lost responsibility for a key while staying in the system, so
     /// KTS conservatively drops each counter right after generating a
     /// timestamp with it (forcing re-initialization on the next request).
-    /// Chord and CAN as implemented here are RLA, so this defaults to false.
+    /// Chord as implemented here is RLA, so this defaults to false.
     pub rlu_mode: bool,
     /// How the indirect algorithm initializes a counter when it is triggered
     /// by a `last_ts` request (see [`LastTsInitPolicy`]).

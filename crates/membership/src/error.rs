@@ -1,7 +1,5 @@
 //! Errors surfaced by membership operations.
 
-use crate::transfer::TransferPhase;
-
 /// Why a membership operation (join, leave, crash, restart or a phase of the
 /// underlying range transfer) could not proceed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,13 +29,6 @@ pub enum MembershipError {
         /// How many bounded waits were attempted before giving up.
         attempts: u32,
     },
-    /// An illegal phase transition was attempted on a [`crate::RangeTransfer`].
-    InvalidTransition {
-        /// Phase the transfer was in.
-        from: TransferPhase,
-        /// Phase the caller tried to move to.
-        to: TransferPhase,
-    },
 }
 
 impl std::fmt::Display for MembershipError {
@@ -65,9 +56,6 @@ impl std::fmt::Display for MembershipError {
                     "peer {peer:#018x} answered none of {attempts} bounded hand-off waits"
                 )
             }
-            MembershipError::InvalidTransition { from, to } => {
-                write!(f, "illegal transfer transition {from:?} -> {to:?}")
-            }
         }
     }
 }
@@ -83,11 +71,5 @@ mod tests {
         let text = MembershipError::UnknownPeer(0xabcd).to_string();
         assert!(text.contains("0x000000000000abcd"));
         assert!(MembershipError::LastPeer.to_string().contains("last live"));
-        let transition = MembershipError::InvalidTransition {
-            from: TransferPhase::Planned,
-            to: TransferPhase::Committed,
-        };
-        assert!(transition.to_string().contains("Planned"));
-        assert!(transition.to_string().contains("Committed"));
     }
 }

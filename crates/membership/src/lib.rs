@@ -1,5 +1,5 @@
 //! Ring membership for the replicated-DHT currency stack: **live joins** and
-//! **graceful leaves** as an explicit, crash-recoverable transfer protocol.
+//! **graceful leaves** as a crash-recoverable transfer protocol.
 //!
 //! The paper's availability analysis (Section 4.2) distinguishes two ways a
 //! timestamping responsible can stop serving a key:
@@ -20,14 +20,12 @@
 //!   the ring changes hands on a join ([`JoinPlan`]) or a graceful leave
 //!   ([`LeavePlan`]). Built on `rdht-overlay`'s interval helpers
 //!   (`split_range` / `merge_ranges`).
-//! * [`transfer`] — the hand-off itself, modelled as an explicit state
-//!   machine ([`RangeTransfer`]): `Planned → Exported → Installed →
-//!   Committed`, with every phase journaled through `rdht-storage` so that a
-//!   crash at **any** point either rolls the transfer back (the source still
-//!   holds every replica; the invalidated counters re-initialize indirectly,
-//!   which is always safe) or completes it (the destination's journal already
-//!   holds the state). [`CrashOutcome`] names which of the two applies at
-//!   each phase.
+//! * [`transfer`] — the hand-off itself: export → install → commit, with
+//!   every phase journaled through `rdht-storage` so that a crash at **any**
+//!   point either rolls the transfer back (the source still holds every
+//!   replica; the invalidated counters re-initialize indirectly, which is
+//!   always safe) or completes it (the destination's journal already holds
+//!   the state).
 //!
 //! The crate is transport-agnostic: `rdht-net` drives the same
 //! [`export_handoff`] / [`install_handoff`] / [`commit_handoff`] functions
@@ -49,10 +47,7 @@ pub mod transfer;
 pub use error::MembershipError;
 pub use metrics::TransferMetrics;
 pub use plan::{plan_join, plan_leave, predecessor_of, successor_of, JoinPlan, LeavePlan};
-pub use transfer::{
-    commit_handoff, export_handoff, install_handoff, CrashOutcome, HandoffBundle, InstallReport,
-    RangeTransfer, TransferPhase,
-};
+pub use transfer::{commit_handoff, export_handoff, install_handoff, HandoffBundle, InstallReport};
 
 #[cfg(test)]
 mod proptests;

@@ -1,7 +1,7 @@
 //! Hand-off phase instruments.
 //!
 //! [`TransferMetrics`] bundles one latency histogram per phase of the
-//! journaled transfer state machine (`Exported → Installed → Committed`).
+//! journaled hand-off (export → install → commit).
 //! The crate itself never observes into them — it is transport-agnostic and
 //! has no clock of the exchange — the *driver* does: `rdht-net`'s peer loop
 //! times [`crate::export_handoff`], the install round trips, and

@@ -1,26 +1,24 @@
-//! The range hand-off: an explicit, journaled transfer state machine.
+//! The range hand-off: three journaled phase functions.
 //!
 //! One transfer moves responsibility for a ring interval `(start, end]` from
 //! a *source* peer to a *target* peer — the join and the graceful leave are
-//! the same protocol with different plans. The phases, and what each one
-//! journals:
+//! the same protocol with different plans. The phases, in order, and what
+//! each one journals:
 //!
 //! | Phase | Action | Journaled where |
 //! |---|---|---|
-//! | `Planned` | plan computed, nothing moved | — |
-//! | `Exported` | [`export_handoff`]: replicas in range *copied* (not removed), counters in range drained from the source's VCS | counter removes on the **source** |
-//! | `Installed` | [`install_handoff`]: the bundle applied at the target | replica puts + counter sets on the **target** |
-//! | `Committed` | [`commit_handoff`]: one `TransferRange` record prunes the moved replicas from the source | `TransferRange` on the **source** |
+//! | export | [`export_handoff`]: replicas in range *copied* (not removed), counters in range drained from the source's VCS | counter removes on the **source** |
+//! | install | [`install_handoff`]: the bundle applied at the target | replica puts + counter sets on the **target** |
+//! | commit | [`commit_handoff`]: one `TransferRange` record prunes the moved replicas from the source | `TransferRange` on the **source** |
 //!
-//! The ordering is what makes a crash at any point safe
-//! ([`RangeTransfer::crash_outcome`]):
+//! The ordering is what makes a crash at any point safe:
 //!
-//! * **before `Installed`** the transfer *rolls back*: the source's journal
+//! * **before the install** the transfer *rolls back*: the source's journal
 //!   still holds every replica (they were only copied), so recovery serves
 //!   them unchanged; the exported counters are durably gone, but a missing
 //!   counter only costs an indirect re-initialization (Section 4.2.2), which
 //!   is always safe — replicas, not counters, are the currency ground truth.
-//! * **from `Installed` on** the transfer *completes*: the target's journal
+//! * **from the install on** the transfer *completes*: the target's journal
 //!   holds every moved replica and counter, so re-running the remaining
 //!   phases (or simply re-driving the whole protocol — every step is
 //!   idempotent) converges to the committed state. Until the source commits,
@@ -33,8 +31,6 @@ use rdht_core::{DurableState, ReplicaValue, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_overlay::in_open_closed_interval;
 use rdht_storage::{StorageEngine, StoredReplica};
-
-use crate::error::MembershipError;
 
 /// Everything a range transfer ships from source to target: the replicas
 /// stored in the moved interval and the KTS counters of the keys whose
@@ -70,111 +66,7 @@ pub struct InstallReport {
     pub counters_received: usize,
 }
 
-/// The phase a [`RangeTransfer`] has reached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TransferPhase {
-    /// Plan computed; no state has moved.
-    Planned,
-    /// The source exported the bundle (its counters are drained and the
-    /// removals journaled; its replicas are still in place).
-    Exported,
-    /// The target installed the bundle (puts and counter sets journaled).
-    Installed,
-    /// The source pruned the moved replicas with a journaled
-    /// `TransferRange`; the transfer is durable on both sides.
-    Committed,
-}
-
-/// What recovery yields if a participant crashes while the transfer is in a
-/// given phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrashOutcome {
-    /// The source still journals every replica: recovery serves them
-    /// unchanged and the (durably invalidated) counters re-initialize
-    /// indirectly. The target installed nothing that matters yet.
-    RollsBack,
-    /// The target's journal holds the moved state: re-driving the protocol
-    /// (or just the commit) converges to the completed transfer.
-    Completes,
-}
-
-/// One range transfer, tracked through its phases. The struct does not own
-/// the engines — the deployment drives the phase functions from wherever the
-/// two peers actually live (two threads in `rdht-net`, one test body here)
-/// and advances the machine as each side acknowledges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RangeTransfer {
-    /// Ring position of the peer state moves *from*.
-    pub source: u64,
-    /// Ring position of the peer state moves *to*.
-    pub target: u64,
-    /// Exclusive start of the moved interval.
-    pub range_start: u64,
-    /// Inclusive end of the moved interval.
-    pub range_end: u64,
-    phase: TransferPhase,
-}
-
-impl RangeTransfer {
-    /// A freshly planned transfer.
-    pub fn new(source: u64, target: u64, range_start: u64, range_end: u64) -> Self {
-        RangeTransfer {
-            source,
-            target,
-            range_start,
-            range_end,
-            phase: TransferPhase::Planned,
-        }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> TransferPhase {
-        self.phase
-    }
-
-    /// What a crash right now would leave behind after recovery.
-    pub fn crash_outcome(&self) -> CrashOutcome {
-        if self.phase < TransferPhase::Installed {
-            CrashOutcome::RollsBack
-        } else {
-            CrashOutcome::Completes
-        }
-    }
-
-    fn advance(&mut self, to: TransferPhase) -> Result<(), MembershipError> {
-        let legal = matches!(
-            (self.phase, to),
-            (TransferPhase::Planned, TransferPhase::Exported)
-                | (TransferPhase::Exported, TransferPhase::Installed)
-                | (TransferPhase::Installed, TransferPhase::Committed)
-        );
-        if !legal {
-            return Err(MembershipError::InvalidTransition {
-                from: self.phase,
-                to,
-            });
-        }
-        self.phase = to;
-        Ok(())
-    }
-
-    /// Records that the source exported the bundle.
-    pub fn mark_exported(&mut self) -> Result<(), MembershipError> {
-        self.advance(TransferPhase::Exported)
-    }
-
-    /// Records that the target installed the bundle.
-    pub fn mark_installed(&mut self) -> Result<(), MembershipError> {
-        self.advance(TransferPhase::Installed)
-    }
-
-    /// Records that the source pruned the moved replicas.
-    pub fn mark_committed(&mut self) -> Result<(), MembershipError> {
-        self.advance(TransferPhase::Committed)
-    }
-}
-
-/// Source side, phase `Exported`: copies every replica whose position falls
+/// Source side, export phase: copies every replica whose position falls
 /// in `(range_start, range_end]` out of the engine (the originals stay until
 /// [`commit_handoff`]) and drains the counters of every key whose
 /// *timestamping* position falls in the range — each drained counter is
@@ -209,7 +101,7 @@ pub fn export_handoff(
     }
 }
 
-/// Target side, phase `Installed`: applies the bundle. Replicas install with
+/// Target side, install phase: applies the bundle. Replicas install with
 /// keep-newest semantics (a stale duplicate never overwrites a fresher local
 /// record) and every accepted put is journaled; counters install through the
 /// direct-transfer receive path, which journals each installed value and
@@ -241,7 +133,7 @@ pub fn install_handoff(
     report
 }
 
-/// Source side, phase `Committed`: prunes every replica in the moved range
+/// Source side, commit phase: prunes every replica in the moved range
 /// with a single journaled `TransferRange` record — the durable commit point
 /// of the transfer. Returns how many replicas were pruned.
 pub fn commit_handoff(engine: &mut StorageEngine, range_start: u64, range_end: u64) -> usize {
@@ -299,10 +191,7 @@ mod tests {
 
         // Move half the ring.
         let (start, end) = (0u64, u64::MAX / 2);
-        let mut transfer = RangeTransfer::new(1, 2, start, end);
         let bundle = export_handoff(&mut src, &mut src_kts, &family, start, end);
-        transfer.mark_exported().unwrap();
-        assert_eq!(transfer.crash_outcome(), CrashOutcome::RollsBack);
         let moved_replicas = bundle.replicas.len();
         let moved_counters = bundle.counters.len();
         assert!(moved_replicas > 0 && moved_replicas < total);
@@ -312,13 +201,10 @@ mod tests {
         }
 
         let report = install_handoff(&mut dst, &mut dst_kts, bundle);
-        transfer.mark_installed().unwrap();
-        assert_eq!(transfer.crash_outcome(), CrashOutcome::Completes);
         assert_eq!(report.replicas_installed, moved_replicas);
         assert_eq!(report.counters_received, moved_counters);
 
         let pruned = commit_handoff(&mut src, start, end);
-        transfer.mark_committed().unwrap();
         assert_eq!(pruned, moved_replicas);
         assert_eq!(src.replicas().len(), total - moved_replicas);
         assert_eq!(dst.replicas().len(), moved_replicas);
@@ -409,21 +295,6 @@ mod tests {
         // An empty observation at the target still resumes after the floor.
         let out = dst_kts.gen_ts_with(&key, IndirectObservation::nothing, &mut dst);
         assert_eq!(out.timestamp, Timestamp(6));
-    }
-
-    #[test]
-    fn phase_machine_rejects_illegal_transitions() {
-        let mut transfer = RangeTransfer::new(1, 2, 0, 100);
-        assert_eq!(transfer.phase(), TransferPhase::Planned);
-        assert!(transfer.mark_installed().is_err(), "cannot skip export");
-        assert!(transfer.mark_committed().is_err());
-        transfer.mark_exported().unwrap();
-        assert!(transfer.mark_exported().is_err(), "no double export");
-        assert!(transfer.mark_committed().is_err(), "cannot skip install");
-        transfer.mark_installed().unwrap();
-        transfer.mark_committed().unwrap();
-        assert_eq!(transfer.phase(), TransferPhase::Committed);
-        assert!(transfer.mark_exported().is_err(), "terminal phase");
     }
 
     #[test]

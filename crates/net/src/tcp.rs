@@ -33,6 +33,7 @@ use std::io::Write;
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
@@ -115,6 +116,9 @@ struct ListenerState {
     /// Accepted connections, kept so unbind can shut them down and unblock
     /// their reader threads.
     conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// The acceptor thread, which owns the `TcpListener`: joining it is how
+    /// unbind knows the socket is closed.
+    acceptor: JoinHandle<()>,
 }
 
 #[derive(Default)]
@@ -464,18 +468,9 @@ impl Transport for TcpTransport {
         let (tx, rx) = unbounded();
         let closing = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        self.inner.listeners.lock().insert(
-            peer.0,
-            ListenerState {
-                addr,
-                closing: Arc::clone(&closing),
-                conns: Arc::clone(&conns),
-            },
-        );
-
-        let acceptor_closing = closing;
-        let acceptor_conns = conns;
-        std::thread::spawn(move || {
+        let acceptor_closing = Arc::clone(&closing);
+        let acceptor_conns = Arc::clone(&conns);
+        let acceptor = std::thread::spawn(move || {
             for accepted in listener.incoming() {
                 if acceptor_closing.load(Ordering::SeqCst) {
                     break;
@@ -493,6 +488,15 @@ impl Transport for TcpTransport {
                 std::thread::spawn(move || serve_connection(stream, queue));
             }
         });
+        self.inner.listeners.lock().insert(
+            peer.0,
+            ListenerState {
+                addr,
+                closing,
+                conns,
+                acceptor,
+            },
+        );
         Ok(Mailbox::new(rx))
     }
 
@@ -512,8 +516,12 @@ impl Transport for TcpTransport {
         };
         state.closing.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a throwaway dial; it observes the flag
-        // and exits.
-        let _ = TcpStream::connect_timeout(&state.addr, Duration::from_millis(200));
+        // and exits, closing the listener. Wait for that only when the dial
+        // got through: without the wake-up the acceptor may stay in `accept`
+        // and is left detached rather than waited on forever.
+        if TcpStream::connect_timeout(&state.addr, Duration::from_millis(200)).is_ok() {
+            let _ = state.acceptor.join();
+        }
         // Shut every accepted connection down so reader threads unblock and
         // requesters observe closure instead of silence.
         for conn in state.conns.lock().drain(..) {

@@ -467,14 +467,6 @@ fn wait_until_accepting(addr: &SocketAddr) {
     }
 }
 
-fn wait_until_refusing(addr: &SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while TcpStream::connect(addr).is_ok() {
-        assert!(Instant::now() < deadline, "peer at {addr} never went down");
-        thread::sleep(Duration::from_millis(5));
-    }
-}
-
 fn spawn_tcp_peer(id: PeerId, addr: SocketAddr) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         serve_tcp_peer(TcpPeerConfig {
@@ -518,9 +510,12 @@ fn tcp_endpoint_redials_a_peer_restarted_on_a_new_port() {
     // while it is gone must fail typed within the redial deadline, not hang.
     endpoint.send_no_reply(Request::Shutdown).unwrap();
     server.join().unwrap();
-    // The acceptor thread closes the listener a moment after the peer
-    // returned; until then a dial still lands in its backlog.
-    wait_until_refusing(&first_addr);
+    // `unbind` joined the acceptor, so the listener is closed by the time
+    // the peer has returned: no dial lands in a lingering backlog.
+    assert!(
+        TcpStream::connect(first_addr).is_err(),
+        "a stopped peer must refuse dials at once"
+    );
     let started = Instant::now();
     let get = || {
         endpoint.send(Request::GetReplica {

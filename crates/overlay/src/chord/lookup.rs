@@ -15,11 +15,7 @@ impl ChordNetwork {
     /// real deployments recover and why lookups still terminate under heavy
     /// failure rates — at a visible cost in time and messages, as in the
     /// paper's Figure 11.
-    pub(super) fn route_lookup(
-        &mut self,
-        origin: NodeId,
-        position: u64,
-    ) -> Result<LookupOutcome, LookupError> {
+    pub fn lookup(&mut self, origin: NodeId, position: u64) -> Result<LookupOutcome, LookupError> {
         if self.ring.is_empty() {
             return Err(LookupError::EmptyOverlay);
         }

@@ -36,7 +36,7 @@ impl ChordNetwork {
 
     /// Protocol join: the new node locates its successor, takes over the keys
     /// in `(predecessor, new_id]` from it, and links itself into the ring.
-    pub(super) fn do_join(&mut self, id: NodeId) -> MembershipOutcome {
+    pub fn join(&mut self, id: NodeId) -> MembershipOutcome {
         if self.nodes.contains_key(&id) {
             // Duplicate identifier: nothing changes. Identifiers are 64-bit
             // fingerprints so this only happens in adversarial tests.
@@ -112,7 +112,7 @@ impl ChordNetwork {
     /// Graceful leave: the departing node notifies its neighbors and hands its
     /// keys (and, at the KTS layer, its counters — the direct algorithm) to
     /// its successor before disappearing.
-    pub(super) fn do_leave(&mut self, id: NodeId) -> MembershipOutcome {
+    pub fn leave(&mut self, id: NodeId) -> MembershipOutcome {
         if !self.nodes.contains_key(&id) {
             return MembershipOutcome::default();
         }
@@ -173,7 +173,7 @@ impl ChordNetwork {
     /// keys are lost, other nodes keep stale references to it, and the next
     /// responsible (its successor) will have to use the *indirect* counter
     /// initialization for the keys it inherits.
-    pub(super) fn do_fail(&mut self, id: NodeId) -> MembershipOutcome {
+    pub fn fail(&mut self, id: NodeId) -> MembershipOutcome {
         if !self.nodes.contains_key(&id) {
             return MembershipOutcome::default();
         }
@@ -203,7 +203,7 @@ impl ChordNetwork {
     /// (purging dead ones), refresh the successor list and predecessor via the
     /// successor exchange, and refresh a few fingers (round-robin), as Chord's
     /// periodic `stabilize` + `fix_fingers` do.
-    pub(super) fn do_stabilize(&mut self) -> StabilizeOutcome {
+    pub fn stabilize(&mut self) -> StabilizeOutcome {
         let mut outcome = StabilizeOutcome::default();
         // One memcpy snapshot of the membership (nodes may join/leave midway
         // through a real round, so each node acts on the round's population).

@@ -29,9 +29,7 @@ pub use node::ChordNode;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
-use crate::cost::{LookupError, LookupOutcome, MembershipOutcome, StabilizeOutcome};
 use crate::id::NodeId;
-use crate::traits::{Overlay, OverlayKind};
 
 /// Tuning parameters of the Chord overlay.
 #[derive(Clone, Debug)]
@@ -65,8 +63,7 @@ impl Default for ChordConfig {
 /// stale) routing state.
 ///
 /// The structure is *network-global* — it owns every node's state — because
-/// both the discrete-event simulator and the threaded deployment drive the
-/// overlay from a single place. Staleness is still modelled faithfully: each
+/// the discrete-event simulator drives the overlay from a single place. Staleness is still modelled faithfully: each
 /// node only "knows" what is in its own successor list / finger table, and
 /// those are only updated by joins, graceful leaves, stabilization rounds and
 /// lazy repair after timeouts.
@@ -77,10 +74,10 @@ pub struct ChordNetwork {
     /// Ground-truth set of live node ids, ordered on the ring.
     ring: BTreeSet<NodeId>,
     /// The same ids as `ring`, kept sorted in a dense vector so that
-    /// [`Overlay::sample_alive`] is an `O(1)` index instead of an `O(n)`
-    /// collect; the order matches [`Overlay::alive_ids`] exactly.
+    /// [`ChordNetwork::sample_alive`] is an `O(1)` index instead of an
+    /// `O(n)` collect; the order matches [`ChordNetwork::alive_ids`] exactly.
     sorted_ids: Vec<NodeId>,
-    /// Reused by [`ChordNetwork::route_lookup`] to record dead finger slots
+    /// Reused by [`ChordNetwork::lookup`] to record dead finger slots
     /// without allocating per hop.
     dead_finger_scratch: Vec<usize>,
 }
@@ -238,52 +235,58 @@ impl ChordNetwork {
     }
 }
 
-impl Overlay for ChordNetwork {
-    fn kind(&self) -> OverlayKind {
-        OverlayKind::Chord
-    }
-
-    fn len(&self) -> usize {
+/// The lookup-service surface UMS/KTS need from the DHT: the paper's mapping
+/// function `m(k, h, t)` (Definition 1) is [`ChordNetwork::responsible_for`];
+/// routing and membership changes are [`ChordNetwork::lookup`],
+/// [`ChordNetwork::join`], [`ChordNetwork::leave`], [`ChordNetwork::fail`]
+/// and [`ChordNetwork::stabilize`].
+impl ChordNetwork {
+    /// Number of live peers.
+    pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    fn is_alive(&self, node: NodeId) -> bool {
+    /// True when the overlay has no live peers.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `node` is currently a live member.
+    pub fn is_alive(&self, node: NodeId) -> bool {
         self.nodes.contains_key(&node)
     }
 
-    fn alive_ids(&self) -> Vec<NodeId> {
+    /// All live members in ring order. Allocates; hot paths should use
+    /// [`ChordNetwork::alive_count`] + [`ChordNetwork::sample_alive`]
+    /// instead. Kept for tests and diagnostics.
+    pub fn alive_ids(&self) -> Vec<NodeId> {
         self.sorted_ids.clone()
     }
 
-    fn sample_alive(&self, index: usize) -> Option<NodeId> {
+    /// Number of live members that [`ChordNetwork::sample_alive`] can index
+    /// into. Equals [`ChordNetwork::len`].
+    pub fn alive_count(&self) -> usize {
+        self.len()
+    }
+
+    /// The live member at `index` (in `0..alive_count()`), in the same order
+    /// as [`ChordNetwork::alive_ids`], so callers can pick a uniformly random
+    /// peer without materializing a `Vec`. Returns `None` when `index` is out
+    /// of range.
+    pub fn sample_alive(&self, index: usize) -> Option<NodeId> {
         self.sorted_ids.get(index).copied()
     }
 
-    fn responsible_for(&self, position: u64) -> Option<NodeId> {
+    /// Ground-truth responsible peer for an identifier-space position — the
+    /// value of the mapping function `m(k, h, now)`. Returns `None` for an
+    /// empty overlay.
+    pub fn responsible_for(&self, position: u64) -> Option<NodeId> {
         self.truth_successor_of(position)
     }
 
-    fn lookup(&mut self, origin: NodeId, position: u64) -> Result<LookupOutcome, LookupError> {
-        self.route_lookup(origin, position)
-    }
-
-    fn join(&mut self, id: NodeId) -> MembershipOutcome {
-        self.do_join(id)
-    }
-
-    fn leave(&mut self, id: NodeId) -> MembershipOutcome {
-        self.do_leave(id)
-    }
-
-    fn fail(&mut self, id: NodeId) -> MembershipOutcome {
-        self.do_fail(id)
-    }
-
-    fn stabilize(&mut self) -> StabilizeOutcome {
-        self.do_stabilize()
-    }
-
-    fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
+    /// The peers `id` currently knows as neighbors (successor list +
+    /// predecessor). Empty if `id` is dead.
+    pub fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
         match self.nodes.get(&id) {
             None => Vec::new(),
             Some(node) => {

@@ -8,7 +8,6 @@ use rand::{Rng, SeedableRng};
 use super::{ChordConfig, ChordNetwork};
 use crate::cost::MembershipEventKind;
 use crate::id::NodeId;
-use crate::traits::Overlay;
 
 fn ids(seed: u64, count: usize) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -92,8 +92,6 @@ pub struct ResponsibilityChange {
     /// The peer that is responsible after the change.
     pub to: NodeId,
     /// Ring interval `(range_start, range_end]` whose responsibility moved.
-    /// For CAN this is the image of the zone being moved, expressed on the
-    /// 64-bit space used by keys.
     pub range_start: u64,
     /// End (inclusive) of the moved interval.
     pub range_end: u64,
@@ -136,7 +134,7 @@ pub struct StabilizeOutcome {
     pub messages: u32,
     /// Number of dead entries purged from successor lists / neighbor sets.
     pub repaired_successors: u32,
-    /// Number of finger-table (or CAN neighbor) entries refreshed.
+    /// Number of finger-table entries refreshed.
     pub refreshed_fingers: u32,
 }
 

@@ -5,11 +5,9 @@ use std::fmt;
 /// A peer identifier in the m = 64-bit identifier space shared by keys and
 /// peers.
 ///
-/// Chord places these on a ring ordered modulo 2^64; CAN maps them to points
-/// of its coordinate space. Key positions produced by
+/// Chord places these on a ring ordered modulo 2^64. Key positions produced by
 /// [`rdht_hashing::HashFunction::eval`](rdht_hashing::HashFunction) live in
-/// the same space, so "the peer responsible for `k` wrt `h`" is well defined
-/// for both overlays.
+/// the same space, so "the peer responsible for `k` wrt `h`" is well defined.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 

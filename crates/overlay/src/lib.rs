@@ -1,27 +1,23 @@
-//! Structured overlay networks (Chord and CAN) for the replicated-DHT
-//! currency stack.
+//! The Chord structured overlay and the per-peer replica store of the
+//! replicated-DHT currency stack.
 //!
 //! The paper's Update Management Service and Key-based Timestamping Service
 //! sit on top of a plain DHT offering a lookup service plus `put_h`/`get_h`
 //! operations (Section 2.1). The authors implemented Chord themselves for the
-//! evaluation and discuss CAN when proving the neighbour-handoff property
-//! needed by the direct counter-initialization algorithm (Section 4.2.1.1).
+//! evaluation (Section 5.1), and so does this crate:
+//! [`chord::ChordNetwork`] is an m=64-bit Chord ring with successor lists,
+//! finger tables, protocol-accurate joins, graceful leaves, fail-stop
+//! failures, periodic stabilization and iterative lookups that account for
+//! hops and timeouts. It is what the simulator routes over; the live cluster
+//! resolves responsibility through its own directory and shares only
+//! [`PeerStore`] and the ring arithmetic with this crate.
 //!
-//! This crate provides both overlays from scratch:
+//! Routing returns [`LookupOutcome`] cost records; membership changes return
+//! [`MembershipOutcome`] records whose [`ResponsibilityChange`] entries drive
+//! replica transfer (normal DHT key hand-off) and the direct counter-transfer
+//! algorithm of KTS.
 //!
-//! * [`chord::ChordNetwork`] — an m=64-bit Chord ring with successor lists,
-//!   finger tables, protocol-accurate joins, graceful leaves, fail-stop
-//!   failures, periodic stabilization and iterative lookups that account for
-//!   hops and timeouts.
-//! * [`can::CanNetwork`] — a d-dimensional CAN space with zone splitting on
-//!   join, zone takeover on leave/failure and greedy coordinate routing.
-//!
-//! Both implement the [`Overlay`] trait. Routing returns [`LookupOutcome`]
-//! cost records; membership changes return [`MembershipOutcome`] records whose
-//! [`ResponsibilityChange`] entries drive replica transfer (normal DHT key
-//! hand-off) and the direct counter-transfer algorithm of KTS.
-//!
-//! The overlays model *stale routing state*: failed peers are only purged from
+//! The overlay models *stale routing state*: failed peers are only purged from
 //! successor lists and finger tables by later stabilization rounds (or lazily
 //! when a lookup times out on them), which is what degrades lookup cost as the
 //! failure rate grows in the paper's Figure 11.
@@ -29,12 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod can;
 pub mod chord;
 mod cost;
 mod id;
 mod store;
-mod traits;
 
 #[cfg(test)]
 mod proptests;
@@ -48,4 +42,3 @@ pub use id::{
     NodeId,
 };
 pub use store::{PeerStore, Record, WritePolicy};
-pub use traits::{Overlay, OverlayKind};

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use rdht_hashing::{HashId, Key};
 use rdht_net::fault::End;
-use rdht_overlay::{LookupError, NodeId, Overlay, Record, WritePolicy};
+use rdht_overlay::{LookupError, NodeId, Record, WritePolicy};
 
 use rdht_baseline::{BrkAccess, Version, VersionedValue};
 use rdht_core::kts::IndirectObservation;

@@ -4,9 +4,7 @@
 use rand::Rng;
 
 use rdht_hashing::Key;
-use rdht_overlay::{
-    MembershipEventKind, NodeId, Overlay, Record, ResponsibilityChange, WritePolicy,
-};
+use rdht_overlay::{MembershipEventKind, NodeId, Record, ResponsibilityChange, WritePolicy};
 
 use rdht_core::Timestamp;
 

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use rdht_hashing::{HashFamily, Key};
 use rdht_metrics::{Registry, TraceSink};
 use rdht_overlay::chord::{ChordConfig, ChordNetwork};
-use rdht_overlay::{NodeId, Overlay};
+use rdht_overlay::NodeId;
 
 use rdht_core::{ums, LastTsInitPolicy};
 

@@ -5,7 +5,7 @@
 //! Service (UMS) and a Key-based Timestamping Service (KTS) that let a
 //! replicated DHT return the **latest** replica of a key despite churn and
 //! concurrent updates, together with everything needed to evaluate them —
-//! Chord and CAN overlays, the BRK baseline, a discrete-event simulator with
+//! a Chord overlay, the BRK baseline, a discrete-event simulator with
 //! the paper's workload, a threaded in-process deployment, and an experiment
 //! harness regenerating every figure of the paper.
 //!
@@ -14,13 +14,13 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`hashing`] | `rdht-hashing` | keys, pairwise-independent hash families |
-//! | [`overlay`] | `rdht-overlay` | Chord and CAN overlays, routing, churn |
+//! | [`overlay`] | `rdht-overlay` | Chord overlay (routing, churn) and the per-peer replica store |
 //! | [`core`] | `rdht-core` | UMS + KTS + the probabilistic analysis |
 //! | [`baseline`] | `rdht-baseline` | the BRK (BRICKS-style) baseline |
 //! | [`sim`] | `rdht-sim` | discrete-event simulator and workloads |
 //! | [`net`] | `rdht-net` | threaded in-process cluster deployment |
 //! | [`storage`] | `rdht-storage` | durable peer state: WAL, snapshots, recovery |
-//! | [`membership`] | `rdht-membership` | live joins and graceful leaves: plans + crash-recoverable transfers |
+//! | [`membership`] | `rdht-membership` | live joins and graceful leaves: plans + crash-recoverable hand-offs |
 //!
 //! The most common entry points are also re-exported at the top level.
 //!

@@ -1,14 +1,13 @@
 //! Integration test of the threaded deployment through the facade crate:
 //! the same `rdht::ums` code that runs in the simulator runs against real
-//! threads, and the overlays' neighbour-handoff property (which justifies the
-//! direct algorithm) holds for both Chord and CAN.
+//! threads, and Chord's neighbour-handoff property (which justifies the
+//! direct algorithm) holds.
 
 use rdht::core::ums;
 use rdht::hashing::Key;
 use rdht::net::Cluster;
-use rdht::overlay::can::{CanConfig, CanNetwork};
 use rdht::overlay::chord::{ChordConfig, ChordNetwork};
-use rdht::overlay::{NodeId, Overlay};
+use rdht::overlay::NodeId;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,46 +52,38 @@ fn chord_next_responsible_is_a_neighbor() {
     }
 }
 
-/// The same property for CAN: a departing owner's zone is taken over by one
-/// of its neighbours.
+/// The lookup-service contract under churn: through joins, leaves and
+/// failures every position has exactly one live responsible, and a lookup
+/// from any live origin finds it. (`sample_alive` staying in `alive_ids`
+/// order is `chord::tests::sample_alive_matches_alive_ids_across_churn`.)
 #[test]
-fn can_next_responsible_is_a_neighbor() {
-    let mut overlay = CanNetwork::bootstrap(random_ids(4, 40), CanConfig::default());
-    let position = 0xfedc_ba98_7654_3210u64;
-    for _ in 0..10 {
-        let responsible = overlay.responsible_for(position).unwrap();
-        let neighbors = overlay.neighbors(responsible);
-        if neighbors.is_empty() {
-            break;
-        }
-        overlay.leave(responsible);
-        match overlay.responsible_for(position) {
-            Some(next) => assert!(
-                neighbors.contains(&next),
-                "CAN zone takeover must go to a neighbour"
-            ),
-            None => break,
-        }
-    }
-}
-
-/// Both overlays agree with each other about the abstract Overlay contract:
-/// every position always has exactly one live responsible.
-#[test]
-fn overlays_always_have_a_unique_responsible() {
+fn chord_keeps_a_unique_responsible_under_churn() {
     let mut chord = ChordNetwork::bootstrap(random_ids(5, 30), ChordConfig::default());
-    let mut can = CanNetwork::bootstrap(random_ids(6, 30), CanConfig::default());
     let mut rng = StdRng::seed_from_u64(7);
     for round in 0..40 {
         let position: u64 = rng.gen();
-        for overlay in [&mut chord as &mut dyn Overlay, &mut can as &mut dyn Overlay] {
-            let responsible = overlay.responsible_for(position).unwrap();
-            assert!(overlay.is_alive(responsible));
-        }
-        if round % 4 == 0 {
-            let id = NodeId(rng.gen());
-            chord.join(id);
-            can.join(id);
+        let responsible = chord.responsible_for(position).unwrap();
+        assert!(chord.is_alive(responsible));
+        let origin = chord
+            .sample_alive(rng.gen_range(0..chord.alive_count()))
+            .unwrap();
+        assert_eq!(
+            chord.lookup(origin, position).unwrap().responsible,
+            responsible
+        );
+        match round % 4 {
+            0 => {
+                chord.join(NodeId(rng.gen()));
+            }
+            1 => {
+                chord.leave(origin);
+            }
+            2 => {
+                chord.fail(origin);
+            }
+            _ => {
+                chord.stabilize();
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use rdht::core::kts::{IndirectObservation, KtsNode};
 use rdht::core::Timestamp;
 use rdht::hashing::{HashFamily, Key};
 use rdht::overlay::chord::{ChordConfig, ChordNetwork};
-use rdht::overlay::{MembershipEventKind, NodeId, Overlay};
+use rdht::overlay::{MembershipEventKind, NodeId};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
