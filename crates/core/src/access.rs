@@ -27,7 +27,9 @@ use crate::types::{ReplicaValue, Timestamp};
 /// insert are independent of each other) and
 /// [`UmsAccess::kts_last_ts_and_probe`] (`last_ts` and the first probe of a
 /// retrieve are independent of each other). Every other step of Figure 2
-/// depends on the one before it and stays a single call.
+/// depends on the one before it and stays a single call. A third,
+/// [`UmsAccess::first_probe`], lets such an environment say *which* replica
+/// that first probe reads.
 pub trait UmsAccess {
     /// Asks the timestamping responsible `rsp(k, h_ts)` to generate a fresh
     /// timestamp for `key` (KTS `gen_ts`).
@@ -102,12 +104,25 @@ pub trait UmsAccess {
         outcome
     }
 
+    /// The replica `retrieve` should probe first, alongside `last_ts`: any
+    /// member of `Hr`. Figure 2 probes the replicas of `Hr` in no prescribed
+    /// order, so the choice changes cost, never the result; an environment
+    /// where one peer can answer both requests of the opening
+    /// (`rdht_net::ClusterClient`: a replica that lives on `rsp(k, h_ts)`)
+    /// names that replica here. The default is `HashId(0)`, the head of
+    /// [`UmsAccess::replication_ids`] — the order [`crate::InMemoryDht`] and
+    /// the simulator keep.
+    fn first_probe(&self, _key: &Key) -> HashId {
+        HashId(0)
+    }
+
     /// Number of replication hash functions, `|Hr|`.
     fn replication_count(&self) -> usize;
 
     /// The ids of the replication hash functions `Hr`, in the order retrieve
-    /// should probe them: `HashId(0)..HashId(|Hr|)`. Allocation-free — the
-    /// returned iterator is a counted range.
+    /// probes them after [`UmsAccess::first_probe`] (which it skips here):
+    /// `HashId(0)..HashId(|Hr|)`. Allocation-free — the returned iterator is
+    /// a counted range.
     fn replication_ids(&self) -> ReplicationIds {
         ReplicationIds::new(self.replication_count())
     }

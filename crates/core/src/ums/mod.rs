@@ -28,6 +28,17 @@
 //! whether it is sent at all depends on the one before it — so the number
 //! and kind of messages is exactly Figure 2's.
 //!
+//! ## Which replica is probed first
+//!
+//! Figure 2 says `for each h ∈ Hr` and prescribes no order: any replica
+//! stamped `ts_1` is the current one, so the order decides how many probes a
+//! retrieve pays, never what it returns. [`retrieve`] therefore lets the
+//! environment name the first probe ([`UmsAccess::first_probe`]) and reads
+//! the remaining ids in increasing order, each once. The default names
+//! `HashId(0)`, which is plain id order; an environment that pays per message
+//! names a replica that costs it least (the threaded cluster: one that lives
+//! on the peer that also answers `last_ts`).
+//!
 //! Currency is unaffected because it never rested on the order of the two
 //! reads: both happen after the retrieve began, and a replica is certified
 //! current only when its stamp *equals* the `last_ts` that was read. If a
@@ -134,14 +145,16 @@ pub fn retrieve<A: UmsAccess + ?Sized>(
 ) -> Result<RetrieveReport, UmsError> {
     // `last_ts` and the first probe are independent and asked for together
     // (see the module docs); every later probe waits for the one before it.
-    let mut hashes = access.replication_ids();
-    let (last, first_probe) = match hashes.next() {
+    // The environment names the first replica, the rest follow in id order.
+    let first = (access.replication_count() > 0).then(|| access.first_probe(key));
+    let (last, first_probe) = match first {
         Some(hash) => {
             let (last, probe) = access.kts_last_ts_and_probe(key, hash);
             (last, Some(probe))
         }
         None => (access.kts_last_ts(key), None),
     };
+    let hashes = access.replication_ids().filter(|hash| Some(*hash) != first);
     let (last_timestamp, kts_error) = match last {
         Ok(ts) => (ts, None),
         Err(error) => (Timestamp::ZERO, Some(error)),
@@ -431,6 +444,8 @@ mod tests {
     /// over an [`InMemoryDht`] that does the actual work.
     struct Recording {
         dht: InMemoryDht,
+        /// What `first_probe` answers; `None` keeps the trait's default.
+        first: Option<HashId>,
         overlapped_calls: usize,
         last_ts_calls: usize,
         probed: Vec<HashId>,
@@ -440,6 +455,7 @@ mod tests {
         fn over(dht: InMemoryDht) -> Self {
             Recording {
                 dht,
+                first: None,
                 overlapped_calls: 0,
                 last_ts_calls: 0,
                 probed: Vec::new(),
@@ -448,6 +464,9 @@ mod tests {
     }
 
     impl UmsAccess for Recording {
+        fn first_probe(&self, key: &Key) -> HashId {
+            self.first.unwrap_or_else(|| self.dht.first_probe(key))
+        }
         fn kts_gen_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
             self.dht.kts_gen_ts(key)
         }
@@ -532,5 +551,37 @@ mod tests {
 
         assert_eq!(access.overlapped_calls, 3, "one per retrieve");
         assert_eq!(access.last_ts_calls, 0);
+    }
+
+    /// An environment that names another first probe moves that replica to
+    /// the front and nothing else: the rest follow in id order, each replica
+    /// is still read once, and a current answer is the same answer.
+    #[test]
+    fn a_named_first_probe_goes_first_and_the_rest_keep_id_order() {
+        let key = Key::new("doc");
+        let mut dht = InMemoryDht::new(5, 31);
+        insert(&mut dht, &key, b"v1".to_vec()).unwrap();
+        insert(&mut dht, &key, b"v2".to_vec()).unwrap();
+        let ids = dht.replication_ids_vec();
+        let mut access = Recording::over(dht);
+        access.first = Some(ids[3]);
+
+        let got = retrieve(&mut access, &key).unwrap();
+        assert!(got.is_current);
+        assert_eq!(got.data.unwrap(), b"v2");
+        assert_eq!((got.replicas_probed, &access.probed[..]), (1, &ids[3..4]));
+
+        // Only the last replica is current: the named one is read first,
+        // then 0, 1, 2 — not 3 again — and 4 certifies.
+        for h in &ids[..4] {
+            access
+                .dht
+                .overwrite_replica(*h, &key, ReplicaValue::new(b"v1".to_vec(), Timestamp(1)));
+        }
+        access.probed.clear();
+        let got = retrieve(&mut access, &key).unwrap();
+        assert!(got.is_current);
+        assert_eq!(got.replicas_probed, 5);
+        assert_eq!(access.probed, [ids[3], ids[0], ids[1], ids[2], ids[4]]);
     }
 }

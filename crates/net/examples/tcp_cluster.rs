@@ -15,7 +15,9 @@
 //!
 //! The client process runs four concurrent writers racing inserts on a set
 //! of shared keys, then verifies every retrieve comes back `is_current` —
-//! the paper's currency guarantee, across OS processes.
+//! the paper's currency guarantee, across OS processes — and that a key
+//! with a replica on its timestamping peer is retrieved in one request
+//! frame and one reply frame.
 
 use std::env;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -24,7 +26,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rdht_core::ums;
-use rdht_hashing::Key;
+use rdht_hashing::{HashFamily, Key};
 use rdht_net::{
     serve_tcp_peer, ClusterClient, PeerId, Request, TcpPeerConfig, TcpTransport, Transport,
 };
@@ -189,7 +191,7 @@ fn run_client(book: &str) {
         }
     });
 
-    let mut client = ClusterClient::connect_tcp(book, NUM_REPLICAS, SEED);
+    let mut client = ClusterClient::connect_tcp(book.clone(), NUM_REPLICAS, SEED);
     let mut checked = 0usize;
     for i in 0..SHARED_KEYS {
         let key = Key::new(format!("shared:{i}"));
@@ -222,4 +224,30 @@ fn run_client(book: &str) {
          ({} messages exchanged by the checking client)",
         client.messages()
     );
+
+    // One frame per peer per round, across processes: when a replica of the
+    // key lives with its timestamp counter, `last_ts` and the probe of that
+    // replica are one request frame and one reply frame.
+    let family = HashFamily::new(NUM_REPLICAS, SEED);
+    let owner = |position: u64| {
+        let ids = book.iter().map(|(id, _)| id.0);
+        let clockwise = ids.clone().filter(|id| *id >= position).min();
+        clockwise.or_else(|| ids.min()).expect("a ring has peers")
+    };
+    let colocated = (0..SHARED_KEYS)
+        .map(|i| Key::new(format!("shared:{i}")))
+        .find(|key| {
+            let kts = owner(family.eval_timestamp(key));
+            (family.replication_ids()).any(|hash| owner(family.eval(hash, key)) == kts)
+        })
+        .expect("some shared key has a replica on its timestamping peer");
+    let before = client.messages();
+    let got = ums::retrieve(&mut client, &colocated).expect("retrieve co-located key");
+    assert!(got.is_current && got.replicas_probed == 1);
+    assert_eq!(
+        client.messages() - before,
+        2,
+        "a co-located retrieve is one frame each way"
+    );
+    println!("client OK: a co-located retrieve cost 2 messages");
 }

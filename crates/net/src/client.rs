@@ -20,7 +20,7 @@ use crate::message::{OpId, Reply, Request};
 use crate::metrics::names;
 use crate::peer::{request_kind, sink_ts, traceable, us};
 use crate::tcp::TcpTransport;
-use crate::transport::{CallError, Gather, Gathered, PeerEndpoint, Transport};
+use crate::transport::{answered, CallError, Gather, Gathered, PeerEndpoint, Transport};
 
 /// How a client retries a call that produced no usable reply: `attempts`
 /// tries, each waiting `try_timeout` for the reply, with truncated
@@ -126,7 +126,7 @@ pub struct ClusterClient {
     /// Backoff jitter source (seeded from the client id; jitter needs
     /// decorrelation, not reproducibility).
     rng: StdRng,
-    /// Messages sent by this client (request + reply counted separately),
+    /// Frames exchanged by this client (request + reply counted separately),
     /// the cluster analogue of the simulator's message metric. A
     /// registry-grade handle so [`ClusterClient::attach_metrics`] exposes
     /// the same atomic the accessor reads.
@@ -156,6 +156,77 @@ enum Target {
 struct Call {
     target: Target,
     request: Request,
+}
+
+/// One request of a round, resolved: the peer it goes to and the trace
+/// context it travels under.
+struct Outgoing {
+    peer: PeerId,
+    endpoint: PeerEndpoint,
+    request: Request,
+    trace: Option<TraceContext>,
+}
+
+/// One frame of a round: the requests that resolved to one peer.
+struct Frame {
+    peer: PeerId,
+    endpoint: PeerEndpoint,
+    items: Vec<(Request, Option<TraceContext>)>,
+}
+
+/// Groups the requests of a round into one frame per destination peer, in
+/// order of first appearance, and says for each request which frame carries
+/// it. Only data requests share a frame ([`Request::Batch`] admits nothing
+/// else); anything else travels alone.
+fn group_by_peer(sends: Vec<Outgoing>) -> (Vec<Frame>, Vec<usize>) {
+    let mut frames: Vec<Frame> = Vec::with_capacity(sends.len());
+    let mut frame_of = Vec::with_capacity(sends.len());
+    for send in sends {
+        let shared = frames.iter().position(|frame| {
+            frame.peer == send.peer && frame.items[0].0.is_data() && send.request.is_data()
+        });
+        match shared {
+            Some(frame) => {
+                frames[frame].items.push((send.request, send.trace));
+                frame_of.push(frame);
+            }
+            None => {
+                frame_of.push(frames.len());
+                frames.push(Frame {
+                    peer: send.peer,
+                    endpoint: send.endpoint,
+                    items: vec![(send.request, send.trace)],
+                });
+            }
+        }
+    }
+    (frames, frame_of)
+}
+
+/// What the exchange of one frame means to each of its `size` requests. A
+/// request that travelled alone owns the outcome. The constituents of a
+/// batch each take their own reply out of the [`Reply::Batch`] (a
+/// [`Reply::Error`] among them is that constituent's rejection, not the
+/// frame's) and share the frame's failure when there is no such reply.
+fn scatter_back(frame: Gathered, size: usize) -> Vec<Gathered> {
+    if size == 1 {
+        return vec![frame];
+    }
+    let landed = frame.landed;
+    let outcomes = match frame.outcome {
+        Ok(Reply::Batch(replies)) if replies.len() == size => {
+            replies.into_iter().map(answered).collect()
+        }
+        Ok(other) => {
+            let reason = format!("unexpected reply to a batch of {size}: {other:?}");
+            vec![Err(CallError::Rejected(reason)); size]
+        }
+        Err(error) => vec![Err(error); size],
+    };
+    outcomes
+        .into_iter()
+        .map(|outcome| Gathered { outcome, landed })
+        .collect()
 }
 
 /// Ring capacity of the client-side slowlog ([`ClusterClient::slow_calls`]).
@@ -254,7 +325,9 @@ impl ClusterClient {
         self.retry
     }
 
-    /// Number of messages this client has exchanged so far.
+    /// Number of messages this client has exchanged so far: one per request
+    /// frame the transport accepted, one per reply frame that answered. A
+    /// [`Request::Batch`] and its [`Reply::Batch`] are one frame each.
     pub fn messages(&self) -> u64 {
         self.messages.get()
     }
@@ -400,20 +473,19 @@ impl ClusterClient {
         );
     }
 
-    /// Finalizes one logical call that ran from `started` to `ended`:
-    /// records the root `client.call` span and a client-side
-    /// [`RequestTree`] when the call was sampled — or when it crossed the
-    /// slow threshold, so unsampled tail calls still surface.
+    /// Finalizes one logical call that ran over `span` (start, end; `None`
+    /// for a call that was not timed): records the root `client.call` span
+    /// and a client-side [`RequestTree`] when the call was sampled — or when
+    /// it crossed the slow threshold, so unsampled tail calls still surface.
     fn finish_trace(
         &self,
         kind: &'static str,
         context: Option<TraceContext>,
-        started: Option<Instant>,
-        ended: Instant,
+        span: Option<(Instant, Instant)>,
         phases: Vec<(String, u64)>,
         outcome: &str,
     ) {
-        let Some(started) = started else { return };
+        let Some((started, ended)) = span else { return };
         let Some(tracing) = &self.tracing else { return };
         let total = ended.saturating_duration_since(started);
         let slow = total >= tracing.config.slow_threshold;
@@ -484,41 +556,70 @@ impl ClusterClient {
         slept.elapsed()
     }
 
-    /// The endpoint `target` currently resolves to.
-    fn resolve(&self, target: &Target) -> Result<PeerEndpoint, UmsError> {
+    /// The peer `target` currently resolves to, and its endpoint.
+    fn resolve(&self, target: &Target) -> Result<(PeerId, PeerEndpoint), UmsError> {
         match *target {
             Target::Position(position) => self
                 .directory
                 .responsible_for(position)
-                .map(|(_peer, endpoint)| endpoint)
                 .ok_or(UmsError::EmptyOverlay),
             Target::Peer(peer) => self
                 .directory
                 .member(peer)
-                .map(|(endpoint, _)| endpoint)
+                .map(|(endpoint, _)| (peer, endpoint))
                 .ok_or_else(|| UmsError::lookup(format!("unknown peer {:016x}", peer.0))),
         }
     }
 
-    /// One scatter-gather round: every request goes out before anything is
-    /// awaited, then the client sleeps **once** — until the last reply
-    /// landed or `try_timeout` passed — however many requests there are.
-    /// Outcomes come back in `sends` order; messages are counted here (one
-    /// per request the transport accepted, one per reply).
-    fn round(
-        &mut self,
-        sends: Vec<(PeerEndpoint, Request, Option<TraceContext>)>,
-    ) -> Vec<Gathered> {
-        let gather = Gather::new(sends.len());
-        for (slot, (endpoint, request, trace)) in sends.into_iter().enumerate() {
-            if gather.send(slot, &endpoint, request, trace) {
+    /// One scatter-gather round, **one frame per destination peer**: the
+    /// requests are grouped by the peer they resolved to
+    /// ([`group_by_peer`]), every frame goes out before anything is awaited
+    /// ([`ClusterClient::exchange`]), and each request reads its outcome
+    /// back out of its frame's ([`scatter_back`]). Outcomes come back in
+    /// `sends` order.
+    fn round(&mut self, sends: Vec<Outgoing>) -> Vec<Gathered> {
+        let (frames, frame_of) = group_by_peer(sends);
+        let mut outcomes = self.exchange(frames);
+        frame_of
+            .into_iter()
+            .map(|frame| {
+                outcomes[frame]
+                    .next()
+                    .expect("a frame yields one outcome per request it carried")
+            })
+            .collect()
+    }
+
+    /// Sends every frame — a group of one bare, exactly as it would travel
+    /// alone, a larger one as a [`Request::Batch`] whose constituents keep
+    /// their trace contexts — then sleeps **once**, until the last reply
+    /// landed or `try_timeout` passed, however many frames there are.
+    /// Messages are counted here: one per request frame the transport
+    /// accepted, one per reply frame that answered. Returns, per frame, the
+    /// outcomes of the requests it carried.
+    fn exchange(&mut self, frames: Vec<Frame>) -> Vec<std::vec::IntoIter<Gathered>> {
+        // Only a client that turns calls into spans needs landing times.
+        let gather = Gather::new(frames.len(), self.tracing.is_some());
+        let mut sizes = Vec::with_capacity(frames.len());
+        for (slot, mut frame) in frames.into_iter().enumerate() {
+            sizes.push(frame.items.len());
+            let (request, trace) = if frame.items.len() == 1 {
+                frame.items.pop().expect("a frame carries a request")
+            } else {
+                (Request::Batch(frame.items), None)
+            };
+            if gather.send(slot, &frame.endpoint, request, trace) {
                 self.messages.inc();
             }
         }
         let landed = gather.wait(self.retry.try_timeout);
-        let replies = landed.iter().filter(|leg| leg.outcome.is_ok()).count();
+        let replies = landed.iter().filter(|frame| frame.outcome.is_ok()).count();
         self.messages.add(replies as u64);
         landed
+            .into_iter()
+            .zip(sizes)
+            .map(|(frame, size)| scatter_back(frame, size).into_iter())
+            .collect()
     }
 
     /// Runs independent calls under the retry policy, overlapped: attempt 0
@@ -529,8 +630,10 @@ impl ClusterClient {
     /// backoff, one scatter and one wait for whatever is still unsettled.
     /// Replies come back in `calls` order.
     ///
-    /// Per call nothing changed from a call made alone: the target is
-    /// re-resolved every attempt (churn may have moved it between retries),
+    /// Calls that resolve to the same peer share a frame, each round anew
+    /// ([`ClusterClient::round`]). Otherwise nothing differs per call from a
+    /// call made alone: the target is re-resolved every attempt (churn may
+    /// have moved it between retries — the frames regroup accordingly),
     /// every re-send repeats the request — and so its [`OpId`] — verbatim,
     /// each retry of each call counts once in `retries`, a call that spends
     /// the budget counts once in `retry_exhaustions`, and a sampled call
@@ -547,7 +650,7 @@ impl ClusterClient {
             context: Option<TraceContext>,
             started: Option<Instant>,
             phases: Vec<(String, u64)>,
-            last: Option<(CallError, Instant)>,
+            last: Option<(CallError, Option<Instant>)>,
             settled: Option<Result<Reply, UmsError>>,
         }
         let mut legs: Vec<Leg> = calls
@@ -591,60 +694,49 @@ impl ClusterClient {
                     leg.phases.push((format!("backoff{attempt}"), us(backoff)));
                 }
                 match self.resolve(&leg.call.target) {
-                    Ok(endpoint) => {
+                    Ok((peer, endpoint)) => {
                         // Every attempt carries the same trace id; the
                         // attempt span is the wire parent, so peer spans
                         // nest under the attempt that reached them.
-                        let wire_context = leg
+                        let trace = leg
                             .context
                             .map(|root| root.child_of(rdht_metrics::next_span_id()));
-                        sends.push((endpoint, leg.call.request.clone(), wire_context));
+                        sends.push(Outgoing {
+                            peer,
+                            endpoint,
+                            request: leg.call.request.clone(),
+                            trace,
+                        });
                         in_flight.push(index);
                     }
                     // No route is not a network failure: nothing to retry.
                     Err(error) => {
                         let phases = std::mem::take(&mut leg.phases);
-                        self.finish_trace(
-                            leg.kind,
-                            leg.context,
-                            leg.started,
-                            Instant::now(),
-                            phases,
-                            "unroutable",
-                        );
+                        let span = leg.started.map(|started| (started, Instant::now()));
+                        self.finish_trace(leg.kind, leg.context, span, phases, "unroutable");
                         leg.settled = Some(Err(error));
                     }
                 }
             }
-            let sent = Instant::now();
+            let sent = self.tracing.as_ref().map(|_| Instant::now());
             for (index, gathered) in in_flight.into_iter().zip(self.round(sends)) {
                 let leg = &mut legs[index];
-                if leg.started.is_some() {
-                    let took = gathered.landed.saturating_duration_since(sent);
+                // A timed leg's attempt ran from the scatter to the moment
+                // its own reply landed.
+                if let (Some(_), Some(sent), Some(landed)) = (leg.started, sent, gathered.landed) {
+                    let took = landed.saturating_duration_since(sent);
                     leg.phases.push((format!("attempt{attempt}"), us(took)));
                     let label = gathered
                         .outcome
                         .as_ref()
                         .map_or_else(outcome_label, |_| "ok");
-                    self.emit_attempt(
-                        leg.context,
-                        attempt,
-                        (sent, gathered.landed),
-                        backoff,
-                        label,
-                    );
+                    self.emit_attempt(leg.context, attempt, (sent, landed), backoff, label);
                 }
                 match gathered.outcome {
                     Ok(reply) => {
                         let phases = std::mem::take(&mut leg.phases);
-                        self.finish_trace(
-                            leg.kind,
-                            leg.context,
-                            leg.started,
-                            gathered.landed,
-                            phases,
-                            "ok",
-                        );
+                        let span = leg.started.zip(gathered.landed);
+                        self.finish_trace(leg.kind, leg.context, span, phases, "ok");
                         leg.settled = Some(Ok(reply));
                     }
                     Err(error) => leg.last = Some((error, gathered.landed)),
@@ -661,8 +753,7 @@ impl ClusterClient {
                 self.finish_trace(
                     leg.kind,
                     leg.context,
-                    leg.started,
-                    ended,
+                    leg.started.zip(ended),
                     leg.phases,
                     outcome_label(&last),
                 );
@@ -794,13 +885,28 @@ impl UmsAccess for ClusterClient {
         self.timestamp_request(key, false)
     }
 
+    /// The first replica of `Hr` that lives on `rsp(k, h_ts)` right now, so
+    /// that the opening of `retrieve` — `last_ts` and this probe — is one
+    /// frame to one peer; `HashId(0)` when none does. Resolved under one read
+    /// of the directory; a view that changes before the round is sent costs
+    /// a frame, nothing else (the round groups by what it resolves then).
+    fn first_probe(&self, key: &Key) -> HashId {
+        let family = &self.directory.family;
+        let replicas = self.replication_ids().map(|hash| family.eval(hash, key));
+        self.directory
+            .first_sharing_peer(family.eval_timestamp(key), replicas)
+            .map_or(HashId(0), |index| HashId(index as u32))
+    }
+
     /// The overlapped opening of `retrieve`: the `last_ts` request and the
-    /// probe of `hash` are one two-leg `call_all` — one
-    /// round trip where the sequential default pays two. The messages are
-    /// the ones the sequential algorithm sends (the probe is the one it
-    /// would have sent next, whatever KTS answers), each leg retries on its
-    /// own, and a `NeedsInitialization` answer runs the indirect
-    /// initialization exactly as [`UmsAccess::kts_last_ts`] does.
+    /// probe of `hash` are one two-leg `call_all` — one round trip where the
+    /// sequential default pays two, and one frame when both resolve to the
+    /// same peer ([`UmsAccess::first_probe`] picks `hash` so that they do
+    /// whenever a replica lives there). The requests are the ones the
+    /// sequential algorithm sends (the probe is one it would have sent,
+    /// whatever KTS answers), each leg retries on its own, and a
+    /// `NeedsInitialization` answer runs the indirect initialization exactly
+    /// as [`UmsAccess::kts_last_ts`] does.
     fn kts_last_ts_and_probe(
         &mut self,
         key: &Key,
@@ -899,7 +1005,7 @@ impl UmsAccess for ClusterClient {
             }
             let mut sent: Vec<Vec<HashId>> = Vec::with_capacity(groups.len());
             let mut sends = Vec::with_capacity(groups.len());
-            for (_, (endpoint, hashes)) in groups {
+            for (peer, (endpoint, hashes)) in groups {
                 let request = Request::PutReplicas {
                     op,
                     hashes: hashes.clone(),
@@ -910,8 +1016,13 @@ impl UmsAccess for ClusterClient {
                 // Every per-peer group of the fan-out carries the same
                 // trace id, so the applying peers' span trees (one per
                 // constituent put) correlate back to this logical insert.
-                let wire_context = context.map(|root| root.child_of(rdht_metrics::next_span_id()));
-                sends.push((endpoint, request, wire_context));
+                let trace = context.map(|root| root.child_of(rdht_metrics::next_span_id()));
+                sends.push(Outgoing {
+                    peer,
+                    endpoint,
+                    request,
+                    trace,
+                });
                 sent.push(hashes);
             }
             for (hashes, group) in sent.into_iter().zip(self.round(sends)) {
@@ -956,7 +1067,8 @@ impl UmsAccess for ClusterClient {
             }
         }
         let label = if outcome.failed == 0 { "ok" } else { "partial" };
-        self.finish_trace("puts", context, started, Instant::now(), phases, label);
+        let span = started.map(|started| (started, Instant::now()));
+        self.finish_trace("puts", context, span, phases, label);
         outcome
     }
 

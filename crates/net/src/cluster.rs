@@ -285,15 +285,37 @@ impl Directory {
         }
     }
 
-    /// The peer currently responsible for a position: the first *alive* peer
-    /// clockwise from it (successor-on-the-ring responsibility).
-    pub(crate) fn responsible_for(&self, position: u64) -> Option<(PeerId, PeerEndpoint)> {
-        let peers = self.peers.read();
+    /// Successor-on-the-ring responsibility over a locked ring: the first
+    /// *alive* peer clockwise from `position`.
+    fn successor(
+        peers: &BTreeMap<PeerId, (PeerEndpoint, bool)>,
+        position: u64,
+    ) -> Option<(PeerId, &PeerEndpoint)> {
         peers
             .range(PeerId(position)..)
             .chain(peers.iter())
             .find(|(_, (_, alive))| *alive)
-            .map(|(id, (endpoint, _))| (*id, endpoint.clone()))
+            .map(|(id, (endpoint, _))| (*id, endpoint))
+    }
+
+    /// The peer currently responsible for a position.
+    pub(crate) fn responsible_for(&self, position: u64) -> Option<(PeerId, PeerEndpoint)> {
+        Directory::successor(&self.peers.read(), position)
+            .map(|(id, endpoint)| (id, endpoint.clone()))
+    }
+
+    /// Index of the first of `positions` whose responsible is also the
+    /// responsible of `anchor`, under one read of the ring.
+    pub(crate) fn first_sharing_peer(
+        &self,
+        anchor: u64,
+        positions: impl IntoIterator<Item = u64>,
+    ) -> Option<usize> {
+        let peers = self.peers.read();
+        let (anchor, _) = Directory::successor(&peers, anchor)?;
+        positions.into_iter().position(|position| {
+            Directory::successor(&peers, position).is_some_and(|(id, _)| id == anchor)
+        })
     }
 
     /// Marks a peer as dead (its endpoint stays but is never selected

@@ -22,7 +22,7 @@
 //! * `cluster.rs` — the coordinator: [`ClusterConfig`], the membership
 //!   directory, and spawn / crash / restart / join / leave.
 //! * `client.rs` — [`ClusterClient`]: `UmsAccess` over messages, with
-//!   deadlines, retries and overlapped calls.
+//!   deadlines, retries and overlapped calls, one frame per peer per round.
 //! * `transport.rs`, `tcp.rs`, `wire.rs`, `fault.rs` — how messages travel;
 //!   `message.rs`, `metrics.rs` — what they say and what a peer counts.
 //!
@@ -69,9 +69,18 @@
 //! KTS for `last_ts` and probes the first replica in the same round trip
 //! (two one-way delays to a current answer, not four), the indirect
 //! observation reads its `|Hr|` replicas in one, and an insert's per-peer
-//! put groups share one wait. The messages are the sequential algorithm's,
-//! only their timing changes; an `insert` still pays `gen_ts` *then* the
-//! puts — the puts carry the stamp.
+//! put groups share one wait. The requests are the sequential algorithm's;
+//! what changes is their timing and their packing: a round costs **one
+//! frame per destination peer**. Requests of a round that resolve to the
+//! same peer travel as one [`Request::Batch`], answered by one
+//! [`Reply::Batch`]; the peer explodes it, so each constituent routes,
+//! forwards, deduplicates and traces as if it had come alone. Figure 2
+//! leaves the probe order open, so a `retrieve` probes first a replica that
+//! lives on the timestamping peer whenever there is one
+//! (`UmsAccess::first_probe`) — its opening is then one frame each way.
+//! [`ClusterClient::messages`] counts frames: one per request frame the
+//! transport accepted, one per reply frame that answered. An `insert` still
+//! pays `gen_ts` *then* the puts — the puts carry the stamp.
 //!
 //! ## Elastic membership
 //!

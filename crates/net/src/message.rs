@@ -6,10 +6,17 @@
 //! codec ([`crate::wire`]). The reply path travels *next to* the request as
 //! a [`crate::ReplySink`] (in-process) or as the request id of the framed
 //! envelope (on the wire).
+//!
+//! One frame carries one [`Request`] and is answered by one [`Reply`]. Two
+//! requests are containers the receiving peer takes apart: a
+//! [`Request::PutReplicas`] is the same payload for several hashes, answered
+//! by a count; a [`Request::Batch`] is any data requests bound for one peer,
+//! answered by their replies in order ([`Reply::Batch`]).
 
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
+use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;
 
@@ -189,6 +196,20 @@ pub enum Request {
         /// Maximum number of request trees to return.
         k: u32,
     },
+    /// Several data requests for one peer in **one frame**: what a client
+    /// round sends when two or more of its requests resolve to the same peer
+    /// (a retrieve's `last_ts` and a probe of a replica that lives on the
+    /// timestamping peer; the co-located probes of an indirect observation).
+    /// The receiving peer explodes the batch into its constituents, exactly
+    /// as it explodes a [`Request::PutReplicas`]: each one routes, forwards
+    /// under churn, deduplicates and traces on its own, under the trace
+    /// context it carries here (the frame itself carries none). One
+    /// [`Reply::Batch`] answers, holding the constituents' replies in
+    /// request order. Only data requests may ride in a batch — never another
+    /// batch, a protocol or a lifecycle message: the wire decoder refuses
+    /// such a frame and a peer handed one in-process answers
+    /// [`Reply::Error`].
+    Batch(Vec<(Request, Option<TraceContext>)>),
     /// Ask the peer to stop gracefully: it flushes its journal to stable
     /// storage before exiting. No reply is sent.
     Shutdown,
@@ -196,6 +217,22 @@ pub enum Request {
     /// journal flush — simulating a crash. Only what the fsync policy
     /// already pushed to disk survives. No reply is sent.
     Crash,
+}
+
+impl Request {
+    /// Whether this is one of the four data requests (`PutReplica`,
+    /// `PutReplicas`, `GetReplica`, `Timestamp`) — the ones that are routed
+    /// by ring position, may share a group-commit drain, and may ride in a
+    /// [`Request::Batch`].
+    pub(crate) fn is_data(&self) -> bool {
+        matches!(
+            self,
+            Request::PutReplica { .. }
+                | Request::PutReplicas { .. }
+                | Request::GetReplica { .. }
+                | Request::Timestamp { .. }
+        )
+    }
 }
 
 /// A peer's answer to a [`Request`].
@@ -255,4 +292,9 @@ pub enum Reply {
     /// recently-completed request trees, slowest first, with per-phase
     /// durations for tail-latency attribution.
     SlowRequests(Vec<rdht_metrics::RequestTree>),
+    /// Answer to a [`Request::Batch`]: one reply per constituent, in request
+    /// order. A constituent that was dropped unanswered (the peer it was
+    /// forwarded to died) reads [`Reply::Error`] in its place, so the others
+    /// still arrive.
+    Batch(Vec<Reply>),
 }

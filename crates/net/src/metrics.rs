@@ -78,6 +78,7 @@ pub struct RequestCounters {
     handoff: Counter,
     install: Counter,
     metrics: Counter,
+    batch: Counter,
     lifecycle: Counter,
 }
 
@@ -100,11 +101,14 @@ impl RequestCounters {
             handoff: kind("handoff"),
             install: kind("install"),
             metrics: kind("metrics"),
+            batch: kind("batch"),
             lifecycle: kind("lifecycle"),
         }
     }
 
-    /// The counter of `request`'s kind.
+    /// The counter of `request`'s kind. A frame counts once, under its own
+    /// kind: the constituents of a `Batch` (like those of a `PutReplicas`)
+    /// are not counted again.
     pub fn of(&self, request: &Request) -> &Counter {
         match request {
             Request::PutReplica { .. } => &self.put,
@@ -114,6 +118,7 @@ impl RequestCounters {
             Request::HandoffRange { .. } => &self.handoff,
             Request::InstallState { .. } => &self.install,
             Request::Metrics | Request::SlowRequests { .. } => &self.metrics,
+            Request::Batch(_) => &self.batch,
             Request::Shutdown | Request::Crash => &self.lifecycle,
         }
     }

@@ -22,12 +22,12 @@ use std::time::{Duration, Instant};
 
 use rdht_core::durability::DurableState;
 use rdht_core::kts::{IndirectObservation, KtsNode};
-use rdht_core::{LastTsInitPolicy, ReplicaValue, Timestamp};
+use rdht_core::{LastTsInitPolicy, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_membership::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_metrics::{encode, Histogram, Registry, RequestTree, SpanLog, TraceContext, TraceSink};
 use rdht_overlay::in_open_closed_interval;
-use rdht_storage::{StorageEngine, StorageMetrics, SyncObserver};
+use rdht_storage::{StorageEngine, StorageMetrics, StorageOp, SyncObserver};
 
 use crate::cluster::{ClusterStorage, Directory, PeerId, RestartReport};
 use crate::fault::{set_thread_source, FaultPlan};
@@ -100,7 +100,7 @@ fn ranges_intersect(a: (u64, u64), b: (u64, u64)) -> bool {
 /// lifecycle messages (which are addressed to a specific peer and never
 /// forwarded). A `PutReplicas` has no single position: it is exploded into
 /// per-hash puts, and each constituent put routes (and forwards)
-/// individually. A hash id outside the configured family (possible over
+/// individually; so does each constituent of a `Batch`. A hash id outside the configured family (possible over
 /// TCP, where any well-formed frame can arrive) also yields `None` — the
 /// request is served locally instead of panicking the peer.
 fn data_position(request: &Request, family: &HashFamily) -> Option<u64> {
@@ -185,16 +185,11 @@ impl DedupWindow {
 }
 
 /// Whether a request may ride in a group-commit batch. Only plain data
-/// requests batch; protocol and lifecycle messages are barriers — they are
-/// processed alone so their own ack/sync ordering stays explicit.
+/// requests (alone, or several to a frame) batch; protocol and lifecycle
+/// messages are barriers — they are processed alone so their own ack/sync
+/// ordering stays explicit.
 fn batchable(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::PutReplica { .. }
-            | Request::PutReplicas { .. }
-            | Request::GetReplica { .. }
-            | Request::Timestamp { .. }
-    )
+    request.is_data() || matches!(request, Request::Batch(_))
 }
 
 /// Short request-kind label, used as the slowlog tree name and in
@@ -209,6 +204,7 @@ pub(crate) fn request_kind(request: &Request) -> &'static str {
         Request::InstallState { .. } => "install",
         Request::Metrics => "metrics",
         Request::SlowRequests { .. } => "slow_requests",
+        Request::Batch(_) => "batch",
         Request::Shutdown | Request::Crash => "lifecycle",
     }
 }
@@ -344,8 +340,8 @@ pub(crate) struct Peer {
     traced: Vec<TracedUnit>,
     /// The ring of completed request trees every peer keeps (scraped by
     /// `SlowRequests`). It only fills when *sampled* requests arrive — the
-    /// client decides sampling — so an untraced workload pays nothing beyond
-    /// a few nanoseconds of batch-boundary clock reads.
+    /// client decides sampling — and an unsampled request reads the clock
+    /// for its service-time observation only.
     slowlog: SpanLog,
     metrics: PeerMetrics,
     trace: Option<TraceSink>,
@@ -558,31 +554,33 @@ impl Peer {
         while let Some(unit) = self.units.pop_front() {
             // A sampled context makes this unit produce spans and a slowlog
             // tree at the batch boundary; introspection and lifecycle kinds
-            // never trace.
+            // never trace. Everything else is served untimed.
             let sampled = unit
                 .trace
                 .filter(|context| context.is_sampled() && traceable(&unit.request));
+            let Some(context) = sampled else {
+                self.unit(unit, None)?;
+                continue;
+            };
             let name = request_kind(&unit.request);
-            let arrived = unit.arrived;
             let apply_start = Instant::now();
+            let arrived = unit.arrived.unwrap_or(apply_start);
             let deferred_at = self.deferred.len();
             self.unit(unit, sampled)?;
-            if let Some(context) = sampled {
-                // Only units that owe a deferred (post-fsync) reply get a
-                // slowlog tree: forwarded units belong to the peer that
-                // serves them, and inline-answered protocol requests record
-                // their own phase spans.
-                if self.deferred.len() > deferred_at {
-                    self.traced.push(TracedUnit {
-                        context,
-                        name,
-                        arrived,
-                        apply_start,
-                        apply_end: Instant::now(),
-                        deferred_at,
-                        replied: None,
-                    });
-                }
+            // Only units that owe a deferred (post-fsync) reply get a
+            // slowlog tree: forwarded units belong to the peer that serves
+            // them, and inline-answered protocol requests record their own
+            // phase spans.
+            if self.deferred.len() > deferred_at {
+                self.traced.push(TracedUnit {
+                    context,
+                    name,
+                    arrived,
+                    apply_start,
+                    apply_end: Instant::now(),
+                    deferred_at,
+                    replied: None,
+                });
             }
         }
         self.metrics
@@ -636,6 +634,8 @@ impl Peer {
                             op,
                             hash,
                             key: key.clone(),
+                            // The one copy of this replica's payload: `put`
+                            // hands it on to the store by value.
                             payload: payload.clone(),
                             timestamp,
                         },
@@ -645,6 +645,7 @@ impl Peer {
                     });
                 }
             }
+            Request::Batch(items) => self.explode_batch(items, reply, arrived),
             Request::GetReplica { hash, key } => self.get(hash, &key, reply),
             Request::Timestamp {
                 op,
@@ -691,6 +692,40 @@ impl Peer {
             }
         }
         Ok(())
+    }
+
+    /// A batch fans out locally, like a batched put: one unit per
+    /// constituent, under the trace context the constituent carries and the
+    /// frame's arrival instant, each with a collecting sink that answers the
+    /// requester with one [`Reply::Batch`] — in request order — once all of
+    /// them completed. The constituents route individually, so under churn
+    /// some may be answered by another peer. Over TCP the decoder already
+    /// refused a batch holding anything but data requests; one handed over
+    /// in-process is refused here, whole, before any constituent runs.
+    fn explode_batch(
+        &mut self,
+        items: Vec<(Request, Option<TraceContext>)>,
+        reply: ReplySink,
+        arrived: Option<Instant>,
+    ) {
+        if let Some((intruder, _)) = items.iter().find(|(request, _)| !request.is_data()) {
+            reply.send(Reply::Error {
+                reason: format!(
+                    "a {} request cannot ride in a batch",
+                    request_kind(intruder)
+                ),
+            });
+            return;
+        }
+        let sinks = ReplySink::collect(items.len(), reply);
+        for ((request, trace), sink) in items.into_iter().zip(sinks) {
+            self.units.push_back(Incoming {
+                request,
+                reply: sink,
+                trace,
+                arrived,
+            });
+        }
     }
 
     /// Forwarding: hands back the request (and its reply path) when this
@@ -803,8 +838,13 @@ impl Peer {
             };
             if accepted {
                 let position = peer.directory.family.eval(hash, &key);
-                let value = ReplicaValue::new(payload, timestamp);
-                peer.engine.record_replica_put(hash, &key, &value, position);
+                peer.engine.apply_latching(StorageOp::PutReplica {
+                    hash,
+                    key,
+                    payload,
+                    stamp: timestamp,
+                    position,
+                });
             }
             Ok(Reply::PutAck)
         })?;
@@ -1079,15 +1119,16 @@ impl Peer {
     /// journaled (free if the batch was read-only), then the
     /// acknowledgements.
     fn sync_and_reply(&mut self) {
-        let sync_start = Instant::now();
+        // Only a batch with traced units (usually none) is timed: the sync,
+        // then each owed reply's send; the units are then finalized into
+        // spans and slowlog trees — including the one covering-fsync span
+        // the whole group-commit batch shares.
+        let timed = !self.traced.is_empty();
+        let sync_start = timed.then(Instant::now);
         if self.batching.is_some() {
             self.engine.sync_to_durable();
         }
-        let sync_end = Instant::now();
-        // Traced units in the batch (usually none): time each owed reply's
-        // send, then finalize the units into spans and slowlog trees —
-        // including the one covering-fsync span the whole group-commit batch
-        // shares.
+        let sync_end = timed.then(Instant::now);
         for (index, (reply, answer)) in self.deferred.drain(..).enumerate() {
             reply.send(answer);
             if let Some(unit) = self
@@ -1098,7 +1139,7 @@ impl Peer {
                 unit.replied = Some(Instant::now());
             }
         }
-        if !self.traced.is_empty() {
+        if let (Some(sync_start), Some(sync_end)) = (sync_start, sync_end) {
             self.finish_traced_batch(sync_start, sync_end);
         }
     }

@@ -14,7 +14,7 @@ use rdht_storage::{FsyncPolicy, StorageOptions, SyncObserver};
 use super::*;
 use crate::cluster::DEFAULT_FORWARDER_REAP_IDLE;
 use crate::tests::fresh_storage_root;
-use crate::transport::{ChannelTransport, ReplyHook, Transport};
+use crate::transport::{CallError, ChannelTransport, ReplyHook, Transport};
 
 const ID: PeerId = PeerId(7);
 
@@ -139,4 +139,77 @@ fn a_counterless_timestamp_needs_a_hint_and_respects_the_recovery_floor() {
     let floor = Reply::Timestamp(Timestamp(10));
     assert_eq!(hinted_below.wait(Duration::ZERO), Ok(floor));
     assert_eq!(peer.metrics.indirect_initializations.get(), 2);
+}
+
+#[test]
+fn a_batch_is_exploded_answered_in_request_order_and_counted_once() {
+    let (mut peer, mailbox, endpoint) = bound_peer(None);
+    let key = Key::new("doc");
+    let get = Request::GetReplica {
+        hash: HashId(1),
+        key: key.clone(),
+    };
+    let last_ts = Request::Timestamp {
+        op: None,
+        key: key.clone(),
+        generate: false,
+        observation_hint: None,
+    };
+    let batch = Request::Batch(vec![
+        (get.clone(), None),
+        (put(0, 1, &key, 5), None),
+        (get.clone(), None),
+        (last_ts, None),
+    ]);
+    let answer = endpoint.send(batch).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    // The constituents ran in order — the first read misses, the second sees
+    // the put between them — and their replies come back in that order.
+    let stored = Reply::Replica(Some((5u64.to_le_bytes().to_vec(), Timestamp(5))));
+    assert_eq!(
+        answer.wait(Duration::ZERO),
+        Ok(Reply::Batch(vec![
+            Reply::Replica(None),
+            Reply::PutAck,
+            stored,
+            Reply::NeedsInitialization,
+        ]))
+    );
+    let counted = |request: &Request| peer.metrics.requests.of(request).get();
+    assert_eq!(counted(&Request::Batch(Vec::new())), 1, "one frame");
+    assert_eq!(
+        counted(&get) + counted(&put(0, 1, &key, 5)),
+        0,
+        "constituents are not counted again"
+    );
+}
+
+#[test]
+fn a_batch_holding_anything_but_data_requests_is_refused_whole() {
+    let (mut peer, mailbox, endpoint) = bound_peer(None);
+    let key = Key::new("doc");
+    let nested = Request::Batch(vec![
+        (put(0, 1, &key, 5), None),
+        (Request::Batch(Vec::new()), None),
+    ]);
+    let smuggled = Request::Batch(vec![(Request::Metrics, None)]);
+    let (nested, smuggled) = (
+        endpoint.send(nested).unwrap(),
+        endpoint.send(smuggled).unwrap(),
+    );
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    for (answer, kind) in [(nested, "batch"), (smuggled, "metrics")] {
+        match answer.wait(Duration::ZERO) {
+            Err(CallError::Rejected(reason)) => assert!(reason.contains(kind), "{reason}"),
+            other => panic!("a {kind} constituent was not refused: {other:?}"),
+        }
+    }
+    assert!(
+        peer.engine.replicas().get(HashId(1), &key).is_none(),
+        "no constituent of a refused batch runs"
+    );
 }

@@ -1,6 +1,7 @@
 //! Tests of the threaded deployment: real concurrency, real failover, real
 //! crash/restart recovery from on-disk peer state.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -186,6 +187,14 @@ fn crash_of_timestamp_responsible_triggers_indirect_initialization() {
     cluster.crash_peer(responsible).unwrap();
     assert!(cluster.live_peers() < 10);
 
+    // Where everything lives now that the ring closed over the dead peer.
+    let kts = cluster.timestamp_responsible(&key).unwrap();
+    let holders: Vec<PeerId> = client
+        .replication_ids()
+        .map(|hash| cluster.replica_responsible(hash, &key).unwrap())
+        .collect();
+    let first = holders[client.first_probe(&key).0 as usize];
+
     let (messages, inits) = (client.messages(), client.indirect_initializations());
     let after = ums::retrieve(&mut client, &key).unwrap();
     assert_eq!(
@@ -193,13 +202,17 @@ fn crash_of_timestamp_responsible_triggers_indirect_initialization() {
         b"v4",
         "latest surviving value is still returned"
     );
-    // Fanning the observation probes out changes their timing, not their
-    // number: the first KTS exchange, |Hr| = 6 observation probes, the
-    // hint-carrying KTS exchange, and the retrieve's own probes.
+    // The requests are the sequential algorithm's — the opening pair, |Hr| = 6
+    // observation probes, the hint-carrying KTS request, the retrieve's later
+    // probes — and each round costs one frame per distinct peer it reaches,
+    // there and back.
+    let opening = if first == kts { 1 } else { 2 };
+    let observation = holders.iter().collect::<BTreeSet<_>>().len() as u64;
+    let later = after.replicas_probed as u64 - 1;
     assert_eq!(client.indirect_initializations() - inits, 1);
     assert_eq!(
         client.messages() - messages,
-        2 + 2 * 6 + 2 + 2 * after.replicas_probed as u64
+        2 * (opening + observation + 1 + later)
     );
     assert_eq!(client.retries(), 0);
 
@@ -1329,12 +1342,16 @@ fn client_counters_are_registry_handles() {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter-gather calls: same messages as the sequential algorithm
+// Scatter-gather calls: the sequential algorithm's requests, one frame per
+// peer per round
 // ---------------------------------------------------------------------------
 
-/// Overlapping `last_ts` with the first probe changes when messages are
-/// sent, never which: a current retrieve is the KTS exchange plus one probe,
-/// and `k` stale replicas in front of the current one cost `k` more probes.
+/// Overlapping `last_ts` with the first probe changes when requests are sent
+/// and how many frames carry them, never which requests: the opening round
+/// costs one frame each way when a replica lives on the timestamping peer
+/// (that replica is probed first) and two when none does, and `k` stale
+/// replicas in front of the current one cost `k` more probes, a frame each
+/// way apiece.
 #[test]
 fn overlapped_retrieve_sends_the_sequential_algorithms_messages() {
     use crate::{OpId, Reply, Request};
@@ -1345,68 +1362,90 @@ fn overlapped_retrieve_sends_the_sequential_algorithms_messages() {
     const REPLICAS: usize = 5;
     let cluster = Cluster::spawn(6, REPLICAS, 0x5CA7);
     let mut client = cluster.client();
-    let key = Key::new("counted:key");
-    ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+    // Whether some replica of `key` lives on the peer that timestamps it.
+    let colocated = |key: &Key| {
+        let kts = cluster.timestamp_responsible(key);
+        (0..REPLICAS).any(|h| cluster.replica_responsible(HashId(h as u32), key) == kts)
+    };
+    // The first `tag:i` key that is (or is not) co-located.
+    let pick = |tag: &str, want: bool| {
+        (0..)
+            .map(|i| Key::new(format!("{tag}:{i}")))
+            .find(|key| colocated(key) == want)
+            .expect("both placements occur")
+    };
 
-    let before = client.messages();
-    let got = ums::retrieve(&mut client, &key).unwrap();
-    assert!(got.is_current);
-    assert_eq!(got.replicas_probed, 1);
-    assert_eq!(
-        client.messages() - before,
-        4,
-        "last_ts + one probe, a request and a reply each"
-    );
-
-    // Version 2 reaches only the replicas from `stale` on: the ones in front
-    // keep version 1 and must each be probed (and skipped) first.
-    for stale in 1..REPLICAS {
-        let key = Key::new(format!("counted:stale{stale}"));
+    for (shared, opening) in [(true, 2), (false, 4)] {
+        let key = pick("counted", shared);
         ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
-        let call = |peer, request| {
-            cluster
-                .peer_endpoint(peer)
-                .unwrap()
-                .call(request, Duration::from_secs(5))
-                .unwrap()
-        };
-        let stamped = call(
-            cluster.timestamp_responsible(&key).unwrap(),
-            Request::Timestamp {
-                op: Some(OpId {
-                    client: 0x57A1E,
-                    seq: stale as u64,
-                }),
-                key: key.clone(),
-                generate: true,
-                observation_hint: None,
-            },
-        );
-        assert_eq!(stamped, Reply::Timestamp(Timestamp(2)));
-        for hash in (stale..REPLICAS).map(|h| HashId(h as u32)) {
-            let acked = call(
-                cluster.replica_responsible(hash, &key).unwrap(),
-                Request::PutReplica {
-                    op: None,
-                    hash,
-                    key: key.clone(),
-                    payload: b"v2".to_vec(),
-                    timestamp: Timestamp(2),
-                },
-            );
-            assert_eq!(acked, Reply::PutAck);
-        }
         let before = client.messages();
         let got = ums::retrieve(&mut client, &key).unwrap();
         assert!(got.is_current);
-        assert_eq!(got.data.unwrap(), b"v2");
-        assert_eq!(got.replicas_probed, stale + 1);
+        assert_eq!(got.replicas_probed, 1);
         assert_eq!(
             client.messages() - before,
-            2 + 2 * (stale as u64 + 1),
-            "{stale} stale replicas: the KTS exchange plus {} probes",
-            stale + 1
+            opening,
+            "last_ts + one probe (co-located: {shared}), a request frame and a reply frame per peer"
         );
+
+        // Version 2 reaches only the replicas from the `stale`-th probed on:
+        // the ones in front keep version 1 and must each be probed (and
+        // skipped) first.
+        for stale in 1..REPLICAS {
+            let key = pick(&format!("stale{stale}"), shared);
+            ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+            let first = client.first_probe(&key);
+            assert_eq!(
+                cluster.replica_responsible(first, &key) == cluster.timestamp_responsible(&key),
+                shared,
+                "the first probe is co-located whenever a replica is"
+            );
+            let rest = client.replication_ids().filter(|hash| *hash != first);
+            let order: Vec<HashId> = std::iter::once(first).chain(rest).collect();
+            let call = |peer, request| {
+                cluster
+                    .peer_endpoint(peer)
+                    .unwrap()
+                    .call(request, Duration::from_secs(5))
+                    .unwrap()
+            };
+            let stamped = call(
+                cluster.timestamp_responsible(&key).unwrap(),
+                Request::Timestamp {
+                    op: Some(OpId {
+                        client: 0x57A1E,
+                        seq: stale as u64 + if shared { 100 } else { 0 },
+                    }),
+                    key: key.clone(),
+                    generate: true,
+                    observation_hint: None,
+                },
+            );
+            assert_eq!(stamped, Reply::Timestamp(Timestamp(2)));
+            for &hash in &order[stale..] {
+                let acked = call(
+                    cluster.replica_responsible(hash, &key).unwrap(),
+                    Request::PutReplica {
+                        op: None,
+                        hash,
+                        key: key.clone(),
+                        payload: b"v2".to_vec(),
+                        timestamp: Timestamp(2),
+                    },
+                );
+                assert_eq!(acked, Reply::PutAck);
+            }
+            let before = client.messages();
+            let got = ums::retrieve(&mut client, &key).unwrap();
+            assert!(got.is_current);
+            assert_eq!(got.data.unwrap(), b"v2");
+            assert_eq!(got.replicas_probed, stale + 1);
+            assert_eq!(
+                client.messages() - before,
+                opening + 2 * stale as u64,
+                "{stale} stale replicas: the opening round plus {stale} probes"
+            );
+        }
     }
     assert_eq!(client.retries(), 0);
     cluster.shutdown();
@@ -1426,7 +1465,7 @@ mod gather {
     /// slots come back in index order whatever order they were filled in.
     #[test]
     fn the_last_reply_releases_the_waiter() {
-        let gather = Gather::new(3);
+        let gather = Gather::new(3, false);
         let sinks: Vec<_> = (0..3).map(|index| gather.sink(index)).collect();
         let filler = std::thread::spawn(move || {
             for (index, sink) in sinks.into_iter().enumerate().rev() {
@@ -1446,7 +1485,7 @@ mod gather {
     /// collected: the late reply of a timed-out slot is discarded.
     #[test]
     fn late_and_repeated_fills_are_discarded() {
-        let gather = Gather::new(3);
+        let gather = Gather::new(3, false);
         let (late_reply, late_teardown) = (gather.sink(1), gather.sink(1));
         gather.sink(0).send(Reply::PutAck);
         // Slot 0 is taken: neither a second reply nor a dropped sink moves it.
@@ -1475,7 +1514,7 @@ mod gather {
     /// as a timeout.
     #[test]
     fn a_dropped_sink_fills_its_slot_at_once() {
-        let gather = Gather::new(1);
+        let gather = Gather::new(1, false);
         drop(gather.sink(0));
         let started = Instant::now();
         let landed = gather.wait(Duration::from_secs(30));

@@ -152,6 +152,48 @@ impl FaninState {
     }
 }
 
+/// Shared state of a collecting sink: the replies of the constituents of a
+/// [`Request::Batch`], kept in request order, and the requester's own sink,
+/// answered once the last of them is in.
+struct CollectState {
+    replies: Vec<Option<Reply>>,
+    remaining: usize,
+    out: Option<ReplySink>,
+}
+
+impl CollectState {
+    fn absorb(state: &Arc<Mutex<CollectState>>, index: usize, reply: Reply) {
+        let completed = {
+            let mut guard = state.lock();
+            debug_assert!(guard.replies[index].is_none(), "collect slot filled twice");
+            guard.replies[index] = Some(reply);
+            guard.remaining -= 1;
+            if guard.remaining == 0 {
+                let replies = std::mem::take(&mut guard.replies);
+                guard.out.take().map(|out| (out, replies))
+            } else {
+                None
+            }
+        };
+        // Sent outside the lock, for the reason `FaninState::absorb` gives.
+        if let Some((out, replies)) = completed {
+            let replies = replies
+                .into_iter()
+                .map(|reply| reply.expect("every collect slot was filled"))
+                .collect();
+            out.send(Reply::Batch(replies));
+        }
+    }
+}
+
+/// What a reply path that was torn down unsent tells a requester that can be
+/// told anything: a remote one, and the slot of a collecting sink.
+fn dropped_unanswered() -> Reply {
+    Reply::Error {
+        reason: "the request was dropped before being answered".to_string(),
+    }
+}
+
 /// Interceptor of one reply path, consumed exactly once — either
 /// [`ReplyHook::deliver`] fires with the peer's answer or
 /// [`ReplyHook::dropped`] fires when the sink is torn down unsent.
@@ -178,6 +220,11 @@ enum SinkInner {
     },
     /// One constituent put of a batched [`Request::PutReplicas`].
     Fanin(Arc<Mutex<FaninState>>),
+    /// One constituent of a [`Request::Batch`].
+    Collect {
+        state: Arc<Mutex<CollectState>>,
+        index: usize,
+    },
     /// A middleware interceptor wrapping another sink.
     Hooked(Box<dyn ReplyHook>),
     /// One slot of a scatter-gather exchange (`Gather`).
@@ -191,6 +238,7 @@ enum SinkInner {
 /// [`ReplySink::send`]; a sink dropped unsent signals failure instead of
 /// leaving the requester to time out (a channel disconnects, a remote
 /// requester receives [`Reply::Error`], a fan-in counts a failed put, a
+/// collecting sink records [`Reply::Error`] in the constituent's place, a
 /// scatter-gather slot reads [`CallError::Dropped`]).
 pub struct ReplySink {
     inner: SinkInner,
@@ -203,6 +251,7 @@ impl fmt::Debug for ReplySink {
             SinkInner::Channel(_) => "Channel",
             SinkInner::Remote { .. } => "Remote",
             SinkInner::Fanin(_) => "Fanin",
+            SinkInner::Collect { .. } => "Collect",
             SinkInner::Hooked(_) => "Hooked",
             SinkInner::Slot { .. } => "Slot",
         };
@@ -267,6 +316,31 @@ impl ReplySink {
             .collect()
     }
 
+    /// Splits `out` into `count` constituent sinks, the ordered sibling of
+    /// [`ReplySink::fanin`]: each keeps the reply it is sent — a sink dropped
+    /// unsent keeps a [`Reply::Error`] — and once all have completed `out`
+    /// receives one [`Reply::Batch`] holding them in sink order, whatever
+    /// order they completed in. `count == 0` answers `out` immediately.
+    pub fn collect(count: usize, out: ReplySink) -> Vec<ReplySink> {
+        if count == 0 {
+            out.send(Reply::Batch(Vec::new()));
+            return Vec::new();
+        }
+        let state = Arc::new(Mutex::new(CollectState {
+            replies: vec![None; count],
+            remaining: count,
+            out: Some(out),
+        }));
+        (0..count)
+            .map(|index| ReplySink {
+                inner: SinkInner::Collect {
+                    state: Arc::clone(&state),
+                    index,
+                },
+            })
+            .collect()
+    }
+
     /// Delivers the reply, consuming the sink.
     pub fn send(mut self, reply: Reply) {
         match std::mem::replace(&mut self.inner, SinkInner::Null) {
@@ -281,6 +355,7 @@ impl ReplySink {
                 let ok = matches!(reply, Reply::PutAck);
                 FaninState::absorb(&state, ok);
             }
+            SinkInner::Collect { state, index } => CollectState::absorb(&state, index, reply),
             SinkInner::Hooked(hook) => hook.deliver(reply),
             SinkInner::Slot { gather, index } => gather.fill(index, answered(reply)),
         }
@@ -295,14 +370,12 @@ impl Drop for ReplySink {
             // it observes a prompt `Dropped` instead of a timeout.
             SinkInner::Channel(_sender) => {}
             SinkInner::Remote { writer, request_id } => {
-                writer.write_reply(
-                    request_id,
-                    &Reply::Error {
-                        reason: "the request was dropped before being answered".to_string(),
-                    },
-                );
+                writer.write_reply(request_id, &dropped_unanswered());
             }
             SinkInner::Fanin(state) => FaninState::absorb(&state, false),
+            SinkInner::Collect { state, index } => {
+                CollectState::absorb(&state, index, dropped_unanswered())
+            }
             SinkInner::Hooked(hook) => hook.dropped(),
             SinkInner::Slot { gather, index } => gather.fill(index, Err(CallError::Dropped)),
         }
@@ -321,18 +394,24 @@ pub struct Incoming {
     /// Distributed-tracing context the request arrived with, if any.
     pub trace: Option<TraceContext>,
     /// When the transport enqueued the request — the start of its
-    /// queue-wait span (drain time minus `arrived`).
-    pub arrived: Instant,
+    /// queue-wait span (drain time minus `arrived`). Stamped only for a
+    /// request that carries a sampled context (its own, or — a
+    /// [`Request::Batch`] — a constituent's): nothing reads it otherwise.
+    pub arrived: Option<Instant>,
 }
 
 impl Incoming {
-    /// Packages a request for a peer's mailbox, stamping the arrival time.
+    /// Packages a request for a peer's mailbox, stamping the arrival time
+    /// when the request is sampled.
     pub fn new(request: Request, reply: ReplySink, trace: Option<TraceContext>) -> Self {
+        let sampled = |trace: &Option<TraceContext>| trace.is_some_and(|c| c.is_sampled());
+        let timed = sampled(&trace)
+            || matches!(&request, Request::Batch(items) if items.iter().any(|(_, t)| sampled(t)));
         Incoming {
             request,
             reply,
             trace,
-            arrived: Instant::now(),
+            arrived: timed.then(Instant::now),
         }
     }
 }
@@ -411,7 +490,7 @@ pub struct PendingReply {
 
 /// What a delivered reply means to its caller: [`Reply::Error`] is the
 /// peer (or a forwarder) refusing the request, anything else is the answer.
-fn answered(reply: Reply) -> Result<Reply, CallError> {
+pub(crate) fn answered(reply: Reply) -> Result<Reply, CallError> {
     match reply {
         Reply::Error { reason } => Err(CallError::Rejected(reason)),
         reply => Ok(reply),
@@ -437,8 +516,9 @@ pub(crate) struct Gathered {
     /// still empty when the waiter collected).
     pub(crate) outcome: Result<Reply, CallError>,
     /// When *this* slot's outcome landed (collection time for an empty one),
-    /// so a leg that answered early is not billed for the slowest one.
-    pub(crate) landed: Instant,
+    /// so a leg that answered early is not billed for the slowest one. Only
+    /// a timed [`Gather`] reads the clock for it.
+    pub(crate) landed: Option<Instant>,
 }
 
 struct GatherState {
@@ -453,6 +533,8 @@ struct GatherState {
 struct GatherShared {
     state: StdMutex<GatherState>,
     all_landed: Condvar,
+    /// Whether slots record when they landed.
+    timed: bool,
 }
 
 impl GatherShared {
@@ -471,7 +553,7 @@ impl GatherShared {
         }
         state.slots[index] = Some(Gathered {
             outcome,
-            landed: Instant::now(),
+            landed: self.timed.then(Instant::now),
         });
         state.remaining -= 1;
         if state.remaining == 0 {
@@ -498,8 +580,10 @@ pub(crate) struct Gather {
 }
 
 impl Gather {
-    /// A gather of `slots` empty slots.
-    pub(crate) fn new(slots: usize) -> Self {
+    /// A gather of `slots` empty slots. A `timed` one records when each
+    /// slot's outcome landed — for a caller that turns the exchange into
+    /// spans; nobody else pays the clock reads.
+    pub(crate) fn new(slots: usize, timed: bool) -> Self {
         Gather {
             shared: Arc::new(GatherShared {
                 state: StdMutex::new(GatherState {
@@ -508,6 +592,7 @@ impl Gather {
                     closed: false,
                 }),
                 all_landed: Condvar::new(),
+                timed,
             }),
         }
     }
@@ -556,12 +641,13 @@ impl Gather {
             .wait_timeout_while(self.shared.lock(), timeout, |state| state.remaining > 0)
             .unwrap_or_else(PoisonError::into_inner);
         state.closed = true;
+        let timed = self.shared.timed;
         std::mem::take(&mut state.slots)
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| Gathered {
                     outcome: Err(CallError::Timeout),
-                    landed: Instant::now(),
+                    landed: timed.then(Instant::now),
                 })
             })
             .collect()

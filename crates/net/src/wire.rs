@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! frame   := len: u32 LE | payload               (len = payload byte count)
-//! payload := version: u8                         (WIRE_VERSION, currently 4)
+//! payload := version: u8                         (WIRE_VERSION, currently 5)
 //!            kind: u8                            (0 = request, 1 = reply)
 //!            request_id: u64 LE                  (matches replies to requests)
 //!            trace: Option<TraceContext>         (requests only)
@@ -20,6 +20,24 @@
 //! * `Vec<T>` — `u32 LE` element count, then each element;
 //! * `Option<T>` — `u8` tag (0 = none, 1 = some), then the value;
 //! * enums — `u8` tag, then the variant's fields in declaration order.
+//!
+//! # Batches (v5)
+//!
+//! Request tag 10 and reply tag 11 carry several messages in one frame:
+//!
+//! ```text
+//! Request::Batch := 10 | count: u32 | count × ( trace: Option<TraceContext> | request body )
+//! Reply::Batch   := 11 | count: u32 | count × ( reply body )
+//! ```
+//!
+//! Each constituent is a complete tagged body, and a request constituent
+//! keeps its own trace context (the envelope's is absent). The decoder
+//! admits only data messages inside a batch — request tags 0–3 (`PutReplica`,
+//! `PutReplicas`, `GetReplica`, `Timestamp`), reply tags 0–4 and 8 — so a
+//! batch inside a batch, or a protocol or lifecycle message smuggled into
+//! one, is an [`WireError::UnknownTag`] raised at the constituent's tag byte,
+//! before anything of it is decoded; a count the remaining payload cannot
+//! hold is [`WireError::Truncated`] before the vector is reserved.
 //!
 //! Every frame is self-delimiting (the length prefix) and self-describing
 //! (version + kind + body tag), so a reader can reject garbage *typed*:
@@ -44,7 +62,7 @@ use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 /// change; the decoder accepts exactly this version and rejects every other
 /// with [`WireError::UnsupportedVersion`] — there is no deployed fleet to
 /// stay compatible with, so there is one wire version.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix above
 /// this is rejected *before* any allocation — a garbage or hostile prefix
@@ -53,6 +71,19 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
+
+/// Request tags admitted inside a [`Request::Batch`]: the data requests.
+const BATCHED_REQUEST_TAGS: [u8; 4] = [0, 1, 2, 3];
+
+/// Reply tags admitted inside a [`Reply::Batch`]: what a data request can be
+/// answered with (`PutAck`, `PutsAck`, `Replica`, `Timestamp`,
+/// `NeedsInitialization`, `Error`).
+const BATCHED_REPLY_TAGS: [u8; 6] = [0, 1, 2, 3, 4, 8];
+
+/// Fewest bytes a batched request occupies: an absent trace context and a
+/// hint-less, op-less `Timestamp` of the empty key (tag, op tag, key length,
+/// `generate`, hint tag).
+const MIN_BATCHED_REQUEST_LEN: usize = 1 + 1 + 1 + 4 + 1 + 1;
 
 /// A typed wire-codec failure. Every decode error is one of these — the
 /// codec never panics on garbage input.
@@ -151,7 +182,8 @@ pub enum Envelope {
         /// The request itself.
         request: Request,
         /// Distributed-tracing context propagated alongside the request;
-        /// `None` when the call is unsampled or the frame predates v4.
+        /// `None` when the call is unsampled (and on a [`Request::Batch`],
+        /// whose constituents carry their own).
         trace: Option<TraceContext>,
     },
     /// A peer's answer to the request with the same id.
@@ -357,6 +389,14 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             put_u8(out, 9);
             put_u32(out, *k);
         }
+        Request::Batch(items) => {
+            put_u8(out, 10);
+            put_u32(out, items.len() as u32);
+            for (request, trace) in items {
+                put_trace(out, trace);
+                put_request_body(out, request);
+            }
+        }
     }
 }
 
@@ -416,6 +456,13 @@ fn put_reply_body(out: &mut Vec<u8>, reply: &Reply) {
             put_u8(out, 10);
             put_trees(out, trees);
         }
+        Reply::Batch(replies) => {
+            put_u8(out, 11);
+            put_u32(out, replies.len() as u32);
+            for reply in replies {
+                put_reply_body(out, reply);
+            }
+        }
     }
 }
 
@@ -438,8 +485,8 @@ fn encode_frame(kind: u8, request_id: u64, body: impl FnOnce(&mut Vec<u8>)) -> V
 
 /// Encodes a request envelope into a complete frame (length prefix
 /// included), ready to be written to a stream. The optional trace context
-/// rides in the v4 envelope header, ahead of the body — `None` costs one
-/// tag byte.
+/// rides in the envelope header, ahead of the body — `None` costs one tag
+/// byte.
 pub fn encode_request(request_id: u64, request: &Request, trace: Option<TraceContext>) -> Vec<u8> {
     encode_frame(KIND_REQUEST, request_id, |out| {
         put_trace(out, &trace);
@@ -623,7 +670,52 @@ impl<'a> Cursor<'a> {
 }
 
 fn decode_request_body(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
-    match cursor.u8("request tag")? {
+    let tag = cursor.u8("request tag")?;
+    decode_tagged_request(cursor, tag)
+}
+
+/// The constituents of a [`Request::Batch`]. Each tag is checked against the
+/// data set before its body is touched, so a nested batch cannot recurse and
+/// a smuggled protocol message is never materialised.
+fn decode_batched_requests(
+    cursor: &mut Cursor<'_>,
+) -> Result<Vec<(Request, Option<TraceContext>)>, WireError> {
+    let count = cursor.count(MIN_BATCHED_REQUEST_LEN, "batch constituents")?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        let trace = cursor.trace("batch constituent trace")?;
+        let tag = cursor.u8("batch constituent tag")?;
+        if !BATCHED_REQUEST_TAGS.contains(&tag) {
+            return Err(WireError::UnknownTag {
+                context: "batch constituent tag",
+                tag,
+            });
+        }
+        items.push((decode_tagged_request(cursor, tag)?, trace));
+    }
+    Ok(items)
+}
+
+/// The constituents of a [`Reply::Batch`], under the same rule as
+/// [`decode_batched_requests`].
+fn decode_batched_replies(cursor: &mut Cursor<'_>) -> Result<Vec<Reply>, WireError> {
+    let count = cursor.count(1, "batch replies")?;
+    let mut replies = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = cursor.u8("batch reply tag")?;
+        if !BATCHED_REPLY_TAGS.contains(&tag) {
+            return Err(WireError::UnknownTag {
+                context: "batch reply tag",
+                tag,
+            });
+        }
+        replies.push(decode_tagged_reply(cursor, tag)?);
+    }
+    Ok(replies)
+}
+
+fn decode_tagged_request(cursor: &mut Cursor<'_>, tag: u8) -> Result<Request, WireError> {
+    match tag {
         0 => Ok(Request::PutReplica {
             op: cursor.op("put op id")?,
             hash: HashId(cursor.u32("put hash")?),
@@ -718,6 +810,7 @@ fn decode_request_body(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
         9 => Ok(Request::SlowRequests {
             k: cursor.u32("slow-requests k")?,
         }),
+        10 => Ok(Request::Batch(decode_batched_requests(cursor)?)),
         tag => Err(WireError::UnknownTag {
             context: "request tag",
             tag,
@@ -726,7 +819,12 @@ fn decode_request_body(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
 }
 
 fn decode_reply_body(cursor: &mut Cursor<'_>) -> Result<Reply, WireError> {
-    match cursor.u8("reply tag")? {
+    let tag = cursor.u8("reply tag")?;
+    decode_tagged_reply(cursor, tag)
+}
+
+fn decode_tagged_reply(cursor: &mut Cursor<'_>, tag: u8) -> Result<Reply, WireError> {
+    match tag {
         0 => Ok(Reply::PutAck),
         1 => Ok(Reply::PutsAck {
             written: cursor.u32("puts-ack written")?,
@@ -767,6 +865,7 @@ fn decode_reply_body(cursor: &mut Cursor<'_>) -> Result<Reply, WireError> {
         }),
         9 => Ok(Reply::Metrics(cursor.string("metrics exposition")?)),
         10 => Ok(Reply::SlowRequests(cursor.trees()?)),
+        11 => Ok(Reply::Batch(decode_batched_replies(cursor)?)),
         tag => Err(WireError::UnknownTag {
             context: "reply tag",
             tag,

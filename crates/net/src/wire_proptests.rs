@@ -79,7 +79,8 @@ fn make_bundle(raw: &[BundleRaw]) -> HandoffBundle {
     bundle
 }
 
-/// Builds one of the nine request variants from raw generated material.
+/// Builds one of the nine non-batch request variants from raw generated
+/// material (`Batch` is built from these by [`make_batch`]).
 fn make_request(
     selector: u8,
     key_bytes: &[u8],
@@ -147,7 +148,33 @@ fn make_request(
     }
 }
 
-/// Builds one of the ten reply variants from raw generated material.
+/// Raw material for one batch constituent: `(variant selector, hash,
+/// number, flags, trace)`.
+type BatchRaw = (u8, u32, u64, u8, TraceRaw);
+
+/// Builds a [`Request::Batch`] of data requests — the only constituents the
+/// codec admits — each with its own optional trace context.
+fn make_batch(raw: &[BatchRaw], key_bytes: &[u8], payload: &[u8]) -> Request {
+    let items = raw
+        .iter()
+        .map(|&(selector, hash, num, flags, trace)| {
+            // Selectors 0–3 of `make_request` are the four data requests.
+            let request = make_request(
+                selector % 4,
+                key_bytes,
+                payload,
+                &[hash, hash ^ 1],
+                (num, !num, num.rotate_left(7), flags, flags >> 1),
+                &[],
+            );
+            (request, raw_trace(trace))
+        })
+        .collect();
+    Request::Batch(items)
+}
+
+/// Builds one of the ten non-batch reply variants from raw generated
+/// material.
 fn make_reply(
     selector: u8,
     payload: &[u8],
@@ -222,9 +249,98 @@ proptest! {
         }
     }
 
+    /// A batch of data requests round-trips with every constituent — and
+    /// every constituent's own trace context — intact; the envelope's
+    /// context is independent of theirs; any strict prefix fails typed.
+    #[test]
+    fn batch_request_round_trip(
+        request_id in any::<u64>(),
+        key_bytes in vec(any::<u8>(), 0..24),
+        payload in vec(any::<u8>(), 0..64),
+        raw in vec(
+            (any::<u8>(), any::<u32>(), any::<u64>(), any::<u8>(),
+             (any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>())),
+            0..6,
+        ),
+        trace_raw in (any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>()),
+    ) {
+        let request = make_batch(&raw, &key_bytes, &payload);
+        let trace = raw_trace(trace_raw);
+        let frame = encode_request(request_id, &request, trace);
+        let (len, body) = split_frame(&frame);
+        prop_assert_eq!(len, body.len());
+        prop_assert_eq!(
+            decode_payload(body),
+            Ok(Envelope::Request { request_id, request, trace })
+        );
+        for cut in 0..body.len() {
+            prop_assert!(decode_payload(&body[..cut]).is_err());
+        }
+    }
+
+    /// A batch of data replies round-trips in order, and any strict prefix
+    /// fails typed.
+    #[test]
+    fn batch_reply_round_trip(
+        request_id in any::<u64>(),
+        payload in vec(any::<u8>(), 0..64),
+        reason_bytes in vec(any::<u8>(), 0..24),
+        raw in vec((0usize..6, any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
+    ) {
+        // The reply variants a data request can be answered with.
+        const DATA_REPLIES: [u8; 6] = [0, 1, 2, 3, 4, 8];
+        let replies = raw
+            .iter()
+            .map(|&(pick, a, w, f)| {
+                make_reply(DATA_REPLIES[pick], &payload, &reason_bytes, (a, !a, w, f))
+            })
+            .collect();
+        let reply = Reply::Batch(replies);
+        let frame = encode_reply(request_id, &reply);
+        let (len, body) = split_frame(&frame);
+        prop_assert_eq!(len, body.len());
+        prop_assert_eq!(
+            decode_payload(body),
+            Ok(Envelope::Reply { request_id, reply })
+        );
+        for cut in 0..body.len() {
+            prop_assert!(decode_payload(&body[..cut]).is_err());
+        }
+    }
+
+    /// Corrupting a single byte of a valid batch never panics the decoder
+    /// (the count, a constituent tag and a trace tag are all in reach).
+    #[test]
+    fn batch_single_byte_corruption_never_panics(
+        request_id in any::<u64>(),
+        key_bytes in vec(any::<u8>(), 0..12),
+        raw in vec(
+            (any::<u8>(), any::<u32>(), any::<u64>(), any::<u8>(),
+             (any::<u8>(), any::<u64>(), any::<u64>(), any::<u8>())),
+            1..5,
+        ),
+        corruption in (any::<u16>(), any::<u8>()),
+    ) {
+        let frame = encode_request(request_id, &make_batch(&raw, &key_bytes, &[7; 9]), None);
+        let (_, body) = split_frame(&frame);
+        let mut corrupted = body.to_vec();
+        let (at, xor) = corruption;
+        let at = at as usize % corrupted.len();
+        corrupted[at] ^= xor.max(1);
+        match decode_payload(&corrupted) {
+            Err(_) => {}
+            Ok(Envelope::Request { request_id, request, trace }) => {
+                prop_assert_eq!(&encode_request(request_id, &request, trace)[4..], &corrupted[..]);
+            }
+            Ok(Envelope::Reply { request_id, reply }) => {
+                prop_assert_eq!(&encode_reply(request_id, &reply)[4..], &corrupted[..]);
+            }
+        }
+    }
+
     /// Any trace context — arbitrary trace id, parent span and flag bits —
-    /// survives the round trip bit-for-bit, and the same frame under a v2
-    /// or v3 version byte is refused: there is one wire version.
+    /// survives the round trip bit-for-bit, and the same frame under a v2,
+    /// v3 or v4 version byte is refused: there is one wire version.
     #[test]
     fn trace_context_round_trip_and_downlevel_decode(
         request_id in any::<u64>(),
@@ -232,7 +348,7 @@ proptest! {
         trace_id in any::<u64>(),
         parent_span in any::<u64>(),
         flags in any::<u8>(),
-        old_version in 2u8..=3,
+        old_version in 2u8..=4,
     ) {
         let request = Request::GetReplica {
             hash: HashId(7),
@@ -494,6 +610,127 @@ mod deterministic {
             decode_payload(&payload),
             Err(WireError::InvalidUtf8 {
                 context: "error reason"
+            })
+        );
+    }
+
+    /// The payload of a request frame whose body is `body` (no envelope
+    /// trace context).
+    fn request_payload(body: &[u8]) -> Vec<u8> {
+        let mut payload = vec![WIRE_VERSION, 0];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.push(0); // trace context: absent
+        payload.extend_from_slice(body);
+        payload
+    }
+
+    /// The body of a batch holding exactly `constituent`, traceless, followed
+    /// by `padding` zero bytes (so that a one-byte constituent still passes
+    /// the count's length check and is judged by its tag).
+    fn batch_of_one(constituent: &Request, padding: usize) -> Vec<u8> {
+        let inner = encode_request(1, constituent, None);
+        let mut body = vec![10]; // tag: Batch
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(0); // constituent trace: absent
+        body.extend_from_slice(&inner[4 + 11..]); // skip length + envelope header
+        body.resize(body.len() + padding, 0);
+        body
+    }
+
+    #[test]
+    fn the_previous_wire_version_is_refused() {
+        let mut frame = encode_request(1, &Request::Metrics, None);
+        frame[4] = 4;
+        assert_eq!(
+            decode_payload(&frame[4..]),
+            Err(WireError::UnsupportedVersion(4))
+        );
+    }
+
+    #[test]
+    fn a_batch_inside_a_batch_is_rejected_at_its_tag() {
+        let nested = batch_of_one(&Request::Batch(Vec::new()), 16);
+        assert_eq!(
+            decode_payload(&request_payload(&nested)),
+            Err(WireError::UnknownTag {
+                context: "batch constituent tag",
+                tag: 10
+            })
+        );
+        // The same for replies.
+        let mut payload = vec![WIRE_VERSION, 1];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.push(11); // tag: Batch
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.push(11); // constituent tag: Batch again
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode_payload(&payload),
+            Err(WireError::UnknownTag {
+                context: "batch reply tag",
+                tag: 11
+            })
+        );
+    }
+
+    #[test]
+    fn only_data_requests_are_admitted_into_a_batch() {
+        let hand_off = Request::InstallState {
+            op: None,
+            start: 1,
+            end: 2,
+            bundle: HandoffBundle::default(),
+        };
+        for (intruder, tag) in [
+            (hand_off, 5),
+            (Request::Shutdown, 6),
+            (Request::Crash, 7),
+            (Request::Metrics, 8),
+            (Request::SlowRequests { k: 3 }, 9),
+        ] {
+            assert_eq!(
+                decode_payload(&request_payload(&batch_of_one(&intruder, 16))),
+                Err(WireError::UnknownTag {
+                    context: "batch constituent tag",
+                    tag
+                }),
+                "{intruder:?}"
+            );
+        }
+        // A data request in the same position decodes.
+        let get = Request::GetReplica {
+            hash: HashId(2),
+            key: Key::new("k"),
+        };
+        assert_eq!(
+            decode_payload(&request_payload(&batch_of_one(&get, 0))),
+            Ok(Envelope::Request {
+                request_id: 1,
+                request: Request::Batch(vec![(get, None)]),
+                trace: None
+            })
+        );
+    }
+
+    #[test]
+    fn a_batch_count_the_payload_cannot_hold_is_rejected_without_allocation() {
+        let mut body = vec![10]; // tag: Batch
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            decode_payload(&request_payload(&body)),
+            Err(WireError::Truncated {
+                context: "batch constituents"
+            })
+        );
+        // Two constituents announced, room for one: still refused up front.
+        let mut body = vec![10];
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&[0; 9]);
+        assert_eq!(
+            decode_payload(&request_payload(&body)),
+            Err(WireError::Truncated {
+                context: "batch constituents"
             })
         );
     }

@@ -2,8 +2,8 @@
 //! against **both** transport backends — the in-process channel mesh and
 //! length-framed TCP over loopback. Everything a deployment relies on is
 //! here: request/reply matching under pipelining, concurrent clients,
-//! typed (not hanging) failures when a peer crashes mid-request, and
-//! forwarding through a departed peer. TCP-only robustness (garbage and
+//! typed (not hanging) failures when a peer crashes mid-request,
+//! forwarding through a departed peer, and one frame per peer per round. TCP-only robustness (garbage and
 //! oversized frames from a hostile client) is covered at the end against
 //! real sockets via the public multi-process API.
 
@@ -234,6 +234,145 @@ fn departed_peer_forwards_to_the_new_owner() {
                 got.is_current,
                 "{kind:?}: fwd:{i} lost currency after leave"
             );
+        }
+        cluster.shutdown();
+    });
+}
+
+/// Whether some replica of `key` lives on the peer that timestamps it.
+fn colocated(cluster: &Cluster, replicas: u32, key: &Key) -> bool {
+    let kts = cluster.timestamp_responsible(key);
+    (0..replicas).any(|h| cluster.replica_responsible(HashId(h), key) == kts)
+}
+
+/// The frame law of a retrieve, on both backends: `last_ts` and the first
+/// probe are one request frame and one reply frame when a replica lives on
+/// the timestamping peer (which then counts one `batch`, and no `get` or
+/// `timestamp`), and two of each when none does.
+#[test]
+fn a_retrieve_costs_one_frame_per_peer_each_way() {
+    const REPLICAS: u32 = 4;
+    both(|kind| {
+        let cluster = spawn(kind, 5, REPLICAS as usize, 1107);
+        let mut client = cluster.client();
+        let pick = |want: bool| {
+            (0..)
+                .map(|i| Key::new(format!("frames:{i}")))
+                .find(|key| colocated(&cluster, REPLICAS, key) == want)
+                .expect("both placements occur")
+        };
+        let (shared, split) = (pick(true), pick(false));
+        for key in [&shared, &split] {
+            ums::insert(&mut client, key, b"v".to_vec()).unwrap();
+        }
+        // Requests of `kind` the peers served so far, summed over the ring.
+        let served = |kind: &str| -> u64 {
+            let series = format!("kind=\"{kind}\"");
+            cluster
+                .peer_ids()
+                .into_iter()
+                .map(|peer| {
+                    let exposition = cluster.scrape(peer).unwrap();
+                    let line = exposition
+                        .lines()
+                        .find(|line| {
+                            line.starts_with("net_requests_total") && line.contains(&series)
+                        })
+                        .unwrap_or_else(|| panic!("no {series} series"));
+                    line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+                })
+                .sum()
+        };
+        let before = (served("batch"), served("get"), served("timestamp"));
+
+        let messages = client.messages();
+        let got = ums::retrieve(&mut client, &shared).unwrap();
+        assert!(
+            got.is_current && got.replicas_probed == 1,
+            "{kind:?}: {got:?}"
+        );
+        assert_eq!(client.messages() - messages, 2, "{kind:?}: co-located");
+        assert_eq!(
+            (served("batch"), served("get"), served("timestamp")),
+            (before.0 + 1, before.1, before.2),
+            "{kind:?}: one batch frame, its constituents not counted again"
+        );
+
+        let messages = client.messages();
+        let got = ums::retrieve(&mut client, &split).unwrap();
+        assert!(
+            got.is_current && got.replicas_probed == 1,
+            "{kind:?}: {got:?}"
+        );
+        assert_eq!(client.messages() - messages, 4, "{kind:?}: split");
+        assert_eq!(
+            (served("batch"), served("get"), served("timestamp")),
+            (before.0 + 1, before.1 + 1, before.2 + 1),
+            "{kind:?}: two bare frames"
+        );
+        cluster.shutdown();
+    });
+}
+
+/// A batch routed under a stale view — to a peer that has since handed its
+/// range to **two different** joiners — is exploded there, each constituent
+/// is forwarded to the joiner that owns it now, and the one `Reply::Batch`
+/// still holds the answers in request order, on both transports.
+#[test]
+fn a_batch_forwarded_to_two_peers_is_answered_in_request_order() {
+    both(|kind| {
+        let mut cluster = spawn(kind, 4, 4, 1108);
+        let mut client = cluster.client();
+        let keys: Vec<Key> = (0..48).map(|i| Key::new(format!("split:{i}"))).collect();
+        for (i, key) in keys.iter().enumerate() {
+            ums::insert(&mut client, key, format!("v{i}").into_bytes()).unwrap();
+        }
+        // The source owns (pred, source]; two joiners cut that range in three.
+        let ids = cluster.peer_ids();
+        let (pred, source) = (ids[0], ids[1]);
+        let third = (source.0 - pred.0) / 3;
+        let (low, high) = (PeerId(pred.0 + third), PeerId(pred.0 + 2 * third));
+        let stale = cluster.peer_endpoint(source).expect("source endpoint");
+        cluster.join_peer(low).unwrap();
+        cluster.join_peer(high).unwrap();
+
+        // One replica that moved to each joiner, as (hash, key, payload).
+        let hashes: Vec<HashId> = client.replication_ids().collect();
+        let moved_to = |joiner: PeerId| {
+            keys.iter()
+                .enumerate()
+                .flat_map(|(i, key)| hashes.iter().map(move |&hash| (hash, key, i)))
+                .find(|(hash, key, _)| cluster.replica_responsible(*hash, key) == Some(joiner))
+                .map(|(hash, key, i)| (hash, key.clone(), format!("v{i}").into_bytes()))
+                .unwrap_or_else(|| {
+                    panic!("{kind:?}: nothing moved to {joiner:?}; pick another seed")
+                })
+        };
+        let (at_low, at_high) = (moved_to(low), moved_to(high));
+        let get = |(hash, key, _): &(HashId, Key, Vec<u8>)| {
+            let request = Request::GetReplica {
+                hash: *hash,
+                key: key.clone(),
+            };
+            (request, None)
+        };
+        let payload_of = |reply: &Reply| match reply {
+            Reply::Replica(Some((payload, _))) => payload.clone(),
+            other => panic!("{kind:?}: unexpected forwarded reply: {other:?}"),
+        };
+        for order in [[&at_low, &at_high], [&at_high, &at_low]] {
+            let batch = Request::Batch(order.iter().map(|replica| get(replica)).collect());
+            match stale.call(batch, REPLY_WAIT).unwrap() {
+                Reply::Batch(replies) => {
+                    let payloads: Vec<_> = replies.iter().map(payload_of).collect();
+                    assert_eq!(
+                        payloads,
+                        [order[0].2.clone(), order[1].2.clone()],
+                        "{kind:?}: replies out of request order"
+                    );
+                }
+                other => panic!("{kind:?}: a batch was answered with {other:?}"),
+            }
         }
         cluster.shutdown();
     });

@@ -448,6 +448,140 @@ fn a_dropped_leg_retries_alone() {
     });
 }
 
+/// The first `tag:i` key with a replica on its timestamping peer, and that
+/// replica's hash: `last_ts` and the probe of it travel as one batch.
+fn key_with_kts_sharing_a_replica(cluster: &Cluster, tag: &str, replicas: u32) -> (Key, HashId) {
+    (0..)
+        .map(|i| Key::new(format!("{tag}:{i}")))
+        .find_map(|key| {
+            let kts = cluster.timestamp_responsible(&key);
+            (0..replicas)
+                .map(HashId)
+                .find(|hash| cluster.replica_responsible(*hash, &key) == kts)
+                .map(|hash| (key, hash))
+        })
+        .expect("some key shares a peer between KTS and a replica")
+}
+
+/// Makes the link `peer -> client` swallow exactly one frame — the next
+/// reply — and then behave again. Returns the thread that restores it.
+fn drop_the_next_reply_of(plan: &FaultPlan, peer: PeerId) -> thread::JoinHandle<()> {
+    let (from, to) = (End::Peer(peer.0), End::Client);
+    let dropped = plan.stats().totals.frames_dropped;
+    let _ = plan.clone().with_link(from, to, LinkFaults::lossy(1.0));
+    let plan = plan.clone();
+    thread::spawn(move || {
+        while plan.stats().totals.frames_dropped == dropped {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let _ = plan.with_link(from, to, LinkFaults::default());
+    })
+}
+
+/// A batch is one frame per direction to the fault plan. When its reply is
+/// lost, the client re-sends **each leg** (they regroup into one batch
+/// again) and the retrieve still certifies; and a batch of mutations whose
+/// reply was lost is, re-sent, answered from the dedup window — constituent
+/// by constituent — instead of being applied twice.
+#[test]
+fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
+    both(|kind| {
+        let plan = FaultPlan::new(0xBA7C);
+        let cluster = spawn_faulty(kind, 5, 4, plan.clone());
+        let mut client = cluster.client().with_retry_policy(RetryPolicy {
+            attempts: 3,
+            try_timeout: Duration::from_millis(300),
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(20),
+            jitter: 0.0,
+        });
+        let (key, shared) = key_with_kts_sharing_a_replica(&cluster, "batch", 4);
+        ums::insert(&mut client, &key, b"v".to_vec()).unwrap();
+        let peer = cluster.timestamp_responsible(&key).unwrap();
+
+        // The client path: both legs of the opening round ride one frame.
+        let restorer = drop_the_next_reply_of(&plan, peer);
+        let (messages, frames) = (client.messages(), plan.stats().totals);
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        restorer.join().unwrap();
+        assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
+        assert_eq!(got.replicas_probed, 1);
+        assert_eq!(
+            client.retries(),
+            2,
+            "{kind:?}: each leg of the lost batch retried"
+        );
+        assert_eq!(client.retry_exhaustions(), 0);
+        assert_eq!(
+            client.messages() - messages,
+            3,
+            "{kind:?}: the batch whose reply was lost, its re-send and that one's reply"
+        );
+        let after = plan.stats().totals;
+        assert_eq!(after.frames_dropped - frames.frames_dropped, 1);
+        assert_eq!(
+            after.frames_delivered - frames.frames_delivered,
+            3,
+            "{kind:?}: a batch rolls once per direction, not once per constituent"
+        );
+
+        // The mutation path: a `gen_ts` and a put in one frame, reply lost.
+        let op = |seq| {
+            Some(OpId {
+                client: 0xBA7C,
+                seq,
+            })
+        };
+        let batch = Request::Batch(vec![
+            (
+                Request::Timestamp {
+                    op: op(0),
+                    key: key.clone(),
+                    generate: true,
+                    observation_hint: None,
+                },
+                None,
+            ),
+            (
+                Request::PutReplica {
+                    op: op(1),
+                    hash: shared,
+                    key: key.clone(),
+                    payload: b"w".to_vec(),
+                    timestamp: Timestamp(2),
+                },
+                None,
+            ),
+        ]);
+        let endpoint = cluster.peer_endpoint(peer).unwrap();
+        let before = cluster.dedup_stats();
+        let restorer = drop_the_next_reply_of(&plan, peer);
+        let lost = endpoint.call(batch.clone(), Duration::from_millis(300));
+        restorer.join().unwrap();
+        assert!(
+            lost.is_err(),
+            "{kind:?}: the first reply was to be lost: {lost:?}"
+        );
+        let answered = endpoint.call(batch, REPLY_WAIT).unwrap();
+        assert_eq!(
+            answered,
+            Reply::Batch(vec![Reply::Timestamp(Timestamp(2)), Reply::PutAck]),
+            "{kind:?}: the re-sent gen_ts reads the stamp the first one generated"
+        );
+        let dedup = cluster.dedup_stats();
+        assert_eq!(dedup.mutations_applied - before.mutations_applied, 2);
+        assert_eq!(
+            dedup.duplicates_suppressed - before.duplicates_suppressed,
+            2
+        );
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        assert_eq!(got.last_timestamp, Timestamp(2), "{kind:?}: one increment");
+        assert!(got.is_current, "{kind:?}: {got:?}");
+        assert_eq!(got.data.unwrap(), b"w");
+        cluster.shutdown();
+    });
+}
+
 // ---------------------------------------------------------------------------
 // TCP redial: a peer restarting on a new port mid-stream
 // ---------------------------------------------------------------------------

@@ -140,6 +140,54 @@ fn a_join_records_the_three_handoff_phase_spans() {
     );
 }
 
+/// The constituents of a batch are traced one by one: a sampled retrieve
+/// whose `last_ts` and probe share a frame leaves a `timestamp` tree and a
+/// `get` tree at that peer, under two different trace ids (they are two
+/// calls), each with phases that partition its arrival → reply exactly —
+/// on both transports, so the per-constituent contexts survive the wire.
+#[test]
+fn batched_constituents_keep_their_own_trace_contexts() {
+    for kind in [TransportKind::Channel, TransportKind::Tcp] {
+        let (cluster, sink) = traced_cluster(kind, 7206);
+        let mut client = cluster.client();
+        let key = (0..)
+            .map(|i| Key::new(format!("batched:{i}")))
+            .find(|key| {
+                let kts = cluster.timestamp_responsible(key);
+                (0..3).any(|h| cluster.replica_responsible(rdht_hashing::HashId(h), key) == kts)
+            })
+            .unwrap();
+        ums::insert(&mut client, &key, b"v".to_vec()).unwrap();
+        // Only the retrieve is sampled.
+        client.attach_trace(sink.clone(), TraceConfig::always());
+        let messages = client.messages();
+        assert!(ums::retrieve(&mut client, &key).unwrap().is_current);
+        assert_eq!(
+            client.messages() - messages,
+            2,
+            "{kind:?}: one frame each way"
+        );
+
+        let peer = cluster.timestamp_responsible(&key).unwrap();
+        let trees = client.slow_requests(peer, 8).unwrap();
+        let mut names: Vec<&str> = trees.iter().map(|tree| tree.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["get", "timestamp"], "{kind:?}: {trees:?}");
+        assert_ne!(trees[0].trace_id, trees[1].trace_id);
+        for tree in &trees {
+            assert_eq!(phase_names(tree), PEER_PHASES);
+            let attributed = tree.attributed_us();
+            assert!(
+                attributed <= tree.total_us
+                    && attributed + PEER_PHASES.len() as u64 > tree.total_us,
+                "{kind:?}: {attributed}µs of {}µs attributed in {tree:?}",
+                tree.total_us
+            );
+        }
+        cluster.shutdown();
+    }
+}
+
 #[test]
 fn scrapes_and_lifecycle_bypass_the_sampler() {
     let (cluster, sink) = traced_cluster(TransportKind::Channel, 7202);
@@ -196,7 +244,7 @@ fn tracing_works_over_tcp() {
     }
     assert!(
         !trees.is_empty(),
-        "trace contexts must survive the TCP wire (v4 frames)"
+        "trace contexts must survive the TCP wire (v5 frames)"
     );
     for tree in &trees {
         assert_eq!(phase_names(tree), PEER_PHASES);

@@ -590,7 +590,13 @@ impl StorageEngine {
         Ok(())
     }
 
-    fn apply_latching(&mut self, op: StorageOp) {
+    /// [`StorageEngine::apply_owned`] with the journal failure latched
+    /// instead of returned ([`StorageEngine::poison_error`]): the in-memory
+    /// state is always applied, and once the journal failed it is skipped.
+    /// This is what every [`DurableState`] method ends in; a caller that
+    /// already owns the op's payload calls it directly and saves the copy
+    /// the by-reference trait methods make.
+    pub fn apply_latching(&mut self, op: StorageOp) {
         if self.poison.is_some() {
             // Already poisoned: keep the in-memory state correct, skip the
             // journal (it is in an unknown state).
