@@ -5,7 +5,9 @@
 //!
 //! The decorator sits on the *send* path: every frame (a request towards a
 //! peer, and — through a [`ReplyHook`] — the reply travelling back) rolls
-//! the link's faults before it reaches the real transport.
+//! the link's faults before it reaches the real transport. The hook does not
+//! change who reads a reply: over TCP a reply the sending thread waits for
+//! is still read by that thread, which hands it to the hook.
 //!
 //! * A **dropped** frame vanishes silently: its reply sink is parked in a
 //!   bounded black hole instead of being dropped, so the sender observes a
@@ -16,8 +18,10 @@
 //!   buffer would.
 //! * A **duplicated** frame is delivered a second time with a null reply
 //!   sink — on a real wire the duplicate carries the same request id and
-//!   its reply is discarded by the demultiplexer, which is what the null
-//!   sink models. Duplicates are what the peers' dedup window exists for.
+//!   its reply is discarded by the requester, which is what the null sink
+//!   models (over TCP the duplicate travels on the pooled connection, as
+//!   nobody waits for its reply). Duplicates are what the peers' dedup
+//!   window exists for.
 //! * A **partition** separates two named sets of ends in both directions
 //!   until [`FaultPlan::heal`] is called; partitioned frames count as drops.
 //!
@@ -748,8 +752,9 @@ impl ReplyHook for FaultReplyHook {
             Decision::Drop => self.plan.black_hole(sink),
             Decision::Deliver { delay, .. } => {
                 // A duplicated reply frame is counted by decide() but cannot
-                // be delivered twice — the requester's demux (a one-shot
-                // channel) discards it, so there is nothing more to model.
+                // be delivered twice — the requester's slot takes the first
+                // reply and discards the rest, so there is nothing more to
+                // model.
                 match delay {
                     None => sink.send(reply),
                     Some(wait) => self
@@ -765,5 +770,12 @@ impl ReplyHook for FaultReplyHook {
         // Teardown is a local signal (the peer unbound / crashed), not a
         // frame: propagate promptly so callers see the honest `Dropped`.
         drop(self.sink.take());
+    }
+
+    /// The hooked sink: over TCP, a reply its waiter reads itself passes
+    /// through this hook in the waiter's hands, so loss, duplication and
+    /// delay of replies apply on the production path.
+    fn wrapped(&self) -> Option<&ReplySink> {
+        self.sink.as_ref()
     }
 }

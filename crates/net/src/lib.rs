@@ -38,7 +38,8 @@
 //!   ([`TransportKind::Channel`]).
 //! * [`TcpTransport`] — length-framed TCP ([`wire`], a deterministic
 //!   versioned binary codec) over loopback or the network: per-peer
-//!   acceptor threads, connection reuse, and typed rejection of garbage or
+//!   acceptor threads, replies read by the thread that waits for them (on
+//!   its own connections, see `tcp.rs`), and typed rejection of garbage or
 //!   oversized frames ([`WireError`]) — a hostile client costs one dropped
 //!   connection, never a peer. Select it with
 //!   [`ClusterConfig::with_transport`], or run real multi-process

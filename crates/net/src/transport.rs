@@ -6,17 +6,19 @@
 //! * [`Mailbox`] — the receive side of a bound peer: a queue of
 //!   [`Incoming`] work items, each a [`Request`] paired with the
 //!   [`ReplySink`] its answer must be sent into. Over the channel transport
-//!   the sink is the caller's in-process reply channel; over TCP it writes
-//!   a framed reply envelope back onto the connection the request arrived
-//!   on, tagged with the request id.
+//!   the sink is the caller's reply slot itself; over TCP it writes a framed
+//!   reply envelope back onto the connection the request arrived on, tagged
+//!   with the request id.
 //! * [`PeerEndpoint`] — the send side: a cheap, cloneable handle addressing
-//!   one peer. `send` allocates a request id, registers interest and
-//!   returns a [`PendingReply`]; `send_with_sink` relays an existing sink
-//!   (this is what makes request *forwarding* transparent — the forwarded
-//!   request carries the original reply path, whatever transport it came
-//!   in on). A caller with several independent requests sends them through
-//!   one `Gather` (crate-internal) instead and waits once for all of their
-//!   replies.
+//!   one peer. `send` registers a one-slot wait and returns it as a
+//!   [`PendingReply`]; `send_with_sink` relays an existing sink (this is
+//!   what makes request *forwarding* transparent — the forwarded request
+//!   carries the original reply path, whatever transport it came in on). A
+//!   caller with several independent requests sends them through one
+//!   `Gather` (crate-internal) instead and waits once for all of their
+//!   replies. Either way the thread that sends is the thread that waits,
+//!   which lets the TCP transport leave a reply on the waiter's own
+//!   connection for the waiter to read.
 //! * [`Transport`] — the factory tying both together with per-peer
 //!   addressing: `bind` (accept side), `endpoint` (connect side) and
 //!   `unbind` (teardown).
@@ -28,10 +30,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rdht_metrics::TraceContext;
 
@@ -205,13 +209,19 @@ pub trait ReplyHook: Send {
     /// The sink was dropped unsent — a teardown signal (crash, reap), not a
     /// network frame; hooks are expected to propagate it promptly.
     fn dropped(self: Box<Self>);
+    /// The sink this hook ends up delivering into, if it wraps one. A
+    /// transport looks through the hook to find who waits for the reply: if
+    /// it is the sending thread, that thread reads the reply itself and
+    /// hands it to the hook. A hook answering `None` has its reply read by
+    /// a transport thread instead.
+    fn wrapped(&self) -> Option<&ReplySink> {
+        None
+    }
 }
 
 enum SinkInner {
     /// No one is waiting (lifecycle messages).
     Null,
-    /// An in-process caller waiting on a reply channel.
-    Channel(Sender<Reply>),
     /// A remote requester: the reply is framed back onto the connection the
     /// request arrived on, tagged with its request id.
     Remote {
@@ -236,10 +246,15 @@ enum SinkInner {
 
 /// The reply path of one in-flight request. Consume it with
 /// [`ReplySink::send`]; a sink dropped unsent signals failure instead of
-/// leaving the requester to time out (a channel disconnects, a remote
-/// requester receives [`Reply::Error`], a fan-in counts a failed put, a
-/// collecting sink records [`Reply::Error`] in the constituent's place, a
-/// scatter-gather slot reads [`CallError::Dropped`]).
+/// leaving the requester to time out (a remote requester receives
+/// [`Reply::Error`], a fan-in counts a failed put, a collecting sink records
+/// [`Reply::Error`] in the constituent's place, a waiter's slot reads
+/// [`CallError::Dropped`]).
+///
+/// Whoever delivers the reply consumes the sink: the peer loop over the
+/// channel transport; over TCP the thread waiting for it when that thread
+/// sent the request, and otherwise (a forward, a request re-sent by the
+/// fault layer's timer) the reader thread of the connection it went out on.
 pub struct ReplySink {
     inner: SinkInner,
 }
@@ -248,7 +263,6 @@ impl fmt::Debug for ReplySink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match self.inner {
             SinkInner::Null => "Null",
-            SinkInner::Channel(_) => "Channel",
             SinkInner::Remote { .. } => "Remote",
             SinkInner::Fanin(_) => "Fanin",
             SinkInner::Collect { .. } => "Collect",
@@ -265,13 +279,6 @@ impl ReplySink {
     pub fn null() -> Self {
         ReplySink {
             inner: SinkInner::Null,
-        }
-    }
-
-    /// A sink delivering into an in-process reply channel.
-    pub fn channel(sender: Sender<Reply>) -> Self {
-        ReplySink {
-            inner: SinkInner::Channel(sender),
         }
     }
 
@@ -341,13 +348,23 @@ impl ReplySink {
             .collect()
     }
 
+    /// The waiter of this reply — looking through middleware hooks — when
+    /// it is a [`Gather`] of the calling thread: a transport sending the
+    /// request from here can leave the reply for that thread to read.
+    pub(crate) fn waiter_here(&self) -> Option<WaiterId> {
+        match &self.inner {
+            SinkInner::Slot { gather, .. } => {
+                (gather.thread == thread_token()).then(|| gather.waiter())
+            }
+            SinkInner::Hooked(hook) => hook.wrapped()?.waiter_here(),
+            _ => None,
+        }
+    }
+
     /// Delivers the reply, consuming the sink.
     pub fn send(mut self, reply: Reply) {
         match std::mem::replace(&mut self.inner, SinkInner::Null) {
             SinkInner::Null => {}
-            SinkInner::Channel(sender) => {
-                let _ = sender.send(reply);
-            }
             SinkInner::Remote { writer, request_id } => {
                 writer.write_reply(request_id, &reply);
             }
@@ -366,9 +383,6 @@ impl Drop for ReplySink {
     fn drop(&mut self) {
         match std::mem::replace(&mut self.inner, SinkInner::Null) {
             SinkInner::Null => {}
-            // Dropping the sender disconnects the caller's reply channel —
-            // it observes a prompt `Dropped` instead of a timeout.
-            SinkInner::Channel(_sender) => {}
             SinkInner::Remote { writer, request_id } => {
                 writer.write_reply(request_id, &dropped_unanswered());
             }
@@ -480,12 +494,26 @@ pub trait EndpointImpl: Send + Sync {
     ) -> Result<(), SendRejected>;
 }
 
-/// A reply being awaited. Produced by [`PeerEndpoint::send`]; redeemed with
-/// [`PendingReply::wait`]. Dropping it abandons the request (a late reply
-/// is discarded by the transport).
-#[derive(Debug)]
+/// A reply being awaited: a one-slot `Gather`. Produced by
+/// [`PeerEndpoint::send`]; redeemed with [`PendingReply::wait`], which over
+/// TCP reads the reply off the waiting thread's own connection. Dropping it
+/// abandons the request (a late reply is discarded).
+///
+/// The thread that sent the request is the one that waits for it, so a
+/// pending reply cannot move to another thread:
+///
+/// ```compile_fail
+/// fn sendable<T: Send>() {}
+/// sendable::<rdht_net::PendingReply>();
+/// ```
 pub struct PendingReply {
-    receiver: Receiver<Reply>,
+    gather: Gather,
+}
+
+impl fmt::Debug for PendingReply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PendingReply")
+    }
 }
 
 /// What a delivered reply means to its caller: [`Reply::Error`] is the
@@ -501,11 +529,8 @@ impl PendingReply {
     /// Blocks until the reply arrives, the reply path is torn down, or
     /// `timeout` elapses.
     pub fn wait(self, timeout: Duration) -> Result<Reply, CallError> {
-        match self.receiver.recv_timeout(timeout) {
-            Ok(reply) => answered(reply),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(CallError::Timeout),
-            Err(_) => Err(CallError::Dropped),
-        }
+        let mut landed = self.gather.wait(timeout);
+        landed.pop().expect("a pending reply has one slot").outcome
     }
 }
 
@@ -521,10 +546,30 @@ pub(crate) struct Gathered {
     pub(crate) landed: Option<Instant>,
 }
 
+/// A number no two live threads share, naming the thread a [`Gather`] was
+/// made on.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        // relaxed: the token only has to be unique, which the RMW ensures.
+        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    TOKEN.with(|token| *token)
+}
+
+/// Which [`Gather`] a reply slot belongs to: a transport that leaves replies
+/// for their waiter to read files them under this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WaiterId(usize);
+
 struct GatherState {
     slots: Vec<Option<Gathered>>,
     /// Slots still empty; the fill that takes this to zero wakes the waiter.
     remaining: usize,
+    /// Set by [`Gather::wait`] before it sleeps on the latch: a fill that
+    /// lands while the waiter is still reading its own replies has no one to
+    /// wake.
+    parked: bool,
     /// Set by [`Gather::wait`] when it collects: whatever lands afterwards
     /// belongs to an exchange its caller already gave up on.
     closed: bool,
@@ -535,6 +580,8 @@ struct GatherShared {
     all_landed: Condvar,
     /// Whether slots record when they landed.
     timed: bool,
+    /// The [`thread_token`] of the thread that waits.
+    thread: u64,
 }
 
 impl GatherShared {
@@ -542,6 +589,13 @@ impl GatherShared {
     /// decrement under the lock), so a poisoned lock is recovered.
     fn lock(&self) -> MutexGuard<'_, GatherState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// This gather's identity. A reply still owed to it holds a sink that
+    /// holds this allocation, so no other gather can take the address over
+    /// while the transport files anything under it.
+    fn waiter(&self) -> WaiterId {
+        WaiterId(self as *const GatherShared as usize)
     }
 
     /// Fills slot `index` unless it is already filled or the waiter already
@@ -556,7 +610,7 @@ impl GatherShared {
             landed: self.timed.then(Instant::now),
         });
         state.remaining -= 1;
-        if state.remaining == 0 {
+        if state.remaining == 0 && state.parked {
             drop(state);
             self.all_landed.notify_one();
         }
@@ -565,18 +619,23 @@ impl GatherShared {
 
 /// The receive side of a scatter-gather exchange: `n` reply slots behind a
 /// countdown latch. The caller sends every request of the exchange with
-/// [`Gather::send`], then blocks **once** in [`Gather::wait`]; the reply
-/// paths fill their slots from whatever thread delivers them (a peer loop, a
-/// TCP demux reader, the fault layer's timer), and the fill that empties the
-/// countdown — or the deadline — releases the waiter. One sleep and one
-/// wake-up for the whole exchange instead of one per request.
+/// [`Gather::send`], then blocks **once** in [`Gather::wait`]. Over TCP the
+/// requests went out on the waiting thread's own connections and `wait`
+/// reads their replies itself; every other reply path (a peer loop over the
+/// channel transport, the fault layer's timer, a reader thread for a request
+/// another thread sent) fills its slot from the thread that delivers it, and
+/// the fill that empties the countdown — or the deadline — releases the
+/// waiter. One wait for the whole exchange instead of one per request.
 ///
 /// A slot takes the first outcome offered to it and nothing after the waiter
 /// collected: a reply that lands late (its sink was parked by a lossy link,
 /// or the peer was slow) is discarded, exactly as a dropped [`PendingReply`]
-/// discards it.
+/// discards it. A gather stays on the thread that made it — the thread that
+/// sends is the thread that waits — which the compiler checks: it is not
+/// `Send`.
 pub(crate) struct Gather {
     shared: Arc<GatherShared>,
+    _same_thread: PhantomData<*const ()>,
 }
 
 impl Gather {
@@ -589,11 +648,14 @@ impl Gather {
                 state: StdMutex::new(GatherState {
                     slots: (0..slots).map(|_| None).collect(),
                     remaining: slots,
+                    parked: false,
                     closed: false,
                 }),
                 all_landed: Condvar::new(),
                 timed,
+                thread: thread_token(),
             }),
+            _same_thread: PhantomData,
         }
     }
 
@@ -631,15 +693,21 @@ impl Gather {
         }
     }
 
-    /// Blocks until every slot is filled or `timeout` elapses, then closes
-    /// the gather and returns the slots in index order; a slot still empty
-    /// reads [`CallError::Timeout`].
+    /// Reads this gather's replies off the thread's own TCP connections,
+    /// then blocks until every slot is filled or `timeout` (both phases
+    /// together) elapses, closes the gather and returns the slots in index
+    /// order; a slot still empty reads [`CallError::Timeout`].
     pub(crate) fn wait(self, timeout: Duration) -> Vec<Gathered> {
-        let (mut state, _timed_out) = self
-            .shared
-            .all_landed
-            .wait_timeout_while(self.shared.lock(), timeout, |state| state.remaining > 0)
-            .unwrap_or_else(PoisonError::into_inner);
+        let timeout = crate::tcp::read_own_replies(self.shared.waiter(), timeout);
+        let mut state = self.shared.lock();
+        if state.remaining > 0 {
+            state.parked = true;
+            (state, _) = self
+                .shared
+                .all_landed
+                .wait_timeout_while(state, timeout, |state| state.remaining > 0)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
         state.closed = true;
         let timed = self.shared.timed;
         std::mem::take(&mut state.slots)
@@ -708,10 +776,10 @@ impl PeerEndpoint {
         request: Request,
         trace: Option<TraceContext>,
     ) -> Result<PendingReply, TransportError> {
-        let (tx, rx) = bounded(1);
-        self.send_with_sink_traced(request, ReplySink::channel(tx), trace)
+        let gather = Gather::new(1, false);
+        self.send_with_sink_traced(request, gather.sink(0), trace)
             .map_err(|rejected| rejected.error)?;
-        Ok(PendingReply { receiver: rx })
+        Ok(PendingReply { gather })
     }
 
     /// Sends a request that expects no answer (`Shutdown`, `Crash`).

@@ -930,36 +930,109 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Reads one length-prefixed frame payload from `reader`.
+/// The size a [`FrameReader`]'s buffer starts at and returns to: every data
+/// frame of the protocol fits, so one `read` usually brings in a whole frame
+/// (or several).
+const READ_BUFFER_LEN: usize = 8 * 1024;
+
+/// Splits a byte stream into frame payloads through one buffer: a `read`
+/// takes in as much as the stream has, so a frame the sender wrote whole
+/// costs one `read`, not one for the length prefix and one for the payload.
 ///
-/// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
-/// boundary); EOF inside a frame is an error. An oversized length prefix is
-/// rejected before any allocation.
-pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0;
-    while filled < len_bytes.len() {
-        match reader.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None), // clean EOF
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream closed inside a frame length prefix",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
-            Err(error) => return Err(FrameError::Io(error)),
+/// A frame longer than the buffer grows it for that frame only (after the
+/// length prefix passed the [`MAX_FRAME_LEN`] check); the buffer returns to
+/// its resting size once the frame is consumed. Bytes of an incomplete frame
+/// stay buffered when a read fails — a read timeout loses no framing, and
+/// the next call continues where the failed one stopped.
+pub(crate) struct FrameReader {
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// An empty reader with a resting-size buffer.
+    pub(crate) fn new() -> Self {
+        FrameReader {
+            buf: vec![0; READ_BUFFER_LEN],
+            start: 0,
+            end: 0,
         }
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Wire(WireError::FrameTooLarge {
-            len,
-            max: MAX_FRAME_LEN,
-        }));
+
+    /// The next frame's payload, reading from `source` only when the buffer
+    /// does not already hold all of it.
+    ///
+    /// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
+    /// boundary); EOF inside a frame is an I/O error, and an oversized length
+    /// prefix is [`WireError::FrameTooLarge`] before anything is allocated
+    /// for it.
+    pub(crate) fn next_frame(
+        &mut self,
+        source: &mut impl Read,
+    ) -> Result<Option<&[u8]>, FrameError> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > READ_BUFFER_LEN {
+                self.buf = vec![0; READ_BUFFER_LEN];
+            }
+        }
+        let payload = loop {
+            let buffered = self.end - self.start;
+            let needed = if buffered < 4 {
+                4
+            } else {
+                let prefix = &self.buf[self.start..self.start + 4];
+                let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes"));
+                if len > MAX_FRAME_LEN {
+                    return Err(FrameError::Wire(WireError::FrameTooLarge {
+                        len,
+                        max: MAX_FRAME_LEN,
+                    }));
+                }
+                let total = 4 + len as usize;
+                if buffered >= total {
+                    break self.start + 4..self.start + total;
+                }
+                total
+            };
+            self.make_room(needed);
+            match source.read(&mut self.buf[self.end..]) {
+                Ok(0) if buffered == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "stream closed inside a frame",
+                    )))
+                }
+                Ok(n) => self.end += n,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                Err(error) => return Err(FrameError::Io(error)),
+            }
+        };
+        self.start = payload.end;
+        Ok(Some(&self.buf[payload]))
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload).map_err(FrameError::Io)?;
-    Ok(Some(payload))
+
+    /// Makes the buffer hold at least `needed` bytes from the first
+    /// unconsumed one — sliding them to the front, or moving them into a
+    /// larger buffer for a frame the current one cannot hold. `needed`
+    /// exceeds what is buffered, so the buffer has room to read into after.
+    fn make_room(&mut self, needed: usize) {
+        if self.buf.len() - self.start >= needed {
+            return;
+        }
+        let buffered = self.end - self.start;
+        if self.buf.len() >= needed {
+            self.buf.copy_within(self.start..self.end, 0);
+        } else {
+            let mut grown = vec![0; needed];
+            grown[..buffered].copy_from_slice(&self.buf[self.start..self.end]);
+            self.buf = grown;
+        }
+        self.start = 0;
+        self.end = buffered;
+    }
 }

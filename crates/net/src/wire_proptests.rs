@@ -15,7 +15,7 @@ use rdht_storage::StoredReplica;
 use crate::cluster::PeerId;
 use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 use crate::wire::{
-    decode_payload, encode_reply, encode_request, read_frame, Envelope, FrameError, WireError,
+    decode_payload, encode_reply, encode_request, Envelope, FrameError, FrameReader, WireError,
     MAX_FRAME_LEN, WIRE_VERSION,
 };
 
@@ -483,20 +483,85 @@ proptest! {
         let clean_len = stream.len();
         stream.extend_from_slice(&tail);
         let mut reader = &stream[..];
+        let mut frames = FrameReader::new();
         for (id, request) in expected {
-            let payload = read_frame(&mut reader).unwrap().expect("frame present");
+            let payload = frames.next_frame(&mut reader).unwrap().expect("frame present");
             prop_assert_eq!(
-                decode_payload(&payload),
+                decode_payload(payload),
                 Ok(Envelope::Request { request_id: id, request, trace: None })
             );
         }
         if tail.is_empty() {
-            prop_assert_eq!(read_frame(&mut reader).unwrap(), None);
+            prop_assert_eq!(frames.next_frame(&mut reader).unwrap(), None);
         } else {
             // 1–2 stray bytes cannot form a length prefix: EOF mid-prefix.
-            prop_assert!(read_frame(&mut reader).is_err());
+            prop_assert!(frames.next_frame(&mut reader).is_err());
         }
         prop_assert_eq!(clean_len + tail.len(), stream.len());
+    }
+
+    /// However a socket splits the stream — reads ending anywhere, inside a
+    /// length prefix or a payload, frames larger than the reader's buffer,
+    /// a read timeout between any two reads — the buffered reader yields
+    /// exactly the frames that were written, then a clean EOF.
+    #[test]
+    fn buffered_reader_survives_any_read_boundaries(
+        key_lens in vec(0usize..20_000, 1..6),
+        cuts in vec(1usize..3_000, 1..32),
+        stalls in vec(any::<bool>(), 1..16),
+    ) {
+        let mut bytes = Vec::new();
+        let mut expected = Vec::new();
+        for (id, &len) in key_lens.iter().enumerate() {
+            let request = Request::GetReplica {
+                hash: HashId(id as u32),
+                key: Key::from_bytes(vec![id as u8; len]),
+            };
+            bytes.extend_from_slice(&encode_request(id as u64, &request, None));
+            expected.push(Envelope::Request { request_id: id as u64, request, trace: None });
+        }
+        let mut stream = Chunked { bytes, at: 0, cuts, stalls, reads: 0, stalled: false };
+        let mut frames = FrameReader::new();
+        let mut got = Vec::new();
+        loop {
+            match frames.next_frame(&mut stream) {
+                Ok(Some(payload)) => got.push(decode_payload(payload).unwrap()),
+                Ok(None) => break,
+                Err(FrameError::Io(error)) if error.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(error) => prop_assert!(false, "unexpected error: {error}"),
+            }
+        }
+        prop_assert_eq!(got, expected);
+    }
+}
+
+/// A byte stream read back in chunks of the sizes in `cuts` (cycled), failing
+/// with `WouldBlock` — what a read timeout looks like — before each read
+/// `stalls` (cycled) marks: a socket, as the reader of it sees one.
+struct Chunked {
+    bytes: Vec<u8>,
+    at: usize,
+    cuts: Vec<usize>,
+    stalls: Vec<bool>,
+    reads: usize,
+    stalled: bool,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.reads;
+        self.reads += 1;
+        if !self.stalled && self.stalls[read % self.stalls.len()] {
+            self.stalled = true;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.stalled = false;
+        let n = self.cuts[read % self.cuts.len()]
+            .min(buf.len())
+            .min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
     }
 }
 
@@ -512,7 +577,7 @@ mod deterministic {
         let mut stream = Vec::new();
         stream.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut reader = &stream[..];
-        match read_frame(&mut reader) {
+        match FrameReader::new().next_frame(&mut reader) {
             Err(FrameError::Wire(WireError::FrameTooLarge { len, max })) => {
                 assert_eq!(len, u32::MAX);
                 assert_eq!(max, MAX_FRAME_LEN);
@@ -526,14 +591,17 @@ mod deterministic {
         let over = (MAX_FRAME_LEN + 1).to_le_bytes();
         let mut reader = &over[..];
         assert!(matches!(
-            read_frame(&mut reader),
+            FrameReader::new().next_frame(&mut reader),
             Err(FrameError::Wire(WireError::FrameTooLarge { .. }))
         ));
         // Exactly MAX_FRAME_LEN passes the prefix check (and then fails as
         // an incomplete frame, which is an I/O error, not a wire error).
         let at_max = MAX_FRAME_LEN.to_le_bytes();
         let mut reader = &at_max[..];
-        assert!(matches!(read_frame(&mut reader), Err(FrameError::Io(_))));
+        assert!(matches!(
+            FrameReader::new().next_frame(&mut reader),
+            Err(FrameError::Io(_))
+        ));
     }
 
     #[test]
@@ -541,7 +609,10 @@ mod deterministic {
         let frame = encode_request(1, &Request::Shutdown, None);
         let truncated = &frame[..frame.len() - 1];
         let mut reader = truncated;
-        assert!(matches!(read_frame(&mut reader), Err(FrameError::Io(_))));
+        assert!(matches!(
+            FrameReader::new().next_frame(&mut reader),
+            Err(FrameError::Io(_))
+        ));
     }
 
     #[test]

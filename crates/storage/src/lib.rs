@@ -30,7 +30,7 @@
 //!   `len: u32 LE | crc32: u32 LE | payload`. Readers stop at the first
 //!   frame that fails — everything before is a valid prefix, a torn final
 //!   record is tolerated and truncated away.
-//! * **WAL** ([`wal`]): `wal-<generation:016x>.log`, a sequence of framed
+//! * **WAL** (`wal.rs`): `wal-<generation:016x>.log`, a sequence of framed
 //!   [`StorageOp`] records in apply order. [`FsyncPolicy`] controls when
 //!   appends reach stable storage (`Always` / `EveryN(n)` /
 //!   `GroupCommit { max_batch, max_delay }` / `Never`). Group commit is the
@@ -40,7 +40,7 @@
 //!   covering `sync_data` at the batch boundary — each op is acknowledged
 //!   only after the sync that covers it, so the durability guarantee is
 //!   `Always`-grade at a fraction of the fsync count.
-//! * **Snapshots** ([`snapshot`]): `snapshot-<generation:016x>.snap`, a
+//! * **Snapshots** (`snapshot.rs`): `snapshot-<generation:016x>.snap`, a
 //!   framed header (magic `RDHTSNAP`, version, generation), one op per
 //!   replica/counter, and a footer with the op count; rejected as a whole
 //!   unless complete. Compaction writes the next generation to a `.tmp`
