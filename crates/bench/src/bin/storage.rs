@@ -33,7 +33,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rdht_bench::BenchMeta;
 use rdht_core::{ums, InMemoryDht, Timestamp};
@@ -143,10 +143,7 @@ fn bench_ums_insert_group_commit(writers: usize, calls: u64) -> BenchLine {
     let keys = bench_keys(64);
     let name = format!("ums_insert_group_commit_w{writers}");
     let dir = temp_dir(&format!("group-w{writers}"));
-    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(
-        1 << 20,
-        Duration::from_micros(100),
-    ));
+    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(1 << 20));
     options.snapshot_every = 0;
     let engine = StorageEngine::open(&dir, options).expect("open engine");
     let mut dht = InMemoryDht::with_durability(10, 7, engine);
@@ -160,13 +157,14 @@ fn bench_ums_insert_group_commit(writers: usize, calls: u64) -> BenchLine {
             dht.durability_mut().sync().expect("covering sync");
         }
     });
-    let stats = dht.durability_mut().stats();
+    let engine = dht.durability_mut();
     assert!(
-        !dht.durability_mut().is_poisoned(),
+        !engine.is_poisoned(),
         "journal must stay healthy during the bench"
     );
+    let metrics = engine.metrics();
     assert!(
-        stats.wal_syncs <= stats.ops_appended / writers as u64 + 1,
+        metrics.wal_syncs.get() <= metrics.ops_appended.get() / writers as u64 + 1,
         "group commit must amortize syncs over the round"
     );
     drop(dht);
@@ -308,7 +306,7 @@ fn bench_cluster_insert_lossy(
 /// sampling at rate 1.0 is exactly the overhead the sweep must not carry.
 fn slowlog_report(writers: usize, inserts_per_writer: usize) -> Option<String> {
     let dir = temp_dir(&format!("slowlog-w{writers}"));
-    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64, Duration::ZERO));
+    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
     options.snapshot_every = 0;
     let config = ClusterConfig::new(1, 8, 0x510e)
         .with_storage(ClusterStorage::with_options(&dir, options))
@@ -460,12 +458,11 @@ fn main() {
         ));
         // Clients here are closed-loop (each writer has one request in
         // flight), so every op that can join a batch is already queued when
-        // the leader drains — a straggler window (`max_delay > 0`) would
-        // only add timer latency. Batch size is bounded by the per-peer
-        // write concurrency, which is what the writer sweep varies.
+        // the leader drains. Batch size is bounded by the per-peer write
+        // concurrency, which is what the writer sweep varies.
         lines.push(bench_cluster_insert(
             "group_commit",
-            FsyncPolicy::group_commit(64, Duration::ZERO),
+            FsyncPolicy::group_commit(64),
             writers,
             cluster_inserts,
             TransportKind::Channel,
@@ -484,7 +481,7 @@ fn main() {
         ));
         lines.push(bench_cluster_insert(
             "tcp_group_commit",
-            FsyncPolicy::group_commit(64, Duration::ZERO),
+            FsyncPolicy::group_commit(64),
             writers,
             cluster_inserts,
             TransportKind::Tcp,

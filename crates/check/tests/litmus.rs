@@ -237,7 +237,7 @@ fn cas_spinlock_excludes() {
 }
 
 /// Three threads, sanity check that exploration scales and fetch_max is
-/// exact (the Counter::record_absolute shape).
+/// exact (a high-water mark).
 #[test]
 fn three_thread_fetch_max_converges() {
     let report = model_with(Config::default(), || {

@@ -60,7 +60,9 @@ pub struct LastTsOutcome {
 }
 
 /// Counters of how much work a KTS node has performed; used by tests,
-/// experiments and the ablation benches.
+/// experiments and the ablation benches. They are plain integers rather
+/// than registry handles because `rdht-core` has no metrics dependency; the
+/// simulator builds its `sim_kts_*` series from them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KtsStats {
     /// Timestamps generated (`gen_ts` requests served).

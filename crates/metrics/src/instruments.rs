@@ -38,18 +38,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises the counter to `total` if it is currently below it (a relaxed
-    /// `fetch_max`). This is the mirror hook for subsystems that already
-    /// count internally (e.g. the WAL writer's own sync count): publishing
-    /// the externally tracked monotonic total keeps the registry value exact
-    /// without double counting.
-    #[inline]
-    pub fn record_absolute(&self, total: u64) {
-        // relaxed: fetch_max is monotonic under any interleaving of RMWs;
-        // no other location's state is published through this one.
-        self.value.fetch_max(total, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -352,17 +340,6 @@ mod tests {
         let clone = c.clone();
         clone.inc();
         assert_eq!(c.get(), 6, "clones share the atomic");
-    }
-
-    #[test]
-    fn counter_record_absolute_is_monotonic() {
-        let c = Counter::new();
-        c.record_absolute(10);
-        assert_eq!(c.get(), 10);
-        c.record_absolute(7);
-        assert_eq!(c.get(), 10, "never moves backwards");
-        c.record_absolute(12);
-        assert_eq!(c.get(), 12);
     }
 
     #[test]

@@ -63,18 +63,6 @@ fn counter_increments_are_exact() {
 }
 
 #[test]
-fn counter_record_absolute_stays_monotonic_under_races() {
-    model(|| {
-        let counter = Counter::new();
-        let c2 = counter.clone();
-        let t = thread::spawn(move || c2.record_absolute(10));
-        counter.record_absolute(7);
-        t.join().unwrap();
-        assert_eq!(counter.get(), 10, "high-water mark lost");
-    });
-}
-
-#[test]
 fn gauge_signed_updates_are_exact() {
     model(|| {
         let gauge = Gauge::new();

@@ -7,8 +7,8 @@
 //! [`rdht_net::Request::Metrics`] wire exchange — and prints each peer's
 //! Prometheus text exposition. The expositions are validated with the
 //! crate's own parser and checked for the roadmap-named instruments
-//! (request service-time histograms, WAL fsyncs, queue depth, dedup hits,
-//! indirect initializations, hand-off stall time).
+//! (request service-time histograms, WAL fsyncs, drained batch sizes, dedup
+//! hits, indirect initializations, hand-off stall time).
 //!
 //! ```text
 //! cargo run --release --example metrics
@@ -39,7 +39,6 @@ const KEYS: usize = 16;
 /// Every instrument the scrape must expose — the roadmap's named set.
 const REQUIRED: &[&str] = &[
     rdht_net::metrics::names::REQUESTS,
-    rdht_net::metrics::names::QUEUE_DEPTH,
     rdht_net::metrics::names::DRAIN_BATCH,
     rdht_net::metrics::names::SERVICE_NS,
     rdht_net::metrics::names::DEDUP_APPLIED,
@@ -47,7 +46,6 @@ const REQUIRED: &[&str] = &[
     rdht_net::metrics::names::HANDOFF_STALL_NS,
     rdht_net::metrics::names::INDIRECT_INITS,
     rdht_storage::metrics::names::WAL_SYNCS,
-    rdht_storage::metrics::names::BATCH_OPS,
     rdht_membership::metrics::names::EXPORT_NS,
 ];
 
@@ -91,7 +89,7 @@ fn main() {
     let storage = ClusterStorage::with_options(
         &storage_root,
         StorageOptions {
-            fsync: FsyncPolicy::group_commit(64, Duration::from_millis(2)),
+            fsync: FsyncPolicy::group_commit(64),
             ..StorageOptions::default()
         },
     );

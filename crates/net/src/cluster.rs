@@ -200,14 +200,19 @@ impl ClusterConfig {
     }
 }
 
-/// Shared totals of the peers' idempotency windows
-/// ([`Cluster::dedup_stats`]), kept as registry-grade [`Counter`] handles:
-/// the same atomics the stats snapshot reads are registered into every
-/// peer's metrics registry, so the two surfaces can never disagree.
-#[derive(Default)]
-pub(crate) struct DedupCounters {
-    pub(crate) applied: Counter,
-    pub(crate) suppressed: Counter,
+/// Totals of the peers' idempotency windows ([`Cluster::dedup`]): how many
+/// identified mutations were applied for the first time, and how many
+/// arrived again (a client retry or a duplicated frame) and were answered
+/// from the cached reply instead of being re-applied. `suppressed > 0` under
+/// a fault plan is the proof that the network misbehaved *and* that no
+/// mutation ran twice because of it. Every peer's registry holds these very
+/// handles, so the series and the fields read the same atomics.
+#[derive(Debug, Default)]
+pub struct DedupCounters {
+    /// Identified mutations applied exactly once.
+    pub applied: Counter,
+    /// Retried or duplicated mutations answered from the cache.
+    pub suppressed: Counter,
 }
 
 impl DedupCounters {
@@ -227,20 +232,6 @@ impl DedupCounters {
             self.suppressed.clone(),
         );
     }
-}
-
-/// Totals of the peers' request-dedup windows: how many identified
-/// mutations were applied for the first time, and how many arrived again (a
-/// client retry or a duplicated frame) and were answered from the cached
-/// reply instead of being re-applied. `duplicates_suppressed > 0` under a
-/// fault plan is the proof that the network misbehaved *and* that no
-/// mutation ran twice because of it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Identified mutations applied exactly once.
-    pub mutations_applied: u64,
-    /// Retried or duplicated mutations answered from the cache.
-    pub duplicates_suppressed: u64,
 }
 
 /// Shared, read-mostly view of cluster membership: which peers exist, which
@@ -507,11 +498,8 @@ impl Cluster {
 
     /// Totals of the peers' idempotency windows: mutations applied exactly
     /// once vs. retried/duplicated arrivals answered from the cache.
-    pub fn dedup_stats(&self) -> DedupStats {
-        DedupStats {
-            mutations_applied: self.directory.dedup.applied.get(),
-            duplicates_suppressed: self.directory.dedup.suppressed.get(),
-        }
+    pub fn dedup(&self) -> &DedupCounters {
+        &self.directory.dedup
     }
 
     /// The metrics registry shared with `peer`'s thread, or `None` when the

@@ -27,8 +27,8 @@
 //!
 //! Every directed link owns its own [`rand::rngs::StdRng`] seeded from the
 //! plan seed and the link identity, so a single-threaded workload replays
-//! the exact same fault sequence for a given seed, and per-link counters
-//! ([`LinkCounters`]) make loss observable for assertions.
+//! the exact same fault sequence for a given seed, and the plan's totals
+//! ([`FaultCounters`]) make loss observable for assertions.
 //!
 //! Lifecycle requests ([`Request::Shutdown`], [`Request::Crash`]) are
 //! exempt: they model operator actions on the process, not network frames —
@@ -167,29 +167,6 @@ impl LinkFaults {
     }
 }
 
-/// Per-directed-link delivery counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkCounters {
-    /// Frames passed through to the real transport (delayed and duplicated
-    /// frames count here too once they go out).
-    pub frames_delivered: u64,
-    /// Frames silently dropped (including partitioned frames).
-    pub frames_dropped: u64,
-    /// Frames held back by the latency model before delivery.
-    pub frames_delayed: u64,
-    /// Frames delivered a second time.
-    pub frames_duplicated: u64,
-}
-
-/// A snapshot of everything the plan has done so far.
-#[derive(Clone, Debug, Default)]
-pub struct FaultStats {
-    /// Totals across every link.
-    pub totals: LinkCounters,
-    /// Per-directed-link counters, sorted by link for determinism.
-    pub per_link: Vec<((End, End), LinkCounters)>,
-}
-
 struct PartitionState {
     a: Vec<End>,
     b: Vec<End>,
@@ -217,27 +194,32 @@ struct PlanState {
     links: HashMap<(End, End), LinkFaults>,
     partitions: HashMap<String, PartitionState>,
     rngs: HashMap<(End, End), StdRng>,
-    counters: HashMap<(End, End), LinkCounters>,
     /// Sinks of dropped frames, parked so their senders time out instead of
     /// observing a prompt (and dishonest) teardown signal.
     black_hole: VecDeque<ReplySink>,
 }
 
-/// The plan-wide totals, kept as registry-grade [`Counter`] handles: the
-/// same atomics [`FaultPlan::stats`] snapshots can be registered into a
-/// peer's metrics registry ([`FaultPlan::register_metrics`]) — one storage
-/// location, whichever way it is read.
-struct Totals {
-    delivered: Counter,
-    dropped: Counter,
-    delayed: Counter,
-    duplicated: Counter,
+/// What the plan has done to frames so far, totalled over every link
+/// ([`FaultPlan::counters`]). [`FaultPlan::register_metrics`] puts these very
+/// handles into a registry, so the series and the fields read the same
+/// atomics.
+#[derive(Debug, Default)]
+pub struct FaultCounters {
+    /// Frames passed through to the real transport (delayed and duplicated
+    /// frames count here too once they go out).
+    pub delivered: Counter,
+    /// Frames silently dropped (including partitioned frames).
+    pub dropped: Counter,
+    /// Frames held back by the latency model before delivery.
+    pub delayed: Counter,
+    /// Frames delivered a second time.
+    pub duplicated: Counter,
 }
 
 struct PlanInner {
     seed: u64,
     state: Mutex<PlanState>,
-    totals: Totals,
+    counters: FaultCounters,
     scheduler: Scheduler,
 }
 
@@ -272,15 +254,9 @@ impl FaultPlan {
                     links: HashMap::new(),
                     partitions: HashMap::new(),
                     rngs: HashMap::new(),
-                    counters: HashMap::new(),
                     black_hole: VecDeque::new(),
                 }),
-                totals: Totals {
-                    delivered: Counter::new(),
-                    dropped: Counter::new(),
-                    delayed: Counter::new(),
-                    duplicated: Counter::new(),
-                },
+                counters: FaultCounters::default(),
                 scheduler: Scheduler::new(),
             }),
         }
@@ -351,56 +327,40 @@ impl FaultPlan {
         matches!(self.decide(from, to), Decision::Drop)
     }
 
-    /// A snapshot of the per-link and total counters.
-    pub fn stats(&self) -> FaultStats {
-        let state = self.inner.state.lock();
-        let mut per_link: Vec<((End, End), LinkCounters)> = state
-            .counters
-            .iter()
-            .map(|(link, counters)| (*link, *counters))
-            .collect();
-        per_link.sort_by_key(|(link, _)| *link);
-        FaultStats {
-            totals: LinkCounters {
-                frames_delivered: self.inner.totals.delivered.get(),
-                frames_dropped: self.inner.totals.dropped.get(),
-                frames_delayed: self.inner.totals.delayed.get(),
-                frames_duplicated: self.inner.totals.duplicated.get(),
-            },
-            per_link,
-        }
+    /// The plan-wide totals, live.
+    pub fn counters(&self) -> &FaultCounters {
+        &self.inner.counters
     }
 
-    /// Registers the plan-wide totals into a metrics registry as shared
-    /// handles: the registry series and [`FaultPlan::stats`] read the same
-    /// atomics, so the two surfaces can never disagree. Totals are
-    /// plan-wide — on a cluster with one plan, every peer's exposition
-    /// mirrors the same values.
+    /// Registers the plan-wide totals ([`FaultPlan::counters`]) into a
+    /// metrics registry as shared handles. Totals are plan-wide — on a
+    /// cluster with one plan, every peer's exposition shows the same
+    /// values.
     pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
         use crate::metrics::names;
         registry.register_counter(
             names::FAULT_DELIVERED,
             "frames the fault plan passed through to the real transport",
             labels,
-            self.inner.totals.delivered.clone(),
+            self.inner.counters.delivered.clone(),
         );
         registry.register_counter(
             names::FAULT_DROPPED,
             "frames the fault plan silently dropped (including partitions)",
             labels,
-            self.inner.totals.dropped.clone(),
+            self.inner.counters.dropped.clone(),
         );
         registry.register_counter(
             names::FAULT_DELAYED,
             "frames the fault plan held back before delivery",
             labels,
-            self.inner.totals.delayed.clone(),
+            self.inner.counters.delayed.clone(),
         );
         registry.register_counter(
             names::FAULT_DUPLICATED,
             "frames the fault plan delivered a second time",
             labels,
-            self.inner.totals.duplicated.clone(),
+            self.inner.counters.duplicated.clone(),
         );
     }
 
@@ -412,14 +372,12 @@ impl FaultPlan {
             .values()
             .any(|partition| partition.separates(from, to))
         {
-            state.counters.entry(link).or_default().frames_dropped += 1;
-            self.inner.totals.dropped.inc();
+            self.inner.counters.dropped.inc();
             return Decision::Drop;
         }
         let faults = *state.links.get(&link).unwrap_or(&state.default_link);
         if faults.is_clean() {
-            state.counters.entry(link).or_default().frames_delivered += 1;
-            self.inner.totals.delivered.inc();
+            self.inner.counters.delivered.inc();
             return Decision::Deliver {
                 delay: None,
                 duplicate: false,
@@ -431,8 +389,7 @@ impl FaultPlan {
             .entry(link)
             .or_insert_with(|| StdRng::seed_from_u64(seed));
         if faults.drop_probability > 0.0 && rng.gen_bool(faults.drop_probability.min(1.0)) {
-            state.counters.entry(link).or_default().frames_dropped += 1;
-            self.inner.totals.dropped.inc();
+            self.inner.counters.dropped.inc();
             return Decision::Drop;
         }
         let duplicate = faults.duplicate_probability > 0.0
@@ -443,16 +400,13 @@ impl FaultPlan {
             let jitter = faults.jitter.mul_f64(rng.gen::<f64>());
             Some(faults.delay + jitter)
         };
-        let counters = state.counters.entry(link).or_default();
-        counters.frames_delivered += 1;
-        self.inner.totals.delivered.inc();
+        let counters = &self.inner.counters;
+        counters.delivered.inc();
         if duplicate {
-            counters.frames_duplicated += 1;
-            self.inner.totals.duplicated.inc();
+            counters.duplicated.inc();
         }
         if delay.is_some() {
-            counters.frames_delayed += 1;
-            self.inner.totals.delayed.inc();
+            counters.delayed.inc();
         }
         Decision::Deliver { delay, duplicate }
     }

@@ -129,11 +129,11 @@
 //! ## Observability
 //!
 //! Every peer carries an `rdht-metrics` registry
-//! ([`metrics::PeerMetrics`]): request counts by kind, queue depth and
-//! drained batch sizes of the group-commit loop, per-message service-time
-//! histograms, hand-off phase durations and stall time, indirect counter
-//! initializations, the storage engine's WAL instruments, and — as shared
-//! handles — the cluster-wide dedup totals and fault-plan counters. Scrape
+//! ([`metrics::PeerMetrics`]): request counts by kind, drained batch sizes
+//! of the group-commit loop, per-message service-time histograms, hand-off
+//! phase durations and stall time, indirect counter initializations, and —
+//! as shared handles — the storage engine's WAL instruments, the
+//! cluster-wide dedup totals and the fault-plan counters. Scrape
 //! a peer in-process with [`Cluster::scrape`], or over the wire (either
 //! transport) with [`ClusterClient::scrape_metrics`], which sends
 //! [`Request::Metrics`] and returns the Prometheus text exposition (see
@@ -170,10 +170,10 @@ pub mod wire;
 
 pub use client::{ClusterClient, RetryPolicy};
 pub use cluster::{
-    serve_tcp_peer, Cluster, ClusterConfig, ClusterStorage, DedupStats, JoinReport, LeaveReport,
+    serve_tcp_peer, Cluster, ClusterConfig, ClusterStorage, DedupCounters, JoinReport, LeaveReport,
     PeerId, RestartReport, TcpPeerConfig, TransportKind,
 };
-pub use fault::{End, FaultPlan, FaultStats, FaultyTransport, LinkCounters, LinkFaults};
+pub use fault::{End, FaultCounters, FaultPlan, FaultyTransport, LinkFaults};
 pub use message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 pub use metrics::{PeerMetrics, RequestCounters};
 pub use rdht_membership::MembershipError;

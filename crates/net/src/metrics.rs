@@ -2,11 +2,11 @@
 //!
 //! Every peer owns one `rdht_metrics::Registry` holding its whole
 //! observable state: the request counters and service-time histograms
-//! maintained by the peer loop (this module), the storage
-//! engine's WAL/compaction instruments (`rdht_storage::StorageMetrics`), the
-//! hand-off phase durations (`rdht_membership::TransferMetrics`), and —
-//! registered as *shared handles* — the cluster-wide dedup totals and fault
-//! plan counters. A scrape ([`crate::Request::Metrics`], answered with the
+//! maintained by the peer loop (this module), the hand-off phase durations
+//! (`rdht_membership::TransferMetrics`), and — registered as *shared
+//! handles* — the storage engine's WAL/compaction instruments
+//! (`rdht_storage::StorageMetrics`), the cluster-wide dedup totals and the
+//! fault plan counters. A scrape ([`crate::Request::Metrics`], answered with the
 //! Prometheus text exposition) or [`crate::Cluster::registry`] reads them
 //! all from one place.
 //!
@@ -16,7 +16,7 @@
 //! assert on presence, not just on values.
 
 use rdht_membership::TransferMetrics;
-use rdht_metrics::{exponential_buckets, Counter, Gauge, Histogram, Registry};
+use rdht_metrics::{exponential_buckets, Counter, Histogram, Registry};
 
 use crate::message::Request;
 
@@ -24,12 +24,8 @@ use crate::message::Request;
 pub mod names {
     /// Requests processed by the peer loop, labeled by `kind`.
     pub const REQUESTS: &str = "net_requests_total";
-    /// Queue depth observed at the last mailbox wake (requests drained into
-    /// the current batch).
-    pub const QUEUE_DEPTH: &str = "net_queue_depth";
     /// Distribution of drained batch sizes — the group-commit batch depth
-    /// as the *peer loop* sees it (the storage-side twin is
-    /// `storage_batch_ops`).
+    /// as the peer loop sees it.
     pub const DRAIN_BATCH: &str = "net_drain_batch_depth";
     /// Service time of one transport message (routing, dedup, apply), in
     /// nanoseconds, excluding the covering batch fsync.
@@ -131,8 +127,6 @@ pub struct PeerMetrics {
     registry: Registry,
     /// Requests processed, by kind.
     pub requests: RequestCounters,
-    /// Queue depth at the last mailbox wake.
-    pub queue_depth: Gauge,
     /// Drained batch sizes.
     pub drain_batch: Histogram,
     /// Per-message service time, nanoseconds.
@@ -151,11 +145,6 @@ impl PeerMetrics {
     pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
         PeerMetrics {
             requests: RequestCounters::register(registry, labels),
-            queue_depth: registry.gauge(
-                names::QUEUE_DEPTH,
-                "requests drained at the last mailbox wake",
-                labels,
-            ),
             drain_batch: registry.histogram_with_buckets(
                 names::DRAIN_BATCH,
                 "drained group-commit batch sizes",

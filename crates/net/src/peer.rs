@@ -27,7 +27,7 @@ use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_membership::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_metrics::{encode, Histogram, Registry, RequestTree, SpanLog, TraceContext, TraceSink};
 use rdht_overlay::in_open_closed_interval;
-use rdht_storage::{StorageEngine, StorageMetrics, StorageOp, SyncObserver};
+use rdht_storage::{StorageEngine, StorageOp};
 
 use crate::cluster::{ClusterStorage, Directory, PeerId, RestartReport};
 use crate::fault::{set_thread_source, FaultPlan};
@@ -312,9 +312,9 @@ pub(crate) struct Peer {
     dedup: DedupWindow,
     /// Seq allocator of the ops this peer originates (install bundles).
     local_seq: u64,
-    /// Group-commit parameters (`max_batch`, `max_delay`) when the engine's
-    /// fsync policy batches; `None` makes every batch a single request.
-    batching: Option<(u64, Duration)>,
+    /// The group-commit `max_batch` when the engine's fsync policy batches;
+    /// `None` makes every batch a single request.
+    batching: Option<u64>,
     /// A journal I/O failure (disk full, directory removed, ...) is latched
     /// inside the engine; the peer keeps serving its in-memory state —
     /// availability over durability — but the degradation must not be
@@ -352,8 +352,8 @@ pub(crate) struct Peer {
 impl Peer {
     /// Recovers peer `id`: opens its engine (journaled under `storage`,
     /// ephemeral without), applies Rule 1 to the recovered counters, and
-    /// builds its metrics registry — the peer-loop instruments, the storage
-    /// engine's WAL/compaction instruments, and — as shared handles — the
+    /// builds its metrics registry — the peer-loop instruments and, as shared
+    /// handles, the storage engine's WAL/compaction instruments, the
     /// cluster-wide dedup totals and (when present) the fault plan counters.
     /// Everything is labeled with the peer's ring id so expositions from
     /// different peers can be concatenated without series collisions.
@@ -370,7 +370,7 @@ impl Peer {
             recovered_replicas: engine.replicas().len(),
             recovered_counters: engine.counters().len(),
             generation: engine.generation(),
-            torn_tail: engine.stats().recovered_torn_tail,
+            torn_tail: engine.recovery().torn_tail,
         };
         let kts = kts_from_recovery(&mut engine);
 
@@ -382,25 +382,10 @@ impl Peer {
         if let Some(plan) = faults {
             plan.register_metrics(&registry, &labels);
         }
-        engine.attach_metrics(StorageMetrics::register(&registry, &labels));
+        // Registered after Rule 1 journaled its counter clear: the handles
+        // counted that op already, so the series show it.
+        engine.metrics().register(&registry, &labels);
 
-        let trace_pid = u64::from(std::process::id());
-        if let Some(sink) = &trace {
-            // Hang a `storage.fsync` span on every WAL sync via the engine's
-            // observer hook — the storage-level twin of the batch-covering
-            // `peer.fsync` span (which additionally carries the trace ids).
-            let sink = sink.clone();
-            engine.set_sync_observer(SyncObserver::new(move |elapsed| {
-                let dur = us(elapsed);
-                sink.complete_at(
-                    "storage.fsync",
-                    trace_pid,
-                    id.0,
-                    sink.now_us().saturating_sub(dur),
-                    dur,
-                );
-            }));
-        }
         let peer = Peer {
             id,
             directory,
@@ -419,7 +404,7 @@ impl Peer {
             slowlog: SpanLog::new(PEER_SLOWLOG_CAPACITY),
             metrics,
             trace,
-            trace_pid,
+            trace_pid: u64::from(std::process::id()),
         };
         (peer, recovered)
     }
@@ -461,8 +446,8 @@ impl Peer {
     ///
     /// Each iteration collects a batch: the first item blocks on the mailbox,
     /// and — when the engine's fsync policy is `GroupCommit` — every further
-    /// queued data request is drained (up to `max_batch`, waiting at most
-    /// `max_delay` for stragglers). The whole batch is then applied and
+    /// data request already queued is drained, up to `max_batch`; nothing
+    /// waits for stragglers. The whole batch is then applied and
     /// journaled, made durable by **one** covering fsync at the batch
     /// boundary, and only then acknowledged: N concurrent writers at
     /// `Always`-grade durability share a single fsync instead of paying one
@@ -508,32 +493,23 @@ impl Peer {
                 _ => {}
             }
             batch.push(first);
-            if let Some((max_batch, max_delay)) = self.batching {
+            if let Some(max_batch) = self.batching {
                 if batchable(&batch[0].request) {
                     // Group-commit drain: this peer is the commit leader for
-                    // whatever is queued right now. Followers arriving within
-                    // `max_delay` join the batch; a non-batchable request ends
-                    // the drain and is carried to the next iteration.
-                    let deadline = Instant::now() + max_delay;
+                    // whatever is queued right now; a non-batchable request
+                    // ends the drain and is carried to the next iteration.
                     while (batch.len() as u64) < max_batch {
-                        let now = Instant::now();
-                        let next = if max_delay.is_zero() || now >= deadline {
-                            mailbox.try_recv()
-                        } else {
-                            mailbox.recv_timeout(deadline - now)
-                        };
-                        match next {
+                        match mailbox.try_recv() {
                             Some(incoming) if batchable(&incoming.request) => batch.push(incoming),
                             Some(incoming) => {
                                 carry = Some(incoming);
                                 break;
                             }
-                            None => break, // empty / timed out / disconnected
+                            None => break, // empty / disconnected
                         }
                     }
                 }
             }
-            self.metrics.queue_depth.set(batch.len() as i64);
             self.metrics.drain_batch.observe(batch.len() as u64);
             for incoming in batch.drain(..) {
                 if self.message(incoming).is_err() {

@@ -55,7 +55,7 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
     const PUTS: u64 = 8;
     let root = fresh_storage_root("peer-ack-after-sync");
     let options = StorageOptions {
-        fsync: FsyncPolicy::group_commit(64, Duration::ZERO),
+        fsync: FsyncPolicy::group_commit(64),
         ..StorageOptions::default()
     };
     let storage = ClusterStorage::with_options(&root, options);
@@ -80,11 +80,11 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
             .unwrap();
     }
     endpoint.send_no_reply(Request::Crash).unwrap();
-    let syncs_before = peer.engine.stats().wal_syncs;
+    let syncs_before = peer.engine.metrics().wal_syncs.get();
     peer.run(&mailbox);
 
     assert_eq!(syncs.load(Ordering::SeqCst), 1, "one sync covers the batch");
-    assert_eq!(peer.engine.stats().wal_syncs, syncs_before + 1);
+    assert_eq!(peer.engine.metrics().wal_syncs.get(), syncs_before + 1);
     assert_eq!(*delivered.lock(), vec![Reply::PutAck; PUTS as usize]);
     drop(peer);
     std::fs::remove_dir_all(&root).unwrap();

@@ -267,7 +267,7 @@ fn the_fault_layer_applies_reply_faults_in_the_waiters_hands() {
     let started = Instant::now();
     assert_eq!(endpoint.call(Request::Metrics, WAIT), Ok(metrics("up")));
     assert!(started.elapsed() >= Duration::from_millis(50));
-    assert_eq!(delayed.stats().totals.frames_delayed, 1);
+    assert_eq!(delayed.counters().delayed.get(), 1);
 
     let lossy = reverse(LinkFaults::lossy(1.0));
     let endpoint = FaultyTransport::new(transport.clone(), lossy.clone())
@@ -279,7 +279,7 @@ fn the_fault_layer_applies_reply_faults_in_the_waiters_hands() {
         Err(CallError::Timeout)
     );
     assert!(started.elapsed() < Duration::from_secs(2));
-    assert_eq!(lossy.stats().totals.frames_dropped, 1);
+    assert_eq!(lossy.counters().dropped.get(), 1);
 
     assert!(
         transport.inner.pool.lock().is_empty(),

@@ -66,9 +66,8 @@ fn workload_survives_five_percent_loss() {
         let plan = FaultPlan::lossy(0x1055, 0.05);
         let cluster = spawn_faulty(kind, 5, 4, plan.clone());
         hostile_workload(kind, &cluster, 12, "lossy");
-        let stats = plan.stats();
         assert!(
-            stats.totals.frames_dropped > 0,
+            plan.counters().dropped.get() > 0,
             "{kind:?}: a 5% lossy plan must actually drop frames"
         );
         cluster.shutdown();
@@ -81,14 +80,12 @@ fn workload_survives_heavy_duplication() {
         let plan = FaultPlan::dup_heavy(0xD0_0B1E);
         let cluster = spawn_faulty(kind, 5, 4, plan.clone());
         hostile_workload(kind, &cluster, 12, "dup");
-        let stats = plan.stats();
         assert!(
-            stats.totals.frames_duplicated > 0,
+            plan.counters().duplicated.get() > 0,
             "{kind:?}: the dup-heavy plan must actually duplicate frames"
         );
-        let dedup = cluster.dedup_stats();
         assert!(
-            dedup.duplicates_suppressed > 0,
+            cluster.dedup().suppressed.get() > 0,
             "{kind:?}: duplicated mutations must be absorbed by the dedup window"
         );
         cluster.shutdown();
@@ -101,9 +98,8 @@ fn workload_survives_jittered_latency() {
         let plan = FaultPlan::jittered_latency(0x1A7, Duration::from_millis(50));
         let cluster = spawn_faulty(kind, 5, 4, plan.clone());
         hostile_workload(kind, &cluster, 8, "latency");
-        let stats = plan.stats();
         assert!(
-            stats.totals.frames_delayed > 0,
+            plan.counters().delayed.get() > 0,
             "{kind:?}: the latency plan must actually delay frames"
         );
         cluster.shutdown();
@@ -159,10 +155,10 @@ fn eight_writer_workload_is_exactly_once_under_loss_and_duplication() {
                 "{kind:?}: acc:{writer}: retried/duplicated gen_ts burned extra timestamps"
             );
         }
-        let stats = plan.stats();
-        assert!(stats.totals.frames_dropped > 0 && stats.totals.frames_duplicated > 0);
+        let frames = plan.counters();
+        assert!(frames.dropped.get() > 0 && frames.duplicated.get() > 0);
         assert!(
-            cluster.dedup_stats().duplicates_suppressed > 0,
+            cluster.dedup().suppressed.get() > 0,
             "{kind:?}: the dedup window never fired under 25% duplication"
         );
         cluster.shutdown();
@@ -208,7 +204,7 @@ fn join_converges_when_the_first_install_is_dropped() {
         .expect("join must converge once the partition heals");
     healer.join().unwrap();
     assert!(
-        plan.stats().totals.frames_dropped >= 1,
+        plan.counters().dropped.get() >= 1,
         "the partition never swallowed an install"
     );
     assert!(
@@ -265,7 +261,7 @@ fn retried_install_is_applied_once_and_reacked_from_cache() {
             first, second,
             "{kind:?}: the cached re-ack must be identical"
         );
-        assert_eq!(cluster.dedup_stats().duplicates_suppressed, 1);
+        assert_eq!(cluster.dedup().suppressed.get(), 1);
         cluster.shutdown();
     });
 }
@@ -425,7 +421,7 @@ fn a_dropped_leg_retries_alone() {
         let healer = {
             let plan = plan.clone();
             thread::spawn(move || {
-                while plan.stats().totals.frames_dropped == 0 {
+                while plan.counters().dropped.get() == 0 {
                     thread::sleep(Duration::from_millis(1));
                 }
                 plan.heal("kts");
@@ -436,7 +432,7 @@ fn a_dropped_leg_retries_alone() {
         healer.join().unwrap();
         assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
         assert_eq!(got.replicas_probed, 1);
-        assert_eq!(plan.stats().totals.frames_dropped, 1);
+        assert_eq!(plan.counters().dropped.get(), 1);
         assert_eq!(client.retries(), 1, "{kind:?}: only the lost leg retried");
         assert_eq!(client.retry_exhaustions(), 0);
         assert_eq!(
@@ -467,11 +463,11 @@ fn key_with_kts_sharing_a_replica(cluster: &Cluster, tag: &str, replicas: u32) -
 /// reply — and then behave again. Returns the thread that restores it.
 fn drop_the_next_reply_of(plan: &FaultPlan, peer: PeerId) -> thread::JoinHandle<()> {
     let (from, to) = (End::Peer(peer.0), End::Client);
-    let dropped = plan.stats().totals.frames_dropped;
+    let dropped = plan.counters().dropped.get();
     let _ = plan.clone().with_link(from, to, LinkFaults::lossy(1.0));
     let plan = plan.clone();
     thread::spawn(move || {
-        while plan.stats().totals.frames_dropped == dropped {
+        while plan.counters().dropped.get() == dropped {
             thread::sleep(Duration::from_millis(1));
         }
         let _ = plan.with_link(from, to, LinkFaults::default());
@@ -501,7 +497,12 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
 
         // The client path: both legs of the opening round ride one frame.
         let restorer = drop_the_next_reply_of(&plan, peer);
-        let (messages, frames) = (client.messages(), plan.stats().totals);
+        let frames = plan.counters();
+        let (messages, dropped, delivered) = (
+            client.messages(),
+            frames.dropped.get(),
+            frames.delivered.get(),
+        );
         let got = ums::retrieve(&mut client, &key).unwrap();
         restorer.join().unwrap();
         assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
@@ -517,10 +518,9 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
             3,
             "{kind:?}: the batch whose reply was lost, its re-send and that one's reply"
         );
-        let after = plan.stats().totals;
-        assert_eq!(after.frames_dropped - frames.frames_dropped, 1);
+        assert_eq!(frames.dropped.get() - dropped, 1);
         assert_eq!(
-            after.frames_delivered - frames.frames_delivered,
+            frames.delivered.get() - delivered,
             3,
             "{kind:?}: a batch rolls once per direction, not once per constituent"
         );
@@ -554,7 +554,8 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
             ),
         ]);
         let endpoint = cluster.peer_endpoint(peer).unwrap();
-        let before = cluster.dedup_stats();
+        let dedup = cluster.dedup();
+        let (applied, suppressed) = (dedup.applied.get(), dedup.suppressed.get());
         let restorer = drop_the_next_reply_of(&plan, peer);
         let lost = endpoint.call(batch.clone(), Duration::from_millis(300));
         restorer.join().unwrap();
@@ -568,12 +569,8 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
             Reply::Batch(vec![Reply::Timestamp(Timestamp(2)), Reply::PutAck]),
             "{kind:?}: the re-sent gen_ts reads the stamp the first one generated"
         );
-        let dedup = cluster.dedup_stats();
-        assert_eq!(dedup.mutations_applied - before.mutations_applied, 2);
-        assert_eq!(
-            dedup.duplicates_suppressed - before.duplicates_suppressed,
-            2
-        );
+        assert_eq!(dedup.applied.get() - applied, 2);
+        assert_eq!(dedup.suppressed.get() - suppressed, 2);
         let got = ums::retrieve(&mut client, &key).unwrap();
         assert_eq!(got.last_timestamp, Timestamp(2), "{kind:?}: one increment");
         assert!(got.is_current, "{kind:?}: {got:?}");
@@ -766,7 +763,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(last, Reply::Timestamp(Timestamp(1 + n as u64)));
         prop_assert_eq!(
-            cluster.dedup_stats().duplicates_suppressed,
+            cluster.dedup().suppressed.get(),
             (schedule.len() - n) as u64
         );
         cluster.shutdown();

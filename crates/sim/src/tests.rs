@@ -333,16 +333,16 @@ fn lossy_fault_plan_drops_messages_and_stays_deterministic() {
     let run_lossy = |seed| {
         let plan = FaultPlan::lossy(seed, 0.1);
         let report = run(SimConfig::small_test(48, 7).with_fault_plan(plan.clone()));
-        (report, plan.stats())
+        (report, plan.counters().dropped.get())
     };
-    let (a, stats_a) = run_lossy(90);
-    let (b, stats_b) = run_lossy(90);
+    let (a, dropped_a) = run_lossy(90);
+    let (b, dropped_b) = run_lossy(90);
     assert!(
-        stats_a.totals.frames_dropped > 0,
+        dropped_a > 0,
         "a 10% lossy plan must drop some simulated data messages"
     );
     assert_eq!(
-        stats_a.totals.frames_dropped, stats_b.totals.frames_dropped,
+        dropped_a, dropped_b,
         "the same plan seed must drop the same messages"
     );
     assert_eq!(a.samples.len(), b.samples.len());

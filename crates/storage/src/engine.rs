@@ -22,8 +22,7 @@
 //! replicas + counters)`. A log is rewritten when it is as long as the image
 //! that replaces it, so snapshots write at most one record per journaled op
 //! whatever the state size, and recovery replays at most `max(floor,
-//! records)` ops (plus the batch that crossed the line) on top of a snapshot
-//! of `records`.
+//! records)` ops on top of a snapshot of `records`.
 //!
 //! Recovery ([`StorageEngine::recover`] / [`StorageEngine::open`]) picks the
 //! newest generation with a *valid* snapshot (generation 0 if none), replays
@@ -82,10 +81,10 @@ impl StorageOptions {
 }
 
 /// A callback the engine invokes with the wall-clock duration of every
-/// covering [`StorageEngine::sync`] that actually reached the WAL — the
-/// hook distributed tracing hangs its `fsync` spans on without the engine
-/// knowing anything about spans. Cheap to clone; invoked synchronously on
-/// the syncing thread, so observers must be fast and non-blocking.
+/// [`StorageEngine::sync`] of a journaled engine — how a test sees the
+/// covering sync happen, e.g. that no reply left before it. Cheap to clone;
+/// invoked synchronously on the syncing thread, so observers must be fast
+/// and non-blocking.
 #[derive(Clone)]
 pub struct SyncObserver(Arc<dyn Fn(Duration) + Send + Sync>);
 
@@ -107,28 +106,15 @@ impl std::fmt::Debug for SyncObserver {
     }
 }
 
-/// Counters describing what an engine has done — used by tests, the
-/// crash/restart walkthrough and the `storage` bench target.
+/// What [`StorageEngine::open`] found on disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StorageStats {
-    /// Ops appended to the WAL over this engine's lifetime.
-    pub ops_appended: u64,
-    /// Snapshots written by compaction.
-    pub snapshots_written: u64,
-    /// `sync_data` calls the WAL issued over this engine's lifetime. Under
-    /// group commit this grows far slower than `ops_appended` — the ratio is
-    /// the measured amortization.
-    pub wal_syncs: u64,
-    /// Framed bytes appended to the WAL over this engine's lifetime.
-    pub wal_bytes_appended: u64,
-    /// Wall time the open spent recovering the directory, in nanoseconds.
-    pub recovery_duration_ns: u64,
-    /// Ops replayed from the WAL at open.
-    pub recovered_wal_ops: u64,
-    /// Whether open had to discard a torn WAL tail.
-    pub recovered_torn_tail: bool,
-    /// Whether open loaded a snapshot (vs replaying from empty).
-    pub recovered_from_snapshot: bool,
+pub struct Recovery {
+    /// Ops replayed from the WAL.
+    pub wal_ops: u64,
+    /// Whether a torn WAL tail was discarded.
+    pub torn_tail: bool,
+    /// Whether a snapshot was loaded (vs replaying from empty).
+    pub from_snapshot: bool,
 }
 
 /// What [`StorageEngine::recover`] found in a peer directory.
@@ -164,8 +150,8 @@ pub struct StorageEngine {
     ops_in_wal: u64,
     state: MemoryState,
     options: StorageOptions,
-    stats: StorageStats,
-    metrics: Option<StorageMetrics>,
+    recovery: Recovery,
+    metrics: StorageMetrics,
     sync_observer: Option<SyncObserver>,
     poison: Option<io::Error>,
 }
@@ -218,10 +204,8 @@ fn scan_dir(dir: &Path) -> io::Result<DirScan> {
 struct Discovered {
     state: MemoryState,
     generation: u64,
-    wal_ops: u64,
     wal_valid_len: u64,
-    torn_tail: bool,
-    from_snapshot: bool,
+    recovery: Recovery,
 }
 
 /// Picks the newest recoverable generation and rebuilds its state.
@@ -247,19 +231,19 @@ fn discover(dir: &Path) -> io::Result<Discovered> {
         generation = scan.wals.first().copied().unwrap_or(0);
     }
     let wal_replay = replay(&generation_file(dir, "wal", generation, "log"))?;
-    let wal_ops = wal_replay.ops.len() as u64;
-    let wal_valid_len = wal_replay.valid_len;
-    let torn_tail = wal_replay.torn_tail;
+    let recovery = Recovery {
+        wal_ops: wal_replay.ops.len() as u64,
+        torn_tail: wal_replay.torn_tail,
+        from_snapshot,
+    };
     for op in wal_replay.ops {
         state.apply_owned(op);
     }
     Ok(Discovered {
         state,
         generation,
-        wal_ops,
-        wal_valid_len,
-        torn_tail,
-        from_snapshot,
+        wal_valid_len: wal_replay.valid_len,
+        recovery,
     })
 }
 
@@ -292,8 +276,8 @@ impl StorageEngine {
             ops_in_wal: 0,
             state: MemoryState::new(),
             options: StorageOptions::default(),
-            stats: StorageStats::default(),
-            metrics: None,
+            recovery: Recovery::default(),
+            metrics: StorageMetrics::default(),
             sync_observer: None,
             poison: None,
         }
@@ -302,7 +286,8 @@ impl StorageEngine {
     /// Opens (creating if needed) the engine over `dir`: recovers the newest
     /// generation, truncates any torn WAL tail, removes leftovers of older
     /// generations and interrupted compactions, and readies the WAL for
-    /// appending.
+    /// appending. The recovery's wall time is the first observation of the
+    /// engine's [`StorageMetrics::recovery_ns`].
     pub fn open(dir: impl Into<PathBuf>, options: StorageOptions) -> io::Result<Self> {
         let dir = dir.into();
         let recovery_started = std::time::Instant::now();
@@ -322,31 +307,28 @@ impl StorageEngine {
             let _ = fs::remove_file(generation_file(&dir, "wal", other, "log"));
         }
 
+        let metrics = StorageMetrics::default();
         let wal = WalWriter::open_after_replay(
             generation_file(&dir, "wal", generation, "log"),
             options.fsync,
             discovered.wal_valid_len,
+            &metrics,
         )?;
         // Make the WAL's directory entry (and the GC unlinks) durable before
         // acknowledging any append against this generation.
         sync_dir(&dir)?;
-        let stats = StorageStats {
-            recovered_wal_ops: discovered.wal_ops,
-            recovered_torn_tail: discovered.torn_tail,
-            recovered_from_snapshot: discovered.from_snapshot,
-            recovery_duration_ns: u64::try_from(recovery_started.elapsed().as_nanos())
-                .unwrap_or(u64::MAX),
-            ..StorageStats::default()
-        };
+        metrics
+            .recovery_ns
+            .observe_duration(recovery_started.elapsed());
         Ok(StorageEngine {
             dir: Some(dir),
             wal: Some(wal),
             generation,
-            ops_in_wal: discovered.wal_ops,
+            ops_in_wal: discovered.recovery.wal_ops,
             state: discovered.state,
             options,
-            stats,
-            metrics: None,
+            recovery: discovered.recovery,
+            metrics,
             sync_observer: None,
             poison: None,
         })
@@ -360,8 +342,8 @@ impl StorageEngine {
             replicas: discovered.state.replicas,
             counters: discovered.state.counters,
             generation: discovered.generation,
-            wal_ops: discovered.wal_ops,
-            torn_tail: discovered.torn_tail,
+            wal_ops: discovered.recovery.wal_ops,
+            torn_tail: discovered.recovery.torn_tail,
         })
     }
 
@@ -392,45 +374,17 @@ impl StorageEngine {
         &self.state.counters
     }
 
-    /// Work counters. `wal_syncs` and `wal_bytes_appended` fold in the live
-    /// WAL's counts, so the values are current even before the next
-    /// compaction rolls the writer.
-    pub fn stats(&self) -> StorageStats {
-        let mut stats = self.stats;
-        if let Some(wal) = &self.wal {
-            stats.wal_syncs += wal.syncs();
-            stats.wal_bytes_appended += wal.bytes_appended();
-        }
-        stats
+    /// What the open that built this engine found on disk (all zero for an
+    /// ephemeral engine).
+    pub fn recovery(&self) -> Recovery {
+        self.recovery
     }
 
-    /// Attaches registry instruments: from now on every journaled operation
-    /// publishes the engine's work counters into `metrics` (see
-    /// [`StorageMetrics`] — the instruments mirror [`StorageEngine::stats`],
-    /// they do not count separately). The recovery duration of the open that
-    /// built this engine is observed once, here.
-    pub fn attach_metrics(&mut self, metrics: StorageMetrics) {
-        if self.stats.recovery_duration_ns > 0 {
-            metrics.recovery_ns.observe(self.stats.recovery_duration_ns);
-        }
-        self.metrics = Some(metrics);
-        self.publish_metrics();
-    }
-
-    /// The attached instruments, if any.
-    pub fn metrics(&self) -> Option<&StorageMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Mirrors the current work counters into the attached instruments.
-    /// Monotonic (`record_absolute`), so re-publishing is idempotent.
-    fn publish_metrics(&self) {
-        let Some(metrics) = &self.metrics else { return };
-        let stats = self.stats();
-        metrics.wal_syncs.record_absolute(stats.wal_syncs);
-        metrics.ops_appended.record_absolute(stats.ops_appended);
-        metrics.wal_bytes.record_absolute(stats.wal_bytes_appended);
-        metrics.compactions.record_absolute(stats.snapshots_written);
+    /// The instruments this engine and its WAL count into, the only storage
+    /// of those counts. Register them ([`StorageMetrics::register`]) to
+    /// expose them; ops journaled before that still show.
+    pub fn metrics(&self) -> &StorageMetrics {
+        &self.metrics
     }
 
     /// The options this engine was opened with (normalized fsync policy).
@@ -473,7 +427,6 @@ impl StorageEngine {
         if let Some(wal) = self.wal.as_mut() {
             journal = wal.append(&op);
             if journal.is_ok() {
-                self.stats.ops_appended += 1;
                 self.ops_in_wal += 1;
             }
         }
@@ -482,37 +435,20 @@ impl StorageEngine {
         self.compact_if_due()
     }
 
-    /// [`StorageEngine::apply_owned`] for a whole batch: every op is framed
-    /// and journaled through one buffered write ([`WalWriter::append_batch`])
-    /// and — under [`FsyncPolicy::Always`] / [`FsyncPolicy::GroupCommit`] —
-    /// made durable by a single covering `sync_data` before any of them is
-    /// applied to the in-memory state. This is the engine half of group
-    /// commit: N logical writers' ops, one fsync.
+    /// [`StorageEngine::apply_owned`] for each op in turn, stopping at the
+    /// first journal error. No peer calls it: it stays only because the
+    /// benchmark harness (`crates/bench/src/bin/benchmark`) fills an engine
+    /// with it, and goes when the harness stops doing so (ROADMAP item 2).
     pub fn apply_batch(&mut self, ops: Vec<StorageOp>) -> io::Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.batch_ops.observe(ops.len() as u64);
-        }
-        let mut journal = Ok(());
-        if let Some(wal) = self.wal.as_mut() {
-            journal = wal.append_batch(&ops);
-            if journal.is_ok() {
-                self.stats.ops_appended += ops.len() as u64;
-                self.ops_in_wal += ops.len() as u64;
-            }
-        }
         for op in ops {
-            self.state.apply_owned(op);
+            self.apply_owned(op)?;
         }
-        journal?;
-        self.compact_if_due()
+        Ok(())
     }
 
     /// The tail of every journaled apply: compacts when the WAL has grown to
     /// `max(snapshot_every, live records)` ops (the rule in the module
-    /// header, evaluated against the state as it is now), then publishes.
+    /// header, evaluated against the state as it is now).
     fn compact_if_due(&mut self) -> io::Result<()> {
         let floor = self.options.snapshot_every;
         if self.wal.is_some()
@@ -521,13 +457,11 @@ impl StorageEngine {
         {
             self.compact()?;
         }
-        self.publish_metrics();
         Ok(())
     }
 
     /// Installs the callback [`sync`](StorageEngine::sync) reports its
-    /// duration to — how the tracing layer hangs a covering-fsync span on
-    /// the engine without the engine depending on any span machinery.
+    /// duration to.
     pub fn set_sync_observer(&mut self, observer: SyncObserver) {
         self.sync_observer = Some(observer);
     }
@@ -535,18 +469,14 @@ impl StorageEngine {
     /// Forces everything journaled so far to stable storage — the covering
     /// sync of a group-commit batch boundary. Free when nothing is pending.
     pub fn sync(&mut self) -> io::Result<()> {
-        let result = match self.wal.as_mut() {
-            Some(wal) => {
-                let started = std::time::Instant::now();
-                let result = wal.sync();
-                if let Some(observer) = &self.sync_observer {
-                    observer.observe(started.elapsed());
-                }
-                result
-            }
-            None => Ok(()),
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(());
         };
-        self.publish_metrics();
+        let started = std::time::Instant::now();
+        let result = wal.sync();
+        if let Some(observer) = &self.sync_observer {
+            observer.observe(started.elapsed());
+        }
         result
     }
 
@@ -564,29 +494,24 @@ impl StorageEngine {
         let wal = WalWriter::create(
             generation_file(&dir, "wal", next, "log"),
             self.options.fsync,
+            &self.metrics,
         )?;
         // Persist the snapshot rename and the WAL creation *before* deleting
         // the old generation — otherwise a power loss could surface a
         // directory where only the unlinks survived.
         sync_dir(&dir)?;
-        if let Some(old) = self.wal.take() {
-            // The retiring writer's counts would vanish with it.
-            self.stats.wal_syncs += old.syncs();
-            self.stats.wal_bytes_appended += old.bytes_appended();
-        }
+        // The retiring writer closes here; what it counted is already in
+        // the shared handles.
         self.wal = Some(wal);
         // The new generation is durable; the old one can go.
         let _ = fs::remove_file(generation_file(&dir, "wal", self.generation, "log"));
         let _ = fs::remove_file(generation_file(&dir, "snapshot", self.generation, "snap"));
         self.generation = next;
         self.ops_in_wal = 0;
-        self.stats.snapshots_written += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .compaction_ns
-                .observe(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        self.publish_metrics();
+        self.metrics.compactions.inc();
+        self.metrics
+            .compaction_ns
+            .observe_duration(started.elapsed());
         Ok(())
     }
 
@@ -730,8 +655,8 @@ mod tests {
         };
         let engine = StorageEngine::open(&dir, StorageOptions::default()).unwrap();
         assert_eq!(engine.state, expected);
-        assert_eq!(engine.stats().recovered_wal_ops, 201);
-        assert!(!engine.stats().recovered_torn_tail);
+        assert_eq!(engine.recovery().wal_ops, 201);
+        assert!(!engine.recovery().torn_tail);
 
         // Read-only recovery agrees.
         let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
@@ -750,7 +675,7 @@ mod tests {
             for i in 0..300 {
                 engine.apply(&put(i)).unwrap();
             }
-            assert!(engine.stats().snapshots_written >= 4);
+            assert!(engine.metrics().compactions.get() >= 4);
             engine.sync().unwrap();
             engine.state.clone()
         };
@@ -762,7 +687,7 @@ mod tests {
 
         let engine = StorageEngine::open(&dir, StorageOptions::default()).unwrap();
         assert_eq!(engine.state, expected);
-        assert!(engine.stats().recovered_from_snapshot);
+        assert!(engine.recovery().from_snapshot);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -785,8 +710,8 @@ mod tests {
         drop(file);
 
         let engine = StorageEngine::open(&dir, StorageOptions::default()).unwrap();
-        assert_eq!(engine.stats().recovered_wal_ops, 49);
-        assert!(engine.stats().recovered_torn_tail);
+        assert_eq!(engine.recovery().wal_ops, 49);
+        assert!(engine.recovery().torn_tail);
 
         // The engine is usable after the truncation: append and re-recover.
         let mut engine = engine;
@@ -828,9 +753,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Group commit through the engine: batches recover to the same state as
-    /// per-op application, and the sync counter proves the amortization (one
-    /// covering `sync_data` per batch, not per op).
+    /// Group commit through the engine: batches, each journaled op by op and
+    /// closed by one covering sync as the peer loop does, recover to the same
+    /// state as per-op application, and the sync counter proves the
+    /// amortization (one covering `sync_data` per batch, not per op).
     #[test]
     fn group_commit_batches_recover_identically_and_amortize_syncs() {
         let per_op_dir = temp_dir("group-commit-per-op");
@@ -844,23 +770,27 @@ mod tests {
             for op in &ops {
                 engine.apply(op).unwrap();
             }
-            assert_eq!(engine.stats().wal_syncs, 96, "Always pays a sync per op");
+            assert_eq!(
+                engine.metrics().wal_syncs.get(),
+                96,
+                "Always pays a sync per op"
+            );
             engine.state.clone()
         };
         {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(
-                64,
-                std::time::Duration::from_micros(100),
-            ));
+            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
             options.snapshot_every = 0;
             let mut engine = StorageEngine::open(&batched_dir, options).unwrap();
             for batch in ops.chunks(8) {
-                engine.apply_batch(batch.to_vec()).unwrap();
+                for op in batch {
+                    engine.apply(op).unwrap();
+                }
+                engine.sync().unwrap();
             }
             assert_eq!(engine.state, expected);
-            assert_eq!(engine.stats().ops_appended, 96);
+            assert_eq!(engine.metrics().ops_appended.get(), 96);
             assert_eq!(
-                engine.stats().wal_syncs,
+                engine.metrics().wal_syncs.get(),
                 12,
                 "one covering sync per 8-op batch"
             );
@@ -874,7 +804,7 @@ mod tests {
 
     /// Compaction mid-batch keeps every op of the batch durable: the ops
     /// already applied land in the fsynced snapshot, the rest in the fresh
-    /// WAL, and the retiring writer's sync count is not lost.
+    /// WAL.
     #[test]
     fn group_commit_batch_across_a_compaction_boundary_stays_durable() {
         let dir = temp_dir("group-commit-compaction");
@@ -887,17 +817,16 @@ mod tests {
             expected.apply(op);
         }
         {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(
-                256,
-                std::time::Duration::ZERO,
-            ));
+            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(256));
             options.snapshot_every = 16; // several compactions inside batches
             let mut engine = StorageEngine::open(&dir, options).unwrap();
             for batch in ops.chunks(12) {
-                engine.apply_batch(batch.to_vec()).unwrap();
+                for op in batch {
+                    engine.apply(op).unwrap();
+                }
                 engine.sync().unwrap();
             }
-            assert!(engine.stats().snapshots_written >= 2);
+            assert!(engine.metrics().compactions.get() >= 2);
         }
         let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
         assert_eq!(replicas, expected.replicas);
@@ -949,7 +878,7 @@ mod tests {
             for n in 0..ops {
                 engine.apply_owned(record(n % records, n + 1)).unwrap();
             }
-            let compactions = engine.stats().snapshots_written;
+            let compactions = engine.metrics().compactions.get();
             assert_eq!(compactions, ops / floor.max(records), "{tag}");
             assert!(
                 compactions * records <= ops,
@@ -965,9 +894,9 @@ mod tests {
         let (dir, mut engine) = engine_over("cadence-disabled", 10, 0);
         for n in 0..500 {
             engine.apply_owned(record(n % 10, n + 1)).unwrap();
-            engine.apply_batch(vec![record(n % 10, n + 2)]).unwrap();
+            engine.apply_owned(record(n % 10, n + 2)).unwrap();
         }
-        assert_eq!(engine.stats().snapshots_written, 0);
+        assert_eq!(engine.metrics().compactions.get(), 0);
         assert_eq!(engine.generation(), 1, "the set-up compaction's");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -985,7 +914,7 @@ mod tests {
         let mut apply = |engine: &mut StorageEngine, i: u64| {
             version += 1;
             engine.apply_owned(record(i, version)).unwrap();
-            engine.stats().snapshots_written
+            engine.metrics().compactions.get()
         };
         // Four new records: log 4 >= max(4, 4).
         assert_eq!((0..4).map(|i| apply(&mut engine, i)).last(), Some(1));
@@ -1027,19 +956,19 @@ mod tests {
             for n in 0..overwrites {
                 engine.apply_owned(record(n * 7 % records, n + 1)).unwrap();
             }
-            assert_eq!(engine.stats().snapshots_written, 1, "at op `floor` only");
+            assert_eq!(engine.metrics().compactions.get(), 1, "at op `floor` only");
             engine.state.clone()
             // Crash: dropped without sync or compaction.
         };
         let mut engine = StorageEngine::open(&dir, options).unwrap();
-        let stats = engine.stats();
-        assert!(stats.recovered_from_snapshot);
-        assert_eq!(stats.recovered_wal_ops, records - floor + overwrites);
-        assert!(stats.recovered_wal_ops > floor);
+        let recovery = engine.recovery();
+        assert!(recovery.from_snapshot);
+        assert_eq!(recovery.wal_ops, records - floor + overwrites);
+        assert!(recovery.wal_ops > floor);
         assert_eq!(engine.state, expected);
 
         // The recovered log length still counts towards the next compaction.
-        for n in 0..records - stats.recovered_wal_ops {
+        for n in 0..records - recovery.wal_ops {
             assert_eq!(engine.generation(), 1);
             engine.apply_owned(record(n, 9)).unwrap();
         }
@@ -1053,7 +982,7 @@ mod tests {
         engine.apply(&put(1)).unwrap();
         engine.apply(&put(2)).unwrap();
         assert_eq!(engine.replicas().len(), 2);
-        assert_eq!(engine.stats().ops_appended, 0);
+        assert_eq!(engine.metrics().ops_appended.get(), 0);
         assert!(engine.dir().is_none());
         engine.sync().unwrap();
     }
@@ -1081,53 +1010,63 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The attached registry instruments always agree with `stats()` — the
-    /// satellite-1 unification: one count, one canonical name.
+    /// The engine counts from its first op: instruments registered after
+    /// ops were journaled — as `Peer::open` registers them after Rule 1's
+    /// counter clear — show those ops too.
     #[test]
-    fn attached_metrics_mirror_stats() {
-        let dir = temp_dir("metrics");
+    fn metrics_registered_late_show_the_ops_journaled_before() {
+        let dir = temp_dir("metrics-late");
+        let mut engine =
+            StorageEngine::open(&dir, StorageOptions::with_fsync(FsyncPolicy::Never)).unwrap();
+        for i in 0..5 {
+            engine.apply(&put(i)).unwrap();
+        }
         let registry = rdht_metrics::Registry::new();
-        let mut options =
-            StorageOptions::with_fsync(FsyncPolicy::group_commit(64, std::time::Duration::ZERO));
-        options.snapshot_every = 32; // force compactions mid-run
+        engine.metrics().register(&registry, &[("peer", "7")]);
+        engine.apply(&put(5)).unwrap();
+
+        let wal_len = fs::metadata(generation_file(&dir, "wal", 0, "log"))
+            .unwrap()
+            .len();
+        let text = rdht_metrics::encode(&registry);
+        for series in [
+            "storage_ops_appended_total{peer=\"7\"} 6".to_string(),
+            format!("storage_wal_bytes_total{{peer=\"7\"}} {wal_len}"),
+            "storage_recovery_duration_ns_count{peer=\"7\"} 1".to_string(),
+        ] {
+            assert!(text.contains(&series), "missing {series}: {text}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Across compactions under group commit the instruments count every
+    /// covering sync — those of writers a compaction retired included — and
+    /// every op, snapshot and compaction duration.
+    #[test]
+    fn metrics_count_every_covering_sync_across_compactions() {
+        let dir = temp_dir("metrics-compactions");
+        let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
+        options.snapshot_every = 32;
         let mut engine = StorageEngine::open(&dir, options).unwrap();
-        engine.attach_metrics(crate::metrics::StorageMetrics::register(
-            &registry,
-            &[("peer", "7")],
-        ));
-        // 51 distinct records against a floor of 32: long enough that the
-        // log outgrows the state, not just the floor.
+        // `put` cycles through 51 distinct records against a floor of 32:
+        // compactions after ops 32, 83 (32 + 51) and 134.
         let ops: Vec<StorageOp> = (0..160).map(put).collect();
         for batch in ops.chunks(8) {
-            engine.apply_batch(batch.to_vec()).unwrap();
+            for op in batch {
+                engine.apply(op).unwrap();
+            }
             engine.sync().unwrap();
         }
-        let stats = engine.stats();
-        let metrics = engine.metrics().unwrap();
-        assert!(stats.snapshots_written >= 2);
-        assert_eq!(metrics.wal_syncs.get(), stats.wal_syncs);
-        assert_eq!(metrics.ops_appended.get(), stats.ops_appended);
-        assert_eq!(metrics.wal_bytes.get(), stats.wal_bytes_appended);
-        assert_eq!(metrics.compactions.get(), stats.snapshots_written);
-        assert_eq!(metrics.batch_ops.count(), 20, "one observation per batch");
+        let metrics = engine.metrics();
+        assert_eq!(engine.generation(), 3);
         assert_eq!(
-            metrics.compaction_ns.count(),
-            stats.snapshots_written,
-            "one duration observed per compaction"
+            metrics.wal_syncs.get(),
+            19,
+            "20 batches; the 4th ended on a compaction, leaving its sync nothing to cover"
         );
-        let text = rdht_metrics::encode(&registry);
-        assert!(
-            text.contains("storage_wal_syncs_total{peer=\"7\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("storage_compaction_duration_ns_count{peer=\"7\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("storage_batch_ops_bucket{peer=\"7\",le=\"8\"} 20"),
-            "{text}"
-        );
+        assert_eq!(metrics.ops_appended.get(), 160);
+        assert_eq!(metrics.compactions.get(), 3);
+        assert_eq!(metrics.compaction_ns.count(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 

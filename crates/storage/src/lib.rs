@@ -31,15 +31,16 @@
 //!   frame that fails — everything before is a valid prefix, a torn final
 //!   record is tolerated and truncated away.
 //! * **WAL** (`wal.rs`): `wal-<generation:016x>.log`, a sequence of framed
-//!   [`StorageOp`] records in apply order. [`FsyncPolicy`] controls when
-//!   appends reach stable storage (`Always` / `EveryN(n)` /
-//!   `GroupCommit { max_batch, max_delay }` / `Never`). Group commit is the
-//!   production-fast durable path: many concurrently pending ops are framed
-//!   and written together ([`WalWriter::append_batch`],
-//!   [`StorageEngine::apply_batch`]) and made durable by a **single**
-//!   covering `sync_data` at the batch boundary — each op is acknowledged
-//!   only after the sync that covers it, so the durability guarantee is
-//!   `Always`-grade at a fraction of the fsync count.
+//!   [`StorageOp`] records in apply order, each written by
+//!   [`WalWriter::append`] — the one write path under every policy.
+//!   [`FsyncPolicy`] controls when appends reach stable storage (`Always` /
+//!   `EveryN(n)` / `GroupCommit { max_batch }` / `Never`). Group commit is
+//!   the production-fast durable path: the ops of every request a peer
+//!   drained are appended one by one and made durable by a **single**
+//!   covering `sync_data` at the batch boundary ([`StorageEngine::sync`]) —
+//!   each op is acknowledged only after the sync that covers it, so the
+//!   durability guarantee is `Always`-grade at a fraction of the fsync
+//!   count.
 //! * **Snapshots** (`snapshot.rs`): `snapshot-<generation:016x>.snap`, a
 //!   framed header (magic `RDHTSNAP`, version, generation), one op per
 //!   replica/counter, and a footer with the op count; rejected as a whole
@@ -116,7 +117,7 @@ mod wal;
 
 mod engine;
 
-pub use engine::{RecoveredState, StorageEngine, StorageOptions, StorageStats, SyncObserver};
+pub use engine::{RecoveredState, Recovery, StorageEngine, StorageOptions, SyncObserver};
 pub use metrics::StorageMetrics;
 pub use op::StorageOp;
 pub use snapshot::write_snapshot;

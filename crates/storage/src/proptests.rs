@@ -5,15 +5,12 @@
 //! 2. after truncating the log at *any* byte boundary, recovery still
 //!    succeeds and yields a prefix of the op sequence.
 //!
-//! Group-commit properties (the ISSUE 5 satellite):
+//! Group commit:
 //!
-//! 3. a random op sequence journaled through group-commit batches (any
-//!    partition into batches) recovers to exactly the state of the per-op
-//!    path;
-//! 4. a crash *between* a batch's buffered write and its covering fsync —
-//!    modelled as truncation at any byte of the log — loses at most a
-//!    suffix of the op sequence: replay yields a valid prefix, never a torn
-//!    interior record.
+//! 3. a crash *between* a batch's appends and its covering fsync — modelled
+//!    as truncation at any byte of the log past the synced prefix — loses at
+//!    most a suffix of the op sequence: replay yields a valid prefix, never a
+//!    torn interior record.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +23,7 @@ use rdht_hashing::{HashId, Key};
 use crate::op::StorageOp;
 use crate::state::MemoryState;
 use crate::wal::{replay, FsyncPolicy, WalWriter};
-use crate::{StorageEngine, StorageOptions};
+use crate::{StorageEngine, StorageMetrics, StorageOptions};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -117,7 +114,9 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let wal_path = dir.join("wal-0000000000000000.log");
         {
-            let mut wal = WalWriter::create(wal_path.clone(), FsyncPolicy::Never).unwrap();
+            let mut wal =
+                WalWriter::create(wal_path.clone(), FsyncPolicy::Never, &StorageMetrics::default())
+                    .unwrap();
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -155,60 +154,13 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Property 3: group-commit batching is invisible to recovery. The same
-    /// op sequence journaled per-op and journaled through `apply_batch` under
-    /// any random batch partition recovers to identical replica and counter
-    /// state (and the batched log replays op-for-op identical).
-    #[test]
-    fn group_commit_partition_recovers_identically_to_per_op_path(
-        raw in vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..120),
-        cuts in vec(1usize..16, 0..24),
-        snapshot_every in 0u64..40,
-    ) {
-        let ops = ops_from(&raw);
-        let per_op_dir = fresh_dir("group-per-op");
-        let batched_dir = fresh_dir("group-batched");
-        {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
-            options.snapshot_every = snapshot_every;
-            let mut engine = StorageEngine::open(&per_op_dir, options).unwrap();
-            for op in &ops {
-                engine.apply(op).unwrap();
-            }
-            engine.sync().unwrap();
-        }
-        {
-            let mut options = StorageOptions::with_fsync(
-                FsyncPolicy::group_commit(1 << 20, std::time::Duration::ZERO),
-            );
-            options.snapshot_every = snapshot_every;
-            let mut engine = StorageEngine::open(&batched_dir, options).unwrap();
-            // Partition the sequence into batches at the generated cut sizes
-            // (whatever remains past the last cut is the final batch).
-            let mut rest: &[crate::op::StorageOp] = &ops;
-            for &cut in &cuts {
-                let take = cut.min(rest.len());
-                let (batch, tail) = rest.split_at(take);
-                engine.apply_batch(batch.to_vec()).unwrap();
-                rest = tail;
-            }
-            engine.apply_batch(rest.to_vec()).unwrap();
-            engine.sync().unwrap();
-        }
-        let (expected_replicas, expected_counters) = StorageEngine::recover(&per_op_dir).unwrap();
-        let (replicas, counters) = StorageEngine::recover(&batched_dir).unwrap();
-        prop_assert_eq!(&replicas, &expected_replicas);
-        prop_assert_eq!(&counters, &expected_counters);
-        std::fs::remove_dir_all(&per_op_dir).unwrap();
-        std::fs::remove_dir_all(&batched_dir).unwrap();
-    }
-
-    /// Property 4: a crash between a batch's buffered write and its covering
-    /// fsync loses at most a suffix. The batch is written through
-    /// `append_batch` but the file is then cut at an arbitrary byte (what a
-    /// power loss may leave of the un-fsynced write); replay must yield a
-    /// valid prefix of the full sequence — never a torn interior — and the
-    /// engine must reopen over it and keep appending.
+    /// Property 3: a crash between a batch's appends and its covering fsync
+    /// loses at most a suffix. A prefix is appended op by op and covered by
+    /// one sync; the rest is appended but never synced, and the file is then
+    /// cut at an arbitrary byte past the synced prefix (what a power loss may
+    /// leave of the un-fsynced writes). Replay must yield a valid prefix of
+    /// the full sequence — never a torn interior — and the engine must reopen
+    /// over it and keep appending.
     #[test]
     fn crash_between_batch_write_and_fsync_loses_only_a_suffix(
         raw in vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 1..60),
@@ -226,9 +178,13 @@ proptest! {
         {
             let mut wal = WalWriter::create(
                 wal_path.clone(),
-                FsyncPolicy::group_commit(1 << 20, std::time::Duration::ZERO),
+                FsyncPolicy::group_commit(1 << 20),
+                &StorageMetrics::default(),
             ).unwrap();
-            wal.append_batch(&ops[..split]).unwrap();
+            for op in &ops[..split] {
+                wal.append(op).unwrap();
+            }
+            wal.sync().unwrap();
             synced_len = std::fs::metadata(&wal_path).unwrap().len();
             // The doomed batch: written, never explicitly synced again.
             for op in &ops[split..] {
@@ -260,9 +216,9 @@ proptest! {
         prop_assert_eq!(&counters, &expected.counters);
         let mut engine = StorageEngine::open(
             &dir,
-            StorageOptions::with_fsync(FsyncPolicy::group_commit(64, std::time::Duration::ZERO)),
+            StorageOptions::with_fsync(FsyncPolicy::group_commit(64)),
         ).unwrap();
-        engine.apply_batch(vec![crate::op::StorageOp::ClearCounters]).unwrap();
+        engine.apply(&StorageOp::ClearCounters).unwrap();
         engine.sync().unwrap();
         let recovered = StorageEngine::recover_state(&dir).unwrap();
         prop_assert_eq!(recovered.wal_ops, replayed.ops.len() as u64 + 1);

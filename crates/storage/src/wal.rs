@@ -3,9 +3,8 @@
 //! A WAL file is a sequence of CRC-framed [`StorageOp`] records
 //! ([`crate::frame`]). Appending is buffered through a scratch `Vec` (one
 //! `write_all` per op, no intermediate allocation per field) and flushed to
-//! stable storage according to the [`FsyncPolicy`]. [`WalWriter::append_batch`]
-//! frames a whole group of ops into one `write_all` and covers them with a
-//! single `sync_data` — the group-commit write path.
+//! stable storage according to the [`FsyncPolicy`]. The writer counts its
+//! appends, bytes and syncs into the [`StorageMetrics`] handles it is given.
 //!
 //! Replay walks the frames from the front and stops at the first record that
 //! fails its checksum or decodes to garbage: everything before it is the
@@ -16,9 +15,9 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use crate::frame::{frame_with, read_frames, FRAME_HEADER_LEN};
+use crate::metrics::StorageMetrics;
 use crate::op::StorageOp;
 
 /// When appended records are `fsync`ed to stable storage.
@@ -32,7 +31,7 @@ use crate::op::StorageOp;
 ///
 /// # Invariants
 ///
-/// `EveryN(0)` and `GroupCommit { max_batch: 0, .. }` are degenerate — taken
+/// `EveryN(0)` and `GroupCommit { max_batch: 0 }` are degenerate — taken
 /// literally they would never trigger a sync, silently downgrading the
 /// policy to `Never`. Both are **normalized to `Always`** wherever a policy
 /// enters the write path ([`FsyncPolicy::normalized`], applied by
@@ -47,22 +46,19 @@ pub enum FsyncPolicy {
     /// `fsync` after every `n` appended ops (and on explicit `sync`).
     /// `n == 0` is normalized to [`FsyncPolicy::Always`].
     EveryN(u64),
-    /// Group commit: individual appends are *not* synced — the caller
-    /// assembles batches and issues one covering [`WalWriter::sync`] at each
-    /// batch boundary (a batched append through
-    /// [`WalWriter::append_batch`] syncs itself once at its end). Durability
-    /// must be acknowledged per op only after the covering sync.
+    /// Group commit: individual appends are *not* synced — the caller issues
+    /// one covering [`WalWriter::sync`] at each batch boundary and
+    /// acknowledges an op only after the sync that covers it. A peer's batch
+    /// is what is already queued when it wakes; nothing waits for
+    /// stragglers.
     ///
-    /// `max_batch` is a safety bound: should more than `max_batch` appends
-    /// accumulate without an explicit sync, the writer forces one.
-    /// `max_delay` is advisory to the batching layer (how long a commit
-    /// leader may wait for followers to arrive); the writer itself never
-    /// sleeps. `max_batch == 0` is normalized to [`FsyncPolicy::Always`].
+    /// `max_batch` is also a durability bound: should more than `max_batch`
+    /// appends accumulate without an explicit sync, the writer forces one.
+    /// `max_batch == 0` is normalized to [`FsyncPolicy::Always`].
     GroupCommit {
-        /// Most appends one covering sync may span.
+        /// Most appends one covering sync may span, and most requests one
+        /// peer batch drains.
         max_batch: u64,
-        /// Longest a batching layer should wait to fill a batch.
-        max_delay: Duration,
     },
     /// Never `fsync`; the OS flushes when it pleases.
     Never,
@@ -71,35 +67,27 @@ pub enum FsyncPolicy {
 impl FsyncPolicy {
     /// A group-commit policy, normalized (`max_batch == 0` becomes
     /// [`FsyncPolicy::Always`]).
-    pub fn group_commit(max_batch: u64, max_delay: Duration) -> Self {
-        FsyncPolicy::GroupCommit {
-            max_batch,
-            max_delay,
-        }
-        .normalized()
+    pub fn group_commit(max_batch: u64) -> Self {
+        FsyncPolicy::GroupCommit { max_batch }.normalized()
     }
 
     /// Replaces the degenerate zero-bound variants (`EveryN(0)`,
-    /// `GroupCommit { max_batch: 0, .. }`) with [`FsyncPolicy::Always`] —
-    /// taken literally they would never sync, which is a silent `Never`.
+    /// `GroupCommit { max_batch: 0 }`) with [`FsyncPolicy::Always`] — taken
+    /// literally they would never sync, which is a silent `Never`.
     pub fn normalized(self) -> Self {
         match self {
-            FsyncPolicy::EveryN(0) | FsyncPolicy::GroupCommit { max_batch: 0, .. } => {
+            FsyncPolicy::EveryN(0) | FsyncPolicy::GroupCommit { max_batch: 0 } => {
                 FsyncPolicy::Always
             }
             other => other,
         }
     }
 
-    /// The batching parameters when this policy is group commit: the caller
-    /// should assemble batches up to `max_batch` ops / `max_delay` of
-    /// waiting, and issue one covering sync per batch.
-    pub fn batching(self) -> Option<(u64, Duration)> {
+    /// `max_batch` when this policy is group commit: the caller should batch
+    /// up to that many queued ops and issue one covering sync per batch.
+    pub fn batching(self) -> Option<u64> {
         match self.normalized() {
-            FsyncPolicy::GroupCommit {
-                max_batch,
-                max_delay,
-            } => Some((max_batch, max_delay)),
+            FsyncPolicy::GroupCommit { max_batch } => Some(max_batch),
             _ => None,
         }
     }
@@ -179,29 +167,36 @@ pub struct WalWriter {
     path: PathBuf,
     policy: FsyncPolicy,
     appends_since_sync: u64,
-    syncs: u64,
-    bytes_appended: u64,
+    metrics: StorageMetrics,
     scratch: Vec<u8>,
 }
 
 impl WalWriter {
-    /// Creates a fresh, empty WAL at `path` (truncating anything there).
-    pub fn create(path: PathBuf, policy: FsyncPolicy) -> io::Result<Self> {
+    fn new(file: File, path: PathBuf, policy: FsyncPolicy, metrics: &StorageMetrics) -> Self {
+        WalWriter {
+            file,
+            path,
+            policy: policy.normalized(),
+            appends_since_sync: 0,
+            metrics: metrics.clone(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Creates a fresh, empty WAL at `path` (truncating anything there) that
+    /// counts into `metrics`.
+    pub fn create(
+        path: PathBuf,
+        policy: FsyncPolicy,
+        metrics: &StorageMetrics,
+    ) -> io::Result<Self> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(&path)?;
         file.sync_all()?;
-        Ok(WalWriter {
-            file,
-            path,
-            policy: policy.normalized(),
-            appends_since_sync: 0,
-            syncs: 0,
-            bytes_appended: 0,
-            scratch: Vec::new(),
-        })
+        Ok(WalWriter::new(file, path, policy, metrics))
     }
 
     /// Opens an existing WAL for appending after a replay: the file is
@@ -216,6 +211,7 @@ impl WalWriter {
         path: PathBuf,
         policy: FsyncPolicy,
         valid_len: u64,
+        metrics: &StorageMetrics,
     ) -> io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         if file.metadata()?.len() != valid_len {
@@ -224,15 +220,7 @@ impl WalWriter {
             file.sync_all()?;
             sync_parent_dir(&path)?;
         }
-        Ok(WalWriter {
-            file,
-            path,
-            policy: policy.normalized(),
-            appends_since_sync: 0,
-            syncs: 0,
-            bytes_appended: 0,
-            scratch: Vec::new(),
-        })
+        Ok(WalWriter::new(file, path, policy, metrics))
     }
 
     /// The file path of this WAL.
@@ -250,88 +238,34 @@ impl WalWriter {
         self.appends_since_sync
     }
 
-    /// Number of `sync_data` calls this writer has issued — the denominator
-    /// of the group-commit amortization.
-    pub fn syncs(&self) -> u64 {
-        self.syncs
-    }
-
-    /// Framed bytes this writer has appended (headers included) — the
-    /// numerator of the write-amplification story.
-    pub fn bytes_appended(&self) -> u64 {
-        self.bytes_appended
-    }
-
     /// Appends one framed op and applies the fsync policy. The record is
     /// framed in place in the reused scratch buffer (header reserved up
     /// front, sealed after encoding) — no per-append allocation.
     ///
     /// Under [`FsyncPolicy::GroupCommit`] the append is **not** durable when
-    /// this returns (unless the `max_batch` safety bound forced a sync): the
-    /// caller owns the batch boundary and must call [`WalWriter::sync`]
-    /// before acknowledging the op.
+    /// this returns (unless the `max_batch` bound forced a sync): the caller
+    /// owns the batch boundary and must call [`WalWriter::sync`] before
+    /// acknowledging the op.
     pub fn append(&mut self, op: &StorageOp) -> io::Result<()> {
         self.scratch.clear();
         frame_with(&mut self.scratch, |out| op.encode(out));
         self.file.write_all(&self.scratch)?;
         self.appends_since_sync += 1;
-        self.bytes_appended += self.scratch.len() as u64;
-        self.apply_policy()
-    }
-
-    /// Appends a batch of ops as one buffered write — every record framed
-    /// into the scratch buffer, a single `write_all` — then applies the
-    /// fsync policy *once*. Under [`FsyncPolicy::Always`] and
-    /// [`FsyncPolicy::GroupCommit`] the whole batch is made durable by a
-    /// single covering `sync_data` before this returns: this is the
-    /// group-commit write path, one fsync amortized over `ops.len()`
-    /// appends.
-    pub fn append_batch(&mut self, ops: &[StorageOp]) -> io::Result<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.scratch.clear();
-        for op in ops {
-            frame_with(&mut self.scratch, |out| op.encode(out));
-        }
-        self.file.write_all(&self.scratch)?;
-        self.appends_since_sync += ops.len() as u64;
-        self.bytes_appended += self.scratch.len() as u64;
-        match self.policy {
-            // The batch boundary is the covering sync point.
-            FsyncPolicy::Always | FsyncPolicy::GroupCommit { .. } => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                if self.appends_since_sync >= n {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
+        self.metrics.ops_appended.inc();
+        self.metrics.wal_bytes.add(self.scratch.len() as u64);
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            // Group commit defers to the caller's covering sync; its bound
+            // only backstops a caller that never issues one.
+            FsyncPolicy::EveryN(n) | FsyncPolicy::GroupCommit { max_batch: n } => {
+                self.appends_since_sync >= n
             }
-            FsyncPolicy::Never => Ok(()),
-        }
-    }
-
-    /// Applies the per-append half of the policy after one appended op.
-    fn apply_policy(&mut self) -> io::Result<()> {
-        match self.policy {
-            FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::EveryN(n) => {
-                if self.appends_since_sync >= n {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::GroupCommit { max_batch, .. } => {
-                // Deferred: the batching layer syncs at the batch boundary;
-                // the bound only backstops a caller that never does.
-                if self.appends_since_sync >= max_batch {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            FsyncPolicy::Never => Ok(()),
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync()
+        } else {
+            Ok(())
         }
     }
 
@@ -343,7 +277,7 @@ impl WalWriter {
             return Ok(());
         }
         self.file.sync_data()?;
-        self.syncs += 1;
+        self.metrics.wal_syncs.inc();
         self.appends_since_sync = 0;
         Ok(())
     }
@@ -360,6 +294,13 @@ mod tests {
         path.push(format!("rdht-wal-test-{}-{tag}.log", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    /// A fresh writer at `path` and the handles it counts into.
+    fn writer(path: &Path, policy: FsyncPolicy) -> (WalWriter, StorageMetrics) {
+        let metrics = StorageMetrics::default();
+        let wal = WalWriter::create(path.to_path_buf(), policy, &metrics).unwrap();
+        (wal, metrics)
     }
 
     fn sample_ops(n: u64) -> Vec<StorageOp> {
@@ -379,7 +320,7 @@ mod tests {
         let path = temp_path("round-trip");
         let ops = sample_ops(20);
         {
-            let mut wal = WalWriter::create(path.clone(), FsyncPolicy::EveryN(4)).unwrap();
+            let (mut wal, _) = writer(&path, FsyncPolicy::EveryN(4));
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -402,11 +343,11 @@ mod tests {
     fn a_frame_that_checksums_but_does_not_decode_ends_the_prefix() {
         let path = temp_path("undecodable");
         let ops = sample_ops(4);
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never).unwrap();
+        let (mut wal, metrics) = writer(&path, FsyncPolicy::Never);
         for op in &ops {
             wal.append(op).unwrap();
         }
-        let prefix_len = wal.bytes_appended();
+        let prefix_len = metrics.wal_bytes.get();
         drop(wal);
         // A well-framed record with an op tag no version ever wrote, then
         // one more good record that must not be reached.
@@ -425,61 +366,28 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_replays_identically_to_per_op_appends() {
-        let ops = sample_ops(17);
-        let per_op = temp_path("batch-vs-per-op-a");
-        let batched = temp_path("batch-vs-per-op-b");
-        {
-            let mut wal = WalWriter::create(per_op.clone(), FsyncPolicy::Never).unwrap();
-            for op in &ops {
-                wal.append(op).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        {
-            let mut wal = WalWriter::create(
-                batched.clone(),
-                FsyncPolicy::group_commit(64, Duration::ZERO),
-            )
-            .unwrap();
-            // Uneven partition on purpose: 5 + 11 + 1.
-            wal.append_batch(&ops[..5]).unwrap();
-            wal.append_batch(&ops[5..16]).unwrap();
-            wal.append_batch(&ops[16..]).unwrap();
-            assert_eq!(wal.syncs(), 3, "one covering sync per batch");
-            assert_eq!(wal.pending_appends(), 0);
-        }
-        // Byte-identical logs: the batch path changes syscalls, not format.
-        assert_eq!(
-            std::fs::read(&per_op).unwrap(),
-            std::fs::read(&batched).unwrap()
-        );
-        let replayed = replay(&batched).unwrap();
-        assert_eq!(replayed.ops, ops);
-        assert!(!replayed.torn_tail);
-        std::fs::remove_file(&per_op).unwrap();
-        std::fs::remove_file(&batched).unwrap();
-    }
-
-    #[test]
     fn group_commit_defers_syncs_to_the_batch_boundary() {
         let path = temp_path("group-defer");
         let ops = sample_ops(10);
-        let mut wal = WalWriter::create(
-            path.clone(),
-            FsyncPolicy::group_commit(64, Duration::from_micros(100)),
-        )
-        .unwrap();
+        let (mut wal, metrics) = writer(&path, FsyncPolicy::group_commit(64));
         for op in &ops {
             wal.append(op).unwrap();
         }
-        assert_eq!(wal.syncs(), 0, "appends below max_batch never sync");
+        assert_eq!(
+            metrics.wal_syncs.get(),
+            0,
+            "appends below max_batch never sync"
+        );
         assert_eq!(wal.pending_appends(), 10);
         wal.sync().unwrap();
-        assert_eq!(wal.syncs(), 1, "one covering sync for the whole batch");
+        assert_eq!(
+            metrics.wal_syncs.get(),
+            1,
+            "one covering sync for the whole batch"
+        );
         // A second sync at an empty boundary is free.
         wal.sync().unwrap();
-        assert_eq!(wal.syncs(), 1);
+        assert_eq!(metrics.wal_syncs.get(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -487,13 +395,12 @@ mod tests {
     fn group_commit_max_batch_bound_forces_a_sync() {
         let path = temp_path("group-bound");
         let ops = sample_ops(9);
-        let mut wal =
-            WalWriter::create(path.clone(), FsyncPolicy::group_commit(4, Duration::ZERO)).unwrap();
+        let (mut wal, metrics) = writer(&path, FsyncPolicy::group_commit(4));
         for op in &ops {
             wal.append(op).unwrap();
         }
         // 9 appends against a bound of 4: forced syncs at 4 and 8.
-        assert_eq!(wal.syncs(), 2);
+        assert_eq!(metrics.wal_syncs.get(), 2);
         assert_eq!(wal.pending_appends(), 1);
         std::fs::remove_file(&path).unwrap();
     }
@@ -501,24 +408,22 @@ mod tests {
     #[test]
     fn degenerate_zero_bound_policies_normalize_to_always() {
         assert_eq!(FsyncPolicy::EveryN(0).normalized(), FsyncPolicy::Always);
-        assert_eq!(
-            FsyncPolicy::group_commit(0, Duration::from_millis(1)),
-            FsyncPolicy::Always
-        );
+        assert_eq!(FsyncPolicy::group_commit(0), FsyncPolicy::Always);
         assert_eq!(FsyncPolicy::EveryN(3).normalized(), FsyncPolicy::EveryN(3));
         assert_eq!(FsyncPolicy::Always.batching(), None);
-        assert_eq!(
-            FsyncPolicy::group_commit(8, Duration::from_micros(50)).batching(),
-            Some((8, Duration::from_micros(50)))
-        );
+        assert_eq!(FsyncPolicy::group_commit(8).batching(), Some(8));
 
         // EveryN(0) used to degrade to Never (appends never hit the `>= n`
         // threshold); normalized it syncs every op, like Always.
         let path = temp_path("every0");
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::EveryN(0)).unwrap();
+        let (mut wal, metrics) = writer(&path, FsyncPolicy::EveryN(0));
         assert_eq!(wal.policy(), FsyncPolicy::Always);
         wal.append(&sample_ops(1)[0]).unwrap();
-        assert_eq!(wal.syncs(), 1, "EveryN(0) must sync per op, not never");
+        assert_eq!(
+            metrics.wal_syncs.get(),
+            1,
+            "EveryN(0) must sync per op, not never"
+        );
         assert_eq!(wal.pending_appends(), 0);
         std::fs::remove_file(&path).unwrap();
     }
@@ -528,7 +433,7 @@ mod tests {
         let path = temp_path("torn");
         let ops = sample_ops(10);
         {
-            let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never).unwrap();
+            let (mut wal, _) = writer(&path, FsyncPolicy::Never);
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -547,9 +452,13 @@ mod tests {
         // Re-open for append: the torn bytes are discarded and a fresh
         // append lands on a record boundary.
         {
-            let mut wal =
-                WalWriter::open_after_replay(path.clone(), FsyncPolicy::Always, replayed.valid_len)
-                    .unwrap();
+            let mut wal = WalWriter::open_after_replay(
+                path.clone(),
+                FsyncPolicy::Always,
+                replayed.valid_len,
+                &StorageMetrics::default(),
+            )
+            .unwrap();
             wal.append(&StorageOp::ClearCounters).unwrap();
         }
         let after = replay(&path).unwrap();
@@ -569,7 +478,7 @@ mod tests {
         let path = temp_path("truncate-crash");
         let ops = sample_ops(6);
         {
-            let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never).unwrap();
+            let (mut wal, _) = writer(&path, FsyncPolicy::Never);
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -585,9 +494,13 @@ mod tests {
         {
             // Crash-at-truncate: the writer opens (truncating + fsyncing the
             // file and its directory) and is dropped without appending.
-            let wal =
-                WalWriter::open_after_replay(path.clone(), FsyncPolicy::Always, replayed.valid_len)
-                    .unwrap();
+            let wal = WalWriter::open_after_replay(
+                path.clone(),
+                FsyncPolicy::Always,
+                replayed.valid_len,
+                &StorageMetrics::default(),
+            )
+            .unwrap();
             drop(wal);
         }
         assert_eq!(
@@ -602,9 +515,13 @@ mod tests {
         // A reopen with a clean tail must not pay the truncate-sync path
         // (the length already matches) and must append correctly.
         {
-            let mut wal =
-                WalWriter::open_after_replay(path.clone(), FsyncPolicy::Always, after.valid_len)
-                    .unwrap();
+            let mut wal = WalWriter::open_after_replay(
+                path.clone(),
+                FsyncPolicy::Always,
+                after.valid_len,
+                &StorageMetrics::default(),
+            )
+            .unwrap();
             wal.append(&StorageOp::ClearCounters).unwrap();
         }
         let last = replay(&path).unwrap();
