@@ -159,6 +159,21 @@ impl KtsNode {
             .collect()
     }
 
+    /// The one recovery-floor rule: consumes the pending floor of `key`, if
+    /// any, and returns `value` raised to it. A recovered durable counter was
+    /// genuinely generated by this peer before it crashed, so whatever value
+    /// first initializes the key here — observed indirectly or transferred
+    /// directly — must not fall below it.
+    fn raise_to_recovery_floor(&mut self, key: &Key, value: Timestamp) -> Timestamp {
+        match self.recovery_floors.remove(key) {
+            Some(floor) if floor > value.0 => {
+                self.stats.recovery_floor_seeds += 1;
+                Timestamp(floor)
+            }
+            _ => value,
+        }
+    }
+
     /// Read-only access to the valid counter set.
     pub fn vcs(&self) -> &ValidCounterSet {
         &self.vcs
@@ -206,20 +221,13 @@ impl KtsNode {
         let mut used_indirect_init = false;
         if !self.vcs.contains(key) {
             let observation = observe();
-            let mut initial = match observation.max_observed {
+            let observed = match observation.max_observed {
                 Some(ts) => Timestamp(ts.0 + 1),
                 None => Timestamp::ZERO,
             };
-            // Seed with the recovered durable counter: it is the last
-            // timestamp this peer generated before crashing, so the counter
-            // must resume at least there even when the observation missed
-            // every replica (all holders down at once).
-            if let Some(floor) = self.recovery_floors.remove(key) {
-                if floor > initial.0 {
-                    initial = Timestamp(floor);
-                    self.stats.recovery_floor_seeds += 1;
-                }
-            }
+            // The counter resumes at least at the recovered floor even when
+            // the observation missed every replica (all holders down at once).
+            let initial = self.raise_to_recovery_floor(key, observed);
             self.vcs.initialize(key.clone(), initial);
             self.stats.indirect_initializations += 1;
             used_indirect_init = true;
@@ -270,19 +278,12 @@ impl KtsNode {
         let mut used_indirect_init = false;
         if !self.vcs.contains(key) {
             let observation = observe();
-            let mut initial = match (observation.max_observed, policy) {
+            let observed = match (observation.max_observed, policy) {
                 (Some(ts), LastTsInitPolicy::ObservedMax) => ts,
                 (Some(ts), LastTsInitPolicy::ObservedMaxPlusOne) => Timestamp(ts.0 + 1),
                 (None, _) => Timestamp::ZERO,
             };
-            // The recovered durable counter was genuinely generated; the
-            // last timestamp reported for the key must not fall below it.
-            if let Some(floor) = self.recovery_floors.remove(key) {
-                if floor > initial.0 {
-                    initial = Timestamp(floor);
-                    self.stats.recovery_floor_seeds += 1;
-                }
-            }
+            let initial = self.raise_to_recovery_floor(key, observed);
             self.vcs.initialize(key.clone(), initial);
             self.stats.indirect_initializations += 1;
             used_indirect_init = true;
@@ -317,17 +318,9 @@ impl KtsNode {
         durable: &mut D,
     ) {
         for (key, value) in counters {
-            // A pending recovery floor raises a transferred value that is
-            // behind what this peer had already durably generated for the
-            // key (possible when the transferrer initialized from a stale
-            // replica set while this peer was down).
-            let mut value = value;
-            if let Some(floor) = self.recovery_floors.remove(&key) {
-                if floor > value.0 {
-                    value = Timestamp(floor);
-                    self.stats.recovery_floor_seeds += 1;
-                }
-            }
+            // The transferrer may have initialized from a stale replica set
+            // while this peer was down.
+            let value = self.raise_to_recovery_floor(&key, value);
             match self.vcs.value(&key) {
                 Some(existing) if existing >= value => {}
                 _ => {

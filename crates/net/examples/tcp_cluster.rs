@@ -5,7 +5,7 @@
 //! (each serving one ring position with [`serve_tcp_peer`]) plus one
 //! client process, waits for the client's multi-writer workload to finish,
 //! and shuts the peers down over the wire. Every message between the
-//! client and the peers — and between the peers themselves (forwarding,
+//! client and the peers — and between the peers themselves (re-sends,
 //! hand-offs) — crosses the length-framed wire codec and a real socket.
 //!
 //! ```text

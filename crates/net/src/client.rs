@@ -15,7 +15,7 @@ use rdht_core::{PutReplicasOutcome, ReplicaValue, Timestamp, UmsAccess, UmsError
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_metrics::{Counter, Registry, RequestTree, SpanLog, TraceConfig, TraceContext, TraceSink};
 
-use crate::cluster::{Directory, PeerId, DEFAULT_FORWARDER_REAP_IDLE};
+use crate::cluster::{Directory, PeerId};
 use crate::message::{OpId, Reply, Request};
 use crate::metrics::names;
 use crate::peer::{request_kind, sink_ts, traceable, us};
@@ -304,7 +304,6 @@ impl ClusterClient {
             HashFamily::new(num_replicas, seed),
             transport,
             peers.iter().map(|(peer, _)| *peer),
-            DEFAULT_FORWARDER_REAP_IDLE,
         ));
         ClusterClient::new(directory)
     }
@@ -640,9 +639,9 @@ impl ClusterClient {
     /// gets its own `client.call` span with one `client.attempt` per
     /// attempt, ended when *its* reply landed. *Every* failure kind is
     /// retried — a timeout may be loss, a teardown may be a crash another
-    /// peer already failed over, a rejection may be a forward that raced a
-    /// reap; re-resolving and re-sending is the answer to all of them, and
-    /// the dedup windows make it safe for mutations.
+    /// peer already failed over, a rejection may be a peer's re-send to a
+    /// peer that exited; re-resolving and re-sending is the answer to all of
+    /// them, and the dedup windows make it safe for mutations.
     fn call_all(&mut self, calls: Vec<Call>) -> Vec<Result<Reply, UmsError>> {
         struct Leg {
             call: Call,
@@ -959,7 +958,7 @@ impl UmsAccess for ClusterClient {
     /// (`round`): the peers work in parallel, the client
     /// sleeps once, and the whole fan-out shares one `try_timeout` deadline.
     /// Each peer answers one [`Reply::PutsAck`] once its last constituent
-    /// put (including any it had to forward under churn) completed.
+    /// put (including any it had to re-send under churn) completed.
     ///
     /// Under the retry policy, a group whose ack was lost (or that reported
     /// partial failure) is re-grouped against the *current* directory view

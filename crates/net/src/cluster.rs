@@ -49,13 +49,6 @@ const COORDINATION_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(15);
 /// dedup cache instead of driving a second transfer.
 const COORDINATION_ATTEMPTS: u32 = 4;
 
-/// Default bounded-idle grace period after which a gracefully departed
-/// peer's forwarder thread is reaped ([`ClusterConfig::forwarder_reap_idle`]).
-/// Requests routed under the pre-departure directory view arrive within
-/// transport latency, so anything still idle after this has nothing left to
-/// forward; the directory serves the range from the successor either way.
-pub(crate) const DEFAULT_FORWARDER_REAP_IDLE: Duration = Duration::from_secs(30);
-
 /// Identifier of a peer on the cluster ring (the same 64-bit space keys are
 /// hashed into).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -127,13 +120,6 @@ pub struct ClusterConfig {
     /// acknowledged — N concurrent writers share one fsync instead of
     /// paying N.
     pub storage: Option<ClusterStorage>,
-    /// How long a gracefully departed peer lingers as a forwarder after its
-    /// last message before its thread (and transport binding) is reaped.
-    /// Requests reaching the peer after the reap are re-routed through the
-    /// shared directory by whoever holds a stale forwarding rule, so the
-    /// range keeps serving; the reap just returns the thread early on
-    /// long-lived clusters.
-    pub forwarder_reap_idle: Duration,
     /// The transport backend peers and clients communicate over.
     pub transport: TransportKind,
     /// When set, the transport is wrapped in a [`FaultyTransport`] applying
@@ -160,7 +146,6 @@ impl ClusterConfig {
             num_replicas,
             seed,
             storage: None,
-            forwarder_reap_idle: DEFAULT_FORWARDER_REAP_IDLE,
             transport: TransportKind::Channel,
             faults: None,
             trace: None,
@@ -170,12 +155,6 @@ impl ClusterConfig {
     /// Returns a copy with peer-state durability under `storage`.
     pub fn with_storage(mut self, storage: ClusterStorage) -> Self {
         self.storage = Some(storage);
-        self
-    }
-
-    /// Returns a copy with the given forwarder reap grace period.
-    pub fn with_forwarder_reap_idle(mut self, idle: Duration) -> Self {
-        self.forwarder_reap_idle = idle;
         self
     }
 
@@ -244,7 +223,6 @@ pub(crate) struct Directory {
     pub(crate) transport: Arc<dyn Transport>,
     /// Peer ring: id -> (endpoint, alive flag).
     pub(crate) peers: RwLock<BTreeMap<PeerId, (PeerEndpoint, bool)>>,
-    pub(crate) forwarder_reap_idle: Duration,
     /// Cluster-wide dedup totals, fed by every peer's idempotency window.
     pub(crate) dedup: DedupCounters,
 }
@@ -256,7 +234,6 @@ impl Directory {
         family: HashFamily,
         transport: Arc<dyn Transport>,
         members: impl IntoIterator<Item = PeerId>,
-        forwarder_reap_idle: Duration,
     ) -> Self {
         let ring = members
             .into_iter()
@@ -271,7 +248,6 @@ impl Directory {
             family,
             transport,
             peers: RwLock::new(ring),
-            forwarder_reap_idle,
             dedup: DedupCounters::default(),
         }
     }
@@ -447,7 +423,7 @@ impl Cluster {
             None => base,
         };
         let family = HashFamily::new(config.num_replicas, config.seed);
-        let directory = Directory::new(family, transport, [], config.forwarder_reap_idle);
+        let directory = Directory::new(family, transport, []);
         let mut cluster = Cluster {
             directory: Arc::new(directory),
             handles: BTreeMap::new(),
@@ -532,9 +508,9 @@ impl Cluster {
         self.directory.alive_ids_sorted().len()
     }
 
-    /// Whether `peer`'s thread has exited — crashed, shut down, or reaped as
-    /// an idle forwarder after a graceful leave. `true` for unknown ids and
-    /// for peers whose handle was already joined.
+    /// Whether `peer`'s thread has exited — crashed, shut down, or gone
+    /// after a graceful leave. `true` for unknown ids and for peers whose
+    /// handle was already joined.
     pub fn peer_thread_finished(&self, peer: PeerId) -> bool {
         self.handles
             .get(&peer)
@@ -607,8 +583,8 @@ impl Cluster {
         };
         // Make sure the old thread is gone before touching its directory:
         // two threads must never share a WAL. The thread can still be
-        // running even when the peer is marked dead — a gracefully departed
-        // peer lingers as a forwarder — so send the stop signal directly
+        // running even when the peer is marked dead — a departed peer may
+        // still be re-sending its queue — so send the stop signal directly
         // instead of going through crash_peer's liveness check (which would
         // skip it and leave handle.join() waiting forever). Joining the
         // handle also guarantees the old transport binding was torn down
@@ -633,10 +609,10 @@ impl Cluster {
     /// counters of the keys timestamped there move to the joiner through the
     /// journaled hand-off protocol, and the successor registers the joiner
     /// in the shared directory at the commit point — requests that were
-    /// routed to the successor meanwhile are forwarded, so clients never
-    /// observe a half-moved range. On a storage-backed cluster every phase
-    /// is journaled; a crash mid-transfer is recovered by
-    /// [`Cluster::restart_peer`] + a retried `join_peer`.
+    /// routed to the successor under the old view are re-sent to whoever the
+    /// directory names, so clients never observe a half-moved range. On a
+    /// storage-backed cluster every phase is journaled; a crash mid-transfer
+    /// is recovered by [`Cluster::restart_peer`] + a retried `join_peer`.
     pub fn join_peer(&mut self, new_id: PeerId) -> Result<JoinReport, MembershipError> {
         self.join_peer_impl(new_id, None)
     }
@@ -722,12 +698,14 @@ impl Cluster {
     /// 4.2.1.
     ///
     /// The departing peer ships every replica and counter of its range
-    /// `(pred, leaving]` to its live successor, unregisters itself at the
-    /// commit point and keeps running as a pure forwarder (requests routed
-    /// to it before the flip are re-sent to the successor) until the cluster
-    /// shuts down. Because the counters move directly, subsequent timestamp
-    /// requests at the successor are served from a valid counter — **zero**
-    /// indirect re-initializations, in contrast to a crash.
+    /// `(pred, leaving]` to its live successor and unregisters itself at the
+    /// commit point. It then re-sends what is already queued to the
+    /// successor and exits: its thread, engine and transport binding go
+    /// right after this returns, and a request that reaches it later fails
+    /// typed, as after a crash. Because the counters move directly,
+    /// subsequent timestamp requests at the successor are served from a
+    /// valid counter — **zero** indirect re-initializations, in contrast to
+    /// a crash.
     pub fn leave_peer(&mut self, leaving: PeerId) -> Result<LeaveReport, MembershipError> {
         self.leave_peer_impl(leaving, None)
     }
@@ -826,12 +804,12 @@ impl Cluster {
                 replicas_moved,
                 counters_moved,
             }) => Ok((replicas_moved, counters_moved)),
-            // Every bounded wait timed out, but the hand-off committed and
-            // only the completion replies were lost. The target owns the
-            // range — tearing a joiner down now would corrupt the ring — so
-            // report success (the moved counts are unknown; the state itself
-            // is where it belongs).
-            Err(CallError::Exhausted { .. }) if committed && fault.is_none() => Ok((0, 0)),
+            // The hand-off committed but no completion reply came back: the
+            // replies were lost, or the departed peer exited before a re-send
+            // reached it. The target owns the range — tearing a joiner down
+            // now would corrupt the ring — so report success (the moved
+            // counts are unknown; the state itself is where it belongs).
+            Err(_) if committed && fault.is_none() => Ok((0, 0)),
             Err(CallError::Exhausted { attempts, .. }) => {
                 Err(MembershipError::CoordinationTimeout {
                     peer: driver.0,
@@ -893,7 +871,7 @@ pub struct TcpPeerConfig {
 
 /// Runs one peer of a multi-process TCP deployment in the calling thread:
 /// binds the peer's configured listen address, serves requests (including
-/// forwarding and hand-offs, exactly as in-process peers do) until a
+/// re-sends and hand-offs, exactly as in-process peers do) until a
 /// `Shutdown` or `Crash` message arrives, then tears the transport down.
 ///
 /// Every process of the deployment must be configured with the same address
@@ -924,7 +902,6 @@ pub fn serve_tcp_peer(config: TcpPeerConfig) -> Result<(), TransportError> {
         HashFamily::new(config.num_replicas, config.seed),
         transport,
         config.peers.iter().map(|(peer, _)| *peer),
-        DEFAULT_FORWARDER_REAP_IDLE,
     ));
     let trace = config.trace_out.as_ref().map(|_| TraceSink::new());
     let (peer, _) = Peer::open(config.id, directory, &config.storage, None, trace.clone());

@@ -18,7 +18,7 @@
 //!
 //! * `peer.rs` — one peer: its state, the drain → apply → covering sync →
 //!   reply loop, one handler per request kind, and the one definition of
-//!   each protocol rule (exactly-once, forwarding, ack-after-sync, hand-off).
+//!   each protocol rule (exactly-once, routing, ack-after-sync, hand-off).
 //! * `cluster.rs` — the coordinator: [`ClusterConfig`], the membership
 //!   directory, and spawn / crash / restart / join / leave.
 //! * `client.rs` — [`ClusterClient`]: `UmsAccess` over messages, with
@@ -28,7 +28,7 @@
 //!
 //! ## Transports
 //!
-//! The peer loop, forwarding, hand-offs and crash/restart are written once
+//! The peer loop, re-sends, hand-offs and crash/restart are written once
 //! against the [`Transport`] trait (bind a peer to get its [`Mailbox`],
 //! resolve a [`PeerEndpoint`] to send and await replies). Two backends
 //! implement it:
@@ -48,8 +48,8 @@
 //!
 //! The transport conformance suite (`tests/conformance.rs`) asserts the
 //! same behavioural contract — pipelined request/reply matching, concurrent
-//! clients, typed failures on crash, forwarding through departed peers —
-//! against both backends.
+//! clients, typed failures on crash and after a graceful leave, re-sends by
+//! a join source — against both backends.
 //!
 //! ## Deployment model
 //!
@@ -75,7 +75,7 @@
 //! frame per destination peer**. Requests of a round that resolve to the
 //! same peer travel as one [`Request::Batch`], answered by one
 //! [`Reply::Batch`]; the peer explodes it, so each constituent routes,
-//! forwards, deduplicates and traces as if it had come alone. Figure 2
+//! deduplicates and traces as if it had come alone. Figure 2
 //! leaves the probe order open, so a `retrieve` probes first a replica that
 //! lives on the timestamping peer whenever there is one
 //! (`UmsAccess::first_probe`) — its opening is then one frame each way.
@@ -92,16 +92,16 @@
 //! the departing peer hands every counter straight to its successor, so the
 //! graceful path causes **zero** indirect re-initializations. The commit
 //! point of either hand-off flips the shared directory inside the peer's
-//! serial request loop, and requests routed under the old view are
-//! *forwarded* to the new owner, so clients never observe a half-moved
-//! range. A peer killed mid-transfer restarts from its journal and the
+//! serial request loop. The directory is the only routing state: a peer
+//! that has handed a range away re-sends a request routed to it under the
+//! old view to whoever the directory names now, and drops its reply path —
+//! a typed failure the client retries — when that peer cannot be reached;
+//! it never serves the range from its own pruned store. A departed peer
+//! re-sends what is already queued and exits at its leave, as after a
+//! crash. A peer killed mid-transfer restarts from its journal and the
 //! transfer either rolls back (nothing shipped: the source still holds every
 //! replica) or completes (the target already journaled the bundle; a
-//! retried join/leave converges). A departed peer forwards only as long as
-//! requests routed under the old view can still be in flight: after a
-//! bounded idle period ([`ClusterConfig::forwarder_reap_idle`]) its thread
-//! and channel are reaped, and any stale forwarding rule that later finds
-//! its target gone re-resolves through the shared directory.
+//! retried join/leave converges).
 //!
 //! ## Durability and crash/restart
 //!

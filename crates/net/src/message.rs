@@ -42,8 +42,8 @@ pub enum HandoffKind {
     /// joiner in the directory at the commit point.
     Join,
     /// A graceful leave: the receiving peer (the one departing) ships its
-    /// whole range to its successor, unregisters itself at the commit point
-    /// and lingers as a forwarder until the cluster shuts down.
+    /// whole range to its successor, unregisters itself at the commit point,
+    /// re-sends whatever is already queued to the successor and exits.
     Leave,
 }
 
@@ -91,7 +91,7 @@ pub enum Request {
     /// insert. The client groups the `|Hr|` replica puts of an insert by
     /// responsible peer and ships one `PutReplicas` per peer; the receiving
     /// peer answers a single [`Reply::PutsAck`] once every constituent put
-    /// was applied (or forwarded and acknowledged by the peer now
+    /// was applied (or re-sent to and acknowledged by the peer now
     /// responsible for it).
     PutReplicas {
         /// Dedup identity of the logical batched put. The constituent
@@ -277,9 +277,9 @@ pub enum Reply {
         counters_received: usize,
     },
     /// The request was received but will never be answered properly — the
-    /// peer dropped it (e.g. it was in flight towards a peer that died, or a
-    /// forward target disappeared). Clients treat this as a failed call
-    /// rather than waiting out their reply timeout.
+    /// peer dropped it (e.g. it was in flight towards a peer that died, or
+    /// the peer it was re-sent to could not be reached). Clients treat this
+    /// as a failed call rather than waiting out their reply timeout.
     Error {
         /// What went wrong.
         reason: String,

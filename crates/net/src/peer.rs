@@ -7,7 +7,9 @@
 //! paper's promise rests on has one address:
 //!
 //! * *exactly-once* — [`Peer::once`]: dedup lookup, apply, record;
-//! * *forward, never serve a range handed away* — [`Peer::route`];
+//! * *never serve a range handed away* — [`Peer::route`]: once a peer has
+//!   committed a hand-off, the shared directory alone says who serves a
+//!   position;
 //! * *acknowledge only after the covering sync* — handlers push into
 //!   `deferred`, and only [`Peer::sync_and_reply`] sends from it;
 //! * *Rule 3 durably, and the directory flip at the commit point* —
@@ -26,7 +28,6 @@ use rdht_core::{LastTsInitPolicy, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_membership::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_metrics::{encode, Histogram, Registry, RequestTree, SpanLog, TraceContext, TraceSink};
-use rdht_overlay::in_open_closed_interval;
 use rdht_storage::{StorageEngine, StorageOp};
 
 use crate::cluster::{ClusterStorage, Directory, PeerId, RestartReport};
@@ -67,42 +68,14 @@ const NO_SUB: u32 = u32::MAX;
 /// sampled request trees, scraped by [`Request::SlowRequests`].
 const PEER_SLOWLOG_CAPACITY: usize = 128;
 
-/// A forwarding rule a peer installs at the commit point of a hand-off:
-/// requests for positions it is no longer responsible for are re-sent to the
-/// peer that took them over (the forward relays the original reply sink, so
-/// forwarding is transparent to the requester on any transport).
-/// `everything` is set by a graceful leave — anything still reaching a
-/// departed peer was routed before the directory flip and belongs to its
-/// successor.
-struct Forwarding {
-    start: u64,
-    end: u64,
-    everything: bool,
-    target: PeerEndpoint,
-}
-
-impl Forwarding {
-    fn covers(&self, position: u64) -> bool {
-        self.everything || in_open_closed_interval(self.start, self.end, position)
-    }
-}
-
-/// Whether two half-open ring intervals share any position (`start == end`
-/// denotes the full ring).
-fn ranges_intersect(a: (u64, u64), b: (u64, u64)) -> bool {
-    a.0 == a.1
-        || b.0 == b.1
-        || in_open_closed_interval(b.0, b.1, a.1)
-        || in_open_closed_interval(a.0, a.1, b.1)
-}
-
 /// The ring position a data request is routed by, `None` for protocol and
 /// lifecycle messages (which are addressed to a specific peer and never
-/// forwarded). A `PutReplicas` has no single position: it is exploded into
-/// per-hash puts, and each constituent put routes (and forwards)
-/// individually; so does each constituent of a `Batch`. A hash id outside the configured family (possible over
-/// TCP, where any well-formed frame can arrive) also yields `None` — the
-/// request is served locally instead of panicking the peer.
+/// re-sent). A `PutReplicas` has no single position: it is exploded into
+/// per-hash puts, and each constituent put routes individually; so does each
+/// constituent of a `Batch`. A hash id outside the configured family
+/// (possible over TCP, where any well-formed frame can arrive) also yields
+/// `None` — the request is served locally and rejected typed instead of
+/// panicking the peer.
 fn data_position(request: &Request, family: &HashFamily) -> Option<u64> {
     match request {
         Request::PutReplica { hash, key, .. } | Request::GetReplica { hash, key, .. } => {
@@ -300,15 +273,14 @@ struct Handoff {
 
 /// State owned by one peer thread: the storage engine (journaled or
 /// ephemeral) holding its replicas, its KTS node whose counter mutations
-/// are journaled through the engine, the forwarding rules installed by
-/// committed hand-offs, the idempotency window de-duplicating retried and
-/// duplicated mutations, and the buffers of the batch being served.
+/// are journaled through the engine, the idempotency window de-duplicating
+/// retried and duplicated mutations, and the buffers of the batch being
+/// served.
 pub(crate) struct Peer {
     id: PeerId,
     directory: Arc<Directory>,
     engine: StorageEngine,
     kts: KtsNode,
-    forwards: Vec<Forwarding>,
     dedup: DedupWindow,
     /// Seq allocator of the ops this peer originates (install bundles).
     local_seq: u64,
@@ -320,15 +292,13 @@ pub(crate) struct Peer {
     /// availability over durability — but the degradation must not be
     /// silent: it is reported once.
     poison_reported: bool,
-    /// Set at the commit point of a graceful leave: the peer is a pure
-    /// forwarder from here on and is reaped once idle.
+    /// Sticky: set at the commit point of this peer's first hand-off. From
+    /// then on [`Peer::route`] asks the directory who serves each data
+    /// position; until then the peer serves everything it receives.
+    handed_off: bool,
+    /// Set at the commit point of a graceful leave: the loop re-sends what
+    /// is already queued and ends.
     departed: bool,
-    /// Sticky: set once this peer departed or retired a forwarding rule
-    /// whose target died. From then on a data position no rule covers is
-    /// re-resolved through the directory before any local fallback —
-    /// retiring a rule must not silently turn the *next* stale request into
-    /// local service from a store that handed the range away.
-    reroute_uncovered: bool,
     /// The units of the message being served: the message itself, or the
     /// constituent puts a `PutReplicas` was exploded into.
     units: VecDeque<Incoming>,
@@ -392,12 +362,11 @@ impl Peer {
             batching: engine.options().fsync.batching(),
             engine,
             kts,
-            forwards: Vec::new(),
             dedup: DedupWindow::default(),
             local_seq: 0,
             poison_reported: false,
+            handed_off: false,
             departed: false,
-            reroute_uncovered: false,
             units: VecDeque::new(),
             deferred: Vec::new(),
             traced: Vec::new(),
@@ -428,9 +397,9 @@ impl Peer {
 
     /// Runs the loop on the calling thread and tears the peer's transport
     /// binding down when it ends — whichever way it ends (crash, shutdown,
-    /// forwarder reap), senders observe closure instead of silence.
+    /// graceful leave), senders observe closure instead of silence.
     pub(crate) fn serve(mut self, mailbox: Mailbox) {
-        // Frames this thread originates (forwards, install bundles) are
+        // Frames this thread originates (re-sends, install bundles) are
         // attributed to this peer's directed links by the fault layer.
         set_thread_source(self.id);
         self.run(&mailbox);
@@ -456,9 +425,10 @@ impl Peer {
     /// (appends sync themselves per policy, the boundary sync is skipped).
     ///
     /// Stops on `Shutdown` (with a final journal flush), on `Crash` (without
-    /// one), and — once the peer has gracefully departed and only forwards —
-    /// after a bounded idle period (`ClusterConfig::forwarder_reap_idle`),
-    /// returning the thread (and its transport binding) to the system.
+    /// one), and after a graceful leave as soon as its queue is empty: what
+    /// was already queued is re-sent to the successor ([`Peer::route`]),
+    /// and the thread, the engine and the transport binding go at once, as
+    /// after a crash.
     pub(crate) fn run(&mut self, mailbox: &Mailbox) {
         // A non-batchable request encountered while draining a batch: handled
         // (alone) on the next iteration, preserving arrival order.
@@ -467,13 +437,12 @@ impl Peer {
         loop {
             let next = match carry.take() {
                 Some(incoming) => Some(incoming),
-                None if self.departed => mailbox.recv_timeout(self.directory.forwarder_reap_idle),
+                None if self.departed => mailbox.try_recv(),
                 None => mailbox.recv(),
             };
             // Nothing came: the transport side is gone, or a departed peer
-            // sat idle past the grace period — nothing routed under the old
-            // view is still in flight, so the forwarder is reaped. The
-            // directory already resolves the range to the successor.
+            // emptied its queue. A request that reaches it from here on
+            // fails typed and its requester re-resolves.
             let Some(first) = next else { return };
             self.report_journal_poison();
             // Lifecycle messages never enter a batch: shutting a cluster
@@ -544,7 +513,7 @@ impl Peer {
             let deferred_at = self.deferred.len();
             self.unit(unit, sampled)?;
             // Only units that owe a deferred (post-fsync) reply get a
-            // slowlog tree: forwarded units belong to the peer that serves
+            // slowlog tree: re-sent units belong to the peer that serves
             // them, and inline-answered protocol requests record their own
             // phase spans.
             if self.deferred.len() > deferred_at {
@@ -565,8 +534,8 @@ impl Peer {
         Ok(())
     }
 
-    /// Serves one unit: forwards what this peer handed away and hands
-    /// everything else to its kind's handler.
+    /// Serves one unit: re-sends what the directory gives to another peer
+    /// and hands everything else to its kind's handler.
     fn unit(&mut self, unit: Incoming, sampled: Option<TraceContext>) -> Result<(), Stopped> {
         let Incoming {
             request,
@@ -575,7 +544,7 @@ impl Peer {
             arrived,
         } = unit;
         let Some((request, reply)) = self.route(request, reply, trace) else {
-            return Ok(()); // forwarded
+            return Ok(()); // re-sent, or refused
         };
         match request {
             Request::PutReplica {
@@ -589,7 +558,7 @@ impl Peer {
             // replication hash, each with a fan-in sink that answers the
             // original requester with one `PutsAck` once all of them
             // completed. The constituents route individually — under churn
-            // some may forward to the peer now responsible for them.
+            // some may be re-sent to the peer now responsible for them.
             Request::PutReplicas {
                 op,
                 hashes,
@@ -648,12 +617,7 @@ impl Peer {
                 };
                 self.handoff(&handoff, reply)?
             }
-            Request::InstallState {
-                op,
-                start,
-                end,
-                bundle,
-            } => self.install(op, (start, end), bundle, reply)?,
+            Request::InstallState { op, bundle, .. } => self.install(op, bundle, reply)?,
             // Introspection is served locally wherever it lands (a scrape
             // targets a peer, not a key) and answered immediately: reading
             // instruments has no durability ordering. Per the sampler-bypass
@@ -704,53 +668,39 @@ impl Peer {
         }
     }
 
-    /// Forwarding: hands back the request (and its reply path) when this
-    /// peer is the one to serve it, `None` once it was re-sent elsewhere.
+    /// The one routing rule: hands back the request (and its reply path)
+    /// when this peer is the one to serve it, `None` once it was re-sent
+    /// elsewhere or refused.
     ///
-    /// A request for a position this peer handed away is re-sent to the peer
-    /// that took it over: it was routed here through a directory read that
-    /// predates the hand-off's commit. Newest rule wins (the same interval
-    /// can change hands more than once). A rule whose target is unreachable
-    /// is retired; the request is then re-resolved through the *directory* —
-    /// if the live responsible is another peer (the takeover peer departed
-    /// onward and was reaped, so the range lives at its successor now) it is
-    /// re-sent there, and only when this peer is the live successor again
-    /// (the takeover peer crashed) is it served locally, which is exactly
-    /// the failover the ring prescribes.
+    /// A peer that never committed a hand-off serves what it receives. After
+    /// one, the shared directory alone decides: a data request for a
+    /// position it gives to another peer was routed here under a view that
+    /// predates the commit, and is re-sent there with its original reply
+    /// path. When that peer cannot be reached, or the directory names no
+    /// live peer, the reply path is dropped: the requester gets a typed
+    /// failure and re-resolves, and this peer never answers for a position
+    /// from a store that handed it away.
     fn route(
-        &mut self,
+        &self,
         request: Request,
         reply: ReplySink,
         trace: Option<TraceContext>,
     ) -> Option<(Request, ReplySink)> {
+        if !self.handed_off {
+            return Some((request, reply));
+        }
         let Some(position) = data_position(&request, &self.directory.family) else {
             return Some((request, reply));
         };
-        let mut unit = (request, reply);
-        while let Some(index) = self.forwards.iter().rposition(|rule| rule.covers(position)) {
-            match self.forwards[index]
-                .target
-                .send_with_sink_traced(unit.0, unit.1, trace)
-            {
-                Ok(()) => return None,
-                Err(rejected) => {
-                    self.forwards.remove(index);
-                    self.reroute_uncovered = true;
-                    unit = (rejected.request, rejected.sink);
-                }
+        match self.directory.responsible_for(position) {
+            Some((responsible, _)) if responsible == self.id => Some((request, reply)),
+            Some((_, endpoint)) => {
+                // A rejected re-send drops the sink with the request.
+                let _ = endpoint.send_with_sink_traced(request, reply, trace);
+                None
             }
+            None => None, // no live peer: the sink drops here
         }
-        if self.departed || self.reroute_uncovered {
-            if let Some((responsible, endpoint)) = self.directory.responsible_for(position) {
-                if responsible != self.id {
-                    match endpoint.send_with_sink_traced(unit.0, unit.1, trace) {
-                        Ok(()) => return None,
-                        Err(rejected) => unit = (rejected.request, rejected.sink),
-                    }
-                }
-            }
-        }
-        Some(unit)
     }
 
     /// Exactly-once: an identified mutation (`op` present) that already ran
@@ -1005,21 +955,15 @@ impl Peer {
 
     /// Commit point — all three steps inside one serially processed request,
     /// so no client request interleaves: flip the directory, prune the moved
-    /// range from the journal, start forwarding.
+    /// range from the journal, and route by the directory from here on.
     fn handoff_commit(&mut self, handoff: &Handoff, target: PeerEndpoint) {
         let started = Instant::now();
-        let leaving = handoff.kind == HandoffKind::Leave;
         match handoff.kind {
-            HandoffKind::Join => self.directory.revive(handoff.target_id, target.clone()),
+            HandoffKind::Join => self.directory.revive(handoff.target_id, target),
             HandoffKind::Leave => self.directory.mark_dead(self.id),
         }
         commit_handoff(&mut self.engine, handoff.start, handoff.end);
-        self.forwards.push(Forwarding {
-            start: handoff.start,
-            end: handoff.end,
-            everything: leaving,
-            target,
-        });
+        self.handed_off = true;
         // The commit record must be durable before the coordinator learns of
         // the flip (a crash right after the reply must not replay the pruned
         // range back in); for a departing peer this is also its final flush.
@@ -1030,7 +974,7 @@ impl Peer {
             started,
             handoff.sampled,
         );
-        self.departed |= leaving;
+        self.departed |= handoff.kind == HandoffKind::Leave;
     }
 
     /// Measures the hand-off phase that began at `started`: observes its
@@ -1066,17 +1010,11 @@ impl Peer {
     fn install(
         &mut self,
         op: Option<OpId>,
-        (start, end): (u64, u64),
         bundle: HandoffBundle,
         reply: ReplySink,
     ) -> Result<(), Stopped> {
         let answer = self.once(op, NO_SUB, |peer| {
             let report = install_handoff(&mut peer.engine, &mut peer.kts, bundle);
-            // This peer owns (start, end] again: retire any forwarding rule
-            // that overlaps it, or a former owner and its round-tripped
-            // successor would bounce requests forever.
-            peer.forwards
-                .retain(|rule| !ranges_intersect((rule.start, rule.end), (start, end)));
             // The bundle must be durable before the ack: the source treats
             // the ack as licence to prune its own copy at commit, so an
             // unsynced install journal would be the only holder of the moved

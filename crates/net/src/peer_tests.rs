@@ -12,11 +12,13 @@ use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_storage::{FsyncPolicy, StorageOptions, SyncObserver};
 
 use super::*;
-use crate::cluster::DEFAULT_FORWARDER_REAP_IDLE;
 use crate::tests::fresh_storage_root;
 use crate::transport::{CallError, ChannelTransport, ReplyHook, Transport};
 
 const ID: PeerId = PeerId(7);
+
+/// How long a test waits for a reply another peer thread sends.
+const WAIT: Duration = Duration::from_secs(5);
 
 /// A peer of a one-member ring, bound on a channel transport but not
 /// started: what its endpoint is sent queues up in the mailbox.
@@ -24,7 +26,7 @@ fn bound_peer(storage: Option<ClusterStorage>) -> (Peer, Mailbox, PeerEndpoint) 
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
     let mailbox = transport.bind(ID).unwrap();
     let family = HashFamily::new(3, 1);
-    let directory = Directory::new(family, transport, [ID], DEFAULT_FORWARDER_REAP_IDLE);
+    let directory = Directory::new(family, transport, [ID]);
     let endpoint = directory.transport.endpoint(ID).unwrap();
     let (peer, _) = Peer::open(ID, Arc::new(directory), &storage, None, None);
     (peer, mailbox, endpoint)
@@ -212,4 +214,70 @@ fn a_batch_holding_anything_but_data_requests_is_refused_whole() {
         peer.engine.replicas().get(HashId(1), &key).is_none(),
         "no constituent of a refused batch runs"
     );
+}
+
+/// A graceful leave ends the loop by itself: the data requests queued behind
+/// the leave's `HandoffRange` are re-sent to the successor, which answers
+/// them, and `run` returns with no `Crash` or `Shutdown` in the mailbox.
+#[test]
+fn requests_queued_behind_a_leave_are_answered_by_the_successor_and_the_loop_ends() {
+    const SUCCESSOR: PeerId = PeerId(1 << 63);
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let directory = Arc::new(Directory::new(HashFamily::new(3, 1), transport, []));
+    let mailbox = directory.transport.bind(ID).unwrap();
+    let endpoint = directory.transport.endpoint(ID).unwrap();
+    directory.revive(ID, endpoint.clone());
+    let (mut peer, _) = Peer::open(ID, Arc::clone(&directory), &None, None, None);
+    let (successor, _) = Peer::open(SUCCESSOR, Arc::clone(&directory), &None, None, None);
+    let (successor, handle) = successor.start().unwrap();
+    directory.revive(SUCCESSOR, successor.clone());
+
+    // Two keys whose first replica this peer holds until it leaves.
+    let mine = (0..).map(|i| Key::new(format!("doc-{i}"))).filter(|key| {
+        let position = directory.family.eval(HashId(0), key);
+        directory.responsible_for(position).map(|(id, _)| id) == Some(ID)
+    });
+    let [kept, late]: [Key; 2] = mine.take(2).collect::<Vec<_>>().try_into().unwrap();
+    let get = |key: &Key| Request::GetReplica {
+        hash: HashId(0),
+        key: key.clone(),
+    };
+
+    let stored = endpoint.send(put(0, 0, &kept, 5)).unwrap();
+    // With two peers the leaver's range is everything after its successor.
+    let leave = endpoint
+        .send(Request::HandoffRange {
+            op: None,
+            start: SUCCESSOR.0,
+            end: ID.0,
+            target_id: SUCCESSOR,
+            kind: HandoffKind::Leave,
+            fault: None,
+        })
+        .unwrap();
+    let queued_get = endpoint.send(get(&kept)).unwrap();
+    let queued_put = endpoint.send(put(1, 0, &late, 9)).unwrap();
+    peer.run(&mailbox);
+
+    assert_eq!(stored.wait(Duration::ZERO), Ok(Reply::PutAck));
+    assert!(matches!(
+        leave.wait(Duration::ZERO),
+        Ok(Reply::HandoffComplete { .. })
+    ));
+    assert!(
+        peer.engine.replicas().is_empty(),
+        "the leaver pruned its range"
+    );
+    let moved = Reply::Replica(Some((5u64.to_le_bytes().to_vec(), Timestamp(5))));
+    assert_eq!(queued_get.wait(WAIT), Ok(moved));
+    assert_eq!(queued_put.wait(WAIT), Ok(Reply::PutAck));
+    let at_successor = successor.call(get(&late), WAIT).unwrap();
+    let late_put = Reply::Replica(Some((9u64.to_le_bytes().to_vec(), Timestamp(9))));
+    assert_eq!(
+        at_successor, late_put,
+        "the successor applied the queued put"
+    );
+
+    successor.send_no_reply(Request::Shutdown).unwrap();
+    handle.join().unwrap();
 }

@@ -26,7 +26,7 @@
 //!   it sleep on its latch, for what other threads deliver (a reply the
 //!   fault layer holds back). From the peer's reply `write` to the waiter
 //!   no thread sits in between.
-//! * **A reply no sending thread waits for** — a peer forwarding a request
+//! * **A reply no sending thread waits for** — a peer re-sending a request
 //!   with someone else's reply path, a request the fault layer's timer
 //!   sends late, lifecycle messages — goes out on a **pooled connection**
 //!   shared by every endpoint of the transport, one per destination
@@ -161,7 +161,7 @@ fn warn_bad_frame(message: &str, peer: &str, error: &WireError) {
 
 /// The write half of an accepted connection, shared by every in-flight
 /// request that arrived on it. Replies are framed under the lock so
-/// concurrent repliers (batch acknowledgements, forwarded requests
+/// concurrent repliers (batch acknowledgements, re-sent requests
 /// completing out of order) never interleave bytes.
 struct ServerConnWriter {
     stream: Mutex<TcpStream>,

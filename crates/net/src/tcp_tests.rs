@@ -12,7 +12,7 @@ use rdht_core::ums;
 use rdht_hashing::{HashFamily, Key};
 
 use super::*;
-use crate::cluster::{serve_tcp_peer, Directory, TcpPeerConfig, DEFAULT_FORWARDER_REAP_IDLE};
+use crate::cluster::{serve_tcp_peer, Directory, TcpPeerConfig};
 use crate::fault::{End, FaultPlan, FaultyTransport, LinkFaults};
 use crate::transport::{CallError, Gather};
 use crate::ClusterClient;
@@ -151,12 +151,7 @@ fn a_client_round_over_tcp_dials_no_pooled_connection() {
         }
     }
     let transport = TcpTransport::with_peers(book.iter().copied());
-    let directory = Directory::new(
-        HashFamily::new(3, 0x7c9),
-        Arc::new(transport.clone()),
-        ids,
-        DEFAULT_FORWARDER_REAP_IDLE,
-    );
+    let directory = Directory::new(HashFamily::new(3, 0x7c9), Arc::new(transport.clone()), ids);
     let mut client = ClusterClient::new(Arc::new(directory));
     for i in 0..8 {
         let key = Key::new(format!("own:{i}"));

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rdht_core::{ums, UmsAccess};
-use rdht_hashing::Key;
+use rdht_hashing::{HashId, Key};
 use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 
 use crate::{
@@ -697,15 +697,13 @@ fn group_commit_is_reply_for_reply_identical_to_per_op_path() {
     }
 }
 
-/// The ISSUE 5 satellite: a gracefully departed peer no longer lingers as a
-/// forwarder until cluster shutdown — after a bounded idle period its thread
-/// is reaped, and the moved range keeps serving through the directory.
+/// A gracefully departed peer goes at its leave, as the paper's direct
+/// algorithm has it: its thread has finished within a bounded wait after
+/// `leave_peer` returns, with no knob, and the moved range keeps serving
+/// through the directory.
 #[test]
-fn departed_forwarder_is_reaped_after_idle_and_range_serves_via_directory() {
-    let mut cluster = Cluster::spawn_with(
-        ClusterConfig::new(6, 4, 34)
-            .with_forwarder_reap_idle(std::time::Duration::from_millis(100)),
-    );
+fn departed_peer_exits_at_its_leave_and_range_serves_via_directory() {
+    let mut cluster = Cluster::spawn(6, 4, 34);
     let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("doc-{i}"))).collect();
     let mut client = cluster.client();
     for key in &keys {
@@ -714,53 +712,54 @@ fn departed_forwarder_is_reaped_after_idle_and_range_serves_via_directory() {
 
     let victim = cluster.peer_ids()[2];
     cluster.leave_peer(victim).unwrap();
-    assert!(
-        !cluster.peer_thread_finished(victim),
-        "right after the leave the peer lingers as a forwarder"
-    );
-
-    // Bounded idle: the forwarder thread must exit on its own.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while !cluster.peer_thread_finished(victim) {
         assert!(
             std::time::Instant::now() < deadline,
-            "forwarder was never reaped"
+            "the departed peer's thread outlived its leave"
         );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    // The reaped peer's range still serves via the directory: every key is
+    // The departed peer's range serves via the directory: every key is
     // certified current and the direct hand-off left nothing to
     // re-initialize.
     let mut fresh = cluster.client();
     for key in &keys {
         let got = ums::retrieve(&mut fresh, key).unwrap();
-        assert!(got.is_current, "{key:?} after the reap");
+        assert!(got.is_current, "{key:?} after the leave");
         assert_eq!(got.data.unwrap(), b"kept");
     }
     assert_eq!(fresh.indirect_initializations(), 0);
 
-    // Lifecycle still behaves: the reaped peer restarts (its thread is
+    // Lifecycle still behaves: the departed peer restarts (its thread is
     // already gone; the restart respawns it) and the cluster shuts down.
     cluster.restart_peer(victim).unwrap();
     assert_eq!(cluster.live_peers(), 6);
     cluster.shutdown();
 }
 
-/// A stale forwarding rule whose target mailbox died must re-resolve through
-/// the directory, not fall back to serving locally: here the departed peer's
-/// forward target is hard-restarted (new mailbox), so the lingering
-/// forwarder holds a rule to a dead channel. An in-flight request injected
-/// at the forwarder must still reach the data — before the fix it was served
-/// from the forwarder's own (pruned) store and returned nothing.
+/// A `(hash, key)` pair the join moved to `joiner`, with a stored replica.
+fn moved_replica(cluster: &Cluster, keys: &[Key], joiner: PeerId) -> (HashId, Key) {
+    let hashes: Vec<HashId> = cluster.client().replication_ids().collect();
+    keys.iter()
+        .flat_map(|key| hashes.iter().map(move |&hash| (hash, key.clone())))
+        .find(|(hash, key)| cluster.replica_responsible(*hash, key) == Some(joiner))
+        .expect("the join moved at least one replica")
+}
+
+/// A join source that receives a request for the range it handed away
+/// re-resolves it through the directory, not through any state of its own:
+/// here the joiner is hard-restarted (new mailbox, new directory endpoint)
+/// and requests injected at the source, as if routed there under the
+/// pre-join view, must still reach the data at the restarted joiner — never
+/// the source's own pruned store.
 #[test]
-fn retired_forward_rule_reroutes_through_directory_not_locally() {
+fn join_source_reroutes_to_a_hard_restarted_joiner_through_the_directory() {
     use crate::{Reply, Request};
 
-    let root = fresh_storage_root("retired-rule-reroute");
-    let config = ClusterConfig::new(6, 4, 35)
-        .with_storage(ClusterStorage::new(&root))
-        .with_forwarder_reap_idle(std::time::Duration::from_secs(30));
+    let root = fresh_storage_root("join-source-reroute");
+    let config = ClusterConfig::new(6, 4, 35).with_storage(ClusterStorage::new(&root));
     let mut cluster = Cluster::spawn_with(config);
     let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("doc-{i}"))).collect();
     let mut client = cluster.client();
@@ -768,40 +767,29 @@ fn retired_forward_rule_reroutes_through_directory_not_locally() {
         ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
     }
 
-    // A key/hash pair with a confirmed stored replica, to probe later.
-    let probe_key = &keys[0];
-    let probe_hash = client.replication_ids().next().unwrap();
-    assert!(client.get_replica(probe_hash, probe_key).unwrap().is_some());
+    let joiner = unused_peer_id(&cluster, 0x3535_0000_0000_0001);
+    let join = cluster.join_peer(joiner).unwrap();
+    let (probe_hash, probe_key) = moved_replica(&cluster, &keys, joiner);
+    // Hard-restart the joiner: its journal survives, its mailbox does not.
+    cluster.restart_peer(joiner).unwrap();
 
-    let victim = cluster.peer_ids()[1];
-    let leave = cluster.leave_peer(victim).unwrap();
-    // Hard-restart the peer that absorbed the range: its mailbox is
-    // replaced, so the forwarder's everything-rule now points at a dead
-    // channel.
-    cluster.restart_peer(leave.target).unwrap();
-
-    // Inject requests at the lingering forwarder, as if they had been
-    // routed there under the pre-leave directory view. The first send
-    // retires the dead rule; the second must *still* re-resolve through the
-    // directory — retirement must not leave the forwarder serving stale
-    // requests from its own pruned store.
-    let forwarder = cluster.peer_endpoint(victim).expect("forwarder endpoint");
+    let source = cluster.peer_endpoint(join.source).expect("source endpoint");
     for attempt in 0..2 {
-        let pending = forwarder
-            .send(Request::GetReplica {
-                hash: probe_hash,
-                key: probe_key.clone(),
-            })
-            .expect("the forwarder is still alive inside the grace period");
-        match pending
-            .wait(std::time::Duration::from_secs(5))
-            .expect("the re-routed request must be answered")
-        {
+        let reply = source
+            .call(
+                Request::GetReplica {
+                    hash: probe_hash,
+                    key: probe_key.clone(),
+                },
+                std::time::Duration::from_secs(5),
+            )
+            .expect("the re-sent request must be answered");
+        match reply {
             Reply::Replica(stored) => {
                 let (payload, _) = stored.unwrap_or_else(|| {
                     panic!(
-                        "attempt {attempt}: the directory re-route must reach the live \
-                         holder of the replica, not the forwarder's pruned local store"
+                        "attempt {attempt}: the directory re-send must reach the restarted \
+                         joiner, not the source's pruned local store"
                     )
                 });
                 assert_eq!(payload, b"v1");
@@ -811,6 +799,58 @@ fn retired_forward_rule_reroutes_through_directory_not_locally() {
     }
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A join source never answers for a range the directory gives to another
+/// peer. The joiner's thread is stopped behind the directory's back (a
+/// `Crash` sent to its endpoint, so the directory still lists it alive):
+/// requests for a moved position sent to the source then end in a typed
+/// failure — not `Replica(None)` from the source's pruned store, and not a
+/// put acknowledged from it.
+#[test]
+fn join_source_never_serves_a_range_the_directory_gives_away() {
+    use crate::{CallError, Request};
+
+    let mut cluster = Cluster::spawn(6, 4, 36);
+    let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("doc-{i}"))).collect();
+    let mut client = cluster.client();
+    for key in &keys {
+        ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
+    }
+
+    let joiner = unused_peer_id(&cluster, 0x3636_0000_0000_0001);
+    let join = cluster.join_peer(joiner).unwrap();
+    let (hash, key) = moved_replica(&cluster, &keys, joiner);
+    cluster
+        .peer_endpoint(joiner)
+        .expect("joiner endpoint")
+        .send_no_reply(Request::Crash)
+        .unwrap();
+    while !cluster.peer_thread_finished(joiner) {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    assert!(cluster.peer_is_alive(joiner), "the directory was not told");
+
+    let source = cluster.peer_endpoint(join.source).expect("source endpoint");
+    let wait = std::time::Duration::from_secs(5);
+    let get = Request::GetReplica {
+        hash,
+        key: key.clone(),
+    };
+    let put = Request::PutReplica {
+        op: None,
+        hash,
+        key,
+        payload: b"v2".to_vec(),
+        timestamp: rdht_core::Timestamp(u64::MAX),
+    };
+    for request in [get, put] {
+        match source.call(request.clone(), wait) {
+            Err(CallError::Dropped | CallError::Rejected(_)) => {}
+            other => panic!("{request:?} at the source ended in {other:?}"),
+        }
+    }
+    cluster.shutdown();
 }
 
 /// A peer id not yet present in the cluster, derived from a fixed seed.
@@ -1142,9 +1182,9 @@ fn restart_seeds_indirect_init_with_recovered_counter_floor() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Restarting a gracefully departed peer must terminate: its thread is
-/// still running as a forwarder (not crashed), so the restart path has to
-/// stop it explicitly rather than assume a dead thread.
+/// Restarting a gracefully departed peer must terminate, whether or not its
+/// thread has finished re-sending its queue: the restart path stops it
+/// explicitly rather than assume a dead thread.
 #[test]
 fn restart_after_graceful_leave_returns_and_rejoins() {
     let mut cluster = Cluster::spawn(5, 3, 28);
@@ -1156,8 +1196,8 @@ fn restart_after_graceful_leave_returns_and_rejoins() {
     cluster.leave_peer(victim).unwrap();
     assert_eq!(cluster.live_peers(), 4);
 
-    // This used to deadlock: the forwarder thread never got a stop signal
-    // and handle.join() waited forever.
+    // The departed peer is dead to the directory, so crash_peer's liveness
+    // check would skip it; the restart must still stop and join its thread.
     let report = cluster.restart_peer(victim).unwrap();
     assert_eq!(cluster.live_peers(), 5);
     // A departed peer's journal was pruned at hand-off; it rejoins
@@ -1174,10 +1214,10 @@ fn restart_after_graceful_leave_returns_and_rejoins() {
 }
 
 /// A crash of a freshly joined peer must not black-hole its range: the
-/// source's forwarding rule points at a dead mailbox, so it has to retire
-/// the rule and serve the range itself (it is the live successor again).
+/// directory fails the range back to the source (the live successor again),
+/// which serves it itself, promptly.
 #[test]
-fn crash_of_joined_peer_retires_stale_forwarding_rules() {
+fn crash_of_joined_peer_fails_its_range_back_to_the_source() {
     let mut cluster = Cluster::spawn(6, 5, 29);
     let keys: Vec<Key> = (0..10).map(|i| Key::new(format!("doc-{i}"))).collect();
     let mut client = cluster.client();
@@ -1191,8 +1231,8 @@ fn crash_of_joined_peer_retires_stale_forwarding_rules() {
     cluster.crash_peer(joiner).unwrap();
 
     // Every key must still be retrievable promptly — requests for the
-    // moved range route to the source again, whose stale forward-to-the-
-    // dead-joiner rule must not swallow them. (Replicas that died with the
+    // moved range route to the source again, and nothing at the source may
+    // still send them to the dead joiner. (Replicas that died with the
     // storage-less joiner are restored by the next update; surviving
     // replicas under other hash functions keep the data available.)
     let start = std::time::Instant::now();
@@ -1203,7 +1243,7 @@ fn crash_of_joined_peer_retires_stale_forwarding_rules() {
     }
     assert!(
         start.elapsed() < std::time::Duration::from_secs(2),
-        "retrieves must not run into forwarding black holes, took {:?}",
+        "retrieves must not run into black holes, took {:?}",
         start.elapsed()
     );
 

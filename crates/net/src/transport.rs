@@ -12,7 +12,7 @@
 //! * [`PeerEndpoint`] — the send side: a cheap, cloneable handle addressing
 //!   one peer. `send` registers a one-slot wait and returns it as a
 //!   [`PendingReply`]; `send_with_sink` relays an existing sink (this is
-//!   what makes request *forwarding* transparent — the forwarded request
+//!   what makes a peer's *re-send* transparent — the re-sent request
 //!   carries the original reply path, whatever transport it came in on). A
 //!   caller with several independent requests sends them through one
 //!   `Gather` (crate-internal) instead and waits once for all of their
@@ -78,7 +78,8 @@ pub enum CallError {
     Dropped,
     /// No reply arrived within the deadline.
     Timeout,
-    /// The peer (or a forwarder on the path) answered [`Reply::Error`].
+    /// The peer (or a peer that re-sent the request) answered
+    /// [`Reply::Error`].
     Rejected(String),
     /// Every attempt of a retrying call failed — the retry budget of a
     /// [`crate::RetryPolicy`] is spent. `last` is the final attempt's
@@ -206,7 +207,7 @@ fn dropped_unanswered() -> Reply {
 pub trait ReplyHook: Send {
     /// The peer answered; the hook decides what happens to the reply.
     fn deliver(self: Box<Self>, reply: Reply);
-    /// The sink was dropped unsent — a teardown signal (crash, reap), not a
+    /// The sink was dropped unsent — a teardown signal (crash, leave), not a
     /// network frame; hooks are expected to propagate it promptly.
     fn dropped(self: Box<Self>);
     /// The sink this hook ends up delivering into, if it wraps one. A
@@ -253,8 +254,9 @@ enum SinkInner {
 ///
 /// Whoever delivers the reply consumes the sink: the peer loop over the
 /// channel transport; over TCP the thread waiting for it when that thread
-/// sent the request, and otherwise (a forward, a request re-sent by the
-/// fault layer's timer) the reader thread of the connection it went out on.
+/// sent the request, and otherwise (a peer's re-send, a request sent late by
+/// the fault layer's timer) the reader thread of the connection it went out
+/// on.
 pub struct ReplySink {
     inner: SinkInner,
 }
@@ -449,13 +451,6 @@ impl Mailbox {
         self.receiver.recv().ok()
     }
 
-    /// Waits up to `timeout` for the next work item; `None` on timeout *or*
-    /// closure (a peer that only waits bounded time treats both as "nothing
-    /// left to do").
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Incoming> {
-        self.receiver.recv_timeout(timeout).ok()
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Incoming> {
         self.receiver.try_recv().ok()
@@ -463,8 +458,9 @@ impl Mailbox {
 }
 
 /// A send failure that hands the undelivered request (and its reply sink)
-/// back to the caller, so forwarding logic can re-route instead of losing
-/// the message.
+/// back to the caller, which decides what the failure means before the
+/// sink's teardown signal fires: a waiter's slot records the transport
+/// error, a peer's re-send drops the sink.
 #[derive(Debug)]
 pub struct SendRejected {
     /// Why delivery failed.
@@ -482,8 +478,8 @@ pub trait EndpointImpl: Send + Sync {
     /// the TCP transport, carried in-process by the channel transport).
     ///
     /// The `Err` variant is large on purpose: it carries the undelivered
-    /// request and its sink back so forwarding can re-route without
-    /// cloning every message on the happy path (`TraceContext` is `Copy`,
+    /// request and its sink back to the caller without cloning every
+    /// message on the happy path (`TraceContext` is `Copy`,
     /// so the caller still holds the trace on rejection).
     #[allow(clippy::result_large_err)]
     fn deliver(
@@ -517,7 +513,7 @@ impl fmt::Debug for PendingReply {
 }
 
 /// What a delivered reply means to its caller: [`Reply::Error`] is the
-/// peer (or a forwarder) refusing the request, anything else is the answer.
+/// peer refusing the request, anything else is the answer.
 pub(crate) fn answered(reply: Reply) -> Result<Reply, CallError> {
     match reply {
         Reply::Error { reason } => Err(CallError::Rejected(reason)),
@@ -744,7 +740,7 @@ impl PeerEndpoint {
     }
 
     /// Delivers `request` with an explicit reply sink — the relay primitive
-    /// forwarding is built on. On failure the request and sink come back in
+    /// a peer's re-send is built on. On failure the request and sink come back in
     /// the [`SendRejected`] (a deliberately large `Err`: returning the
     /// message avoids cloning it on every successful send).
     #[allow(clippy::result_large_err)]
@@ -851,7 +847,7 @@ pub trait Transport: Send + Sync + 'static {
 
     /// Tears down `peer`'s receive side: closes its listener/connections so
     /// senders observe failure instead of silence. Called by the peer
-    /// thread on exit (crash, shutdown or forwarder reap).
+    /// thread on exit (crash, shutdown or graceful leave).
     fn unbind(&self, peer: PeerId);
 }
 

@@ -2,10 +2,11 @@
 //! against **both** transport backends — the in-process channel mesh and
 //! length-framed TCP over loopback. Everything a deployment relies on is
 //! here: request/reply matching under pipelining, concurrent clients,
-//! typed (not hanging) failures when a peer crashes mid-request,
-//! forwarding through a departed peer, and one frame per peer per round. TCP-only robustness (garbage and
-//! oversized frames from a hostile client) is covered at the end against
-//! real sockets via the public multi-process API.
+//! typed (not hanging) failures when a peer crashes mid-request or has
+//! left, re-sends by a join source, and one frame per peer per round.
+//! TCP-only robustness (garbage and oversized frames from a hostile client)
+//! is covered at the end against real sockets via the public multi-process
+//! API.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -177,11 +178,12 @@ fn crashed_peer_yields_typed_error_and_ring_stays_live() {
     });
 }
 
-/// After a graceful leave, requests still reaching the departed peer (sent
-/// by clients holding the old view) are forwarded to the new owner — on
-/// both transports, including across real sockets.
+/// A departed peer is gone at its leave, as after a crash: a request sent to
+/// its old endpoint (by a client holding the old view) fails promptly and
+/// typed, and the `ClusterClient` completes at the successor — on both
+/// transports, including across real sockets.
 #[test]
-fn departed_peer_forwards_to_the_new_owner() {
+fn departed_peer_fails_typed_and_the_client_completes_at_the_successor() {
     both(|kind| {
         let mut cluster = spawn(kind, 5, 4, 1105);
         let mut client = cluster.client();
@@ -190,44 +192,50 @@ fn departed_peer_forwards_to_the_new_owner() {
             ums::insert(&mut client, key, format!("v{i}").into_bytes()).unwrap();
         }
         let leaving = cluster.peer_ids()[2];
-        // Record (hash, key) pairs whose replica the departing peer owns,
-        // as a stale client would have resolved them.
+        // Keys with a replica the departing peer owns, as a stale client
+        // would have resolved them.
         let hashes: Vec<HashId> = client.replication_ids().collect();
-        let mut owned: Vec<(HashId, Key, usize)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            for &hash in &hashes {
-                if cluster.replica_responsible(hash, key) == Some(leaving) {
-                    owned.push((hash, key.clone(), i));
-                }
-            }
-        }
+        let owned: Vec<(HashId, usize)> = keys
+            .iter()
+            .enumerate()
+            .flat_map(|(i, key)| hashes.iter().map(move |&hash| (hash, key, i)))
+            .filter(|(hash, key, _)| cluster.replica_responsible(*hash, key) == Some(leaving))
+            .map(|(hash, _, i)| (hash, i))
+            .collect();
         assert!(
             !owned.is_empty(),
             "{kind:?}: the departing peer owns no probed replica; pick another seed"
         );
         let old_endpoint = cluster.peer_endpoint(leaving).expect("departing endpoint");
         cluster.leave_peer(leaving).unwrap();
-        // Probe through the *old* endpoint: the departed peer must forward
-        // to the new owner and relay the answer, not serve its dead store.
-        for (hash, key, i) in owned {
-            let pending = old_endpoint
-                .send(Request::GetReplica {
-                    hash,
-                    key: key.clone(),
-                })
-                .expect("departed forwarder still reachable");
-            match pending.wait(REPLY_WAIT).unwrap() {
-                Reply::Replica(Some((payload, _))) => {
-                    assert_eq!(
-                        payload,
-                        format!("v{i}").into_bytes(),
-                        "{kind:?}: wrong replica"
-                    );
-                }
-                other => panic!("{kind:?}: unexpected forwarded reply: {other:?}"),
-            }
+        while !cluster.peer_thread_finished(leaving) {
+            thread::sleep(Duration::from_millis(2));
         }
-        // And the normal client path still certifies currency everywhere.
+        let (hash, i) = owned[0];
+        let started = Instant::now();
+        let outcome = old_endpoint
+            .send(Request::GetReplica {
+                hash,
+                key: keys[i].clone(),
+            })
+            .map_err(CallError::Transport)
+            .and_then(|pending| pending.wait(REPLY_WAIT));
+        match outcome {
+            Err(CallError::Dropped)
+            | Err(CallError::Transport(_))
+            | Err(CallError::Rejected(_)) => {}
+            other => panic!("{kind:?}: a send to the departed peer ended in {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "{kind:?}: the failure was not prompt"
+        );
+        // The client path completes at the successor and certifies currency.
+        for (hash, i) in owned {
+            let stored = client.get_replica(hash, &keys[i]).unwrap();
+            let stored = stored.expect("the successor holds the moved replica");
+            assert_eq!(stored.data, format!("v{i}").into_bytes(), "{kind:?}");
+        }
         for (i, key) in keys.iter().enumerate() {
             let got = ums::retrieve(&mut client, key).unwrap();
             assert!(
