@@ -22,14 +22,14 @@ use crate::types::{ReplicaValue, Timestamp};
 /// threaded client consumes its sockets.
 ///
 /// Two methods exist only so that an environment with real message costs can
-/// do independent work at once, and default to the plain sequence of the
-/// primitives above: [`UmsAccess::put_replicas`] (the `|Hr|` puts of an
-/// insert are independent of each other) and
-/// [`UmsAccess::kts_last_ts_and_probe`] (`last_ts` and the first probe of a
-/// retrieve are independent of each other). Every other step of Figure 2
-/// depends on the one before it and stays a single call. A third,
-/// [`UmsAccess::first_probe`], lets such an environment say *which* replica
-/// that first probe reads.
+/// pack Figure 2's steps into fewer messages, and default to the plain
+/// sequence of the primitives above: [`UmsAccess::stamp_and_put`] (the whole
+/// of an insert once the data is known: `gen_ts`, then the `|Hr|` puts, which
+/// are independent of each other) and [`UmsAccess::kts_last_ts_and_probe`]
+/// (`last_ts` and the first probe of a retrieve are independent of each
+/// other). Every other step of Figure 2 depends on the one before it and
+/// stays a single call. A third, [`UmsAccess::first_probe`], lets such an
+/// environment say *which* replica that first probe reads.
 pub trait UmsAccess {
     /// Asks the timestamping responsible `rsp(k, h_ts)` to generate a fresh
     /// timestamp for `key` (KTS `gen_ts`).
@@ -85,23 +85,38 @@ pub trait UmsAccess {
         (last, probe)
     }
 
-    /// Stores the stamped replica at `rsp(k, h)` for **every** replication
-    /// hash function `h ∈ Hr` — the whole fan-out half of one insert as a
-    /// single operation. The default loops [`UmsAccess::put_replica`];
-    /// implementations that talk to remote peers override it to group the
-    /// puts by responsible peer and ship one batched message per peer
-    /// instead of one per hash. Per-put failures are absorbed into the
-    /// outcome's `failed` count rather than aborting the fan-out — an
+    /// Figure 2's `insert` once the data is known, as one operation: KTS
+    /// `gen_ts` for `key`, then `data` stamped with that timestamp stored at
+    /// `rsp(k, h)` for **every** `h ∈ Hr`. Returns the timestamp and how
+    /// many puts were applied. The default is exactly that sequence —
+    /// [`UmsAccess::kts_gen_ts`], then [`UmsAccess::put_replica`] in id
+    /// order — so [`crate::InMemoryDht`] and the simulator are untouched.
+    ///
+    /// An environment that pays per message overrides it
+    /// (`rdht_net::ClusterClient`): the puts are grouped into one message
+    /// per responsible peer, and the puts that live on `rsp(k, h_ts)` ride
+    /// in the `gen_ts` request itself — that peer stamps, then stores them
+    /// with the stamp, so the put round skips it. The order is still
+    /// Figure 2's: no replica is written before its stamp exists.
+    ///
+    /// A `gen_ts` failure is the error; per-put failures are absorbed into
+    /// the outcome's `failed` count rather than aborting the fan-out — an
     /// insert succeeds as long as *some* replica was written.
-    fn put_replicas(&mut self, key: &Key, value: &ReplicaValue) -> PutReplicasOutcome {
+    fn stamp_and_put(
+        &mut self,
+        key: &Key,
+        data: Vec<u8>,
+    ) -> Result<(Timestamp, PutReplicasOutcome), UmsError> {
+        let timestamp = self.kts_gen_ts(key)?;
+        let value = ReplicaValue::new(data, timestamp);
         let mut outcome = PutReplicasOutcome::default();
         for hash in self.replication_ids() {
-            match self.put_replica(hash, key, value) {
+            match self.put_replica(hash, key, &value) {
                 Ok(()) => outcome.written += 1,
                 Err(_) => outcome.failed += 1,
             }
         }
-        outcome
+        Ok((timestamp, outcome))
     }
 
     /// The replica `retrieve` should probe first, alongside `last_ts`: any
@@ -128,8 +143,8 @@ pub trait UmsAccess {
     }
 }
 
-/// Outcome of a batched replica fan-out ([`UmsAccess::put_replicas`]): how
-/// many of the `|Hr|` puts were applied and how many were lost.
+/// Outcome of an insert's replica fan-out ([`UmsAccess::stamp_and_put`]):
+/// how many of the `|Hr|` puts were applied and how many were lost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PutReplicasOutcome {
     /// Puts applied by a responsible peer.

@@ -15,18 +15,28 @@
 //!
 //! ## Which steps of Figure 2 depend on which
 //!
-//! `insert` is a true chain: the puts carry the timestamp `gen_ts` returned,
-//! so they cannot leave before it arrived (the `|Hr|` puts themselves are
-//! independent of each other and go out as one fan-out,
-//! [`UmsAccess::put_replicas`]). `retrieve` is not: Figure 2 writes
-//! `ts_1 := last_ts(k)` and then the probe loop, but the *first* probe is
-//! sent whatever `ts_1` turns out to be and uses nothing from it — only the
-//! comparison `ts = ts_1` needs both. So [`retrieve`] asks for the two
-//! together ([`UmsAccess::kts_last_ts_and_probe`]), and an environment with
-//! real round trips overlaps them: one round trip to a current answer, not
-//! two. Every *later* probe stays sequential, as the paper prescribes —
-//! whether it is sent at all depends on the one before it — so the number
-//! and kind of messages is exactly Figure 2's.
+//! In `insert` every put carries the timestamp `gen_ts` returned, so no put
+//! can be *applied* before the stamp exists; the `|Hr|` puts are independent
+//! of each other. Only the peer that generates the stamp, `rsp(k, h_ts)`,
+//! has it without being told: it can store the replicas it holds itself
+//! right after stamping, in Figure 2's order, as part of the same request.
+//! So [`insert`] hands the environment the whole step once the data is known
+//! ([`UmsAccess::stamp_and_put`]): the default is `gen_ts` followed by the
+//! puts, and an environment with real messages sends the data along with
+//! `gen_ts` when `rsp(k, h_ts)` holds replicas, leaving the put round to the
+//! other holders — and skipping it when there are none. Those other holders
+//! still wait for the stamp: an insert is two round trips unless every
+//! replica lives with the counter.
+//!
+//! `retrieve` opens with no chain at all: Figure 2 writes `ts_1 := last_ts(k)`
+//! and then the probe loop, but the *first* probe is sent whatever `ts_1`
+//! turns out to be and uses nothing from it — only the comparison
+//! `ts = ts_1` needs both. So [`retrieve`] asks for the two together
+//! ([`UmsAccess::kts_last_ts_and_probe`]), and an environment with real
+//! round trips overlaps them: one round trip to a current answer, not two.
+//! Every *later* probe stays sequential, as the paper prescribes — whether
+//! it is sent at all depends on the one before it — so the number and kind
+//! of requests is exactly Figure 2's.
 //!
 //! ## Which replica is probed first
 //!
@@ -108,11 +118,10 @@ pub fn insert<A: UmsAccess + ?Sized>(
     key: &Key,
     data: Vec<u8>,
 ) -> Result<InsertReport, UmsError> {
-    let timestamp = access.kts_gen_ts(key)?;
-    let value = ReplicaValue::new(data, timestamp);
-    // One batched fan-out instead of |Hr| individual puts: environments
-    // with real message costs group the puts by responsible peer.
-    let outcome = access.put_replicas(key, &value);
+    // `gen_ts` and the |Hr| puts as one step: environments with real
+    // message costs group the puts by peer and let the stamping peer store
+    // its own replicas in the `gen_ts` request.
+    let (timestamp, outcome) = access.stamp_and_put(key, data)?;
     if outcome.written == 0 {
         return Err(UmsError::NoReplicaWritten);
     }
@@ -440,8 +449,8 @@ mod tests {
         assert_eq!(got.data.unwrap(), b"v1");
     }
 
-    /// Records which access methods `retrieve` calls, and for which hashes,
-    /// over an [`InMemoryDht`] that does the actual work.
+    /// Records which access methods `insert` and `retrieve` call, and for
+    /// which hashes, over an [`InMemoryDht`] that does the actual work.
     struct Recording {
         dht: InMemoryDht,
         /// What `first_probe` answers; `None` keeps the trait's default.
@@ -449,6 +458,9 @@ mod tests {
         overlapped_calls: usize,
         last_ts_calls: usize,
         probed: Vec<HashId>,
+        stamp_and_put_calls: usize,
+        /// `gen_ts` and `put_h` calls made outside `stamp_and_put`.
+        bare_insert_steps: usize,
     }
 
     impl Recording {
@@ -459,6 +471,8 @@ mod tests {
                 overlapped_calls: 0,
                 last_ts_calls: 0,
                 probed: Vec::new(),
+                stamp_and_put_calls: 0,
+                bare_insert_steps: 0,
             }
         }
     }
@@ -468,7 +482,16 @@ mod tests {
             self.first.unwrap_or_else(|| self.dht.first_probe(key))
         }
         fn kts_gen_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
+            self.bare_insert_steps += 1;
             self.dht.kts_gen_ts(key)
+        }
+        fn stamp_and_put(
+            &mut self,
+            key: &Key,
+            data: Vec<u8>,
+        ) -> Result<(Timestamp, crate::PutReplicasOutcome), UmsError> {
+            self.stamp_and_put_calls += 1;
+            self.dht.stamp_and_put(key, data)
         }
         fn kts_last_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
             self.last_ts_calls += 1;
@@ -492,6 +515,7 @@ mod tests {
             key: &Key,
             value: &ReplicaValue,
         ) -> Result<(), UmsError> {
+            self.bare_insert_steps += 1;
             self.dht.put_replica(hash, key, value)
         }
         fn get_replica(
@@ -551,6 +575,32 @@ mod tests {
 
         assert_eq!(access.overlapped_calls, 3, "one per retrieve");
         assert_eq!(access.last_ts_calls, 0);
+    }
+
+    /// `insert` hands the environment the whole step once the data is known:
+    /// exactly one `stamp_and_put` per insert, and no `gen_ts` or `put_h` of
+    /// its own — whether every replica is written, some, or none.
+    #[test]
+    fn insert_calls_stamp_and_put_exactly_once() {
+        let key = Key::new("doc");
+        let mut access = Recording::over(InMemoryDht::new(5, 32));
+        let report = insert(&mut access, &key, b"v1".to_vec()).unwrap();
+        assert_eq!(
+            (report.timestamp, report.replicas_written),
+            (Timestamp(1), 5)
+        );
+
+        let ids = access.dht.replication_ids_vec();
+        access.dht.fail_puts_for_hashes(ids[..2].to_vec());
+        let report = insert(&mut access, &key, b"v2".to_vec()).unwrap();
+        assert_eq!((report.replicas_written, report.replicas_failed), (3, 2));
+
+        access.dht.fail_all_puts(true);
+        let err = insert(&mut access, &key, b"v3".to_vec()).unwrap_err();
+        assert_eq!(err, UmsError::NoReplicaWritten);
+
+        assert_eq!(access.stamp_and_put_calls, 3, "one per insert");
+        assert_eq!(access.bare_insert_steps, 0);
     }
 
     /// An environment that names another first probe moves that replica to

@@ -17,8 +17,10 @@
 //! of shared keys, then verifies every retrieve comes back `is_current` —
 //! the paper's currency guarantee, across OS processes — and that a key
 //! with a replica on its timestamping peer is retrieved in one request
-//! frame and one reply frame.
+//! frame and one reply frame, and inserted in one of each per distinct
+//! replica holder.
 
+use std::collections::BTreeSet;
 use std::env;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{exit, Command};
@@ -250,4 +252,24 @@ fn run_client(book: &str) {
         "a co-located retrieve is one frame each way"
     );
     println!("client OK: a co-located retrieve cost 2 messages");
+
+    // The timestamping peer stores its own replicas in the `gen_ts` request:
+    // an insert of the same key costs one frame each way per distinct holder.
+    let holders: BTreeSet<u64> = family
+        .replication_ids()
+        .map(|hash| owner(family.eval(hash, &colocated)))
+        .collect();
+    let before = client.messages();
+    let report = ums::insert(&mut client, &colocated, b"last".to_vec()).expect("insert");
+    assert_eq!(report.replicas_written, NUM_REPLICAS);
+    assert_eq!(
+        client.messages() - before,
+        2 * holders.len() as u64,
+        "a co-located insert is one frame each way per holder"
+    );
+    println!(
+        "client OK: a co-located insert cost {} messages (distinct replica holders: {})",
+        2 * holders.len(),
+        holders.len()
+    );
 }

@@ -786,23 +786,36 @@ impl ClusterClient {
         }
     }
 
-    /// The KTS request for `key`. Only a `gen_ts` is a mutation and gets a
-    /// dedup identity; `last_ts` is a pure read and needs none.
+    /// The KTS request for `key`: a `gen_ts` under `op` when there is one —
+    /// a counter increment is a mutation and must not be re-applied on a
+    /// retry — else a `last_ts`, a pure read that needs no dedup identity.
+    /// A `gen_ts` carrying a `store` is a [`Request::StampAndPut`]; only a
+    /// `gen_ts` carries one.
     fn timestamp_call(
-        &mut self,
+        &self,
         key: &Key,
-        generate: bool,
+        op: Option<OpId>,
         observation_hint: Option<Timestamp>,
+        store: Option<&Carried>,
     ) -> Call {
-        Call {
-            target: Target::Position(self.directory.family.eval_timestamp(key)),
-            request: Request::Timestamp {
-                op: generate.then(|| self.next_op()),
-                key: key.clone(),
-                generate,
+        let target = Target::Position(self.directory.family.eval_timestamp(key));
+        let key = key.clone();
+        let request = match store {
+            Some(store) => Request::StampAndPut {
+                op,
+                key,
+                observation_hint,
+                hashes: store.hashes.clone(),
+                payload: store.payload.clone(),
+            },
+            None => Request::Timestamp {
+                op,
+                key,
+                generate: op.is_some(),
                 observation_hint,
             },
-        }
+        };
+        Call { target, request }
     }
 
     /// Gathers the indirect observation for a key: reads every replica —
@@ -824,141 +837,49 @@ impl ClusterClient {
             .unwrap_or(Timestamp::ZERO)
     }
 
-    /// Turns the reply to a hint-less timestamp request into the timestamp,
-    /// running the indirect initialization when the responsible asks for it.
-    fn finish_timestamp(
+    /// Turns the reply to a hint-less KTS request under `op` into the final
+    /// reply, and says which op that reply answered. A
+    /// `NeedsInitialization` means the responsible has no valid counter (it
+    /// took over after a crash): run the indirect initialization and ask
+    /// again with the observation as hint, carrying the same `store`. The
+    /// hint-carrying `gen_ts` is a *new* logical operation and MUST get a
+    /// fresh op — reusing the first op would be answered from the cached
+    /// `NeedsInitialization` forever.
+    fn initialized(
         &mut self,
         key: &Key,
-        generate: bool,
+        op: Option<OpId>,
+        store: Option<&Carried>,
         first: Reply,
-    ) -> Result<Timestamp, UmsError> {
-        match first {
-            Reply::Timestamp(ts) => Ok(ts),
-            Reply::NeedsInitialization => {
-                // The responsible has no valid counter (it took over after a
-                // crash): run the indirect initialization and retry. The
-                // hint-carrying call is a *new* logical operation and MUST
-                // get a fresh op — reusing the first op would be answered
-                // from the cached `NeedsInitialization` forever.
-                self.indirect_initializations.inc();
-                let observed = self.gather_observation(key);
-                let second = self.timestamp_call(key, generate, Some(observed));
-                match self.call(second)? {
-                    Reply::Timestamp(ts) => Ok(ts),
-                    other => Err(UmsError::kts(format!(
-                        "unexpected reply to initialized timestamp request: {other:?}"
-                    ))),
-                }
-            }
-            other => Err(UmsError::kts(format!(
-                "unexpected reply to timestamp request: {other:?}"
-            ))),
+    ) -> Result<(Reply, Option<OpId>), UmsError> {
+        if !matches!(first, Reply::NeedsInitialization) {
+            return Ok((first, op));
         }
+        self.indirect_initializations.inc();
+        let observed = self.gather_observation(key);
+        let op = op.map(|_| self.next_op());
+        let second = self.timestamp_call(key, op, Some(observed), store);
+        Ok((self.call(second)?, op))
     }
 
-    fn timestamp_request(&mut self, key: &Key, generate: bool) -> Result<Timestamp, UmsError> {
-        let first = self.timestamp_call(key, generate, None);
+    /// A `gen_ts` (under `op`) or a `last_ts` (no op) for `key`, indirect
+    /// initialization included.
+    fn timestamp_request(&mut self, key: &Key, op: Option<OpId>) -> Result<Timestamp, UmsError> {
+        let first = self.timestamp_call(key, op, None, None);
         let first = self.call(first)?;
-        self.finish_timestamp(key, generate, first)
-    }
-}
-
-/// The replica a `get_h` reply carries.
-fn replica_of(reply: Reply) -> Result<Option<ReplicaValue>, UmsError> {
-    match reply {
-        Reply::Replica(stored) => {
-            Ok(stored.map(|(payload, timestamp)| ReplicaValue::new(payload, timestamp)))
-        }
-        other => Err(UmsError::lookup(format!(
-            "unexpected reply to get: {other:?}"
-        ))),
-    }
-}
-
-impl UmsAccess for ClusterClient {
-    fn kts_gen_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
-        self.timestamp_request(key, true)
+        let (reply, _) = self.initialized(key, op, None, first)?;
+        timestamp_of(reply)
     }
 
-    fn kts_last_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
-        self.timestamp_request(key, false)
-    }
-
-    /// The first replica of `Hr` that lives on `rsp(k, h_ts)` right now, so
-    /// that the opening of `retrieve` — `last_ts` and this probe — is one
-    /// frame to one peer; `HashId(0)` when none does. Resolved under one read
-    /// of the directory; a view that changes before the round is sent costs
-    /// a frame, nothing else (the round groups by what it resolves then).
-    fn first_probe(&self, key: &Key) -> HashId {
-        let family = &self.directory.family;
-        let replicas = self.replication_ids().map(|hash| family.eval(hash, key));
-        self.directory
-            .first_sharing_peer(family.eval_timestamp(key), replicas)
-            .map_or(HashId(0), |index| HashId(index as u32))
-    }
-
-    /// The overlapped opening of `retrieve`: the `last_ts` request and the
-    /// probe of `hash` are one two-leg `call_all` — one round trip where the
-    /// sequential default pays two, and one frame when both resolve to the
-    /// same peer ([`UmsAccess::first_probe`] picks `hash` so that they do
-    /// whenever a replica lives there). The requests are the ones the
-    /// sequential algorithm sends (the probe is one it would have sent,
-    /// whatever KTS answers), each leg retries on its own, and a
-    /// `NeedsInitialization` answer runs the indirect initialization exactly
-    /// as [`UmsAccess::kts_last_ts`] does.
-    fn kts_last_ts_and_probe(
-        &mut self,
-        key: &Key,
-        hash: HashId,
-    ) -> (
-        Result<Timestamp, UmsError>,
-        Result<Option<ReplicaValue>, UmsError>,
-    ) {
-        let calls = vec![
-            self.timestamp_call(key, false, None),
-            self.get_call(hash, key),
-        ];
-        let mut replies = self.call_all(calls);
-        let probe = replies.pop().expect("call_all answers every call");
-        let last = replies.pop().expect("call_all answers every call");
-        (
-            last.and_then(|first| self.finish_timestamp(key, false, first)),
-            probe.and_then(replica_of),
-        )
-    }
-
-    fn put_replica(
-        &mut self,
-        hash: HashId,
-        key: &Key,
-        value: &ReplicaValue,
-    ) -> Result<(), UmsError> {
-        let put = Call {
-            target: Target::Position(self.directory.family.eval(hash, key)),
-            request: Request::PutReplica {
-                op: Some(self.next_op()),
-                hash,
-                key: key.clone(),
-                payload: value.data.clone(),
-                timestamp: value.timestamp,
-            },
-        };
-        match self.call(put)? {
-            Reply::PutAck => Ok(()),
-            other => Err(UmsError::lookup(format!(
-                "unexpected reply to put: {other:?}"
-            ))),
-        }
-    }
-
-    /// The batched fan-out: the `|Hr|` puts of one insert are grouped by
-    /// responsible peer and shipped as one [`Request::PutReplicas`] per
-    /// peer — over TCP that is one round trip per peer instead of one per
-    /// hash. The groups go out and are awaited as one scatter-gather round
-    /// (`round`): the peers work in parallel, the client
-    /// sleeps once, and the whole fan-out shares one `try_timeout` deadline.
-    /// Each peer answers one [`Reply::PutsAck`] once its last constituent
-    /// put (including any it had to re-send under churn) completed.
+    /// The put fan-out of an insert over `remaining`, under `op`: the puts
+    /// are grouped by responsible peer and shipped as one
+    /// [`Request::PutReplicas`] per peer — over TCP that is one round trip
+    /// per peer instead of one per hash. The groups go out and are awaited
+    /// as one scatter-gather round (`round`): the peers work in parallel,
+    /// the client sleeps once, and the whole fan-out shares one
+    /// `try_timeout` deadline. Each peer answers one [`Reply::PutsAck`] once
+    /// its last constituent put (including any it had to re-send under
+    /// churn) completed.
     ///
     /// Under the retry policy, a group whose ack was lost (or that reported
     /// partial failure) is re-grouped against the *current* directory view
@@ -967,15 +888,19 @@ impl UmsAccess for ClusterClient {
     /// attempt's counts are correct without double-crediting. Only clean
     /// acks (`failed == 0`) are credited early; a partially failed group is
     /// re-queued whole and credited solely by its last attempt. The
-    /// re-grouping is why this is not a `call_all`: what a
-    /// retry sends depends on where the directory puts each hash *then*.
-    fn put_replicas(&mut self, key: &Key, value: &ReplicaValue) -> PutReplicasOutcome {
-        let op = Some(self.next_op());
+    /// re-grouping is why this is not a `call_all`: what a retry sends
+    /// depends on where the directory puts each hash *then*.
+    fn put_round(
+        &mut self,
+        op: Option<OpId>,
+        key: &Key,
+        value: &ReplicaValue,
+        mut remaining: Vec<HashId>,
+    ) -> PutReplicasOutcome {
         let context = self.sample();
         let started = self.tracing.as_ref().map(|_| Instant::now());
         let mut phases: Vec<(String, u64)> = Vec::new();
         let mut outcome = PutReplicasOutcome::default();
-        let mut remaining: Vec<HashId> = self.replication_ids().collect();
         let attempts = self.retry.attempts.max(1);
         for attempt in 0..attempts {
             let mut backoff = Duration::ZERO;
@@ -1069,6 +994,163 @@ impl UmsAccess for ClusterClient {
         let span = started.map(|started| (started, Instant::now()));
         self.finish_trace("puts", context, span, phases, label);
         outcome
+    }
+}
+
+/// The store a `gen_ts` carries to the peer that stamps the key: the hashes
+/// of `Hr` whose replica lives there, and the payload.
+struct Carried {
+    hashes: Vec<HashId>,
+    payload: Vec<u8>,
+}
+
+/// The timestamp a `gen_ts` or `last_ts` reply carries.
+fn timestamp_of(reply: Reply) -> Result<Timestamp, UmsError> {
+    match reply {
+        Reply::Timestamp(ts) => Ok(ts),
+        other => Err(UmsError::kts(format!(
+            "unexpected reply to timestamp request: {other:?}"
+        ))),
+    }
+}
+
+/// The replica a `get_h` reply carries.
+fn replica_of(reply: Reply) -> Result<Option<ReplicaValue>, UmsError> {
+    match reply {
+        Reply::Replica(stored) => {
+            Ok(stored.map(|(payload, timestamp)| ReplicaValue::new(payload, timestamp)))
+        }
+        other => Err(UmsError::lookup(format!(
+            "unexpected reply to get: {other:?}"
+        ))),
+    }
+}
+
+impl UmsAccess for ClusterClient {
+    fn kts_gen_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
+        let op = Some(self.next_op());
+        self.timestamp_request(key, op)
+    }
+
+    fn kts_last_ts(&mut self, key: &Key) -> Result<Timestamp, UmsError> {
+        self.timestamp_request(key, None)
+    }
+
+    /// The first replica of `Hr` that lives on `rsp(k, h_ts)` right now, so
+    /// that the opening of `retrieve` — `last_ts` and this probe — is one
+    /// frame to one peer; `HashId(0)` when none does. Resolved under one read
+    /// of the directory; a view that changes before the round is sent costs
+    /// a frame, nothing else (the round groups by what it resolves then).
+    fn first_probe(&self, key: &Key) -> HashId {
+        let mut colocated = self.directory.colocated_with_counter(key);
+        colocated.next().unwrap_or(HashId(0))
+    }
+
+    /// The overlapped opening of `retrieve`: the `last_ts` request and the
+    /// probe of `hash` are one two-leg `call_all` — one round trip where the
+    /// sequential default pays two, and one frame when both resolve to the
+    /// same peer ([`UmsAccess::first_probe`] picks `hash` so that they do
+    /// whenever a replica lives there). The requests are the ones the
+    /// sequential algorithm sends (the probe is one it would have sent,
+    /// whatever KTS answers), each leg retries on its own, and a
+    /// `NeedsInitialization` answer runs the indirect initialization exactly
+    /// as [`UmsAccess::kts_last_ts`] does.
+    fn kts_last_ts_and_probe(
+        &mut self,
+        key: &Key,
+        hash: HashId,
+    ) -> (
+        Result<Timestamp, UmsError>,
+        Result<Option<ReplicaValue>, UmsError>,
+    ) {
+        let calls = vec![
+            self.timestamp_call(key, None, None, None),
+            self.get_call(hash, key),
+        ];
+        let mut replies = self.call_all(calls);
+        let probe = replies.pop().expect("call_all answers every call");
+        let last = replies.pop().expect("call_all answers every call");
+        let last = last
+            .and_then(|first| self.initialized(key, None, None, first))
+            .and_then(|(reply, _)| timestamp_of(reply));
+        (last, probe.and_then(replica_of))
+    }
+
+    fn put_replica(
+        &mut self,
+        hash: HashId,
+        key: &Key,
+        value: &ReplicaValue,
+    ) -> Result<(), UmsError> {
+        let put = Call {
+            target: Target::Position(self.directory.family.eval(hash, key)),
+            request: Request::PutReplica {
+                op: Some(self.next_op()),
+                hash,
+                key: key.clone(),
+                payload: value.data.clone(),
+                timestamp: value.timestamp,
+            },
+        };
+        match self.call(put)? {
+            Reply::PutAck => Ok(()),
+            other => Err(UmsError::lookup(format!(
+                "unexpected reply to put: {other:?}"
+            ))),
+        }
+    }
+
+    /// Figure 2's insert in as few frames as the placement allows.
+    ///
+    /// Round 1 is the `gen_ts`. When replicas of the key live on the peer
+    /// that stamps it, `rsp(k, h_ts)`, the request carries the payload and
+    /// their hashes ([`Request::StampAndPut`]): that peer stamps, stores
+    /// them with the stamp, and answers [`Reply::Stamped`] after the sync
+    /// covering both. Round 2 is the put fan-out
+    /// (`ClusterClient::put_round`) over the other hashes, and is skipped
+    /// when none remain. The stamping peer reports counts, not hashes, so
+    /// when it reports a carried put failed, round 2 re-sends every carried
+    /// hash; the ones it applied re-acknowledge from the dedup windows.
+    /// Both rounds run under the op of the `gen_ts` that was answered, so
+    /// such a re-send deduplicates against the put the stamp carried.
+    fn stamp_and_put(
+        &mut self,
+        key: &Key,
+        data: Vec<u8>,
+    ) -> Result<(Timestamp, PutReplicasOutcome), UmsError> {
+        let store = Carried {
+            hashes: self.directory.colocated_with_counter(key).collect(),
+            payload: data,
+        };
+        let carried = (!store.hashes.is_empty()).then_some(&store);
+        let op = Some(self.next_op());
+        let first = self.timestamp_call(key, op, None, carried);
+        let first = self.call(first)?;
+        let (reply, op) = self.initialized(key, op, carried, first)?;
+        let mut outcome = PutReplicasOutcome::default();
+        let (timestamp, stored) = match reply {
+            Reply::Stamped {
+                timestamp,
+                written,
+                failed: 0,
+            } => {
+                outcome.written = written as usize;
+                (timestamp, &store.hashes[..])
+            }
+            Reply::Stamped { timestamp, .. } => (timestamp, &[][..]),
+            other => (timestamp_of(other)?, &[][..]),
+        };
+        let remaining: Vec<HashId> = self
+            .replication_ids()
+            .filter(|hash| !stored.contains(hash))
+            .collect();
+        if !remaining.is_empty() {
+            let value = ReplicaValue::new(store.payload, timestamp);
+            let puts = self.put_round(op, key, &value, remaining);
+            outcome.written += puts.written;
+            outcome.failed += puts.failed;
+        }
+        Ok((timestamp, outcome))
     }
 
     fn get_replica(&mut self, hash: HashId, key: &Key) -> Result<Option<ReplicaValue>, UmsError> {

@@ -23,7 +23,7 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rdht_hashing::{HashFamily, HashId, Key};
+use rdht_hashing::{HashFamily, HashFunction, HashId, Key};
 use rdht_membership::{plan_join, plan_leave, MembershipError};
 use rdht_metrics::{encode, Counter, Registry, TraceContext, TraceSink};
 use rdht_storage::StorageOptions;
@@ -271,18 +271,23 @@ impl Directory {
             .map(|(id, endpoint)| (id, endpoint.clone()))
     }
 
-    /// Index of the first of `positions` whose responsible is also the
-    /// responsible of `anchor`, under one read of the ring.
-    pub(crate) fn first_sharing_peer(
-        &self,
-        anchor: u64,
-        positions: impl IntoIterator<Item = u64>,
-    ) -> Option<usize> {
+    /// The members of `Hr` whose replica of `key` lives on `rsp(k, h_ts)`
+    /// — the peer that stamps the key — in id order, all under one read of
+    /// the ring, which the iterator holds until it is dropped. Lazy: a
+    /// caller that needs only the first stops the walk there.
+    pub(crate) fn colocated_with_counter(&self, key: &Key) -> impl Iterator<Item = HashId> + '_ {
+        let digest = key.digest();
         let peers = self.peers.read();
-        let (anchor, _) = Directory::successor(&peers, anchor)?;
-        positions.into_iter().position(|position| {
-            Directory::successor(&peers, position).is_some_and(|(id, _)| id == anchor)
-        })
+        let counter = self.family.timestamp_function().eval_digest(digest);
+        let owner = Directory::successor(&peers, counter).map(|(id, _)| id);
+        self.family
+            .replication_functions()
+            .iter()
+            .filter(move |function| {
+                let position = function.eval_digest(digest);
+                owner.is_some() && Directory::successor(&peers, position).map(|(id, _)| id) == owner
+            })
+            .map(HashFunction::id)
     }
 
     /// Marks a peer as dead (its endpoint stays but is never selected

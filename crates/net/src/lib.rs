@@ -80,8 +80,12 @@
 //! lives on the timestamping peer whenever there is one
 //! (`UmsAccess::first_probe`) — its opening is then one frame each way.
 //! [`ClusterClient::messages`] counts frames: one per request frame the
-//! transport accepted, one per reply frame that answered. An `insert` still
-//! pays `gen_ts` *then* the puts — the puts carry the stamp.
+//! transport accepted, one per reply frame that answered. An `insert` pays
+//! `gen_ts` *then* the puts — the puts carry the stamp — except on the peer
+//! that generates it: when that peer holds replicas, the `gen_ts` request
+//! carries the payload ([`Request::StampAndPut`]) and the peer stores them
+//! with the fresh stamp, so the put round only reaches the other holders
+//! (and is skipped when there are none).
 //!
 //! ## Elastic membership
 //!

@@ -7,11 +7,13 @@
 //! a [`crate::ReplySink`] (in-process) or as the request id of the framed
 //! envelope (on the wire).
 //!
-//! One frame carries one [`Request`] and is answered by one [`Reply`]. Two
+//! One frame carries one [`Request`] and is answered by one [`Reply`]. Three
 //! requests are containers the receiving peer takes apart: a
 //! [`Request::PutReplicas`] is the same payload for several hashes, answered
-//! by a count; a [`Request::Batch`] is any data requests bound for one peer,
-//! answered by their replies in order ([`Reply::Batch`]).
+//! by a count; a [`Request::StampAndPut`] is a `gen_ts` followed by such
+//! puts, answered by the stamp and a count; a [`Request::Batch`] is any data
+//! requests bound for one peer, answered by their replies in order
+//! ([`Reply::Batch`]).
 
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
@@ -63,12 +65,13 @@ pub enum HandoffFault {
 /// A request sent to a peer. Every in-flight request has an associated reply
 /// path — a [`crate::ReplySink`] delivered alongside it by the transport.
 ///
-/// Data requests (`PutReplica`, `PutReplicas`, `GetReplica`, `Timestamp`)
-/// may be drained into a group-commit batch when the peer's storage runs
-/// `FsyncPolicy::GroupCommit`: the peer applies and journals the whole
-/// batch, issues one covering fsync, and only then sends the replies — so
-/// an acknowledgement always means "durable", regardless of how many
-/// requests shared the fsync. Protocol and lifecycle messages never batch.
+/// Data requests (`PutReplica`, `PutReplicas`, `GetReplica`, `Timestamp`,
+/// `StampAndPut`) may be drained into a group-commit batch when the peer's
+/// storage runs `FsyncPolicy::GroupCommit`: the peer applies and journals
+/// the whole batch, issues one covering fsync, and only then sends the
+/// replies — so an acknowledgement always means "durable", regardless of how
+/// many requests shared the fsync. Protocol and lifecycle messages never
+/// batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Store a stamped replica; the peer keeps it only if the stamp is newer
@@ -118,7 +121,8 @@ pub enum Request {
     /// KTS `gen_ts` / `last_ts` request. If the peer has no valid counter for
     /// the key it answers [`Reply::NeedsInitialization`] and the client
     /// gathers the indirect observation before retrying with
-    /// `observation_hint`.
+    /// `observation_hint`. A `gen_ts` that also stores replicas on the
+    /// stamping peer is a [`Request::StampAndPut`].
     Timestamp {
         /// Dedup identity of a `gen_ts` (set only when `generate` — a
         /// counter increment must not be re-applied on a retry; the cached
@@ -133,6 +137,33 @@ pub enum Request {
         /// (the indirect initialization of Section 4.2.2), if it already
         /// gathered one.
         observation_hint: Option<Timestamp>,
+    },
+    /// KTS `gen_ts` carrying a store: the first half of an insert when the
+    /// timestamping peer `rsp(k, h_ts)` also holds replicas of the key. The
+    /// peer generates the timestamp exactly as for a
+    /// [`Request::Timestamp`], then stores `payload` with it under each of
+    /// `hashes`, splitting them into per-hash puts the way it splits a
+    /// [`Request::PutReplicas`] (each routes on its own; the hash is its
+    /// dedup sub-key under `op`). One [`Reply::Stamped`] answers after the
+    /// sync covering the counter and every put. A
+    /// [`Reply::NeedsInitialization`] answer stores nothing; the
+    /// hint-carrying retry carries the store again.
+    ///
+    /// On the wire this is a `Timestamp` frame whose store is present: the
+    /// store rides only on a `gen_ts` (a `last_ts` carrying one is refused by
+    /// the decoder), and the request counts as `kind="timestamp"`.
+    StampAndPut {
+        /// Dedup identity of the `gen_ts` and of every put it carries.
+        op: Option<OpId>,
+        /// The application key.
+        key: Key,
+        /// As for [`Request::Timestamp`]: the gathered indirect observation.
+        observation_hint: Option<Timestamp>,
+        /// The replication hash functions whose replica the stamping peer
+        /// holds.
+        hashes: Vec<HashId>,
+        /// Replica payload, stored under every hash with the new stamp.
+        payload: Vec<u8>,
     },
     /// Drive a membership hand-off: the receiving peer exports the replicas
     /// and counters of the ring interval `(start, end]`, ships them to
@@ -220,8 +251,8 @@ pub enum Request {
 }
 
 impl Request {
-    /// Whether this is one of the four data requests (`PutReplica`,
-    /// `PutReplicas`, `GetReplica`, `Timestamp`) — the ones that are routed
+    /// Whether this is a data request (`PutReplica`, `PutReplicas`,
+    /// `GetReplica`, `Timestamp`, `StampAndPut`) — the ones that are routed
     /// by ring position, may share a group-commit drain, and may ride in a
     /// [`Request::Batch`].
     pub(crate) fn is_data(&self) -> bool {
@@ -231,6 +262,7 @@ impl Request {
                 | Request::PutReplicas { .. }
                 | Request::GetReplica { .. }
                 | Request::Timestamp { .. }
+                | Request::StampAndPut { .. }
         )
     }
 }
@@ -251,6 +283,17 @@ pub enum Reply {
     Replica(Option<(Vec<u8>, Timestamp)>),
     /// A timestamp, from `gen_ts` or `last_ts`.
     Timestamp(Timestamp),
+    /// Answer to a [`Request::StampAndPut`]: the generated timestamp, and
+    /// how its carried puts ended, counted as in [`Reply::PutsAck`].
+    Stamped {
+        /// The timestamp `gen_ts` generated.
+        timestamp: Timestamp,
+        /// Carried puts applied (locally or by the peer they were re-sent
+        /// to).
+        written: u32,
+        /// Carried puts that reached no responsible peer.
+        failed: u32,
+    },
     /// The peer has no valid counter for the key and needs the client to run
     /// the indirect initialization first.
     NeedsInitialization,

@@ -110,7 +110,7 @@ impl RequestCounters {
             Request::PutReplica { .. } => &self.put,
             Request::PutReplicas { .. } => &self.puts,
             Request::GetReplica { .. } => &self.get,
-            Request::Timestamp { .. } => &self.timestamp,
+            Request::Timestamp { .. } | Request::StampAndPut { .. } => &self.timestamp,
             Request::HandoffRange { .. } => &self.handoff,
             Request::InstallState { .. } => &self.install,
             Request::Metrics | Request::SlowRequests { .. } => &self.metrics,

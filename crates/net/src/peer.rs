@@ -11,7 +11,9 @@
 //!   committed a hand-off, the shared directory alone says who serves a
 //!   position;
 //! * *acknowledge only after the covering sync* — handlers push into
-//!   `deferred`, and only [`Peer::sync_and_reply`] sends from it;
+//!   `deferred`, and only [`Peer::sync_and_reply`] sends from it; a reply
+//!   that totals several puts (`PutsAck`, the `Stamped` of a `StampAndPut`)
+//!   leaves only once the last of their acks was sent;
 //! * *Rule 3 durably, and the directory flip at the commit point* —
 //!   [`Peer::handoff_export`], [`Peer::handoff_install`] and
 //!   [`Peer::handoff_commit`], each ending in its own sync;
@@ -57,11 +59,11 @@ const DEDUP_WINDOW_PER_CLIENT: usize = 256;
 /// active one.
 const DEDUP_MAX_CLIENTS: usize = 1024;
 
-/// Sub-key of a dedup entry for requests with one unit of effect. The
-/// constituents of a batched put use their replication hash index instead,
-/// which can never collide with this (a `PutReplica` whose hash is not in
-/// the family — `TIMESTAMP_HASH_ID` is `u32::MAX` — is rejected before the
-/// window is consulted).
+/// Sub-key of a dedup entry for requests with one unit of effect. The puts a
+/// `PutReplicas` or a `StampAndPut` splits into use their replication hash
+/// index instead, which can never collide with this (a `PutReplica` whose
+/// hash is not in the family — `TIMESTAMP_HASH_ID` is `u32::MAX` — is
+/// rejected before the window is consulted).
 const NO_SUB: u32 = u32::MAX;
 
 /// Ring capacity of the per-peer slow-request log: the last N completed
@@ -72,18 +74,35 @@ const PEER_SLOWLOG_CAPACITY: usize = 128;
 /// lifecycle messages (which are addressed to a specific peer and never
 /// re-sent). A `PutReplicas` has no single position: it is exploded into
 /// per-hash puts, and each constituent put routes individually; so does each
-/// constituent of a `Batch`. A hash id outside the configured family
-/// (possible over TCP, where any well-formed frame can arrive) also yields
-/// `None` — the request is served locally and rejected typed instead of
-/// panicking the peer.
+/// constituent of a `Batch`. A `StampAndPut` routes by its timestamp
+/// position, and the puts it splits into after stamping route individually.
+/// A hash id outside the configured family (possible over TCP, where any
+/// well-formed frame can arrive) also yields `None` — the request is served
+/// locally and rejected typed instead of panicking the peer.
 fn data_position(request: &Request, family: &HashFamily) -> Option<u64> {
     match request {
         Request::PutReplica { hash, key, .. } | Request::GetReplica { hash, key, .. } => {
             family.function(*hash).map(|function| function.eval(key))
         }
-        Request::Timestamp { key, .. } => Some(family.eval_timestamp(key)),
+        Request::Timestamp { key, .. } | Request::StampAndPut { key, .. } => {
+            Some(family.eval_timestamp(key))
+        }
         _ => None,
     }
+}
+
+/// One payload to store under several replication hashes with one stamp and
+/// one op: a `PutReplicas`, or the store a `StampAndPut` carried, once
+/// stamped.
+struct Store {
+    op: Option<OpId>,
+    hashes: Vec<HashId>,
+    key: Key,
+    payload: Vec<u8>,
+    timestamp: Timestamp,
+    /// Whether the client sent the puts along with the stamp, to where the
+    /// key's counter lives, rather than each to where it lives.
+    with_counter: bool,
 }
 
 struct ClientWindow {
@@ -172,7 +191,7 @@ pub(crate) fn request_kind(request: &Request) -> &'static str {
         Request::PutReplica { .. } => "put",
         Request::PutReplicas { .. } => "puts",
         Request::GetReplica { .. } => "get",
-        Request::Timestamp { .. } => "timestamp",
+        Request::Timestamp { .. } | Request::StampAndPut { .. } => "timestamp",
         Request::HandoffRange { .. } => "handoff",
         Request::InstallState { .. } => "install",
         Request::Metrics => "metrics",
@@ -299,8 +318,9 @@ pub(crate) struct Peer {
     /// Set at the commit point of a graceful leave: the loop re-sends what
     /// is already queued and ends.
     departed: bool,
-    /// The units of the message being served: the message itself, or the
-    /// constituent puts a `PutReplicas` was exploded into.
+    /// The units of the message being served: the message itself, the
+    /// constituents of a `Batch`, or the puts a `PutReplicas` or a stamped
+    /// `StampAndPut` was split into.
     units: VecDeque<Incoming>,
     /// Replies owed for the current batch, sent only after the covering sync
     /// — durability is acknowledged per op strictly after the fsync that
@@ -554,11 +574,7 @@ impl Peer {
                 payload,
                 timestamp,
             } => self.put(op, hash, key, payload, timestamp, reply)?,
-            // A batched put fans out locally: one constituent put per
-            // replication hash, each with a fan-in sink that answers the
-            // original requester with one `PutsAck` once all of them
-            // completed. The constituents route individually — under churn
-            // some may be re-sent to the peer now responsible for them.
+            // A batched put fans out locally: one put per hash.
             Request::PutReplicas {
                 op,
                 hashes,
@@ -566,29 +582,15 @@ impl Peer {
                 payload,
                 timestamp,
             } => {
-                // Constituents inherit the batch's op, disambiguated by their
-                // hash at the applying peer — a retried batch that was
-                // *regrouped* under a changed directory view still
-                // deduplicates per constituent. They also inherit the batch's
-                // trace context and *original* arrival instant, so queue-wait
-                // attribution survives the explosion.
-                let sinks = ReplySink::fanin(hashes.len(), reply);
-                for (hash, sink) in hashes.into_iter().zip(sinks) {
-                    self.units.push_back(Incoming {
-                        request: Request::PutReplica {
-                            op,
-                            hash,
-                            key: key.clone(),
-                            // The one copy of this replica's payload: `put`
-                            // hands it on to the store by value.
-                            payload: payload.clone(),
-                            timestamp,
-                        },
-                        reply: sink,
-                        trace,
-                        arrived,
-                    });
-                }
+                let store = Store {
+                    op,
+                    hashes,
+                    key,
+                    payload,
+                    timestamp,
+                    with_counter: false,
+                };
+                self.split(store, reply, trace, arrived);
             }
             Request::Batch(items) => self.explode_batch(items, reply, arrived),
             Request::GetReplica { hash, key } => self.get(hash, &key, reply),
@@ -597,7 +599,45 @@ impl Peer {
                 key,
                 generate,
                 observation_hint,
-            } => self.timestamp(op, &key, generate, observation_hint, reply)?,
+            } => {
+                let answer = self.stamp(op, &key, generate, observation_hint)?;
+                self.deferred.push((reply, answer));
+            }
+            Request::StampAndPut {
+                op,
+                key,
+                observation_hint,
+                hashes,
+                payload,
+            } => match self.stamp(op, &key, true, observation_hint)? {
+                // `gen_ts`, then the carried puts with the new stamp, split
+                // like a `PutReplicas`: the fan-in answers `Stamped` once
+                // every put completed — after the sync covering the counter
+                // and the puts.
+                Reply::Timestamp(timestamp) if !hashes.is_empty() => {
+                    let store = Store {
+                        op,
+                        hashes,
+                        key,
+                        payload,
+                        timestamp,
+                        with_counter: true,
+                    };
+                    self.split(store, reply, trace, arrived);
+                }
+                // Nothing to store: only the counter waits for the sync.
+                Reply::Timestamp(timestamp) => {
+                    let stamped = Reply::Stamped {
+                        timestamp,
+                        written: 0,
+                        failed: 0,
+                    };
+                    self.deferred.push((reply, stamped));
+                }
+                // A counterless key stores nothing; the hint-carrying retry
+                // carries the store again.
+                other => self.deferred.push((reply, other)),
+            },
             Request::HandoffRange {
                 op,
                 start,
@@ -668,6 +708,53 @@ impl Peer {
         }
     }
 
+    /// Splits a store into one `PutReplica` unit per hash, queued behind the
+    /// current unit, with a fan-in that answers `reply` once every unit
+    /// completed: a `PutsAck`, or the `Stamped` of a `StampAndPut`. The units
+    /// route individually — under churn some may be re-sent to the peer now
+    /// responsible for them. The puts a `StampAndPut` carried were sent to
+    /// where the key's counter lives, not to where they live, so each asks
+    /// the directory before it is queued, whether or not this peer ever
+    /// handed a range away. The units inherit the store's op, disambiguated
+    /// by their hash at the applying peer, so a retry that was *regrouped*
+    /// under a changed directory view still deduplicates per hash; and the
+    /// trace context and *original* arrival instant, so queue-wait
+    /// attribution survives the split.
+    fn split(
+        &mut self,
+        store: Store,
+        reply: ReplySink,
+        trace: Option<TraceContext>,
+        arrived: Option<Instant>,
+    ) {
+        let stamp = store.with_counter.then_some(store.timestamp);
+        let sinks = ReplySink::fanin(store.hashes.len(), stamp, reply);
+        for (hash, sink) in store.hashes.into_iter().zip(sinks) {
+            let put = Request::PutReplica {
+                op: store.op,
+                hash,
+                key: store.key.clone(),
+                // The one copy of this replica's payload: `put` hands it on
+                // to the store by value.
+                payload: store.payload.clone(),
+                timestamp: store.timestamp,
+            };
+            let unit = if store.with_counter {
+                self.route_by_directory(put, sink, trace)
+            } else {
+                Some((put, sink))
+            };
+            if let Some((request, reply)) = unit {
+                self.units.push_back(Incoming {
+                    request,
+                    reply,
+                    trace,
+                    arrived,
+                });
+            }
+        }
+    }
+
     /// The one routing rule: hands back the request (and its reply path)
     /// when this peer is the one to serve it, `None` once it was re-sent
     /// elsewhere or refused.
@@ -689,6 +776,17 @@ impl Peer {
         if !self.handed_off {
             return Some((request, reply));
         }
+        self.route_by_directory(request, reply, trace)
+    }
+
+    /// [`Peer::route`] past its first rule: the directory decides, whether
+    /// or not this peer ever handed a range away.
+    fn route_by_directory(
+        &self,
+        request: Request,
+        reply: ReplySink,
+        trace: Option<TraceContext>,
+    ) -> Option<(Request, ReplySink)> {
         let Some(position) = data_position(&request, &self.directory.family) else {
             return Some((request, reply));
         };
@@ -788,19 +886,20 @@ impl Peer {
         self.deferred.push((reply, Reply::Replica(stored)));
     }
 
-    /// KTS `gen_ts` / `last_ts`. A retried `gen_ts` must not increment the
-    /// counter again: the cached reply returns the timestamp the first
-    /// application generated. (A cached `NeedsInitialization` is safe too —
-    /// the client allocates a fresh op for the hint-carrying call.)
-    fn timestamp(
+    /// KTS `gen_ts` / `last_ts`: the `Timestamp` or `NeedsInitialization`
+    /// to answer, which the caller owes after the covering sync. A retried
+    /// `gen_ts` must not increment the counter again: the cached reply
+    /// returns the timestamp the first application generated. (A cached
+    /// `NeedsInitialization` is safe too — the client allocates a fresh op
+    /// for the hint-carrying call.)
+    fn stamp(
         &mut self,
         op: Option<OpId>,
         key: &Key,
         generate: bool,
         observation_hint: Option<Timestamp>,
-        reply: ReplySink,
-    ) -> Result<(), Stopped> {
-        let answer = self.once(op, NO_SUB, |peer| {
+    ) -> Result<Reply, Stopped> {
+        self.once(op, NO_SUB, |peer| {
             let observation = if peer.kts.has_counter(key) {
                 IndirectObservation::nothing()
             } else {
@@ -824,9 +923,7 @@ impl Peer {
                 kts.last_ts_with(key, policy, || observation, engine)
                     .timestamp
             }))
-        })?;
-        self.deferred.push((reply, answer));
-        Ok(())
+        })
     }
 
     /// Drives a hand-off as its source. A coordinator re-send of a hand-off

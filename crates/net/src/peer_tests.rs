@@ -92,6 +92,187 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A `gen_ts` carrying a store of `hashes`. Its hint lets a counterless key
+/// start at 1 instead of answering `NeedsInitialization`.
+fn stamp_and_put(seq: u64, key: &Key, hashes: &[u32]) -> Request {
+    Request::StampAndPut {
+        op: Some(OpId { client: 1, seq }),
+        key: key.clone(),
+        observation_hint: Some(Timestamp::ZERO),
+        hashes: hashes.iter().copied().map(HashId).collect(),
+        payload: b"v".to_vec(),
+    }
+}
+
+/// What a first `stamp_and_put` of three puts answers.
+const STAMPED_THREE: Reply = Reply::Stamped {
+    timestamp: Timestamp(1),
+    written: 3,
+    failed: 0,
+};
+
+#[test]
+fn a_stamp_and_put_is_answered_only_after_the_sync_covering_counter_and_puts() {
+    let root = fresh_storage_root("peer-stamp-after-sync");
+    let options = StorageOptions {
+        fsync: FsyncPolicy::group_commit(64),
+        ..StorageOptions::default()
+    };
+    let storage = ClusterStorage::with_options(&root, options);
+    let (mut peer, mailbox, endpoint) = bound_peer(Some(storage));
+
+    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let appended = peer.engine.metrics().ops_appended.clone();
+    let covered = Arc::new(AtomicU64::new(0));
+    let (seen, at_sync) = (Arc::clone(&delivered), Arc::clone(&covered));
+    peer.engine.set_sync_observer(SyncObserver::new(move |_| {
+        assert!(
+            seen.lock().is_empty(),
+            "the stamp was answered before the sync that covers it"
+        );
+        at_sync.store(appended.get(), Ordering::SeqCst);
+    }));
+
+    let before = peer.engine.metrics().ops_appended.get();
+    let key = Key::new("doc");
+    let sink = ReplySink::hooked(Box::new(Recorder(Arc::clone(&delivered))));
+    endpoint
+        .send_with_sink(stamp_and_put(0, &key, &[0, 1, 2]), sink)
+        .unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    assert_eq!(*delivered.lock(), vec![STAMPED_THREE]);
+    let after = peer.engine.metrics().ops_appended.get();
+    assert_eq!(after - before, 1 + 3, "the counter record and three puts");
+    assert_eq!(
+        covered.load(Ordering::SeqCst),
+        after,
+        "the one covering sync came after all four records"
+    );
+    for hash in 0..3 {
+        let stored = peer.engine.replicas().get(HashId(hash), &key).unwrap();
+        assert_eq!(stored.stamp, Timestamp(1));
+    }
+    drop(peer);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_resent_stamp_and_put_returns_the_same_stamp_and_journals_nothing() {
+    let root = fresh_storage_root("peer-resent-stamp");
+    let (mut peer, mailbox, endpoint) = bound_peer(Some(ClusterStorage::new(&root)));
+    let key = Key::new("doc");
+    let request = stamp_and_put(0, &key, &[0, 1, 2]);
+    let first = endpoint.send(request.clone()).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+    assert_eq!(first.wait(Duration::ZERO), Ok(STAMPED_THREE));
+
+    let bytes = peer.engine.metrics().wal_bytes.get();
+    let suppressed = peer.directory.dedup.suppressed.get();
+    let resent = endpoint.send(request).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+    assert_eq!(resent.wait(Duration::ZERO), Ok(STAMPED_THREE));
+    assert_eq!(peer.engine.metrics().wal_bytes.get(), bytes);
+    assert_eq!(
+        peer.directory.dedup.suppressed.get() - suppressed,
+        1 + 3,
+        "the stamp and each carried put are answered from the window"
+    );
+    assert_eq!(peer.kts.counter_value(&key), Some(Timestamp(1)));
+    drop(peer);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Sends this peer a `StampAndPut` carrying all three puts of a key it
+/// stamps, with a replica on this peer and one on `OTHER`, which owns
+/// `(ID, OTHER]`: one `Stamped` counts them all, and each replica lands
+/// where the directory puts it. With `join_first`, `OTHER` joins through a
+/// hand-off this peer drives just before; without, it is a member from the
+/// start and this peer never hands anything off: the client that carried
+/// them all here held a view from before `OTHER` joined.
+fn carried_puts_land_with_their_owners(join_first: bool) {
+    const OTHER: PeerId = PeerId(1 << 63);
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let directory = Arc::new(Directory::new(HashFamily::new(3, 1), transport, []));
+    let mailbox = directory.transport.bind(ID).unwrap();
+    let endpoint = directory.transport.endpoint(ID).unwrap();
+    directory.revive(ID, endpoint.clone());
+    let (mut peer, _) = Peer::open(ID, Arc::clone(&directory), &None, None, None);
+    let (other, _) = Peer::open(OTHER, Arc::clone(&directory), &None, None, None);
+    let (other, handle) = other.start().unwrap();
+    if !join_first {
+        directory.revive(OTHER, other.clone());
+    }
+
+    let owner = |position: u64| {
+        if position > ID.0 && position <= OTHER.0 {
+            OTHER
+        } else {
+            ID
+        }
+    };
+    let family = &directory.family;
+    let holders = |key: &Key| -> Vec<PeerId> {
+        (0..3)
+            .map(|hash| owner(family.eval(HashId(hash), key)))
+            .collect()
+    };
+    let key = (0..)
+        .map(|i| Key::new(format!("doc-{i}")))
+        .find(|key| {
+            let holders = holders(key);
+            owner(family.eval_timestamp(key)) == ID
+                && holders.contains(&ID)
+                && holders.contains(&OTHER)
+        })
+        .unwrap();
+
+    let join = join_first.then(|| {
+        let join = Request::HandoffRange {
+            op: None,
+            start: ID.0,
+            end: OTHER.0,
+            target_id: OTHER,
+            kind: HandoffKind::Join,
+            fault: None,
+        };
+        endpoint.send(join).unwrap()
+    });
+    let stamped = endpoint.send(stamp_and_put(0, &key, &[0, 1, 2])).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    if let Some(join) = join {
+        let joined = join.wait(Duration::ZERO);
+        assert!(matches!(joined, Ok(Reply::HandoffComplete { .. })));
+    }
+    assert_eq!(stamped.wait(WAIT), Ok(STAMPED_THREE));
+    for (hash, holder) in (0..3).map(HashId).zip(holders(&key)) {
+        let here = peer.engine.replicas().get(hash, &key).is_some();
+        let get = Request::GetReplica {
+            hash,
+            key: key.clone(),
+        };
+        let there = other.call(get, WAIT).unwrap() != Reply::Replica(None);
+        assert_eq!((here, there), (holder == ID, holder == OTHER), "{hash:?}");
+    }
+    other.send_no_reply(Request::Shutdown).unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn after_a_hand_off_a_carried_put_the_peer_no_longer_serves_goes_to_its_owner() {
+    carried_puts_land_with_their_owners(true);
+}
+
+#[test]
+fn a_carried_put_another_peer_owns_goes_there_without_a_hand_off() {
+    carried_puts_land_with_their_owners(false);
+}
+
 #[test]
 fn a_duplicate_inside_the_batch_is_answered_from_the_window() {
     let (mut peer, mailbox, endpoint) = bound_peer(None);

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use rdht_core::Timestamp;
 use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;
@@ -120,16 +121,33 @@ pub trait ReplyWriter: Send + Sync {
 }
 
 /// Shared state of a fan-in sink: counts the acknowledgements of the
-/// constituent puts of a [`Request::PutReplicas`] and answers the original
-/// requester once all of them completed (or were dropped).
+/// constituent puts of a [`Request::PutReplicas`] (or of the puts a
+/// [`Request::StampAndPut`] carried, which also answer with their `stamp`)
+/// and answers the original requester once all of them completed (or were
+/// dropped).
 struct FaninState {
     remaining: usize,
     written: u32,
     failed: u32,
+    stamp: Option<Timestamp>,
     out: Option<ReplySink>,
 }
 
 impl FaninState {
+    /// The one reply the requester gets: the counts so far, with the stamp
+    /// when there is one.
+    fn totals(&self) -> Reply {
+        let (written, failed) = (self.written, self.failed);
+        match self.stamp {
+            Some(timestamp) => Reply::Stamped {
+                timestamp,
+                written,
+                failed,
+            },
+            None => Reply::PutsAck { written, failed },
+        }
+    }
+
     fn absorb(state: &Arc<Mutex<FaninState>>, ok: bool) {
         let completed = {
             let mut guard = state.lock();
@@ -141,18 +159,16 @@ impl FaninState {
                 guard.failed += 1;
             }
             if guard.remaining == 0 {
-                guard
-                    .out
-                    .take()
-                    .map(|out| (out, guard.written, guard.failed))
+                let totals = guard.totals();
+                guard.out.take().map(|out| (out, totals))
             } else {
                 None
             }
         };
         // The final send runs outside the lock: it may itself be a fan-in
         // (or a socket write) and must not re-enter.
-        if let Some((out, written, failed)) = completed {
-            out.send(Reply::PutsAck { written, failed });
+        if let Some((out, reply)) = completed {
+            out.send(reply);
         }
     }
 }
@@ -302,22 +318,24 @@ impl ReplySink {
     /// Splits `out` into `count` constituent sinks: each receives the
     /// acknowledgement of one put, and once all have completed (a
     /// [`Reply::PutAck`] counts as written, anything else — including being
-    /// dropped — as failed) `out` receives one [`Reply::PutsAck`] totalling
-    /// them. `count == 0` answers `out` immediately.
-    pub fn fanin(count: usize, out: ReplySink) -> Vec<ReplySink> {
-        if count == 0 {
-            out.send(Reply::PutsAck {
-                written: 0,
-                failed: 0,
-            });
-            return Vec::new();
-        }
-        let state = Arc::new(Mutex::new(FaninState {
+    /// dropped — as failed) `out` receives one reply totalling them: a
+    /// [`Reply::PutsAck`], or with a `stamp` the [`Reply::Stamped`] of the
+    /// `gen_ts` that carried the puts. `count == 0` answers `out`
+    /// immediately.
+    pub fn fanin(count: usize, stamp: Option<Timestamp>, out: ReplySink) -> Vec<ReplySink> {
+        let mut state = FaninState {
             remaining: count,
             written: 0,
             failed: 0,
-            out: Some(out),
-        }));
+            stamp,
+            out: None,
+        };
+        if count == 0 {
+            out.send(state.totals());
+            return Vec::new();
+        }
+        state.out = Some(out);
+        let state = Arc::new(Mutex::new(state));
         (0..count)
             .map(|_| ReplySink {
                 inner: SinkInner::Fanin(Arc::clone(&state)),

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! frame   := len: u32 LE | payload               (len = payload byte count)
-//! payload := version: u8                         (WIRE_VERSION, currently 5)
+//! payload := version: u8                         (WIRE_VERSION, currently 6)
 //!            kind: u8                            (0 = request, 1 = reply)
 //!            request_id: u64 LE                  (matches replies to requests)
 //!            trace: Option<TraceContext>         (requests only)
@@ -33,11 +33,29 @@
 //! Each constituent is a complete tagged body, and a request constituent
 //! keeps its own trace context (the envelope's is absent). The decoder
 //! admits only data messages inside a batch — request tags 0–3 (`PutReplica`,
-//! `PutReplicas`, `GetReplica`, `Timestamp`), reply tags 0–4 and 8 — so a
-//! batch inside a batch, or a protocol or lifecycle message smuggled into
-//! one, is an [`WireError::UnknownTag`] raised at the constituent's tag byte,
-//! before anything of it is decoded; a count the remaining payload cannot
-//! hold is [`WireError::Truncated`] before the vector is reserved.
+//! `PutReplicas`, `GetReplica`, `Timestamp` with or without a store), reply
+//! tags 0–4, 8 and 12 — so a batch inside a batch, or a protocol or
+//! lifecycle message smuggled into one, is an [`WireError::UnknownTag`]
+//! raised at the constituent's tag byte, before anything of it is decoded; a
+//! count the remaining payload cannot hold is [`WireError::Truncated`]
+//! before the vector is reserved.
+//!
+//! # A `gen_ts` that stores (v6)
+//!
+//! A timestamp request ends with an optional store, and reply tag 12
+//! answers one that carried a store:
+//!
+//! ```text
+//! Timestamp     := 3 | op | key | generate: u8 | hint: Option<u64>
+//!                    | store: Option<( hashes: Vec<u32> | payload: bytes )>
+//! Reply::Stamped := 12 | timestamp: u64 | written: u32 | failed: u32
+//! ```
+//!
+//! Without a store the body is a [`Request::Timestamp`], with one a
+//! [`Request::StampAndPut`]. Only a `gen_ts` stores: a store after
+//! `generate = 0` is an [`WireError::UnknownTag`] at the store tag, and a
+//! hash count the remaining payload cannot hold is
+//! [`WireError::Truncated`], both before the hash vector is reserved.
 //!
 //! Every frame is self-delimiting (the length prefix) and self-describing
 //! (version + kind + body tag), so a reader can reject garbage *typed*:
@@ -62,7 +80,7 @@ use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 /// change; the decoder accepts exactly this version and rejects every other
 /// with [`WireError::UnsupportedVersion`] — there is no deployed fleet to
 /// stay compatible with, so there is one wire version.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on a frame's payload length (64 MiB). A length prefix above
 /// this is rejected *before* any allocation — a garbage or hostile prefix
@@ -77,13 +95,13 @@ const BATCHED_REQUEST_TAGS: [u8; 4] = [0, 1, 2, 3];
 
 /// Reply tags admitted inside a [`Reply::Batch`]: what a data request can be
 /// answered with (`PutAck`, `PutsAck`, `Replica`, `Timestamp`,
-/// `NeedsInitialization`, `Error`).
-const BATCHED_REPLY_TAGS: [u8; 6] = [0, 1, 2, 3, 4, 8];
+/// `NeedsInitialization`, `Error`, `Stamped`).
+const BATCHED_REPLY_TAGS: [u8; 7] = [0, 1, 2, 3, 4, 8, 12];
 
 /// Fewest bytes a batched request occupies: an absent trace context and a
-/// hint-less, op-less `Timestamp` of the empty key (tag, op tag, key length,
-/// `generate`, hint tag).
-const MIN_BATCHED_REQUEST_LEN: usize = 1 + 1 + 1 + 4 + 1 + 1;
+/// hint-less, op-less, store-less `Timestamp` of the empty key (tag, op tag,
+/// key length, `generate`, hint tag, store tag).
+const MIN_BATCHED_REQUEST_LEN: usize = 1 + 1 + 1 + 4 + 1 + 1 + 1;
 
 /// A typed wire-codec failure. Every decode error is one of these — the
 /// codec never panics on garbage input.
@@ -285,6 +303,44 @@ fn put_bundle(out: &mut Vec<u8>, bundle: &HandoffBundle) {
     put_counters(out, &bundle.floors);
 }
 
+fn put_hashes(out: &mut Vec<u8>, hashes: &[HashId]) {
+    put_u32(out, hashes.len() as u32);
+    for hash in hashes {
+        put_u32(out, hash.0);
+    }
+}
+
+/// A timestamp request body (tag 3): `store` is the hashes and payload of a
+/// [`Request::StampAndPut`], absent for a [`Request::Timestamp`].
+fn put_timestamp(
+    out: &mut Vec<u8>,
+    op: &Option<OpId>,
+    key: &Key,
+    generate: bool,
+    observation_hint: &Option<Timestamp>,
+    store: Option<(&[HashId], &[u8])>,
+) {
+    put_u8(out, 3);
+    put_op(out, op);
+    put_key(out, key);
+    put_bool(out, generate);
+    match observation_hint {
+        None => put_u8(out, 0),
+        Some(hint) => {
+            put_u8(out, 1);
+            put_u64(out, hint.0);
+        }
+    }
+    match store {
+        None => put_u8(out, 0),
+        Some((hashes, payload)) => {
+            put_u8(out, 1);
+            put_hashes(out, hashes);
+            put_bytes(out, payload);
+        }
+    }
+}
+
 fn put_request_body(out: &mut Vec<u8>, request: &Request) {
     match request {
         Request::PutReplica {
@@ -310,10 +366,7 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
         } => {
             put_u8(out, 1);
             put_op(out, op);
-            put_u32(out, hashes.len() as u32);
-            for hash in hashes {
-                put_u32(out, hash.0);
-            }
+            put_hashes(out, hashes);
             put_key(out, key);
             put_bytes(out, payload);
             put_u64(out, timestamp.0);
@@ -328,19 +381,21 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             key,
             generate,
             observation_hint,
-        } => {
-            put_u8(out, 3);
-            put_op(out, op);
-            put_key(out, key);
-            put_bool(out, *generate);
-            match observation_hint {
-                None => put_u8(out, 0),
-                Some(hint) => {
-                    put_u8(out, 1);
-                    put_u64(out, hint.0);
-                }
-            }
-        }
+        } => put_timestamp(out, op, key, *generate, observation_hint, None),
+        Request::StampAndPut {
+            op,
+            key,
+            observation_hint,
+            hashes,
+            payload,
+        } => put_timestamp(
+            out,
+            op,
+            key,
+            true,
+            observation_hint,
+            Some((hashes, payload)),
+        ),
         Request::HandoffRange {
             op,
             start,
@@ -422,6 +477,16 @@ fn put_reply_body(out: &mut Vec<u8>, reply: &Reply) {
         Reply::Timestamp(ts) => {
             put_u8(out, 3);
             put_u64(out, ts.0);
+        }
+        Reply::Stamped {
+            timestamp,
+            written,
+            failed,
+        } => {
+            put_u8(out, 12);
+            put_u64(out, timestamp.0);
+            put_u32(out, *written);
+            put_u32(out, *failed);
         }
         Reply::NeedsInitialization => put_u8(out, 4),
         Reply::HandoffComplete {
@@ -574,6 +639,17 @@ impl<'a> Cursor<'a> {
         Ok(count)
     }
 
+    /// A length-prefixed vector of replication hash ids; the count is
+    /// checked against the remaining payload before anything is reserved.
+    fn hashes(&mut self, context: &'static str) -> Result<Vec<HashId>, WireError> {
+        let count = self.count(4, context)?;
+        let mut hashes = Vec::with_capacity(count);
+        for _ in 0..count {
+            hashes.push(HashId(self.u32(context)?));
+        }
+        Ok(hashes)
+    }
+
     fn op(&mut self, context: &'static str) -> Result<Option<OpId>, WireError> {
         match self.u8(context)? {
             0 => Ok(None),
@@ -723,46 +799,18 @@ fn decode_tagged_request(cursor: &mut Cursor<'_>, tag: u8) -> Result<Request, Wi
             payload: cursor.bytes("put payload")?.to_vec(),
             timestamp: Timestamp(cursor.u64("put timestamp")?),
         }),
-        1 => {
-            let op = cursor.op("puts op id")?;
-            let count = cursor.count(4, "puts hashes")?;
-            let mut hashes = Vec::with_capacity(count);
-            for _ in 0..count {
-                hashes.push(HashId(cursor.u32("puts hash")?));
-            }
-            Ok(Request::PutReplicas {
-                op,
-                hashes,
-                key: cursor.key("puts key")?,
-                payload: cursor.bytes("puts payload")?.to_vec(),
-                timestamp: Timestamp(cursor.u64("puts timestamp")?),
-            })
-        }
+        1 => Ok(Request::PutReplicas {
+            op: cursor.op("puts op id")?,
+            hashes: cursor.hashes("puts hashes")?,
+            key: cursor.key("puts key")?,
+            payload: cursor.bytes("puts payload")?.to_vec(),
+            timestamp: Timestamp(cursor.u64("puts timestamp")?),
+        }),
         2 => Ok(Request::GetReplica {
             hash: HashId(cursor.u32("get hash")?),
             key: cursor.key("get key")?,
         }),
-        3 => {
-            let op = cursor.op("timestamp op id")?;
-            let key = cursor.key("timestamp key")?;
-            let generate = cursor.bool("timestamp generate flag")?;
-            let observation_hint = match cursor.u8("timestamp hint tag")? {
-                0 => None,
-                1 => Some(Timestamp(cursor.u64("timestamp hint")?)),
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        context: "timestamp hint tag",
-                        tag,
-                    })
-                }
-            };
-            Ok(Request::Timestamp {
-                op,
-                key,
-                generate,
-                observation_hint,
-            })
-        }
+        3 => decode_timestamp(cursor),
         4 => {
             let op = cursor.op("hand-off op id")?;
             let start = cursor.u64("hand-off start")?;
@@ -818,6 +866,48 @@ fn decode_tagged_request(cursor: &mut Cursor<'_>, tag: u8) -> Result<Request, Wi
     }
 }
 
+/// A timestamp request body after its tag: a [`Request::Timestamp`], or a
+/// [`Request::StampAndPut`] when a store follows. A store is refused at its
+/// tag unless the request generates.
+fn decode_timestamp(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
+    let op = cursor.op("timestamp op id")?;
+    let key = cursor.key("timestamp key")?;
+    let generate = cursor.bool("timestamp generate flag")?;
+    let observation_hint = match cursor.u8("timestamp hint tag")? {
+        0 => None,
+        1 => Some(Timestamp(cursor.u64("timestamp hint")?)),
+        tag => {
+            return Err(WireError::UnknownTag {
+                context: "timestamp hint tag",
+                tag,
+            })
+        }
+    };
+    match cursor.u8("timestamp store tag")? {
+        0 => Ok(Request::Timestamp {
+            op,
+            key,
+            generate,
+            observation_hint,
+        }),
+        1 if generate => Ok(Request::StampAndPut {
+            op,
+            key,
+            observation_hint,
+            hashes: cursor.hashes("store hashes")?,
+            payload: cursor.bytes("store payload")?.to_vec(),
+        }),
+        1 => Err(WireError::UnknownTag {
+            context: "store on a last_ts",
+            tag: 1,
+        }),
+        tag => Err(WireError::UnknownTag {
+            context: "timestamp store tag",
+            tag,
+        }),
+    }
+}
+
 fn decode_reply_body(cursor: &mut Cursor<'_>) -> Result<Reply, WireError> {
     let tag = cursor.u8("reply tag")?;
     decode_tagged_reply(cursor, tag)
@@ -848,6 +938,11 @@ fn decode_tagged_reply(cursor: &mut Cursor<'_>, tag: u8) -> Result<Reply, WireEr
             Ok(Reply::Replica(stored))
         }
         3 => Ok(Reply::Timestamp(Timestamp(cursor.u64("timestamp")?))),
+        12 => Ok(Reply::Stamped {
+            timestamp: Timestamp(cursor.u64("stamped timestamp")?),
+            written: cursor.u32("stamped written")?,
+            failed: cursor.u32("stamped failed")?,
+        }),
         4 => Ok(Reply::NeedsInitialization),
         5 => Ok(Reply::HandoffComplete {
             replicas_moved: cursor.u64("hand-off replicas moved")? as usize,

@@ -79,8 +79,9 @@ fn make_bundle(raw: &[BundleRaw]) -> HandoffBundle {
     bundle
 }
 
-/// Builds one of the nine non-batch request variants from raw generated
-/// material (`Batch` is built from these by [`make_batch`]).
+/// Builds one of the ten non-batch request variants from raw generated
+/// material (`Batch` is built from these by [`make_batch`]). Selectors 0–4
+/// are the data requests.
 fn make_request(
     selector: u8,
     key_bytes: &[u8],
@@ -91,7 +92,7 @@ fn make_request(
 ) -> Request {
     let key = Key::from_bytes(key_bytes.to_vec());
     let (a, b, c, flag_a, flag_b) = nums;
-    match selector % 9 {
+    match selector % 10 {
         0 => Request::PutReplica {
             op: raw_op(flag_b, b, c),
             hash: HashId(hashes.first().copied().unwrap_or(7)),
@@ -120,7 +121,14 @@ fn make_request(
                 Some(Timestamp(b))
             },
         },
-        4 => Request::HandoffRange {
+        4 => Request::StampAndPut {
+            op: raw_op(flag_a, b, c),
+            key,
+            observation_hint: (flag_b % 2 == 1).then_some(Timestamp(a)),
+            hashes: hashes.iter().copied().map(HashId).collect(),
+            payload: payload.to_vec(),
+        },
+        5 => Request::HandoffRange {
             op: raw_op(flag_a ^ flag_b, a, b),
             start: a,
             end: b,
@@ -136,14 +144,14 @@ fn make_request(
                 _ => Some(HandoffFault::CrashAfterInstall),
             },
         },
-        5 => Request::InstallState {
+        6 => Request::InstallState {
             op: raw_op(flag_a, a, b),
             start: a,
             end: b,
             bundle: make_bundle(bundle_raw),
         },
-        6 => Request::Shutdown,
-        7 => Request::Crash,
+        7 => Request::Shutdown,
+        8 => Request::Crash,
         _ => Request::Metrics,
     }
 }
@@ -158,9 +166,9 @@ fn make_batch(raw: &[BatchRaw], key_bytes: &[u8], payload: &[u8]) -> Request {
     let items = raw
         .iter()
         .map(|&(selector, hash, num, flags, trace)| {
-            // Selectors 0–3 of `make_request` are the four data requests.
+            // Selectors 0–4 of `make_request` are the five data requests.
             let request = make_request(
-                selector % 4,
+                selector % 5,
                 key_bytes,
                 payload,
                 &[hash, hash ^ 1],
@@ -173,7 +181,7 @@ fn make_batch(raw: &[BatchRaw], key_bytes: &[u8], payload: &[u8]) -> Request {
     Request::Batch(items)
 }
 
-/// Builds one of the ten non-batch reply variants from raw generated
+/// Builds one of the eleven non-batch reply variants from raw generated
 /// material.
 fn make_reply(
     selector: u8,
@@ -183,7 +191,7 @@ fn make_reply(
 ) -> Reply {
     let (a, b, w, f) = nums;
     let reason = String::from_utf8_lossy(reason_bytes).into_owned();
-    match selector % 10 {
+    match selector % 11 {
         0 => Reply::PutAck,
         1 => Reply::PutsAck {
             written: w,
@@ -206,7 +214,12 @@ fn make_reply(
             counters_received: b as usize,
         },
         8 => Reply::Error { reason },
-        _ => Reply::Metrics(reason),
+        9 => Reply::Metrics(reason),
+        _ => Reply::Stamped {
+            timestamp: Timestamp(a),
+            written: w,
+            failed: f,
+        },
     }
 }
 
@@ -278,6 +291,48 @@ proptest! {
         }
     }
 
+    /// A `gen_ts` carrying a store round-trips with every hash, the payload,
+    /// the op and the hint intact, decodes as a `StampAndPut` (the store
+    /// present) and never as a `Timestamp`, and any strict prefix fails
+    /// typed; so does its `Stamped` reply.
+    #[test]
+    fn stamp_and_put_and_stamped_round_trip(
+        request_id in any::<u64>(),
+        key_bytes in vec(any::<u8>(), 0..24),
+        payload in vec(any::<u8>(), 0..96),
+        hashes in vec(any::<u32>(), 0..12),
+        op_raw in (any::<u8>(), any::<u64>(), any::<u64>()),
+        hint in (any::<bool>(), any::<u64>()),
+        counts in (any::<u64>(), any::<u32>(), any::<u32>()),
+    ) {
+        let (stamp, written, failed) = counts;
+        let request = Request::StampAndPut {
+            op: raw_op(op_raw.0, op_raw.1, op_raw.2),
+            key: Key::from_bytes(key_bytes),
+            observation_hint: hint.0.then_some(Timestamp(hint.1)),
+            hashes: hashes.into_iter().map(HashId).collect(),
+            payload,
+        };
+        let frame = encode_request(request_id, &request, None);
+        let (len, body) = split_frame(&frame);
+        prop_assert_eq!(len, body.len());
+        prop_assert_eq!(
+            decode_payload(body),
+            Ok(Envelope::Request { request_id, request, trace: None })
+        );
+        for cut in 0..body.len() {
+            prop_assert!(decode_payload(&body[..cut]).is_err());
+        }
+
+        let reply = Reply::Stamped { timestamp: Timestamp(stamp), written, failed };
+        let frame = encode_reply(request_id, &reply);
+        let (_, body) = split_frame(&frame);
+        prop_assert_eq!(decode_payload(body), Ok(Envelope::Reply { request_id, reply }));
+        for cut in 0..body.len() {
+            prop_assert!(decode_payload(&body[..cut]).is_err());
+        }
+    }
+
     /// A batch of data replies round-trips in order, and any strict prefix
     /// fails typed.
     #[test]
@@ -285,10 +340,10 @@ proptest! {
         request_id in any::<u64>(),
         payload in vec(any::<u8>(), 0..64),
         reason_bytes in vec(any::<u8>(), 0..24),
-        raw in vec((0usize..6, any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
+        raw in vec((0usize..7, any::<u64>(), any::<u32>(), any::<u32>()), 0..6),
     ) {
         // The reply variants a data request can be answered with.
-        const DATA_REPLIES: [u8; 6] = [0, 1, 2, 3, 4, 8];
+        const DATA_REPLIES: [u8; 7] = [0, 1, 2, 3, 4, 8, 10];
         let replies = raw
             .iter()
             .map(|&(pick, a, w, f)| {
@@ -339,8 +394,8 @@ proptest! {
     }
 
     /// Any trace context — arbitrary trace id, parent span and flag bits —
-    /// survives the round trip bit-for-bit, and the same frame under a v2,
-    /// v3 or v4 version byte is refused: there is one wire version.
+    /// survives the round trip bit-for-bit, and the same frame under any
+    /// version byte from v2 to v5 is refused: there is one wire version.
     #[test]
     fn trace_context_round_trip_and_downlevel_decode(
         request_id in any::<u64>(),
@@ -348,7 +403,7 @@ proptest! {
         trace_id in any::<u64>(),
         parent_span in any::<u64>(),
         flags in any::<u8>(),
-        old_version in 2u8..=4,
+        old_version in 2u8..=5,
     ) {
         let request = Request::GetReplica {
             hash: HashId(7),
@@ -711,10 +766,10 @@ mod deterministic {
     #[test]
     fn the_previous_wire_version_is_refused() {
         let mut frame = encode_request(1, &Request::Metrics, None);
-        frame[4] = 4;
+        frame[4] = WIRE_VERSION - 1;
         assert_eq!(
             decode_payload(&frame[4..]),
-            Err(WireError::UnsupportedVersion(4))
+            Err(WireError::UnsupportedVersion(WIRE_VERSION - 1))
         );
     }
 
@@ -802,6 +857,55 @@ mod deterministic {
             decode_payload(&request_payload(&body)),
             Err(WireError::Truncated {
                 context: "batch constituents"
+            })
+        );
+    }
+
+    /// The body of a `gen_ts` (or, with `generate == 0`, a `last_ts`) for
+    /// the key `k`, op-less and hint-less, up to its store tag.
+    fn timestamp_head(generate: u8) -> Vec<u8> {
+        let mut body = vec![3, 0]; // tag: Timestamp; op id: absent
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(b'k');
+        body.extend_from_slice(&[generate, 0]); // generate; hint: absent
+        body
+    }
+
+    #[test]
+    fn a_store_on_a_last_ts_is_refused_at_its_tag() {
+        let mut body = timestamp_head(0);
+        body.push(1); // store: present
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&0u32.to_le_bytes()); // hash 0
+        body.extend_from_slice(&0u32.to_le_bytes()); // empty payload
+        assert_eq!(
+            decode_payload(&request_payload(&body)),
+            Err(WireError::UnknownTag {
+                context: "store on a last_ts",
+                tag: 1
+            })
+        );
+        // The same bytes on a `gen_ts` are a store.
+        body[7] = 1;
+        assert!(matches!(
+            decode_payload(&request_payload(&body)),
+            Ok(Envelope::Request {
+                request: Request::StampAndPut { .. },
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_store_hash_count_the_frame_cannot_hold_is_rejected_without_allocation() {
+        let mut body = timestamp_head(1);
+        body.push(1); // store: present
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // hash count
+        body.extend_from_slice(&[0; 16]);
+        assert_eq!(
+            decode_payload(&request_payload(&body)),
+            Err(WireError::Truncated {
+                context: "store hashes"
             })
         );
     }

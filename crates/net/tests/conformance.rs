@@ -8,6 +8,7 @@
 //! is covered at the end against real sockets via the public multi-process
 //! API.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -253,6 +254,17 @@ fn colocated(cluster: &Cluster, replicas: u32, key: &Key) -> bool {
     (0..replicas).any(|h| cluster.replica_responsible(HashId(h), key) == kts)
 }
 
+/// Requests of `kind` that `peer` served so far (`net_requests_total`).
+fn served(cluster: &Cluster, peer: PeerId, kind: &str) -> u64 {
+    let series = format!("kind=\"{kind}\"");
+    let exposition = cluster.scrape(peer).unwrap();
+    let line = exposition
+        .lines()
+        .find(|line| line.starts_with("net_requests_total") && line.contains(&series))
+        .unwrap_or_else(|| panic!("no {series} series"));
+    line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+}
+
 /// The frame law of a retrieve, on both backends: `last_ts` and the first
 /// probe are one request frame and one reply frame when a replica lives on
 /// the timestamping peer (which then counts one `batch`, and no `get` or
@@ -275,21 +287,8 @@ fn a_retrieve_costs_one_frame_per_peer_each_way() {
         }
         // Requests of `kind` the peers served so far, summed over the ring.
         let served = |kind: &str| -> u64 {
-            let series = format!("kind=\"{kind}\"");
-            cluster
-                .peer_ids()
-                .into_iter()
-                .map(|peer| {
-                    let exposition = cluster.scrape(peer).unwrap();
-                    let line = exposition
-                        .lines()
-                        .find(|line| {
-                            line.starts_with("net_requests_total") && line.contains(&series)
-                        })
-                        .unwrap_or_else(|| panic!("no {series} series"));
-                    line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
-                })
-                .sum()
+            let peers = cluster.peer_ids().into_iter();
+            peers.map(|peer| served(&cluster, peer, kind)).sum()
         };
         let before = (served("batch"), served("get"), served("timestamp"));
 
@@ -318,6 +317,68 @@ fn a_retrieve_costs_one_frame_per_peer_each_way() {
             (before.0 + 1, before.1 + 1, before.2 + 1),
             "{kind:?}: two bare frames"
         );
+        cluster.shutdown();
+    });
+}
+
+/// The frame law of an insert, on both backends, re-derived from placement.
+/// The peer that stamps the key stores the replicas it holds in the `gen_ts`
+/// request, so it costs the request and reply frames of the stamp and never
+/// a put frame (its `kind="puts"` count does not move). Every other holder
+/// costs one put frame each way: `2 + 2·(distinct holders − 1)` when the
+/// stamping peer is a holder, `2 + 2·distinct` when it is not, and 2 when it
+/// holds every replica.
+#[test]
+fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
+    const REPLICAS: u32 = 4;
+    both(|kind| {
+        let cluster = spawn(kind, 5, REPLICAS as usize, 1109);
+        let mut client = cluster.client();
+        let holders = |key: &Key| -> BTreeSet<PeerId> {
+            (0..REPLICAS)
+                .filter_map(|h| cluster.replica_responsible(HashId(h), key))
+                .collect()
+        };
+        let owner = |key: &Key| cluster.timestamp_responsible(key).unwrap();
+        let pick = |want: &dyn Fn(&BTreeSet<PeerId>, PeerId) -> bool| {
+            (0..)
+                .map(|i| Key::new(format!("insert:{i}")))
+                .find(|key| want(&holders(key), owner(key)))
+                .expect("every placement occurs")
+        };
+        let shared = pick(&|holders, owner| holders.contains(&owner) && holders.len() > 1);
+        let split = pick(&|holders, owner| !holders.contains(&owner));
+        let alone = pick(&|holders, owner| holders.len() == 1 && holders.contains(&owner));
+        let distinct = |key: &Key| holders(key).len() as u64;
+        let cases = [
+            (&shared, 2 + 2 * (distinct(&shared) - 1)),
+            (&split, 2 + 2 * distinct(&split)),
+            (&alone, 2),
+        ];
+        for (key, frames) in cases {
+            // The first insert initialises the counter indirectly.
+            ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
+            let owner = owner(key);
+            let puts = served(&cluster, owner, "puts");
+            let messages = client.messages();
+            let report = ums::insert(&mut client, key, b"v2".to_vec()).unwrap();
+            assert_eq!(
+                (report.replicas_written, report.replicas_failed),
+                (REPLICAS as usize, 0),
+                "{kind:?}: {key:?}"
+            );
+            assert_eq!(client.messages() - messages, frames, "{kind:?}: {key:?}");
+            if holders(key).contains(&owner) {
+                assert_eq!(
+                    served(&cluster, owner, "puts"),
+                    puts,
+                    "{kind:?}: the stamping peer got a put frame for {key:?}"
+                );
+            }
+            let got = ums::retrieve(&mut client, key).unwrap();
+            assert!(got.is_current && got.timestamp == report.timestamp);
+            assert_eq!(got.data.unwrap(), b"v2");
+        }
         cluster.shutdown();
     });
 }

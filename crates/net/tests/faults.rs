@@ -370,6 +370,51 @@ fn current_retrieve_takes_one_round_trip() {
     });
 }
 
+/// An insert whose replicas all live on the peer that stamps the key is one
+/// round trip (2 hops): that peer stamps and stores them in one request. One
+/// with replicas elsewhere too still takes two — their puts need the stamp.
+#[test]
+fn an_insert_all_on_the_stamping_peer_takes_one_round_trip() {
+    const REPLICAS: u32 = 4;
+    both(|kind| {
+        let cluster = spawn_slow(kind, REPLICAS as usize);
+        let mut client = cluster.client();
+        let holders = |key: &Key| -> Vec<Option<PeerId>> {
+            (0..REPLICAS)
+                .map(|h| cluster.replica_responsible(HashId(h), key))
+                .collect()
+        };
+        let pick = |alone: bool| {
+            (0..)
+                .map(|i| Key::new(format!("one-trip:{i}")))
+                .find(|key| {
+                    let kts = cluster.timestamp_responsible(key);
+                    let holders = holders(key);
+                    let with_kts = holders.iter().filter(|holder| **holder == kts).count();
+                    if alone {
+                        with_kts == holders.len()
+                    } else {
+                        with_kts > 0 && with_kts < holders.len()
+                    }
+                })
+                .expect("both placements occur")
+        };
+        for (key, hops) in [(pick(true), 2), (pick(false), 4)] {
+            // The first insert initialises the counter indirectly.
+            ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+            let started = Instant::now();
+            ums::insert(&mut client, &key, b"v2".to_vec()).unwrap();
+            let took = started.elapsed();
+            assert!(
+                took >= hops * HOP && took < (hops + 1) * HOP,
+                "{kind:?}: {key:?} took {took:?}, {hops} hops are {:?}",
+                hops * HOP
+            );
+        }
+        cluster.shutdown();
+    });
+}
+
 /// The indirect initialization reads all `|Hr|` replicas in one overlapped
 /// round trip, not `|Hr|` sequential ones.
 #[test]
@@ -575,6 +620,56 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
         assert_eq!(got.last_timestamp, Timestamp(2), "{kind:?}: one increment");
         assert!(got.is_current, "{kind:?}: {got:?}");
         assert_eq!(got.data.unwrap(), b"w");
+        cluster.shutdown();
+    });
+}
+
+/// The reply to a `gen_ts` that carried the stamping peer's puts is lost:
+/// the client re-sends it under the same op, the peer answers from its dedup
+/// window — the same stamp, and every carried put re-acknowledged, not
+/// applied again — and the key certifies current with one increment.
+#[test]
+fn a_lost_stamping_reply_is_answered_from_the_window_with_the_same_stamp() {
+    const REPLICAS: u32 = 4;
+    both(|kind| {
+        let plan = FaultPlan::new(0x57A3);
+        let cluster = spawn_faulty(kind, 5, REPLICAS as usize, plan.clone());
+        let mut client = cluster.client().with_retry_policy(RetryPolicy {
+            attempts: 3,
+            try_timeout: Duration::from_millis(300),
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(20),
+            jitter: 0.0,
+        });
+        let (key, _) = key_with_kts_sharing_a_replica(&cluster, "lost-stamp", REPLICAS);
+        let first = ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+        let peer = cluster.timestamp_responsible(&key).unwrap();
+        let carried = (0..REPLICAS)
+            .filter(|h| cluster.replica_responsible(HashId(*h), &key) == Some(peer))
+            .count() as u64;
+
+        let suppressed = cluster.dedup().suppressed.get();
+        let restorer = drop_the_next_reply_of(&plan, peer);
+        let report = ums::insert(&mut client, &key, b"v2".to_vec()).unwrap();
+        restorer.join().unwrap();
+        assert_eq!(report.timestamp, Timestamp(first.timestamp.0 + 1));
+        assert_eq!(
+            (report.replicas_written, report.replicas_failed),
+            (REPLICAS as usize, 0)
+        );
+        assert_eq!(client.retries(), 1, "{kind:?}: the stamp was re-sent once");
+        assert_eq!(
+            cluster.dedup().suppressed.get() - suppressed,
+            1 + carried,
+            "{kind:?}: the stamp and each carried put answered from the window"
+        );
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
+        assert_eq!(
+            got.last_timestamp, report.timestamp,
+            "{kind:?}: one increment"
+        );
+        assert_eq!(got.data.unwrap(), b"v2");
         cluster.shutdown();
     });
 }

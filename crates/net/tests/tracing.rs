@@ -244,7 +244,7 @@ fn tracing_works_over_tcp() {
     }
     assert!(
         !trees.is_empty(),
-        "trace contexts must survive the TCP wire (v5 frames)"
+        "trace contexts must survive the TCP wire"
     );
     for tree in &trees {
         assert_eq!(phase_names(tree), PEER_PHASES);
