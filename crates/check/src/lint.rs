@@ -4,7 +4,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `no-eprintln` | all diagnostics flow through `EventLog` (structured, rate-limited, `RDHT_LOG`-gated); `eprintln!` is allowed only inside the `EventLog` implementation itself |
-//! | `max-fn-lines` | no function in the non-test sources directly under `crates/net/src` runs past 150 lines (`fn` line through closing brace) — the peer loop stays one handler per request kind |
+//! | `max-fn-lines` | no function in the non-test sources under `crates/*/src`, the benchmark package (`crates/bench/src/bin/benchmark`) aside, runs past 150 lines (`fn` line through closing brace) — the peer loop stays one handler per request kind, the client one retry loop |
 //! | `sim-virtual-time` | `rdht-sim` runs on virtual time only: no `Instant::now`/`SystemTime::now` under `crates/sim/src` |
 //! | `relaxed-justified` | every `Ordering::Relaxed` carries a `// relaxed:` justification on the same line or in the comment block directly above |
 //! | `wire-exhaustive` | every `Request`/`Reply` variant in `message.rs` has an encode arm and a decode arm in `wire.rs`, and every `Request` variant a `RequestCounters` entry in `metrics.rs` |
@@ -172,12 +172,15 @@ fn contains_word(hay: &str, needle: &str) -> bool {
     false
 }
 
-/// Whether `rel` is a non-test source directly under `crates/net/src` —
-/// the files `max-fn-lines` covers (`tests.rs`, `peer_tests.rs` and
-/// `wire_proptests.rs` are test modules).
-fn is_net_source(rel: &str) -> bool {
-    rel.strip_prefix("crates/net/src/")
-        .is_some_and(|name| !name.contains('/') && !name.ends_with("tests.rs"))
+/// Whether `rel` is a non-test source under some `crates/*/src` outside
+/// the benchmark package — the files `max-fn-lines` covers (`tests.rs`,
+/// `peer_tests.rs`, `proptests.rs` and the like are test modules).
+fn is_fn_length_checked(rel: &str) -> bool {
+    let in_src = rel
+        .strip_prefix("crates/")
+        .and_then(|crate_path| crate_path.split_once('/'))
+        .is_some_and(|(_, path)| path.starts_with("src/"));
+    in_src && !rel.starts_with("crates/bench/src/bin/benchmark/") && !rel.ends_with("tests.rs")
 }
 
 /// Lints a single file's content. `rel` is the path relative to the
@@ -187,7 +190,7 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Finding> {
     let in_sim = rel.starts_with("crates/sim/src/");
     let is_eventlog = rel == "crates/metrics/src/log.rs";
 
-    if is_net_source(rel) {
+    if is_fn_length_checked(rel) {
         for (name, line, len) in fn_lengths(content) {
             if len > MAX_FN_LINES {
                 findings.push(Finding {
@@ -540,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn function_past_the_line_limit_is_flagged_in_net_sources_only() {
+    fn function_past_the_line_limit_is_flagged_in_crate_sources_only() {
         let src = source_with_fn_of(MAX_FN_LINES - 1);
         let out = lint_file("crates/net/src/peer.rs", &src);
         assert_eq!(out.len(), 1, "{out:?}");
@@ -551,10 +554,28 @@ mod tests {
             "crates/net/src/tests.rs",
             "crates/net/src/peer_tests.rs",
             "crates/net/src/wire_proptests.rs",
+            "crates/overlay/src/chord/tests.rs",
             "crates/net/tests/faults.rs",
-            "crates/storage/src/engine.rs",
+            "crates/bench/src/bin/benchmark/report.rs",
+            "src/lib.rs",
+            "examples/agenda.rs",
         ] {
             assert!(lint_file(exempt, &src).is_empty(), "{exempt}");
+        }
+    }
+
+    #[test]
+    fn function_past_the_line_limit_is_flagged_outside_the_net_crate() {
+        let src = source_with_fn_of(MAX_FN_LINES - 1);
+        for checked in [
+            "crates/storage/src/engine.rs",
+            "crates/core/src/ums/mod.rs",
+            "crates/bench/src/bin/experiments.rs",
+        ] {
+            let out = lint_file(checked, &src);
+            assert_eq!(out.len(), 1, "{checked}: {out:?}");
+            assert_eq!(out[0].rule, "max-fn-lines");
+            assert_eq!(out[0].file, checked);
         }
     }
 

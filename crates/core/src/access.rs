@@ -13,7 +13,7 @@ use crate::types::{ReplicaValue, Timestamp};
 ///
 /// * [`crate::InMemoryDht`] — a single-process map, used in doctests, unit
 ///   tests and the quickstart example;
-/// * `rdht_sim::SimulatedAccess` — cost-accounting access to the simulated
+/// * `rdht_sim::SimAccess` — cost-accounting access to the simulated
 ///   Chord overlay (every call is priced in simulated latency and messages);
 /// * `rdht_net::ClusterClient` — real message exchange with threaded peers.
 ///

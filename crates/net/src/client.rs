@@ -2,7 +2,6 @@
 //! with deadline + retry + backoff on every call so a lossy network costs
 //! latency instead of failed operations.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -203,11 +202,61 @@ fn group_by_peer(sends: Vec<Outgoing>) -> (Vec<Frame>, Vec<usize>) {
     (frames, frame_of)
 }
 
+/// A put's op, key, stamp and payload: the puts of one insert share them.
+type PutRest<'a> = (Option<OpId>, &'a Key, Timestamp, &'a [u8]);
+
+/// A put's hash, and the rest of it; `None` for any other request.
+fn put_parts(request: &Request) -> Option<(HashId, PutRest<'_>)> {
+    match request {
+        Request::PutReplica {
+            op,
+            hash,
+            key,
+            payload,
+            timestamp,
+        } => Some((*hash, (*op, key, *timestamp, payload.as_slice()))),
+        _ => None,
+    }
+}
+
+/// The request a frame travels as. A lone request goes bare, exactly as it
+/// would travel alone. Two or more puts of one insert — the same op, key,
+/// stamp and payload — go as one [`Request::PutReplicas`], which carries the
+/// payload once, under the first trace context among them. Any other group
+/// goes as a [`Request::Batch`] whose constituents keep their contexts.
+fn pack(mut items: Vec<(Request, Option<TraceContext>)>) -> (Request, Option<TraceContext>) {
+    if items.len() == 1 {
+        return items.pop().expect("a frame carries a request");
+    }
+    let first = put_parts(&items[0].0).map(|(_, rest)| rest);
+    let hashes: Option<Vec<HashId>> = items
+        .iter()
+        .map(|(request, _)| match put_parts(request) {
+            Some((hash, rest)) if Some(rest) == first => Some(hash),
+            _ => None,
+        })
+        .collect();
+    match (first, hashes) {
+        (Some((op, key, timestamp, payload)), Some(hashes)) => {
+            let request = Request::PutReplicas {
+                op,
+                hashes,
+                key: key.clone(),
+                payload: payload.to_vec(),
+                timestamp,
+            };
+            (request, items.iter().find_map(|(_, trace)| *trace))
+        }
+        _ => (Request::Batch(items), None),
+    }
+}
+
 /// What the exchange of one frame means to each of its `size` requests. A
 /// request that travelled alone owns the outcome. The constituents of a
 /// batch each take their own reply out of the [`Reply::Batch`] (a
 /// [`Reply::Error`] among them is that constituent's rejection, not the
-/// frame's) and share the frame's failure when there is no such reply.
+/// frame's); a `PutsAck` that counts every put of a packed frame written is
+/// a [`Reply::PutAck`] to each. Any other answer, or none, fails them all.
 fn scatter_back(frame: Gathered, size: usize) -> Vec<Gathered> {
     if size == 1 {
         return vec![frame];
@@ -217,8 +266,11 @@ fn scatter_back(frame: Gathered, size: usize) -> Vec<Gathered> {
         Ok(Reply::Batch(replies)) if replies.len() == size => {
             replies.into_iter().map(answered).collect()
         }
+        Ok(Reply::PutsAck { written, failed: 0 }) if written as usize == size => {
+            vec![Ok(Reply::PutAck); size]
+        }
         Ok(other) => {
-            let reason = format!("unexpected reply to a batch of {size}: {other:?}");
+            let reason = format!("unexpected reply to a frame of {size}: {other:?}");
             vec![Err(CallError::Rejected(reason)); size]
         }
         Err(error) => vec![Err(error); size],
@@ -589,24 +641,18 @@ impl ClusterClient {
             .collect()
     }
 
-    /// Sends every frame — a group of one bare, exactly as it would travel
-    /// alone, a larger one as a [`Request::Batch`] whose constituents keep
-    /// their trace contexts — then sleeps **once**, until the last reply
-    /// landed or `try_timeout` passed, however many frames there are.
-    /// Messages are counted here: one per request frame the transport
-    /// accepted, one per reply frame that answered. Returns, per frame, the
-    /// outcomes of the requests it carried.
+    /// Sends every frame, as the request [`pack`] makes of it, then sleeps
+    /// **once**, until the last reply landed or `try_timeout` passed,
+    /// however many frames there are. Messages are counted here: one per
+    /// request frame the transport accepted, one per reply frame that
+    /// answered. Returns, per frame, the outcomes of the requests it carried.
     fn exchange(&mut self, frames: Vec<Frame>) -> Vec<std::vec::IntoIter<Gathered>> {
         // Only a client that turns calls into spans needs landing times.
         let gather = Gather::new(frames.len(), self.tracing.is_some());
         let mut sizes = Vec::with_capacity(frames.len());
-        for (slot, mut frame) in frames.into_iter().enumerate() {
+        for (slot, frame) in frames.into_iter().enumerate() {
             sizes.push(frame.items.len());
-            let (request, trace) = if frame.items.len() == 1 {
-                frame.items.pop().expect("a frame carries a request")
-            } else {
-                (Request::Batch(frame.items), None)
-            };
+            let (request, trace) = pack(frame.items);
             if gather.send(slot, &frame.endpoint, request, trace) {
                 self.messages.inc();
             }
@@ -871,129 +917,19 @@ impl ClusterClient {
         timestamp_of(reply)
     }
 
-    /// The put fan-out of an insert over `remaining`, under `op`: the puts
-    /// are grouped by responsible peer and shipped as one
-    /// [`Request::PutReplicas`] per peer — over TCP that is one round trip
-    /// per peer instead of one per hash. The groups go out and are awaited
-    /// as one scatter-gather round (`round`): the peers work in parallel,
-    /// the client sleeps once, and the whole fan-out shares one
-    /// `try_timeout` deadline. Each peer answers one [`Reply::PutsAck`] once
-    /// its last constituent put (including any it had to re-send under
-    /// churn) completed.
-    ///
-    /// Under the retry policy, a group whose ack was lost (or that reported
-    /// partial failure) is re-grouped against the *current* directory view
-    /// and re-sent under the same [`OpId`] — the applying peers re-ack
-    /// already-applied constituents from their dedup caches, so the final
-    /// attempt's counts are correct without double-crediting. Only clean
-    /// acks (`failed == 0`) are credited early; a partially failed group is
-    /// re-queued whole and credited solely by its last attempt. The
-    /// re-grouping is why this is not a `call_all`: what a retry sends
-    /// depends on where the directory puts each hash *then*.
-    fn put_round(
-        &mut self,
-        op: Option<OpId>,
-        key: &Key,
-        value: &ReplicaValue,
-        mut remaining: Vec<HashId>,
-    ) -> PutReplicasOutcome {
-        let context = self.sample();
-        let started = self.tracing.as_ref().map(|_| Instant::now());
-        let mut phases: Vec<(String, u64)> = Vec::new();
-        let mut outcome = PutReplicasOutcome::default();
-        let attempts = self.retry.attempts.max(1);
-        for attempt in 0..attempts {
-            let mut backoff = Duration::ZERO;
-            if attempt > 0 {
-                backoff = self.back_off(attempt, 1);
-                if started.is_some() {
-                    phases.push((format!("backoff{attempt}"), us(backoff)));
-                }
-            }
-            let attempt_started = started.map(|_| Instant::now());
-            let final_attempt = attempt + 1 == attempts;
-            let mut groups: BTreeMap<PeerId, (PeerEndpoint, Vec<HashId>)> = BTreeMap::new();
-            let mut unroutable: Vec<HashId> = Vec::new();
-            for hash in remaining.drain(..) {
-                let position = self.directory.family.eval(hash, key);
-                match self.directory.responsible_for(position) {
-                    Some((peer, endpoint)) => {
-                        groups
-                            .entry(peer)
-                            .or_insert_with(|| (endpoint, Vec::new()))
-                            .1
-                            .push(hash);
-                    }
-                    None => unroutable.push(hash),
-                }
-            }
-            let mut sent: Vec<Vec<HashId>> = Vec::with_capacity(groups.len());
-            let mut sends = Vec::with_capacity(groups.len());
-            for (peer, (endpoint, hashes)) in groups {
-                let request = Request::PutReplicas {
-                    op,
-                    hashes: hashes.clone(),
-                    key: key.clone(),
-                    payload: value.data.clone(),
-                    timestamp: value.timestamp,
-                };
-                // Every per-peer group of the fan-out carries the same
-                // trace id, so the applying peers' span trees (one per
-                // constituent put) correlate back to this logical insert.
-                let trace = context.map(|root| root.child_of(rdht_metrics::next_span_id()));
-                sends.push(Outgoing {
-                    peer,
-                    endpoint,
-                    request,
-                    trace,
-                });
-                sent.push(hashes);
-            }
-            for (hashes, group) in sent.into_iter().zip(self.round(sends)) {
-                match group.outcome {
-                    Ok(Reply::PutsAck { written, failed: 0 }) => {
-                        outcome.written += written as usize;
-                    }
-                    Ok(Reply::PutsAck { written, failed }) if final_attempt => {
-                        outcome.written += written as usize;
-                        outcome.failed += failed as usize;
-                    }
-                    // An undeliverable group, a lost ack, or partial failure
-                    // mid-budget: re-queue the whole group uncredited — the
-                    // retry's cached re-acks make the final count correct
-                    // without double-crediting.
-                    _ if final_attempt => outcome.failed += hashes.len(),
-                    _ => remaining.extend(hashes),
-                }
-            }
-            if final_attempt {
-                outcome.failed += unroutable.len();
-            } else {
-                remaining.extend(unroutable);
-            }
-            if let Some(attempt_started) = attempt_started {
-                let attempt_ended = Instant::now();
-                phases.push((
-                    format!("attempt{attempt}"),
-                    us(attempt_ended.saturating_duration_since(attempt_started)),
-                ));
-                let label = if remaining.is_empty() { "ok" } else { "retry" };
-                self.emit_attempt(
-                    context,
-                    attempt,
-                    (attempt_started, attempt_ended),
-                    backoff,
-                    label,
-                );
-            }
-            if remaining.is_empty() {
-                break;
-            }
+    /// The `put_h` of `value` for `key` under `hash`; `op` and the hash are
+    /// its dedup identity.
+    fn put_call(&self, op: Option<OpId>, hash: HashId, key: &Key, value: &ReplicaValue) -> Call {
+        Call {
+            target: Target::Position(self.directory.family.eval(hash, key)),
+            request: Request::PutReplica {
+                op,
+                hash,
+                key: key.clone(),
+                payload: value.data.clone(),
+                timestamp: value.timestamp,
+            },
         }
-        let label = if outcome.failed == 0 { "ok" } else { "partial" };
-        let span = started.map(|started| (started, Instant::now()));
-        self.finish_trace("puts", context, span, phases, label);
-        outcome
     }
 }
 
@@ -1082,16 +1018,8 @@ impl UmsAccess for ClusterClient {
         key: &Key,
         value: &ReplicaValue,
     ) -> Result<(), UmsError> {
-        let put = Call {
-            target: Target::Position(self.directory.family.eval(hash, key)),
-            request: Request::PutReplica {
-                op: Some(self.next_op()),
-                hash,
-                key: key.clone(),
-                payload: value.data.clone(),
-                timestamp: value.timestamp,
-            },
-        };
+        let op = Some(self.next_op());
+        let put = self.put_call(op, hash, key, value);
         match self.call(put)? {
             Reply::PutAck => Ok(()),
             other => Err(UmsError::lookup(format!(
@@ -1106,12 +1034,12 @@ impl UmsAccess for ClusterClient {
     /// that stamps it, `rsp(k, h_ts)`, the request carries the payload and
     /// their hashes ([`Request::StampAndPut`]): that peer stamps, stores
     /// them with the stamp, and answers [`Reply::Stamped`] after the sync
-    /// covering both. Round 2 is the put fan-out
-    /// (`ClusterClient::put_round`) over the other hashes, and is skipped
-    /// when none remain. The stamping peer reports counts, not hashes, so
-    /// when it reports a carried put failed, round 2 re-sends every carried
-    /// hash; the ones it applied re-acknowledge from the dedup windows.
-    /// Both rounds run under the op of the `gen_ts` that was answered, so
+    /// covering both. Round 2 is a `ClusterClient::call_all` of one
+    /// `put_h` per other hash (none when none remain; `pack` gives a
+    /// peer's puts one frame). The stamping peer reports counts, not hashes,
+    /// so when it reports a carried put failed, round 2 re-sends every
+    /// carried hash; the ones it applied re-acknowledge from the dedup
+    /// windows. Both rounds run under the op of the answered `gen_ts`, so
     /// such a re-send deduplicates against the put the stamp carried.
     fn stamp_and_put(
         &mut self,
@@ -1140,15 +1068,17 @@ impl UmsAccess for ClusterClient {
             Reply::Stamped { timestamp, .. } => (timestamp, &[][..]),
             other => (timestamp_of(other)?, &[][..]),
         };
-        let remaining: Vec<HashId> = self
+        let value = ReplicaValue::new(store.payload, timestamp);
+        let puts = self
             .replication_ids()
             .filter(|hash| !stored.contains(hash))
+            .map(|hash| self.put_call(op, hash, key, &value))
             .collect();
-        if !remaining.is_empty() {
-            let value = ReplicaValue::new(store.payload, timestamp);
-            let puts = self.put_round(op, key, &value, remaining);
-            outcome.written += puts.written;
-            outcome.failed += puts.failed;
+        for reply in self.call_all(puts) {
+            match reply {
+                Ok(Reply::PutAck) => outcome.written += 1,
+                _ => outcome.failed += 1,
+            }
         }
         Ok((timestamp, outcome))
     }
@@ -1162,3 +1092,7 @@ impl UmsAccess for ClusterClient {
         self.directory.family.num_replication()
     }
 }
+
+#[cfg(test)]
+#[path = "client_tests.rs"]
+mod tests;

@@ -69,13 +69,15 @@
 //! last reply (or the per-attempt deadline) releases it. A `retrieve` asks
 //! KTS for `last_ts` and probes the first replica in the same round trip
 //! (two one-way delays to a current answer, not four), the indirect
-//! observation reads its `|Hr|` replicas in one, and an insert's per-peer
-//! put groups share one wait. The requests are the sequential algorithm's;
-//! what changes is their timing and their packing: a round costs **one
-//! frame per destination peer**. Requests of a round that resolve to the
-//! same peer travel as one [`Request::Batch`], answered by one
-//! [`Reply::Batch`]; the peer explodes it, so each constituent routes,
-//! deduplicates and traces as if it had come alone. Figure 2
+//! observation reads its `|Hr|` replicas in one, and so does an insert's
+//! put round. The requests are the sequential algorithm's; what changes is
+//! their timing and their packing: a round costs **one frame per
+//! destination peer**. Requests of a round that resolve to the same peer
+//! travel as one [`Request::Batch`], answered by one [`Reply::Batch`] — or,
+//! when they are one insert's puts, as one [`Request::PutReplicas`]
+//! carrying the payload once, answered by one [`Reply::PutsAck`]; the peer
+//! explodes either, so each constituent routes, deduplicates and traces as
+//! if it had come alone. Figure 2
 //! leaves the probe order open, so a `retrieve` probes first a replica that
 //! lives on the timestamping peer whenever there is one
 //! (`UmsAccess::first_probe`) — its opening is then one frame each way.

@@ -91,11 +91,12 @@ pub enum Request {
     },
     /// Store the same stamped payload under several replication hash
     /// functions in **one** request — the batched fan-out half of a UMS
-    /// insert. The client groups the `|Hr|` replica puts of an insert by
-    /// responsible peer and ships one `PutReplicas` per peer; the receiving
-    /// peer answers a single [`Reply::PutsAck`] once every constituent put
-    /// was applied (or re-sent to and acknowledged by the peer now
-    /// responsible for it).
+    /// insert. When two or more of an insert's replica puts resolve to one
+    /// peer in a client round, they travel as one `PutReplicas` (a lone put
+    /// travels as a bare [`Request::PutReplica`]); the receiving peer
+    /// answers a single [`Reply::PutsAck`] once every constituent put was
+    /// applied (or re-sent to and acknowledged by the peer now responsible
+    /// for it).
     PutReplicas {
         /// Dedup identity of the logical batched put. The constituent
         /// per-hash puts inherit it, each disambiguated by its hash — so a

@@ -1326,9 +1326,9 @@ fn metrics_scrape_exposes_roadmap_instruments() {
         }
     }
 
-    // Some peer served the insert's writes. The client ships them as
-    // batched `PutReplicas` groups (kind "puts"); constituents that had to
-    // forward under churn would show up as kind "put" at their new owner.
+    // Some peer served the insert's writes: a peer holding several replicas
+    // gets them as one `PutReplicas` (kind "puts"), one holding a single
+    // replica a bare `PutReplica` (kind "put"), the stamping peer none.
     let total_puts: u64 = cluster
         .peer_ids()
         .into_iter()
@@ -1349,7 +1349,7 @@ fn metrics_scrape_exposes_roadmap_instruments() {
                 .sum::<u64>()
         })
         .sum();
-    assert!(total_puts >= 1, "the insert's put groups were counted");
+    assert!(total_puts >= 1, "the insert's puts were counted");
     cluster.shutdown();
 }
 

@@ -324,10 +324,10 @@ fn a_retrieve_costs_one_frame_per_peer_each_way() {
 /// The frame law of an insert, on both backends, re-derived from placement.
 /// The peer that stamps the key stores the replicas it holds in the `gen_ts`
 /// request, so it costs the request and reply frames of the stamp and never
-/// a put frame (its `kind="puts"` count does not move). Every other holder
-/// costs one put frame each way: `2 + 2·(distinct holders − 1)` when the
-/// stamping peer is a holder, `2 + 2·distinct` when it is not, and 2 when it
-/// holds every replica.
+/// a put frame (neither its `kind="put"` nor its `kind="puts"` count
+/// moves). Every other holder costs one put frame each way:
+/// `2 + 2·(distinct holders − 1)` when the stamping peer is a holder,
+/// `2 + 2·distinct` when it is not, and 2 when it holds every replica.
 #[test]
 fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
     const REPLICAS: u32 = 4;
@@ -359,7 +359,13 @@ fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
             // The first insert initialises the counter indirectly.
             ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
             let owner = owner(key);
-            let puts = served(&cluster, owner, "puts");
+            let put_frames = || {
+                (
+                    served(&cluster, owner, "put"),
+                    served(&cluster, owner, "puts"),
+                )
+            };
+            let puts = put_frames();
             let messages = client.messages();
             let report = ums::insert(&mut client, key, b"v2".to_vec()).unwrap();
             assert_eq!(
@@ -370,7 +376,7 @@ fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
             assert_eq!(client.messages() - messages, frames, "{kind:?}: {key:?}");
             if holders(key).contains(&owner) {
                 assert_eq!(
-                    served(&cluster, owner, "puts"),
+                    put_frames(),
                     puts,
                     "{kind:?}: the stamping peer got a put frame for {key:?}"
                 );

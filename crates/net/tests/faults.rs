@@ -6,6 +6,7 @@
 //! standing proving ground for networking changes: anything that loses an
 //! ack, double-applies a mutation, or hangs a coordinator fails here.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -620,6 +621,77 @@ fn a_dropped_batch_reply_retries_each_leg_and_never_double_applies() {
         assert_eq!(got.last_timestamp, Timestamp(2), "{kind:?}: one increment");
         assert!(got.is_current, "{kind:?}: {got:?}");
         assert_eq!(got.data.unwrap(), b"w");
+        cluster.shutdown();
+    });
+}
+
+/// The reply to one holder's packed puts is lost: the client re-sends that
+/// holder's puts alone, packed into one frame again, the holder answers each
+/// of them from its dedup window, and the insert reports every replica
+/// written.
+#[test]
+fn a_lost_puts_ack_re_sends_that_holders_puts_packed_and_dedups_each() {
+    const REPLICAS: u32 = 4;
+    both(|kind| {
+        let plan = FaultPlan::new(0x9075);
+        let cluster = spawn_faulty(kind, 5, REPLICAS as usize, plan.clone());
+        let mut client = cluster.client().with_retry_policy(RetryPolicy {
+            attempts: 3,
+            try_timeout: Duration::from_millis(300),
+            base_backoff: Duration::from_millis(5),
+            max_backoff: Duration::from_millis(20),
+            jitter: 0.0,
+        });
+        // A key with a holder, other than the stamping peer, of two or more
+        // replicas: the put round packs its puts into one frame.
+        let (key, holder, legs, others) = (0..)
+            .map(|i| Key::new(format!("packed:{i}")))
+            .find_map(|key| {
+                let kts = cluster.timestamp_responsible(&key);
+                let mut puts: BTreeMap<PeerId, u64> = BTreeMap::new();
+                for h in 0..REPLICAS {
+                    let peer = cluster.replica_responsible(HashId(h), &key);
+                    if peer != kts {
+                        *puts.entry(peer.unwrap()).or_default() += 1;
+                    }
+                }
+                let (&holder, &legs) = puts.iter().find(|(_, legs)| **legs >= 2)?;
+                Some((key, holder, legs, puts.len() as u64))
+            })
+            .expect("some holder gets two puts");
+        // The first insert initialises the counter indirectly.
+        ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+
+        let (messages, retries) = (client.messages(), client.retries());
+        let suppressed = cluster.dedup().suppressed.get();
+        let restorer = drop_the_next_reply_of(&plan, holder);
+        let report = ums::insert(&mut client, &key, b"v2".to_vec()).unwrap();
+        restorer.join().unwrap();
+        assert_eq!(
+            (report.replicas_written, report.replicas_failed),
+            (REPLICAS as usize, 0),
+            "{kind:?}"
+        );
+        assert_eq!(
+            client.retries() - retries,
+            legs,
+            "{kind:?}: only that holder's puts were re-sent, one retry each"
+        );
+        assert_eq!(client.retry_exhaustions(), 0);
+        assert_eq!(
+            client.messages() - messages,
+            2 + 2 * others + 1,
+            "{kind:?}: the stamp, a frame pair per holder, and one packed re-send"
+        );
+        assert_eq!(
+            cluster.dedup().suppressed.get() - suppressed,
+            legs,
+            "{kind:?}: each re-sent put answered from the window"
+        );
+        let got = ums::retrieve(&mut client, &key).unwrap();
+        assert!(got.is_current && !got.degraded, "{kind:?}: {got:?}");
+        assert_eq!(got.last_timestamp, report.timestamp);
+        assert_eq!(got.data.unwrap(), b"v2");
         cluster.shutdown();
     });
 }
