@@ -25,9 +25,8 @@ use crate::types::{ReplicaValue, Timestamp};
 
 /// An in-memory DHT with UMS/KTS semantics (see the module docs).
 ///
-/// Replicas are grouped per key (one small per-hash table each), mirroring
-/// the indexed `PeerStore` of the overlay crate: lookups borrow the key, so
-/// the probe path performs no key clones.
+/// Replicas are grouped per key (one small per-hash table each): lookups
+/// borrow the key, so the probe path performs no key clones.
 ///
 /// The second type parameter is the durability backend every accepted
 /// mutation is journaled to. It defaults to [`NoDurability`] (state dies with

@@ -123,7 +123,7 @@ proptest! {
         for (hash, key, stamp) in &truth {
             let best = [&src_replicas, &dst_replicas]
                 .iter()
-                .filter_map(|store| store.get(*hash, key).map(|r| r.stamp))
+                .filter_map(|store| store.get(*hash, key).map(|r| Timestamp(r.stamp)))
                 .max();
             prop_assert!(
                 best == Some(*stamp),
@@ -158,7 +158,7 @@ proptest! {
                 for (hash, key, stamp) in &truth {
                     let position = family.eval(*hash, key);
                     if rdht_overlay::in_open_closed_interval(range_start, range_end, position) {
-                        let got = dst_replicas.get(*hash, key).map(|r| r.stamp);
+                        let got = dst_replicas.get(*hash, key).map(|r| Timestamp(r.stamp));
                         prop_assert_eq!(got, Some(*stamp));
                     }
                 }

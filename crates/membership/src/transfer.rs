@@ -29,16 +29,17 @@
 use rdht_core::kts::KtsNode;
 use rdht_core::{DurableState, ReplicaValue, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
-use rdht_overlay::in_open_closed_interval;
-use rdht_storage::{StorageEngine, StoredReplica};
+use rdht_overlay::{in_open_closed_interval, Record};
+use rdht_storage::StorageEngine;
 
 /// Everything a range transfer ships from source to target: the replicas
 /// stored in the moved interval and the KTS counters of the keys whose
 /// *timestamping* position falls in it (the direct algorithm's payload).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HandoffBundle {
-    /// Replicas whose ring position lies in the moved interval.
-    pub replicas: Vec<(HashId, Key, StoredReplica)>,
+    /// Replicas whose ring position lies in the moved interval (stamps are
+    /// KTS timestamps).
+    pub replicas: Vec<(HashId, Key, Record)>,
     /// Counters handed over directly (Section 4.2.1), with their current
     /// values.
     pub counters: Vec<(Key, Timestamp)>,
@@ -78,7 +79,7 @@ pub fn export_handoff(
     range_start: u64,
     range_end: u64,
 ) -> HandoffBundle {
-    let replicas: Vec<(HashId, Key, StoredReplica)> = engine
+    let replicas: Vec<(HashId, Key, Record)> = engine
         .replicas()
         .iter()
         .filter(|(_, _, replica)| in_open_closed_interval(range_start, range_end, replica.position))
@@ -121,7 +122,7 @@ pub fn install_handoff(
             None => true,
         };
         if accepted {
-            let value = ReplicaValue::new(replica.payload, replica.stamp);
+            let value = ReplicaValue::new(replica.payload, Timestamp(replica.stamp));
             engine.record_replica_put(hash, &key, &value, replica.position);
             report.replicas_installed += 1;
         }
@@ -253,9 +254,9 @@ mod tests {
             replicas: vec![(
                 hash,
                 key.clone(),
-                StoredReplica {
+                Record {
                     payload: b"stale".to_vec(),
-                    stamp: Timestamp(3),
+                    stamp: 3,
                     position,
                 },
             )],
@@ -322,7 +323,7 @@ mod tests {
         // safe counter for a moved key: the max stored stamp is the last
         // generated timestamp (3 per key in populate()).
         for (hash, key, replica) in replicas.iter() {
-            assert_eq!(replica.stamp, Timestamp(3), "{hash:?}/{key:?}");
+            assert_eq!(replica.stamp, 3, "{hash:?}/{key:?}");
         }
         let _ = std::fs::remove_dir_all(&src_dir);
     }

@@ -857,7 +857,7 @@ impl Peer {
         }
         let answer = self.once(op, hash.0, |peer| {
             let accepted = match peer.engine.replicas().get(hash, &key) {
-                Some(existing) => timestamp > existing.stamp,
+                Some(existing) => timestamp.0 > existing.stamp,
                 None => true,
             };
             if accepted {
@@ -882,7 +882,7 @@ impl Peer {
             .engine
             .replicas()
             .get(hash, key)
-            .map(|replica| (replica.payload.clone(), replica.stamp));
+            .map(|replica| (replica.payload.clone(), Timestamp(replica.stamp)));
         self.deferred.push((reply, Reply::Replica(stored)));
     }
 

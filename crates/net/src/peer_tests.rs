@@ -152,7 +152,7 @@ fn a_stamp_and_put_is_answered_only_after_the_sync_covering_counter_and_puts() {
     );
     for hash in 0..3 {
         let stored = peer.engine.replicas().get(HashId(hash), &key).unwrap();
-        assert_eq!(stored.stamp, Timestamp(1));
+        assert_eq!(stored.stamp, 1);
     }
     drop(peer);
     std::fs::remove_dir_all(&root).unwrap();
@@ -287,7 +287,7 @@ fn a_duplicate_inside_the_batch_is_answered_from_the_window() {
     assert_eq!(peer.directory.dedup.applied.get(), 1);
     assert_eq!(peer.directory.dedup.suppressed.get(), 1);
     let stored = peer.engine.replicas().get(HashId(1), &key).unwrap();
-    assert_eq!(stored.stamp, Timestamp(5));
+    assert_eq!(stored.stamp, 5);
 }
 
 #[test]

@@ -71,7 +71,7 @@ use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
 use rdht_metrics::{RequestTree, TraceContext};
-use rdht_storage::StoredReplica;
+use rdht_overlay::Record;
 
 use crate::cluster::PeerId;
 use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
@@ -296,7 +296,7 @@ fn put_bundle(out: &mut Vec<u8>, bundle: &HandoffBundle) {
         put_u32(out, hash.0);
         put_key(out, key);
         put_bytes(out, &replica.payload);
-        put_u64(out, replica.stamp.0);
+        put_u64(out, replica.stamp);
         put_u64(out, replica.position);
     }
     put_counters(out, &bundle.counters);
@@ -715,12 +715,12 @@ impl<'a> Cursor<'a> {
             let hash = HashId(self.u32("bundle replica hash")?);
             let key = self.key("bundle replica key")?;
             let payload = self.bytes("bundle replica payload")?.to_vec();
-            let stamp = Timestamp(self.u64("bundle replica stamp")?);
+            let stamp = self.u64("bundle replica stamp")?;
             let position = self.u64("bundle replica position")?;
             replicas.push((
                 hash,
                 key,
-                StoredReplica {
+                Record {
                     payload,
                     stamp,
                     position,

@@ -10,7 +10,7 @@ use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
 use rdht_metrics::TraceContext;
-use rdht_storage::StoredReplica;
+use rdht_overlay::Record;
 
 use crate::cluster::PeerId;
 use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
@@ -66,9 +66,9 @@ fn make_bundle(raw: &[BundleRaw]) -> HandoffBundle {
             0 => bundle.replicas.push((
                 HashId(hash),
                 key,
-                StoredReplica {
+                Record {
                     payload: raw_payload(pay_sel, stamp),
-                    stamp: Timestamp(stamp),
+                    stamp,
                     position,
                 },
             )),

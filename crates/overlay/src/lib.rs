@@ -10,7 +10,9 @@
 //! failures, periodic stabilization and iterative lookups that account for
 //! hops and timeouts. It is what the simulator routes over; the live cluster
 //! resolves responsibility through its own directory and shares only
-//! [`PeerStore`] and the ring arithmetic with this crate.
+//! [`PeerStore`] and the ring arithmetic with this crate. [`PeerStore`] is
+//! the one replica table: simulated peers, live peers (through
+//! `rdht_storage`) and hand-off bundles all hold their replicas in it.
 //!
 //! Routing returns [`LookupOutcome`] cost records; membership changes return
 //! [`MembershipOutcome`] records whose [`ResponsibilityChange`] entries drive

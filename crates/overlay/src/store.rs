@@ -1,4 +1,4 @@
-//! Per-peer replica storage.
+//! The replica table of one peer.
 //!
 //! Every peer stores the `(k, {data, stamp})` pairs it is responsible for,
 //! one entry per `(hash function, key)` pair (a peer can be responsible for
@@ -6,21 +6,23 @@
 //! opaque `u64` interpreted by the layer above: UMS stores KTS timestamps in
 //! it, the BRK baseline stores version numbers.
 //!
-//! The store is indexed two ways:
+//! Both peer models use this one table: the simulator's peers hold a
+//! [`PeerStore`] per algorithm universe, a live peer's
+//! `rdht_storage::MemoryState` holds one that its journal rebuilds, and
+//! hand-offs ship [`Record`]s between them.
 //!
-//! * a per-key map whose entries hold the (at most `|Hr|`) per-hash records
-//!   of that key — `get`/`remove` are borrowed-key lookups with no clone,
-//!   and `max_stamp_for_key` scans `O(|Hr|)` records instead of the whole
-//!   store;
-//! * a position-sorted secondary index over the identifier ring, so the
-//!   churn/join transfer path ([`PeerStore::drain_range`]) visits only the
-//!   records that actually move: `O(moved · log n)` instead of two full
-//!   `O(store)` passes regardless of how much moves.
+//! The table is one ordered map from `(hash, key)` to the record, so its
+//! iteration order — and with it equality, a snapshot's bytes and a
+//! hand-off's order — depends only on the contents, never on the history of
+//! writes. [`PeerStore::drain_range`] scans the whole table: a range moves
+//! only on a join or a leave.
 
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use rdht_hashing::{HashId, Key};
+
+use crate::id::in_open_closed_interval;
 
 /// How a write should treat an existing entry for the same `(hash, key)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,8 +31,9 @@ pub enum WritePolicy {
     /// receiving `(k, {data, ts})` only overwrites if `ts > ts0`,
     /// Section 3.2).
     KeepNewest,
-    /// Unconditionally overwrite (used by maintenance/transfer paths and by
-    /// stores that have no ordering, such as a naive DHT without currency).
+    /// Unconditionally overwrite (used by maintenance/transfer paths, by
+    /// journal replay — which records only accepted writes — and by stores
+    /// that have no ordering, such as a naive DHT without currency).
     Overwrite,
 }
 
@@ -48,41 +51,10 @@ pub struct Record {
     pub position: u64,
 }
 
-/// All records a peer holds for one key, one per hash function. `|Hr|` is
-/// small (10 in Table 1), so a linear scan of the vector beats any nested
-/// map.
-#[derive(Clone, Debug, Default)]
-struct KeyRecords {
-    records: Vec<(HashId, Record)>,
-}
-
-impl KeyRecords {
-    fn find(&self, hash: HashId) -> Option<usize> {
-        self.records.iter().position(|(h, _)| *h == hash)
-    }
-}
-
-/// One entry of the position index: the record's ring position first, so a
-/// `BTreeSet` of these is ordered by position (key clones in the index are
-/// refcount bumps — [`Key`] is `Arc`-backed).
-type IndexEntry = (u64, HashId, Key);
-
 /// The replica store of a single peer.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PeerStore {
-    /// Per-key record tables; keys are looked up borrowed (no clone).
-    keys: HashMap<Key, KeyRecords>,
-    /// Ring-position index: a flat ordered set of `(position, hash, key)`
-    /// entries, one per stored record.
-    by_position: BTreeSet<IndexEntry>,
-    /// Total number of `(hash, key)` records.
-    len: usize,
-}
-
-/// The smallest possible [`IndexEntry`] with a position `>= position` (the
-/// empty key is the minimum of the key order).
-fn index_floor(position: u64) -> IndexEntry {
-    (position, HashId(0), Key::from_bytes(Vec::new()))
+    records: BTreeMap<(HashId, Key), Record>,
 }
 
 impl PeerStore {
@@ -93,232 +65,86 @@ impl PeerStore {
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn index_insert(&mut self, position: u64, key: &Key, hash: HashId) {
-        self.by_position.insert((position, hash, key.clone()));
-    }
-
-    fn index_remove(&mut self, position: u64, key: &Key, hash: HashId) {
-        self.by_position.remove(&(position, hash, key.clone()));
+        self.records.is_empty()
     }
 
     /// Inserts or merges a record according to `policy`. Returns `true` if
     /// the store was modified.
-    ///
-    /// Writes against an existing `(hash, key)` record take a fast path that
-    /// never clones the key and touches the position index only when the
-    /// record's ring position actually changed (it almost never does — a
-    /// record's position is a pure function of `(hash, key)`): a rejected
-    /// stale write and the common same-position overwrite are index-free.
-    /// Only the first insert of a record pays the `O(log n)` index insert;
-    /// see README "Performance" for the measured cost.
     pub fn put(&mut self, hash: HashId, key: Key, record: Record, policy: WritePolicy) -> bool {
-        if let Some(entry) = self.keys.get_mut(&key) {
-            match entry.find(hash) {
-                Some(i) => {
-                    let accept = match policy {
-                        WritePolicy::Overwrite => true,
-                        WritePolicy::KeepNewest => record.stamp > entry.records[i].1.stamp,
-                    };
-                    if !accept {
-                        return false;
-                    }
-                    let old_position = entry.records[i].1.position;
-                    let new_position = record.position;
-                    entry.records[i].1 = record;
-                    if old_position != new_position {
-                        self.index_remove(old_position, &key, hash);
-                        self.index_insert(new_position, &key, hash);
-                    }
-                }
-                None => {
-                    let position = record.position;
-                    entry.records.push((hash, record));
-                    self.len += 1;
-                    self.index_insert(position, &key, hash);
-                }
+        match self.records.entry((hash, key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(record);
             }
-        } else {
-            let position = record.position;
-            self.keys.insert(
-                key.clone(),
-                KeyRecords {
-                    records: vec![(hash, record)],
-                },
-            );
-            self.len += 1;
-            self.index_insert(position, &key, hash);
+            Entry::Occupied(mut slot) => {
+                if policy == WritePolicy::KeepNewest && record.stamp <= slot.get().stamp {
+                    return false;
+                }
+                slot.insert(record);
+            }
         }
         true
     }
 
-    /// Reads the record stored for `(hash, key)`, if any. Borrowed lookup —
-    /// never clones the key.
-    #[inline]
+    /// Reads the record stored for `(hash, key)`, if any. (The key clone is
+    /// an `Arc` refcount bump, not a byte copy.)
     pub fn get(&self, hash: HashId, key: &Key) -> Option<&Record> {
-        let entry = self.keys.get(key)?;
-        entry
-            .records
-            .iter()
-            .find(|(h, _)| *h == hash)
-            .map(|(_, rec)| rec)
+        self.records.get(&(hash, key.clone()))
     }
 
-    /// Removes the record stored for `(hash, key)`, returning it. Borrowed
-    /// lookup — never clones the key.
+    /// Removes the record stored for `(hash, key)`, returning it.
     pub fn remove(&mut self, hash: HashId, key: &Key) -> Option<Record> {
-        let entry = self.keys.get_mut(key)?;
-        let i = entry.find(hash)?;
-        let (_, record) = entry.records.swap_remove(i);
-        let now_empty = entry.records.is_empty();
-        if now_empty {
-            self.keys.remove(key);
-        }
-        self.len -= 1;
-        self.index_remove(record.position, key, hash);
-        Some(record)
+        self.records.remove(&(hash, key.clone()))
     }
 
-    /// Iterates over all records.
+    /// Iterates over all records, by hash function and then by key.
     pub fn iter(&self) -> impl Iterator<Item = (HashId, &Key, &Record)> {
-        self.keys.iter().flat_map(|(key, entry)| {
-            entry
-                .records
-                .iter()
-                .map(move |(hash, rec)| (*hash, key, rec))
-        })
+        self.records
+            .iter()
+            .map(|((hash, key), record)| (*hash, key, record))
     }
 
     /// Drains every record whose position falls inside the half-open ring
-    /// interval `(range_start, range_end]`. Used when responsibility for that
-    /// interval moves to another peer (join / graceful leave).
-    ///
-    /// Only the position-index entries covered by the interval are visited —
-    /// `O(moved · log n)` total (a range walk to find them, then one map and
-    /// one index removal per moved record) instead of a full `O(store)` scan
-    /// regardless of how much moves — and the drained records come out in
-    /// ascending ring-position order starting after `range_start`, which is
-    /// deterministic (the old full-scan implementation iterated a `HashMap`).
+    /// interval `(range_start, range_end]`; `range_start == range_end`
+    /// denotes the whole ring (the single-node case). Used when
+    /// responsibility for that interval moves to another peer (join /
+    /// graceful leave). The drained records come out in iteration order.
     pub fn drain_range(&mut self, range_start: u64, range_end: u64) -> Vec<(HashId, Key, Record)> {
-        let mut moving: Vec<(Key, HashId)> = Vec::new();
-        {
-            let mut collect = |entry: &IndexEntry| {
-                let (_, hash, key) = entry;
-                moving.push((key.clone(), *hash));
-            };
-            // `(position, ..]` translates to index entries `>= position + 1`
-            // with the minimal hash/key, since positions sort first.
-            if range_start == range_end {
-                // Degenerate interval: the entire ring (single-node case).
-                self.by_position.iter().for_each(&mut collect);
-            } else if range_start < range_end {
-                let upper = match range_end.checked_add(1) {
-                    Some(next) => Bound::Excluded(index_floor(next)),
-                    None => Bound::Unbounded,
-                };
-                self.by_position
-                    .range((Bound::Included(index_floor(range_start + 1)), upper))
-                    .for_each(&mut collect);
-            } else {
-                // Wrapped interval: (range_start, MAX] then [0, range_end].
-                if range_start < u64::MAX {
-                    self.by_position
-                        .range(index_floor(range_start + 1)..)
-                        .for_each(&mut collect);
-                }
-                self.by_position
-                    .range(..index_floor(range_end + 1))
-                    .for_each(&mut collect);
-            }
-        }
-        moving
-            .into_iter()
-            .map(|(key, hash)| {
-                let record = self.remove(hash, &key).expect("indexed record exists");
-                (hash, key, record)
+        self.records
+            .extract_if(.., |_, record| {
+                in_open_closed_interval(range_start, range_end, record.position)
             })
+            .map(|((hash, key), record)| (hash, key, record))
             .collect()
     }
 
     /// Removes every record (used when a peer fails and its memory is lost).
     pub fn clear(&mut self) {
-        self.keys.clear();
-        self.by_position.clear();
-        self.len = 0;
+        self.records.clear();
     }
 
-    /// Snapshots every record in deterministic ascending ring-position
-    /// order (the position index's order, independent of `HashMap` seeding).
-    /// Together with [`PeerStore::bulk_load`] this is the journaling /
-    /// state-transfer surface of the store: iterate on the source, bulk-load
-    /// on the destination.
-    pub fn snapshot(&self) -> Vec<(HashId, Key, Record)> {
-        self.by_position
-            .iter()
-            .map(|(_, hash, key)| {
-                let record = self.get(*hash, key).expect("indexed record exists").clone();
-                (*hash, key.clone(), record)
-            })
-            .collect()
-    }
-
-    /// Loads a batch of records (last write wins for duplicate `(hash, key)`
-    /// pairs), rebuilding the position index once at the end instead of
-    /// paying one `O(log n)` index insert per record — the restore half of
-    /// snapshot/restore and the receiving half of a range transfer. Returns
-    /// the number of records ingested.
+    /// Loads a batch of records, overwriting (last write wins for duplicate
+    /// `(hash, key)` pairs). Returns the number of records ingested.
     pub fn bulk_load(&mut self, records: impl IntoIterator<Item = (HashId, Key, Record)>) -> usize {
         let mut loaded = 0;
         for (hash, key, record) in records {
-            let entry = self.keys.entry(key).or_default();
-            match entry.find(hash) {
-                Some(i) => entry.records[i].1 = record,
-                None => {
-                    entry.records.push((hash, record));
-                    self.len += 1;
-                }
-            }
+            self.records.insert((hash, key), record);
             loaded += 1;
         }
-        self.rebuild_index();
         loaded
     }
 
-    /// Rebuilds the position index from the per-key tables: collect, sort,
-    /// bulk-build (a `BTreeSet` built from a sorted iterator is constructed
-    /// bottom-up, cheaper than n root-down inserts).
-    fn rebuild_index(&mut self) {
-        let mut entries: Vec<IndexEntry> = self
-            .keys
-            .iter()
-            .flat_map(|(key, entry)| {
-                entry
-                    .records
-                    .iter()
-                    .map(move |(hash, record)| (record.position, *hash, key.clone()))
-            })
-            .collect();
-        entries.sort_unstable();
-        self.by_position = entries.into_iter().collect();
-    }
-
-    /// The greatest stamp stored for `key` under any hash function, if any.
-    /// This is what the *indirect* counter-initialization algorithm inspects
-    /// locally on each replica holder. `O(|Hr|)` — only the key's own
-    /// records are visited.
+    /// The greatest stamp stored for `key` under any hash function, if any:
+    /// what the *indirect* counter-initialization algorithm inspects locally
+    /// on each replica holder. A scan of the whole table.
     pub fn max_stamp_for_key(&self, key: &Key) -> Option<u64> {
-        self.keys
-            .get(key)?
-            .records
-            .iter()
-            .map(|(_, rec)| rec.stamp)
+        self.iter()
+            .filter(|(_, stored, _)| *stored == key)
+            .map(|(_, _, record)| record.stamp)
             .max()
     }
 }
@@ -503,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_drain_empties_the_store_in_position_order() {
+    fn full_ring_drain_empties_the_store_in_iteration_order() {
         let mut store = PeerStore::new();
         store.put(
             HashId(0),
@@ -518,12 +344,12 @@ mod tests {
             rec(2, 400),
             WritePolicy::Overwrite,
         );
-        // start == end denotes the whole ring; the degenerate drain visits
-        // the position index in ascending order.
+        // start == end denotes the whole ring; the drain visits records by
+        // hash function, then key, whatever order they were written in.
         let moved = store.drain_range(500, 500);
         assert!(store.is_empty());
-        let positions: Vec<u64> = moved.iter().map(|(_, _, r)| r.position).collect();
-        assert_eq!(positions, vec![10, 400, 9000]);
+        let keys: Vec<Key> = moved.into_iter().map(|(_, k, _)| k).collect();
+        assert_eq!(keys, vec![Key::new("c"), Key::new("a"), Key::new("b")]);
     }
 
     #[test]
@@ -553,13 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_with_new_position_moves_index_entry() {
+    fn overwrite_with_new_position_drains_from_the_new_position() {
         let mut store = PeerStore::new();
         let k = Key::new("doc");
         store.put(HashId(0), k.clone(), rec(1, 100), WritePolicy::Overwrite);
         store.put(HashId(0), k.clone(), rec(2, 5000), WritePolicy::Overwrite);
         assert_eq!(store.len(), 1);
-        // The record is only draining from its new position.
         assert!(store.clone().drain_range(50, 150).is_empty());
         let moved = store.drain_range(4000, 6000);
         assert_eq!(moved.len(), 1);
@@ -567,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_cleans_both_indexes() {
+    fn a_removed_record_no_longer_drains() {
         let mut store = PeerStore::new();
         let k = Key::new("doc");
         store.put(HashId(0), k.clone(), rec(1, 10), WritePolicy::Overwrite);
@@ -602,23 +427,21 @@ mod tests {
             rec(3, 200),
             WritePolicy::Overwrite,
         );
-        let snapshot = store.snapshot();
-        // Deterministic: ascending ring-position order.
-        let positions: Vec<u64> = snapshot.iter().map(|(_, _, r)| r.position).collect();
-        assert_eq!(positions, vec![100, 200, 300]);
+        let snapshot: Vec<(HashId, Key, Record)> = store
+            .iter()
+            .map(|(h, k, r)| (h, k.clone(), r.clone()))
+            .collect();
 
         let mut restored = PeerStore::new();
-        assert_eq!(restored.bulk_load(snapshot.clone()), 3);
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored.snapshot(), snapshot);
-        // The rebuilt index drives drain correctly.
+        assert_eq!(restored.bulk_load(snapshot), 3);
+        assert_eq!(restored, store);
         let moved = restored.drain_range(150, 250);
         assert_eq!(moved.len(), 1);
         assert_eq!(moved[0].1, Key::new("b"));
     }
 
     #[test]
-    fn bulk_load_into_populated_store_overwrites_and_reindexes() {
+    fn bulk_load_into_populated_store_overwrites() {
         let mut store = PeerStore::new();
         store.put(
             HashId(0),
@@ -635,10 +458,41 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(HashId(0), &Key::new("a")).unwrap().stamp, 9);
         assert_eq!(store.get(HashId(2), &Key::new("c")).unwrap().stamp, 5);
-        // Index reflects the final positions only.
+        // Drains follow the final positions only.
         assert!(store.clone().drain_range(50, 150).is_empty());
         assert_eq!(store.clone().drain_range(4000, 6000).len(), 1);
         assert_eq!(store.clone().drain_range(425, 475).len(), 1);
+    }
+
+    #[test]
+    fn equality_and_order_do_not_depend_on_write_history() {
+        let records = [
+            (HashId(3), Key::new("b"), rec(1, 10)),
+            (HashId(0), Key::new("b"), rec(2, 20)),
+            (HashId(1), Key::new("a"), rec(3, 30)),
+            (HashId(2), Key::new("b"), rec(4, 40)),
+        ];
+        let mut forward = PeerStore::new();
+        forward.bulk_load(records.clone());
+        let mut backward = PeerStore::new();
+        backward.bulk_load(records.iter().rev().cloned());
+        // A record written and removed again leaves no trace either.
+        backward.put(HashId(5), Key::new("a"), rec(9, 90), WritePolicy::Overwrite);
+        backward.remove(HashId(5), &Key::new("a"));
+        assert_eq!(forward, backward);
+        let order: Vec<(u32, String)> = backward
+            .iter()
+            .map(|(h, k, _)| (h.0, k.display_lossy()))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, "b".to_string()),
+                (1, "a".to_string()),
+                (2, "b".to_string()),
+                (3, "b".to_string()),
+            ]
+        );
     }
 
     #[test]

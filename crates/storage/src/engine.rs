@@ -37,11 +37,12 @@ use std::time::Duration;
 use rdht_core::durability::DurableState;
 use rdht_core::{ReplicaValue, Timestamp};
 use rdht_hashing::{HashId, Key};
+use rdht_overlay::PeerStore;
 
 use crate::metrics::StorageMetrics;
 use crate::op::StorageOp;
 use crate::snapshot::{load_snapshot, write_snapshot};
-use crate::state::{CounterSet, MemoryState, ReplicaStore};
+use crate::state::{CounterSet, MemoryState};
 use crate::wal::{replay, FsyncPolicy, WalWriter};
 
 /// Tunables of a [`StorageEngine`].
@@ -121,7 +122,7 @@ pub struct Recovery {
 #[derive(Clone, Debug, Default)]
 pub struct RecoveredState {
     /// The recovered replica table.
-    pub replicas: ReplicaStore,
+    pub replicas: PeerStore,
     /// The recovered counter set (the durable image of the peer's VCS as of
     /// the crash; per the paper's Rule 1 a *rejoining* peer must still
     /// re-initialize its live counters indirectly, because another peer may
@@ -348,8 +349,8 @@ impl StorageEngine {
     }
 
     /// Read-only recovery returning just the two stores — the
-    /// `recover(dir) -> (ReplicaStore, CounterSet)` entry point.
-    pub fn recover(dir: &Path) -> io::Result<(ReplicaStore, CounterSet)> {
+    /// `recover(dir) -> (PeerStore, CounterSet)` entry point.
+    pub fn recover(dir: &Path) -> io::Result<(PeerStore, CounterSet)> {
         let recovered = StorageEngine::recover_state(dir)?;
         Ok((recovered.replicas, recovered.counters))
     }
@@ -365,7 +366,7 @@ impl StorageEngine {
     }
 
     /// The materialized replica table.
-    pub fn replicas(&self) -> &ReplicaStore {
+    pub fn replicas(&self) -> &PeerStore {
         &self.state.replicas
     }
 
@@ -1004,7 +1005,7 @@ mod tests {
         let key = Key::new("doc");
         let stored = replicas.get(HashId(2), &key).expect("replica recovered");
         assert_eq!(stored.payload, b"payload");
-        assert_eq!(stored.stamp, Timestamp(7));
+        assert_eq!(stored.stamp, 7);
         assert_eq!(stored.position, 12345);
         assert_eq!(counters.value(&key), Some(Timestamp(7)));
         fs::remove_dir_all(&dir).unwrap();

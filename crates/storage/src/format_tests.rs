@@ -226,7 +226,7 @@ fn a_snapshot_written_in_chunks_equals_the_record_by_record_image() {
             hash,
             key: key.clone(),
             payload: replica.payload.clone(),
-            stamp: replica.stamp,
+            stamp: Timestamp(replica.stamp),
             position: replica.position,
         });
     let counters = state

@@ -64,7 +64,7 @@
 //! # Crash/restart walkthrough
 //!
 //! ```
-//! use rdht_core::{ums, InMemoryDht};
+//! use rdht_core::{ums, InMemoryDht, ReplicaValue, Timestamp};
 //! use rdht_hashing::Key;
 //! use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 //!
@@ -91,7 +91,8 @@
 //! // the recovered replicas (Section 4.2.2), never from the on-disk counter.
 //! let mut restarted = InMemoryDht::new(10, 42);
 //! for (hash, k, replica) in replicas.iter() {
-//!     restarted.load_recovered_replica(hash, k, replica.to_replica_value());
+//!     let value = ReplicaValue::new(replica.payload.clone(), Timestamp(replica.stamp));
+//!     restarted.load_recovered_replica(hash, k, value);
 //! }
 //! let got = ums::retrieve(&mut restarted, &key).unwrap();
 //! assert!(got.is_current);
@@ -121,7 +122,7 @@ pub use engine::{RecoveredState, Recovery, StorageEngine, StorageOptions, SyncOb
 pub use metrics::StorageMetrics;
 pub use op::StorageOp;
 pub use snapshot::write_snapshot;
-pub use state::{CounterSet, MemoryState, ReplicaStore, StoredReplica};
+pub use state::{CounterSet, MemoryState};
 pub use wal::{replay, FsyncPolicy, WalReplay, WalWriter};
 
 #[cfg(test)]

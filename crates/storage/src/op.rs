@@ -54,8 +54,8 @@ pub enum StorageOp {
         /// Exclusive interval start.
         start: u64,
         /// Inclusive interval end. `start == end` denotes the whole ring
-        /// (the single-node degenerate case, matching
-        /// `rdht_overlay::PeerStore::drain_range`).
+        /// (the single-node degenerate case); replay is
+        /// `rdht_overlay::PeerStore::drain_range`.
         end: u64,
     },
 }

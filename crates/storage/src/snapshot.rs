@@ -17,6 +17,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+use rdht_core::Timestamp;
+
 use crate::frame::{frame_with, read_frames};
 use crate::op::{encode_put_replica, encode_set_counter, StorageOp};
 use crate::state::MemoryState;
@@ -74,7 +76,7 @@ pub fn write_snapshot(
                 hash,
                 key,
                 &replica.payload,
-                replica.stamp,
+                Timestamp(replica.stamp),
                 replica.position,
             );
         });

@@ -1,4 +1,5 @@
-//! The materialized peer state a journal rebuilds: replicas and counters.
+//! The materialized peer state a journal rebuilds: replicas (in the
+//! workspace's one replica table, `rdht_overlay::PeerStore`) and counters.
 //!
 //! [`MemoryState::apply`] is the single definition of what each
 //! [`StorageOp`] *means*. The engine routes every accepted mutation through
@@ -7,95 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use rdht_core::{ReplicaValue, Timestamp};
+use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
+use rdht_overlay::{PeerStore, Record, WritePolicy};
 
 use crate::op::StorageOp;
-
-/// One durable replica: payload, stamp and ring position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoredReplica {
-    /// Application payload.
-    pub payload: Vec<u8>,
-    /// Ordering stamp (a KTS timestamp).
-    pub stamp: Timestamp,
-    /// Ring position of the key under the hash function the replica is
-    /// stored with; drives [`StorageOp::TransferRange`] replay.
-    pub position: u64,
-}
-
-impl StoredReplica {
-    /// View as the core [`ReplicaValue`] (clones the payload).
-    pub fn to_replica_value(&self) -> ReplicaValue {
-        ReplicaValue::new(self.payload.clone(), self.stamp)
-    }
-}
-
-/// The durable replica table of one peer: `(hash, key) -> replica`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaStore {
-    map: BTreeMap<(HashId, Key), StoredReplica>,
-}
-
-impl ReplicaStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        ReplicaStore::default()
-    }
-
-    /// Number of stored replicas.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store holds no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The replica stored under `(hash, key)`, if any. (The key clone is an
-    /// `Arc` refcount bump, not a byte copy.)
-    pub fn get(&self, hash: HashId, key: &Key) -> Option<&StoredReplica> {
-        self.map.get(&(hash, key.clone()))
-    }
-
-    /// Stores a replica unconditionally (the journal records *accepted*
-    /// writes, so replay never needs to re-run the stamp comparison).
-    pub fn put(&mut self, hash: HashId, key: Key, replica: StoredReplica) {
-        self.map.insert((hash, key), replica);
-    }
-
-    /// Removes the replica under `(hash, key)`, returning it.
-    pub fn remove(&mut self, hash: HashId, key: &Key) -> Option<StoredReplica> {
-        self.map.remove(&(hash, key.clone()))
-    }
-
-    /// Iterates over every stored replica.
-    pub fn iter(&self) -> impl Iterator<Item = (HashId, &Key, &StoredReplica)> {
-        self.map
-            .iter()
-            .map(|((hash, key), replica)| (*hash, key, replica))
-    }
-
-    /// Removes every replica whose position falls in the half-open ring
-    /// interval `(start, end]`; `start == end` denotes the whole ring. The
-    /// semantics mirror `rdht_overlay::PeerStore::drain_range`, so a
-    /// journaled drain replays to the same surviving set.
-    pub fn remove_range(&mut self, start: u64, end: u64) -> usize {
-        let covered = |position: u64| {
-            if start == end {
-                true
-            } else if start < end {
-                position > start && position <= end
-            } else {
-                position > start || position <= end
-            }
-        };
-        let before = self.map.len();
-        self.map.retain(|_, replica| !covered(replica.position));
-        before - self.map.len()
-    }
-}
 
 /// The durable per-key counters of one peer (the persistent image of its
 /// Valid Counter Set).
@@ -149,8 +66,8 @@ impl CounterSet {
 /// A peer's full durable state: replicas + counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryState {
-    /// The replica table.
-    pub replicas: ReplicaStore,
+    /// The replica table. Its stamps are KTS timestamps.
+    pub replicas: PeerStore,
     /// The counter set.
     pub counters: CounterSet,
 }
@@ -179,20 +96,30 @@ impl MemoryState {
                 payload,
                 stamp,
                 position,
-            } => self.replicas.put(
-                hash,
-                key,
-                StoredReplica {
-                    payload,
-                    stamp,
-                    position,
-                },
-            ),
+            } => self.put_replica(hash, key, payload, stamp, position),
             StorageOp::SetCounter { key, value } => self.counters.set(key, value),
             // The remaining variants carry no bulk data (keys are Arc-backed,
             // cloning is a refcount bump): share the borrowed path.
             other => self.apply(&other),
         }
+    }
+
+    /// Stores a replica unconditionally: the journal records *accepted*
+    /// writes, so replay never re-runs the stamp comparison.
+    fn put_replica(
+        &mut self,
+        hash: HashId,
+        key: Key,
+        payload: Vec<u8>,
+        stamp: Timestamp,
+        position: u64,
+    ) {
+        let record = Record {
+            payload,
+            stamp: stamp.0,
+            position,
+        };
+        self.replicas.put(hash, key, record, WritePolicy::Overwrite);
     }
 
     /// Applies one op — the shared semantics of journaling and replay.
@@ -204,15 +131,7 @@ impl MemoryState {
                 payload,
                 stamp,
                 position,
-            } => self.replicas.put(
-                *hash,
-                key.clone(),
-                StoredReplica {
-                    payload: payload.clone(),
-                    stamp: *stamp,
-                    position: *position,
-                },
-            ),
+            } => self.put_replica(*hash, key.clone(), payload.clone(), *stamp, *position),
             StorageOp::RemoveReplica { hash, key } => {
                 self.replicas.remove(*hash, key);
             }
@@ -222,7 +141,7 @@ impl MemoryState {
             }
             StorageOp::ClearCounters => self.counters.clear(),
             StorageOp::TransferRange { start, end } => {
-                self.replicas.remove_range(*start, *end);
+                self.replicas.drain_range(*start, *end);
             }
         }
     }
@@ -231,14 +150,6 @@ impl MemoryState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn replica(stamp: u64, position: u64) -> StoredReplica {
-        StoredReplica {
-            payload: vec![stamp as u8],
-            stamp: Timestamp(stamp),
-            position,
-        }
-    }
 
     #[test]
     fn apply_put_remove_and_counters() {
@@ -268,16 +179,27 @@ mod tests {
 
     #[test]
     fn transfer_range_matches_drain_semantics() {
-        let mut store = ReplicaStore::new();
-        store.put(HashId(0), Key::new("a"), replica(1, 100));
-        store.put(HashId(0), Key::new("b"), replica(2, 200));
-        store.put(HashId(0), Key::new("c"), replica(3, 300));
-        assert_eq!(store.clone().remove_range(150, 250), 1);
+        let mut state = MemoryState::new();
+        for (name, position) in [("a", 100), ("b", 200), ("c", 300)] {
+            state.apply(&StorageOp::PutReplica {
+                hash: HashId(0),
+                key: Key::new(name),
+                payload: Vec::new(),
+                stamp: Timestamp(1),
+                position,
+            });
+        }
+        let left_after = |start, end| {
+            let mut pruned = state.clone();
+            pruned.apply(&StorageOp::TransferRange { start, end });
+            pruned.replicas.len()
+        };
+        assert_eq!(left_after(150, 250), 2);
         // Wrapped interval.
-        assert_eq!(store.clone().remove_range(250, 150), 2);
+        assert_eq!(left_after(250, 150), 1);
         // Degenerate interval drains everything.
-        assert_eq!(store.clone().remove_range(7, 7), 3);
+        assert_eq!(left_after(7, 7), 0);
         // Exclusive start, inclusive end.
-        assert_eq!(store.clone().remove_range(100, 200), 1);
+        assert_eq!(left_after(100, 200), 2);
     }
 }
