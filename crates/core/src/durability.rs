@@ -48,9 +48,6 @@ pub trait DurableState {
     ) {
     }
 
-    /// The replica stored under `(hash, key)` was removed.
-    fn record_replica_remove(&mut self, _hash: HashId, _key: &Key) {}
-
     /// The valid counter for `key` now holds `value` (covers initialization,
     /// increment and raise — the hook always reports the resulting value).
     fn record_counter_set(&mut self, _key: &Key, _value: Timestamp) {}
@@ -90,8 +87,6 @@ pub(crate) mod recording {
     pub enum Event {
         /// `record_replica_put`
         Put(HashId, Key, Timestamp, u64),
-        /// `record_replica_remove`
-        RemoveReplica(HashId, Key),
         /// `record_counter_set`
         SetCounter(Key, Timestamp),
         /// `record_counter_remove`
@@ -121,10 +116,6 @@ pub(crate) mod recording {
         ) {
             self.events
                 .push(Event::Put(hash, key.clone(), value.timestamp, position));
-        }
-
-        fn record_replica_remove(&mut self, hash: HashId, key: &Key) {
-            self.events.push(Event::RemoveReplica(hash, key.clone()));
         }
 
         fn record_counter_set(&mut self, key: &Key, value: Timestamp) {

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use rdht_hashing::Key;
 
 use crate::config::LastTsInitPolicy;
-use crate::durability::{DurableState, NoDurability};
+use crate::durability::DurableState;
 use crate::kts::vcs::ValidCounterSet;
 use crate::types::Timestamp;
 
@@ -200,19 +200,13 @@ impl KtsNode {
     /// the `observe` closure is invoked to run the indirect initialization
     /// (Figure 5): the counter starts at `ts_m + 1` where `ts_m` is the
     /// largest timestamp observed in the DHT (or at 0 when no replica
-    /// exists), and is then incremented to produce the new timestamp.
-    pub fn gen_ts(
-        &mut self,
-        key: &Key,
-        observe: impl FnOnce() -> IndirectObservation,
-    ) -> GenTsOutcome {
-        self.gen_ts_with(key, observe, &mut NoDurability)
-    }
-
-    /// [`KtsNode::gen_ts`] with a durability journal: every counter mutation
-    /// (the post-increment value, and the RLU invalidation when applicable)
-    /// is recorded on `durable` after it is applied.
-    pub fn gen_ts_with<D: DurableState + ?Sized>(
+    /// exists), and is then incremented to produce the new timestamp. Every
+    /// counter mutation (the post-increment value, and the RLU invalidation
+    /// when applicable) is recorded on `durable` after it is applied; a
+    /// caller without a journal passes [`NoDurability`].
+    ///
+    /// [`NoDurability`]: crate::durability::NoDurability
+    pub fn gen_ts<D: DurableState + ?Sized>(
         &mut self,
         key: &Key,
         observe: impl FnOnce() -> IndirectObservation,
@@ -255,20 +249,9 @@ impl KtsNode {
     }
 
     /// Serves a `last_ts(k)` request: like `gen_ts` but without incrementing
-    /// the counter (Section 4.1.2).
-    pub fn last_ts(
-        &mut self,
-        key: &Key,
-        policy: LastTsInitPolicy,
-        observe: impl FnOnce() -> IndirectObservation,
-    ) -> LastTsOutcome {
-        self.last_ts_with(key, policy, observe, &mut NoDurability)
-    }
-
-    /// [`KtsNode::last_ts`] with a durability journal: when the request has
-    /// to initialize the counter, the initialized value is recorded on
-    /// `durable`.
-    pub fn last_ts_with<D: DurableState + ?Sized>(
+    /// the counter (Section 4.1.2). When the request has to initialize the
+    /// counter, the initialized value is recorded on `durable`.
+    pub fn last_ts<D: DurableState + ?Sized>(
         &mut self,
         key: &Key,
         policy: LastTsInitPolicy,
@@ -300,19 +283,9 @@ impl KtsNode {
     /// Direct transfer, receiving side: the previous responsible handed over
     /// the counters for keys this peer is now responsible for (Section
     /// 4.2.1). Each received counter becomes valid with the transferred
-    /// value, unless a larger value is already known locally.
-    pub fn receive_transferred_counters(
-        &mut self,
-        counters: impl IntoIterator<Item = (Key, Timestamp)>,
-    ) {
-        self.receive_transferred_counters_with(counters, &mut NoDurability)
-    }
-
-    /// [`KtsNode::receive_transferred_counters`] with a durability journal:
-    /// every counter the transfer actually installed is recorded on
-    /// `durable` (counters rejected because a larger value was already known
-    /// are not).
-    pub fn receive_transferred_counters_with<D: DurableState + ?Sized>(
+    /// value, unless a larger value is already known locally. Every counter
+    /// the transfer actually installed is recorded on `durable`.
+    pub fn receive_transferred_counters<D: DurableState + ?Sized>(
         &mut self,
         counters: impl IntoIterator<Item = (Key, Timestamp)>,
         durable: &mut D,
@@ -335,17 +308,8 @@ impl KtsNode {
     /// Direct transfer, sending side: removes and returns the counters for
     /// every key selected by `covers` (the keys whose responsibility is being
     /// handed to the next responsible). Removing them also enforces Rule 3 on
-    /// this peer.
-    pub fn export_counters_in_range(
-        &mut self,
-        covers: impl FnMut(&Key) -> bool,
-    ) -> Vec<(Key, Timestamp)> {
-        self.export_counters_in_range_with(covers, &mut NoDurability)
-    }
-
-    /// [`KtsNode::export_counters_in_range`] with a durability journal: every
-    /// exported (hence invalidated) counter is recorded as removed.
-    pub fn export_counters_in_range_with<D: DurableState + ?Sized>(
+    /// this peer; each is recorded on `durable` as removed.
+    pub fn export_counters_in_range<D: DurableState + ?Sized>(
         &mut self,
         covers: impl FnMut(&Key) -> bool,
         durable: &mut D,
@@ -355,42 +319,6 @@ impl KtsNode {
             durable.record_counter_remove(key);
         }
         exported
-    }
-
-    /// RLA enforcement of Rule 3 (Section 4.3): drops every counter whose key
-    /// this peer is no longer responsible for. Returns how many counters were
-    /// invalidated.
-    pub fn drop_lost_responsibilities(
-        &mut self,
-        still_responsible: impl FnMut(&Key) -> bool,
-    ) -> usize {
-        self.drop_lost_responsibilities_with(still_responsible, &mut NoDurability)
-    }
-
-    /// [`KtsNode::drop_lost_responsibilities`] with a durability journal:
-    /// every dropped counter is recorded as removed.
-    pub fn drop_lost_responsibilities_with<D: DurableState + ?Sized>(
-        &mut self,
-        mut still_responsible: impl FnMut(&Key) -> bool,
-        durable: &mut D,
-    ) -> usize {
-        let dropped = self.vcs.drain_where(|k| !still_responsible(k));
-        for (key, _) in &dropped {
-            durable.record_counter_remove(key);
-        }
-        dropped.len()
-    }
-
-    /// Rule 1: a peer that rejoins the system starts with an empty VCS.
-    pub fn reset(&mut self) {
-        self.reset_with(&mut NoDurability)
-    }
-
-    /// [`KtsNode::reset`] with a durability journal: the wholesale
-    /// invalidation is recorded as a single clear event.
-    pub fn reset_with<D: DurableState + ?Sized>(&mut self, durable: &mut D) {
-        self.vcs.clear();
-        durable.record_counters_cleared();
     }
 
     pub(crate) fn vcs_mut(&mut self) -> &mut ValidCounterSet {
@@ -405,6 +333,7 @@ impl KtsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::NoDurability;
 
     fn no_observation() -> IndirectObservation {
         IndirectObservation::nothing()
@@ -416,7 +345,7 @@ mod tests {
         let k = Key::new("doc");
         let mut previous = Timestamp::ZERO;
         for _ in 0..100 {
-            let out = node.gen_ts(&k, no_observation);
+            let out = node.gen_ts(&k, no_observation, &mut NoDurability);
             assert!(out.timestamp > previous);
             previous = out.timestamp;
         }
@@ -427,7 +356,7 @@ mod tests {
     #[test]
     fn first_gen_ts_without_history_is_one() {
         let mut node = KtsNode::new(false);
-        let out = node.gen_ts(&Key::new("fresh"), no_observation);
+        let out = node.gen_ts(&Key::new("fresh"), no_observation, &mut NoDurability);
         assert_eq!(out.timestamp, Timestamp(1));
         assert!(out.used_indirect_init);
     }
@@ -435,9 +364,11 @@ mod tests {
     #[test]
     fn gen_ts_after_indirect_observation_exceeds_observed() {
         let mut node = KtsNode::new(false);
-        let out = node.gen_ts(&Key::new("doc"), || {
-            IndirectObservation::observed(Timestamp(41))
-        });
+        let out = node.gen_ts(
+            &Key::new("doc"),
+            || IndirectObservation::observed(Timestamp(41)),
+            &mut NoDurability,
+        );
         // Figure 5 initializes to ts_m + 1 = 42, gen_ts then increments to 43.
         assert_eq!(out.timestamp, Timestamp(43));
         assert!(out.timestamp > Timestamp(41));
@@ -448,10 +379,12 @@ mod tests {
     fn second_gen_ts_does_not_invoke_observation() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        node.gen_ts(&k, no_observation);
-        let out = node.gen_ts(&k, || {
-            panic!("observation must not run for a valid counter")
-        });
+        node.gen_ts(&k, no_observation, &mut NoDurability);
+        let out = node.gen_ts(
+            &k,
+            || panic!("observation must not run for a valid counter"),
+            &mut NoDurability,
+        );
         assert!(!out.used_indirect_init);
     }
 
@@ -459,8 +392,13 @@ mod tests {
     fn last_ts_returns_last_generated_value() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        let generated = node.gen_ts(&k, no_observation).timestamp;
-        let last = node.last_ts(&k, LastTsInitPolicy::ObservedMax, no_observation);
+        let generated = node.gen_ts(&k, no_observation, &mut NoDurability).timestamp;
+        let last = node.last_ts(
+            &k,
+            LastTsInitPolicy::ObservedMax,
+            no_observation,
+            &mut NoDurability,
+        );
         assert_eq!(last.timestamp, generated);
         assert!(!last.used_indirect_init);
         assert_eq!(node.stats().last_ts_served, 1);
@@ -470,13 +408,16 @@ mod tests {
     fn last_ts_for_unknown_key_initializes_from_observation() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        let out = node.last_ts(&k, LastTsInitPolicy::ObservedMax, || {
-            IndirectObservation::observed(Timestamp(7))
-        });
+        let out = node.last_ts(
+            &k,
+            LastTsInitPolicy::ObservedMax,
+            || IndirectObservation::observed(Timestamp(7)),
+            &mut NoDurability,
+        );
         assert_eq!(out.timestamp, Timestamp(7));
         assert!(out.used_indirect_init);
         // The counter is now valid; a later gen_ts continues from it.
-        let gen = node.gen_ts(&k, || panic!("already valid"));
+        let gen = node.gen_ts(&k, || panic!("already valid"), &mut NoDurability);
         assert_eq!(gen.timestamp, Timestamp(8));
     }
 
@@ -487,6 +428,7 @@ mod tests {
             &Key::new("doc"),
             LastTsInitPolicy::ObservedMaxPlusOne,
             || IndirectObservation::observed(Timestamp(7)),
+            &mut NoDurability,
         );
         assert_eq!(out.timestamp, Timestamp(8));
     }
@@ -498,6 +440,7 @@ mod tests {
             &Key::new("ghost"),
             LastTsInitPolicy::ObservedMax,
             no_observation,
+            &mut NoDurability,
         );
         assert_eq!(out.timestamp, Timestamp::ZERO);
     }
@@ -508,15 +451,18 @@ mod tests {
         let k = Key::new("doc");
         let mut last = Timestamp::ZERO;
         for _ in 0..5 {
-            last = old_responsible.gen_ts(&k, no_observation).timestamp;
+            last = old_responsible
+                .gen_ts(&k, no_observation, &mut NoDurability)
+                .timestamp;
         }
         // Hand the counter to the next responsible (graceful leave).
-        let exported = old_responsible.export_counters_in_range(|_| true);
+        let exported = old_responsible.export_counters_in_range(|_| true, &mut NoDurability);
         assert!(!old_responsible.has_counter(&k));
         let mut new_responsible = KtsNode::new(false);
-        new_responsible.receive_transferred_counters(exported);
+        new_responsible.receive_transferred_counters(exported, &mut NoDurability);
         assert_eq!(new_responsible.counter_value(&k), Some(last));
-        let next = new_responsible.gen_ts(&k, || panic!("no indirect init needed"));
+        let next =
+            new_responsible.gen_ts(&k, || panic!("no indirect init needed"), &mut NoDurability);
         assert_eq!(next.timestamp, Timestamp(last.0 + 1));
         assert_eq!(new_responsible.stats().counters_received_directly, 1);
     }
@@ -526,53 +472,38 @@ mod tests {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
         node.vcs_mut().initialize(k.clone(), Timestamp(10));
-        node.receive_transferred_counters(vec![(k.clone(), Timestamp(3))]);
+        node.receive_transferred_counters(vec![(k.clone(), Timestamp(3))], &mut NoDurability);
         assert_eq!(node.counter_value(&k), Some(Timestamp(10)));
-        node.receive_transferred_counters(vec![(k.clone(), Timestamp(30))]);
+        node.receive_transferred_counters(vec![(k.clone(), Timestamp(30))], &mut NoDurability);
         assert_eq!(node.counter_value(&k), Some(Timestamp(30)));
     }
 
     #[test]
     fn export_only_covers_selected_keys() {
         let mut node = KtsNode::new(false);
-        node.gen_ts(&Key::new("a"), no_observation);
-        node.gen_ts(&Key::new("b"), no_observation);
-        let exported = node.export_counters_in_range(|k| k.as_bytes() == b"a");
+        node.gen_ts(&Key::new("a"), no_observation, &mut NoDurability);
+        node.gen_ts(&Key::new("b"), no_observation, &mut NoDurability);
+        let exported = node.export_counters_in_range(|k| k.as_bytes() == b"a", &mut NoDurability);
         assert_eq!(exported.len(), 1);
         assert!(!node.has_counter(&Key::new("a")));
         assert!(node.has_counter(&Key::new("b")));
     }
 
     #[test]
-    fn rla_rule_three_drops_lost_keys() {
-        let mut node = KtsNode::new(false);
-        node.gen_ts(&Key::new("mine"), no_observation);
-        node.gen_ts(&Key::new("lost"), no_observation);
-        let dropped = node.drop_lost_responsibilities(|k| k.as_bytes() == b"mine");
-        assert_eq!(dropped, 1);
-        assert!(node.has_counter(&Key::new("mine")));
-        assert!(!node.has_counter(&Key::new("lost")));
-    }
-
-    #[test]
     fn rlu_mode_invalidates_counter_after_each_generation() {
         let mut node = KtsNode::new(true);
         let k = Key::new("doc");
-        let first = node.gen_ts(&k, no_observation);
+        let first = node.gen_ts(&k, no_observation, &mut NoDurability);
         assert!(!node.has_counter(&k));
         // The next generation must re-initialize; with the DHT still holding
         // the previous timestamp, monotonicity is preserved.
-        let second = node.gen_ts(&k, || IndirectObservation::observed(first.timestamp));
+        let second = node.gen_ts(
+            &k,
+            || IndirectObservation::observed(first.timestamp),
+            &mut NoDurability,
+        );
         assert!(second.timestamp > first.timestamp);
         assert!(second.used_indirect_init);
-    }
-
-    #[test]
-    fn reset_applies_rule_one() {
-        let mut node = KtsNode::new(false);
-        node.gen_ts(&Key::new("a"), no_observation);
-        node.reset();
-        assert!(node.vcs().is_empty());
     }
 
     #[test]
@@ -585,7 +516,7 @@ mod tests {
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(5))]);
         assert_eq!(node.recovery_floor(&k), Some(Timestamp(5)));
-        let out = node.gen_ts(&k, no_observation);
+        let out = node.gen_ts(&k, no_observation, &mut NoDurability);
         assert_eq!(out.timestamp, Timestamp(6), "resumes after the floor");
         assert!(out.used_indirect_init);
         assert_eq!(node.stats().recovery_floor_seeds, 1);
@@ -600,7 +531,11 @@ mod tests {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(5))]);
-        let out = node.gen_ts(&k, || IndirectObservation::observed(Timestamp(10)));
+        let out = node.gen_ts(
+            &k,
+            || IndirectObservation::observed(Timestamp(10)),
+            &mut NoDurability,
+        );
         assert_eq!(out.timestamp, Timestamp(12));
         assert_eq!(node.stats().recovery_floor_seeds, 0);
         assert_eq!(node.recovery_floor(&k), None, "still consumed");
@@ -611,13 +546,19 @@ mod tests {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(7))]);
-        let out = node.last_ts(&k, LastTsInitPolicy::ObservedMax, || {
-            IndirectObservation::observed(Timestamp(3))
-        });
+        let out = node.last_ts(
+            &k,
+            LastTsInitPolicy::ObservedMax,
+            || IndirectObservation::observed(Timestamp(3)),
+            &mut NoDurability,
+        );
         assert_eq!(out.timestamp, Timestamp(7));
         assert_eq!(node.stats().recovery_floor_seeds, 1);
         // The now-valid counter continues monotonically.
-        assert_eq!(node.gen_ts(&k, no_observation).timestamp, Timestamp(8));
+        assert_eq!(
+            node.gen_ts(&k, no_observation, &mut NoDurability).timestamp,
+            Timestamp(8)
+        );
     }
 
     #[test]
@@ -625,10 +566,10 @@ mod tests {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(9))]);
-        node.receive_transferred_counters(vec![(k.clone(), Timestamp(4))]);
+        node.receive_transferred_counters(vec![(k.clone(), Timestamp(4))], &mut NoDurability);
         assert_eq!(node.counter_value(&k), Some(Timestamp(9)));
         // A fresher transfer is untouched by an already-consumed floor.
-        node.receive_transferred_counters(vec![(k.clone(), Timestamp(20))]);
+        node.receive_transferred_counters(vec![(k.clone(), Timestamp(20))], &mut NoDurability);
         assert_eq!(node.counter_value(&k), Some(Timestamp(20)));
     }
 
@@ -649,13 +590,12 @@ mod tests {
         let mut journal = RecordingJournal::default();
         let k = Key::new("doc");
 
-        let out = node.gen_ts_with(&k, no_observation, &mut journal);
+        let out = node.gen_ts(&k, no_observation, &mut journal);
         assert_eq!(out.timestamp, Timestamp(1));
-        node.gen_ts_with(&k, no_observation, &mut journal);
-        let exported = node.export_counters_in_range_with(|_| true, &mut journal);
+        node.gen_ts(&k, no_observation, &mut journal);
+        let exported = node.export_counters_in_range(|_| true, &mut journal);
         assert_eq!(exported.len(), 1);
-        node.receive_transferred_counters_with(exported, &mut journal);
-        node.reset_with(&mut journal);
+        node.receive_transferred_counters(exported, &mut journal);
 
         assert_eq!(
             journal.events,
@@ -664,7 +604,6 @@ mod tests {
                 Event::SetCounter(k.clone(), Timestamp(2)),
                 Event::RemoveCounter(k.clone()),
                 Event::SetCounter(k.clone(), Timestamp(2)),
-                Event::ClearCounters,
             ]
         );
     }
@@ -678,9 +617,9 @@ mod tests {
         node.vcs_mut().initialize(k.clone(), Timestamp(10));
         let mut journal = RecordingJournal::default();
         // Transfer loses against the larger local value: no journal entry.
-        node.receive_transferred_counters_with(vec![(k.clone(), Timestamp(3))], &mut journal);
+        node.receive_transferred_counters(vec![(k.clone(), Timestamp(3))], &mut journal);
         // last_ts on a valid counter does not mutate it: no journal entry.
-        node.last_ts_with(
+        node.last_ts(
             &k,
             LastTsInitPolicy::ObservedMax,
             no_observation,
@@ -696,7 +635,7 @@ mod tests {
         let mut node = KtsNode::new(true);
         let k = Key::new("doc");
         let mut journal = RecordingJournal::default();
-        node.gen_ts_with(&k, no_observation, &mut journal);
+        node.gen_ts(&k, no_observation, &mut journal);
         assert_eq!(journal.events, vec![Event::RemoveCounter(k.clone())]);
     }
 }

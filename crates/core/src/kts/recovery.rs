@@ -111,6 +111,7 @@ impl KtsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::NoDurability;
     use crate::kts::node::IndirectObservation;
 
     #[test]
@@ -119,14 +120,18 @@ mod tests {
         let k = Key::new("doc");
         // Indirect init observed only a stale replica (ts=3): counter = 4,
         // first generated = 5.
-        node.gen_ts(&k, || IndirectObservation::observed(Timestamp(3)));
+        node.gen_ts(
+            &k,
+            || IndirectObservation::observed(Timestamp(3)),
+            &mut NoDurability,
+        );
         // The failed responsible restarts knowing it had generated ts=9.
         let corrections = node.reconcile_with_recovered_counters(vec![(k.clone(), Timestamp(9))]);
         assert_eq!(corrections.len(), 1);
         assert_eq!(corrections[0].corrected_to, Timestamp(9));
         assert_eq!(node.counter_value(&k), Some(Timestamp(9)));
         // The next generated timestamp is now safely above 9.
-        let next = node.gen_ts(&k, || panic!("valid counter"));
+        let next = node.gen_ts(&k, || panic!("valid counter"), &mut NoDurability);
         assert_eq!(next.timestamp, Timestamp(10));
         assert_eq!(node.stats().corrections, 1);
     }
@@ -135,7 +140,11 @@ mod tests {
     fn recovery_ignores_counters_that_are_already_ahead() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        node.gen_ts(&k, || IndirectObservation::observed(Timestamp(20)));
+        node.gen_ts(
+            &k,
+            || IndirectObservation::observed(Timestamp(20)),
+            &mut NoDurability,
+        );
         let corrections = node.reconcile_with_recovered_counters(vec![(k.clone(), Timestamp(5))]);
         assert!(corrections.is_empty());
         assert!(node.counter_value(&k).unwrap() > Timestamp(20));
@@ -154,7 +163,11 @@ mod tests {
     fn inspection_raises_lagging_counter() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        node.gen_ts(&k, || IndirectObservation::observed(Timestamp(2)));
+        node.gen_ts(
+            &k,
+            || IndirectObservation::observed(Timestamp(2)),
+            &mut NoDurability,
+        );
         let correction = node.inspect_key(&k, Timestamp(15)).unwrap();
         assert_eq!(correction.previous, Timestamp(4));
         assert_eq!(correction.corrected_to, Timestamp(15));
@@ -165,7 +178,11 @@ mod tests {
     fn inspection_of_up_to_date_counter_is_noop() {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
-        node.gen_ts(&k, || IndirectObservation::observed(Timestamp(10)));
+        node.gen_ts(
+            &k,
+            || IndirectObservation::observed(Timestamp(10)),
+            &mut NoDurability,
+        );
         assert!(node.inspect_key(&k, Timestamp(5)).is_none());
         assert!(node
             .inspect_key(&Key::new("unknown"), Timestamp(5))
@@ -175,12 +192,16 @@ mod tests {
     #[test]
     fn periodic_inspection_covers_all_counters() {
         let mut node = KtsNode::new(false);
-        node.gen_ts(&Key::new("a"), || {
-            IndirectObservation::observed(Timestamp(1))
-        });
-        node.gen_ts(&Key::new("b"), || {
-            IndirectObservation::observed(Timestamp(1))
-        });
+        node.gen_ts(
+            &Key::new("a"),
+            || IndirectObservation::observed(Timestamp(1)),
+            &mut NoDurability,
+        );
+        node.gen_ts(
+            &Key::new("b"),
+            || IndirectObservation::observed(Timestamp(1)),
+            &mut NoDurability,
+        );
         let corrections = node.periodic_inspection(|k| {
             if k.as_bytes() == b"a" {
                 Some(Timestamp(50))

@@ -195,7 +195,7 @@ impl<D: DurableState> UmsAccess for InMemoryDht<D> {
         let observation = self.indirect_observation(key);
         Ok(self
             .kts
-            .gen_ts_with(key, || observation, &mut self.durability)
+            .gen_ts(key, || observation, &mut self.durability)
             .timestamp)
     }
 
@@ -207,7 +207,7 @@ impl<D: DurableState> UmsAccess for InMemoryDht<D> {
         let policy = self.last_ts_policy;
         Ok(self
             .kts
-            .last_ts_with(key, policy, || observation, &mut self.durability)
+            .last_ts(key, policy, || observation, &mut self.durability)
             .timestamp)
     }
 

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use rdht_hashing::Key;
 
+use crate::durability::NoDurability;
 use crate::kts::{IndirectObservation, KtsNode};
 use crate::memory::InMemoryDht;
 use crate::types::Timestamp;
@@ -20,14 +21,14 @@ proptest! {
         let mut last_generated = Timestamp::ZERO;
         for is_gen in ops {
             if is_gen {
-                let out = node.gen_ts(&key, IndirectObservation::nothing);
+                let out = node.gen_ts(&key, IndirectObservation::nothing, &mut NoDurability);
                 prop_assert!(out.timestamp > last_generated);
                 last_generated = out.timestamp;
             } else {
                 let out = node.last_ts(
                     &key,
                     crate::config::LastTsInitPolicy::ObservedMax,
-                    IndirectObservation::nothing,
+                    IndirectObservation::nothing, &mut NoDurability
                 );
                 prop_assert_eq!(out.timestamp, last_generated);
             }
@@ -54,7 +55,7 @@ proptest! {
                     } else {
                         IndirectObservation::observed(committed)
                     }
-                });
+                }, &mut NoDurability);
                 prop_assert!(out.timestamp > last_generated);
                 last_generated = out.timestamp;
             }
@@ -64,9 +65,9 @@ proptest! {
                 responsible = KtsNode::new(false);
             } else {
                 // Graceful leave: counters are transferred directly.
-                let exported = responsible.export_counters_in_range(|_| true);
+                let exported = responsible.export_counters_in_range(|_| true, &mut NoDurability);
                 let mut next = KtsNode::new(false);
-                next.receive_transferred_counters(exported);
+                next.receive_transferred_counters(exported, &mut NoDurability);
                 responsible = next;
             }
         }

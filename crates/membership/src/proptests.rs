@@ -79,7 +79,7 @@ proptest! {
             let mut latest = Timestamp::ZERO;
             for _ in 0..n {
                 latest = src_kts
-                    .gen_ts_with(&key, IndirectObservation::nothing, &mut src)
+                    .gen_ts(&key, IndirectObservation::nothing, &mut src)
                     .timestamp;
             }
             last_generated.push((key.clone(), latest));

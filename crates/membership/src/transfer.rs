@@ -85,7 +85,7 @@ pub fn export_handoff(
         .filter(|(_, _, replica)| in_open_closed_interval(range_start, range_end, replica.position))
         .map(|(hash, key, replica)| (hash, key.clone(), replica.clone()))
         .collect();
-    let counters = kts.export_counters_in_range_with(
+    let counters = kts.export_counters_in_range(
         |key| in_open_closed_interval(range_start, range_end, family.eval_timestamp(key)),
         engine,
     );
@@ -130,7 +130,7 @@ pub fn install_handoff(
     // Floors first, so a transferred counter that lost against a floor at
     // the source cannot sneak in below it here either.
     kts.seed_recovery_floors(bundle.floors);
-    kts.receive_transferred_counters_with(bundle.counters, engine);
+    kts.receive_transferred_counters(bundle.counters, engine);
     report
 }
 
@@ -167,7 +167,7 @@ mod tests {
         for i in 0..n {
             let key = Key::new(format!("doc-{i}"));
             for _ in 0..3 {
-                kts.gen_ts_with(&key, IndirectObservation::nothing, engine);
+                kts.gen_ts(&key, IndirectObservation::nothing, engine);
             }
             let stamp = kts.counter_value(&key).unwrap();
             for hash in (0..family.num_replication()).map(|h| HashId(h as u32)) {
@@ -215,7 +215,7 @@ mod tests {
         let first_counter: Option<(Key, Timestamp)> =
             dst_kts.vcs().iter().map(|(k, v)| (k.clone(), v)).next();
         if let Some((key, value)) = first_counter {
-            let out = dst_kts.gen_ts_with(
+            let out = dst_kts.gen_ts(
                 &key,
                 || panic!("direct transfer must make the counter valid"),
                 &mut dst,
@@ -294,7 +294,7 @@ mod tests {
             "the floor must not resurrect into the VCS (Rule 1)"
         );
         // An empty observation at the target still resumes after the floor.
-        let out = dst_kts.gen_ts_with(&key, IndirectObservation::nothing, &mut dst);
+        let out = dst_kts.gen_ts(&key, IndirectObservation::nothing, &mut dst);
         assert_eq!(out.timestamp, Timestamp(6));
     }
 

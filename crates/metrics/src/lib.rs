@@ -31,8 +31,9 @@
 //!   simulator can emit spans in *simulated* time. Per-process sink files
 //!   merge with [`merge_chrome_trace_files`].
 //! * [`span`] — causal distributed tracing: the [`TraceContext`] carried
-//!   on the wire, span records, request-tree reassembly and the [`SpanLog`]
-//!   slow-request ring the peers answer tail-attribution queries from.
+//!   on the wire, the [`RequestTree`] of a completed request and the
+//!   [`SpanLog`] slow-request ring the peers answer tail-attribution queries
+//!   from.
 //! * [`log`] — a structured, leveled, rate-limited JSONL event log
 //!   (`RDHT_LOG` selects the threshold), replacing ad-hoc `eprintln!`.
 
@@ -57,10 +58,7 @@ pub use instruments::{
 };
 pub use log::{EventLog, Level};
 pub use registry::{Labels, Registry};
-pub use span::{
-    assemble_trees, next_span_id, RequestTree, SpanLog, SpanRecord, TraceConfig, TraceContext,
-    FLAG_SAMPLED,
-};
+pub use span::{next_span_id, RequestTree, SpanLog, TraceConfig, TraceContext, FLAG_SAMPLED};
 pub use trace::{
     merge_chrome_trace_files, merge_chrome_traces, SpanGuard, TraceEvent, TracePhase, TraceSink,
 };

@@ -100,91 +100,3 @@ proptest! {
         );
     }
 }
-
-/// One randomly generated span tree, flattened to the records its emission
-/// would produce: parent links index into earlier spans, so the structure
-/// is always a connected tree rooted at span 0.
-fn arbitrary_tree_records(
-    trace_id: u64,
-    parent_picks: &[u64],
-    durations: &[u64],
-) -> Vec<crate::SpanRecord> {
-    let mut records = vec![crate::SpanRecord {
-        trace_id,
-        span_id: 1,
-        parent_span: 0,
-        name: "root".to_string(),
-        start_us: 0,
-        dur_us: durations.first().copied().unwrap_or(1),
-    }];
-    for (i, pick) in parent_picks.iter().enumerate() {
-        let parent_index = (*pick as usize) % records.len();
-        let parent_span = records[parent_index].span_id;
-        records.push(crate::SpanRecord {
-            trace_id,
-            span_id: (i as u64) + 2,
-            parent_span,
-            name: format!("phase-{i}"),
-            start_us: (i as u64 + 1) * 10,
-            dur_us: durations.get(i + 1).copied().unwrap_or(1),
-        });
-    }
-    records
-}
-
-proptest! {
-    /// An arbitrary interleaving of completed span records reassembles to
-    /// exactly the tree that emitted them: same root, same total, every
-    /// phase present exactly once, and phases of a common parent in start
-    /// order.
-    #[test]
-    fn span_trees_reassemble_from_any_interleaving(
-        parent_picks in proptest::collection::vec(any::<u64>(), 0..12),
-        durations in proptest::collection::vec(1u64..1_000_000, 1..13),
-        shuffle_seed in any::<u64>(),
-        trace_id in 1u64..u64::MAX,
-    ) {
-        let emitted = arbitrary_tree_records(trace_id, &parent_picks, &durations);
-        // Deterministic Fisher-Yates driven by the seed: the "arbitrary
-        // interleaved completion order" of the satellite spec.
-        let mut shuffled = emitted.clone();
-        let mut state = shuffle_seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            shuffled.swap(i, j);
-        }
-
-        let trees = crate::span::assemble_trees(&shuffled);
-        prop_assert_eq!(trees.len(), 1);
-        let tree = &trees[0];
-        prop_assert_eq!(tree.trace_id, trace_id);
-        prop_assert_eq!(&tree.name, "root");
-        prop_assert_eq!(tree.total_us, emitted[0].dur_us);
-        // Every non-root span appears exactly once, with its duration.
-        let mut expected: Vec<(String, u64)> = emitted[1..]
-            .iter()
-            .map(|r| (r.name.clone(), r.dur_us))
-            .collect();
-        let mut got = tree.phases.clone();
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
-        // Siblings (children of the root) appear in start order.
-        let root_children: Vec<&str> = emitted[1..]
-            .iter()
-            .filter(|r| r.parent_span == 1)
-            .map(|r| r.name.as_str())
-            .collect();
-        let in_tree: Vec<&str> = tree
-            .phases
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .filter(|name| root_children.contains(name))
-            .collect();
-        // Siblings (children of the root) must appear in start order.
-        prop_assert_eq!(in_tree, root_children);
-    }
-}

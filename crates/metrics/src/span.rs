@@ -1,7 +1,7 @@
-//! Causal spans: trace contexts, span records, request trees and the
-//! per-peer slow-request log.
+//! Causal spans: trace contexts, request trees and the per-peer
+//! slow-request log.
 //!
-//! The workspace's distributed tracing is built from four small pieces:
+//! The workspace's distributed tracing is built from three small pieces:
 //!
 //! * [`TraceContext`] — the identity carried *on the wire* with every
 //!   sampled request (trace id, parent span, flags). It is deliberately
@@ -11,11 +11,7 @@
 //!   in `[0, 1]` decides which operations carry a context, and a
 //!   `slow_threshold` force-records any operation that turns out slow even
 //!   when the sampler skipped it.
-//! * [`SpanRecord`] / [`assemble_trees`] — completed spans as flat records
-//!   (each knows its trace, its own span id and its parent), and the pure
-//!   function that reassembles an arbitrary interleaving of them into the
-//!   per-request [`RequestTree`]s that were emitted.
-//! * [`SpanLog`] — a bounded ring of the last N completed request trees a
+//! * [`SpanLog`] — a bounded ring of the last N completed [`RequestTree`]s a
 //!   peer served, queried by the `SlowRequests` wire exchange to answer
 //!   "where did the p99 go?" with a per-phase breakdown.
 //!
@@ -23,7 +19,6 @@
 //! there carry their trace id as an `args` entry so per-process sink files
 //! can be merged by trace id.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::msync::{spin_yield, Arc, AtomicU64, Ordering, UnsafeCell};
@@ -125,24 +120,6 @@ pub fn next_span_id() -> u64 {
     NEXT.get().fetch_add(1, Ordering::Relaxed)
 }
 
-/// One completed span, as a flat record: enough to rebuild the tree it was
-/// emitted from ([`assemble_trees`]) regardless of completion order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The operation this span belongs to.
-    pub trace_id: u64,
-    /// This span's id (unique within the emitting process, never 0).
-    pub span_id: u64,
-    /// Id of the parent span (0 = this is the root).
-    pub parent_span: u64,
-    /// Phase name (`client.call`, `peer.queue_wait`, `peer.fsync`, ...).
-    pub name: String,
-    /// Start timestamp in microseconds (sink-relative).
-    pub start_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-}
-
 /// One completed request as its per-phase breakdown: the root span's name
 /// and total duration plus every descendant phase, in causal order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,8 +131,7 @@ pub struct RequestTree {
     /// Root span duration in microseconds — the request's wall time as
     /// observed by the recording process.
     pub total_us: u64,
-    /// `(phase name, duration in µs)` of every non-root span, depth-first
-    /// in `(start_us, span_id)` order.
+    /// `(phase name, duration in µs)` of every phase, in causal order.
     pub phases: Vec<(String, u64)>,
 }
 
@@ -167,61 +143,6 @@ impl RequestTree {
     pub fn attributed_us(&self) -> u64 {
         self.phases.iter().map(|(_, us)| *us).sum()
     }
-}
-
-/// Reassembles an arbitrary interleaving of completed [`SpanRecord`]s into
-/// the [`RequestTree`]s they were emitted from: records are grouped by
-/// trace id, each group's root is the record with `parent_span == 0`, and
-/// descendants are attached by parent id and ordered `(start_us, span_id)`.
-/// Groups without exactly one root are skipped (a half-collected trace has
-/// no meaningful total). Trees come back sorted by trace id.
-pub fn assemble_trees(records: &[SpanRecord]) -> Vec<RequestTree> {
-    let mut by_trace: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
-    for record in records {
-        by_trace.entry(record.trace_id).or_default().push(record);
-    }
-    let mut trees: Vec<RequestTree> = Vec::new();
-    for (trace_id, group) in by_trace {
-        let mut roots = group.iter().filter(|r| r.parent_span == 0);
-        let (Some(root), None) = (roots.next(), roots.next()) else {
-            continue;
-        };
-        let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
-        for record in &group {
-            if record.parent_span != 0 {
-                children.entry(record.parent_span).or_default().push(record);
-            }
-        }
-        for siblings in children.values_mut() {
-            siblings.sort_by_key(|r| (r.start_us, r.span_id));
-        }
-        // Depth-first walk from the root, iterative to stay panic-free on
-        // adversarial (cyclic) parent links: a span is visited at most once.
-        let mut phases = Vec::new();
-        let mut stack: Vec<&SpanRecord> = children
-            .get(&root.span_id)
-            .map(|c| c.iter().rev().copied().collect())
-            .unwrap_or_default();
-        let mut visited: HashMap<u64, ()> = HashMap::new();
-        visited.insert(root.span_id, ());
-        while let Some(record) = stack.pop() {
-            if visited.insert(record.span_id, ()).is_some() {
-                continue;
-            }
-            phases.push((record.name.clone(), record.dur_us));
-            if let Some(grandchildren) = children.get(&record.span_id) {
-                stack.extend(grandchildren.iter().rev().copied());
-            }
-        }
-        trees.push(RequestTree {
-            trace_id,
-            name: root.name.clone(),
-            total_us: root.dur_us,
-            phases,
-        });
-    }
-    trees.sort_by_key(|t| t.trace_id);
-    trees
 }
 
 /// One ring slot: a per-slot sequence lock over the payload.
@@ -398,17 +319,6 @@ impl SpanLog {
 mod tests {
     use super::*;
 
-    fn record(trace: u64, span: u64, parent: u64, name: &str, start: u64, dur: u64) -> SpanRecord {
-        SpanRecord {
-            trace_id: trace,
-            span_id: span,
-            parent_span: parent,
-            name: name.to_string(),
-            start_us: start,
-            dur_us: dur,
-        }
-    }
-
     #[test]
     fn context_flags_and_children() {
         let root = TraceContext::sampled_root(42);
@@ -426,60 +336,6 @@ mod tests {
         let b = next_span_id();
         assert_ne!(a, 0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn trees_reassemble_in_causal_order() {
-        // Emit out of order: fsync completes before queue_wait is pushed.
-        let records = vec![
-            record(9, 4, 2, "peer.fsync", 30, 5),
-            record(9, 1, 0, "peer.request", 0, 50),
-            record(9, 3, 2, "peer.apply", 20, 8),
-            record(9, 2, 1, "peer.batch", 10, 40),
-            record(9, 5, 1, "peer.queue_wait", 0, 10),
-        ];
-        let trees = assemble_trees(&records);
-        assert_eq!(trees.len(), 1);
-        let tree = &trees[0];
-        assert_eq!(tree.trace_id, 9);
-        assert_eq!(tree.name, "peer.request");
-        assert_eq!(tree.total_us, 50);
-        assert_eq!(
-            tree.phases,
-            vec![
-                ("peer.queue_wait".to_string(), 10),
-                ("peer.batch".to_string(), 40),
-                ("peer.apply".to_string(), 8),
-                ("peer.fsync".to_string(), 5),
-            ]
-        );
-        assert_eq!(tree.attributed_us(), 63, "nested phases double-count");
-    }
-
-    #[test]
-    fn rootless_and_multirooted_groups_are_skipped() {
-        let records = vec![
-            record(1, 2, 1, "orphan", 0, 5),
-            record(2, 1, 0, "root-a", 0, 5),
-            record(2, 2, 0, "root-b", 0, 5),
-            record(3, 1, 0, "good", 0, 7),
-        ];
-        let trees = assemble_trees(&records);
-        assert_eq!(trees.len(), 1);
-        assert_eq!(trees[0].trace_id, 3);
-    }
-
-    #[test]
-    fn cyclic_parent_links_terminate() {
-        let records = vec![
-            record(5, 1, 0, "root", 0, 10),
-            record(5, 2, 3, "a", 1, 2),
-            record(5, 3, 2, "b", 2, 2),
-        ];
-        // The cycle (2 <-> 3) is unreachable from the root; must not hang.
-        let trees = assemble_trees(&records);
-        assert_eq!(trees.len(), 1);
-        assert!(trees[0].phases.is_empty());
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! ## Which file owns what
 //!
 //! * `peer.rs` — one peer: its state, the drain → apply → covering sync →
-//!   reply loop, one handler per request kind, and the one definition of
-//!   each protocol rule (exactly-once, routing, ack-after-sync, hand-off).
+//!   reply loop, one handler per request kind, one path that takes a frame
+//!   of several requests apart, and the one definition of each protocol
+//!   rule (exactly-once, routing, ack-after-sync, hand-off).
 //! * `cluster.rs` — the coordinator: [`ClusterConfig`], the membership
 //!   directory, and spawn / crash / restart / join / leave.
 //! * `client.rs` — [`ClusterClient`]: `UmsAccess` over messages, with
@@ -75,9 +76,11 @@
 //! destination peer**. Requests of a round that resolve to the same peer
 //! travel as one [`Request::Batch`], answered by one [`Reply::Batch`] — or,
 //! when they are one insert's puts, as one [`Request::PutReplicas`]
-//! carrying the payload once, answered by one [`Reply::PutsAck`]; the peer
-//! explodes either, so each constituent routes, deduplicates and traces as
-//! if it had come alone. Figure 2
+//! carrying the payload once, answered by one [`Reply::PutsAck`]. The peer
+//! takes either apart, and the puts a [`Request::StampAndPut`] carries,
+//! along one path: each unit routes, deduplicates and traces as if it had
+//! come alone, and one reply is assembled from theirs in request order
+//! ([`ReplySink::collect`]). Figure 2
 //! leaves the probe order open, so a `retrieve` probes first a replica that
 //! lives on the timestamping peer whenever there is one
 //! (`UmsAccess::first_probe`) — its opening is then one frame each way.

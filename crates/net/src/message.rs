@@ -8,12 +8,14 @@
 //! envelope (on the wire).
 //!
 //! One frame carries one [`Request`] and is answered by one [`Reply`]. Three
-//! requests are containers the receiving peer takes apart: a
-//! [`Request::PutReplicas`] is the same payload for several hashes, answered
-//! by a count; a [`Request::StampAndPut`] is a `gen_ts` followed by such
-//! puts, answered by the stamp and a count; a [`Request::Batch`] is any data
-//! requests bound for one peer, answered by their replies in order
-//! ([`Reply::Batch`]).
+//! requests are frames of several requests: a [`Request::PutReplicas`] is
+//! the same payload for several hashes, a [`Request::StampAndPut`] is a
+//! `gen_ts` followed by such puts, and a [`Request::Batch`] is any data
+//! requests bound for one peer. The receiving peer takes each apart the same
+//! way: its units are served one by one, each with a reply slot, and once
+//! every slot is filled one reply is assembled from them in request order —
+//! a count of the puts ([`Reply::PutsAck`]), the stamp and that count
+//! ([`Reply::Stamped`]), or the replies themselves ([`Reply::Batch`]).
 
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
@@ -213,15 +215,14 @@ pub enum Request {
     /// Scrape the peer's metrics registry: the peer answers
     /// [`Reply::Metrics`] carrying its full Prometheus text exposition.
     /// Never batched (a scrape must not wait out a group-commit drain) and
-    /// never forwarded (it is addressed to a specific peer, not a ring
-    /// position). A peer running without a registry answers
-    /// [`Reply::Error`].
+    /// never re-sent (it is addressed to a specific peer, not a ring
+    /// position).
     Metrics,
     /// Ask the peer for its slowest recently-completed requests: the peer
     /// answers [`Reply::SlowRequests`] with up to `k` request trees from its
     /// span-log ring, each broken down into named phases (queue-wait, apply,
     /// fsync, ...). Like [`Request::Metrics`] it is addressed to a specific
-    /// peer, never batched, never forwarded, and — together with the other
+    /// peer, never batched, never re-sent, and — together with the other
     /// introspection and lifecycle messages — bypasses the tracing sampler
     /// itself, so scraping the slow log never pollutes it.
     SlowRequests {
@@ -233,7 +234,7 @@ pub enum Request {
     /// (a retrieve's `last_ts` and a probe of a replica that lives on the
     /// timestamping peer; the co-located probes of an indirect observation).
     /// The receiving peer explodes the batch into its constituents, exactly
-    /// as it explodes a [`Request::PutReplicas`]: each one routes, forwards
+    /// as it explodes a [`Request::PutReplicas`]: each one routes, is re-sent
     /// under churn, deduplicates and traces on its own, under the trace
     /// context it carries here (the frame itself carries none). One
     /// [`Reply::Batch`] answers, holding the constituents' replies in
@@ -275,9 +276,9 @@ pub enum Reply {
     PutAck,
     /// All constituent puts of a [`Request::PutReplicas`] ran to completion.
     PutsAck {
-        /// Puts applied (locally or by the peer they were forwarded to).
+        /// Puts applied (locally or by the peer they were re-sent to).
         written: u32,
-        /// Puts that could not be delivered to any responsible peer.
+        /// Puts that reached no responsible peer.
         failed: u32,
     },
     /// Result of a read: the stored payload and timestamp, if any.
@@ -338,7 +339,7 @@ pub enum Reply {
     SlowRequests(Vec<rdht_metrics::RequestTree>),
     /// Answer to a [`Request::Batch`]: one reply per constituent, in request
     /// order. A constituent that was dropped unanswered (the peer it was
-    /// forwarded to died) reads [`Reply::Error`] in its place, so the others
-    /// still arrive.
+    /// re-sent to could not be reached) reads [`Reply::Error`] in its place,
+    /// so the others still arrive.
     Batch(Vec<Reply>),
 }

@@ -11,9 +11,10 @@
 //!   committed a hand-off, the shared directory alone says who serves a
 //!   position;
 //! * *acknowledge only after the covering sync* — handlers push into
-//!   `deferred`, and only [`Peer::sync_and_reply`] sends from it; a reply
-//!   that totals several puts (`PutsAck`, the `Stamped` of a `StampAndPut`)
-//!   leaves only once the last of their acks was sent;
+//!   `deferred`, and only [`Peer::sync_and_reply`] sends from it; the one
+//!   reply to a frame of several requests (`Batch`, `PutsAck`, the `Stamped`
+//!   of a `StampAndPut`), which [`Peer::explode`] takes apart, leaves only
+//!   once the last of its units was answered;
 //! * *Rule 3 durably, and the directory flip at the commit point* —
 //!   [`Peer::handoff_export`], [`Peer::handoff_install`] and
 //!   [`Peer::handoff_commit`], each ending in its own sync;
@@ -60,7 +61,7 @@ const DEDUP_WINDOW_PER_CLIENT: usize = 256;
 const DEDUP_MAX_CLIENTS: usize = 1024;
 
 /// Sub-key of a dedup entry for requests with one unit of effect. The puts a
-/// `PutReplicas` or a `StampAndPut` splits into use their replication hash
+/// `PutReplicas` or a `StampAndPut` carries use their replication hash
 /// index instead, which can never collide with this (a `PutReplica` whose
 /// hash is not in the family — `TIMESTAMP_HASH_ID` is `u32::MAX` — is
 /// rejected before the window is consulted).
@@ -72,10 +73,10 @@ const PEER_SLOWLOG_CAPACITY: usize = 128;
 
 /// The ring position a data request is routed by, `None` for protocol and
 /// lifecycle messages (which are addressed to a specific peer and never
-/// re-sent). A `PutReplicas` has no single position: it is exploded into
-/// per-hash puts, and each constituent put routes individually; so does each
-/// constituent of a `Batch`. A `StampAndPut` routes by its timestamp
-/// position, and the puts it splits into after stamping route individually.
+/// re-sent). A `PutReplicas` or a `Batch` has no single position: each of
+/// the units [`Peer::explode`] takes it apart into routes individually. A
+/// `StampAndPut` routes by its timestamp position, and the puts it carries
+/// route individually once stamped.
 /// A hash id outside the configured family (possible over TCP, where any
 /// well-formed frame can arrive) also yields `None` — the request is served
 /// locally and rejected typed instead of panicking the peer.
@@ -91,18 +92,39 @@ fn data_position(request: &Request, family: &HashFamily) -> Option<u64> {
     }
 }
 
-/// One payload to store under several replication hashes with one stamp and
-/// one op: a `PutReplicas`, or the store a `StampAndPut` carried, once
-/// stamped.
-struct Store {
+/// One `PutReplica` per hash of a payload stored under several hashes with
+/// one stamp and one op (a `PutReplicas`, or the store a `StampAndPut`
+/// carried, once stamped), each under the frame's trace context. The puts
+/// inherit the op, disambiguated by their hash at the applying peer, so a
+/// retry that was *regrouped* under a changed directory view still
+/// deduplicates per hash.
+fn replica_puts(
     op: Option<OpId>,
     hashes: Vec<HashId>,
     key: Key,
     payload: Vec<u8>,
     timestamp: Timestamp,
-    /// Whether the client sent the puts along with the stamp, to where the
-    /// key's counter lives, rather than each to where it lives.
-    with_counter: bool,
+    trace: Option<TraceContext>,
+) -> Vec<(Request, Option<TraceContext>)> {
+    let put = |hash| Request::PutReplica {
+        op,
+        hash,
+        key: key.clone(),
+        payload: payload.clone(),
+        timestamp,
+    };
+    hashes.into_iter().map(|hash| (put(hash), trace)).collect()
+}
+
+/// How the puts of a frame ended: `(written, failed)`, where only a
+/// [`Reply::PutAck`] counts as written.
+fn tally(replies: &[Reply]) -> (u32, u32) {
+    let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    let written = replies
+        .iter()
+        .filter(|reply| matches!(reply, Reply::PutAck))
+        .count();
+    (count(written), count(replies.len() - written))
 }
 
 struct ClientWindow {
@@ -318,9 +340,8 @@ pub(crate) struct Peer {
     /// Set at the commit point of a graceful leave: the loop re-sends what
     /// is already queued and ends.
     departed: bool,
-    /// The units of the message being served: the message itself, the
-    /// constituents of a `Batch`, or the puts a `PutReplicas` or a stamped
-    /// `StampAndPut` was split into.
+    /// The units of the message being served: the message itself, or what
+    /// [`Peer::explode`] took it apart into.
     units: VecDeque<Incoming>,
     /// Replies owed for the current batch, sent only after the covering sync
     /// — durability is acknowledged per op strictly after the fsync that
@@ -510,7 +531,7 @@ impl Peer {
     }
 
     /// Serves one message that arrived on the transport: counts it, serves
-    /// its units (itself, or the constituent puts it explodes into) and
+    /// its units (itself, or what it is taken apart into) and
     /// observes its service time.
     fn message(&mut self, incoming: Incoming) -> Result<(), Stopped> {
         self.metrics.requests.of(&incoming.request).inc();
@@ -574,7 +595,6 @@ impl Peer {
                 payload,
                 timestamp,
             } => self.put(op, hash, key, payload, timestamp, reply)?,
-            // A batched put fans out locally: one put per hash.
             Request::PutReplicas {
                 op,
                 hashes,
@@ -582,17 +602,25 @@ impl Peer {
                 payload,
                 timestamp,
             } => {
-                let store = Store {
-                    op,
-                    hashes,
-                    key,
-                    payload,
-                    timestamp,
-                    with_counter: false,
+                let puts = replica_puts(op, hashes, key, payload, timestamp, trace);
+                let assemble = |replies: Vec<Reply>| {
+                    let (written, failed) = tally(&replies);
+                    Reply::PutsAck { written, failed }
                 };
-                self.split(store, reply, trace, arrived);
+                self.explode(puts, assemble, reply, arrived, false);
             }
-            Request::Batch(items) => self.explode_batch(items, reply, arrived),
+            Request::Batch(items) => match items.iter().find(|(request, _)| !request.is_data()) {
+                // Over TCP the decoder already refused such a frame; one
+                // handed over in-process is refused here, whole, before any
+                // constituent runs.
+                Some((intruder, _)) => reply.send(Reply::Error {
+                    reason: format!(
+                        "a {} request cannot ride in a batch",
+                        request_kind(intruder)
+                    ),
+                }),
+                None => self.explode(items, Reply::Batch, reply, arrived, false),
+            },
             Request::GetReplica { hash, key } => self.get(hash, &key, reply),
             Request::Timestamp {
                 op,
@@ -610,29 +638,20 @@ impl Peer {
                 hashes,
                 payload,
             } => match self.stamp(op, &key, true, observation_hint)? {
-                // `gen_ts`, then the carried puts with the new stamp, split
-                // like a `PutReplicas`: the fan-in answers `Stamped` once
-                // every put completed — after the sync covering the counter
-                // and the puts.
-                Reply::Timestamp(timestamp) if !hashes.is_empty() => {
-                    let store = Store {
-                        op,
-                        hashes,
-                        key,
-                        payload,
-                        timestamp,
-                        with_counter: true,
-                    };
-                    self.split(store, reply, trace, arrived);
-                }
-                // Nothing to store: only the counter waits for the sync.
+                // `gen_ts`, then the carried puts with the new stamp: the
+                // `Stamped` answer leaves once every put completed — after
+                // the sync covering the counter and the puts.
                 Reply::Timestamp(timestamp) => {
-                    let stamped = Reply::Stamped {
-                        timestamp,
-                        written: 0,
-                        failed: 0,
+                    let puts = replica_puts(op, hashes, key, payload, timestamp, trace);
+                    let assemble = move |replies: Vec<Reply>| {
+                        let (written, failed) = tally(&replies);
+                        Reply::Stamped {
+                            timestamp,
+                            written,
+                            failed,
+                        }
                     };
-                    self.deferred.push((reply, stamped));
+                    self.explode(puts, assemble, reply, arrived, true);
                 }
                 // A counterless key stores nothing; the hint-carrying retry
                 // carries the store again.
@@ -674,75 +693,36 @@ impl Peer {
         Ok(())
     }
 
-    /// A batch fans out locally, like a batched put: one unit per
-    /// constituent, under the trace context the constituent carries and the
-    /// frame's arrival instant, each with a collecting sink that answers the
-    /// requester with one [`Reply::Batch`] — in request order — once all of
-    /// them completed. The constituents route individually, so under churn
-    /// some may be answered by another peer. Over TCP the decoder already
-    /// refused a batch holding anything but data requests; one handed over
-    /// in-process is refused here, whole, before any constituent runs.
-    fn explode_batch(
+    /// Takes a frame of several requests apart: queues `units` behind the
+    /// current unit, each under the trace context it carries and the frame's
+    /// arrival instant (so queue-wait attribution survives), each with a
+    /// collecting sink; once all of them completed, `reply` is answered with
+    /// `assemble` of their replies in request order. The units route
+    /// individually, so under churn some may be answered by the peer they
+    /// were re-sent to, and one that reaches no peer reads [`Reply::Error`].
+    /// With `by_directory` — the puts a `StampAndPut` carried, which were
+    /// sent to where the key's counter lives rather than to where they live
+    /// — each asks the directory before it is queued, whether or not this
+    /// peer ever handed a range away. A frame with no units owes its answer
+    /// after the covering sync, like any other unit.
+    fn explode(
         &mut self,
-        items: Vec<(Request, Option<TraceContext>)>,
+        units: Vec<(Request, Option<TraceContext>)>,
+        assemble: impl FnOnce(Vec<Reply>) -> Reply + Send + 'static,
         reply: ReplySink,
         arrived: Option<Instant>,
+        by_directory: bool,
     ) {
-        if let Some((intruder, _)) = items.iter().find(|(request, _)| !request.is_data()) {
-            reply.send(Reply::Error {
-                reason: format!(
-                    "a {} request cannot ride in a batch",
-                    request_kind(intruder)
-                ),
-            });
+        if units.is_empty() {
+            self.deferred.push((reply, assemble(Vec::new())));
             return;
         }
-        let sinks = ReplySink::collect(items.len(), reply);
-        for ((request, trace), sink) in items.into_iter().zip(sinks) {
-            self.units.push_back(Incoming {
-                request,
-                reply: sink,
-                trace,
-                arrived,
-            });
-        }
-    }
-
-    /// Splits a store into one `PutReplica` unit per hash, queued behind the
-    /// current unit, with a fan-in that answers `reply` once every unit
-    /// completed: a `PutsAck`, or the `Stamped` of a `StampAndPut`. The units
-    /// route individually — under churn some may be re-sent to the peer now
-    /// responsible for them. The puts a `StampAndPut` carried were sent to
-    /// where the key's counter lives, not to where they live, so each asks
-    /// the directory before it is queued, whether or not this peer ever
-    /// handed a range away. The units inherit the store's op, disambiguated
-    /// by their hash at the applying peer, so a retry that was *regrouped*
-    /// under a changed directory view still deduplicates per hash; and the
-    /// trace context and *original* arrival instant, so queue-wait
-    /// attribution survives the split.
-    fn split(
-        &mut self,
-        store: Store,
-        reply: ReplySink,
-        trace: Option<TraceContext>,
-        arrived: Option<Instant>,
-    ) {
-        let stamp = store.with_counter.then_some(store.timestamp);
-        let sinks = ReplySink::fanin(store.hashes.len(), stamp, reply);
-        for (hash, sink) in store.hashes.into_iter().zip(sinks) {
-            let put = Request::PutReplica {
-                op: store.op,
-                hash,
-                key: store.key.clone(),
-                // The one copy of this replica's payload: `put` hands it on
-                // to the store by value.
-                payload: store.payload.clone(),
-                timestamp: store.timestamp,
-            };
-            let unit = if store.with_counter {
-                self.route_by_directory(put, sink, trace)
+        let sinks = ReplySink::collect(units.len(), assemble, reply);
+        for ((request, trace), sink) in units.into_iter().zip(sinks) {
+            let unit = if by_directory {
+                self.route_by_directory(request, sink, trace)
             } else {
-                Some((put, sink))
+                Some((request, sink))
             };
             if let Some((request, reply)) = unit {
                 self.units.push_back(Incoming {
@@ -917,11 +897,10 @@ impl Peer {
             };
             let (kts, engine) = (&mut peer.kts, &mut peer.engine);
             Ok(Reply::Timestamp(if generate {
-                kts.gen_ts_with(key, || observation, engine).timestamp
+                kts.gen_ts(key, || observation, engine).timestamp
             } else {
                 let policy = LastTsInitPolicy::ObservedMax;
-                kts.last_ts_with(key, policy, || observation, engine)
-                    .timestamp
+                kts.last_ts(key, policy, || observation, engine).timestamp
             }))
         })
     }

@@ -462,3 +462,107 @@ fn requests_queued_behind_a_leave_are_answered_by_the_successor_and_the_loop_end
     successor.send_no_reply(Request::Shutdown).unwrap();
     handle.join().unwrap();
 }
+
+/// A peer of a two-member ring whose other member, `UNREACHABLE`, owns
+/// `(ID, UNREACHABLE]` in the directory but has no mailbox any more: what
+/// this peer re-sends there cannot be delivered. Returns the peer, its
+/// mailbox and endpoint, a key this peer stamps whose three replicas live
+/// two here and one there, and the hash of the one there.
+fn peer_with_an_unreachable_member() -> (Peer, Mailbox, PeerEndpoint, Key, HashId) {
+    const UNREACHABLE: PeerId = PeerId(1 << 63);
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let directory = Arc::new(Directory::new(HashFamily::new(3, 1), transport, []));
+    let mailbox = directory.transport.bind(ID).unwrap();
+    let endpoint = directory.transport.endpoint(ID).unwrap();
+    directory.revive(ID, endpoint.clone());
+    drop(directory.transport.bind(UNREACHABLE).unwrap());
+    let unreachable = directory.transport.endpoint(UNREACHABLE).unwrap();
+    directory.revive(UNREACHABLE, unreachable);
+    let (peer, _) = Peer::open(ID, Arc::clone(&directory), &None, None, None);
+
+    let here = |position: u64| position <= ID.0 || position > UNREACHABLE.0;
+    let family = &directory.family;
+    let (key, away) = (0..)
+        .map(|i| Key::new(format!("doc-{i}")))
+        .find_map(|key| {
+            let away: Vec<HashId> = (0..3)
+                .map(HashId)
+                .filter(|hash| !here(family.eval(*hash, &key)))
+                .collect();
+            let stamped_here = here(family.eval_timestamp(&key));
+            (stamped_here && away.len() == 1).then(|| (key, away[0]))
+        })
+        .unwrap();
+    (peer, mailbox, endpoint, key, away)
+}
+
+#[test]
+fn a_puts_frame_counts_a_put_that_cannot_be_re_sent_as_failed() {
+    let (mut peer, mailbox, endpoint, key, away) = peer_with_an_unreachable_member();
+    // Only a peer that handed a range away asks the directory for each put.
+    peer.handed_off = true;
+    let puts = Request::PutReplicas {
+        op: Some(OpId { client: 1, seq: 0 }),
+        hashes: (0..3).map(HashId).collect(),
+        key: key.clone(),
+        payload: b"v".to_vec(),
+        timestamp: Timestamp(5),
+    };
+    let answer = endpoint.send(puts).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    let two_of_three = Reply::PutsAck {
+        written: 2,
+        failed: 1,
+    };
+    assert_eq!(answer.wait(Duration::ZERO), Ok(two_of_three));
+    for hash in (0..3).map(HashId) {
+        let stored = peer.engine.replicas().get(hash, &key).is_some();
+        assert_eq!(stored, hash != away, "{hash:?}");
+    }
+}
+
+#[test]
+fn a_stamp_and_put_counts_a_carried_put_that_cannot_be_re_sent_as_failed() {
+    let (mut peer, mailbox, endpoint, key, _) = peer_with_an_unreachable_member();
+    let answer = endpoint.send(stamp_and_put(0, &key, &[0, 1, 2])).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    let stamped = Reply::Stamped {
+        timestamp: Timestamp(1),
+        written: 2,
+        failed: 1,
+    };
+    assert_eq!(answer.wait(Duration::ZERO), Ok(stamped));
+    assert_eq!(peer.kts.counter_value(&key), Some(Timestamp(1)));
+}
+
+#[test]
+fn a_batch_keeps_an_error_in_the_slot_of_a_constituent_that_cannot_be_re_sent() {
+    let (mut peer, mailbox, endpoint, key, away) = peer_with_an_unreachable_member();
+    peer.handed_off = true;
+    let here = (0..3).map(HashId).find(|hash| *hash != away).unwrap();
+    let get = |hash| Request::GetReplica {
+        hash,
+        key: key.clone(),
+    };
+    let batch = Request::Batch(vec![
+        (put(0, here.0, &key, 5), None),
+        (get(away), None),
+        (get(here), None),
+    ]);
+    let answer = endpoint.send(batch).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    let Ok(Reply::Batch(replies)) = answer.wait(Duration::ZERO) else {
+        panic!("the batch was not answered with its constituents' replies")
+    };
+    assert_eq!(replies.len(), 3);
+    assert_eq!(replies[0], Reply::PutAck);
+    assert!(matches!(replies[1], Reply::Error { .. }), "{replies:?}");
+    let stored = Reply::Replica(Some((5u64.to_le_bytes().to_vec(), Timestamp(5))));
+    assert_eq!(replies[2], stored);
+}

@@ -8,7 +8,9 @@
 //!   [`ReplySink`] its answer must be sent into. Over the channel transport
 //!   the sink is the caller's reply slot itself; over TCP it writes a framed
 //!   reply envelope back onto the connection the request arrived on, tagged
-//!   with the request id.
+//!   with the request id. A peer that takes a frame of several requests
+//!   apart answers it through [`ReplySink::collect`]: one sink per unit,
+//!   and one reply assembled from theirs once the last is in.
 //! * [`PeerEndpoint`] — the send side: a cheap, cloneable handle addressing
 //!   one peer. `send` registers a one-slot wait and returns it as a
 //!   [`PendingReply`]; `send_with_sink` relays an existing sink (this is
@@ -37,7 +39,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rdht_core::Timestamp;
 use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;
@@ -120,66 +121,17 @@ pub trait ReplyWriter: Send + Sync {
     fn write_reply(&self, request_id: u64, reply: &Reply);
 }
 
-/// Shared state of a fan-in sink: counts the acknowledgements of the
-/// constituent puts of a [`Request::PutReplicas`] (or of the puts a
-/// [`Request::StampAndPut`] carried, which also answer with their `stamp`)
-/// and answers the original requester once all of them completed (or were
-/// dropped).
-struct FaninState {
-    remaining: usize,
-    written: u32,
-    failed: u32,
-    stamp: Option<Timestamp>,
-    out: Option<ReplySink>,
-}
-
-impl FaninState {
-    /// The one reply the requester gets: the counts so far, with the stamp
-    /// when there is one.
-    fn totals(&self) -> Reply {
-        let (written, failed) = (self.written, self.failed);
-        match self.stamp {
-            Some(timestamp) => Reply::Stamped {
-                timestamp,
-                written,
-                failed,
-            },
-            None => Reply::PutsAck { written, failed },
-        }
-    }
-
-    fn absorb(state: &Arc<Mutex<FaninState>>, ok: bool) {
-        let completed = {
-            let mut guard = state.lock();
-            debug_assert!(guard.remaining > 0, "fan-in over-completed");
-            guard.remaining -= 1;
-            if ok {
-                guard.written += 1;
-            } else {
-                guard.failed += 1;
-            }
-            if guard.remaining == 0 {
-                let totals = guard.totals();
-                guard.out.take().map(|out| (out, totals))
-            } else {
-                None
-            }
-        };
-        // The final send runs outside the lock: it may itself be a fan-in
-        // (or a socket write) and must not re-enter.
-        if let Some((out, reply)) = completed {
-            out.send(reply);
-        }
-    }
-}
+/// How a collecting sink turns its constituents' replies, in request order,
+/// into the one reply its requester gets.
+type Assemble = Box<dyn FnOnce(Vec<Reply>) -> Reply + Send>;
 
 /// Shared state of a collecting sink: the replies of the constituents of a
-/// [`Request::Batch`], kept in request order, and the requester's own sink,
-/// answered once the last of them is in.
+/// frame, kept in request order, and the requester's own sink with the
+/// assembly that answers it once the last of them is in.
 struct CollectState {
     replies: Vec<Option<Reply>>,
     remaining: usize,
-    out: Option<ReplySink>,
+    answer: Option<(ReplySink, Assemble)>,
 }
 
 impl CollectState {
@@ -191,18 +143,19 @@ impl CollectState {
             guard.remaining -= 1;
             if guard.remaining == 0 {
                 let replies = std::mem::take(&mut guard.replies);
-                guard.out.take().map(|out| (out, replies))
+                guard.answer.take().map(|answer| (answer, replies))
             } else {
                 None
             }
         };
-        // Sent outside the lock, for the reason `FaninState::absorb` gives.
-        if let Some((out, replies)) = completed {
+        // Assembled and sent outside the lock: `out` may itself be a
+        // collecting sink (or a socket write) and must not re-enter.
+        if let Some(((out, assemble), replies)) = completed {
             let replies = replies
                 .into_iter()
                 .map(|reply| reply.expect("every collect slot was filled"))
                 .collect();
-            out.send(Reply::Batch(replies));
+            out.send(assemble(replies));
         }
     }
 }
@@ -245,9 +198,7 @@ enum SinkInner {
         writer: Arc<dyn ReplyWriter>,
         request_id: u64,
     },
-    /// One constituent put of a batched [`Request::PutReplicas`].
-    Fanin(Arc<Mutex<FaninState>>),
-    /// One constituent of a [`Request::Batch`].
+    /// One constituent of a frame of several requests.
     Collect {
         state: Arc<Mutex<CollectState>>,
         index: usize,
@@ -264,8 +215,8 @@ enum SinkInner {
 /// The reply path of one in-flight request. Consume it with
 /// [`ReplySink::send`]; a sink dropped unsent signals failure instead of
 /// leaving the requester to time out (a remote requester receives
-/// [`Reply::Error`], a fan-in counts a failed put, a collecting sink records
-/// [`Reply::Error`] in the constituent's place, a waiter's slot reads
+/// [`Reply::Error`], a collecting sink records [`Reply::Error`] in the
+/// constituent's place, a waiter's slot reads
 /// [`CallError::Dropped`]).
 ///
 /// Whoever delivers the reply consumes the sink: the peer loop over the
@@ -282,7 +233,6 @@ impl fmt::Debug for ReplySink {
         let kind = match self.inner {
             SinkInner::Null => "Null",
             SinkInner::Remote { .. } => "Remote",
-            SinkInner::Fanin(_) => "Fanin",
             SinkInner::Collect { .. } => "Collect",
             SinkInner::Hooked(_) => "Hooked",
             SinkInner::Slot { .. } => "Slot",
@@ -315,48 +265,24 @@ impl ReplySink {
         }
     }
 
-    /// Splits `out` into `count` constituent sinks: each receives the
-    /// acknowledgement of one put, and once all have completed (a
-    /// [`Reply::PutAck`] counts as written, anything else — including being
-    /// dropped — as failed) `out` receives one reply totalling them: a
-    /// [`Reply::PutsAck`], or with a `stamp` the [`Reply::Stamped`] of the
-    /// `gen_ts` that carried the puts. `count == 0` answers `out`
-    /// immediately.
-    pub fn fanin(count: usize, stamp: Option<Timestamp>, out: ReplySink) -> Vec<ReplySink> {
-        let mut state = FaninState {
-            remaining: count,
-            written: 0,
-            failed: 0,
-            stamp,
-            out: None,
-        };
+    /// Splits `out` into `count` constituent sinks, one per request of a
+    /// frame: each keeps the reply it is sent — a sink dropped unsent keeps a
+    /// [`Reply::Error`] — and once all have completed `out` receives
+    /// `assemble` of them, in sink order whatever order they completed in.
+    /// `count == 0` answers `out` immediately.
+    pub fn collect(
+        count: usize,
+        assemble: impl FnOnce(Vec<Reply>) -> Reply + Send + 'static,
+        out: ReplySink,
+    ) -> Vec<ReplySink> {
         if count == 0 {
-            out.send(state.totals());
-            return Vec::new();
-        }
-        state.out = Some(out);
-        let state = Arc::new(Mutex::new(state));
-        (0..count)
-            .map(|_| ReplySink {
-                inner: SinkInner::Fanin(Arc::clone(&state)),
-            })
-            .collect()
-    }
-
-    /// Splits `out` into `count` constituent sinks, the ordered sibling of
-    /// [`ReplySink::fanin`]: each keeps the reply it is sent — a sink dropped
-    /// unsent keeps a [`Reply::Error`] — and once all have completed `out`
-    /// receives one [`Reply::Batch`] holding them in sink order, whatever
-    /// order they completed in. `count == 0` answers `out` immediately.
-    pub fn collect(count: usize, out: ReplySink) -> Vec<ReplySink> {
-        if count == 0 {
-            out.send(Reply::Batch(Vec::new()));
+            out.send(assemble(Vec::new()));
             return Vec::new();
         }
         let state = Arc::new(Mutex::new(CollectState {
             replies: vec![None; count],
             remaining: count,
-            out: Some(out),
+            answer: Some((out, Box::new(assemble))),
         }));
         (0..count)
             .map(|index| ReplySink {
@@ -388,10 +314,6 @@ impl ReplySink {
             SinkInner::Remote { writer, request_id } => {
                 writer.write_reply(request_id, &reply);
             }
-            SinkInner::Fanin(state) => {
-                let ok = matches!(reply, Reply::PutAck);
-                FaninState::absorb(&state, ok);
-            }
             SinkInner::Collect { state, index } => CollectState::absorb(&state, index, reply),
             SinkInner::Hooked(hook) => hook.deliver(reply),
             SinkInner::Slot { gather, index } => gather.fill(index, answered(reply)),
@@ -406,7 +328,6 @@ impl Drop for ReplySink {
             SinkInner::Remote { writer, request_id } => {
                 writer.write_reply(request_id, &dropped_unanswered());
             }
-            SinkInner::Fanin(state) => FaninState::absorb(&state, false),
             SinkInner::Collect { state, index } => {
                 CollectState::absorb(&state, index, dropped_unanswered())
             }
@@ -933,5 +854,59 @@ impl Transport for ChannelTransport {
 
     fn unbind(&self, peer: PeerId) {
         self.registry.lock().remove(&peer.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rdht_core::Timestamp;
+
+    use super::*;
+
+    /// The one reply a gather of one slot received.
+    fn answer(gather: Gather) -> Result<Reply, CallError> {
+        gather.wait(Duration::ZERO).pop().unwrap().outcome
+    }
+
+    #[test]
+    fn a_collect_completed_in_reverse_order_assembles_in_request_order() {
+        let gather = Gather::new(1, false);
+        let sinks = ReplySink::collect(3, Reply::Batch, gather.sink(0));
+        for (index, sink) in sinks.into_iter().enumerate().rev() {
+            sink.send(Reply::Timestamp(Timestamp(index as u64)));
+        }
+        let in_order = (0..3).map(|index| Reply::Timestamp(Timestamp(index)));
+        assert_eq!(answer(gather), Ok(Reply::Batch(in_order.collect())));
+    }
+
+    #[test]
+    fn a_collect_sink_dropped_unsent_leaves_an_error_in_its_slot() {
+        let gather = Gather::new(1, false);
+        let mut sinks = ReplySink::collect(3, Reply::Batch, gather.sink(0));
+        sinks.pop().unwrap().send(Reply::PutAck);
+        drop(sinks.pop());
+        sinks.pop().unwrap().send(Reply::PutAck);
+        let Ok(Reply::Batch(replies)) = answer(gather) else {
+            panic!("the collect did not answer with its assembly")
+        };
+        assert_eq!(replies[0], Reply::PutAck);
+        assert!(matches!(replies[1], Reply::Error { .. }), "{replies:?}");
+        assert_eq!(replies[2], Reply::PutAck);
+    }
+
+    #[test]
+    fn a_collect_of_no_units_answers_at_once() {
+        let gather = Gather::new(1, false);
+        let assemble = |replies: Vec<Reply>| Reply::PutsAck {
+            written: replies.len() as u32,
+            failed: 0,
+        };
+        let sinks = ReplySink::collect(0, assemble, gather.sink(0));
+        assert!(sinks.is_empty());
+        let none_written = Reply::PutsAck {
+            written: 0,
+            failed: 0,
+        };
+        assert_eq!(answer(gather), Ok(none_written));
     }
 }

@@ -122,11 +122,6 @@ impl PeerStore {
             .collect()
     }
 
-    /// Removes every record (used when a peer fails and its memory is lost).
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
     /// Loads a batch of records, overwriting (last write wins for duplicate
     /// `(hash, key)` pairs). Returns the number of records ingested.
     pub fn bulk_load(&mut self, records: impl IntoIterator<Item = (HashId, Key, Record)>) -> usize {
@@ -136,16 +131,6 @@ impl PeerStore {
             loaded += 1;
         }
         loaded
-    }
-
-    /// The greatest stamp stored for `key` under any hash function, if any:
-    /// what the *indirect* counter-initialization algorithm inspects locally
-    /// on each replica holder. A scan of the whole table.
-    pub fn max_stamp_for_key(&self, key: &Key) -> Option<u64> {
-        self.iter()
-            .filter(|(_, stored, _)| *stored == key)
-            .map(|(_, _, record)| record.stamp)
-            .max()
     }
 }
 
@@ -350,32 +335,6 @@ mod tests {
         assert!(store.is_empty());
         let keys: Vec<Key> = moved.into_iter().map(|(_, k, _)| k).collect();
         assert_eq!(keys, vec![Key::new("c"), Key::new("a"), Key::new("b")]);
-    }
-
-    #[test]
-    fn max_stamp_for_key_spans_hash_functions() {
-        let mut store = PeerStore::new();
-        let k = Key::new("doc");
-        store.put(HashId(0), k.clone(), rec(5, 10), WritePolicy::Overwrite);
-        store.put(HashId(3), k.clone(), rec(12, 99), WritePolicy::Overwrite);
-        store.put(
-            HashId(1),
-            Key::new("other"),
-            rec(100, 7),
-            WritePolicy::Overwrite,
-        );
-        assert_eq!(store.max_stamp_for_key(&k), Some(12));
-        assert_eq!(store.max_stamp_for_key(&Key::new("missing")), None);
-    }
-
-    #[test]
-    fn clear_empties_the_store() {
-        let mut store = PeerStore::new();
-        store.put(HashId(0), Key::new("x"), rec(1, 1), WritePolicy::Overwrite);
-        assert!(!store.is_empty());
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.drain_range(0, u64::MAX).len(), 0);
     }
 
     #[test]

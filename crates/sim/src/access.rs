@@ -8,6 +8,7 @@ use rdht_net::fault::End;
 use rdht_overlay::{LookupError, NodeId, Record, WritePolicy};
 
 use rdht_baseline::{BrkAccess, Version, VersionedValue};
+use rdht_core::durability::NoDurability;
 use rdht_core::kts::IndirectObservation;
 use rdht_core::{ReplicaValue, Timestamp, UmsAccess, UmsError};
 
@@ -201,9 +202,10 @@ impl<'a> SimAccess<'a> {
             .kts_mut(self.algorithm)
             .ok_or_else(|| UmsError::kts("algorithm has no timestamping service"))?;
         let timestamp = if generate {
-            kts.gen_ts(key, || observation).timestamp
+            kts.gen_ts(key, || observation, &mut NoDurability).timestamp
         } else {
-            kts.last_ts(key, policy, || observation).timestamp
+            kts.last_ts(key, policy, || observation, &mut NoDurability)
+                .timestamp
         };
         Ok(timestamp)
     }

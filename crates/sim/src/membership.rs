@@ -6,6 +6,7 @@ use rand::Rng;
 use rdht_hashing::Key;
 use rdht_overlay::{MembershipEventKind, NodeId, Record, ResponsibilityChange, WritePolicy};
 
+use rdht_core::durability::NoDurability;
 use rdht_core::Timestamp;
 
 use crate::algo::Algorithm;
@@ -137,11 +138,14 @@ impl Simulation {
         // of timestamping ships the counters of the keys whose timestamping
         // position falls in the moved range to the next responsible.
         let family = &self.family;
-        let exported: Vec<(Key, Timestamp)> = departing_state
-            .kts_direct
-            .export_counters_in_range(|key| change.covers(family.eval_timestamp(key)));
+        let exported: Vec<(Key, Timestamp)> = departing_state.kts_direct.export_counters_in_range(
+            |key| change.covers(family.eval_timestamp(key)),
+            &mut NoDurability,
+        );
         if let Some(target) = self.peers.get_mut(&change.to) {
-            target.kts_direct.receive_transferred_counters(exported);
+            target
+                .kts_direct
+                .receive_transferred_counters(exported, &mut NoDurability);
         }
         // The UMS-Indirect universe never transfers counters: they simply die
         // with the departing peer, forcing the indirect initialization later.
@@ -180,15 +184,17 @@ impl Simulation {
         let mut exported_counters: Vec<(Key, Timestamp)> = Vec::new();
         let mut moved_records: Vec<(Algorithm, rdht_hashing::HashId, Key, Record)> = Vec::new();
         if let Some(previous) = self.peers.get_mut(&change.from) {
-            exported_counters = previous
-                .kts_direct
-                .export_counters_in_range(|key| change.covers(family.eval_timestamp(key)));
+            exported_counters = previous.kts_direct.export_counters_in_range(
+                |key| change.covers(family.eval_timestamp(key)),
+                &mut NoDurability,
+            );
             // RLA Rule 3 in the UMS-Indirect universe: the previous
             // responsible detects the loss of responsibility and invalidates
             // the covered counters without transferring them.
-            previous
-                .kts_indirect
-                .export_counters_in_range(|key| change.covers(family.eval_timestamp(key)));
+            previous.kts_indirect.export_counters_in_range(
+                |key| change.covers(family.eval_timestamp(key)),
+                &mut NoDurability,
+            );
             if transfer_data {
                 for algorithm in Algorithm::ALL {
                     for (hash, key, record) in previous
@@ -203,7 +209,7 @@ impl Simulation {
         if let Some(new_responsible) = self.peers.get_mut(&change.to) {
             new_responsible
                 .kts_direct
-                .receive_transferred_counters(exported_counters);
+                .receive_transferred_counters(exported_counters, &mut NoDurability);
             for (algorithm, hash, key, record) in moved_records {
                 new_responsible.store_mut(algorithm).put(
                     hash,

@@ -546,13 +546,6 @@ impl DurableState for StorageEngine {
         });
     }
 
-    fn record_replica_remove(&mut self, hash: HashId, key: &Key) {
-        self.apply_latching(StorageOp::RemoveReplica {
-            hash,
-            key: key.clone(),
-        });
-    }
-
     fn record_counter_set(&mut self, key: &Key, value: Timestamp) {
         self.apply_latching(StorageOp::SetCounter {
             key: key.clone(),

@@ -27,7 +27,9 @@ pub enum StorageOp {
         /// Ring position of the key under `hash`.
         position: u64,
     },
-    /// The replica under `(hash, key)` was removed.
+    /// The replica under `(hash, key)` was removed. No write path journals
+    /// it today; it stays in the on-disk format so journals that hold it
+    /// still decode and replay.
     RemoveReplica {
         /// Replication hash function.
         hash: HashId,

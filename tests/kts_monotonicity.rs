@@ -1,6 +1,7 @@
 //! Integration tests of KTS monotonicity across responsibility hand-offs on a
 //! real Chord overlay (overlay + core used together, outside the simulator).
 
+use rdht::core::durability::NoDurability;
 use rdht::core::kts::{IndirectObservation, KtsNode};
 use rdht::core::Timestamp;
 use rdht::hashing::{HashFamily, Key};
@@ -50,7 +51,9 @@ fn timestamps_stay_monotonic_across_chord_churn() {
         } else {
             IndirectObservation::observed(committed)
         };
-        let generated = node.gen_ts(&key, || observation).timestamp;
+        let generated = node
+            .gen_ts(&key, || observation, &mut NoDurability)
+            .timestamp;
         assert!(
             generated > last_generated,
             "round {round}: generated {generated:?} after {last_generated:?}"
@@ -72,11 +75,13 @@ fn timestamps_stay_monotonic_across_chord_churn() {
                 .unwrap_or_else(|| KtsNode::new(false));
             for change in &outcome.changes {
                 if change.handover_possible && change.kind == MembershipEventKind::Leave {
-                    let exported = departing
-                        .export_counters_in_range(|k| change.covers(family.eval_timestamp(k)));
+                    let exported = departing.export_counters_in_range(
+                        |k| change.covers(family.eval_timestamp(k)),
+                        &mut NoDurability,
+                    );
                     kts.entry(change.to)
                         .or_insert_with(|| KtsNode::new(false))
-                        .receive_transferred_counters(exported);
+                        .receive_transferred_counters(exported, &mut NoDurability);
                 }
             }
         } else {
@@ -88,14 +93,15 @@ fn timestamps_stay_monotonic_across_chord_churn() {
                     let exported = kts
                         .get_mut(&change.from)
                         .map(|node| {
-                            node.export_counters_in_range(|k| {
-                                change.covers(family.eval_timestamp(k))
-                            })
+                            node.export_counters_in_range(
+                                |k| change.covers(family.eval_timestamp(k)),
+                                &mut NoDurability,
+                            )
                         })
                         .unwrap_or_default();
                     kts.entry(change.to)
                         .or_insert_with(|| KtsNode::new(false))
-                        .receive_transferred_counters(exported);
+                        .receive_transferred_counters(exported, &mut NoDurability);
                 }
             }
         }
@@ -113,7 +119,7 @@ fn recovery_corrects_underestimated_counters_after_failure() {
     let mut latest = Timestamp::ZERO;
     for _ in 0..10 {
         latest = old_responsible
-            .gen_ts(&key, IndirectObservation::nothing)
+            .gen_ts(&key, IndirectObservation::nothing, &mut NoDurability)
             .timestamp;
     }
 
@@ -122,7 +128,11 @@ fn recovery_corrects_underestimated_counters_after_failure() {
     let mut new_responsible = KtsNode::new(false);
     let stale_observation = Timestamp(4);
     let first = new_responsible
-        .gen_ts(&key, || IndirectObservation::observed(stale_observation))
+        .gen_ts(
+            &key,
+            || IndirectObservation::observed(stale_observation),
+            &mut NoDurability,
+        )
         .timestamp;
     assert!(
         first < latest,
@@ -136,7 +146,7 @@ fn recovery_corrects_underestimated_counters_after_failure() {
     assert_eq!(corrections.len(), 1);
     assert_eq!(corrections[0].corrected_to, latest);
     let next = new_responsible
-        .gen_ts(&key, || panic!("counter is valid"))
+        .gen_ts(&key, || panic!("counter is valid"), &mut NoDurability)
         .timestamp;
     assert!(next > latest);
 }
@@ -148,14 +158,18 @@ fn recovery_corrects_underestimated_counters_after_failure() {
 fn periodic_inspection_catches_up_with_stored_timestamps() {
     let key = Key::new("doc");
     let mut responsible = KtsNode::new(false);
-    responsible.gen_ts(&key, || IndirectObservation::observed(Timestamp(3)));
+    responsible.gen_ts(
+        &key,
+        || IndirectObservation::observed(Timestamp(3)),
+        &mut NoDurability,
+    );
     // The DHT actually holds a replica stamped 17 that the indirect scan missed.
     let corrections =
         responsible.periodic_inspection(|k| if k == &key { Some(Timestamp(17)) } else { None });
     assert_eq!(corrections.len(), 1);
     assert!(responsible.counter_value(&key).unwrap() >= Timestamp(17));
     let next = responsible
-        .gen_ts(&key, || panic!("counter is valid"))
+        .gen_ts(&key, || panic!("counter is valid"), &mut NoDurability)
         .timestamp;
     assert!(next > Timestamp(17));
 }
