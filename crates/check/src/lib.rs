@@ -13,10 +13,9 @@
 //!
 //! 2. **Invariant linter** ([`lint`]): `rdht-check lint` walks the
 //!    workspace source line-by-line and enforces project rules clippy
-//!    cannot express (logging discipline, blessed blocking sites, virtual
-//!    time in the simulator, justified relaxed orderings, wire-tag
-//!    exhaustiveness). See `lint::RULES` and the README's "Correctness
-//!    tooling" section.
+//!    cannot express (logging discipline, function length, virtual time
+//!    in the simulator, justified relaxed orderings). See the [`lint`]
+//!    module's rule table and the README's "Correctness tooling" section.
 
 #![deny(missing_docs)]
 

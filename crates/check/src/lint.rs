@@ -7,15 +7,20 @@
 //! | `max-fn-lines` | no function in the non-test sources under `crates/*/src`, the benchmark package (`crates/bench/src/bin/benchmark`) aside, runs past 150 lines (`fn` line through closing brace) — the peer loop stays one handler per request kind, the client one retry loop |
 //! | `sim-virtual-time` | `rdht-sim` runs on virtual time only: no `Instant::now`/`SystemTime::now` under `crates/sim/src` |
 //! | `relaxed-justified` | every `Ordering::Relaxed` carries a `// relaxed:` justification on the same line or in the comment block directly above |
-//! | `wire-exhaustive` | every `Request`/`Reply` variant in `message.rs` has an encode arm and a decode arm in `wire.rs`, and every `Request` variant a `RequestCounters` entry in `metrics.rs` |
+//!
+//! Facts about each wire message kind (tag, counter label, data/traced/
+//! lifecycle) are declared once, in the kind tables of
+//! `crates/net/src/message.rs`. Exhaustive matches there and in the codec,
+//! and counters registered from the table, make the compiler refuse a kind
+//! without an encode arm, a decode arm or a counter, so no textual rule
+//! cross-checks them.
 //!
 //! The checker's own crate (`crates/check`) is excluded from the walk: its
 //! sources and test fixtures contain the banned patterns *as data*.
 //!
 //! Matching is done on comment-stripped text (line comments, block
-//! comments and string literals are blanked), so doc comments mentioning
-//! `Request::Metrics` or a log message containing `Relaxed` cannot
-//! confuse the rules.
+//! comments and string literals are blanked), so a doc comment or a log
+//! message containing `Relaxed` cannot confuse the rules.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -153,25 +158,6 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Whether `needle` occurs in `hay` delimited by non-identifier chars —
-/// so `Request::PutReplica` does not match inside `Request::PutReplicas`.
-fn contains_word(hay: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = hay[start..].find(needle) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident_char(hay[..at].chars().next_back().unwrap_or(' '));
-        let after_ok = hay[at + needle.len()..]
-            .chars()
-            .next()
-            .is_none_or(|c| !is_ident_char(c));
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + needle.len();
-    }
-    false
-}
-
 /// Whether `rel` is a non-test source under some `crates/*/src` outside
 /// the benchmark package — the files `max-fn-lines` covers (`tests.rs`,
 /// `peer_tests.rs`, `proptests.rs` and the like are test modules).
@@ -261,48 +247,6 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Finding> {
     findings
 }
 
-/// Extracts the variant names of `pub enum <name>` from comment-stripped
-/// enum source, by brace-depth tracking.
-fn enum_variants(content: &str, name: &str) -> Vec<(String, usize)> {
-    let mut stripper = Stripper::default();
-    let header = format!("enum {name}");
-    let mut variants = Vec::new();
-    let mut depth: i32 = -1; // -1: before the enum; 0+: brace depth inside
-    for (idx, raw) in content.lines().enumerate() {
-        let code = stripper.code_of(raw);
-        if depth < 0 {
-            if contains_word(&code, &header) && code.contains('{') {
-                depth = 0;
-            }
-            continue;
-        }
-        let trimmed = code.trim_start();
-        if depth == 0 {
-            if let Some(first) = trimmed.chars().next() {
-                if first.is_ascii_uppercase() {
-                    let ident: String = trimmed.chars().take_while(|&c| is_ident_char(c)).collect();
-                    if !ident.is_empty() {
-                        variants.push((ident, idx + 1));
-                    }
-                }
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return variants;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    variants
-}
-
 /// The functions of `content` that have a body, as `(name, line of the
 /// `fn` keyword, line count through the body's closing brace)`. Brace
 /// matching on comment-stripped text; a nested function is measured on its
@@ -364,75 +308,6 @@ fn fn_lengths(content: &str) -> Vec<(String, usize, usize)> {
     lengths
 }
 
-/// In how many distinct functions of `content` does `needle` occur
-/// (word-delimited, comment-stripped)?
-fn distinct_fn_mentions(content: &str, needle: &str) -> usize {
-    let spans = fn_lengths(content);
-    let mut stripper = Stripper::default();
-    let mut fns: Vec<&str> = Vec::new();
-    for (idx, raw) in content.lines().enumerate() {
-        if !contains_word(&stripper.code_of(raw), needle) {
-            continue;
-        }
-        // The innermost function around the line: spans are sorted by their
-        // first line, so the last one that contains it.
-        let around =
-            |(_, first, len): &&(String, usize, usize)| (*first..first + len).contains(&(idx + 1));
-        if let Some((name, _, _)) = spans.iter().rev().find(around) {
-            if !fns.contains(&name.as_str()) {
-                fns.push(name);
-            }
-        }
-    }
-    fns.len()
-}
-
-/// Cross-checks wire-tag exhaustiveness: every `Request`/`Reply` variant
-/// of `message` must be mentioned in at least two distinct functions of
-/// `wire` (its encode arm and its decode arm), and every `Request`
-/// variant must appear in `metrics` (its `RequestCounters` entry).
-pub fn lint_wire_tags(message: &str, wire: &str, metrics: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for enum_name in ["Request", "Reply"] {
-        let variants = enum_variants(message, enum_name);
-        if variants.is_empty() {
-            findings.push(Finding {
-                file: "crates/net/src/message.rs".to_string(),
-                line: 0,
-                rule: "wire-exhaustive",
-                message: format!("found no variants for enum {enum_name}; parser out of sync?"),
-            });
-            continue;
-        }
-        for (variant, line) in &variants {
-            let qualified = format!("{enum_name}::{variant}");
-            let mentions = distinct_fn_mentions(wire, &qualified);
-            if mentions < 2 {
-                findings.push(Finding {
-                    file: "crates/net/src/message.rs".to_string(),
-                    line: *line,
-                    rule: "wire-exhaustive",
-                    message: format!(
-                        "{qualified} appears in {mentions} function(s) of wire.rs; every \
-                         variant needs both an encode arm and a decode arm"
-                    ),
-                });
-            }
-            if enum_name == "Request" && distinct_fn_mentions(metrics, &qualified) == 0 {
-                findings.push(Finding {
-                    file: "crates/net/src/message.rs".to_string(),
-                    line: *line,
-                    rule: "wire-exhaustive",
-                    message: format!(
-                        "{qualified} has no RequestCounters entry in crates/net/src/metrics.rs"
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -477,24 +352,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let content = std::fs::read_to_string(path)?;
         findings.extend(lint_file(&rel, &content));
     }
-
-    let message = std::fs::read_to_string(root.join("crates/net/src/message.rs"));
-    let wire = std::fs::read_to_string(root.join("crates/net/src/wire.rs"));
-    let metrics = std::fs::read_to_string(root.join("crates/net/src/metrics.rs"));
-    match (message, wire, metrics) {
-        (Ok(message), Ok(wire), Ok(metrics)) => {
-            findings.extend(lint_wire_tags(&message, &wire, &metrics));
-        }
-        _ => findings.push(Finding {
-            file: "crates/net/src".to_string(),
-            line: 0,
-            rule: "wire-exhaustive",
-            message: "message.rs / wire.rs / metrics.rs not readable; wire-tag \
-                      cross-check skipped"
-                .to_string(),
-        }),
-    }
-
     Ok(findings)
 }
 
@@ -612,92 +469,5 @@ mod tests {
         // ...but a marker separated from the site by code does not.
         let separated = format!("{RELAXED_MARKER} stale comment\nlet x = 1;\na.load({RELAXED});\n");
         assert_eq!(lint_file("x.rs", &separated).len(), 1);
-    }
-
-    #[test]
-    fn word_boundaries_distinguish_variant_prefixes() {
-        assert!(contains_word(
-            "Request::PutReplica =>",
-            "Request::PutReplica"
-        ));
-        assert!(!contains_word(
-            "Request::PutReplicas =>",
-            "Request::PutReplica"
-        ));
-        assert!(contains_word(
-            "(Request::PutReplica)",
-            "Request::PutReplica"
-        ));
-    }
-
-    const MESSAGE_FIXTURE: &str = "
-pub enum Request {
-    Put { key: u64, value: Vec<u8> },
-    Get(u64),
-}
-pub enum Reply {
-    Ack,
-    Value(Option<Vec<u8>>),
-}
-";
-
-    #[test]
-    fn wire_tags_pass_when_all_arms_exist() {
-        let wire = "
-fn encode(r: &Request) { match r { Request::Put { .. } => {}, Request::Get(_) => {} } }
-fn encode_reply(r: &Reply) { match r { Reply::Ack => {}, Reply::Value(_) => {} } }
-fn decode() -> Request { if x { Request::Put { key, value } } else { Request::Get(k) } }
-fn decode_reply() -> Reply { if x { Reply::Ack } else { Reply::Value(None) } }
-";
-        let metrics = "
-fn of(r: &Request) { match r { Request::Put { .. } => {}, Request::Get(_) => {} } }
-";
-        let findings = lint_wire_tags(MESSAGE_FIXTURE, wire, metrics);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn wire_tags_flag_missing_decode_and_counter() {
-        let wire = "
-fn encode(r: &Request) { match r { Request::Put { .. } => {}, Request::Get(_) => {} } }
-fn encode_reply(r: &Reply) { match r { Reply::Ack => {}, Reply::Value(_) => {} } }
-fn decode() -> Request { Request::Put { key, value } }
-fn decode_reply() -> Reply { if x { Reply::Ack } else { Reply::Value(None) } }
-";
-        let metrics = "
-fn of(r: &Request) { match r { Request::Put { .. } => {}, _ => {} } }
-";
-        let findings = lint_wire_tags(MESSAGE_FIXTURE, wire, metrics);
-        let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["wire-exhaustive", "wire-exhaustive"]);
-        assert!(findings[0].message.contains("Request::Get"), "{findings:?}");
-        assert!(findings[1].message.contains("Request::Get"), "{findings:?}");
-    }
-
-    #[test]
-    fn enum_parser_sees_through_payload_braces() {
-        let variants = enum_variants(MESSAGE_FIXTURE, "Request");
-        let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Put", "Get"]);
-        let variants = enum_variants(MESSAGE_FIXTURE, "Reply");
-        let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Ack", "Value"]);
-    }
-
-    #[test]
-    fn doc_comment_mentions_do_not_count_as_arms() {
-        let wire = "
-/// Encodes Request::Put and Request::Get.
-fn encode(r: &Request) { match r { Request::Put { .. } => {}, Request::Get(_) => {} } }
-fn encode_reply(r: &Reply) { match r { Reply::Ack => {}, Reply::Value(_) => {} } }
-/// Decodes Request::Get too (doc mention only).
-fn decode() -> Request { Request::Put { key, value } }
-fn decode_reply() -> Reply { if x { Reply::Ack } else { Reply::Value(None) } }
-";
-        let metrics = "fn of() { Request::Put; Request::Get }";
-        let findings = lint_wire_tags(MESSAGE_FIXTURE, wire, metrics);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("Request::Get"));
-        assert!(findings[0].message.contains("decode"));
     }
 }

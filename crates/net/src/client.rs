@@ -17,7 +17,7 @@ use rdht_metrics::{Counter, Registry, RequestTree, SpanLog, TraceConfig, TraceCo
 use crate::cluster::{Directory, PeerId};
 use crate::message::{OpId, Reply, Request};
 use crate::metrics::names;
-use crate::peer::{request_kind, sink_ts, traceable, us};
+use crate::peer::{sink_ts, us};
 use crate::tcp::TcpTransport;
 use crate::transport::{answered, CallError, Gather, Gathered, PeerEndpoint, Transport};
 
@@ -182,7 +182,9 @@ fn group_by_peer(sends: Vec<Outgoing>) -> (Vec<Frame>, Vec<usize>) {
     let mut frame_of = Vec::with_capacity(sends.len());
     for send in sends {
         let shared = frames.iter().position(|frame| {
-            frame.peer == send.peer && frame.items[0].0.is_data() && send.request.is_data()
+            frame.peer == send.peer
+                && frame.items[0].0.kind().row().data
+                && send.request.kind().row().data
         });
         match shared {
             Some(frame) => {
@@ -705,9 +707,10 @@ impl ClusterClient {
                 // when sampled), so the slow-threshold fallback can surface
                 // unsampled tail calls; introspection kinds bypass tracing
                 // altogether, and without tracing a call pays nothing.
-                let traced = self.tracing.is_some() && traceable(&call.request);
+                let row = call.request.kind().row();
+                let traced = self.tracing.is_some() && row.traceable;
                 Leg {
-                    kind: request_kind(&call.request),
+                    kind: row.label,
                     context: if traced { self.sample() } else { None },
                     started: traced.then(Instant::now),
                     phases: Vec::new(),

@@ -643,7 +643,7 @@ impl crate::transport::EndpointImpl for FaultyEndpoint {
         trace: Option<rdht_metrics::TraceContext>,
     ) -> Result<(), SendRejected> {
         // Lifecycle messages are operator actions, not network frames.
-        if matches!(request, Request::Shutdown | Request::Crash) {
+        if request.kind().row().lifecycle {
             return self.inner.send_with_sink_traced(request, sink, trace);
         }
         let from = current_source();

@@ -16,6 +16,14 @@
 //! every slot is filled one reply is assembled from them in request order —
 //! a count of the puts ([`Reply::PutsAck`]), the stamp and that count
 //! ([`Reply::Stamped`]), or the replies themselves ([`Reply::Batch`]).
+//!
+//! Each request kind and each reply kind is declared once, in the two kind
+//! tables at the end of this module: its wire tag, its counter label, and
+//! whether it is data, traced, or a lifecycle message. The codec, the peer
+//! loop, the client and the instruments read those rows. The compiler keeps
+//! the rest in step: `Request::kind` and `Reply::kind` match every variant,
+//! the encoder matches every variant and the decoder every kind, and the
+//! request counters are registered from the table.
 
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
@@ -67,8 +75,8 @@ pub enum HandoffFault {
 /// A request sent to a peer. Every in-flight request has an associated reply
 /// path — a [`crate::ReplySink`] delivered alongside it by the transport.
 ///
-/// Data requests (`PutReplica`, `PutReplicas`, `GetReplica`, `Timestamp`,
-/// `StampAndPut`) may be drained into a group-commit batch when the peer's
+/// Data requests (the `data` column of the request kind table at the end of
+/// this module) may be drained into a group-commit batch when the peer's
 /// storage runs `FsyncPolicy::GroupCommit`: the peer applies and journals
 /// the whole batch, issues one covering fsync, and only then sends the
 /// replies — so an acknowledgement always means "durable", regardless of how
@@ -253,19 +261,21 @@ pub enum Request {
 }
 
 impl Request {
-    /// Whether this is a data request (`PutReplica`, `PutReplicas`,
-    /// `GetReplica`, `Timestamp`, `StampAndPut`) — the ones that are routed
-    /// by ring position, may share a group-commit drain, and may ride in a
-    /// [`Request::Batch`].
-    pub(crate) fn is_data(&self) -> bool {
-        matches!(
-            self,
-            Request::PutReplica { .. }
-                | Request::PutReplicas { .. }
-                | Request::GetReplica { .. }
-                | Request::Timestamp { .. }
-                | Request::StampAndPut { .. }
-        )
+    /// The request's kind: its row of [`RequestKind`]'s table.
+    pub(crate) fn kind(&self) -> RequestKind {
+        match self {
+            Request::PutReplica { .. } => RequestKind::Put,
+            Request::PutReplicas { .. } => RequestKind::Puts,
+            Request::GetReplica { .. } => RequestKind::Get,
+            Request::Timestamp { .. } | Request::StampAndPut { .. } => RequestKind::Timestamp,
+            Request::HandoffRange { .. } => RequestKind::Handoff,
+            Request::InstallState { .. } => RequestKind::Install,
+            Request::Shutdown => RequestKind::Shutdown,
+            Request::Crash => RequestKind::Crash,
+            Request::Metrics => RequestKind::Metrics,
+            Request::SlowRequests { .. } => RequestKind::SlowRequests,
+            Request::Batch(_) => RequestKind::Batch,
+        }
     }
 }
 
@@ -342,4 +352,168 @@ pub enum Reply {
     /// re-sent to could not be reached) reads [`Reply::Error`] in its place,
     /// so the others still arrive.
     Batch(Vec<Reply>),
+}
+
+impl Reply {
+    /// The reply's kind: its row of [`ReplyKind`]'s table.
+    pub(crate) fn kind(&self) -> ReplyKind {
+        match self {
+            Reply::PutAck => ReplyKind::PutAck,
+            Reply::PutsAck { .. } => ReplyKind::PutsAck,
+            Reply::Replica(_) => ReplyKind::Replica,
+            Reply::Timestamp(_) => ReplyKind::Timestamp,
+            Reply::Stamped { .. } => ReplyKind::Stamped,
+            Reply::NeedsInitialization => ReplyKind::NeedsInitialization,
+            Reply::HandoffComplete { .. } => ReplyKind::HandoffComplete,
+            Reply::HandoffFailed { .. } => ReplyKind::HandoffFailed,
+            Reply::InstallAck { .. } => ReplyKind::InstallAck,
+            Reply::Error { .. } => ReplyKind::Error,
+            Reply::Metrics(_) => ReplyKind::Metrics,
+            Reply::SlowRequests(_) => ReplyKind::SlowRequests,
+            Reply::Batch(_) => ReplyKind::Batch,
+        }
+    }
+}
+
+/// Declares a kind enum from a table of one row per kind: the variant, its
+/// wire tag, and the rest of its row as a `$Row` literal. The enum gets
+/// `ALL` (every kind, in table order — the order `kind as usize` counts),
+/// `tag`, `from_tag` and `row`; a tag used twice fails to compile, as an
+/// unreachable pattern of `from_tag`.
+macro_rules! kind_table {
+    (
+        $(#[$meta:meta])*
+        enum $Kind:ident: $Row:ident {
+            $($kind:ident = $tag:literal $row:tt,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum $Kind {
+            $($kind,)*
+        }
+
+        impl $Kind {
+            /// Every kind, in table order.
+            #[cfg_attr(not(test), allow(dead_code))]
+            pub(crate) const ALL: &'static [$Kind] = &[$($Kind::$kind),*];
+
+            /// The kind's tag byte on the wire.
+            pub(crate) const fn tag(self) -> u8 {
+                match self {
+                    $($Kind::$kind => $tag,)*
+                }
+            }
+
+            /// The kind a tag byte names, if any.
+            #[deny(unreachable_patterns)]
+            pub(crate) const fn from_tag(tag: u8) -> Option<$Kind> {
+                match tag {
+                    $($tag => Some($Kind::$kind),)*
+                    _ => None,
+                }
+            }
+
+            /// The kind's row of the table.
+            pub(crate) const fn row(self) -> &'static $Row {
+                match self {
+                    $($Kind::$kind => &$Row $row,)*
+                }
+            }
+        }
+    };
+}
+
+/// What the peer loop, the codec and the instruments know about a request
+/// kind: one row of [`RequestKind`]'s table.
+pub(crate) struct RequestRow {
+    /// The `kind` label of `net_requests_total` (kinds that share a label
+    /// share the series), the slowlog tree name and the `kind` span arg.
+    pub(crate) label: &'static str,
+    /// A data request: routed by ring position, may share a group-commit
+    /// drain, and may ride in a [`Request::Batch`].
+    pub(crate) data: bool,
+    /// A sampled trace context on it produces spans. Introspection and
+    /// lifecycle kinds bypass the tracer: a scrape must never appear in the
+    /// slowlog it reads, and shutting down is not an operation.
+    pub(crate) traceable: bool,
+    /// Ends the peer loop. An operator action, not a network frame: the
+    /// fault plan passes it untouched, and TCP gives it no redial budget.
+    pub(crate) lifecycle: bool,
+}
+
+kind_table! {
+    /// The kinds of [`Request`], each declared once. A `Timestamp` and a
+    /// `StampAndPut` are one kind: on the wire a `gen_ts` that stores is a
+    /// timestamp frame whose store is present.
+    enum RequestKind: RequestRow {
+        Put = 0 { label: "put", data: true, traceable: true, lifecycle: false },
+        Puts = 1 { label: "puts", data: true, traceable: true, lifecycle: false },
+        Get = 2 { label: "get", data: true, traceable: true, lifecycle: false },
+        Timestamp = 3 { label: "timestamp", data: true, traceable: true, lifecycle: false },
+        Handoff = 4 { label: "handoff", data: false, traceable: true, lifecycle: false },
+        Install = 5 { label: "install", data: false, traceable: true, lifecycle: false },
+        Shutdown = 6 { label: "lifecycle", data: false, traceable: false, lifecycle: true },
+        Crash = 7 { label: "lifecycle", data: false, traceable: false, lifecycle: true },
+        Metrics = 8 { label: "metrics", data: false, traceable: false, lifecycle: false },
+        SlowRequests = 9 { label: "metrics", data: false, traceable: false, lifecycle: false },
+        Batch = 10 { label: "batch", data: false, traceable: true, lifecycle: false },
+    }
+}
+
+/// What the codec knows about a reply kind: one row of [`ReplyKind`]'s
+/// table.
+pub(crate) struct ReplyRow {
+    /// A data request may be answered with it, so it may ride in a
+    /// [`Reply::Batch`].
+    pub(crate) answers_data: bool,
+}
+
+kind_table! {
+    /// The kinds of [`Reply`], each declared once.
+    enum ReplyKind: ReplyRow {
+        PutAck = 0 { answers_data: true },
+        PutsAck = 1 { answers_data: true },
+        Replica = 2 { answers_data: true },
+        Timestamp = 3 { answers_data: true },
+        NeedsInitialization = 4 { answers_data: true },
+        HandoffComplete = 5 { answers_data: false },
+        HandoffFailed = 6 { answers_data: false },
+        InstallAck = 7 { answers_data: false },
+        Error = 8 { answers_data: true },
+        Metrics = 9 { answers_data: false },
+        SlowRequests = 10 { answers_data: false },
+        Batch = 11 { answers_data: false },
+        Stamped = 12 { answers_data: true },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{ReplyKind, RequestKind};
+
+    /// Each kind's tag byte names that kind, and no other byte names any.
+    #[test]
+    fn every_kind_round_trips_its_tag_and_no_other_byte_names_one() {
+        for byte in 0..=u8::MAX {
+            let request = RequestKind::ALL.iter().find(|kind| kind.tag() == byte);
+            assert_eq!(
+                RequestKind::from_tag(byte).as_ref(),
+                request,
+                "request tag {byte}"
+            );
+            let reply = ReplyKind::ALL.iter().find(|kind| kind.tag() == byte);
+            assert_eq!(
+                ReplyKind::from_tag(byte).as_ref(),
+                reply,
+                "reply tag {byte}"
+            );
+        }
+        for &kind in RequestKind::ALL {
+            assert_eq!(RequestKind::from_tag(kind.tag()), Some(kind));
+        }
+        for &kind in ReplyKind::ALL {
+            assert_eq!(ReplyKind::from_tag(kind.tag()), Some(kind));
+        }
+    }
 }

@@ -18,7 +18,7 @@
 use rdht_membership::TransferMetrics;
 use rdht_metrics::{exponential_buckets, Counter, Histogram, Registry};
 
-use crate::message::Request;
+use crate::message::{Request, RequestKind};
 
 /// Canonical instrument names, also listed in the README's catalog.
 pub mod names {
@@ -36,8 +36,8 @@ pub mod names {
     /// Retried or duplicated mutations answered from the dedup cache
     /// (cluster-wide, shared like [`DEDUP_APPLIED`]).
     pub const DEDUP_SUPPRESSED: &str = "net_dedup_suppressed_total";
-    /// Nanoseconds the peer loop stalled waiting for hand-off install acks
-    /// — the hand-off stall time of ROADMAP item 5.
+    /// Nanoseconds the peer loop stalled waiting for hand-off install acks:
+    /// the time a join or leave keeps the source from serving anything.
     pub const HANDOFF_STALL_NS: &str = "net_handoff_stall_ns_total";
     /// Indirect counter initializations served by this peer (a timestamp
     /// request that had to be answered from a gathered observation instead
@@ -67,56 +67,33 @@ pub mod names {
 /// the exposition from the first scrape.
 #[derive(Clone, Debug)]
 pub struct RequestCounters {
-    put: Counter,
-    puts: Counter,
-    get: Counter,
-    timestamp: Counter,
-    handoff: Counter,
-    install: Counter,
-    metrics: Counter,
-    batch: Counter,
-    lifecycle: Counter,
+    /// One counter per request kind, in kind-table order. Kinds that share
+    /// a label hold the same series: registration is get-or-create.
+    by_kind: Vec<Counter>,
 }
 
 impl RequestCounters {
     fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
-        let kind = |kind: &str| -> Counter {
-            let mut with_kind: Vec<(&str, &str)> = labels.to_vec();
-            with_kind.push(("kind", kind));
-            registry.counter(
-                names::REQUESTS,
-                "requests processed by the peer loop, by kind",
-                &with_kind,
-            )
-        };
-        RequestCounters {
-            put: kind("put"),
-            puts: kind("puts"),
-            get: kind("get"),
-            timestamp: kind("timestamp"),
-            handoff: kind("handoff"),
-            install: kind("install"),
-            metrics: kind("metrics"),
-            batch: kind("batch"),
-            lifecycle: kind("lifecycle"),
-        }
+        let by_kind = RequestKind::ALL
+            .iter()
+            .map(|kind| {
+                let mut with_kind: Vec<(&str, &str)> = labels.to_vec();
+                with_kind.push(("kind", kind.row().label));
+                registry.counter(
+                    names::REQUESTS,
+                    "requests processed by the peer loop, by kind",
+                    &with_kind,
+                )
+            })
+            .collect();
+        RequestCounters { by_kind }
     }
 
     /// The counter of `request`'s kind. A frame counts once, under its own
     /// kind: the constituents of a `Batch` (like those of a `PutReplicas`)
     /// are not counted again.
     pub fn of(&self, request: &Request) -> &Counter {
-        match request {
-            Request::PutReplica { .. } => &self.put,
-            Request::PutReplicas { .. } => &self.puts,
-            Request::GetReplica { .. } => &self.get,
-            Request::Timestamp { .. } | Request::StampAndPut { .. } => &self.timestamp,
-            Request::HandoffRange { .. } => &self.handoff,
-            Request::InstallState { .. } => &self.install,
-            Request::Metrics | Request::SlowRequests { .. } => &self.metrics,
-            Request::Batch(_) => &self.batch,
-            Request::Shutdown | Request::Crash => &self.lifecycle,
-        }
+        &self.by_kind[request.kind() as usize]
     }
 }
 
@@ -175,5 +152,93 @@ impl PeerMetrics {
     /// [`crate::Request::Metrics`] scrape encodes.
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use rdht_hashing::{HashId, Key};
+    use rdht_metrics::Registry;
+
+    use super::{names, PeerMetrics};
+    use crate::message::Request;
+
+    /// The `net_requests_total` series of `registry`, by `kind` label.
+    fn request_series(registry: &Registry) -> BTreeMap<String, f64> {
+        let exposition =
+            rdht_metrics::parse::parse(&rdht_metrics::encode(registry)).expect("exposition parses");
+        exposition
+            .samples
+            .iter()
+            .filter(|sample| sample.name == names::REQUESTS)
+            .map(|sample| {
+                let (_, kind) = sample
+                    .labels
+                    .iter()
+                    .find(|(name, _)| name == "kind")
+                    .expect("every request series has a kind");
+                (kind.clone(), sample.value)
+            })
+            .collect()
+    }
+
+    /// A fresh peer exposes exactly the nine request series at zero, and
+    /// each request counts under its kind's series: variants that share a
+    /// kind, or kinds that share a label, share the series.
+    #[test]
+    fn request_series_are_nine_labels_and_shared_kinds_share_one() {
+        let registry = Registry::new();
+        let metrics = PeerMetrics::register(&registry, &[("peer", "p")]);
+        let labels = [
+            "put",
+            "puts",
+            "get",
+            "timestamp",
+            "handoff",
+            "install",
+            "metrics",
+            "batch",
+            "lifecycle",
+        ];
+        let fresh: BTreeMap<String, f64> = labels.map(|label| (label.to_string(), 0.0)).into();
+        assert_eq!(request_series(&registry), fresh);
+
+        let key = Key::new("pinned");
+        let requests = [
+            (
+                Request::GetReplica {
+                    hash: HashId(1),
+                    key: key.clone(),
+                },
+                "get",
+            ),
+            (
+                Request::StampAndPut {
+                    op: None,
+                    key,
+                    observation_hint: None,
+                    hashes: vec![HashId(1), HashId(2)],
+                    payload: b"v".to_vec(),
+                },
+                "timestamp",
+            ),
+            (Request::Metrics, "metrics"),
+            (Request::SlowRequests { k: 4 }, "metrics"),
+            (Request::Batch(Vec::new()), "batch"),
+            (Request::Crash, "lifecycle"),
+            (Request::Shutdown, "lifecycle"),
+        ];
+        for (request, label) in requests {
+            let before = request_series(&registry);
+            metrics.requests.of(&request).inc();
+            let after = request_series(&registry);
+            assert_eq!(after.len(), labels.len(), "{request:?} added a series");
+            for (kind, value) in &after {
+                let moved = if kind == label { 1.0 } else { 0.0 };
+                assert_eq!(value - before[kind], moved, "{request:?} under {kind}");
+            }
+        }
     }
 }

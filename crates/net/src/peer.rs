@@ -198,42 +198,6 @@ impl DedupWindow {
     }
 }
 
-/// Whether a request may ride in a group-commit batch. Only plain data
-/// requests (alone, or several to a frame) batch; protocol and lifecycle
-/// messages are barriers — they are processed alone so their own ack/sync
-/// ordering stays explicit.
-fn batchable(request: &Request) -> bool {
-    request.is_data() || matches!(request, Request::Batch(_))
-}
-
-/// Short request-kind label, used as the slowlog tree name and in
-/// chrome-trace span args.
-pub(crate) fn request_kind(request: &Request) -> &'static str {
-    match request {
-        Request::PutReplica { .. } => "put",
-        Request::PutReplicas { .. } => "puts",
-        Request::GetReplica { .. } => "get",
-        Request::Timestamp { .. } | Request::StampAndPut { .. } => "timestamp",
-        Request::HandoffRange { .. } => "handoff",
-        Request::InstallState { .. } => "install",
-        Request::Metrics => "metrics",
-        Request::SlowRequests { .. } => "slow_requests",
-        Request::Batch(_) => "batch",
-        Request::Shutdown | Request::Crash => "lifecycle",
-    }
-}
-
-/// Whether a sampled [`TraceContext`] on this request should produce spans
-/// at all. Lifecycle and introspection requests bypass the tracer entirely
-/// — a metrics or slowlog scrape must never appear in the slowlog it
-/// reads, and shutdown is not an operation.
-pub(crate) fn traceable(request: &Request) -> bool {
-    !matches!(
-        request,
-        Request::Metrics | Request::SlowRequests { .. } | Request::Shutdown | Request::Crash
-    )
-}
-
 /// Microseconds of a duration, saturating.
 pub(crate) fn us(duration: Duration) -> u64 {
     u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
@@ -475,6 +439,11 @@ impl Peer {
         // (alone) on the next iteration, preserving arrival order.
         let mut carry: Option<Incoming> = None;
         let mut batch: Vec<Incoming> = Vec::new();
+        // Only data requests (alone, or several to a frame) batch; protocol
+        // messages are barriers, processed alone so their own ack/sync
+        // ordering stays explicit.
+        let batchable =
+            |request: &Request| request.kind().row().data || matches!(request, Request::Batch(_));
         loop {
             let next = match carry.take() {
                 Some(incoming) => Some(incoming),
@@ -543,12 +512,12 @@ impl Peer {
             // never trace. Everything else is served untimed.
             let sampled = unit
                 .trace
-                .filter(|context| context.is_sampled() && traceable(&unit.request));
+                .filter(|context| context.is_sampled() && unit.request.kind().row().traceable);
             let Some(context) = sampled else {
                 self.unit(unit, None)?;
                 continue;
             };
-            let name = request_kind(&unit.request);
+            let name = unit.request.kind().row().label;
             let apply_start = Instant::now();
             let arrived = unit.arrived.unwrap_or(apply_start);
             let deferred_at = self.deferred.len();
@@ -609,18 +578,20 @@ impl Peer {
                 };
                 self.explode(puts, assemble, reply, arrived, false);
             }
-            Request::Batch(items) => match items.iter().find(|(request, _)| !request.is_data()) {
-                // Over TCP the decoder already refused such a frame; one
-                // handed over in-process is refused here, whole, before any
-                // constituent runs.
-                Some((intruder, _)) => reply.send(Reply::Error {
-                    reason: format!(
-                        "a {} request cannot ride in a batch",
-                        request_kind(intruder)
-                    ),
-                }),
-                None => self.explode(items, Reply::Batch, reply, arrived, false),
-            },
+            Request::Batch(items) => {
+                match items.iter().find(|(request, _)| !request.kind().row().data) {
+                    // Over TCP the decoder already refused such a frame; one
+                    // handed over in-process is refused here, whole, before any
+                    // constituent runs.
+                    Some((intruder, _)) => reply.send(Reply::Error {
+                        reason: format!(
+                            "a {} request cannot ride in a batch",
+                            intruder.kind().row().label
+                        ),
+                    }),
+                    None => self.explode(items, Reply::Batch, reply, arrived, false),
+                }
+            }
             Request::GetReplica { hash, key } => self.get(hash, &key, reply),
             Request::Timestamp {
                 op,
@@ -1014,9 +985,9 @@ impl Peer {
         self.local_seq += 1;
         let started = Instant::now();
         let outcome = target.call_resending(&install, None, INSTALL_ATTEMPTS, INSTALL_ACK_TIMEOUT);
-        // Everything between the export and here is the hand-off stall of
-        // ROADMAP item 5: the peer loop serving nothing while the bundle
-        // ships.
+        // Everything between the export and here is the hand-off stall: the
+        // peer loop serving nothing while the bundle ships, because install
+        // is the one place a peer waits on another.
         let stalled = self.end_phase(
             &self.metrics.transfer.install_ns,
             "peer.handoff_install",

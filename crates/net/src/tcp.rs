@@ -665,7 +665,7 @@ impl EndpointImpl for TcpEndpoint {
         // Lifecycle messages get the classic two attempts (a connection may
         // be stale) but no redial budget: a shutdown fanning out to peers
         // that are already gone must not pay a deadline each.
-        let budget = if matches!(request, Request::Shutdown | Request::Crash) {
+        let budget = if request.kind().row().lifecycle {
             Duration::ZERO
         } else {
             REDIAL_DEADLINE

@@ -1126,11 +1126,11 @@ fn crash_after_install_completes_from_the_journal_on_retry() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// The ISSUE 4 satellite closing the ROADMAP's currency-regression corner:
-/// the restarted timestamp responsible seeds its indirect initialization
-/// with the recovered durable counter, so even when **every** replica holder
-/// of the key is down (the observation comes back empty) the next timestamp
-/// is strictly larger than everything generated before the crash.
+/// A currency-regression corner: the restarted timestamp responsible seeds
+/// its indirect initialization with the recovered durable counter, so even
+/// when **every** replica holder of the key is down (the observation comes
+/// back empty) the next timestamp is strictly larger than everything
+/// generated before the crash.
 #[test]
 fn restart_seeds_indirect_init_with_recovered_counter_floor() {
     let root = fresh_storage_root("recovery-floor");

@@ -32,9 +32,9 @@
 //!
 //! Each constituent is a complete tagged body, and a request constituent
 //! keeps its own trace context (the envelope's is absent). The decoder
-//! admits only data messages inside a batch — request tags 0–3 (`PutReplica`,
-//! `PutReplicas`, `GetReplica`, `Timestamp` with or without a store), reply
-//! tags 0–4, 8 and 12 — so a batch inside a batch, or a protocol or
+//! admits only data messages inside a batch — the request kinds whose `data`
+//! column is set and the reply kinds whose `answers_data` is, in the kind
+//! tables of `message.rs` — so a batch inside a batch, or a protocol or
 //! lifecycle message smuggled into one, is an [`WireError::UnknownTag`]
 //! raised at the constituent's tag byte, before anything of it is decoded; a
 //! count the remaining payload cannot hold is [`WireError::Truncated`]
@@ -74,7 +74,7 @@ use rdht_metrics::{RequestTree, TraceContext};
 use rdht_overlay::Record;
 
 use crate::cluster::PeerId;
-use crate::message::{HandoffFault, HandoffKind, OpId, Reply, Request};
+use crate::message::{HandoffFault, HandoffKind, OpId, Reply, ReplyKind, Request, RequestKind};
 
 /// Version byte every frame starts with. Bumped on any incompatible layout
 /// change; the decoder accepts exactly this version and rejects every other
@@ -89,14 +89,6 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
-
-/// Request tags admitted inside a [`Request::Batch`]: the data requests.
-const BATCHED_REQUEST_TAGS: [u8; 4] = [0, 1, 2, 3];
-
-/// Reply tags admitted inside a [`Reply::Batch`]: what a data request can be
-/// answered with (`PutAck`, `PutsAck`, `Replica`, `Timestamp`,
-/// `NeedsInitialization`, `Error`, `Stamped`).
-const BATCHED_REPLY_TAGS: [u8; 7] = [0, 1, 2, 3, 4, 8, 12];
 
 /// Fewest bytes a batched request occupies: an absent trace context and a
 /// hint-less, op-less, store-less `Timestamp` of the empty key (tag, op tag,
@@ -310,8 +302,8 @@ fn put_hashes(out: &mut Vec<u8>, hashes: &[HashId]) {
     }
 }
 
-/// A timestamp request body (tag 3): `store` is the hashes and payload of a
-/// [`Request::StampAndPut`], absent for a [`Request::Timestamp`].
+/// A timestamp request body after its tag: `store` is the hashes and payload
+/// of a [`Request::StampAndPut`], absent for a [`Request::Timestamp`].
 fn put_timestamp(
     out: &mut Vec<u8>,
     op: &Option<OpId>,
@@ -320,7 +312,6 @@ fn put_timestamp(
     observation_hint: &Option<Timestamp>,
     store: Option<(&[HashId], &[u8])>,
 ) {
-    put_u8(out, 3);
     put_op(out, op);
     put_key(out, key);
     put_bool(out, generate);
@@ -341,7 +332,9 @@ fn put_timestamp(
     }
 }
 
+/// A request body: the kind's tag, then the variant's fields.
 fn put_request_body(out: &mut Vec<u8>, request: &Request) {
+    put_u8(out, request.kind().tag());
     match request {
         Request::PutReplica {
             op,
@@ -350,7 +343,6 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             payload,
             timestamp,
         } => {
-            put_u8(out, 0);
             put_op(out, op);
             put_u32(out, hash.0);
             put_key(out, key);
@@ -364,7 +356,6 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             payload,
             timestamp,
         } => {
-            put_u8(out, 1);
             put_op(out, op);
             put_hashes(out, hashes);
             put_key(out, key);
@@ -372,7 +363,6 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             put_u64(out, timestamp.0);
         }
         Request::GetReplica { hash, key } => {
-            put_u8(out, 2);
             put_u32(out, hash.0);
             put_key(out, key);
         }
@@ -404,7 +394,6 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             kind,
             fault,
         } => {
-            put_u8(out, 4);
             put_op(out, op);
             put_u64(out, *start);
             put_u64(out, *end);
@@ -431,21 +420,14 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
             end,
             bundle,
         } => {
-            put_u8(out, 5);
             put_op(out, op);
             put_u64(out, *start);
             put_u64(out, *end);
             put_bundle(out, bundle);
         }
-        Request::Shutdown => put_u8(out, 6),
-        Request::Crash => put_u8(out, 7),
-        Request::Metrics => put_u8(out, 8),
-        Request::SlowRequests { k } => {
-            put_u8(out, 9);
-            put_u32(out, *k);
-        }
+        Request::Crash | Request::Shutdown | Request::Metrics => {}
+        Request::SlowRequests { k } => put_u32(out, *k),
         Request::Batch(items) => {
-            put_u8(out, 10);
             put_u32(out, items.len() as u32);
             for (request, trace) in items {
                 put_trace(out, trace);
@@ -455,74 +437,53 @@ fn put_request_body(out: &mut Vec<u8>, request: &Request) {
     }
 }
 
+/// A reply body: the kind's tag, then the variant's fields.
 fn put_reply_body(out: &mut Vec<u8>, reply: &Reply) {
+    put_u8(out, reply.kind().tag());
     match reply {
-        Reply::PutAck => put_u8(out, 0),
+        Reply::PutAck | Reply::NeedsInitialization => {}
         Reply::PutsAck { written, failed } => {
-            put_u8(out, 1);
             put_u32(out, *written);
             put_u32(out, *failed);
         }
-        Reply::Replica(stored) => {
-            put_u8(out, 2);
-            match stored {
-                None => put_u8(out, 0),
-                Some((payload, timestamp)) => {
-                    put_u8(out, 1);
-                    put_bytes(out, payload);
-                    put_u64(out, timestamp.0);
-                }
+        Reply::Replica(stored) => match stored {
+            None => put_u8(out, 0),
+            Some((payload, timestamp)) => {
+                put_u8(out, 1);
+                put_bytes(out, payload);
+                put_u64(out, timestamp.0);
             }
-        }
-        Reply::Timestamp(ts) => {
-            put_u8(out, 3);
-            put_u64(out, ts.0);
-        }
+        },
+        Reply::Timestamp(ts) => put_u64(out, ts.0),
         Reply::Stamped {
             timestamp,
             written,
             failed,
         } => {
-            put_u8(out, 12);
             put_u64(out, timestamp.0);
             put_u32(out, *written);
             put_u32(out, *failed);
         }
-        Reply::NeedsInitialization => put_u8(out, 4),
         Reply::HandoffComplete {
             replicas_moved,
             counters_moved,
         } => {
-            put_u8(out, 5);
             put_u64(out, *replicas_moved as u64);
             put_u64(out, *counters_moved as u64);
         }
-        Reply::HandoffFailed { reason } => {
-            put_u8(out, 6);
-            put_bytes(out, reason.as_bytes());
+        Reply::HandoffFailed { reason } | Reply::Error { reason } => {
+            put_bytes(out, reason.as_bytes())
         }
         Reply::InstallAck {
             replicas_installed,
             counters_received,
         } => {
-            put_u8(out, 7);
             put_u64(out, *replicas_installed as u64);
             put_u64(out, *counters_received as u64);
         }
-        Reply::Error { reason } => {
-            put_u8(out, 8);
-            put_bytes(out, reason.as_bytes());
-        }
-        Reply::Metrics(exposition) => {
-            put_u8(out, 9);
-            put_bytes(out, exposition.as_bytes());
-        }
-        Reply::SlowRequests(trees) => {
-            put_u8(out, 10);
-            put_trees(out, trees);
-        }
+        Reply::Metrics(exposition) => put_bytes(out, exposition.as_bytes()),
+        Reply::SlowRequests(trees) => put_trees(out, trees),
         Reply::Batch(replies) => {
-            put_u8(out, 11);
             put_u32(out, replies.len() as u32);
             for reply in replies {
                 put_reply_body(out, reply);
@@ -621,6 +582,17 @@ impl<'a> Cursor<'a> {
             1 => Ok(true),
             tag => Err(WireError::UnknownTag { context, tag }),
         }
+    }
+
+    /// A tag byte and the kind `kind_of` admits it as; a byte it does not is
+    /// an [`WireError::UnknownTag`] under `context`.
+    fn tagged<K>(
+        &mut self,
+        context: &'static str,
+        kind_of: impl FnOnce(u8) -> Option<K>,
+    ) -> Result<K, WireError> {
+        let tag = self.u8(context)?;
+        kind_of(tag).ok_or(WireError::UnknownTag { context, tag })
     }
 
     fn key(&mut self, context: &'static str) -> Result<Key, WireError> {
@@ -746,13 +718,13 @@ impl<'a> Cursor<'a> {
 }
 
 fn decode_request_body(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
-    let tag = cursor.u8("request tag")?;
-    decode_tagged_request(cursor, tag)
+    let kind = cursor.tagged("request tag", RequestKind::from_tag)?;
+    decode_tagged_request(cursor, kind)
 }
 
-/// The constituents of a [`Request::Batch`]. Each tag is checked against the
-/// data set before its body is touched, so a nested batch cannot recurse and
-/// a smuggled protocol message is never materialised.
+/// The constituents of a [`Request::Batch`]. Each tag must name a data kind
+/// before its body is touched, so a nested batch cannot recurse and a
+/// smuggled protocol message is never materialised.
 fn decode_batched_requests(
     cursor: &mut Cursor<'_>,
 ) -> Result<Vec<(Request, Option<TraceContext>)>, WireError> {
@@ -760,14 +732,10 @@ fn decode_batched_requests(
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
         let trace = cursor.trace("batch constituent trace")?;
-        let tag = cursor.u8("batch constituent tag")?;
-        if !BATCHED_REQUEST_TAGS.contains(&tag) {
-            return Err(WireError::UnknownTag {
-                context: "batch constituent tag",
-                tag,
-            });
-        }
-        items.push((decode_tagged_request(cursor, tag)?, trace));
+        let kind = cursor.tagged("batch constituent tag", |tag| {
+            RequestKind::from_tag(tag).filter(|kind| kind.row().data)
+        })?;
+        items.push((decode_tagged_request(cursor, kind)?, trace));
     }
     Ok(items)
 }
@@ -778,40 +746,37 @@ fn decode_batched_replies(cursor: &mut Cursor<'_>) -> Result<Vec<Reply>, WireErr
     let count = cursor.count(1, "batch replies")?;
     let mut replies = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = cursor.u8("batch reply tag")?;
-        if !BATCHED_REPLY_TAGS.contains(&tag) {
-            return Err(WireError::UnknownTag {
-                context: "batch reply tag",
-                tag,
-            });
-        }
-        replies.push(decode_tagged_reply(cursor, tag)?);
+        let kind = cursor.tagged("batch reply tag", |tag| {
+            ReplyKind::from_tag(tag).filter(|kind| kind.row().answers_data)
+        })?;
+        replies.push(decode_tagged_reply(cursor, kind)?);
     }
     Ok(replies)
 }
 
-fn decode_tagged_request(cursor: &mut Cursor<'_>, tag: u8) -> Result<Request, WireError> {
-    match tag {
-        0 => Ok(Request::PutReplica {
+/// A request body after its tag: the fields of `kind`.
+fn decode_tagged_request(cursor: &mut Cursor<'_>, kind: RequestKind) -> Result<Request, WireError> {
+    match kind {
+        RequestKind::Put => Ok(Request::PutReplica {
             op: cursor.op("put op id")?,
             hash: HashId(cursor.u32("put hash")?),
             key: cursor.key("put key")?,
             payload: cursor.bytes("put payload")?.to_vec(),
             timestamp: Timestamp(cursor.u64("put timestamp")?),
         }),
-        1 => Ok(Request::PutReplicas {
+        RequestKind::Puts => Ok(Request::PutReplicas {
             op: cursor.op("puts op id")?,
             hashes: cursor.hashes("puts hashes")?,
             key: cursor.key("puts key")?,
             payload: cursor.bytes("puts payload")?.to_vec(),
             timestamp: Timestamp(cursor.u64("puts timestamp")?),
         }),
-        2 => Ok(Request::GetReplica {
+        RequestKind::Get => Ok(Request::GetReplica {
             hash: HashId(cursor.u32("get hash")?),
             key: cursor.key("get key")?,
         }),
-        3 => decode_timestamp(cursor),
-        4 => {
+        RequestKind::Timestamp => decode_timestamp(cursor),
+        RequestKind::Handoff => {
             let op = cursor.op("hand-off op id")?;
             let start = cursor.u64("hand-off start")?;
             let end = cursor.u64("hand-off end")?;
@@ -846,23 +811,19 @@ fn decode_tagged_request(cursor: &mut Cursor<'_>, tag: u8) -> Result<Request, Wi
                 fault,
             })
         }
-        5 => Ok(Request::InstallState {
+        RequestKind::Install => Ok(Request::InstallState {
             op: cursor.op("install op id")?,
             start: cursor.u64("install start")?,
             end: cursor.u64("install end")?,
             bundle: cursor.bundle()?,
         }),
-        6 => Ok(Request::Shutdown),
-        7 => Ok(Request::Crash),
-        8 => Ok(Request::Metrics),
-        9 => Ok(Request::SlowRequests {
+        RequestKind::Shutdown => Ok(Request::Shutdown),
+        RequestKind::Crash => Ok(Request::Crash),
+        RequestKind::Metrics => Ok(Request::Metrics),
+        RequestKind::SlowRequests => Ok(Request::SlowRequests {
             k: cursor.u32("slow-requests k")?,
         }),
-        10 => Ok(Request::Batch(decode_batched_requests(cursor)?)),
-        tag => Err(WireError::UnknownTag {
-            context: "request tag",
-            tag,
-        }),
+        RequestKind::Batch => Ok(Request::Batch(decode_batched_requests(cursor)?)),
     }
 }
 
@@ -909,18 +870,19 @@ fn decode_timestamp(cursor: &mut Cursor<'_>) -> Result<Request, WireError> {
 }
 
 fn decode_reply_body(cursor: &mut Cursor<'_>) -> Result<Reply, WireError> {
-    let tag = cursor.u8("reply tag")?;
-    decode_tagged_reply(cursor, tag)
+    let kind = cursor.tagged("reply tag", ReplyKind::from_tag)?;
+    decode_tagged_reply(cursor, kind)
 }
 
-fn decode_tagged_reply(cursor: &mut Cursor<'_>, tag: u8) -> Result<Reply, WireError> {
-    match tag {
-        0 => Ok(Reply::PutAck),
-        1 => Ok(Reply::PutsAck {
+/// A reply body after its tag: the fields of `kind`.
+fn decode_tagged_reply(cursor: &mut Cursor<'_>, kind: ReplyKind) -> Result<Reply, WireError> {
+    match kind {
+        ReplyKind::PutAck => Ok(Reply::PutAck),
+        ReplyKind::PutsAck => Ok(Reply::PutsAck {
             written: cursor.u32("puts-ack written")?,
             failed: cursor.u32("puts-ack failed")?,
         }),
-        2 => {
+        ReplyKind::Replica => {
             let stored = match cursor.u8("replica option tag")? {
                 0 => None,
                 1 => {
@@ -937,34 +899,30 @@ fn decode_tagged_reply(cursor: &mut Cursor<'_>, tag: u8) -> Result<Reply, WireEr
             };
             Ok(Reply::Replica(stored))
         }
-        3 => Ok(Reply::Timestamp(Timestamp(cursor.u64("timestamp")?))),
-        12 => Ok(Reply::Stamped {
+        ReplyKind::Timestamp => Ok(Reply::Timestamp(Timestamp(cursor.u64("timestamp")?))),
+        ReplyKind::Stamped => Ok(Reply::Stamped {
             timestamp: Timestamp(cursor.u64("stamped timestamp")?),
             written: cursor.u32("stamped written")?,
             failed: cursor.u32("stamped failed")?,
         }),
-        4 => Ok(Reply::NeedsInitialization),
-        5 => Ok(Reply::HandoffComplete {
+        ReplyKind::NeedsInitialization => Ok(Reply::NeedsInitialization),
+        ReplyKind::HandoffComplete => Ok(Reply::HandoffComplete {
             replicas_moved: cursor.u64("hand-off replicas moved")? as usize,
             counters_moved: cursor.u64("hand-off counters moved")? as usize,
         }),
-        6 => Ok(Reply::HandoffFailed {
+        ReplyKind::HandoffFailed => Ok(Reply::HandoffFailed {
             reason: cursor.string("hand-off failure reason")?,
         }),
-        7 => Ok(Reply::InstallAck {
+        ReplyKind::InstallAck => Ok(Reply::InstallAck {
             replicas_installed: cursor.u64("install replicas")? as usize,
             counters_received: cursor.u64("install counters")? as usize,
         }),
-        8 => Ok(Reply::Error {
+        ReplyKind::Error => Ok(Reply::Error {
             reason: cursor.string("error reason")?,
         }),
-        9 => Ok(Reply::Metrics(cursor.string("metrics exposition")?)),
-        10 => Ok(Reply::SlowRequests(cursor.trees()?)),
-        11 => Ok(Reply::Batch(decode_batched_replies(cursor)?)),
-        tag => Err(WireError::UnknownTag {
-            context: "reply tag",
-            tag,
-        }),
+        ReplyKind::Metrics => Ok(Reply::Metrics(cursor.string("metrics exposition")?)),
+        ReplyKind::SlowRequests => Ok(Reply::SlowRequests(cursor.trees()?)),
+        ReplyKind::Batch => Ok(Reply::Batch(decode_batched_replies(cursor)?)),
     }
 }
 

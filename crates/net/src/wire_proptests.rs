@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
 use rdht_membership::HandoffBundle;
-use rdht_metrics::TraceContext;
+use rdht_metrics::{RequestTree, TraceContext};
 use rdht_overlay::Record;
 
 use crate::cluster::PeerId;
@@ -79,7 +79,28 @@ fn make_bundle(raw: &[BundleRaw]) -> HandoffBundle {
     bundle
 }
 
-/// Builds one of the ten non-batch request variants from raw generated
+/// Up to three request trees, each with up to four phases, derived from raw
+/// material: names are cut from `text` at varying offsets and lengths, so
+/// empty, ASCII and multi-byte names all occur.
+fn make_trees(text: &str, a: u64, b: u64, count: u32, phases: u32) -> Vec<RequestTree> {
+    let chars: Vec<char> = text.chars().collect();
+    let name = |at: u32| -> String {
+        let len = (at as usize * 3) % (chars.len() + 1);
+        chars.iter().cycle().skip(at as usize).take(len).collect()
+    };
+    (0..count % 4)
+        .map(|tree| RequestTree {
+            trace_id: a.rotate_left(tree * 8),
+            name: name(tree),
+            total_us: b.wrapping_add(u64::from(tree)),
+            phases: (0..phases.wrapping_add(tree) % 5)
+                .map(|phase| (name(tree + phase + 1), a ^ u64::from(phase)))
+                .collect(),
+        })
+        .collect()
+}
+
+/// Builds one of the eleven non-batch request variants from raw generated
 /// material (`Batch` is built from these by [`make_batch`]). Selectors 0–4
 /// are the data requests.
 fn make_request(
@@ -92,7 +113,7 @@ fn make_request(
 ) -> Request {
     let key = Key::from_bytes(key_bytes.to_vec());
     let (a, b, c, flag_a, flag_b) = nums;
-    match selector % 10 {
+    match selector % 11 {
         0 => Request::PutReplica {
             op: raw_op(flag_b, b, c),
             hash: HashId(hashes.first().copied().unwrap_or(7)),
@@ -152,7 +173,8 @@ fn make_request(
         },
         7 => Request::Shutdown,
         8 => Request::Crash,
-        _ => Request::Metrics,
+        9 => Request::Metrics,
+        _ => Request::SlowRequests { k: a as u32 },
     }
 }
 
@@ -181,7 +203,7 @@ fn make_batch(raw: &[BatchRaw], key_bytes: &[u8], payload: &[u8]) -> Request {
     Request::Batch(items)
 }
 
-/// Builds one of the eleven non-batch reply variants from raw generated
+/// Builds one of the twelve non-batch reply variants from raw generated
 /// material.
 fn make_reply(
     selector: u8,
@@ -191,7 +213,7 @@ fn make_reply(
 ) -> Reply {
     let (a, b, w, f) = nums;
     let reason = String::from_utf8_lossy(reason_bytes).into_owned();
-    match selector % 11 {
+    match selector % 12 {
         0 => Reply::PutAck,
         1 => Reply::PutsAck {
             written: w,
@@ -215,11 +237,12 @@ fn make_reply(
         },
         8 => Reply::Error { reason },
         9 => Reply::Metrics(reason),
-        _ => Reply::Stamped {
+        10 => Reply::Stamped {
             timestamp: Timestamp(a),
             written: w,
             failed: f,
         },
+        _ => Reply::SlowRequests(make_trees(&reason, a, b, w, f)),
     }
 }
 

@@ -11,8 +11,8 @@ use rdht_metrics::{Counter, Histogram, Registry};
 
 /// Canonical instrument names, also listed in the README's catalog.
 pub mod names {
-    /// `sync_data` calls issued by the WAL — the fsync count of ROADMAP
-    /// item 5.
+    /// `sync_data` calls issued by the WAL: what group commit and the
+    /// fsync policies trade against durability.
     pub const WAL_SYNCS: &str = "storage_wal_syncs_total";
     /// Ops journaled to the WAL.
     pub const OPS_APPENDED: &str = "storage_ops_appended_total";
