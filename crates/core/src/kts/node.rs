@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 use rdht_hashing::Key;
 
-use crate::config::LastTsInitPolicy;
 use crate::durability::DurableState;
 use crate::kts::vcs::ValidCounterSet;
 use crate::types::Timestamp;
@@ -251,21 +250,24 @@ impl KtsNode {
     /// Serves a `last_ts(k)` request: like `gen_ts` but without incrementing
     /// the counter (Section 4.1.2). When the request has to initialize the
     /// counter, the initialized value is recorded on `durable`.
+    ///
+    /// Indirect initialization here sets the counter to the largest observed
+    /// timestamp `ts_m`, not to Figure 5's `ts_m + 1`. The paper does not say
+    /// which value `last_ts` should use. `ts_m + 1` is the safe choice on the
+    /// `gen_ts` path, where the *next generated* timestamp must exceed
+    /// everything ever generated; a later `gen_ts` from `ts_m` still does,
+    /// because it increments the counter first. On the `last_ts` path,
+    /// `ts_m + 1` would over-report the last generated timestamp, and every
+    /// retrieve would scan all replicas until the next update.
     pub fn last_ts<D: DurableState + ?Sized>(
         &mut self,
         key: &Key,
-        policy: LastTsInitPolicy,
         observe: impl FnOnce() -> IndirectObservation,
         durable: &mut D,
     ) -> LastTsOutcome {
         let mut used_indirect_init = false;
         if !self.vcs.contains(key) {
-            let observation = observe();
-            let observed = match (observation.max_observed, policy) {
-                (Some(ts), LastTsInitPolicy::ObservedMax) => ts,
-                (Some(ts), LastTsInitPolicy::ObservedMaxPlusOne) => Timestamp(ts.0 + 1),
-                (None, _) => Timestamp::ZERO,
-            };
+            let observed = observe().max_observed.unwrap_or(Timestamp::ZERO);
             let initial = self.raise_to_recovery_floor(key, observed);
             self.vcs.initialize(key.clone(), initial);
             self.stats.indirect_initializations += 1;
@@ -393,12 +395,7 @@ mod tests {
         let mut node = KtsNode::new(false);
         let k = Key::new("doc");
         let generated = node.gen_ts(&k, no_observation, &mut NoDurability).timestamp;
-        let last = node.last_ts(
-            &k,
-            LastTsInitPolicy::ObservedMax,
-            no_observation,
-            &mut NoDurability,
-        );
+        let last = node.last_ts(&k, no_observation, &mut NoDurability);
         assert_eq!(last.timestamp, generated);
         assert!(!last.used_indirect_init);
         assert_eq!(node.stats().last_ts_served, 1);
@@ -410,7 +407,6 @@ mod tests {
         let k = Key::new("doc");
         let out = node.last_ts(
             &k,
-            LastTsInitPolicy::ObservedMax,
             || IndirectObservation::observed(Timestamp(7)),
             &mut NoDurability,
         );
@@ -422,26 +418,9 @@ mod tests {
     }
 
     #[test]
-    fn last_ts_plus_one_policy_matches_figure_5() {
-        let mut node = KtsNode::new(false);
-        let out = node.last_ts(
-            &Key::new("doc"),
-            LastTsInitPolicy::ObservedMaxPlusOne,
-            || IndirectObservation::observed(Timestamp(7)),
-            &mut NoDurability,
-        );
-        assert_eq!(out.timestamp, Timestamp(8));
-    }
-
-    #[test]
     fn last_ts_without_history_is_zero() {
         let mut node = KtsNode::new(false);
-        let out = node.last_ts(
-            &Key::new("ghost"),
-            LastTsInitPolicy::ObservedMax,
-            no_observation,
-            &mut NoDurability,
-        );
+        let out = node.last_ts(&Key::new("ghost"), no_observation, &mut NoDurability);
         assert_eq!(out.timestamp, Timestamp::ZERO);
     }
 
@@ -548,7 +527,6 @@ mod tests {
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(7))]);
         let out = node.last_ts(
             &k,
-            LastTsInitPolicy::ObservedMax,
             || IndirectObservation::observed(Timestamp(3)),
             &mut NoDurability,
         );
@@ -619,12 +597,7 @@ mod tests {
         // Transfer loses against the larger local value: no journal entry.
         node.receive_transferred_counters(vec![(k.clone(), Timestamp(3))], &mut journal);
         // last_ts on a valid counter does not mutate it: no journal entry.
-        node.last_ts(
-            &k,
-            LastTsInitPolicy::ObservedMax,
-            no_observation,
-            &mut journal,
-        );
+        node.last_ts(&k, no_observation, &mut journal);
         assert!(journal.events.is_empty());
     }
 

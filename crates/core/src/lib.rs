@@ -58,7 +58,6 @@
 
 mod access;
 pub mod analysis;
-mod config;
 pub mod durability;
 mod error;
 pub mod kts;
@@ -67,7 +66,6 @@ mod types;
 pub mod ums;
 
 pub use access::{PutReplicasOutcome, ReplicationIds, UmsAccess};
-pub use config::{LastTsInitPolicy, UmsConfig};
 pub use durability::{DurableState, NoDurability};
 pub use error::UmsError;
 pub use memory::InMemoryDht;

@@ -17,7 +17,6 @@ use std::collections::{HashMap, HashSet};
 use rdht_hashing::{HashFamily, HashId, Key};
 
 use crate::access::UmsAccess;
-use crate::config::LastTsInitPolicy;
 use crate::durability::{DurableState, NoDurability};
 use crate::error::UmsError;
 use crate::kts::{IndirectObservation, KtsNode};
@@ -38,7 +37,6 @@ pub struct InMemoryDht<D: DurableState = NoDurability> {
     family: HashFamily,
     replicas: HashMap<Key, Vec<(HashId, ReplicaValue)>>,
     kts: KtsNode,
-    last_ts_policy: LastTsInitPolicy,
     fail_all_puts: bool,
     fail_puts_for: HashSet<HashId>,
     fail_gets_for: HashSet<HashId>,
@@ -63,7 +61,6 @@ impl<D: DurableState> InMemoryDht<D> {
             family: HashFamily::new(num_replicas, seed),
             replicas: HashMap::new(),
             kts: KtsNode::new(false),
-            last_ts_policy: LastTsInitPolicy::ObservedMax,
             fail_all_puts: false,
             fail_puts_for: HashSet::new(),
             fail_gets_for: HashSet::new(),
@@ -204,10 +201,9 @@ impl<D: DurableState> UmsAccess for InMemoryDht<D> {
             return Err(UmsError::lookup("timestamping peer unreachable (injected)"));
         }
         let observation = self.indirect_observation(key);
-        let policy = self.last_ts_policy;
         Ok(self
             .kts
-            .last_ts(key, policy, || observation, &mut self.durability)
+            .last_ts(key, || observation, &mut self.durability)
             .timestamp)
     }
 

@@ -25,11 +25,7 @@ proptest! {
                 prop_assert!(out.timestamp > last_generated);
                 last_generated = out.timestamp;
             } else {
-                let out = node.last_ts(
-                    &key,
-                    crate::config::LastTsInitPolicy::ObservedMax,
-                    IndirectObservation::nothing, &mut NoDurability
-                );
+                let out = node.last_ts(&key, IndirectObservation::nothing, &mut NoDurability);
                 prop_assert_eq!(out.timestamp, last_generated);
             }
         }

@@ -21,26 +21,23 @@
 //! per-peer [`Registry`], and be snapshotted by a legacy stats struct — one
 //! storage location, one name.
 //!
-//! Two more pieces round out the observability story:
+//! Four more pieces round out the observability story:
 //!
 //! * [`parse`] — a minimal text-format parser, used by the proptest
 //!   round-trip suite, the `metrics` example and CI to validate that a
 //!   scrape actually parses.
 //! * [`TraceSink`] — a chrome-trace (`chrome://tracing`, Perfetto) span
-//!   recorder with explicit-timestamp variants so the discrete-event
+//!   recorder whose timestamps come from the caller, so the discrete-event
 //!   simulator can emit spans in *simulated* time. Per-process sink files
 //!   merge with [`merge_chrome_trace_files`].
 //! * [`span`] — causal distributed tracing: the [`TraceContext`] carried
 //!   on the wire, the [`RequestTree`] of a completed request and the
-//!   [`SpanLog`] slow-request ring the peers answer tail-attribution queries
-//!   from.
+//!   [`SpanLog`] slow-request log the peers answer tail-attribution
+//!   queries from.
 //! * [`log`] — a structured, leveled, rate-limited JSONL event log
 //!   (`RDHT_LOG` selects the threshold), replacing ad-hoc `eprintln!`.
 
-// `deny`, not `forbid`: the SpanLog seqlock ring carries two audited
-// `#[allow(unsafe_code)]` islands in `span`, each verified under every
-// bounded interleaving by the model build (`--cfg rdht_model`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod encode;
@@ -59,9 +56,7 @@ pub use instruments::{
 pub use log::{EventLog, Level};
 pub use registry::{Labels, Registry};
 pub use span::{next_span_id, RequestTree, SpanLog, TraceConfig, TraceContext, FLAG_SAMPLED};
-pub use trace::{
-    merge_chrome_trace_files, merge_chrome_traces, SpanGuard, TraceEvent, TracePhase, TraceSink,
-};
+pub use trace::{merge_chrome_trace_files, TraceEvent, TracePhase, TraceSink};
 
 #[cfg(all(test, not(rdht_model)))]
 mod proptests;

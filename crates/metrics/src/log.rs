@@ -22,6 +22,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::trace::escape_json;
+
 /// Event severity, most severe first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
@@ -162,15 +164,15 @@ impl EventLog {
         line.push_str(",\"level\":\"");
         line.push_str(level.as_str());
         line.push_str("\",\"target\":\"");
-        escape_into(&mut line, target);
+        escape_json(&mut line, target);
         line.push_str("\",\"msg\":\"");
-        escape_into(&mut line, msg);
+        escape_json(&mut line, msg);
         line.push('"');
         for (key, value) in fields {
             line.push_str(",\"");
-            escape_into(&mut line, key);
+            escape_json(&mut line, key);
             line.push_str("\":\"");
-            escape_into(&mut line, value);
+            escape_json(&mut line, value);
             line.push('"');
         }
         if suppressed > 0 {
@@ -218,23 +220,6 @@ impl Write for BufferWriter {
     }
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -1,56 +1,25 @@
-//! Sync-type aliases for the crate's lock-free structures.
+//! Sync-type aliases for the crate's atomic instruments.
 //!
 //! Normally these re-export the std types (zero cost). Under
 //! `RUSTFLAGS='--cfg rdht_model'` they swap in the instrumented
 //! `rdht-check` equivalents, so the model tests in
-//! [`crate::model_tests`] can drive [`crate::Counter`],
-//! [`crate::Histogram`], [`crate::SpanLog`] and friends through every
-//! bounded interleaving with weak-memory semantics. Production builds
-//! never pay for the instrumentation; the *same* structure source is
-//! what gets checked.
+//! [`crate::model_tests`] can drive [`crate::Counter`], [`crate::Gauge`],
+//! [`crate::Histogram`] and [`crate::next_span_id`] through every bounded
+//! interleaving with weak-memory semantics. Production builds never pay
+//! for the instrumentation; the *same* source is what gets checked.
 //!
-//! Only the modules holding lock-free code (`instruments`, `span`) use
+//! Only the modules holding shared atomics (`instruments`, `span`) use
 //! these aliases; the rest of the crate sticks with `std::sync`.
 
 #[cfg(not(rdht_model))]
 mod imp {
     pub use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
     pub use std::sync::Arc;
-
-    /// Closure-style `UnsafeCell` matching `rdht_check::cell::UnsafeCell`,
-    /// so seqlock-style code reads identically in both builds.
-    #[derive(Default)]
-    pub struct UnsafeCell<T>(std::cell::UnsafeCell<T>);
-
-    impl<T> UnsafeCell<T> {
-        /// Wraps `data`.
-        pub fn new(data: T) -> Self {
-            UnsafeCell(std::cell::UnsafeCell::new(data))
-        }
-
-        /// Mutable access. Caller upholds the exclusivity contract (the
-        /// model build checks it under every interleaving).
-        pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-            f(self.0.get())
-        }
-    }
-
-    /// Spin-wait hint inside CAS retry loops.
-    pub fn spin_yield() {
-        std::hint::spin_loop();
-    }
 }
 
 #[cfg(rdht_model)]
 mod imp {
-    pub use rdht_check::cell::UnsafeCell;
     pub use rdht_check::sync::{Arc, AtomicI64, AtomicU64, Ordering};
-
-    /// Under the model a spin retry must deschedule the thread, or the
-    /// exhaustive scheduler would explore unboundedly many spins.
-    pub fn spin_yield() {
-        rdht_check::thread::yield_now();
-    }
 }
 
 pub(crate) use imp::*;

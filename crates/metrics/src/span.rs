@@ -1,5 +1,4 @@
-//! Causal spans: trace contexts, request trees and the per-peer
-//! slow-request log.
+//! Causal spans: trace contexts, request trees and the slow-request log.
 //!
 //! The workspace's distributed tracing is built from three small pieces:
 //!
@@ -11,17 +10,19 @@
 //!   in `[0, 1]` decides which operations carry a context, and a
 //!   `slow_threshold` force-records any operation that turns out slow even
 //!   when the sampler skipped it.
-//! * [`SpanLog`] — a bounded ring of the last N completed [`RequestTree`]s a
-//!   peer served, queried by the `SlowRequests` wire exchange to answer
-//!   "where did the p99 go?" with a per-phase breakdown.
+//! * [`SpanLog`] — the last N completed [`RequestTree`]s a peer served (or
+//!   a client called), queried by the `SlowRequests` wire exchange to
+//!   answer "where did the p99 go?" with a per-phase breakdown. It is a
+//!   plain bounded queue: its one owner fills and reads it on one thread.
 //!
 //! Chrome-trace rendering stays in [`crate::TraceSink`]; spans recorded
 //! there carry their trace id as an `args` entry so per-process sink files
 //! can be merged by trace id.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::msync::{spin_yield, Arc, AtomicU64, Ordering, UnsafeCell};
+use crate::msync::{AtomicU64, Ordering};
 
 /// The sampled-flag bit of [`TraceContext::flags`].
 pub const FLAG_SAMPLED: u8 = 1;
@@ -102,7 +103,7 @@ impl TraceConfig {
 /// because spans are always interpreted next to their pid lane.
 #[cfg(not(rdht_model))]
 pub fn next_span_id() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    static NEXT: AtomicU64 = AtomicU64::new(1);
     // relaxed: uniqueness comes from fetch_add atomicity alone; ids carry
     // no cross-location ordering (verified by the model build's
     // span_ids_stay_unique_across_threads).
@@ -145,129 +146,48 @@ impl RequestTree {
     }
 }
 
-/// One ring slot: a per-slot sequence lock over the payload.
-///
-/// `seq` is even when the slot is stable and odd while a writer (or a
-/// scraping reader) holds it; it only ever grows. Mutual exclusion comes
-/// from the CAS on `seq` being atomic; *visibility* of the payload comes
-/// from the Acquire CAS / Release publication pair — that pair is exactly
-/// what the model build's mutation test weakens to prove the checker can
-/// catch a torn entry (see `SpanLog::push_weak_publication`).
-struct Slot {
-    seq: AtomicU64,
-    data: UnsafeCell<Option<RequestTree>>,
-}
-
-struct Ring {
-    slots: Vec<Slot>,
-    /// Ticket counter; ticket `t` maps to slot `t % capacity`, so the ring
-    /// overwrites oldest-first without any shared write cursor state
-    /// beyond this one atomic.
-    head: AtomicU64,
-}
-
-// SAFETY: the payload cells are only touched between a successful
-// even->odd CAS on the owning slot's `seq` and the closing store — a
-// critical section that excludes writers and scrapers alike. The model
-// build proves the claim under every bounded interleaving
-// (`model_tests::ring_never_yields_a_torn_entry`).
-#[allow(unsafe_code)]
-unsafe impl Send for Ring {}
-#[allow(unsafe_code)]
-unsafe impl Sync for Ring {}
-
-#[allow(unsafe_code)]
-impl Ring {
-    /// Runs `f` on the slot's payload while holding its sequence lock.
-    fn with_slot<R>(&self, index: usize, f: impl FnOnce(&mut Option<RequestTree>) -> R) -> R {
-        let slot = &self.slots[index];
-        let seq = loop {
-            // relaxed: a stale (odd or already-bumped) value only costs a
-            // retry; the CAS below re-validates against the live value.
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq.is_multiple_of(2)
-                && slot
-                    .seq
-                    // relaxed: failure ordering only — a lost race is just
-                    // a retry.
-                    .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                break seq;
-            }
-            spin_yield();
-        };
-        // SAFETY contract of `Ring`: `seq` is odd, so this thread is the
-        // slot's only accessor until the closing store.
-        let result = slot.data.with_mut(|p| f(unsafe { &mut *p }));
-        slot.seq.store(seq + 2, Ordering::Release);
-        result
-    }
-}
-
-/// A bounded lock-free ring of the last N completed [`RequestTree`]s —
-/// the peer-side slow-request log. Cloning shares the ring. Writers on
-/// the request path never contend on a global lock: a push takes one
-/// `fetch_add` ticket plus its target slot's sequence lock.
-#[derive(Clone)]
+/// A bounded log of the last N completed [`RequestTree`]s — the
+/// slow-request log. Its one owner fills and reads it on one thread: a
+/// peer pushes as it finishes a traced batch and reads when it serves a
+/// `SlowRequests` scrape; a client pushes as it finishes a traced call.
+#[derive(Debug)]
 pub struct SpanLog {
-    ring: Arc<Ring>,
-}
-
-impl std::fmt::Debug for SpanLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanLog")
-            .field("capacity", &self.ring.slots.len())
-            .field("len", &self.len())
-            .finish()
-    }
+    capacity: usize,
+    trees: VecDeque<RequestTree>,
 }
 
 impl SpanLog {
     /// A log keeping the most recent `capacity` trees (at least 1).
     pub fn new(capacity: usize) -> Self {
-        let slots = (0..capacity.max(1))
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                data: UnsafeCell::new(None),
-            })
-            .collect();
+        let capacity = capacity.max(1);
         SpanLog {
-            ring: Arc::new(Ring {
-                slots,
-                head: AtomicU64::new(0),
-            }),
+            capacity,
+            trees: VecDeque::with_capacity(capacity),
         }
     }
 
     /// Records one completed request tree, evicting the oldest at capacity.
-    pub fn push(&self, tree: RequestTree) {
-        // relaxed: the ticket needs only fetch_add atomicity for
-        // uniqueness; payload visibility is carried by the slot's
-        // Acquire/Release sequence lock, not by this counter.
-        let ticket = self.ring.head.fetch_add(1, Ordering::Relaxed);
-        let index = (ticket % self.ring.slots.len() as u64) as usize;
-        self.ring.with_slot(index, |slot| *slot = Some(tree));
+    pub fn push(&mut self, tree: RequestTree) {
+        if self.trees.len() == self.capacity {
+            self.trees.pop_front();
+        }
+        self.trees.push_back(tree);
     }
 
     /// Number of retained trees.
     pub fn len(&self) -> usize {
-        (0..self.ring.slots.len())
-            .filter(|&i| self.ring.with_slot(i, |slot| slot.is_some()))
-            .count()
+        self.trees.len()
     }
 
     /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.trees.is_empty()
     }
 
     /// The `k` slowest retained trees, slowest first (ties broken by trace
     /// id for determinism).
     pub fn slowest(&self, k: usize) -> Vec<RequestTree> {
-        let mut trees: Vec<RequestTree> = (0..self.ring.slots.len())
-            .filter_map(|i| self.ring.with_slot(i, |slot| slot.clone()))
-            .collect();
+        let mut trees: Vec<RequestTree> = self.trees.iter().cloned().collect();
         trees.sort_by(|a, b| {
             b.total_us
                 .cmp(&a.total_us)
@@ -275,43 +195,6 @@ impl SpanLog {
         });
         trees.truncate(k);
         trees
-    }
-}
-
-/// Mutation-test hooks, model build only: deliberately weakened push
-/// variants that `model_tests::weak_publication_is_caught` proves the
-/// checker rejects. Production builds do not compile these.
-#[cfg(rdht_model)]
-#[allow(unsafe_code)]
-impl SpanLog {
-    /// `push` with the closing slot store downgraded to `Relaxed`: the
-    /// payload write is no longer released to the next slot holder, so a
-    /// concurrent scraper may observe a torn entry. The model checker
-    /// reports it as an `UnsafeCell` data race.
-    pub fn push_weak_publication(&self, tree: RequestTree) {
-        // relaxed: ticket draw, same as `push`.
-        let ticket = self.ring.head.fetch_add(1, Ordering::Relaxed);
-        let index = (ticket % self.ring.slots.len() as u64) as usize;
-        let slot = &self.ring.slots[index];
-        let seq = loop {
-            // relaxed: stale reads only cost a retry, same as `with_slot`.
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq.is_multiple_of(2)
-                && slot
-                    .seq
-                    // relaxed: failure ordering only, same as `with_slot`.
-                    .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                break seq;
-            }
-            spin_yield();
-        };
-        slot.data.with_mut(|p| unsafe { *p = Some(tree) });
-        // relaxed: THE SEEDED BUG — the publication store must be Release;
-        // this is the weakening the mutation test proves the checker
-        // catches.
-        slot.seq.store(seq + 2, Ordering::Relaxed);
     }
 }
 
@@ -340,14 +223,15 @@ mod tests {
 
     #[test]
     fn span_log_keeps_the_last_n_and_ranks_by_duration() {
-        let log = SpanLog::new(3);
+        let tree = |trace_id, total_us| RequestTree {
+            trace_id,
+            name: "req".into(),
+            total_us,
+            phases: vec![],
+        };
+        let mut log = SpanLog::new(3);
         for (id, total) in [(1u64, 10u64), (2, 50), (3, 20), (4, 40)] {
-            log.push(RequestTree {
-                trace_id: id,
-                name: "req".into(),
-                total_us: total,
-                phases: vec![],
-            });
+            log.push(tree(id, total));
         }
         // Capacity 3: tree 1 was evicted.
         assert_eq!(log.len(), 3);
@@ -355,5 +239,20 @@ mod tests {
         assert_eq!(slowest[0].trace_id, 2);
         assert_eq!(slowest[1].trace_id, 4);
         assert_eq!(log.slowest(10).len(), 3);
+
+        // Equal durations come back in trace-id order, whatever the push order.
+        let mut ties = SpanLog::new(3);
+        for id in [9u64, 5, 7] {
+            ties.push(tree(id, 30));
+        }
+        let ids: Vec<u64> = ties.slowest(3).iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, [5, 7, 9]);
+
+        // Capacity 0 is raised to 1: the log keeps exactly the newest tree.
+        let mut single = SpanLog::new(0);
+        single.push(tree(1, 10));
+        single.push(tree(2, 5));
+        assert_eq!(single.len(), 1);
+        assert_eq!(single.slowest(10)[0].trace_id, 2);
     }
 }

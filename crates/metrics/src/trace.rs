@@ -1,15 +1,11 @@
 //! A chrome-trace span recorder.
 //!
-//! [`TraceSink`] accumulates begin/end/complete/instant events and renders
-//! them in the Chrome Trace Event JSON format (`catapult`), loadable by
+//! [`TraceSink`] accumulates complete and instant events and renders them
+//! in the Chrome Trace Event JSON format (`catapult`), loadable by
 //! `chrome://tracing` and <https://ui.perfetto.dev>. Timestamps are
-//! microseconds. Two clock modes coexist:
-//!
-//! * wall clock — [`TraceSink::begin`]/[`TraceSink::end`]/[`TraceSink::span`]
-//!   stamp events relative to the sink's creation instant (the live cluster
-//!   uses these);
-//! * explicit — the `*_at` variants take the timestamp from the caller, so
-//!   the discrete-event simulator records spans in *simulated* time.
+//! microseconds and always come from the caller: the live cluster stamps
+//! events on the sink's wall clock ([`TraceSink::now_us`]), the
+//! discrete-event simulator in *simulated* time.
 
 use std::fmt::Write as _;
 use std::io;
@@ -20,11 +16,6 @@ use std::time::Instant;
 /// The event phase, mirroring the chrome-trace `ph` field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TracePhase {
-    /// Span begin (`B`). Pair with an [`TracePhase::End`] on the same
-    /// pid/tid.
-    Begin,
-    /// Span end (`E`).
-    End,
     /// A complete span (`X`) carrying its own duration.
     Complete,
     /// An instantaneous event (`i`).
@@ -34,8 +25,6 @@ pub enum TracePhase {
 impl TracePhase {
     fn as_str(self) -> &'static str {
         match self {
-            TracePhase::Begin => "B",
-            TracePhase::End => "E",
             TracePhase::Complete => "X",
             TracePhase::Instant => "i",
         }
@@ -101,8 +90,7 @@ impl TraceSink {
     }
 
     /// Microseconds since the sink was created — the wall-clock timebase
-    /// of every non-`_at` recording method, exposed so callers measuring
-    /// their own intervals can stamp events consistently.
+    /// live callers stamp their events with.
     pub fn now_us(&self) -> u64 {
         u64::try_from(self.inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
@@ -113,54 +101,6 @@ impl TraceSink {
             .lock()
             .expect("trace sink mutex poisoned")
             .push(event);
-    }
-
-    /// Records a span begin at the wall clock.
-    pub fn begin(&self, name: &str, pid: u64, tid: u64) {
-        self.event_at(name, TracePhase::Begin, pid, tid, self.now_us(), 0);
-    }
-
-    /// Records a span end at the wall clock.
-    pub fn end(&self, name: &str, pid: u64, tid: u64) {
-        self.event_at(name, TracePhase::End, pid, tid, self.now_us(), 0);
-    }
-
-    /// Opens a wall-clock span closed by dropping the returned guard (one
-    /// `X` complete event is recorded at drop).
-    pub fn span(&self, name: impl Into<String>, pid: u64, tid: u64) -> SpanGuard {
-        SpanGuard {
-            sink: self.clone(),
-            name: name.into(),
-            pid,
-            tid,
-            start_us: self.now_us(),
-        }
-    }
-
-    /// Records an event with an explicit timestamp (simulated time).
-    pub fn event_at(
-        &self,
-        name: &str,
-        phase: TracePhase,
-        pid: u64,
-        tid: u64,
-        ts_us: u64,
-        dur_us: u64,
-    ) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            phase,
-            pid,
-            tid,
-            ts_us,
-            dur_us,
-            args: Vec::new(),
-        });
-    }
-
-    /// Records a complete (`X`) span with explicit start and duration.
-    pub fn complete_at(&self, name: &str, pid: u64, tid: u64, ts_us: u64, dur_us: u64) {
-        self.event_at(name, TracePhase::Complete, pid, tid, ts_us, dur_us);
     }
 
     /// Records a complete (`X`) span carrying `args` members — the
@@ -188,7 +128,15 @@ impl TraceSink {
 
     /// Records an instantaneous (`i`) event with an explicit timestamp.
     pub fn instant_at(&self, name: &str, pid: u64, tid: u64, ts_us: u64) {
-        self.event_at(name, TracePhase::Instant, pid, tid, ts_us, 0);
+        self.push(TraceEvent {
+            name: name.to_string(),
+            phase: TracePhase::Instant,
+            pid,
+            tid,
+            ts_us,
+            dur_us: 0,
+            args: Vec::new(),
+        });
     }
 
     /// Number of recorded events.
@@ -265,12 +213,11 @@ impl TraceSink {
     }
 }
 
-/// Merges several rendered chrome traces (each the `{"traceEvents":[...]}`
-/// object [`TraceSink::render_chrome_trace`] produces) into one: the event
-/// arrays are concatenated, so spans recorded by different OS processes
-/// land in one file and correlate by the `trace_id` entry of their `args`.
-/// Returns `None` if any part is not of the expected shape.
-pub fn merge_chrome_traces<S: AsRef<str>>(parts: &[S]) -> Option<String> {
+/// The merge behind [`merge_chrome_trace_files`], over rendered traces
+/// (each the `{"traceEvents":[...]}` object
+/// [`TraceSink::render_chrome_trace`] produces). Returns `None` if any part
+/// is not of the expected shape.
+fn merge_chrome_traces<S: AsRef<str>>(parts: &[S]) -> Option<String> {
     const PREFIX: &str = "{\"traceEvents\":[";
     const SUFFIX: &str = "]}";
     let mut out = String::from(PREFIX);
@@ -291,8 +238,9 @@ pub fn merge_chrome_traces<S: AsRef<str>>(parts: &[S]) -> Option<String> {
     Some(out)
 }
 
-/// [`merge_chrome_traces`] over per-process sink files: reads every path
-/// and merges the rendered traces into one loadable JSON document.
+/// Merges per-process sink files into one loadable chrome trace: the event
+/// arrays are concatenated, so spans recorded by different OS processes
+/// land in one file and correlate by the `trace_id` entry of their `args`.
 pub fn merge_chrome_trace_files<P: AsRef<Path>>(paths: &[P]) -> io::Result<String> {
     let mut parts = Vec::with_capacity(paths.len());
     for path in paths {
@@ -306,7 +254,8 @@ pub fn merge_chrome_trace_files<P: AsRef<Path>>(paths: &[P]) -> io::Result<Strin
     })
 }
 
-fn escape_json(out: &mut String, s: &str) {
+/// Appends `s` to `out` as the body of a JSON string literal.
+pub(crate) fn escape_json(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -322,36 +271,19 @@ fn escape_json(out: &mut String, s: &str) {
     }
 }
 
-/// Closes its span with a complete (`X`) event when dropped.
-pub struct SpanGuard {
-    sink: TraceSink,
-    name: String,
-    pid: u64,
-    tid: u64,
-    start_us: u64,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let end = self.sink.now_us();
-        self.sink.complete_at(
-            &self.name,
-            self.pid,
-            self.tid,
-            self.start_us,
-            end.saturating_sub(self.start_us),
-        );
-    }
-}
-
 #[cfg(all(test, not(rdht_model)))]
 mod tests {
     use super::*;
 
+    /// A complete (`X`) span without `args`.
+    fn complete_at(sink: &TraceSink, name: &str, pid: u64, tid: u64, ts_us: u64, dur_us: u64) {
+        sink.complete_with_args(name, pid, tid, ts_us, dur_us, Vec::new());
+    }
+
     #[test]
     fn explicit_timestamps_render_in_order() {
         let sink = TraceSink::new();
-        sink.complete_at("query", 1, 0, 100, 50);
+        complete_at(&sink, "query", 1, 0, 100, 50);
         sink.instant_at("drop", 2, 0, 130);
         let json = sink.render_chrome_trace();
         assert_eq!(
@@ -360,35 +292,6 @@ mod tests {
              {\"name\":\"query\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":100,\"dur\":50},\
              {\"name\":\"drop\",\"ph\":\"i\",\"pid\":2,\"tid\":0,\"ts\":130,\"s\":\"t\"}]}"
         );
-    }
-
-    #[test]
-    fn span_guard_records_a_complete_event() {
-        let sink = TraceSink::new();
-        {
-            let _span = sink.span("work", 0, 7);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].phase, TracePhase::Complete);
-        assert_eq!(events[0].tid, 7);
-        assert!(
-            events[0].dur_us >= 1_000,
-            "slept ~2ms, got {}",
-            events[0].dur_us
-        );
-    }
-
-    #[test]
-    fn begin_end_pairs() {
-        let sink = TraceSink::new();
-        sink.begin("op", 3, 1);
-        sink.end("op", 3, 1);
-        let events = sink.events();
-        assert_eq!(events[0].phase, TracePhase::Begin);
-        assert_eq!(events[1].phase, TracePhase::End);
-        assert!(events[0].ts_us <= events[1].ts_us);
     }
 
     #[test]
@@ -402,7 +305,7 @@ mod tests {
     #[test]
     fn write_to_produces_a_loadable_file() {
         let sink = TraceSink::new();
-        sink.complete_at("q", 0, 0, 0, 1);
+        complete_at(&sink, "q", 0, 0, 0, 1);
         let path =
             std::env::temp_dir().join(format!("rdht-trace-test-{}.json", std::process::id()));
         sink.write_to(&path).unwrap();
@@ -435,9 +338,9 @@ mod tests {
     #[test]
     fn merging_concatenates_event_arrays() {
         let a = TraceSink::new();
-        a.complete_at("client", 0, 0, 5, 10);
+        complete_at(&a, "client", 0, 0, 5, 10);
         let b = TraceSink::new();
-        b.complete_at("peer", 1, 0, 7, 3);
+        complete_at(&b, "peer", 1, 0, 7, 3);
         let empty = TraceSink::new();
         let merged = merge_chrome_traces(&[
             a.render_chrome_trace(),
@@ -459,10 +362,10 @@ mod tests {
         let path_a = dir.join(format!("rdht-merge-a-{pid}.json"));
         let path_b = dir.join(format!("rdht-merge-b-{pid}.json"));
         let a = TraceSink::new();
-        a.complete_at("x", 0, 0, 0, 1);
+        complete_at(&a, "x", 0, 0, 0, 1);
         a.write_to(&path_a).unwrap();
         let b = TraceSink::new();
-        b.complete_at("y", 1, 0, 2, 1);
+        complete_at(&b, "y", 1, 0, 2, 1);
         b.write_to(&path_b).unwrap();
         let merged = merge_chrome_trace_files(&[&path_a, &path_b]).unwrap();
         assert!(merged.contains("\"name\":\"x\"") && merged.contains("\"name\":\"y\""));
@@ -478,7 +381,7 @@ mod tests {
                 let sink = sink.clone();
                 scope.spawn(move || {
                     for i in 0..100 {
-                        sink.complete_at("op", t, 0, i * 10, 5);
+                        complete_at(&sink, "op", t, 0, i * 10, 5);
                     }
                 });
             }

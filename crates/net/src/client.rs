@@ -283,11 +283,11 @@ fn scatter_back(frame: Gathered, size: usize) -> Vec<Gathered> {
         .collect()
 }
 
-/// Ring capacity of the client-side slowlog ([`ClusterClient::slow_calls`]).
+/// Capacity of the client-side slowlog ([`ClusterClient::slow_calls`]).
 const CLIENT_SLOWLOG_CAPACITY: usize = 64;
 
 /// The client half of distributed tracing: the sampling knobs, the sink
-/// client-side spans land in, and a local ring of the slowest calls.
+/// client-side spans land in, and a local log of the slowest calls.
 struct ClientTracing {
     sink: TraceSink,
     config: TraceConfig,
@@ -531,7 +531,7 @@ impl ClusterClient {
     /// and a client-side [`RequestTree`] when the call was sampled — or when
     /// it crossed the slow threshold, so unsampled tail calls still surface.
     fn finish_trace(
-        &self,
+        &mut self,
         kind: &'static str,
         context: Option<TraceContext>,
         span: Option<(Instant, Instant)>,
@@ -539,7 +539,9 @@ impl ClusterClient {
         outcome: &str,
     ) {
         let Some((started, ended)) = span else { return };
-        let Some(tracing) = &self.tracing else { return };
+        let Some(tracing) = &mut self.tracing else {
+            return;
+        };
         let total = ended.saturating_duration_since(started);
         let slow = total >= tracing.config.slow_threshold;
         if context.is_none() && !slow {

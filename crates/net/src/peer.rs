@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use rdht_core::durability::DurableState;
 use rdht_core::kts::{IndirectObservation, KtsNode};
-use rdht_core::{LastTsInitPolicy, Timestamp};
+use rdht_core::Timestamp;
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_membership::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_metrics::{encode, Histogram, Registry, RequestTree, SpanLog, TraceContext, TraceSink};
@@ -67,7 +67,7 @@ const DEDUP_MAX_CLIENTS: usize = 1024;
 /// rejected before the window is consulted).
 const NO_SUB: u32 = u32::MAX;
 
-/// Ring capacity of the per-peer slow-request log: the last N completed
+/// Capacity of the per-peer slow-request log: the last N completed
 /// sampled request trees, scraped by [`Request::SlowRequests`].
 const PEER_SLOWLOG_CAPACITY: usize = 128;
 
@@ -313,7 +313,7 @@ pub(crate) struct Peer {
     deferred: Vec<(ReplySink, Reply)>,
     /// The sampled units of the current batch.
     traced: Vec<TracedUnit>,
-    /// The ring of completed request trees every peer keeps (scraped by
+    /// The log of completed request trees every peer keeps (scraped by
     /// `SlowRequests`). It only fills when *sampled* requests arrive — the
     /// client decides sampling — and an unsampled request reads the clock
     /// for its service-time observation only.
@@ -870,8 +870,7 @@ impl Peer {
             Ok(Reply::Timestamp(if generate {
                 kts.gen_ts(key, || observation, engine).timestamp
             } else {
-                let policy = LastTsInitPolicy::ObservedMax;
-                kts.last_ts(key, policy, || observation, engine).timestamp
+                kts.last_ts(key, || observation, engine).timestamp
             }))
         })
     }

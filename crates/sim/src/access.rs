@@ -192,7 +192,6 @@ impl<'a> SimAccess<'a> {
         // The responsible's reply to the timestamp request.
         self.charge_control();
 
-        let policy = self.sim.last_ts_policy;
         let peer = self
             .sim
             .peers
@@ -204,7 +203,7 @@ impl<'a> SimAccess<'a> {
         let timestamp = if generate {
             kts.gen_ts(key, || observation, &mut NoDurability).timestamp
         } else {
-            kts.last_ts(key, policy, || observation, &mut NoDurability)
+            kts.last_ts(key, || observation, &mut NoDurability)
                 .timestamp
         };
         Ok(timestamp)

@@ -10,7 +10,7 @@ use rdht_metrics::{Registry, TraceSink};
 use rdht_overlay::chord::{ChordConfig, ChordNetwork};
 use rdht_overlay::NodeId;
 
-use rdht_core::{ums, LastTsInitPolicy};
+use rdht_core::ums;
 
 use crate::access::SimAccess;
 use crate::algo::Algorithm;
@@ -50,7 +50,6 @@ pub struct Simulation {
     pub(crate) rng: StdRng,
     pub(crate) queue: EventQueue,
     pub(crate) stats: RunStats,
-    pub(crate) last_ts_policy: LastTsInitPolicy,
     samples: Vec<QuerySample>,
     /// When attached, every processed event is recorded as a chrome-trace
     /// event with its **simulated** timestamp — `None` by default, so runs
@@ -118,7 +117,6 @@ impl Simulation {
             rng,
             queue: EventQueue::new(),
             stats: RunStats::default(),
-            last_ts_policy: LastTsInitPolicy::ObservedMax,
             samples: Vec::new(),
             trace: None,
             trace_query_seq: 0,

@@ -46,6 +46,6 @@ pub use rdht_overlay as overlay;
 pub use rdht_sim as sim;
 pub use rdht_storage as storage;
 
-pub use rdht_core::{ums, InMemoryDht, ReplicaValue, Timestamp, UmsAccess, UmsConfig, UmsError};
+pub use rdht_core::{ums, InMemoryDht, ReplicaValue, Timestamp, UmsAccess, UmsError};
 pub use rdht_hashing::{HashFamily, HashId, Key};
 pub use rdht_sim::{Algorithm, SimConfig, Simulation};
