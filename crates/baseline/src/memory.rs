@@ -67,14 +67,10 @@ impl BrkAccess for InMemoryBrk {
         if self.fail_puts_for.contains(&hash) {
             return Err(UmsError::lookup("replica holder unreachable (injected)"));
         }
-        // A replica holder accepts a write whenever the version is at least
-        // as large as what it holds — with equal versions (concurrent
-        // updates) arrival order decides, which is exactly the inconsistency
-        // the paper points out.
         let slots = self.replicas.entry(key.clone()).or_default();
         match slots.iter_mut().find(|(h, _)| *h == hash) {
             Some((_, stored)) => {
-                if value.version >= stored.version {
+                if value.supersedes(stored.version) {
                     *stored = value.clone();
                 }
             }

@@ -45,6 +45,14 @@ impl VersionedValue {
     pub fn new(data: Vec<u8>, version: Version) -> Self {
         VersionedValue { data, version }
     }
+
+    /// The BRK holder rule: a replica holder that holds version `held`
+    /// takes this write when its version is at least as large. With equal
+    /// versions (concurrent updates) arrival order decides, which is exactly
+    /// the inconsistency the paper points out.
+    pub fn supersedes(&self, held: Version) -> bool {
+        self.version >= held
+    }
 }
 
 #[cfg(test)]

@@ -80,13 +80,6 @@ impl<D: DurableState> InMemoryDht<D> {
         &mut self.durability
     }
 
-    /// Consumes the DHT, returning the durability backend — the in-memory
-    /// state is dropped, which is exactly a crash when the backend is
-    /// persistent.
-    pub fn into_durability(self) -> D {
-        self.durability
-    }
-
     /// The hash family in use.
     pub fn family(&self) -> &HashFamily {
         &self.family

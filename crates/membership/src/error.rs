@@ -1,5 +1,7 @@
 //! Errors surfaced by membership operations.
 
+use rdht_overlay::RingError;
+
 /// Why a membership operation (join, leave, crash, restart or a phase of the
 /// underlying range transfer) could not proceed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,7 +16,7 @@ pub enum MembershipError {
     /// A graceful leave was requested for the only live peer; there is nobody
     /// to hand state over to.
     LastPeer,
-    /// The ring has no live members to compute a plan against.
+    /// The ring has no live members whose range a join could split.
     EmptyRing,
     /// The hand-off itself failed mid-flight (a participant crashed or never
     /// answered); the message describes the phase reached.
@@ -62,6 +64,17 @@ impl std::fmt::Display for MembershipError {
 
 impl std::error::Error for MembershipError {}
 
+impl From<RingError> for MembershipError {
+    fn from(error: RingError) -> Self {
+        match error {
+            RingError::AlreadyMember(id) => MembershipError::AlreadyMember(id),
+            RingError::UnknownPeer(id) => MembershipError::UnknownPeer(id),
+            RingError::LastPeer => MembershipError::LastPeer,
+            RingError::EmptyRing => MembershipError::EmptyRing,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,5 +84,20 @@ mod tests {
         let text = MembershipError::UnknownPeer(0xabcd).to_string();
         assert!(text.contains("0x000000000000abcd"));
         assert!(MembershipError::LastPeer.to_string().contains("last live"));
+    }
+
+    #[test]
+    fn ring_errors_keep_their_names() {
+        for (ring, membership) in [
+            (
+                RingError::AlreadyMember(7),
+                MembershipError::AlreadyMember(7),
+            ),
+            (RingError::UnknownPeer(9), MembershipError::UnknownPeer(9)),
+            (RingError::LastPeer, MembershipError::LastPeer),
+            (RingError::EmptyRing, MembershipError::EmptyRing),
+        ] {
+            assert_eq!(MembershipError::from(ring), membership);
+        }
     }
 }

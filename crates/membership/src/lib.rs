@@ -15,17 +15,19 @@
 //! This crate implements the machinery that makes the cheap path real in a
 //! running deployment:
 //!
-//! * [`plan`] — pure ring arithmetic: who is the successor/predecessor of an
-//!   identifier among the live peers, and which `(start, end]` interval of
-//!   the ring changes hands on a join ([`JoinPlan`]) or a graceful leave
-//!   ([`LeavePlan`]). Built on `rdht-overlay`'s interval helpers
-//!   (`split_range` / `merge_ranges`).
 //! * [`transfer`] — the hand-off itself: export → install → commit, with
 //!   every phase journaled through `rdht-storage` so that a crash at **any**
 //!   point either rolls the transfer back (the source still holds every
 //!   replica; the invalidated counters re-initialize indirectly, which is
 //!   always safe) or completes it (the destination's journal already holds
 //!   the state).
+//! * [`metrics`] — what each phase of a transfer costs.
+//!
+//! Which `(start, end]` interval moves, and between which peers, is not
+//! decided here: [`rdht_overlay::Ring::join`] and
+//! [`rdht_overlay::Ring::leave`] answer it from the same ring the live
+//! cluster routes requests by and the simulator's Chord keeps as ground
+//! truth.
 //!
 //! The crate is transport-agnostic: `rdht-net` drives the same
 //! [`export_handoff`] / [`install_handoff`] / [`commit_handoff`] functions
@@ -41,12 +43,10 @@
 
 mod error;
 pub mod metrics;
-pub mod plan;
 pub mod transfer;
 
 pub use error::MembershipError;
 pub use metrics::TransferMetrics;
-pub use plan::{plan_join, plan_leave, predecessor_of, successor_of, JoinPlan, LeavePlan};
 pub use transfer::{commit_handoff, export_handoff, install_handoff, HandoffBundle, InstallReport};
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //!   the dropped count, so floods (a peer in a reconnect loop) cost lines,
 //!   not gigabytes.
 //! * **Pluggable sink** — stderr by default ([`global`]); tests capture
-//!   into a shared buffer with [`EventLog::to_buffer`].
+//!   into a shared buffer with [`EventLog::to_buffer`], also the process-wide
+//!   log when they [`install`] it before its first use.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -223,11 +224,21 @@ impl Write for BufferWriter {
     }
 }
 
-/// The process-wide event log, writing JSONL to stderr with the threshold
-/// from `RDHT_LOG` (default `warn`). Created on first use.
+static GLOBAL: OnceLock<EventLog> = OnceLock::new();
+
+/// The process-wide event log: the one [`install`]ed, or else one writing
+/// JSONL to stderr with the threshold from `RDHT_LOG` (default `warn`),
+/// created on first use.
 pub fn global() -> &'static EventLog {
-    static GLOBAL: OnceLock<EventLog> = OnceLock::new();
     GLOBAL.get_or_init(EventLog::stderr)
+}
+
+/// Makes `log` the process-wide event log. Only possible before the first
+/// use of [`global`]; afterwards `log` is handed back. Tests install an
+/// [`EventLog::to_buffer`] log this way to capture what the code under test
+/// reports instead of printing it.
+pub fn install(log: EventLog) -> Result<(), EventLog> {
+    GLOBAL.set(log)
 }
 
 #[cfg(all(test, not(rdht_model)))]

@@ -175,11 +175,6 @@ impl Registry {
         self.register(name, help, labels, Instrument::Counter(counter));
     }
 
-    /// Registers an existing gauge handle (see [`Registry::register_counter`]).
-    pub fn register_gauge(&self, name: &str, help: &str, labels: &[(&str, &str)], gauge: Gauge) {
-        self.register(name, help, labels, Instrument::Gauge(gauge));
-    }
-
     /// Registers an existing histogram handle (see
     /// [`Registry::register_counter`]).
     pub fn register_histogram(

@@ -32,6 +32,7 @@ use rdht_hashing::{HashFamily, Key};
 use rdht_net::{
     serve_tcp_peer, ClusterClient, PeerId, Request, TcpPeerConfig, TcpTransport, Transport,
 };
+use rdht_overlay::Ring;
 
 const NUM_REPLICAS: usize = 4;
 const SEED: u64 = 42;
@@ -231,11 +232,8 @@ fn run_client(book: &str) {
     // key lives with its timestamp counter, `last_ts` and the probe of that
     // replica are one request frame and one reply frame.
     let family = HashFamily::new(NUM_REPLICAS, SEED);
-    let owner = |position: u64| {
-        let ids = book.iter().map(|(id, _)| id.0);
-        let clockwise = ids.clone().filter(|id| *id >= position).min();
-        clockwise.or_else(|| ids.min()).expect("a ring has peers")
-    };
+    let ring: Ring = book.iter().map(|(id, _)| id.0).collect();
+    let owner = |position: u64| ring.successor(position).expect("a ring has peers");
     let colocated = (0..SHARED_KEYS)
         .map(|i| Key::new(format!("shared:{i}")))
         .find(|key| {

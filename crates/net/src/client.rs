@@ -368,11 +368,6 @@ impl ClusterClient {
         self
     }
 
-    /// Replaces this client's retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
     /// The retry policy calls run under.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
@@ -448,11 +443,6 @@ impl ClusterClient {
             config,
             slowlog: SpanLog::new(CLIENT_SLOWLOG_CAPACITY),
         });
-    }
-
-    /// The sink [`ClusterClient::attach_trace`] installed, if any.
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.tracing.as_ref().map(|tracing| &tracing.sink)
     }
 
     /// The `k` slowest calls this handle recorded client-side (sampled

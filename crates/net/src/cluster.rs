@@ -24,8 +24,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rdht_hashing::{HashFamily, HashFunction, HashId, Key};
-use rdht_membership::{plan_join, plan_leave, MembershipError};
+use rdht_membership::MembershipError;
 use rdht_metrics::{encode, Counter, Registry, TraceContext, TraceSink};
+use rdht_overlay::{Ring, RingError};
 use rdht_storage::StorageOptions;
 
 use crate::client::{allocate_actor_id, ClusterClient};
@@ -213,6 +214,14 @@ impl DedupCounters {
     }
 }
 
+/// Who is on the ring, under one lock: every peer that is or was a member,
+/// with the endpoint it is reached through, and the live ones as a [`Ring`]
+/// — what requests are routed by and hand-offs are planned on.
+struct Members {
+    endpoints: BTreeMap<PeerId, PeerEndpoint>,
+    ring: Ring,
+}
+
 /// Shared, read-mostly view of cluster membership: which peers exist, which
 /// are alive, and how to reach them — plus the transport everything travels
 /// over.
@@ -221,8 +230,7 @@ pub(crate) struct Directory {
     /// The transport the cluster runs over; peers resolve hand-off targets
     /// through it (a joiner is bound before it is a directory member).
     pub(crate) transport: Arc<dyn Transport>,
-    /// Peer ring: id -> (endpoint, alive flag).
-    pub(crate) peers: RwLock<BTreeMap<PeerId, (PeerEndpoint, bool)>>,
+    members: RwLock<Members>,
     /// Cluster-wide dedup totals, fed by every peer's idempotency window.
     pub(crate) dedup: DedupCounters,
 }
@@ -235,40 +243,29 @@ impl Directory {
         transport: Arc<dyn Transport>,
         members: impl IntoIterator<Item = PeerId>,
     ) -> Self {
-        let ring = members
+        let endpoints: BTreeMap<PeerId, PeerEndpoint> = members
             .into_iter()
             .map(|peer| {
                 let endpoint = transport
                     .endpoint(peer)
                     .expect("every directory member resolves to an endpoint");
-                (peer, (endpoint, true))
+                (peer, endpoint)
             })
             .collect();
+        let ring = endpoints.keys().map(|peer| peer.0).collect();
         Directory {
             family,
             transport,
-            peers: RwLock::new(ring),
+            members: RwLock::new(Members { endpoints, ring }),
             dedup: DedupCounters::default(),
         }
     }
 
-    /// Successor-on-the-ring responsibility over a locked ring: the first
-    /// *alive* peer clockwise from `position`.
-    fn successor(
-        peers: &BTreeMap<PeerId, (PeerEndpoint, bool)>,
-        position: u64,
-    ) -> Option<(PeerId, &PeerEndpoint)> {
-        peers
-            .range(PeerId(position)..)
-            .chain(peers.iter())
-            .find(|(_, (_, alive))| *alive)
-            .map(|(id, (endpoint, _))| (*id, endpoint))
-    }
-
     /// The peer currently responsible for a position.
     pub(crate) fn responsible_for(&self, position: u64) -> Option<(PeerId, PeerEndpoint)> {
-        Directory::successor(&self.peers.read(), position)
-            .map(|(id, endpoint)| (id, endpoint.clone()))
+        let members = self.members.read();
+        let id = PeerId(members.ring.successor(position)?);
+        Some((id, members.endpoints[&id].clone()))
     }
 
     /// The members of `Hr` whose replica of `key` lives on `rsp(k, h_ts)`
@@ -277,36 +274,43 @@ impl Directory {
     /// caller that needs only the first stops the walk there.
     pub(crate) fn colocated_with_counter(&self, key: &Key) -> impl Iterator<Item = HashId> + '_ {
         let digest = key.digest();
-        let peers = self.peers.read();
+        let members = self.members.read();
         let counter = self.family.timestamp_function().eval_digest(digest);
-        let owner = Directory::successor(&peers, counter).map(|(id, _)| id);
+        let owner = members.ring.successor(counter);
         self.family
             .replication_functions()
             .iter()
             .filter(move |function| {
                 let position = function.eval_digest(digest);
-                owner.is_some() && Directory::successor(&peers, position).map(|(id, _)| id) == owner
+                owner.is_some() && members.ring.successor(position) == owner
             })
             .map(HashFunction::id)
+    }
+
+    /// Answers `question` from the live ring, under one read of it.
+    pub(crate) fn with_ring<T>(&self, question: impl FnOnce(&Ring) -> T) -> T {
+        question(&self.members.read().ring)
     }
 
     /// Marks a peer as dead (its endpoint stays but is never selected
     /// again).
     pub(crate) fn mark_dead(&self, peer: PeerId) {
-        if let Some(entry) = self.peers.write().get_mut(&peer) {
-            entry.1 = false;
-        }
+        self.members.write().ring.remove(peer.0);
     }
 
     /// Re-registers a (re)started peer under a fresh endpoint and marks it
     /// alive again.
     pub(crate) fn revive(&self, peer: PeerId, endpoint: PeerEndpoint) {
-        self.peers.write().insert(peer, (endpoint, true));
+        let mut members = self.members.write();
+        members.endpoints.insert(peer, endpoint);
+        members.ring.insert(peer.0);
     }
 
     /// The endpoint and alive flag of a peer that is (or was) a member.
     pub(crate) fn member(&self, peer: PeerId) -> Option<(PeerEndpoint, bool)> {
-        self.peers.read().get(&peer).cloned()
+        let members = self.members.read();
+        let endpoint = members.endpoints.get(&peer)?.clone();
+        Some((endpoint, members.ring.contains(peer.0)))
     }
 
     /// The endpoint of a *live* member — what a crash or a graceful leave
@@ -320,14 +324,13 @@ impl Directory {
         }
     }
 
-    /// Sorted ring positions of the live peers — the input the membership
-    /// planner works on.
-    pub(crate) fn alive_ids_sorted(&self) -> Vec<u64> {
-        self.peers
-            .read()
+    /// Every peer that is or was a member, in ring order, with its endpoint.
+    fn endpoints(&self) -> Vec<(PeerId, PeerEndpoint)> {
+        let members = self.members.read();
+        members
+            .endpoints
             .iter()
-            .filter(|(_, (_, alive))| *alive)
-            .map(|(id, _)| id.0)
+            .map(|(id, endpoint)| (*id, endpoint.clone()))
             .collect()
     }
 }
@@ -505,12 +508,16 @@ impl Cluster {
 
     /// All peer identifiers, in ring order.
     pub fn peer_ids(&self) -> Vec<PeerId> {
-        self.directory.peers.read().keys().copied().collect()
+        self.directory
+            .endpoints()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Number of live peers.
     pub fn live_peers(&self) -> usize {
-        self.directory.alive_ids_sorted().len()
+        self.directory.with_ring(Ring::len)
     }
 
     /// Whether `peer`'s thread has exited — crashed, shut down, or gone
@@ -536,18 +543,22 @@ impl Cluster {
         self.directory.live_member(peer).is_ok()
     }
 
+    /// The peer requests for a ring position are routed to: `rsp`, the first
+    /// live peer clockwise from it.
+    pub fn responsible_for(&self, position: u64) -> Option<PeerId> {
+        self.directory.responsible_for(position).map(|(id, _)| id)
+    }
+
     /// The peer currently responsible for timestamping `key` — useful for
     /// tests that want to crash exactly that peer.
     pub fn timestamp_responsible(&self, key: &Key) -> Option<PeerId> {
-        let position = self.directory.family.eval_timestamp(key);
-        self.directory.responsible_for(position).map(|(id, _)| id)
+        self.responsible_for(self.directory.family.eval_timestamp(key))
     }
 
     /// The peer currently responsible for `key` under replication function
     /// `hash`.
     pub fn replica_responsible(&self, hash: HashId, key: &Key) -> Option<PeerId> {
-        let position = self.directory.family.eval(hash, key);
-        self.directory.responsible_for(position).map(|(id, _)| id)
+        self.responsible_for(self.directory.family.eval(hash, key))
     }
 
     /// Crashes a peer: it is marked dead in the directory (so it stops being
@@ -610,14 +621,15 @@ impl Cluster {
     /// Adds a live peer to the running cluster.
     ///
     /// The joiner's successor splits its responsibility range
-    /// (`rdht_membership::plan_join`): replicas in `(pred, new_id]` and the
-    /// counters of the keys timestamped there move to the joiner through the
-    /// journaled hand-off protocol, and the successor registers the joiner
-    /// in the shared directory at the commit point — requests that were
-    /// routed to the successor under the old view are re-sent to whoever the
-    /// directory names, so clients never observe a half-moved range. On a
-    /// storage-backed cluster every phase is journaled; a crash mid-transfer
-    /// is recovered by [`Cluster::restart_peer`] + a retried `join_peer`.
+    /// ([`Ring::join`] on the ring the directory routes by): replicas in
+    /// `(pred, new_id]` and the counters of the keys timestamped there move
+    /// to the joiner through the journaled hand-off protocol, and the
+    /// successor registers the joiner in the shared directory at the commit
+    /// point — requests that were routed to the successor under the old view
+    /// are re-sent to whoever the directory names, so clients never observe
+    /// a half-moved range. On a storage-backed cluster every phase is
+    /// journaled; a crash mid-transfer is recovered by
+    /// [`Cluster::restart_peer`] + a retried `join_peer`.
     pub fn join_peer(&mut self, new_id: PeerId) -> Result<JoinReport, MembershipError> {
         self.join_peer_impl(new_id, None)
     }
@@ -642,7 +654,7 @@ impl Cluster {
         if self.directory.member(new_id).is_some() {
             return Err(MembershipError::AlreadyMember(new_id.0));
         }
-        let alive = self.directory.alive_ids_sorted();
+        let planned = self.directory.with_ring(|ring| ring.join(new_id.0));
 
         // Bind and spawn the joiner first, unregistered: it must be able to
         // process the InstallState message (the hand-off source resolves it
@@ -654,7 +666,7 @@ impl Cluster {
             MembershipError::TransferFailed(format!("cannot bind joiner: {error}"))
         })?;
 
-        if alive.is_empty() {
+        if planned == Err(RingError::EmptyRing) {
             // Bootstrapping an empty ring: nothing to split.
             self.directory.revive(new_id, joiner);
             return Ok(JoinReport {
@@ -667,21 +679,24 @@ impl Cluster {
             });
         }
 
-        let outcome = plan_join(&alive, new_id.0).and_then(|plan| {
-            let range = (plan.range_start, plan.range_end);
-            self.drive_handoff(PeerId(plan.source), range, new_id, HandoffKind::Join, fault)
-                .map(|moved| (plan, moved))
+        let outcome = planned.map_err(MembershipError::from).and_then(|change| {
+            let source = PeerId(change.from.0);
+            let range = (change.range_start, change.range_end);
+            self.drive_handoff(source, range, new_id, HandoffKind::Join, fault)
+                .map(|moved| (source, range, moved))
         });
         match outcome {
             // The source registered the joiner at its commit point.
-            Ok((plan, (replicas_moved, counters_moved))) => Ok(JoinReport {
-                peer: new_id,
-                source: PeerId(plan.source),
-                range_start: plan.range_start,
-                range_end: plan.range_end,
-                replicas_moved,
-                counters_moved,
-            }),
+            Ok((source, (range_start, range_end), (replicas_moved, counters_moved))) => {
+                Ok(JoinReport {
+                    peer: new_id,
+                    source,
+                    range_start,
+                    range_end,
+                    replicas_moved,
+                    counters_moved,
+                })
+            }
             Err(error) => {
                 // The hand-off never committed (no plan, the source crashed,
                 // answered a failure, or stayed silent through every bounded
@@ -712,37 +727,17 @@ impl Cluster {
     /// valid counter — **zero** indirect re-initializations, in contrast to
     /// a crash.
     pub fn leave_peer(&mut self, leaving: PeerId) -> Result<LeaveReport, MembershipError> {
-        self.leave_peer_impl(leaving, None)
-    }
-
-    /// [`Cluster::leave_peer`] with fault injection, for crash-recovery
-    /// tests: the departing peer fail-stops at the chosen phase boundary
-    /// instead of completing its hand-off.
-    pub fn leave_peer_with_fault(
-        &mut self,
-        leaving: PeerId,
-        fault: HandoffFault,
-    ) -> Result<LeaveReport, MembershipError> {
-        self.leave_peer_impl(leaving, Some(fault))
-    }
-
-    fn leave_peer_impl(
-        &mut self,
-        leaving: PeerId,
-        fault: Option<HandoffFault>,
-    ) -> Result<LeaveReport, MembershipError> {
         self.directory.live_member(leaving)?;
-        let alive = self.directory.alive_ids_sorted();
-        let plan = plan_leave(&alive, leaving.0)?;
-        let target = PeerId(plan.target);
-        let range = (plan.range_start, plan.range_end);
+        let change = self.directory.with_ring(|ring| ring.leave(leaving.0))?;
+        let target = PeerId(change.to.0);
+        let range = (change.range_start, change.range_end);
         let (replicas_moved, counters_moved) =
-            self.drive_handoff(leaving, range, target, HandoffKind::Leave, fault)?;
+            self.drive_handoff(leaving, range, target, HandoffKind::Leave, None)?;
         Ok(LeaveReport {
             peer: leaving,
             target,
-            range_start: plan.range_start,
-            range_end: plan.range_end,
+            range_start: change.range_start,
+            range_end: change.range_end,
             replicas_moved,
             counters_moved,
         })
@@ -836,11 +831,8 @@ impl Cluster {
     /// Stops every peer thread (flushing their journals) and waits for them
     /// to finish.
     pub fn shutdown(self) {
-        {
-            let peers = self.directory.peers.read();
-            for (endpoint, _) in peers.values() {
-                let _ = endpoint.send_no_reply(Request::Shutdown);
-            }
+        for (_, endpoint) in self.directory.endpoints() {
+            let _ = endpoint.send_no_reply(Request::Shutdown);
         }
         for (_, handle) in self.handles {
             let _ = handle.join();

@@ -309,16 +309,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether an active partition currently separates `from` and `to`.
-    pub fn is_partitioned(&self, from: End, to: End) -> bool {
-        self.inner
-            .state
-            .lock()
-            .partitions
-            .values()
-            .any(|partition| partition.separates(from, to))
-    }
-
     /// Rolls only the drop fault of the directed link `from -> to`. This is
     /// the hook the simulator uses: it models loss as a failed operation
     /// (latency is priced by its own network model), so only the drop

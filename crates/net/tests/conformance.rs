@@ -11,17 +11,35 @@
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rdht_core::{ums, Timestamp, UmsAccess};
 use rdht_hashing::{HashId, Key};
+use rdht_metrics::{EventLog, Level};
+use rdht_net::wire::decode_payload;
 use rdht_net::{
     serve_tcp_peer, CallError, Cluster, ClusterClient, ClusterConfig, PeerId, Reply, Request,
     TcpPeerConfig, TcpTransport, Transport, TransportKind, MAX_FRAME_LEN,
 };
 
 const REPLY_WAIT: Duration = Duration::from_secs(5);
+
+/// What this test binary's peers log through the process-wide event log,
+/// captured instead of written to stderr. Every test runs this first, so
+/// the capture is in place before anything logs.
+fn captured_log() -> &'static Arc<Mutex<Vec<u8>>> {
+    static BUFFER: OnceLock<Arc<Mutex<Vec<u8>>>> = OnceLock::new();
+    BUFFER.get_or_init(|| {
+        let (log, buffer) = EventLog::to_buffer(Level::Warn);
+        assert!(
+            rdht_metrics::log::install(log).is_ok(),
+            "something logged before the capture was installed"
+        );
+        buffer
+    })
+}
 
 /// Runs a conformance check against both transport backends.
 fn both(check: impl Fn(TransportKind)) {
@@ -36,6 +54,7 @@ fn spawn(kind: TransportKind, peers: usize, replicas: usize, seed: u64) -> Clust
 
 #[test]
 fn insert_and_retrieve_are_current_on_both_transports() {
+    captured_log();
     both(|kind| {
         let cluster = spawn(kind, 5, 4, 1101);
         let mut client = cluster.client();
@@ -58,6 +77,7 @@ fn insert_and_retrieve_are_current_on_both_transports() {
 /// is by request id on the wire, not by arrival luck).
 #[test]
 fn pipelined_requests_match_replies_by_id() {
+    captured_log();
     both(|kind| {
         let cluster = spawn(kind, 3, 3, 1102);
         let peer = cluster.peer_ids()[0];
@@ -104,6 +124,7 @@ fn pipelined_requests_match_replies_by_id() {
 
 #[test]
 fn concurrent_clients_do_not_interfere() {
+    captured_log();
     both(|kind| {
         let cluster = spawn(kind, 4, 4, 1103);
         thread::scope(|scope| {
@@ -138,6 +159,7 @@ fn concurrent_clients_do_not_interfere() {
 /// prompt error — never a silent hang until the timeout.
 #[test]
 fn crashed_peer_yields_typed_error_and_ring_stays_live() {
+    captured_log();
     both(|kind| {
         let cluster = spawn(kind, 4, 3, 1104);
         let victim = cluster.peer_ids()[1];
@@ -185,6 +207,7 @@ fn crashed_peer_yields_typed_error_and_ring_stays_live() {
 /// transports, including across real sockets.
 #[test]
 fn departed_peer_fails_typed_and_the_client_completes_at_the_successor() {
+    captured_log();
     both(|kind| {
         let mut cluster = spawn(kind, 5, 4, 1105);
         let mut client = cluster.client();
@@ -271,6 +294,7 @@ fn served(cluster: &Cluster, peer: PeerId, kind: &str) -> u64 {
 /// `timestamp`), and two of each when none does.
 #[test]
 fn a_retrieve_costs_one_frame_per_peer_each_way() {
+    captured_log();
     const REPLICAS: u32 = 4;
     both(|kind| {
         let cluster = spawn(kind, 5, REPLICAS as usize, 1107);
@@ -330,6 +354,7 @@ fn a_retrieve_costs_one_frame_per_peer_each_way() {
 /// `2 + 2·distinct` when it is not, and 2 when it holds every replica.
 #[test]
 fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
+    captured_log();
     const REPLICAS: u32 = 4;
     both(|kind| {
         let cluster = spawn(kind, 5, REPLICAS as usize, 1109);
@@ -395,6 +420,7 @@ fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
 /// still holds the answers in request order, on both transports.
 #[test]
 fn a_batch_forwarded_to_two_peers_is_answered_in_request_order() {
+    captured_log();
     both(|kind| {
         let mut cluster = spawn(kind, 4, 4, 1108);
         let mut client = cluster.client();
@@ -493,12 +519,53 @@ impl Garbage {
     }
 }
 
+/// The local address of a hostile connection — what the peer logs it as —
+/// and the `WireError` variant the peer must report for `bytes`: `None`
+/// when they end inside a frame, which is no wire error.
+fn sent(conn: &TcpStream, bytes: &[u8]) -> (String, Option<&'static str>) {
+    let expected = bytes.get(..4).and_then(|prefix| {
+        let len = u32::from_le_bytes(prefix.try_into().unwrap());
+        if len > MAX_FRAME_LEN {
+            return Some("FrameTooLarge");
+        }
+        let payload = bytes.get(4..4 + len as usize)?;
+        Some(
+            decode_payload(payload)
+                .expect_err("garbage decodes")
+                .variant(),
+        )
+    });
+    (conn.local_addr().unwrap().to_string(), expected)
+}
+
+/// The `net.tcp` warnings captured from byte `from` of the log on:
+/// connection -> the `error` field of each warning about it.
+fn tcp_warnings(from: usize) -> std::collections::HashMap<String, Vec<String>> {
+    let captured = String::from_utf8(captured_log().lock().unwrap()[from..].to_vec()).unwrap();
+    let mut out = std::collections::HashMap::<String, Vec<String>>::new();
+    for line in captured.lines() {
+        if !line.contains("\"target\":\"net.tcp\"") || !line.contains("\"level\":\"warn\"") {
+            continue;
+        }
+        let field = |name: &str| {
+            let start = line.find(&format!("\"{name}\":\""))? + name.len() + 4;
+            let len = line[start..].find('"')?;
+            Some(line[start..start + len].to_string())
+        };
+        if let (Some(peer), Some(error)) = (field("peer"), field("error")) {
+            out.entry(peer).or_default().push(error);
+        }
+    }
+    out
+}
+
 /// Garbage, truncated and oversized frames from hostile connections must
 /// not take a TCP peer down: the peer drops the offending connection and
 /// keeps serving well-formed clients. Exercises the public multi-process
 /// API (`serve_tcp_peer` + `ClusterClient::connect_tcp`) over real sockets.
 #[test]
 fn tcp_peer_survives_garbage_and_oversized_frames() {
+    captured_log();
     let ids = [PeerId(1_000), PeerId(2_000), PeerId(3_000)];
     let addrs = free_addrs(ids.len());
     let book: Vec<(PeerId, SocketAddr)> = ids.iter().copied().zip(addrs).collect();
@@ -523,30 +590,75 @@ fn tcp_peer_survives_garbage_and_oversized_frames() {
     }
 
     let mut garbage = Garbage(0x5eed_cafe);
-    for (_, addr) in &book {
+    let mut ended_inside_a_frame = 0;
+    for (i, (_, addr)) in book.iter().enumerate() {
+        if i > 0 {
+            // Let the log's per-second rate window roll over, so that no
+            // peer's warnings are suppressed behind the previous peer's.
+            thread::sleep(Duration::from_millis(1_100));
+        }
+        // One peer at a time: a client port may be reused towards another
+        // peer, and the peers log connections by client address only.
+        let logged_before = captured_log().lock().unwrap().len();
+        let mut hostile = Vec::new();
         // Plain garbage: the first 4 bytes form an absurd length prefix.
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(&[0xDE; 64]).unwrap();
+        hostile.push(sent(&conn, &[0xDE; 64]));
         // An oversized length prefix must be rejected before allocation.
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(&(MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
-        conn.write_all(&garbage.chunk(32)).unwrap();
+        let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        bytes.extend(garbage.chunk(32));
+        conn.write_all(&bytes).unwrap();
+        hostile.push(sent(&conn, &bytes));
         // A plausible length prefix followed by a garbage payload.
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(&32u32.to_le_bytes()).unwrap();
-        conn.write_all(&garbage.chunk(32)).unwrap();
+        let mut bytes = 32u32.to_le_bytes().to_vec();
+        bytes.extend(garbage.chunk(32));
+        conn.write_all(&bytes).unwrap();
+        hostile.push(sent(&conn, &bytes));
         // A frame truncated by a disconnect.
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(&100u32.to_le_bytes()).unwrap();
-        conn.write_all(&garbage.chunk(10)).unwrap();
+        let mut bytes = 100u32.to_le_bytes().to_vec();
+        bytes.extend(garbage.chunk(10));
+        conn.write_all(&bytes).unwrap();
+        hostile.push(sent(&conn, &bytes));
         drop(conn);
         // A burst of random connections spraying random bytes.
         for _ in 0..8 {
             let mut conn = TcpStream::connect(addr).unwrap();
             let len = 1 + (garbage.chunk(1)[0] as usize % 200);
-            let _ = conn.write_all(&garbage.chunk(len));
+            let bytes = garbage.chunk(len);
+            let _ = conn.write_all(&bytes);
+            hostile.push(sent(&conn, &bytes));
         }
+        // Each connection that carried a wire error left exactly one
+        // `net.tcp` warning naming it; the others (a stream that ends inside
+        // a frame) left none.
+        let deadline = Instant::now() + REPLY_WAIT;
+        let warned = loop {
+            let warned = tcp_warnings(logged_before);
+            let done = hostile
+                .iter()
+                .all(|(conn, expected)| expected.is_none() || warned.contains_key(conn));
+            if done || Instant::now() >= deadline {
+                break warned;
+            }
+            thread::sleep(Duration::from_millis(10));
+        };
+        for (conn, expected) in &hostile {
+            let variants: Vec<&str> = warned
+                .get(conn)
+                .map_or(Vec::new(), |v| v.iter().map(String::as_str).collect());
+            assert_eq!(
+                variants,
+                Vec::from_iter(*expected),
+                "connection {conn} to {addr}"
+            );
+        }
+        ended_inside_a_frame += hostile.iter().filter(|(_, e)| e.is_none()).count();
     }
+    assert!(ended_inside_a_frame >= book.len(), "the truncated frames");
 
     // The deployment is still fully live for a well-formed client.
     let mut client = ClusterClient::connect_tcp(book.clone(), 3, 1106);

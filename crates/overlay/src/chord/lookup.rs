@@ -110,7 +110,7 @@ impl ChordNetwork {
             *timeouts += 1;
         }
         let succ_len = self.config.successor_list_len;
-        let repaired = self.truth_successor_list(id, succ_len);
+        let repaired: Vec<NodeId> = self.truth_successor_list(id, succ_len).collect();
         let result = repaired.first().copied().or(live);
         if let Some(node) = self.nodes.get_mut(&id) {
             if !repaired.is_empty() {

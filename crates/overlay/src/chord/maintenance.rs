@@ -9,17 +9,18 @@ impl ChordNetwork {
     /// ground truth. Used by [`ChordNetwork::bootstrap`] to start from a
     /// converged ring.
     pub(super) fn rebuild_all_routing_state(&mut self) {
-        let ids: Vec<NodeId> = self.ring.iter().copied().collect();
-        for id in ids {
-            self.rebuild_node_routing_state(id);
+        for id in self.ring.clone().ids() {
+            self.rebuild_node_routing_state(NodeId(*id));
         }
     }
 
     /// Rebuilds one node's routing state from ground truth (perfect
     /// stabilization of that node).
     pub(super) fn rebuild_node_routing_state(&mut self, id: NodeId) {
-        let succ_list = self.truth_successor_list(id, self.config.successor_list_len);
-        let predecessor = self.truth_predecessor_of_node(id);
+        let succ_list = self
+            .truth_successor_list(id, self.config.successor_list_len)
+            .collect();
+        let predecessor = self.ring.predecessor(id.0).map(NodeId);
         let fingers = self.compute_fingers(id);
         if let Some(node) = self.nodes.get_mut(&id) {
             node.successors = succ_list;
@@ -30,7 +31,7 @@ impl ChordNetwork {
 
     fn compute_fingers(&self, id: NodeId) -> Vec<Option<NodeId>> {
         (0..self.config.finger_bits)
-            .map(|i| self.truth_successor_of(id.finger_start(i)))
+            .map(|i| self.ring.successor(id.finger_start(i)).map(NodeId))
             .collect()
     }
 
@@ -43,32 +44,29 @@ impl ChordNetwork {
             return MembershipOutcome::default();
         }
 
-        // First member: it is its own successor and owns the whole ring.
-        if self.ring.is_empty() {
+        // Only an empty ring has no range to split: the first member is its
+        // own successor and owns the whole ring.
+        let Ok(change) = self.ring.join(id.0) else {
             let mut node = ChordNode::new(id);
             node.successors = vec![id];
             node.predecessor = Some(id);
             node.fingers = vec![Some(id); self.config.finger_bits as usize];
             self.nodes.insert(id, node);
-            self.ring_insert(id);
+            self.ring.insert(id.0);
             return MembershipOutcome {
                 changes: Vec::new(),
                 messages: 0,
             };
-        }
+        };
 
         // The successor the new node will sit in front of, and the current
         // predecessor of that successor (ground truth; the join lookup cost is
         // approximated below since maintenance traffic is not part of the
         // paper's reported query costs).
-        let successor = self
-            .truth_successor_of(id.0)
-            .expect("non-empty ring has a successor");
-        let predecessor = self
-            .truth_predecessor_of_node(successor)
-            .expect("non-empty ring has a predecessor");
+        let successor = change.from;
+        let predecessor = NodeId(change.range_start);
 
-        self.ring_insert(id);
+        self.ring.insert(id.0);
         self.nodes.insert(id, ChordNode::new(id));
         self.rebuild_node_routing_state(id);
 
@@ -94,15 +92,6 @@ impl ChordNetwork {
         let lookup_cost = usize::BITS - self.ring.len().leading_zeros();
         let messages = lookup_cost + 2 + self.config.successor_list_len as u32;
 
-        let change = ResponsibilityChange {
-            from: successor,
-            to: id,
-            range_start: predecessor.0,
-            range_end: id.0,
-            handover_possible: true,
-            kind: MembershipEventKind::Join,
-        };
-
         MembershipOutcome {
             changes: vec![change],
             messages,
@@ -116,57 +105,37 @@ impl ChordNetwork {
         if !self.nodes.contains_key(&id) {
             return MembershipOutcome::default();
         }
-        let successor = self.truth_successor_of_node(id);
-        let predecessor = self.truth_predecessor_of_node(id);
-
-        self.ring_remove(id);
+        let change = self.ring.leave(id.0);
+        self.ring.remove(id.0);
         self.nodes.remove(&id);
 
-        let mut outcome = MembershipOutcome {
-            changes: Vec::new(),
-            messages: 0,
+        // A last member's data simply disappears with it.
+        let Ok(change) = change else {
+            return MembershipOutcome::default();
         };
-
-        match (successor, predecessor) {
-            (Some(successor), Some(predecessor)) if successor != id => {
-                // Patch the two neighbors that the departing node notified.
-                if let Some(succ_node) = self.nodes.get_mut(&successor) {
-                    if succ_node.predecessor == Some(id) {
-                        succ_node.predecessor = Some(if predecessor == id {
-                            successor
-                        } else {
-                            predecessor
-                        });
-                    }
-                    succ_node.purge_reference(id);
-                }
-                if predecessor != successor {
-                    if let Some(pred_node) = self.nodes.get_mut(&predecessor) {
-                        pred_node.purge_reference(id);
-                        if pred_node.successors.first() != Some(&successor) {
-                            pred_node.successors.insert(0, successor);
-                            pred_node
-                                .successors
-                                .truncate(self.config.successor_list_len);
-                        }
-                    }
-                }
-                outcome.messages = 3; // leave notification to pred + succ, hand-off ack
-                outcome.changes.push(ResponsibilityChange {
-                    from: id,
-                    to: successor,
-                    range_start: predecessor.0,
-                    range_end: id.0,
-                    handover_possible: true,
-                    kind: MembershipEventKind::Leave,
-                });
+        let (successor, predecessor) = (change.to, NodeId(change.range_start));
+        // Patch the two neighbors that the departing node notified.
+        if let Some(succ_node) = self.nodes.get_mut(&successor) {
+            if succ_node.predecessor == Some(id) {
+                succ_node.predecessor = Some(predecessor);
             }
-            _ => {
-                // The ring is now empty (the departing node was the last
-                // member); its data simply disappears with it.
+            succ_node.purge_reference(id);
+        }
+        if predecessor != successor {
+            if let Some(pred_node) = self.nodes.get_mut(&predecessor) {
+                pred_node.purge_reference(id);
+                if pred_node.successors.first() != Some(&successor) {
+                    pred_node.successors.insert(0, successor);
+                    pred_node
+                        .successors
+                        .truncate(self.config.successor_list_len);
+                }
             }
         }
-        outcome
+        MembershipOutcome {
+            changes: vec![change],
+            messages: 3, // leave notification to pred + succ, hand-off ack
+        }
     }
 
     /// Fail-stop failure: the node vanishes without notifying anyone. Its
@@ -177,26 +146,21 @@ impl ChordNetwork {
         if !self.nodes.contains_key(&id) {
             return MembershipOutcome::default();
         }
-        let successor = self.truth_successor_of_node(id);
-        let predecessor = self.truth_predecessor_of_node(id);
-
-        self.ring_remove(id);
+        let change = self.ring.leave(id.0);
+        self.ring.remove(id.0);
         self.nodes.remove(&id);
 
-        let mut outcome = MembershipOutcome::default();
-        if let (Some(successor), Some(predecessor)) = (successor, predecessor) {
-            if successor != id {
-                outcome.changes.push(ResponsibilityChange {
-                    from: id,
-                    to: successor,
-                    range_start: predecessor.0,
-                    range_end: id.0,
+        MembershipOutcome {
+            changes: change
+                .map(|change| ResponsibilityChange {
                     handover_possible: false,
                     kind: MembershipEventKind::Fail,
-                });
-            }
+                    ..change
+                })
+                .into_iter()
+                .collect(),
+            messages: 0,
         }
-        outcome
     }
 
     /// One stabilization round across every live node: verify successors
@@ -207,7 +171,7 @@ impl ChordNetwork {
         let mut outcome = StabilizeOutcome::default();
         // One memcpy snapshot of the membership (nodes may join/leave midway
         // through a real round, so each node acts on the round's population).
-        let ids: Vec<NodeId> = self.sorted_ids.clone();
+        let ring = self.ring.clone();
         let succ_len = self.config.successor_list_len;
         let per_round = self.config.fingers_fixed_per_round.max(1);
         let finger_bits = self.config.finger_bits as usize;
@@ -217,7 +181,7 @@ impl ChordNetwork {
         let mut succ_scratch: Vec<NodeId> = Vec::with_capacity(succ_len);
         let mut refreshed: Vec<(usize, Option<NodeId>)> = Vec::with_capacity(per_round);
 
-        for id in ids {
+        for id in ring.ids().iter().copied().map(NodeId) {
             // Successor verification: count how many known successors are dead.
             let (dead_successors, had_dead_pred) = {
                 let node = match self.nodes.get(&id) {
@@ -238,8 +202,9 @@ impl ChordNetwork {
             outcome.repaired_successors += dead_successors + u32::from(had_dead_pred);
             // The stabilize exchange with the (first live) successor refreshes
             // the whole list and the predecessor pointer.
-            self.truth_successor_list_into(id, succ_len, &mut succ_scratch);
-            let pred = self.truth_predecessor_of_node(id);
+            succ_scratch.clear();
+            succ_scratch.extend(self.truth_successor_list(id, succ_len));
+            let pred = self.ring.predecessor(id.0).map(NodeId);
             outcome.messages += 2 + dead_successors; // request/response + one timeout probe per dead entry
 
             // fix_fingers: refresh `per_round` entries round-robin.
@@ -252,7 +217,7 @@ impl ChordNetwork {
             for offset in 0..per_round.min(finger_bits) {
                 let idx = (start_index + offset) % finger_bits;
                 let target = id.finger_start(idx as u32);
-                refreshed.push((idx, self.truth_successor_of(target)));
+                refreshed.push((idx, self.ring.successor(target).map(NodeId)));
             }
             outcome.refreshed_fingers += refreshed.len() as u32;
             outcome.messages += refreshed.len() as u32;

@@ -26,10 +26,10 @@ mod tests;
 
 pub use node::ChordNode;
 
-use std::collections::BTreeSet;
 use std::collections::HashMap;
 
 use crate::id::NodeId;
+use crate::ring::Ring;
 
 /// Tuning parameters of the Chord overlay.
 #[derive(Clone, Debug)]
@@ -71,12 +71,8 @@ impl Default for ChordConfig {
 pub struct ChordNetwork {
     config: ChordConfig,
     nodes: HashMap<NodeId, ChordNode>,
-    /// Ground-truth set of live node ids, ordered on the ring.
-    ring: BTreeSet<NodeId>,
-    /// The same ids as `ring`, kept sorted in a dense vector so that
-    /// [`ChordNetwork::sample_alive`] is an `O(1)` index instead of an
-    /// `O(n)` collect; the order matches [`ChordNetwork::alive_ids`] exactly.
-    sorted_ids: Vec<NodeId>,
+    /// Ground truth: the live node ids, which the node map's keys mirror.
+    ring: Ring,
     /// Reused by [`ChordNetwork::lookup`] to record dead finger slots
     /// without allocating per hop.
     dead_finger_scratch: Vec<usize>,
@@ -88,8 +84,7 @@ impl ChordNetwork {
         ChordNetwork {
             config,
             nodes: HashMap::new(),
-            ring: BTreeSet::new(),
-            sorted_ids: Vec::new(),
+            ring: Ring::default(),
             dead_finger_scratch: Vec::new(),
         }
     }
@@ -102,36 +97,15 @@ impl ChordNetwork {
     /// starts (protocol-accurate joins are used for every later arrival).
     pub fn bootstrap(ids: impl IntoIterator<Item = NodeId>, config: ChordConfig) -> Self {
         let mut network = ChordNetwork::new(config);
-        for id in ids {
-            if network.ring.insert(id) {
-                network.nodes.insert(id, ChordNode::new(id));
-            }
-        }
-        network.sorted_ids = network.ring.iter().copied().collect();
+        network.ring = ids.into_iter().map(|id| id.0).collect();
+        network.nodes = network
+            .ring
+            .ids()
+            .iter()
+            .map(|&id| (NodeId(id), ChordNode::new(NodeId(id))))
+            .collect();
         network.rebuild_all_routing_state();
         network
-    }
-
-    /// Adds `id` to both ground-truth membership structures. Returns whether
-    /// the id was new.
-    pub(super) fn ring_insert(&mut self, id: NodeId) -> bool {
-        if !self.ring.insert(id) {
-            return false;
-        }
-        let at = self.sorted_ids.partition_point(|n| *n < id);
-        self.sorted_ids.insert(at, id);
-        true
-    }
-
-    /// Removes `id` from both ground-truth membership structures.
-    pub(super) fn ring_remove(&mut self, id: NodeId) -> bool {
-        if !self.ring.remove(&id) {
-            return false;
-        }
-        if let Ok(at) = self.sorted_ids.binary_search(&id) {
-            self.sorted_ids.remove(at);
-        }
-        true
     }
 
     /// The configuration in use.
@@ -144,71 +118,10 @@ impl ChordNetwork {
         self.nodes.get(&id)
     }
 
-    /// Ground-truth successor of a position: the first live node clockwise
-    /// from (and including) `position`.
-    pub fn truth_successor_of(&self, position: u64) -> Option<NodeId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        self.ring
-            .range(NodeId(position)..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .copied()
-    }
-
-    /// Ground-truth successor of a *node* (the next live node strictly
-    /// clockwise from it).
-    pub fn truth_successor_of_node(&self, id: NodeId) -> Option<NodeId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        self.ring
-            .range((std::ops::Bound::Excluded(id), std::ops::Bound::Unbounded))
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .copied()
-    }
-
-    /// Ground-truth predecessor of a node: the first live node strictly
-    /// counter-clockwise from it.
-    pub fn truth_predecessor_of_node(&self, id: NodeId) -> Option<NodeId> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        self.ring
-            .range(..id)
-            .next_back()
-            .or_else(|| self.ring.iter().next_back())
-            .copied()
-    }
-
     /// The first `count` ground-truth successors of `id` (excluding `id`
     /// unless the ring is smaller than `count + 1`).
-    fn truth_successor_list(&self, id: NodeId, count: usize) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(count);
-        self.truth_successor_list_into(id, count, &mut out);
-        out
-    }
-
-    /// Fills `out` with the first `count` ground-truth successors of `id`.
-    /// The buffer is cleared first; callers on hot loops (stabilization)
-    /// reuse one buffer across nodes to avoid per-node allocations.
-    fn truth_successor_list_into(&self, id: NodeId, count: usize, out: &mut Vec<NodeId>) {
-        out.clear();
-        let mut current = id;
-        for _ in 0..count {
-            match self.truth_successor_of_node(current) {
-                Some(next) => {
-                    out.push(next);
-                    current = next;
-                    if next == id {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
+    fn truth_successor_list(&self, id: NodeId, count: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.ring.successors(id.0).take(count).map(NodeId)
     }
 
     /// Checks internal consistency of the ground-truth structures; used by
@@ -221,15 +134,10 @@ impl ChordNetwork {
                 self.nodes.len()
             ));
         }
-        for id in &self.ring {
-            if !self.nodes.contains_key(id) {
-                return Err(format!("ring member {id} missing from node map"));
+        for &id in self.ring.ids() {
+            if !self.nodes.contains_key(&NodeId(id)) {
+                return Err(format!("ring member {} missing from node map", NodeId(id)));
             }
-        }
-        if self.sorted_ids.len() != self.ring.len()
-            || !self.sorted_ids.iter().zip(&self.ring).all(|(a, b)| a == b)
-        {
-            return Err("sorted id vector out of sync with ring".to_string());
         }
         Ok(())
     }
@@ -260,7 +168,7 @@ impl ChordNetwork {
     /// [`ChordNetwork::alive_count`] + [`ChordNetwork::sample_alive`]
     /// instead. Kept for tests and diagnostics.
     pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.sorted_ids.clone()
+        self.ring.ids().iter().copied().map(NodeId).collect()
     }
 
     /// Number of live members that [`ChordNetwork::sample_alive`] can index
@@ -274,14 +182,14 @@ impl ChordNetwork {
     /// peer without materializing a `Vec`. Returns `None` when `index` is out
     /// of range.
     pub fn sample_alive(&self, index: usize) -> Option<NodeId> {
-        self.sorted_ids.get(index).copied()
+        self.ring.get(index).map(NodeId)
     }
 
     /// Ground-truth responsible peer for an identifier-space position — the
     /// value of the mapping function `m(k, h, now)`. Returns `None` for an
     /// empty overlay.
     pub fn responsible_for(&self, position: u64) -> Option<NodeId> {
-        self.truth_successor_of(position)
+        self.ring.successor(position).map(NodeId)
     }
 
     /// The peers `id` currently knows as neighbors (successor list +

@@ -18,6 +18,16 @@ fn ids(seed: u64, count: usize) -> Vec<NodeId> {
     set.into_iter().collect()
 }
 
+/// The ground-truth successor of a node: the next live node clockwise.
+fn next(network: &ChordNetwork, id: NodeId) -> Option<NodeId> {
+    network.ring.successors(id.0).next().map(NodeId)
+}
+
+/// The ground-truth predecessor of a node.
+fn prev(network: &ChordNetwork, id: NodeId) -> Option<NodeId> {
+    network.ring.predecessor(id.0).map(NodeId)
+}
+
 fn small_config() -> ChordConfig {
     ChordConfig {
         successor_list_len: 4,
@@ -62,8 +72,8 @@ fn bootstrap_builds_consistent_ring() {
     network.check_invariants().unwrap();
     for id in network.alive_ids() {
         let node = network.node(id).unwrap();
-        assert_eq!(node.successor(), network.truth_successor_of_node(id));
-        assert_eq!(node.predecessor, network.truth_predecessor_of_node(id));
+        assert_eq!(node.successor(), next(&network, id));
+        assert_eq!(node.predecessor, prev(&network, id));
     }
 }
 
@@ -165,8 +175,8 @@ fn leave_hands_over_to_successor() {
     let mut network = ChordNetwork::bootstrap(ids(6, 32), small_config());
     let members = network.alive_ids();
     let leaving = members[10];
-    let successor = network.truth_successor_of_node(leaving).unwrap();
-    let predecessor = network.truth_predecessor_of_node(leaving).unwrap();
+    let successor = next(&network, leaving).unwrap();
+    let predecessor = prev(&network, leaving).unwrap();
     let outcome = network.leave(leaving);
     assert_eq!(outcome.changes.len(), 1);
     let change = &outcome.changes[0];
@@ -184,7 +194,7 @@ fn leave_hands_over_to_successor() {
 fn fail_produces_change_without_handover() {
     let mut network = ChordNetwork::bootstrap(ids(7, 32), small_config());
     let failing = network.alive_ids()[3];
-    let successor = network.truth_successor_of_node(failing).unwrap();
+    let successor = next(&network, failing).unwrap();
     let outcome = network.fail(failing);
     assert_eq!(outcome.changes.len(), 1);
     assert_eq!(outcome.changes[0].kind, MembershipEventKind::Fail);
@@ -263,8 +273,8 @@ fn neighbors_include_successors_and_predecessor() {
     let network = ChordNetwork::bootstrap(ids(11, 16), small_config());
     let id = network.alive_ids()[4];
     let neighbors = network.neighbors(id);
-    let succ = network.truth_successor_of_node(id).unwrap();
-    let pred = network.truth_predecessor_of_node(id).unwrap();
+    let succ = next(&network, id).unwrap();
+    let pred = prev(&network, id).unwrap();
     assert!(neighbors.contains(&succ));
     assert!(neighbors.contains(&pred));
     assert!(!neighbors.contains(&id));

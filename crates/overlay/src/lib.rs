@@ -8,11 +8,15 @@
 //! [`chord::ChordNetwork`] is an m=64-bit Chord ring with successor lists,
 //! finger tables, protocol-accurate joins, graceful leaves, fail-stop
 //! failures, periodic stabilization and iterative lookups that account for
-//! hops and timeouts. It is what the simulator routes over; the live cluster
-//! resolves responsibility through its own directory and shares only
-//! [`PeerStore`] and the ring arithmetic with this crate. [`PeerStore`] is
-//! the one replica table: simulated peers, live peers (through
-//! `rdht_storage`) and hand-off bundles all hold their replicas in it.
+//! hops and timeouts. It is what the simulator routes over.
+//!
+//! [`Ring`] is the responsibility rule both worlds execute: the sorted live
+//! ids, the successor of a position (`rsp(k, h)`, Definition 1) and the
+//! range a join or a graceful leave moves. Chord keeps its ground truth in
+//! one; the live cluster's directory routes every request and plans every
+//! hand-off from one. [`PeerStore`] is the one replica table: simulated
+//! peers, live peers (through `rdht_storage`) and hand-off bundles all hold
+//! their replicas in it.
 //!
 //! Routing returns [`LookupOutcome`] cost records; membership changes return
 //! [`MembershipOutcome`] records whose [`ResponsibilityChange`] entries drive
@@ -30,6 +34,7 @@
 pub mod chord;
 mod cost;
 mod id;
+mod ring;
 mod store;
 
 #[cfg(test)]
@@ -39,8 +44,6 @@ pub use cost::{
     LookupError, LookupOutcome, MembershipEventKind, MembershipOutcome, ResponsibilityChange,
     StabilizeOutcome,
 };
-pub use id::{
-    distance_clockwise, in_open_closed_interval, in_open_open_interval, merge_ranges, split_range,
-    NodeId,
-};
+pub use id::{in_open_closed_interval, in_open_open_interval, NodeId};
+pub use ring::{Ring, RingError};
 pub use store::{PeerStore, Record, WritePolicy};

@@ -313,16 +313,18 @@ impl BrkAccess for SimAccess<'_> {
             .peers
             .get_mut(&holder)
             .ok_or_else(|| UmsError::lookup("replica holder vanished"))?;
-        peer.store_mut(self.algorithm).put(
-            hash,
-            key.clone(),
-            Record {
+        let store = peer.store_mut(self.algorithm);
+        if store
+            .get(hash, key)
+            .is_none_or(|held| value.supersedes(Version(held.stamp)))
+        {
+            let record = Record {
                 payload: value.data.clone(),
                 stamp: value.version.0,
                 position,
-            },
-            WritePolicy::KeepNewest,
-        );
+            };
+            store.put(hash, key.clone(), record, WritePolicy::Overwrite);
+        }
         Ok(())
     }
 

@@ -1,6 +1,9 @@
 //! Simulator-level tests: determinism, currency guarantees, cost ordering.
 
-use crate::{Algorithm, SimConfig, Simulation};
+use rdht_baseline::{BrkAccess, Version, VersionedValue};
+use rdht_hashing::Key;
+
+use crate::{Algorithm, SimAccess, SimConfig, Simulation};
 
 fn run(config: SimConfig) -> crate::SimulationReport {
     Simulation::new(config).run()
@@ -61,6 +64,26 @@ fn ums_is_cheaper_than_brk() {
     );
     assert!(ums.mean_messages < brk.mean_messages);
     assert!(ums.mean_replicas_probed < brk.mean_replicas_probed);
+}
+
+/// The simulator's BRK holders apply the reference holder rule
+/// (`InMemoryBrk`): of two writes with equal versions, the later one wins.
+#[test]
+fn brk_equal_version_writes_take_arrival_order() {
+    let mut sim = Simulation::new(SimConfig::small_test(48, 7));
+    let origin = sim.overlay.sample_alive(0).unwrap();
+    let hash = sim.family.replication_ids().next().unwrap();
+    let key = Key::new("doc");
+    let mut access = SimAccess::new(&mut sim, origin, Algorithm::Brk);
+    for (data, version) in [("first", 1), ("second", 1), ("older", 0)] {
+        let value = VersionedValue::new(data.as_bytes().to_vec(), Version(version));
+        access.put_versioned(hash, &key, &value).unwrap();
+    }
+    let got = access.get_versioned(hash, &key).unwrap().unwrap();
+    assert_eq!(
+        (got.data.as_slice(), got.version),
+        (&b"second"[..], Version(1))
+    );
 }
 
 #[test]

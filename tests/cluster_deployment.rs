@@ -4,10 +4,10 @@
 //! direct algorithm) holds.
 
 use rdht::core::ums;
-use rdht::hashing::Key;
-use rdht::net::Cluster;
+use rdht::hashing::{HashFamily, Key};
+use rdht::net::{Cluster, PeerId};
 use rdht::overlay::chord::{ChordConfig, ChordNetwork};
-use rdht::overlay::NodeId;
+use rdht::overlay::{in_open_closed_interval, NodeId};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +22,122 @@ fn cluster_round_trip_through_facade() {
     let got = ums::retrieve(&mut client, &key).unwrap();
     assert!(got.is_current);
     assert_eq!(got.data.unwrap(), b"two");
+    cluster.shutdown();
+}
+
+/// Where a running cluster routes each sampled position: the timestamp and
+/// replica positions of `keys`, read through the key-level queries, and the
+/// `probes`, read directly.
+fn routes(
+    cluster: &Cluster,
+    family: &HashFamily,
+    keys: &[Key],
+    probes: &[u64],
+) -> Vec<(u64, PeerId)> {
+    let mut out = Vec::new();
+    for key in keys {
+        let stamp = cluster.timestamp_responsible(key).unwrap();
+        out.push((family.eval_timestamp(key), stamp));
+        for hash in family.replication_ids() {
+            let holder = cluster.replica_responsible(hash, key).unwrap();
+            out.push((family.eval(hash, key), holder));
+        }
+    }
+    out.extend(
+        probes
+            .iter()
+            .map(|&p| (p, cluster.responsible_for(p).unwrap())),
+    );
+    out
+}
+
+/// Checks that exactly the positions in `(start, end]` changed hands, all
+/// from `from` to `to`, between two `routes` snapshots.
+fn moved_exactly(
+    before: &[(u64, PeerId)],
+    after: &[(u64, PeerId)],
+    (start, end): (u64, u64),
+    from: PeerId,
+    to: PeerId,
+) {
+    assert_eq!(before.len(), after.len());
+    let mut moved = 0;
+    for (&(position, old), &(_, new)) in before.iter().zip(after) {
+        if in_open_closed_interval(start, end, position) {
+            assert_eq!(
+                (old, new),
+                (from, to),
+                "position {position:#x} in ({start:#x}, {end:#x}]"
+            );
+            moved += 1;
+        } else {
+            assert_eq!(
+                old, new,
+                "position {position:#x} outside ({start:#x}, {end:#x}] moved"
+            );
+        }
+    }
+    assert!(
+        moved > 0,
+        "no sampled position fell in ({start:#x}, {end:#x}]"
+    );
+}
+
+/// The live router and the hand-off planner answer from one ring: after a
+/// join or a graceful leave, the sampled positions routed to a new peer are
+/// exactly those in the reported range, taken from the reported peer.
+/// The samples include every peer id and its neighbours (so both range ends)
+/// and the wrap point.
+#[test]
+fn routing_and_hand_off_planning_agree_in_a_running_cluster() {
+    let mut cluster = Cluster::spawn(8, 4, 4040);
+    let family = HashFamily::new(4, 4040);
+    let keys: Vec<Key> = (0..48).map(|i| Key::new(format!("agree:{i}"))).collect();
+    let mut client = cluster.client();
+    for key in &keys {
+        ums::insert(&mut client, key, b"v".to_vec()).unwrap();
+    }
+    let ids = cluster.peer_ids();
+    // A joiner below the smallest id: its range wraps past the top.
+    let joiner = PeerId(ids[0].0 / 2);
+    let mut probes = vec![0, 1, u64::MAX];
+    for id in ids.iter().chain([&joiner]) {
+        probes.extend([id.0.wrapping_sub(1), id.0, id.0.wrapping_add(1)]);
+    }
+
+    let before = routes(&cluster, &family, &keys, &probes);
+    let join = cluster.join_peer(joiner).unwrap();
+    assert_eq!((join.source, join.range_end), (ids[0], joiner.0));
+    assert!(join.range_start > join.range_end, "the joined range wraps");
+    let after_join = routes(&cluster, &family, &keys, &probes);
+    let range = (join.range_start, join.range_end);
+    moved_exactly(&before, &after_join, range, join.source, joiner);
+
+    // A leave in the middle of the ring.
+    let leave = cluster.leave_peer(ids[4]).unwrap();
+    let after_leave = routes(&cluster, &family, &keys, &probes);
+    let range = (leave.range_start, leave.range_end);
+    moved_exactly(&after_join, &after_leave, range, ids[4], leave.target);
+
+    // The joiner leaves again: its range goes back to the join's source.
+    let undo = cluster.leave_peer(joiner).unwrap();
+    assert_eq!(
+        (undo.target, undo.range_start, undo.range_end),
+        (join.source, join.range_start, join.range_end)
+    );
+    let after_undo = routes(&cluster, &family, &keys, &probes);
+    moved_exactly(
+        &after_leave,
+        &after_undo,
+        (undo.range_start, undo.range_end),
+        joiner,
+        undo.target,
+    );
+
+    for key in &keys {
+        let got = ums::retrieve(&mut client, key).unwrap();
+        assert!(got.is_current, "{key:?} is not current after the hand-offs");
+    }
     cluster.shutdown();
 }
 
