@@ -133,6 +133,11 @@ impl KtsNode {
         self.recovery_floors.get(key).map(|v| Timestamp(*v))
     }
 
+    /// The keys with a pending recovery floor, in key order.
+    pub fn recovery_floor_keys(&self) -> impl Iterator<Item = &Key> {
+        self.recovery_floors.keys()
+    }
+
     /// Removes and returns the pending recovery floors of every key selected
     /// by `covers` — the floor counterpart of
     /// [`KtsNode::export_counters_in_range`]. When responsibility for a

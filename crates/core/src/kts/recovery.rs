@@ -18,6 +18,17 @@
 //! environment that the data stored with the *latest value of the incorrect
 //! counter* must be re-inserted under the corrected timestamp so that
 //! replicas stamped with the bogus low timestamps cannot shadow newer data.
+//!
+//! The live cluster (`rdht-net`) does recovery through the range hand-off
+//! instead. A restarted peer rejoins at its old ring position, so the range
+//! and its counters flow the other way: the interim responsible hands its
+//! counters to the restarted peer, which raises each to the value it
+//! recovered from its journal (its *recovery floor*,
+//! [`KtsNode::seed_recovery_floors`]). The recovered counters nobody handed
+//! over are re-initialized from the replicas in a batched observation and
+//! raised the same way. Either way the counter ends at
+//! `max(recovered, what the new responsible knows)`, as reconciliation
+//! would leave it, and the interim responsible keeps no counter of the range.
 
 use rdht_hashing::Key;
 

@@ -27,10 +27,10 @@
 //!   resolved by the ring, not by who stores what.
 
 use rdht_core::kts::KtsNode;
-use rdht_core::{DurableState, ReplicaValue, Timestamp};
+use rdht_core::{DurableState, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_overlay::{in_open_closed_interval, Record};
-use rdht_storage::StorageEngine;
+use rdht_storage::{StorageEngine, StorageOp};
 
 /// Everything a range transfer ships from source to target: the replicas
 /// stored in the moved interval and the KTS counters of the keys whose
@@ -122,8 +122,15 @@ pub fn install_handoff(
             None => true,
         };
         if accepted {
-            let value = ReplicaValue::new(replica.payload, Timestamp(replica.stamp));
-            engine.record_replica_put(hash, &key, &value, replica.position);
+            // The bundle owns the payload: apply it as it is, without the
+            // copy the by-reference `record_replica_put` makes.
+            engine.apply_latching(StorageOp::PutReplica {
+                hash,
+                key,
+                payload: replica.payload,
+                stamp: Timestamp(replica.stamp),
+                position: replica.position,
+            });
             report.replicas_installed += 1;
         }
     }
@@ -147,6 +154,7 @@ pub fn commit_handoff(engine: &mut StorageEngine, range_start: u64, range_end: u
 mod tests {
     use super::*;
     use rdht_core::kts::IndirectObservation;
+    use rdht_core::ReplicaValue;
     use rdht_storage::{FsyncPolicy, StorageOptions};
     use std::path::PathBuf;
 

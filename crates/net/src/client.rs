@@ -862,20 +862,35 @@ impl ClusterClient {
     /// Gathers the indirect observation for a key: reads every replica —
     /// all `|Hr|` probes in one overlapped [`ClusterClient::call_all`] — and
     /// returns the largest timestamp seen (Section 4.2.2), or
-    /// [`Timestamp::ZERO`] when no replica answered with data.
+    /// [`Timestamp::ZERO`] when no replica answered with data. A probe that
+    /// failed is left out of the maximum.
     fn gather_observation(&mut self, key: &Key) -> Timestamp {
         let probes = self
             .replication_ids()
             .map(|hash| self.get_call(hash, key))
             .collect();
-        self.call_all(probes)
-            .into_iter()
-            .filter_map(|reply| match reply {
-                Ok(Reply::Replica(Some((_payload, timestamp)))) => Some(timestamp),
-                _ => None,
+        observation(self.call_all(probes)).max
+    }
+
+    /// The indirect observation of many keys in one round: the `|Hr|` probes
+    /// of every key go out in one [`ClusterClient::call_all`], which sends
+    /// one frame per holder peer however many keys there are. Returns each
+    /// key whose probes were **all** answered, with the largest timestamp
+    /// its replicas hold ([`Timestamp::ZERO`] for none); a key with a failed
+    /// probe is left out, for the per-key path to initialise on first use.
+    pub(crate) fn observe_all(&mut self, keys: &[Key]) -> Vec<(Key, Timestamp)> {
+        let probes = keys
+            .iter()
+            .flat_map(|key| self.replication_ids().map(|hash| self.get_call(hash, key)))
+            .collect();
+        let mut replies = self.call_all(probes).into_iter();
+        let width = self.replication_count();
+        keys.iter()
+            .filter_map(|key| {
+                let observed = observation(replies.by_ref().take(width));
+                observed.complete.then(|| (key.clone(), observed.max))
             })
-            .max()
-            .unwrap_or(Timestamp::ZERO)
+            .collect()
     }
 
     /// Turns the reply to a hint-less KTS request under `op` into the final
@@ -933,6 +948,33 @@ impl ClusterClient {
 struct Carried {
     hashes: Vec<HashId>,
     payload: Vec<u8>,
+}
+
+/// What the `|Hr|` probes of one key read.
+struct Observation {
+    /// The largest timestamp a replica answered with; [`Timestamp::ZERO`]
+    /// when none held data.
+    max: Timestamp,
+    /// Whether every probe was answered.
+    complete: bool,
+}
+
+/// Folds the replies to one key's probes into its [`Observation`].
+fn observation(replies: impl IntoIterator<Item = Result<Reply, UmsError>>) -> Observation {
+    let mut observed = Observation {
+        max: Timestamp::ZERO,
+        complete: true,
+    };
+    for reply in replies {
+        match reply {
+            Ok(Reply::Replica(Some((_payload, timestamp)))) => {
+                observed.max = observed.max.max(timestamp);
+            }
+            Ok(Reply::Replica(None)) => {}
+            _ => observed.complete = false,
+        }
+    }
+    observed
 }
 
 /// The timestamp a `gen_ts` or `last_ts` reply carries.

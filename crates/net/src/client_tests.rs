@@ -109,3 +109,16 @@ fn a_partial_puts_ack_fails_every_put_of_the_frame() {
         );
     }
 }
+
+#[test]
+fn an_observation_is_complete_only_when_every_probe_answered() {
+    let stored = |stamp| Ok(Reply::Replica(Some((b"v".to_vec(), Timestamp(stamp)))));
+    let full = observation([stored(3), Ok(Reply::Replica(None)), stored(7)]);
+    assert_eq!((full.max, full.complete), (Timestamp(7), true));
+    let empty = observation([Ok(Reply::Replica(None)), Ok(Reply::Replica(None))]);
+    assert_eq!((empty.max, empty.complete), (Timestamp::ZERO, true));
+    let lost = observation([stored(3), Err(UmsError::lookup("no reply")), stored(5)]);
+    assert_eq!((lost.max, lost.complete), (Timestamp(5), false));
+    let odd = observation([stored(2), Ok(Reply::PutAck)]);
+    assert_eq!((odd.max, odd.complete), (Timestamp(2), false));
+}

@@ -23,10 +23,11 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rdht_core::Timestamp;
 use rdht_hashing::{HashFamily, HashFunction, HashId, Key};
-use rdht_membership::MembershipError;
+use rdht_membership::{HandoffBundle, MembershipError};
 use rdht_metrics::{encode, Counter, Registry, TraceContext, TraceSink};
-use rdht_overlay::{Ring, RingError};
+use rdht_overlay::{in_open_closed_interval, Ring, RingError};
 use rdht_storage::StorageOptions;
 
 use crate::client::{allocate_actor_id, ClusterClient};
@@ -49,6 +50,13 @@ const COORDINATION_ATTEMPT_TIMEOUT: Duration = Duration::from_secs(15);
 /// [`OpId`], so a source that already committed re-acknowledges from its
 /// dedup cache instead of driving a second transfer.
 const COORDINATION_ATTEMPTS: u32 = 4;
+
+/// How many replica probes one round of a restart's batched observation
+/// sends at most. Every probe of a round is in flight at once, so the round
+/// holds a request and a reply per probe in memory (close to 1 KB each); the
+/// cap bounds that near 1 MB however many counters a peer recovered, at the
+/// price of 2 frames per live holder peer per round.
+pub(crate) const OBSERVATION_ROUND_PROBES: usize = 1024;
 
 /// Identifier of a peer on the cluster ring (the same 64-bit space keys are
 /// hashed into).
@@ -335,7 +343,8 @@ impl Directory {
     }
 }
 
-/// What [`Cluster::restart_peer`] recovered from a peer's storage directory.
+/// What [`Cluster::restart_peer`] recovered from a peer's storage directory,
+/// and how many of its counters the restart re-initialised.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RestartReport {
     /// Replicas rebuilt from the snapshot + WAL and served again.
@@ -343,11 +352,19 @@ pub struct RestartReport {
     /// Durable counter images found on disk. Per the paper's Rule 1 these
     /// are **not** resurrected into the live Valid Counter Set (another peer
     /// may have generated newer timestamps while this one was down); they
-    /// are seeded as *recovery floors* instead, so the indirect
-    /// re-initialization of Section 4.2.2 takes `max(observed, recovered)`
-    /// and the counter cannot regress even when every replica holder of a
-    /// key crashed at once.
+    /// are seeded as *recovery floors* instead: whatever first initialises
+    /// the key's counter again — the batched observation of the restart,
+    /// a counter handed over directly, or a per-key indirect initialization
+    /// (Section 4.2.2) — takes `max(initial, recovered)`, so the counter
+    /// cannot regress even when every replica holder of a key crashed at
+    /// once.
     pub recovered_counters: usize,
+    /// Counters of the taken-back range the restart re-initialised in its
+    /// batched observation, each at `max(observed, recovered)`. A
+    /// recovered counter not counted here — its key's probes did not all
+    /// answer, or the hand-off already brought a live counter — is
+    /// initialised on first use.
+    pub counters_reinitialized: usize,
     /// Storage generation (snapshot/WAL pair) the state was recovered from.
     pub generation: u64,
     /// Whether recovery had to discard a torn WAL tail.
@@ -389,6 +406,15 @@ pub struct LeaveReport {
     /// 4.2.1, which is what makes the graceful path free of indirect
     /// re-initializations.
     pub counters_moved: usize,
+}
+
+/// A peer [`Cluster::start_peer`] brought up: the endpoint that reaches
+/// it, what recovery found on disk, and the keys whose recovered counter is
+/// a recovery floor.
+struct Started {
+    endpoint: PeerEndpoint,
+    recovered: RestartReport,
+    floors: Vec<Key>,
 }
 
 /// A running cluster of peer threads.
@@ -446,10 +472,10 @@ impl Cluster {
             if cluster.handles.contains_key(&id) {
                 continue;
             }
-            let (endpoint, _) = cluster
+            let started = cluster
                 .start_peer(id)
                 .unwrap_or_else(|error| panic!("cannot bind peer {:016x}: {error}", id.0));
-            cluster.directory.revive(id, endpoint);
+            cluster.directory.revive(id, started.endpoint);
         }
         cluster
     }
@@ -460,7 +486,7 @@ impl Cluster {
     /// ([`Peer::start`]), and keep the handles on its thread and registry.
     /// The peer is *not* registered in the directory — the caller decides
     /// when it becomes routable.
-    fn start_peer(&mut self, id: PeerId) -> Result<(PeerEndpoint, RestartReport), TransportError> {
+    fn start_peer(&mut self, id: PeerId) -> Result<Started, TransportError> {
         let (peer, recovered) = Peer::open(
             id,
             Arc::clone(&self.directory),
@@ -469,10 +495,15 @@ impl Cluster {
             self.config.trace.clone(),
         );
         let registry = peer.registry();
+        let floors = peer.recovery_floor_keys();
         let (endpoint, handle) = peer.start()?;
         self.registries.insert(id, registry);
         self.handles.insert(id, handle);
-        Ok((endpoint, recovered))
+        Ok(Started {
+            endpoint,
+            recovered,
+            floors,
+        })
     }
 
     /// The configuration the cluster was spawned with.
@@ -566,7 +597,9 @@ impl Cluster {
     /// flush — a fail-stop failure. Everything in the peer's memory (its
     /// live counters, and its replicas when the cluster has no storage) is
     /// lost; what its journal already holds survives on disk and
-    /// [`Cluster::restart_peer`] can recover it.
+    /// [`Cluster::restart_peer`] can recover it. Until then the live
+    /// successor serves the peer's range, and initialises the counters of
+    /// its keys indirectly (Section 4.2.2) as requests for them arrive.
     ///
     /// Errors with [`MembershipError::UnknownPeer`] for an id that was never
     /// a member and [`MembershipError::AlreadyDead`] for one that is already
@@ -578,21 +611,37 @@ impl Cluster {
         Ok(())
     }
 
-    /// Restarts a crashed peer from its on-disk directory: joins the dead
-    /// thread, recovers the storage generation (snapshot + WAL, tolerating a
-    /// torn tail), re-registers the peer alive in the directory and respawns
-    /// its thread over the recovered replicas. An alive peer is crashed
-    /// first (a hard restart).
+    /// Restarts a crashed peer from its on-disk directory: a restart is a
+    /// join of the recovered peer. An alive peer is crashed first (a hard
+    /// restart). Three steps:
     ///
-    /// The live Valid Counter Set starts **empty** (Rule 1) — the durable
-    /// counter images are cleared from the journal and seeded as *recovery
-    /// floors*: the first timestamp request per key still takes the indirect
-    /// path of Section 4.2.2, but initializes at `max(observed, recovered)`
-    /// so currency cannot regress when the observation misses replicas.
+    /// 1. **Recover.** The dead thread is joined and the storage generation
+    ///    (snapshot + WAL, tolerating a torn tail) is recovered, with the
+    ///    peer still unregistered. The live Valid Counter Set starts
+    ///    **empty** (Rule 1): the durable counter images are cleared from
+    ///    the journal and kept only as *recovery floors*.
+    /// 2. **Hand-off.** The live successor that served the peer's range
+    ///    while it was down hands it back through the journaled join
+    ///    hand-off ([`Cluster::join_peer`]): its counters and floors of the
+    ///    range move to the peer directly (Section 4.2.1), its replicas
+    ///    there are copied over keep-newest and pruned at its commit, which
+    ///    registers the peer again. The successor keeps no counter of the
+    ///    range, so it cannot stamp from a stale one at the peer's next
+    ///    crash.
+    /// 3. **Batched observation.** Every recovered counter of the
+    ///    taken-back range is re-initialised from the replicas in batched
+    ///    rounds: the `|Hr|` probes of up to 1 024 / `|Hr|` keys go out
+    ///    together, one frame per live holder peer, and each key whose
+    ///    probes all answered is installed at
+    ///    `max(observed, recovered)` — what the per-key indirect
+    ///    initialization would give it — without lowering a counter the
+    ///    hand-off already made live. The floor is never more than a lower
+    ///    bound. A key left out is initialised indirectly on first use.
     ///
-    /// On a cluster without storage the peer simply rejoins empty. Errors
-    /// with [`MembershipError::UnknownPeer`] for an id that was never a
-    /// member.
+    /// On a cluster without storage the peer recovers nothing and takes its
+    /// range back empty. Errors with [`MembershipError::UnknownPeer`] for an
+    /// id that was never a member, and with the hand-off's error when it
+    /// fails; the peer then stays down and the restart can be retried.
     pub fn restart_peer(&mut self, peer: PeerId) -> Result<RestartReport, MembershipError> {
         let Some((endpoint, _)) = self.directory.member(peer) else {
             return Err(MembershipError::UnknownPeer(peer.0));
@@ -610,12 +659,7 @@ impl Cluster {
         if let Some(handle) = self.handles.remove(&peer) {
             let _ = handle.join();
         }
-
-        let (endpoint, report) = self
-            .start_peer(peer)
-            .unwrap_or_else(|error| panic!("cannot rebind peer {:016x}: {error}", peer.0));
-        self.directory.revive(peer, endpoint);
-        Ok(report)
+        self.enter_ring(peer, None).map(|(_, restarted)| restarted)
     }
 
     /// Adds a live peer to the running cluster.
@@ -629,7 +673,8 @@ impl Cluster {
     /// are re-sent to whoever the directory names, so clients never observe
     /// a half-moved range. On a storage-backed cluster every phase is
     /// journaled; a crash mid-transfer is recovered by
-    /// [`Cluster::restart_peer`] + a retried `join_peer`.
+    /// [`Cluster::restart_peer`] + a retried `join_peer`, which recovers what
+    /// the first attempt journaled at the joiner exactly as a restart does.
     pub fn join_peer(&mut self, new_id: PeerId) -> Result<JoinReport, MembershipError> {
         self.join_peer_impl(new_id, None)
     }
@@ -654,63 +699,128 @@ impl Cluster {
         if self.directory.member(new_id).is_some() {
             return Err(MembershipError::AlreadyMember(new_id.0));
         }
-        let planned = self.directory.with_ring(|ring| ring.join(new_id.0));
+        self.enter_ring(new_id, fault).map(|(joined, _)| joined)
+    }
 
-        // Bind and spawn the joiner first, unregistered: it must be able to
+    /// The one way a peer that is not on the ring enters it — a joiner, a
+    /// retried joiner, a restarted peer: recover and bind it unregistered,
+    /// take its range over from the live successor (the source registers it
+    /// at the commit point), then re-initialise the recovered counters of
+    /// that range in one batched observation.
+    fn enter_ring(
+        &mut self,
+        id: PeerId,
+        fault: Option<HandoffFault>,
+    ) -> Result<(JoinReport, RestartReport), MembershipError> {
+        let planned = self.directory.with_ring(|ring| ring.join(id.0));
+
+        // Bind and spawn the peer first, unregistered: it must be able to
         // process the InstallState message (the hand-off source resolves it
         // through the *transport*), but no client may route to it until the
         // hand-off commits and registers it in the directory. Reopening an
-        // existing storage directory (a retry after a crash mid-transfer)
-        // recovers what the previous attempt already journaled.
-        let (joiner, recovered) = self.start_peer(new_id).map_err(|error| {
-            MembershipError::TransferFailed(format!("cannot bind joiner: {error}"))
+        // existing storage directory (a restart, or a retry after a crash
+        // mid-transfer) recovers what it journaled before.
+        let started = self.start_peer(id).map_err(|error| {
+            MembershipError::TransferFailed(format!("cannot bind peer: {error}"))
         })?;
 
-        if planned == Err(RingError::EmptyRing) {
-            // Bootstrapping an empty ring: nothing to split.
-            self.directory.revive(new_id, joiner);
-            return Ok(JoinReport {
-                peer: new_id,
-                source: new_id,
-                range_start: new_id.0,
-                range_end: new_id.0,
-                replicas_moved: recovered.recovered_replicas,
-                counters_moved: 0,
-            });
-        }
-
-        let outcome = planned.map_err(MembershipError::from).and_then(|change| {
-            let source = PeerId(change.from.0);
-            let range = (change.range_start, change.range_end);
-            self.drive_handoff(source, range, new_id, HandoffKind::Join, fault)
-                .map(|moved| (source, range, moved))
-        });
+        let outcome = match planned {
+            // Bootstrapping an empty ring: nothing to split, the whole ring
+            // is the peer's.
+            Err(RingError::EmptyRing) => {
+                self.directory.revive(id, started.endpoint.clone());
+                Ok((id, (id.0, id.0), (started.recovered.recovered_replicas, 0)))
+            }
+            planned => planned.map_err(MembershipError::from).and_then(|change| {
+                let source = PeerId(change.from.0);
+                let range = (change.range_start, change.range_end);
+                self.drive_handoff(source, range, id, HandoffKind::Join, fault)
+                    .map(|moved| (source, range, moved))
+            }),
+        };
         match outcome {
-            // The source registered the joiner at its commit point.
+            // The source registered the peer at its commit point.
             Ok((source, (range_start, range_end), (replicas_moved, counters_moved))) => {
-                Ok(JoinReport {
-                    peer: new_id,
+                let mut recovered = started.recovered;
+                recovered.counters_reinitialized =
+                    self.reinitialize_counters(id, (range_start, range_end), started.floors);
+                let joined = JoinReport {
+                    peer: id,
                     source,
                     range_start,
                     range_end,
                     replicas_moved,
                     counters_moved,
-                })
+                };
+                Ok((joined, recovered))
             }
             Err(error) => {
                 // The hand-off never committed (no plan, the source crashed,
                 // answered a failure, or stayed silent through every bounded
-                // wait): tear the unregistered joiner down. Whatever the
-                // joiner already journaled survives in its directory; a
-                // retried join_peer for the same id recovers it and completes
-                // the transfer.
-                let _ = joiner.send_no_reply(Request::Crash);
-                if let Some(handle) = self.handles.remove(&new_id) {
+                // wait): tear the unregistered peer down. Whatever it
+                // already journaled survives in its directory; a retry for
+                // the same id recovers it and completes the transfer.
+                let _ = started.endpoint.send_no_reply(Request::Crash);
+                if let Some(handle) = self.handles.remove(&id) {
                     let _ = handle.join();
                 }
-                self.registries.remove(&new_id);
+                self.registries.remove(&id);
                 Err(error)
             }
+        }
+    }
+
+    /// The batched observation of a peer that just took `(start, end]`
+    /// over: the `floors` keys timestamped in that range are observed in
+    /// [`ClusterClient::observe_all`] rounds of at most
+    /// [`OBSERVATION_ROUND_PROBES`] probes, and those whose probes all
+    /// answered are installed into `peer`, in one `InstallState`, as
+    /// transferred counters — which raises each to its recovery floor and
+    /// never lowers a live counter. Returns how many counters the peer
+    /// acknowledged; a peer that went down meanwhile acknowledges none, and
+    /// its keys take the per-key path.
+    fn reinitialize_counters(
+        &mut self,
+        peer: PeerId,
+        (start, end): (u64, u64),
+        floors: Vec<Key>,
+    ) -> usize {
+        let family = &self.directory.family;
+        let keys: Vec<Key> = floors
+            .into_iter()
+            .filter(|key| in_open_closed_interval(start, end, family.eval_timestamp(key)))
+            .collect();
+        let per_round = (OBSERVATION_ROUND_PROBES / family.num_replication()).max(1);
+        let mut observer = self.client();
+        let counters: Vec<(Key, Timestamp)> = keys
+            .chunks(per_round)
+            .flat_map(|round| observer.observe_all(round))
+            .collect();
+        if counters.is_empty() {
+            return 0;
+        }
+        let Some(endpoint) = self.peer_endpoint(peer) else {
+            return 0;
+        };
+        let install = Request::InstallState {
+            op: Some(self.next_coordination_op()),
+            start,
+            end,
+            bundle: HandoffBundle {
+                counters,
+                ..HandoffBundle::default()
+            },
+        };
+        match endpoint.call_resending(
+            &install,
+            None,
+            COORDINATION_ATTEMPTS,
+            COORDINATION_ATTEMPT_TIMEOUT,
+        ) {
+            Ok(Reply::InstallAck {
+                counters_received, ..
+            }) => counters_received,
+            _ => 0,
         }
     }
 
@@ -766,13 +876,8 @@ impl Cluster {
         let endpoint = self
             .peer_endpoint(driver)
             .expect("the planned driver is a live directory member");
-        let op = OpId {
-            client: self.coordinator_client,
-            seq: self.next_coordination_seq,
-        };
-        self.next_coordination_seq += 1;
         let request = Request::HandoffRange {
-            op: Some(op),
+            op: Some(self.next_coordination_op()),
             start,
             end,
             target_id,
@@ -825,6 +930,16 @@ impl Cluster {
             Err(_) => Err(MembershipError::TransferFailed(format!(
                 "the {role} peer crashed mid-transfer"
             ))),
+        }
+    }
+
+    /// A fresh op of this coordinator; re-sends of its request repeat it.
+    fn next_coordination_op(&mut self) -> OpId {
+        let seq = self.next_coordination_seq;
+        self.next_coordination_seq += 1;
+        OpId {
+            client: self.coordinator_client,
+            seq,
         }
     }
 

@@ -509,8 +509,14 @@ impl Scheduler {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || Scheduler::run(shared));
         }
+        // The timer thread sleeps until the earliest deadline it knows of: a
+        // frame due later than that needs no wake-up, it is seen when the
+        // thread next looks at the queue.
+        let earliest = queue.items.peek().is_some_and(|head| head.seq == seq);
         drop(queue);
-        self.shared.wake.notify_one();
+        if earliest {
+            self.shared.wake.notify_one();
+        }
     }
 
     fn run(shared: Arc<SchedulerShared>) {

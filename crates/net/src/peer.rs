@@ -346,6 +346,7 @@ impl Peer {
             recovered_counters: engine.counters().len(),
             generation: engine.generation(),
             torn_tail: engine.recovery().torn_tail,
+            ..RestartReport::default()
         };
         let kts = kts_from_recovery(&mut engine);
 
@@ -381,6 +382,12 @@ impl Peer {
             trace_pid: u64::from(std::process::id()),
         };
         (peer, recovered)
+    }
+
+    /// The keys whose recovered durable counter waits as a recovery floor
+    /// for its first initialization here.
+    pub(crate) fn recovery_floor_keys(&self) -> Vec<Key> {
+        self.kts.recovery_floor_keys().cloned().collect()
     }
 
     /// A handle on the registry this peer observes into and answers

@@ -146,17 +146,17 @@ fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<TcpStream, Transp
     Ok(stream)
 }
 
-/// Logs a connection dropped on a frame that does not decode.
-fn warn_bad_frame(message: &str, peer: &str, error: &WireError) {
-    rdht_metrics::log::global().warn(
-        "net.tcp",
-        message,
-        &[
-            ("peer", peer),
-            ("error", error.variant()),
-            ("detail", &error.to_string()),
-        ],
-    );
+/// Logs a connection dropped on a frame that does not decode; `who` names
+/// the connection.
+fn warn_bad_frame(message: &str, who: &[(&str, &str)], error: &WireError) {
+    warn_dropped(message, who, error.variant(), &error.to_string());
+}
+
+/// Logs a dropped connection, named by `who`, and why it was dropped.
+fn warn_dropped(message: &str, who: &[(&str, &str)], error: &str, detail: &str) {
+    let mut fields = who.to_vec();
+    fields.extend([("error", error), ("detail", detail)]);
+    rdht_metrics::log::global().warn("net.tcp", message, &fields);
 }
 
 /// The write half of an accepted connection, shared by every in-flight
@@ -321,7 +321,7 @@ impl TcpTransport {
                     Err(error) => {
                         warn_bad_frame(
                             "dropping dialled connection on a bad frame",
-                            &addr.to_string(),
+                            &[("peer", &addr.to_string())],
                             &error,
                         );
                         break;
@@ -458,7 +458,11 @@ impl OwnConnection {
                     Ok(Envelope::Request { .. }) => return Err(()),
                     Err(error) => {
                         let peer = self.booked.addr.to_string();
-                        warn_bad_frame("dropping own connection on a bad frame", &peer, &error);
+                        warn_bad_frame(
+                            "dropping own connection on a bad frame",
+                            &[("peer", &peer)],
+                            &error,
+                        );
                         return Err(());
                     }
                 },
@@ -740,6 +744,8 @@ impl EndpointImpl for TcpEndpoint {
 /// threads — whose allocations, which the peer keeps as replicas, stay in
 /// the same heaps.
 struct Readers {
+    /// The peer the connections are accepted for.
+    peer: PeerId,
     queue: Sender<Incoming>,
     /// Readers waiting for a connection that none has been handed yet.
     idle: Arc<AtomicUsize>,
@@ -748,9 +754,10 @@ struct Readers {
 }
 
 impl Readers {
-    fn new(queue: Sender<Incoming>) -> Self {
+    fn new(peer: PeerId, queue: Sender<Incoming>) -> Self {
         let (handoff, waiting) = unbounded();
         Readers {
+            peer,
             queue,
             idle: Arc::new(AtomicUsize::new(0)),
             handoff,
@@ -769,13 +776,13 @@ impl Readers {
             let _ = self.handoff.send(stream);
             return;
         }
-        let queue = self.queue.clone();
+        let (peer, queue) = (self.peer, self.queue.clone());
         let idle = Arc::clone(&self.idle);
         let waiting = Arc::clone(&self.waiting);
         spawn_named("tcp-serve", move || {
             let mut stream = stream;
             loop {
-                serve_connection(stream, &queue);
+                serve_connection(peer, stream, &queue);
                 idle.fetch_add(1, Ordering::SeqCst);
                 // The hand-off closes when the acceptor exits (unbind).
                 let Ok(next) = waiting.lock().recv() else {
@@ -787,14 +794,18 @@ impl Readers {
     }
 }
 
-/// Serves one accepted connection: decode request frames, queue them on the
-/// peer's mailbox, frame replies back. Returns when the connection closes,
-/// sends garbage, or the peer stops receiving.
-fn serve_connection(stream: TcpStream, queue: &Sender<Incoming>) {
-    let peer_desc = stream
+/// Serves one accepted connection of `peer`: decode request frames, queue
+/// them on the peer's mailbox, frame replies back. Returns when the
+/// connection closes, sends garbage, ends inside a frame, or the peer stops
+/// receiving. A dropped connection is logged under the serving peer's id and
+/// the client's address.
+fn serve_connection(peer: PeerId, stream: TcpStream, queue: &Sender<Incoming>) {
+    let client = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".to_string());
+    let peer = format!("{:016x}", peer.0);
+    let who = [("peer", peer.as_str()), ("client", client.as_str())];
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -826,21 +837,28 @@ fn serve_connection(stream: TcpStream, queue: &Sender<Incoming>) {
                 Err(error) => {
                     // Garbage in, typed error out, connection dropped —
                     // the peer stays live for everyone else.
-                    warn_bad_frame(
-                        "dropping accepted connection on a bad frame",
-                        &peer_desc,
-                        &error,
-                    );
+                    warn_bad_frame("dropping accepted connection on a bad frame", &who, &error);
                     break;
                 }
             },
             Ok(None) => break, // clean EOF
-            Err(error) => {
-                if let FrameError::Wire(wire) = error {
-                    warn_bad_frame(
-                        "dropping accepted connection on a bad length prefix",
-                        &peer_desc,
-                        &wire,
+            Err(FrameError::Wire(wire)) => {
+                warn_bad_frame(
+                    "dropping accepted connection on a bad length prefix",
+                    &who,
+                    &wire,
+                );
+                break;
+            }
+            Err(FrameError::Io(error)) => {
+                // A truncated request: the client went away mid-frame. Any
+                // other read error is the connection being torn down.
+                if error.kind() == io::ErrorKind::UnexpectedEof {
+                    warn_dropped(
+                        "dropping accepted connection that ended inside a frame",
+                        &who,
+                        "UnexpectedEof",
+                        &error.to_string(),
                     );
                 }
                 break;
@@ -877,7 +895,7 @@ impl Transport for TcpTransport {
         let acceptor_closing = Arc::clone(&closing);
         let acceptor_conns = Arc::clone(&conns);
         let acceptor = spawn_named("tcp-accept", move || {
-            let readers = Readers::new(queue);
+            let readers = Readers::new(peer, queue);
             for accepted in listener.incoming() {
                 if acceptor_closing.load(Ordering::SeqCst) {
                     break;

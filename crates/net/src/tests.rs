@@ -249,11 +249,11 @@ fn crash_of_replica_holders_degrades_availability_not_correctness() {
     cluster.shutdown();
 }
 
-/// The ISSUE 3 acceptance test: the KTS responsible is crashed (its thread
-/// torn down), restarted from its storage directory, and a subsequent
-/// retrieve is certified current with the pre-crash latest payload — with
-/// the indirect-initialization path (not a counter left in memory)
-/// observably taken.
+/// The KTS responsible is crashed (its thread torn down), restarted from its
+/// storage directory, and a subsequent retrieve is certified current with
+/// the pre-crash latest payload. The counter is not left in memory: the
+/// restart re-initialises it indirectly, from the replicas, in its batched
+/// observation, so the retrieve needs no per-key initialization.
 #[test]
 fn crash_restart_of_kts_responsible_recovers_indirectly() {
     let root = fresh_storage_root("kts-responsible");
@@ -286,16 +286,19 @@ fn crash_restart_of_kts_responsible_recovers_indirectly() {
         "the timestamp responsible journaled at least this key's counter"
     );
 
-    // …but the live VCS starts empty (Rule 1): the retrieve must take the
-    // indirect-initialization path, observable as a NeedsInitialization
-    // round-trip on a fresh client, and still certify the pre-crash value.
+    // …but the live VCS starts empty (Rule 1): the restart observed the
+    // key's replicas and installed the counter from them, so a fresh client
+    // meets no NeedsInitialization and still certifies the pre-crash value.
+    assert_eq!(
+        report.counters_reinitialized, report.recovered_counters,
+        "every recovered counter was re-initialised in the batched observation"
+    );
     let mut fresh = cluster.client();
-    assert_eq!(fresh.indirect_initializations(), 0);
     let after = ums::retrieve(&mut fresh, &key).unwrap();
     assert_eq!(
         fresh.indirect_initializations(),
-        1,
-        "the restarted responsible had no in-memory counter"
+        0,
+        "the restart re-initialised the counter"
     );
     assert!(after.is_current, "currency is re-certified after recovery");
     assert_eq!(after.data.unwrap(), b"v4", "pre-crash latest payload");
@@ -339,16 +342,21 @@ fn whole_cluster_crash_restart_serves_current_data_from_disk() {
         cluster.crash_peer(peer).unwrap();
     }
     assert_eq!(cluster.live_peers(), 0);
-    let mut recovered_replicas = 0;
+    let (mut recovered_replicas, mut reinitialized) = (0, 0);
     for &peer in &peers {
         let report = cluster.restart_peer(peer).unwrap();
         recovered_replicas += report.recovered_replicas;
+        reinitialized += report.counters_reinitialized;
     }
     assert_eq!(cluster.live_peers(), peers.len());
     // Every (key, hash) replica written must be back: 8 keys × |Hr| = 4.
     // (FsyncPolicy::EveryN leaves at most a tail unsynced on a *power*
     // failure; a thread crash loses nothing already written to the fs.)
     assert_eq!(recovered_replicas, keys.len() * 4);
+    // Every key's counter came back at its timestamp responsible's restart:
+    // the holders restarted later were still down, so the observation may
+    // have missed them, and the recovery floor carried the counter.
+    assert_eq!(reinitialized, keys.len());
 
     let mut client = cluster.client();
     for (i, key) in keys.iter().enumerate() {
@@ -356,9 +364,10 @@ fn whole_cluster_crash_restart_serves_current_data_from_disk() {
         assert!(got.is_current, "doc-{i} must re-certify from durable state");
         assert_eq!(got.data.unwrap(), format!("doc-{i}-v{i}").into_bytes());
     }
-    assert!(
-        client.indirect_initializations() >= keys.len() as u64,
-        "every key's counter had to be re-initialized indirectly"
+    assert_eq!(
+        client.indirect_initializations(),
+        0,
+        "the restarts re-initialised every key's counter"
     );
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
@@ -1127,8 +1136,8 @@ fn crash_after_install_completes_from_the_journal_on_retry() {
 }
 
 /// A currency-regression corner: the restarted timestamp responsible seeds
-/// its indirect initialization with the recovered durable counter, so even
-/// when **every** replica holder of the key is down (the observation comes
+/// its counter with the recovered durable one, so even when **every**
+/// replica holder of the key is down at the restart (the observation comes
 /// back empty) the next timestamp is strictly larger than everything
 /// generated before the crash.
 #[test]
@@ -1139,8 +1148,19 @@ fn restart_seeds_indirect_init_with_recovered_counter_floor() {
         StorageOptions::with_fsync(FsyncPolicy::Always),
     ));
     let mut cluster = Cluster::spawn_with(config);
-    let key = Key::new("contested doc");
     let mut client = cluster.client();
+    // A key whose timestamp responsible holds none of its replicas: once the
+    // holders are down, only the responsible's recovered counter remembers
+    // the key's stamps.
+    let key = (0..)
+        .map(|i| Key::new(format!("contested doc {i}")))
+        .find(|key| {
+            let responsible = cluster.timestamp_responsible(key);
+            client
+                .replication_ids()
+                .all(|hash| cluster.replica_responsible(hash, key) != responsible)
+        })
+        .expect("some key is timestamped away from its replicas");
     for i in 0..5u32 {
         ums::insert(&mut client, &key, format!("v{i}").into_bytes()).unwrap();
     }
@@ -1148,22 +1168,25 @@ fn restart_seeds_indirect_init_with_recovered_counter_floor() {
     assert!(before.is_current);
     assert_eq!(before.timestamp.0, 5);
 
-    // Crash and restart the timestamp responsible: its durable counter (5)
-    // comes back as a recovery floor.
+    // Crash the timestamp responsible and every replica holder of the key
+    // (leaving them down), so the restart's observation finds nothing:
+    // the probes reach the holders' live successors, which hold no replica.
     let responsible = cluster.timestamp_responsible(&key).unwrap();
+    let holders: Vec<PeerId> = client
+        .replication_ids()
+        .filter_map(|hash| cluster.replica_responsible(hash, &key))
+        .collect();
     cluster.crash_peer(responsible).unwrap();
+    for holder in holders {
+        let _ = cluster.crash_peer(holder);
+    }
+
+    // Restart the timestamp responsible: its durable counter (5) comes back
+    // as a recovery floor, and the observation-driven re-initialization
+    // takes `max(observed, floor)` with an empty observation.
     let report = cluster.restart_peer(responsible).unwrap();
     assert!(report.recovered_counters >= 1);
-
-    // Now crash every replica holder of the key (leaving them down), so the
-    // indirect observation finds nothing at all.
-    for hash in client.replication_ids() {
-        if let Some(holder) = cluster.replica_responsible(hash, &key) {
-            if holder != responsible {
-                let _ = cluster.crash_peer(holder);
-            }
-        }
-    }
+    assert!(report.counters_reinitialized >= 1);
 
     // Without the floor this insert would restart the counter near zero and
     // re-issue timestamps 1..5, silently shadowing the pre-crash history.
@@ -1178,6 +1201,171 @@ fn restart_seeds_indirect_init_with_recovered_counter_floor() {
     let after = ums::retrieve(&mut client, &key).unwrap();
     assert!(after.is_current);
     assert_eq!(after.data.unwrap(), b"post-crash");
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Request frames of kind `get` or `batch` that `peers` served, read from
+/// their registries: the frames a batched observation sends.
+fn probe_frames(cluster: &Cluster, peers: &[PeerId]) -> f64 {
+    let frames = |text: String| -> f64 {
+        rdht_metrics::parse::parse(&text)
+            .expect("exposition parses")
+            .samples
+            .iter()
+            .filter(|sample| sample.name == crate::metrics::names::REQUESTS)
+            .filter(|sample| {
+                sample
+                    .labels
+                    .iter()
+                    .any(|(name, kind)| name == "kind" && (kind == "get" || kind == "batch"))
+            })
+            .map(|sample| sample.value)
+            .sum()
+    };
+    peers
+        .iter()
+        .map(|&peer| frames(cluster.scrape(peer).expect("a known peer")))
+        .sum()
+}
+
+/// A restart re-initialises its recovered counters in batched rounds: each
+/// round sends one request frame per live peer its probes reach, however
+/// many keys it observes, and a fresh client then meets no
+/// `NeedsInitialization`.
+#[test]
+fn restart_reinitializes_counters_in_one_frame_per_holder_peer_per_round() {
+    let root = fresh_storage_root("batched-observation");
+    let config = ClusterConfig::new(4, 3, 37).with_storage(ClusterStorage::with_options(
+        &root,
+        StorageOptions::with_fsync(FsyncPolicy::Never),
+    ));
+    let mut cluster = Cluster::spawn_with(config);
+    let keys: Vec<Key> = (0..1_600).map(|i| Key::new(format!("doc-{i}"))).collect();
+    let mut client = cluster.client();
+    for key in &keys {
+        ums::insert(&mut client, key, b"v".to_vec()).unwrap();
+    }
+    // The peer that stamps the most keys; its floors are observed in key
+    // order, so they split into rounds in that order.
+    let stamped_by = |peer: PeerId| -> Vec<Key> {
+        let mut stamped: Vec<Key> = keys
+            .iter()
+            .filter(|key| cluster.timestamp_responsible(key) == Some(peer))
+            .cloned()
+            .collect();
+        stamped.sort();
+        stamped
+    };
+    let victim = cluster
+        .peer_ids()
+        .into_iter()
+        .max_by_key(|&peer| stamped_by(peer).len())
+        .expect("a peer");
+    let stamped = stamped_by(victim);
+    let per_round = crate::cluster::OBSERVATION_ROUND_PROBES / 3;
+    assert!(stamped.len() > per_round, "more than one round of keys");
+
+    let others: Vec<PeerId> = cluster
+        .peer_ids()
+        .into_iter()
+        .filter(|&peer| peer != victim)
+        .collect();
+    cluster.crash_peer(victim).unwrap();
+    let before = probe_frames(&cluster, &others);
+    let report = cluster.restart_peer(victim).unwrap();
+    // The restarted peer counts from zero in its fresh registry.
+    let frames = probe_frames(&cluster, &cluster.peer_ids()) - before;
+
+    assert_eq!(report.recovered_counters, stamped.len());
+    assert_eq!(report.counters_reinitialized, stamped.len());
+    let expected: usize = stamped
+        .chunks(per_round)
+        .map(|round| {
+            round
+                .iter()
+                .flat_map(|key| {
+                    client
+                        .replication_ids()
+                        .map(|hash| cluster.replica_responsible(hash, key))
+                })
+                .collect::<BTreeSet<_>>()
+                .len()
+        })
+        .sum();
+    assert_eq!(
+        frames, expected as f64,
+        "one frame per holder peer per round"
+    );
+    assert!(expected <= stamped.len().div_ceil(per_round) * cluster.live_peers());
+
+    let mut fresh = cluster.client();
+    for key in &stamped {
+        assert!(ums::retrieve(&mut fresh, key).unwrap().is_current);
+    }
+    assert_eq!(fresh.indirect_initializations(), 0);
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The restart's batched observation installs only the keys whose `|Hr|`
+/// probes all answered. One replica holder's thread is stopped behind the
+/// directory's back, so every probe routed to it fails: the keys it holds a
+/// replica of are left to the per-key path, the others are re-initialised.
+#[test]
+fn restart_leaves_keys_with_an_unanswered_probe_to_the_per_key_path() {
+    use crate::Request;
+
+    let root = fresh_storage_root("unanswered-probe");
+    let config = ClusterConfig::new(6, 3, 38).with_storage(ClusterStorage::with_options(
+        &root,
+        StorageOptions::with_fsync(FsyncPolicy::Never),
+    ));
+    let mut cluster = Cluster::spawn_with(config);
+    let keys: Vec<Key> = (0..120).map(|i| Key::new(format!("doc-{i}"))).collect();
+    let mut client = cluster.client();
+    for key in &keys {
+        ums::insert(&mut client, key, b"v".to_vec()).unwrap();
+    }
+    let responsible = cluster.timestamp_responsible(&keys[0]).unwrap();
+    // The holders of each key the responsible stamps, on the ring the
+    // restart brings back.
+    let holders: Vec<BTreeSet<PeerId>> = keys
+        .iter()
+        .filter(|key| cluster.timestamp_responsible(key) == Some(responsible))
+        .map(|key| {
+            client
+                .replication_ids()
+                .filter_map(|hash| cluster.replica_responsible(hash, key))
+                .collect()
+        })
+        .collect();
+
+    cluster.crash_peer(responsible).unwrap();
+    let successor = cluster.timestamp_responsible(&keys[0]).unwrap();
+    // A holder of some of those keys but not all, away from the hand-off.
+    let silent = cluster
+        .peer_ids()
+        .into_iter()
+        .filter(|&peer| peer != responsible && peer != successor)
+        .find(|peer| {
+            let held = holders.iter().filter(|set| set.contains(peer)).count();
+            held > 0 && held < holders.len()
+        })
+        .expect("a peer holds replicas of some of the keys");
+    cluster
+        .peer_endpoint(silent)
+        .expect("silent endpoint")
+        .send_no_reply(Request::Crash)
+        .unwrap();
+    while !cluster.peer_thread_finished(silent) {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    let report = cluster.restart_peer(responsible).unwrap();
+    assert_eq!(report.recovered_counters, holders.len());
+    let answered = holders.iter().filter(|set| !set.contains(&silent)).count();
+    assert_eq!(report.counters_reinitialized, answered);
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -519,10 +519,10 @@ impl Garbage {
     }
 }
 
-/// The local address of a hostile connection — what the peer logs it as —
-/// and the `WireError` variant the peer must report for `bytes`: `None`
-/// when they end inside a frame, which is no wire error.
-fn sent(conn: &TcpStream, bytes: &[u8]) -> (String, Option<&'static str>) {
+/// The local address of a hostile connection — what the peer logs it as the
+/// client of — and the error the peer must report for `bytes`: the
+/// `WireError` variant, or `UnexpectedEof` when they end inside a frame.
+fn sent(conn: &TcpStream, bytes: &[u8]) -> (String, &'static str) {
     let expected = bytes.get(..4).and_then(|prefix| {
         let len = u32::from_le_bytes(prefix.try_into().unwrap());
         if len > MAX_FRAME_LEN {
@@ -535,14 +535,18 @@ fn sent(conn: &TcpStream, bytes: &[u8]) -> (String, Option<&'static str>) {
                 .variant(),
         )
     });
-    (conn.local_addr().unwrap().to_string(), expected)
+    (
+        conn.local_addr().unwrap().to_string(),
+        expected.unwrap_or("UnexpectedEof"),
+    )
 }
 
-/// The `net.tcp` warnings captured from byte `from` of the log on:
-/// connection -> the `error` field of each warning about it.
-fn tcp_warnings(from: usize) -> std::collections::HashMap<String, Vec<String>> {
+/// The `net.tcp` warnings about accepted connections captured from byte
+/// `from` of the log on: (serving peer, client connection) -> the `error`
+/// field of each warning about it.
+fn tcp_warnings(from: usize) -> std::collections::HashMap<(String, String), Vec<String>> {
     let captured = String::from_utf8(captured_log().lock().unwrap()[from..].to_vec()).unwrap();
-    let mut out = std::collections::HashMap::<String, Vec<String>>::new();
+    let mut out = std::collections::HashMap::<(String, String), Vec<String>>::new();
     for line in captured.lines() {
         if !line.contains("\"target\":\"net.tcp\"") || !line.contains("\"level\":\"warn\"") {
             continue;
@@ -552,8 +556,10 @@ fn tcp_warnings(from: usize) -> std::collections::HashMap<String, Vec<String>> {
             let len = line[start..].find('"')?;
             Some(line[start..start + len].to_string())
         };
-        if let (Some(peer), Some(error)) = (field("peer"), field("error")) {
-            out.entry(peer).or_default().push(error);
+        if let (Some(peer), Some(client), Some(error)) =
+            (field("peer"), field("client"), field("error"))
+        {
+            out.entry((peer, client)).or_default().push(error);
         }
     }
     out
@@ -591,14 +597,13 @@ fn tcp_peer_survives_garbage_and_oversized_frames() {
 
     let mut garbage = Garbage(0x5eed_cafe);
     let mut ended_inside_a_frame = 0;
-    for (i, (_, addr)) in book.iter().enumerate() {
+    for (i, (id, addr)) in book.iter().enumerate() {
         if i > 0 {
             // Let the log's per-second rate window roll over, so that no
             // peer's warnings are suppressed behind the previous peer's.
             thread::sleep(Duration::from_millis(1_100));
         }
-        // One peer at a time: a client port may be reused towards another
-        // peer, and the peers log connections by client address only.
+        let serving = format!("{:016x}", id.0);
         let logged_before = captured_log().lock().unwrap().len();
         let mut hostile = Vec::new();
         // Plain garbage: the first 4 bytes form an absurd length prefix.
@@ -632,15 +637,17 @@ fn tcp_peer_survives_garbage_and_oversized_frames() {
             let _ = conn.write_all(&bytes);
             hostile.push(sent(&conn, &bytes));
         }
-        // Each connection that carried a wire error left exactly one
-        // `net.tcp` warning naming it; the others (a stream that ends inside
-        // a frame) left none.
+        // Each connection left exactly one `net.tcp` warning, naming the
+        // peer that dropped it, the client's address and the error: a wire
+        // error's variant, or `UnexpectedEof` for a stream that ended inside
+        // a frame.
+        let named = |conn: &String| (serving.clone(), conn.clone());
         let deadline = Instant::now() + REPLY_WAIT;
         let warned = loop {
             let warned = tcp_warnings(logged_before);
             let done = hostile
                 .iter()
-                .all(|(conn, expected)| expected.is_none() || warned.contains_key(conn));
+                .all(|(conn, _)| warned.contains_key(&named(conn)));
             if done || Instant::now() >= deadline {
                 break warned;
             }
@@ -648,15 +655,14 @@ fn tcp_peer_survives_garbage_and_oversized_frames() {
         };
         for (conn, expected) in &hostile {
             let variants: Vec<&str> = warned
-                .get(conn)
+                .get(&named(conn))
                 .map_or(Vec::new(), |v| v.iter().map(String::as_str).collect());
-            assert_eq!(
-                variants,
-                Vec::from_iter(*expected),
-                "connection {conn} to {addr}"
-            );
+            assert_eq!(variants, [*expected], "connection {conn} to {addr}");
         }
-        ended_inside_a_frame += hostile.iter().filter(|(_, e)| e.is_none()).count();
+        ended_inside_a_frame += hostile
+            .iter()
+            .filter(|(_, expected)| *expected == "UnexpectedEof")
+            .count();
     }
     assert!(ended_inside_a_frame >= book.len(), "the truncated frames");
 
