@@ -22,7 +22,8 @@
 //!   responsible is always a neighbour of the current one (Section 4.2.1.1);
 //! * **indirectly** — after a failure, by scanning the replicas stored in the
 //!   DHT under the replication hash functions and taking the largest
-//!   timestamp observed ([`IndirectObservation`], Section 4.2.2), backed by
+//!   timestamp observed ([`IndirectObservation::from_probes`], the one fold
+//!   of the probe outcomes, Section 4.2.2), backed by
 //!   the **recovery** and **periodic inspection** strategies
 //!   ([`KtsNode::reconcile_with_recovered_counters`], [`KtsNode::inspect_key`])
 //!   for the rare cases where no current replica was reachable.
@@ -31,6 +32,6 @@ mod node;
 mod recovery;
 mod vcs;
 
-pub use node::{GenTsOutcome, IndirectObservation, KtsNode, KtsStats, LastTsOutcome};
+pub use node::{GenTsOutcome, IndirectObservation, KtsNode, KtsStats, LastTsOutcome, Probe};
 pub use recovery::CounterCorrection;
 pub use vcs::ValidCounterSet;

@@ -9,32 +9,82 @@ use crate::durability::DurableState;
 use crate::kts::vcs::ValidCounterSet;
 use crate::types::Timestamp;
 
+/// What one of the `|Hr|` replica reads of an indirect initialization gave
+/// (Section 4.2.2, Figure 5).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// The holder did not answer: routing failed, it was unreachable, or it
+    /// answered something that is not a replica read.
+    Unanswered,
+    /// The holder answered and stores no replica of the key.
+    NoReplica,
+    /// The holder answered with a replica carrying this timestamp.
+    Replica(Timestamp),
+}
+
 /// What an indirect counter initialization observed in the DHT: the largest
 /// timestamp stored along with the key under any replication hash function,
-/// or `None` when no replica (and hence no timestamp) was found
-/// (Section 4.2.2, Figure 5).
+/// or `None` when no replica (and hence no timestamp) was found, and how many
+/// of the probes were answered (Section 4.2.2, Figure 5).
 ///
-/// The *cost* of producing the observation (`|Hr|` replica reads) is the
-/// environment's business; the environment builds this value and hands it to
-/// [`KtsNode::gen_ts`] / [`KtsNode::last_ts`] through the `observe` closure,
-/// which is only invoked when an initialization is actually needed.
+/// [`IndirectObservation::from_probes`] is the one fold of the probe
+/// outcomes. Figure 5 places the probes at the responsible of timestamping:
+/// the peer that finds its counter missing reads the `|Hr|` replicas itself,
+/// and the simulator charges them to that peer. A live peer serves its queue
+/// one request at a time and waits on another peer only to install a
+/// hand-off, so it does not send probes (some would route back to itself and
+/// stall every request queued behind them). It answers `NeedsInitialization`
+/// instead; the client gathers the probes, folds them here and sends the
+/// maximum back as a hint, from which the peer seeds the counter.
+///
+/// The *cost* of producing the observation is the environment's business;
+/// the environment builds this value and hands it to [`KtsNode::gen_ts`] /
+/// [`KtsNode::last_ts`] through the `observe` closure, which is only invoked
+/// when an initialization is actually needed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndirectObservation {
     /// Largest timestamp found among the key's replicas.
     pub max_observed: Option<Timestamp>,
+    /// How many probes a holder answered, with or without a replica. An
+    /// observation built from a bare maximum ([`IndirectObservation::nothing`],
+    /// [`IndirectObservation::observed`], as the live peer decodes the
+    /// client's hint) does not know the count and reports 0.
+    pub answered: usize,
 }
 
 impl IndirectObservation {
     /// No replica was found for the key.
     pub fn nothing() -> Self {
-        IndirectObservation { max_observed: None }
+        IndirectObservation {
+            max_observed: None,
+            answered: 0,
+        }
     }
 
     /// A replica with the given maximum timestamp was found.
     pub fn observed(ts: Timestamp) -> Self {
         IndirectObservation {
             max_observed: Some(ts),
+            answered: 0,
         }
+    }
+
+    /// Folds the outcomes of one key's probes: the largest timestamp any
+    /// replica answered with, and how many probes were answered.
+    pub fn from_probes(probes: impl IntoIterator<Item = Probe>) -> Self {
+        probes
+            .into_iter()
+            .fold(Self::nothing(), |mut observation, probe| {
+                match probe {
+                    Probe::Unanswered => return observation,
+                    Probe::NoReplica => {}
+                    Probe::Replica(ts) => {
+                        observation.max_observed = observation.max_observed.max(Some(ts));
+                    }
+                }
+                observation.answered += 1;
+                observation
+            })
     }
 }
 
@@ -344,6 +394,32 @@ mod tests {
 
     fn no_observation() -> IndirectObservation {
         IndirectObservation::nothing()
+    }
+
+    #[test]
+    fn the_probe_fold_keeps_the_max_and_counts_answered_probes() {
+        use Probe::{NoReplica, Replica, Unanswered};
+        let full = IndirectObservation::from_probes([
+            Replica(Timestamp(3)),
+            NoReplica,
+            Replica(Timestamp(7)),
+        ]);
+        assert_eq!((full.max_observed, full.answered), (Some(Timestamp(7)), 3));
+        let empty = IndirectObservation::from_probes([NoReplica, NoReplica]);
+        assert_eq!((empty.max_observed, empty.answered), (None, 2));
+        // A lost probe lowers the count but not the maximum of the rest.
+        let lost = IndirectObservation::from_probes([
+            Replica(Timestamp(3)),
+            Unanswered,
+            Replica(Timestamp(5)),
+        ]);
+        assert_eq!((lost.max_observed, lost.answered), (Some(Timestamp(5)), 2));
+        let silent = IndirectObservation::from_probes([Unanswered, Unanswered]);
+        assert_eq!(silent, IndirectObservation::nothing());
+        assert_eq!(
+            IndirectObservation::from_probes([]),
+            IndirectObservation::nothing()
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rdht_hashing::{HashFamily, HashId, Key};
 use crate::access::UmsAccess;
 use crate::durability::{DurableState, NoDurability};
 use crate::error::UmsError;
-use crate::kts::{IndirectObservation, KtsNode};
+use crate::kts::{IndirectObservation, KtsNode, Probe};
 use crate::types::{ReplicaValue, Timestamp};
 
 /// An in-memory DHT with UMS/KTS semantics (see the module docs).
@@ -165,15 +165,16 @@ impl<D: DurableState> InMemoryDht<D> {
         self.fail_kts = fail;
     }
 
+    /// The indirect observation of `key`: one probe per replication hash
+    /// function, every holder answering.
     fn indirect_observation(&self, key: &Key) -> IndirectObservation {
-        let max = self
-            .replicas
-            .get(key)
-            .and_then(|slots| slots.iter().map(|(_, v)| v.timestamp).max());
-        match max {
-            Some(ts) => IndirectObservation::observed(ts),
-            None => IndirectObservation::nothing(),
-        }
+        let slots = self.replicas.get(key).map(Vec::as_slice).unwrap_or(&[]);
+        IndirectObservation::from_probes(self.family.replication_ids().map(|hash| {
+            match slots.iter().find(|(h, _)| *h == hash) {
+                Some((_, value)) => Probe::Replica(value.timestamp),
+                None => Probe::NoReplica,
+            }
+        }))
     }
 }
 
@@ -212,12 +213,11 @@ impl<D: DurableState> UmsAccess for InMemoryDht<D> {
         let slots = self.replicas.entry(key.clone()).or_default();
         let accepted = match slots.iter_mut().find(|(h, _)| *h == hash) {
             Some((_, stored)) => {
-                if value.timestamp > stored.timestamp {
+                let newer = value.is_newer_than(Some(stored));
+                if newer {
                     *stored = value.clone();
-                    true
-                } else {
-                    false
                 }
+                newer
             }
             None => {
                 slots.push((hash, value.clone()));

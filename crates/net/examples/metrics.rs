@@ -46,7 +46,7 @@ const REQUIRED: &[&str] = &[
     rdht_net::metrics::names::HANDOFF_STALL_NS,
     rdht_net::metrics::names::INDIRECT_INITS,
     rdht_storage::metrics::names::WAL_SYNCS,
-    rdht_membership::metrics::names::EXPORT_NS,
+    rdht_net::metrics::names::HANDOFF_EXPORT_NS,
 ];
 
 fn wait_until_accepting(addr: &SocketAddr) {

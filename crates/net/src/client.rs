@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rdht_core::kts::{IndirectObservation, Probe};
 use rdht_core::{PutReplicasOutcome, ReplicaValue, Timestamp, UmsAccess, UmsError};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_metrics::{Counter, Registry, RequestTree, SpanLog, TraceConfig, TraceContext, TraceSink};
@@ -869,7 +870,10 @@ impl ClusterClient {
             .replication_ids()
             .map(|hash| self.get_call(hash, key))
             .collect();
-        observation(self.call_all(probes)).max
+        let replies = self.call_all(probes).into_iter().map(probe);
+        IndirectObservation::from_probes(replies)
+            .max_observed
+            .unwrap_or(Timestamp::ZERO)
     }
 
     /// The indirect observation of many keys in one round: the `|Hr|` probes
@@ -887,8 +891,14 @@ impl ClusterClient {
         let width = self.replication_count();
         keys.iter()
             .filter_map(|key| {
-                let observed = observation(replies.by_ref().take(width));
-                observed.complete.then(|| (key.clone(), observed.max))
+                let observed =
+                    IndirectObservation::from_probes(replies.by_ref().take(width).map(probe));
+                (observed.answered == width).then(|| {
+                    (
+                        key.clone(),
+                        observed.max_observed.unwrap_or(Timestamp::ZERO),
+                    )
+                })
             })
             .collect()
     }
@@ -950,31 +960,14 @@ struct Carried {
     payload: Vec<u8>,
 }
 
-/// What the `|Hr|` probes of one key read.
-struct Observation {
-    /// The largest timestamp a replica answered with; [`Timestamp::ZERO`]
-    /// when none held data.
-    max: Timestamp,
-    /// Whether every probe was answered.
-    complete: bool,
-}
-
-/// Folds the replies to one key's probes into its [`Observation`].
-fn observation(replies: impl IntoIterator<Item = Result<Reply, UmsError>>) -> Observation {
-    let mut observed = Observation {
-        max: Timestamp::ZERO,
-        complete: true,
-    };
-    for reply in replies {
-        match reply {
-            Ok(Reply::Replica(Some((_payload, timestamp)))) => {
-                observed.max = observed.max.max(timestamp);
-            }
-            Ok(Reply::Replica(None)) => {}
-            _ => observed.complete = false,
-        }
+/// What the reply to one observation probe says: a failed call, or a reply
+/// that is not a replica read, left the probe unanswered.
+fn probe(reply: Result<Reply, UmsError>) -> Probe {
+    match reply {
+        Ok(Reply::Replica(Some((_payload, timestamp)))) => Probe::Replica(timestamp),
+        Ok(Reply::Replica(None)) => Probe::NoReplica,
+        _ => Probe::Unanswered,
     }
-    observed
 }
 
 /// The timestamp a `gen_ts` or `last_ts` reply carries.

@@ -112,13 +112,22 @@ fn a_partial_puts_ack_fails_every_put_of_the_frame() {
 
 #[test]
 fn an_observation_is_complete_only_when_every_probe_answered() {
+    // The fold is `rdht_core`'s; the client's part is reading each reply as
+    // a probe, and `observe_all` keeps a key only if all `|Hr|` answered.
     let stored = |stamp| Ok(Reply::Replica(Some((b"v".to_vec(), Timestamp(stamp)))));
-    let full = observation([stored(3), Ok(Reply::Replica(None)), stored(7)]);
-    assert_eq!((full.max, full.complete), (Timestamp(7), true));
-    let empty = observation([Ok(Reply::Replica(None)), Ok(Reply::Replica(None))]);
-    assert_eq!((empty.max, empty.complete), (Timestamp::ZERO, true));
-    let lost = observation([stored(3), Err(UmsError::lookup("no reply")), stored(5)]);
-    assert_eq!((lost.max, lost.complete), (Timestamp(5), false));
-    let odd = observation([stored(2), Ok(Reply::PutAck)]);
-    assert_eq!((odd.max, odd.complete), (Timestamp(2), false));
+    let fold = |replies: Vec<Result<Reply, UmsError>>| {
+        let observed = IndirectObservation::from_probes(replies.into_iter().map(probe));
+        (observed.max_observed, observed.answered)
+    };
+    let full = fold(vec![stored(3), Ok(Reply::Replica(None)), stored(7)]);
+    assert_eq!(full, (Some(Timestamp(7)), 3));
+    let lost = fold(vec![
+        stored(3),
+        Err(UmsError::lookup("no reply")),
+        stored(5),
+    ]);
+    assert_eq!(lost, (Some(Timestamp(5)), 2));
+    // A reply that is not a replica read answers nothing.
+    let odd = fold(vec![stored(2), Ok(Reply::PutAck)]);
+    assert_eq!(odd, (Some(Timestamp(2)), 1));
 }

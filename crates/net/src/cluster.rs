@@ -23,9 +23,10 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::handoff::HandoffBundle;
+use crate::MembershipError;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashFamily, HashFunction, HashId, Key};
-use rdht_membership::{HandoffBundle, MembershipError};
 use rdht_metrics::{encode, Counter, Registry, TraceContext, TraceSink};
 use rdht_overlay::{in_open_closed_interval, Ring, RingError};
 use rdht_storage::StorageOptions;

@@ -1,4 +1,4 @@
-//! Errors surfaced by membership operations.
+//! Errors surfaced by the cluster's membership operations.
 
 use rdht_overlay::RingError;
 

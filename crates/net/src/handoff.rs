@@ -1,9 +1,12 @@
-//! The range hand-off: three journaled phase functions.
+//! The range hand-off of a live join or a graceful leave — the *direct*
+//! algorithm of Section 4.2.1, which moves the counters of the moved keys
+//! with their replicas so the next responsible needs no indirect
+//! re-initialization — as three journaled phase functions that the live
+//! peers and the simulator both run.
 //!
-//! One transfer moves responsibility for a ring interval `(start, end]` from
-//! a *source* peer to a *target* peer — the join and the graceful leave are
-//! the same protocol with different plans. The phases, in order, and what
-//! each one journals:
+//! One transfer moves responsibility for a ring interval `(start, end]`
+//! ([`rdht_overlay::Ring::join`] / [`rdht_overlay::Ring::leave`] name it)
+//! from a *source* peer to a *target* peer:
 //!
 //! | Phase | Action | Journaled where |
 //! |---|---|---|
@@ -11,26 +14,85 @@
 //! | install | [`install_handoff`]: the bundle applied at the target | replica puts + counter sets on the **target** |
 //! | commit | [`commit_handoff`]: one `TransferRange` record prunes the moved replicas from the source | `TransferRange` on the **source** |
 //!
-//! The ordering is what makes a crash at any point safe:
+//! The phases are generic over the [`ReplicaTable`] they touch: a live peer
+//! passes its journaled `StorageEngine` and drives them from two peer
+//! threads exchanging messages; the simulator passes each universe's bare
+//! [`PeerStore`] as [`Unjournaled`]. The ordering makes a crash at any point
+//! safe:
 //!
 //! * **before the install** the transfer *rolls back*: the source's journal
-//!   still holds every replica (they were only copied), so recovery serves
-//!   them unchanged; the exported counters are durably gone, but a missing
-//!   counter only costs an indirect re-initialization (Section 4.2.2), which
-//!   is always safe — replicas, not counters, are the currency ground truth.
+//!   still holds every replica (they were only copied); the exported
+//!   counters are durably gone, but a missing counter only costs an indirect
+//!   re-initialization (Section 4.2.2), which is always safe — replicas, not
+//!   counters, are the currency ground truth.
 //! * **from the install on** the transfer *completes*: the target's journal
-//!   holds every moved replica and counter, so re-running the remaining
-//!   phases (or simply re-driving the whole protocol — every step is
-//!   idempotent) converges to the committed state. Until the source commits,
-//!   both sides hold the moved replicas; duplicates are harmless because
+//!   holds every moved replica and counter, and re-driving the protocol
+//!   (every step is idempotent) converges. Until the source commits, both
+//!   sides hold the moved replicas; duplicates are harmless because
 //!   replicas are immutable `(payload, stamp)` pairs and responsibility is
 //!   resolved by the ring, not by who stores what.
 
 use rdht_core::kts::KtsNode;
 use rdht_core::{DurableState, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
-use rdht_overlay::{in_open_closed_interval, Record};
+use rdht_overlay::{in_open_closed_interval, PeerStore, Record, WritePolicy};
 use rdht_storage::{StorageEngine, StorageOp};
+
+/// The replica table a hand-off phase reads and writes; its
+/// [`DurableState`] is the journal the phase's counter moves go to.
+pub trait ReplicaTable: DurableState {
+    /// The replicas held.
+    fn table(&self) -> &PeerStore;
+    /// Stores `record`, which has already won the `put_h` comparison
+    /// ([`PeerStore::accepts`]).
+    fn put_owned(&mut self, hash: HashId, key: Key, record: Record);
+    /// Drops every replica whose position lies in `(start, end]`.
+    fn prune_range(&mut self, start: u64, end: u64);
+}
+
+/// A live peer's table: every put and prune is journaled.
+impl ReplicaTable for StorageEngine {
+    fn table(&self) -> &PeerStore {
+        self.replicas()
+    }
+
+    fn put_owned(&mut self, hash: HashId, key: Key, record: Record) {
+        // The bundle owns the payload: apply it as it is, without the copy
+        // the by-reference `record_replica_put` makes.
+        self.apply_latching(StorageOp::PutReplica {
+            hash,
+            key,
+            payload: record.payload,
+            stamp: Timestamp(record.stamp),
+            position: record.position,
+        });
+    }
+
+    fn prune_range(&mut self, start: u64, end: u64) {
+        self.record_range_transfer(start, end);
+    }
+}
+
+/// A bare [`PeerStore`], as the simulator's peers hold one per universe:
+/// nothing it does is journaled (its [`DurableState`] hooks are the no-ops
+/// of `NoDurability`).
+pub struct Unjournaled<'a>(pub &'a mut PeerStore);
+
+impl DurableState for Unjournaled<'_> {}
+
+impl ReplicaTable for Unjournaled<'_> {
+    fn table(&self) -> &PeerStore {
+        self.0
+    }
+
+    fn put_owned(&mut self, hash: HashId, key: Key, record: Record) {
+        self.0.put(hash, key, record, WritePolicy::Overwrite);
+    }
+
+    fn prune_range(&mut self, start: u64, end: u64) {
+        self.0.drain_range(start, end);
+    }
+}
 
 /// Everything a range transfer ships from source to target: the replicas
 /// stored in the moved interval and the KTS counters of the keys whose
@@ -61,40 +123,37 @@ impl HandoffBundle {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstallReport {
     /// Replicas installed (stale duplicates already superseded at the target
-    /// are skipped, mirroring UMS `put_h` semantics).
+    /// are skipped, by the `put_h` rule).
     pub replicas_installed: usize,
     /// Counters received through the direct transfer.
     pub counters_received: usize,
 }
 
 /// Source side, export phase: copies every replica whose position falls
-/// in `(range_start, range_end]` out of the engine (the originals stay until
+/// in `(range_start, range_end]` out of the table (the originals stay until
 /// [`commit_handoff`]) and drains the counters of every key whose
 /// *timestamping* position falls in the range — each drained counter is
 /// journaled as removed on the source, enforcing Rule 3 durably.
 pub fn export_handoff(
-    engine: &mut StorageEngine,
+    table: &mut impl ReplicaTable,
     kts: &mut KtsNode,
     family: &HashFamily,
     range_start: u64,
     range_end: u64,
 ) -> HandoffBundle {
-    let replicas: Vec<(HashId, Key, Record)> = engine
-        .replicas()
+    let replicas: Vec<(HashId, Key, Record)> = table
+        .table()
         .iter()
         .filter(|(_, _, replica)| in_open_closed_interval(range_start, range_end, replica.position))
         .map(|(hash, key, replica)| (hash, key.clone(), replica.clone()))
         .collect();
-    let counters = kts.export_counters_in_range(
-        |key| in_open_closed_interval(range_start, range_end, family.eval_timestamp(key)),
-        engine,
-    );
+    let moved =
+        |key: &Key| in_open_closed_interval(range_start, range_end, family.eval_timestamp(key));
+    let counters = kts.export_counters_in_range(moved, table);
     // Unconsumed recovery floors of moved keys travel too: the takeover
     // peer inherits the "resume at least here" guarantee, or a crash-then-
     // hand-off sequence would reopen the counter-regression corner.
-    let floors = kts.drain_recovery_floors(|key| {
-        in_open_closed_interval(range_start, range_end, family.eval_timestamp(key))
-    });
+    let floors = kts.drain_recovery_floors(moved);
     HandoffBundle {
         replicas,
         counters,
@@ -102,13 +161,13 @@ pub fn export_handoff(
     }
 }
 
-/// Target side, install phase: applies the bundle. Replicas install with
-/// keep-newest semantics (a stale duplicate never overwrites a fresher local
-/// record) and every accepted put is journaled; counters install through the
-/// direct-transfer receive path, which journals each installed value and
-/// never downgrades a larger local counter.
+/// Target side, install phase: applies the bundle. A replica installs only
+/// if it wins the `put_h` comparison (a stale duplicate never overwrites a
+/// fresher local record), and every accepted put is journaled; counters
+/// install through the direct-transfer receive path, which journals each
+/// installed value and never downgrades a larger local counter.
 pub fn install_handoff(
-    engine: &mut StorageEngine,
+    table: &mut impl ReplicaTable,
     kts: &mut KtsNode,
     bundle: HandoffBundle,
 ) -> InstallReport {
@@ -117,37 +176,25 @@ pub fn install_handoff(
         ..InstallReport::default()
     };
     for (hash, key, replica) in bundle.replicas {
-        let accepted = match engine.replicas().get(hash, &key) {
-            Some(existing) => replica.stamp > existing.stamp,
-            None => true,
-        };
-        if accepted {
-            // The bundle owns the payload: apply it as it is, without the
-            // copy the by-reference `record_replica_put` makes.
-            engine.apply_latching(StorageOp::PutReplica {
-                hash,
-                key,
-                payload: replica.payload,
-                stamp: Timestamp(replica.stamp),
-                position: replica.position,
-            });
+        if table.table().accepts(hash, &key, replica.stamp) {
+            table.put_owned(hash, key, replica);
             report.replicas_installed += 1;
         }
     }
     // Floors first, so a transferred counter that lost against a floor at
     // the source cannot sneak in below it here either.
     kts.seed_recovery_floors(bundle.floors);
-    kts.receive_transferred_counters(bundle.counters, engine);
+    kts.receive_transferred_counters(bundle.counters, table);
     report
 }
 
 /// Source side, commit phase: prunes every replica in the moved range
-/// with a single journaled `TransferRange` record — the durable commit point
-/// of the transfer. Returns how many replicas were pruned.
-pub fn commit_handoff(engine: &mut StorageEngine, range_start: u64, range_end: u64) -> usize {
-    let before = engine.replicas().len();
-    engine.record_range_transfer(range_start, range_end);
-    before - engine.replicas().len()
+/// (journaled as a single `TransferRange` record — the durable commit point
+/// of the transfer). Returns how many replicas were pruned.
+pub fn commit_handoff(table: &mut impl ReplicaTable, range_start: u64, range_end: u64) -> usize {
+    let before = table.table().len();
+    table.prune_range(range_start, range_end);
+    before - table.table().len()
 }
 
 #[cfg(test)]
@@ -160,7 +207,7 @@ mod tests {
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("rdht-membership-test-{}-{tag}", std::process::id()));
+            std::env::temp_dir().join(format!("rdht-handoff-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -96,7 +96,7 @@
 //!
 //! The ring is not a fixed deployment: [`Cluster::join_peer`] adds a live
 //! peer (its successor splits its range and ships the covered replicas and
-//! counters through `rdht-membership`'s journaled hand-off protocol) and
+//! counters through the journaled hand-off of [`handoff`]) and
 //! [`Cluster::leave_peer`] runs the **direct algorithm** of Section 4.2.1 —
 //! the departing peer hands every counter straight to its successor, so the
 //! graceful path causes **zero** indirect re-initializations. The commit
@@ -169,7 +169,9 @@
 
 mod client;
 mod cluster;
+mod error;
 pub mod fault;
+pub mod handoff;
 mod message;
 pub mod metrics;
 mod peer;
@@ -182,10 +184,10 @@ pub use cluster::{
     serve_tcp_peer, Cluster, ClusterConfig, ClusterStorage, DedupCounters, JoinReport, LeaveReport,
     PeerId, RestartReport, TcpPeerConfig, TransportKind,
 };
+pub use error::MembershipError;
 pub use fault::{End, FaultCounters, FaultPlan, FaultyTransport, LinkFaults};
 pub use message::{HandoffFault, HandoffKind, OpId, Reply, Request};
 pub use metrics::{PeerMetrics, RequestCounters};
-pub use rdht_membership::MembershipError;
 pub use rdht_metrics::{
     merge_chrome_trace_files, RequestTree, TraceConfig, TraceContext, TraceSink,
 };
@@ -196,6 +198,8 @@ pub use transport::{
 };
 pub use wire::{WireError, MAX_FRAME_LEN, WIRE_VERSION};
 
+#[cfg(test)]
+mod proptests;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]

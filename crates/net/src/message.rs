@@ -25,9 +25,9 @@
 //! the encoder matches every variant and the decoder every kind, and the
 //! request counters are registered from the table.
 
+use crate::handoff::HandoffBundle;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
-use rdht_membership::HandoffBundle;
 use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;

@@ -2,8 +2,8 @@
 //!
 //! Every peer owns one `rdht_metrics::Registry` holding its whole
 //! observable state: the request counters and service-time histograms
-//! maintained by the peer loop (this module), the hand-off phase durations
-//! (`rdht_membership::TransferMetrics`), and — registered as *shared
+//! maintained by the peer loop, including the hand-off phase durations
+//! (this module), and — registered as *shared
 //! handles* — the storage engine's WAL/compaction instruments
 //! (`rdht_storage::StorageMetrics`), the cluster-wide dedup totals and the
 //! fault plan counters. A scrape ([`crate::Request::Metrics`], answered with the
@@ -15,7 +15,6 @@
 //! without faults) still appears in the exposition at zero — monitoring can
 //! assert on presence, not just on values.
 
-use rdht_membership::TransferMetrics;
 use rdht_metrics::{exponential_buckets, Counter, Histogram, Registry};
 
 use crate::message::{Request, RequestKind};
@@ -61,6 +60,16 @@ pub mod names {
     pub const FAULT_DELAYED: &str = "net_fault_frames_delayed_total";
     /// Frames the fault plan delivered a second time.
     pub const FAULT_DUPLICATED: &str = "net_fault_frames_duplicated_total";
+    /// Wall time of a hand-off's export phase (copying replicas, draining
+    /// counters, syncing the removals), in nanoseconds.
+    pub const HANDOFF_EXPORT_NS: &str = "membership_handoff_export_ns";
+    /// Wall time of a hand-off's install phase — shipping the bundle and
+    /// waiting for the target's durable ack, including re-sends — in
+    /// nanoseconds.
+    pub const HANDOFF_INSTALL_NS: &str = "membership_handoff_install_ns";
+    /// Wall time of a hand-off's commit phase (directory flip, journal
+    /// prune, commit sync), in nanoseconds.
+    pub const HANDOFF_COMMIT_NS: &str = "membership_handoff_commit_ns";
 }
 
 /// Per-kind request counters, registered eagerly so every kind appears in
@@ -112,8 +121,15 @@ pub struct PeerMetrics {
     pub handoff_stall_ns: Counter,
     /// Indirect initializations served by this peer.
     pub indirect_initializations: Counter,
-    /// Hand-off phase durations (driven by the peer loop).
-    pub transfer: TransferMetrics,
+    /// Hand-off export-phase wall time, nanoseconds. The phase functions
+    /// ([`crate::handoff`]) have no clock; the peer loop times each phase
+    /// around its call.
+    pub handoff_export_ns: Histogram,
+    /// Hand-off install-phase wall time (ship + durable ack, with
+    /// re-sends), nanoseconds.
+    pub handoff_install_ns: Histogram,
+    /// Hand-off commit-phase wall time, nanoseconds.
+    pub handoff_commit_ns: Histogram,
 }
 
 impl PeerMetrics {
@@ -143,7 +159,21 @@ impl PeerMetrics {
                 "indirect counter initializations served (Section 4.2.2 path)",
                 labels,
             ),
-            transfer: TransferMetrics::register(registry, labels),
+            handoff_export_ns: registry.histogram(
+                names::HANDOFF_EXPORT_NS,
+                "hand-off export phase wall time, nanoseconds",
+                labels,
+            ),
+            handoff_install_ns: registry.histogram(
+                names::HANDOFF_INSTALL_NS,
+                "hand-off install phase wall time (ship + durable ack), nanoseconds",
+                labels,
+            ),
+            handoff_commit_ns: registry.histogram(
+                names::HANDOFF_COMMIT_NS,
+                "hand-off commit phase wall time, nanoseconds",
+                labels,
+            ),
             registry: registry.clone(),
         }
     }
@@ -164,6 +194,19 @@ mod tests {
 
     use super::{names, PeerMetrics};
     use crate::message::Request;
+
+    #[test]
+    fn phases_register_and_expose() {
+        let registry = Registry::new();
+        let metrics = PeerMetrics::register(&registry, &[("peer", "3")]);
+        metrics.handoff_export_ns.observe(1_000);
+        metrics.handoff_install_ns.observe(2_000_000);
+        metrics.handoff_commit_ns.observe(500);
+        let text = rdht_metrics::encode(&registry);
+        assert!(text.contains("membership_handoff_export_ns_count{peer=\"3\"} 1"));
+        assert!(text.contains("membership_handoff_install_ns_sum{peer=\"3\"} 2000000"));
+        assert!(text.contains("membership_handoff_commit_ns_count{peer=\"3\"} 1"));
+    }
 
     /// The `net_requests_total` series of `registry`, by `kind` label.
     fn request_series(registry: &Registry) -> BTreeMap<String, f64> {

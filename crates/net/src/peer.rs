@@ -25,11 +25,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::handoff::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_core::durability::DurableState;
 use rdht_core::kts::{IndirectObservation, KtsNode};
 use rdht_core::Timestamp;
 use rdht_hashing::{HashFamily, HashId, Key};
-use rdht_membership::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
 use rdht_metrics::{encode, Histogram, Registry, RequestTree, SpanLog, TraceContext, TraceSink};
 use rdht_storage::{StorageEngine, StorageOp};
 
@@ -814,11 +814,7 @@ impl Peer {
             return Ok(());
         }
         let answer = self.once(op, hash.0, |peer| {
-            let accepted = match peer.engine.replicas().get(hash, &key) {
-                Some(existing) => timestamp.0 > existing.stamp,
-                None => true,
-            };
-            if accepted {
+            if peer.engine.replicas().accepts(hash, &key, timestamp.0) {
                 let position = peer.directory.family.eval(hash, &key);
                 peer.engine.apply_latching(StorageOp::PutReplica {
                     hash,
@@ -957,7 +953,7 @@ impl Peer {
         );
         self.engine.sync_to_durable();
         self.end_phase(
-            &self.metrics.transfer.export_ns,
+            &self.metrics.handoff_export_ns,
             "peer.handoff_export",
             started,
             handoff.sampled,
@@ -995,7 +991,7 @@ impl Peer {
         // peer loop serving nothing while the bundle ships, because install
         // is the one place a peer waits on another.
         let stalled = self.end_phase(
-            &self.metrics.transfer.install_ns,
+            &self.metrics.handoff_install_ns,
             "peer.handoff_install",
             started,
             handoff.sampled,
@@ -1022,7 +1018,7 @@ impl Peer {
         // range back in); for a departing peer this is also its final flush.
         self.engine.sync_to_durable();
         self.end_phase(
-            &self.metrics.transfer.commit_ns,
+            &self.metrics.handoff_commit_ns,
             "peer.handoff_commit",
             started,
             handoff.sampled,

@@ -25,13 +25,13 @@ use rdht_core::{DurableState, ReplicaValue, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 
-use crate::transfer::{commit_handoff, export_handoff, install_handoff};
+use crate::handoff::{commit_handoff, export_handoff, install_handoff};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "rdht-membership-prop-{}-{}-{tag}",
+        "rdht-handoff-prop-{}-{}-{tag}",
         std::process::id(),
         // relaxed: uniqueness needs only RMW atomicity, no ordering.
         DIR_COUNTER.fetch_add(1, Ordering::Relaxed)

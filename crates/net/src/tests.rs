@@ -1495,7 +1495,7 @@ fn metrics_scrape_exposes_roadmap_instruments() {
         crate::metrics::names::HANDOFF_STALL_NS,
         crate::metrics::names::INDIRECT_INITS,
         rdht_storage::metrics::names::WAL_SYNCS,
-        rdht_membership::metrics::names::EXPORT_NS,
+        crate::metrics::names::HANDOFF_EXPORT_NS,
     ];
     for peer in cluster.peer_ids() {
         let exposition = client.scrape_metrics(peer).expect("scrape answers");

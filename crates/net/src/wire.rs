@@ -67,9 +67,9 @@
 use std::fmt;
 use std::io::{self, Read};
 
+use crate::handoff::HandoffBundle;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
-use rdht_membership::HandoffBundle;
 use rdht_metrics::{RequestTree, TraceContext};
 use rdht_overlay::Record;
 

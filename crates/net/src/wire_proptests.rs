@@ -6,9 +6,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use crate::handoff::HandoffBundle;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
-use rdht_membership::HandoffBundle;
 use rdht_metrics::{RequestTree, TraceContext};
 use rdht_overlay::Record;
 

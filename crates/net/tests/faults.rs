@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use rdht_core::{ums, Timestamp, UmsAccess};
 use rdht_hashing::{HashId, Key};
-use rdht_membership::HandoffBundle;
+use rdht_net::handoff::HandoffBundle;
 use rdht_net::{
     serve_tcp_peer, Cluster, ClusterConfig, End, FaultPlan, LinkFaults, OpId, PeerId, Reply,
     Request, RetryPolicy, TcpPeerConfig, TcpTransport, Transport, TransportKind,

@@ -4,13 +4,16 @@
 //! This is the paper's responsibility rule `rsp(k, h)` — the first live peer
 //! clockwise from `h(k)` (Definition 1) — written once. The simulator's Chord
 //! keeps its ground truth in a [`Ring`]; the live cluster's directory routes
-//! requests and plans hand-offs from one.
+//! requests and plans hand-offs from one. The interval a join or a leave
+//! moves ([`ResponsibilityChange`]) is what both hand over, through the same
+//! three hand-off phases of `rdht_net::handoff`.
 
 use crate::cost::{MembershipEventKind, ResponsibilityChange};
 use crate::id::NodeId;
 
 /// Why a join or a graceful leave cannot be planned on a [`Ring`]. The live
-/// cluster reports it as the `MembershipError` of the same name.
+/// cluster reports it as the `rdht_net::MembershipError` variant of the same
+/// name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RingError {
     /// A join named an id that is already live.

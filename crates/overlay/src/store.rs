@@ -9,7 +9,13 @@
 //! Both peer models use this one table: the simulator's peers hold a
 //! [`PeerStore`] per algorithm universe, a live peer's
 //! `rdht_storage::MemoryState` holds one that its journal rebuilds, and
-//! hand-offs ship [`Record`]s between them.
+//! hand-offs ship [`Record`]s between them — the same `rdht_net::handoff`
+//! phases for both, unjournaled in the simulator and journaled live.
+//!
+//! The table owns the paper's `put_h` rule (Section 3.2): a write replaces
+//! the held record only if its stamp is greater ([`PeerStore::accepts`]).
+//! `put` with [`WritePolicy::KeepNewest`], the live peer's `put_h` and a
+//! hand-off's install all decide by it.
 //!
 //! The table is one ordered map from `(hash, key)` to the record, so its
 //! iteration order — and with it equality, a snapshot's bytes and a
@@ -17,7 +23,6 @@
 //! writes. [`PeerStore::drain_range`] scans the whole table: a range moves
 //! only on a join or a leave.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use rdht_hashing::{HashId, Key};
@@ -73,20 +78,20 @@ impl PeerStore {
         self.records.is_empty()
     }
 
+    /// Whether a write of `stamp` for `(hash, key)` wins the `put_h`
+    /// comparison: nothing is held, or the held record's stamp is smaller.
+    /// An equal stamp loses — the held replica already reflects that update.
+    pub fn accepts(&self, hash: HashId, key: &Key, stamp: u64) -> bool {
+        self.get(hash, key).is_none_or(|held| stamp > held.stamp)
+    }
+
     /// Inserts or merges a record according to `policy`. Returns `true` if
     /// the store was modified.
     pub fn put(&mut self, hash: HashId, key: Key, record: Record, policy: WritePolicy) -> bool {
-        match self.records.entry((hash, key)) {
-            Entry::Vacant(slot) => {
-                slot.insert(record);
-            }
-            Entry::Occupied(mut slot) => {
-                if policy == WritePolicy::KeepNewest && record.stamp <= slot.get().stamp {
-                    return false;
-                }
-                slot.insert(record);
-            }
+        if policy == WritePolicy::KeepNewest && !self.accepts(hash, &key, record.stamp) {
+            return false;
         }
+        self.records.insert((hash, key), record);
         true
     }
 

@@ -9,7 +9,7 @@ use rdht_overlay::{LookupError, NodeId, Record, WritePolicy};
 
 use rdht_baseline::{BrkAccess, Version, VersionedValue};
 use rdht_core::durability::NoDurability;
-use rdht_core::kts::IndirectObservation;
+use rdht_core::kts::{IndirectObservation, Probe};
 use rdht_core::{ReplicaValue, Timestamp, UmsAccess, UmsError};
 
 use crate::algo::Algorithm;
@@ -126,22 +126,22 @@ impl<'a> SimAccess<'a> {
     }
 
     /// Runs the indirect counter initialization from the timestamping
-    /// responsible: reads the key's replicas under every replication hash
-    /// function and returns the largest timestamp observed (Figure 5 of the
-    /// paper), charging `|Hr|` lookups and responses.
+    /// responsible, where Figure 5 places it: reads the key's replicas under
+    /// every replication hash function, charging `|Hr|` lookups and
+    /// responses to that peer, and folds what they read
+    /// ([`IndirectObservation::from_probes`]).
     fn collect_indirect_observation(
         &mut self,
         responsible: NodeId,
         key: &Key,
     ) -> IndirectObservation {
-        let mut max_observed: Option<Timestamp> = None;
         // Iterate by index so the borrow of the family does not outlive the
         // mutable borrows below (no id vector is materialized).
-        for hash_index in 0..self.sim.family.num_replication() {
+        let probes = (0..self.sim.family.num_replication()).map(|hash_index| {
             let hash = HashId(hash_index as u32);
             let position = self.sim.family.eval(hash, key);
             let Ok(holder) = self.lookup_priced(responsible, position) else {
-                continue;
+                return Probe::Unanswered;
             };
             let stamp = self
                 .sim
@@ -152,18 +152,15 @@ impl<'a> SimAccess<'a> {
             match stamp {
                 Some(stamp) => {
                     self.charge_data();
-                    let ts = Timestamp(stamp);
-                    if max_observed.map(|m| ts > m).unwrap_or(true) {
-                        max_observed = Some(ts);
-                    }
+                    Probe::Replica(Timestamp(stamp))
                 }
-                None => self.charge_control(),
+                None => {
+                    self.charge_control();
+                    Probe::NoReplica
+                }
             }
-        }
-        match max_observed {
-            Some(ts) => IndirectObservation::observed(ts),
-            None => IndirectObservation::nothing(),
-        }
+        });
+        IndirectObservation::from_probes(probes)
     }
 
     /// Shared implementation of the two KTS client calls: route to the

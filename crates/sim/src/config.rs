@@ -83,14 +83,6 @@ pub struct SimConfig {
     /// its counters with the timestamps stored in the DHT and corrects any
     /// counter found to be behind. `0.0` disables inspection.
     pub inspection_interval: f64,
-    /// Whether replicas are handed over when responsibility moves through a
-    /// graceful leave or a join (the standard Chord/CAN key hand-off the
-    /// paper describes in Section 4.3: the new responsible asks the previous
-    /// one for its `(k, data)` pairs). Failures always lose the replicas held
-    /// by the failed peer — they are only restored by the next update.
-    /// Defaults to `true`; the ablation benches flip it to study a DHT with
-    /// no hand-off at all.
-    pub transfer_data_on_membership_change: bool,
     /// Network model to price messages with.
     pub network: NetworkProfile,
     /// Optional link-fault plan shared with the threaded deployment
@@ -124,7 +116,6 @@ impl SimConfig {
             successor_list_len: 8,
             put_failure_probability: 0.02,
             inspection_interval: 600.0,
-            transfer_data_on_membership_change: true,
             network: NetworkProfile::Internet,
             fault_plan: None,
             seed: 0x5103_0d07,
@@ -164,7 +155,6 @@ impl SimConfig {
             successor_list_len: 4,
             put_failure_probability: 0.02,
             inspection_interval: 300.0,
-            transfer_data_on_membership_change: true,
             network: NetworkProfile::Internet,
             fault_plan: None,
             seed,

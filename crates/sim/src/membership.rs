@@ -1,13 +1,14 @@
-//! Churn handling: departures (graceful or failing) and compensating joins,
-//! with replica hand-off and the KTS direct counter transfer.
+//! Churn handling: departures (graceful or failing) and compensating joins.
+//! A join or a graceful leave hands replicas and counters over through the
+//! live cluster's three hand-off phases (`rdht_net::handoff`), once per
+//! universe; a failure hands nothing over.
 
 use rand::Rng;
 
-use rdht_hashing::Key;
-use rdht_overlay::{MembershipEventKind, NodeId, Record, ResponsibilityChange, WritePolicy};
-
-use rdht_core::durability::NoDurability;
-use rdht_core::Timestamp;
+use rdht_core::kts::KtsNode;
+use rdht_hashing::HashFamily;
+use rdht_net::handoff::{commit_handoff, export_handoff, install_handoff, Unjournaled};
+use rdht_overlay::{MembershipEventKind, NodeId, ResponsibilityChange};
 
 use crate::algo::Algorithm;
 use crate::peer::PeerState;
@@ -120,11 +121,9 @@ impl Simulation {
         }
     }
 
-    /// Processes a responsibility change caused by a departure. For a
-    /// graceful leave, the departing peer hands over its KTS counters (the
-    /// direct algorithm — UMS-Direct universe only) and, if the deployment
-    /// transfers data on membership changes, its replicas. For a failure,
-    /// nothing can be handed over: replicas and counters die with the peer.
+    /// Processes a responsibility change caused by a departure: a graceful
+    /// leave hands the range over per [`hand_off`]; after a failure nothing
+    /// can be handed over, and replicas and counters die with the peer.
     fn process_departure_change(
         &mut self,
         change: &ResponsibilityChange,
@@ -133,91 +132,50 @@ impl Simulation {
         if !change.handover_possible || change.kind == MembershipEventKind::Fail {
             return;
         }
-
-        // Direct counter transfer (Section 4.2.1): the departing responsible
-        // of timestamping ships the counters of the keys whose timestamping
-        // position falls in the moved range to the next responsible.
-        let family = &self.family;
-        let exported: Vec<(Key, Timestamp)> = departing_state.kts_direct.export_counters_in_range(
-            |key| change.covers(family.eval_timestamp(key)),
-            &mut NoDurability,
-        );
         if let Some(target) = self.peers.get_mut(&change.to) {
-            target
-                .kts_direct
-                .receive_transferred_counters(exported, &mut NoDurability);
-        }
-        // The UMS-Indirect universe never transfers counters: they simply die
-        // with the departing peer, forcing the indirect initialization later.
-
-        if self.config.transfer_data_on_membership_change {
-            for algorithm in Algorithm::ALL {
-                let moved: Vec<(rdht_hashing::HashId, Key, Record)> = departing_state
-                    .store_mut(algorithm)
-                    .drain_range(change.range_start, change.range_end);
-                if let Some(target) = self.peers.get_mut(&change.to) {
-                    for (hash, key, record) in moved {
-                        target
-                            .store_mut(algorithm)
-                            .put(hash, key, record, WritePolicy::KeepNewest);
-                    }
-                }
-            }
+            hand_off(&self.family, change, departing_state, target);
         }
     }
 
     /// Processes a responsibility change caused by a join: the previous
-    /// responsible (still alive — the RLA detection point) hands the covered
-    /// counters to the new responsible in the UMS-Direct universe, drops them
-    /// in the UMS-Indirect universe (Rule 3), and optionally hands replicas
-    /// over.
+    /// responsible (still alive — the RLA detection point) hands the range
+    /// to the new responsible per [`hand_off`].
     fn process_join_change(&mut self, change: &ResponsibilityChange) {
         if change.kind != MembershipEventKind::Join {
             return;
         }
-
-        let family = &self.family;
-        let transfer_data = self.config.transfer_data_on_membership_change;
-
-        // Extract everything from the previous responsible first, then apply
-        // it to the new responsible (two sequential mutable borrows).
-        let mut exported_counters: Vec<(Key, Timestamp)> = Vec::new();
-        let mut moved_records: Vec<(Algorithm, rdht_hashing::HashId, Key, Record)> = Vec::new();
-        if let Some(previous) = self.peers.get_mut(&change.from) {
-            exported_counters = previous.kts_direct.export_counters_in_range(
-                |key| change.covers(family.eval_timestamp(key)),
-                &mut NoDurability,
-            );
-            // RLA Rule 3 in the UMS-Indirect universe: the previous
-            // responsible detects the loss of responsibility and invalidates
-            // the covered counters without transferring them.
-            previous.kts_indirect.export_counters_in_range(
-                |key| change.covers(family.eval_timestamp(key)),
-                &mut NoDurability,
-            );
-            if transfer_data {
-                for algorithm in Algorithm::ALL {
-                    for (hash, key, record) in previous
-                        .store_mut(algorithm)
-                        .drain_range(change.range_start, change.range_end)
-                    {
-                        moved_records.push((algorithm, hash, key, record));
-                    }
-                }
-            }
+        if let [Some(previous), Some(new_responsible)] =
+            self.peers.get_disjoint_mut([&change.from, &change.to])
+        {
+            hand_off(&self.family, change, previous, new_responsible);
         }
-        if let Some(new_responsible) = self.peers.get_mut(&change.to) {
-            new_responsible
-                .kts_direct
-                .receive_transferred_counters(exported_counters, &mut NoDurability);
-            for (algorithm, hash, key, record) in moved_records {
-                new_responsible.store_mut(algorithm).put(
-                    hash,
-                    key,
-                    record,
-                    WritePolicy::KeepNewest,
-                );
-            }
+    }
+}
+
+/// Hands `change`'s range from `source` to `target` in every universe with
+/// the live hand-off's export, install and commit. The UMS-Direct universe
+/// transfers the counters (Section 4.2.1); the UMS-Indirect universe drops
+/// them (Rule 3: the source invalidates the counters it is no longer
+/// responsible for), so the new responsible initializes them indirectly.
+/// BRK keeps no counters.
+fn hand_off(
+    family: &HashFamily,
+    change: &ResponsibilityChange,
+    source: &mut PeerState,
+    target: &mut PeerState,
+) {
+    let (start, end) = (change.range_start, change.range_end);
+    for algorithm in Algorithm::ALL {
+        let mut no_counters = KtsNode::default();
+        let (store, kts) = source.universe_mut(algorithm);
+        let kts = kts.unwrap_or(&mut no_counters);
+        let mut bundle = export_handoff(&mut Unjournaled(store), kts, family, start, end);
+        if algorithm == Algorithm::UmsIndirect {
+            bundle.counters.clear();
         }
+        let (store, kts) = target.universe_mut(algorithm);
+        let kts = kts.unwrap_or(&mut no_counters);
+        install_handoff(&mut Unjournaled(store), kts, bundle);
+        commit_handoff(&mut Unjournaled(source.store_mut(algorithm)), start, end);
     }
 }

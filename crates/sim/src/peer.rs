@@ -77,6 +77,16 @@ impl PeerState {
         }
     }
 
+    /// The replica store and the KTS node of `algorithm`'s universe,
+    /// borrowed together (BRK has no KTS node).
+    pub fn universe_mut(&mut self, algorithm: Algorithm) -> (&mut PeerStore, Option<&mut KtsNode>) {
+        match algorithm {
+            Algorithm::UmsDirect => (&mut self.store_direct, Some(&mut self.kts_direct)),
+            Algorithm::UmsIndirect => (&mut self.store_indirect, Some(&mut self.kts_indirect)),
+            Algorithm::Brk => (&mut self.store_brk, None),
+        }
+    }
+
     /// Total number of replicas stored across the three universes (used by
     /// capacity assertions in tests).
     pub fn total_stored(&self) -> usize {

@@ -10,7 +10,8 @@ use rdht_metrics::{Registry, TraceSink};
 use rdht_overlay::chord::{ChordConfig, ChordNetwork};
 use rdht_overlay::NodeId;
 
-use rdht_core::ums;
+use rdht_core::kts::{IndirectObservation, Probe};
+use rdht_core::{ums, Timestamp};
 
 use crate::access::SimAccess;
 use crate::algo::Algorithm;
@@ -305,43 +306,42 @@ impl Simulation {
     /// indirect initialization missed the latest timestamp after a failure.
     fn handle_inspection(&mut self) {
         self.stats.inspection_rounds += 1;
-        const UNIVERSES: [Algorithm; 2] = [Algorithm::UmsDirect, Algorithm::UmsIndirect];
         for key_index in 0..self.keys.len() {
             let key = self.keys[key_index].clone();
             let Some(responsible) = self.overlay.responsible_for(self.ts_positions[key_index])
             else {
                 continue;
             };
-            // Largest timestamp stored at the ground-truth replica holders in
-            // each UMS universe. Each (key, hash) position and its holder are
-            // resolved once and shared by both universes — both stores live
-            // on the same peer, so the per-hash holder lookup is identical.
-            let mut observed: [Option<u64>; 2] = [None, None];
-            for (hash_index, hash) in self.family.replication_ids().enumerate() {
-                let position = self.key_positions[key_index][hash_index];
-                let Some(holder) = self.overlay.responsible_for(position) else {
+            for universe in [Algorithm::UmsDirect, Algorithm::UmsIndirect] {
+                // The key's replicas at the ground-truth holders, read free
+                // of charge.
+                let probes = self
+                    .family
+                    .replication_ids()
+                    .enumerate()
+                    .map(|(index, hash)| {
+                        let holder = self
+                            .overlay
+                            .responsible_for(self.key_positions[key_index][index]);
+                        match holder.and_then(|holder| self.peers.get(&holder)) {
+                            None => Probe::Unanswered,
+                            Some(peer) => peer
+                                .store(universe)
+                                .get(hash, &key)
+                                .map_or(Probe::NoReplica, |record| {
+                                    Probe::Replica(Timestamp(record.stamp))
+                                }),
+                        }
+                    });
+                let Some(observed) = IndirectObservation::from_probes(probes).max_observed else {
                     continue;
                 };
-                let Some(peer) = self.peers.get(&holder) else {
-                    continue;
-                };
-                for (universe, slot) in UNIVERSES.iter().zip(observed.iter_mut()) {
-                    if let Some(record) = peer.store(*universe).get(hash, &key) {
-                        *slot = Some(slot.map_or(record.stamp, |m| m.max(record.stamp)));
-                    }
-                }
-            }
-            for (universe, slot) in UNIVERSES.iter().zip(observed) {
-                let Some(observed) = slot else { continue };
                 if let Some(kts) = self
                     .peers
                     .get_mut(&responsible)
-                    .and_then(|peer| peer.kts_mut(*universe))
+                    .and_then(|peer| peer.kts_mut(universe))
                 {
-                    if kts
-                        .inspect_key(&key, rdht_core::Timestamp(observed))
-                        .is_some()
-                    {
+                    if kts.inspect_key(&key, observed).is_some() {
                         self.stats.inspection_corrections += 1;
                     }
                 }

@@ -1,7 +1,11 @@
 //! Simulator-level tests: determinism, currency guarantees, cost ordering.
 
 use rdht_baseline::{BrkAccess, Version, VersionedValue};
-use rdht_hashing::Key;
+use rdht_core::durability::NoDurability;
+use rdht_core::kts::IndirectObservation;
+use rdht_core::Timestamp;
+use rdht_hashing::{HashId, Key};
+use rdht_overlay::{NodeId, Record, WritePolicy};
 
 use crate::{Algorithm, SimAccess, SimConfig, Simulation};
 
@@ -290,6 +294,68 @@ fn uncompensated_graceful_leaves_shrink_and_hand_counters_over() {
         "graceful leaves must run the direct algorithm"
     );
     assert!(simulation.total_kts_stats(Algorithm::Brk).is_none());
+}
+
+/// A join and then the joiner's graceful leave move a key's replicas and
+/// counters through the live hand-off phases, in every universe: the
+/// counters travel in UMS-Direct, the source drops them in UMS-Indirect
+/// (Rule 3), and BRK has none.
+#[test]
+fn join_and_graceful_leave_hand_the_range_over_in_every_universe() {
+    let mut sim = Simulation::new(SimConfig::small_test(16, 5));
+    let key = Key::new("moved doc");
+    let position = sim.family.eval_timestamp(&key);
+    let owner = sim.overlay.responsible_for(position).unwrap();
+    let record = Record {
+        payload: b"v".to_vec(),
+        stamp: 3,
+        position,
+    };
+    let peer = sim.peers.get_mut(&owner).unwrap();
+    for algorithm in Algorithm::ALL {
+        let store = peer.store_mut(algorithm);
+        store.put(
+            HashId(0),
+            key.clone(),
+            record.clone(),
+            WritePolicy::Overwrite,
+        );
+        if let Some(kts) = peer.kts_mut(algorithm) {
+            for _ in 0..3 {
+                kts.gen_ts(&key, IndirectObservation::nothing, &mut NoDurability);
+            }
+        }
+    }
+    let holds = |sim: &Simulation, id: NodeId, algorithm: Algorithm| {
+        let peer = &sim.peers[&id];
+        let replica = peer.store(algorithm).get(HashId(0), &key).is_some();
+        let counter = peer.kts(algorithm).and_then(|kts| kts.counter_value(&key));
+        (replica, counter)
+    };
+
+    // The joiner takes (predecessor, position] from the owner.
+    let joiner = NodeId(position);
+    sim.perform_join(joiner);
+    let direct = Algorithm::UmsDirect;
+    assert_eq!(holds(&sim, joiner, direct), (true, Some(Timestamp(3))));
+    assert_eq!(holds(&sim, owner, direct), (false, None));
+    for algorithm in [Algorithm::UmsIndirect, Algorithm::Brk] {
+        assert_eq!(holds(&sim, joiner, algorithm), (true, None), "{algorithm}");
+        assert_eq!(holds(&sim, owner, algorithm), (false, None), "{algorithm}");
+    }
+
+    // The joiner stamps once in each UMS universe, then leaves: the range
+    // goes back to the owner.
+    let peer = sim.peers.get_mut(&joiner).unwrap();
+    for kts in [&mut peer.kts_direct, &mut peer.kts_indirect] {
+        kts.gen_ts(&key, IndirectObservation::nothing, &mut NoDurability);
+    }
+    sim.perform_graceful_leave(joiner);
+    assert!(!sim.peers.contains_key(&joiner));
+    assert_eq!(holds(&sim, owner, direct), (true, Some(Timestamp(4))));
+    for algorithm in [Algorithm::UmsIndirect, Algorithm::Brk] {
+        assert_eq!(holds(&sim, owner, algorithm), (true, None), "{algorithm}");
+    }
 }
 
 #[test]

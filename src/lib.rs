@@ -18,9 +18,8 @@
 //! | [`core`] | `rdht-core` | UMS + KTS + the probabilistic analysis |
 //! | [`baseline`] | `rdht-baseline` | the BRK (BRICKS-style) baseline |
 //! | [`sim`] | `rdht-sim` | discrete-event simulator and workloads |
-//! | [`net`] | `rdht-net` | threaded in-process cluster deployment |
+//! | [`net`] | `rdht-net` | threaded in-process cluster deployment; the journaled join/leave hand-off ([`net::handoff`]) the simulator runs too |
 //! | [`storage`] | `rdht-storage` | durable peer state: WAL, snapshots, recovery |
-//! | [`membership`] | `rdht-membership` | live joins and graceful leaves: plans + crash-recoverable hand-offs |
 //!
 //! The most common entry points are also re-exported at the top level.
 //!
@@ -40,7 +39,6 @@
 pub use rdht_baseline as baseline;
 pub use rdht_core as core;
 pub use rdht_hashing as hashing;
-pub use rdht_membership as membership;
 pub use rdht_net as net;
 pub use rdht_overlay as overlay;
 pub use rdht_sim as sim;

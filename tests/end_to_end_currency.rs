@@ -82,26 +82,3 @@ fn population_and_replica_invariants_hold_under_churn() {
         assert!(sample.messages as usize >= sample.replicas_probed);
     }
 }
-
-#[test]
-fn disabling_data_handoff_reduces_currency() {
-    // Ablation: with replica hand-off disabled, responsibility changes leave
-    // holes, so the measured probability of currency and availability drops.
-    let mut with_handoff = SimConfig::small_test(96, 31);
-    with_handoff.churn_rate_per_second *= 4.0;
-    let mut without_handoff = with_handoff.clone();
-    without_handoff.transfer_data_on_membership_change = false;
-
-    let report_with = Simulation::new(with_handoff).run();
-    let report_without = Simulation::new(without_handoff).run();
-    let pt_with = report_with
-        .summary(Algorithm::UmsDirect)
-        .mean_currency_availability;
-    let pt_without = report_without
-        .summary(Algorithm::UmsDirect)
-        .mean_currency_availability;
-    assert!(
-        pt_without <= pt_with + 1e-9,
-        "hand-off disabled should not improve currency ({pt_without} vs {pt_with})"
-    );
-}
