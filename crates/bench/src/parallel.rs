@@ -7,8 +7,7 @@
 //! configs sequentially — the only thing that changes is wall-clock time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::channel;
+use std::sync::mpsc;
 
 use rdht_sim::{SimConfig, Simulation, SimulationReport};
 
@@ -41,7 +40,7 @@ pub fn run_configs_with_threads(configs: Vec<SimConfig>, threads: usize) -> Vec<
 
     let total = configs.len();
     let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, SimulationReport)>();
+    let (tx, rx) = mpsc::channel::<(usize, SimulationReport)>();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();

@@ -1,4 +1,4 @@
-//! Engine 2: the project-invariant linter. Line-level (no AST dep, no
+//! The project-invariant linter. Line-level (no AST dep, no
 //! proc macros), enforcing workspace rules clippy cannot express:
 //!
 //! | rule | invariant |

@@ -9,9 +9,7 @@ fn usage() -> ExitCode {
     println!("usage: rdht-check lint [--root DIR]");
     println!();
     println!("Lints the workspace for project invariants (see crates/check/src/lint.rs");
-    println!("and the README's \"Correctness tooling\" section). The model-checker");
-    println!("engine runs as tests: RUSTFLAGS='--cfg rdht_model' cargo test -p rdht-check \\");
-    println!("  -p rdht-metrics --release");
+    println!("and the README's \"Correctness tooling\" section).");
     ExitCode::from(2)
 }
 

@@ -110,7 +110,7 @@ pub fn encode(registry: &Registry) -> String {
     out
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,12 +1,8 @@
 //! The three instrument kinds: lock-free handles over shared atomics.
-//!
-//! Built on [`crate::msync`] aliases so the model suite
-//! (`RUSTFLAGS='--cfg rdht_model' cargo test -p rdht-metrics`) checks this
-//! exact source under every bounded interleaving.
 
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-
-use crate::msync::{Arc, AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 ///
@@ -324,10 +320,7 @@ impl HistogramSnapshot {
     }
 }
 
-// Gated off under the model cfg: these tests exercise the instruments on
-// real OS threads, while model builds construct them only inside
-// `rdht_check::model` runs (see `crate::model_tests`).
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -417,6 +410,10 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, expected);
         assert_eq!(snap.counts.iter().sum::<u64>(), expected);
+        let sum: u64 = (0..THREADS as u64)
+            .flat_map(|t| (0..PER_THREAD).map(move |i| (t + i) % 100))
+            .sum();
+        assert_eq!(snap.sum, sum, "lost sum update");
     }
 
     #[test]

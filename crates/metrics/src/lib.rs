@@ -43,7 +43,6 @@
 mod encode;
 mod instruments;
 pub mod log;
-mod msync;
 pub mod parse;
 mod registry;
 pub mod span;
@@ -58,8 +57,5 @@ pub use registry::{Labels, Registry};
 pub use span::{next_span_id, RequestTree, SpanLog, TraceConfig, TraceContext, FLAG_SAMPLED};
 pub use trace::{merge_chrome_trace_files, TraceEvent, TracePhase, TraceSink};
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod proptests;
-
-#[cfg(all(test, rdht_model))]
-mod model_tests;

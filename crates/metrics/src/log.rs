@@ -241,7 +241,7 @@ pub fn install(log: EventLog) -> Result<(), EventLog> {
     GLOBAL.set(log)
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

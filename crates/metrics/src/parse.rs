@@ -252,7 +252,7 @@ pub fn parse(text: &str) -> Result<Exposition, ParseError> {
     Ok(exposition)
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -241,7 +241,7 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

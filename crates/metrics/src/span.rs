@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::msync::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The sampled-flag bit of [`TraceContext::flags`].
 pub const FLAG_SAMPLED: u8 = 1;
@@ -101,24 +101,11 @@ impl TraceConfig {
 /// Process-global span-id allocator. Ids are unique within a process and
 /// never 0 (0 means "no parent"); cross-process uniqueness is not needed
 /// because spans are always interpreted next to their pid lane.
-#[cfg(not(rdht_model))]
 pub fn next_span_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     // relaxed: uniqueness comes from fetch_add atomicity alone; ids carry
-    // no cross-location ordering (verified by the model build's
-    // span_ids_stay_unique_across_threads).
+    // no cross-location ordering (see span_ids_are_unique_across_threads).
     NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Model-build variant: model atomics are per-execution, so the allocator
-/// lives in a per-execution [`rdht_check::lazy::Lazy`] instead of a plain
-/// static.
-#[cfg(rdht_model)]
-pub fn next_span_id() -> u64 {
-    static NEXT: rdht_check::lazy::Lazy<AtomicU64> =
-        rdht_check::lazy::Lazy::new(|| AtomicU64::new(1));
-    // relaxed: see the production variant above.
-    NEXT.get().fetch_add(1, Ordering::Relaxed)
 }
 
 /// One completed request as its per-phase breakdown: the root span's name
@@ -198,7 +185,7 @@ impl SpanLog {
     }
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -219,6 +206,21 @@ mod tests {
         let b = next_span_id();
         assert_ne!(a, 0);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn span_ids_are_unique_across_threads() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 1_000;
+        let batches: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| scope.spawn(|| (0..PER_THREAD).map(|_| next_span_id()).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let ids: std::collections::HashSet<u64> = batches.into_iter().flatten().collect();
+        assert_eq!(ids.len(), THREADS * PER_THREAD, "duplicate span id");
+        assert!(!ids.contains(&0), "span id 0 means no parent");
     }
 
     #[test]

@@ -271,7 +271,7 @@ pub(crate) fn escape_json(out: &mut String, s: &str) {
     }
 }
 
-#[cfg(all(test, not(rdht_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

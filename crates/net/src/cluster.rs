@@ -15,11 +15,10 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,6 +37,7 @@ use crate::metrics::names;
 use crate::peer::Peer;
 use crate::tcp::TcpTransport;
 use crate::transport::{CallError, ChannelTransport, PeerEndpoint, Transport, TransportError};
+use crate::unpoison;
 
 /// Per-attempt deadline of the coordinator's hand-off wait. Long enough to
 /// cover the source's full install retry budget
@@ -272,7 +272,7 @@ impl Directory {
 
     /// The peer currently responsible for a position.
     pub(crate) fn responsible_for(&self, position: u64) -> Option<(PeerId, PeerEndpoint)> {
-        let members = self.members.read();
+        let members = unpoison(self.members.read());
         let id = PeerId(members.ring.successor(position)?);
         Some((id, members.endpoints[&id].clone()))
     }
@@ -283,7 +283,7 @@ impl Directory {
     /// caller that needs only the first stops the walk there.
     pub(crate) fn colocated_with_counter(&self, key: &Key) -> impl Iterator<Item = HashId> + '_ {
         let digest = key.digest();
-        let members = self.members.read();
+        let members = unpoison(self.members.read());
         let counter = self.family.timestamp_function().eval_digest(digest);
         let owner = members.ring.successor(counter);
         self.family
@@ -298,26 +298,26 @@ impl Directory {
 
     /// Answers `question` from the live ring, under one read of it.
     pub(crate) fn with_ring<T>(&self, question: impl FnOnce(&Ring) -> T) -> T {
-        question(&self.members.read().ring)
+        question(&unpoison(self.members.read()).ring)
     }
 
     /// Marks a peer as dead (its endpoint stays but is never selected
     /// again).
     pub(crate) fn mark_dead(&self, peer: PeerId) {
-        self.members.write().ring.remove(peer.0);
+        unpoison(self.members.write()).ring.remove(peer.0);
     }
 
     /// Re-registers a (re)started peer under a fresh endpoint and marks it
     /// alive again.
     pub(crate) fn revive(&self, peer: PeerId, endpoint: PeerEndpoint) {
-        let mut members = self.members.write();
+        let mut members = unpoison(self.members.write());
         members.endpoints.insert(peer, endpoint);
         members.ring.insert(peer.0);
     }
 
     /// The endpoint and alive flag of a peer that is (or was) a member.
     pub(crate) fn member(&self, peer: PeerId) -> Option<(PeerEndpoint, bool)> {
-        let members = self.members.read();
+        let members = unpoison(self.members.read());
         let endpoint = members.endpoints.get(&peer)?.clone();
         Some((endpoint, members.ring.contains(peer.0)))
     }
@@ -335,7 +335,7 @@ impl Directory {
 
     /// Every peer that is or was a member, in ring order, with its endpoint.
     fn endpoints(&self) -> Vec<(PeerId, PeerEndpoint)> {
-        let members = self.members.read();
+        let members = unpoison(self.members.read());
         members
             .endpoints
             .iter()

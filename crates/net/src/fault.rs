@@ -38,10 +38,10 @@
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdht_metrics::{Counter, Registry};
@@ -51,6 +51,7 @@ use crate::message::{Reply, Request};
 use crate::transport::{
     Mailbox, PeerEndpoint, ReplyHook, ReplySink, SendRejected, Transport, TransportError,
 };
+use crate::unpoison;
 
 /// How many black-holed reply sinks are parked before the oldest is let go.
 /// A released sink signals `Dropped` to a caller that timed out long ago —
@@ -233,7 +234,7 @@ pub struct FaultPlan {
 
 impl fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.inner.state.lock();
+        let state = unpoison(self.inner.state.lock());
         f.debug_struct("FaultPlan")
             .field("seed", &self.inner.seed)
             .field("default_link", &state.default_link)
@@ -264,13 +265,15 @@ impl FaultPlan {
 
     /// Applies `faults` to every link without a per-link override.
     pub fn with_all_links(self, faults: LinkFaults) -> Self {
-        self.inner.state.lock().default_link = faults;
+        unpoison(self.inner.state.lock()).default_link = faults;
         self
     }
 
     /// Overrides the faults of one directed link.
     pub fn with_link(self, from: End, to: End, faults: LinkFaults) -> Self {
-        self.inner.state.lock().links.insert((from, to), faults);
+        unpoison(self.inner.state.lock())
+            .links
+            .insert((from, to), faults);
         self
     }
 
@@ -294,9 +297,7 @@ impl FaultPlan {
     /// `a` from the ends in `b`, both directions. Frames crossing an active
     /// partition are dropped. Re-installing a name replaces it.
     pub fn partition(&self, name: impl Into<String>, a: Vec<End>, b: Vec<End>) {
-        self.inner
-            .state
-            .lock()
+        unpoison(self.inner.state.lock())
             .partitions
             .insert(name.into(), PartitionState { a, b, active: true });
     }
@@ -304,7 +305,7 @@ impl FaultPlan {
     /// Heals a named partition mid-run: frames cross again from now on.
     /// Unknown names are a no-op.
     pub fn heal(&self, name: &str) {
-        if let Some(partition) = self.inner.state.lock().partitions.get_mut(name) {
+        if let Some(partition) = unpoison(self.inner.state.lock()).partitions.get_mut(name) {
             partition.active = false;
         }
     }
@@ -355,7 +356,7 @@ impl FaultPlan {
     }
 
     fn decide(&self, from: End, to: End) -> Decision {
-        let mut state = self.inner.state.lock();
+        let mut state = unpoison(self.inner.state.lock());
         let link = (from, to);
         if state
             .partitions
@@ -405,7 +406,7 @@ impl FaultPlan {
     /// (then a timeout), not the prompt teardown a real crash produces.
     fn black_hole(&self, sink: ReplySink) {
         let evicted = {
-            let mut state = self.inner.state.lock();
+            let mut state = unpoison(self.inner.state.lock());
             state.black_hole.push_back(sink);
             if state.black_hole.len() > BLACK_HOLE_CAPACITY {
                 state.black_hole.pop_front()
@@ -461,33 +462,21 @@ struct SchedulerQueue {
 }
 
 struct SchedulerShared {
-    queue: StdMutex<SchedulerQueue>,
+    queue: Mutex<SchedulerQueue>,
     wake: Condvar,
 }
 
 /// A single lazily-started timer thread delivering delayed frames when
-/// their deadline passes. Std primitives (not `parking_lot`) because the
-/// loop needs a condition variable with timeouts.
+/// their deadline passes. Actions run outside the queue lock.
 struct Scheduler {
     shared: Arc<SchedulerShared>,
-}
-
-/// Scheduler lock with poison recovery. Actions run outside the lock, so
-/// poison means a panic mid-push or mid-pop; the queue state itself is
-/// still coherent (BinaryHeap operations are panic-safe). Recover and log
-/// instead of cascading the panic through every delivery thread.
-fn recover_poison<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(|poisoned| {
-        rdht_metrics::log::global().warn("net.fault", "scheduler mutex poisoned; recovering", &[]);
-        poisoned.into_inner()
-    })
 }
 
 impl Scheduler {
     fn new() -> Self {
         Scheduler {
             shared: Arc::new(SchedulerShared {
-                queue: StdMutex::new(SchedulerQueue::default()),
+                queue: Mutex::new(SchedulerQueue::default()),
                 wake: Condvar::new(),
             }),
         }
@@ -495,20 +484,28 @@ impl Scheduler {
 
     fn schedule(&self, delay: Duration, action: Box<dyn FnOnce() + Send>) {
         let at = Instant::now() + delay;
-        let mut queue = recover_poison(self.shared.queue.lock());
+        let mut queue = unpoison(self.shared.queue.lock());
         if queue.stop {
             // Teardown raced a late frame: the frame is lost, its sink's
-            // drop signals the sender.
+            // drop (after the guard's) signals the sender.
             return;
+        }
+        if !queue.running {
+            // The thread waits for this lock, so it finds the frame pushed
+            // below. With no thread to deliver it, the frame is lost as
+            // above, and the next frame tries again.
+            let shared = Arc::clone(&self.shared);
+            if thread::Builder::new()
+                .spawn(move || Scheduler::run(shared))
+                .is_err()
+            {
+                return;
+            }
+            queue.running = true;
         }
         let seq = queue.next_seq;
         queue.next_seq += 1;
         queue.items.push(Delayed { at, seq, action });
-        if !queue.running {
-            queue.running = true;
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || Scheduler::run(shared));
-        }
         // The timer thread sleeps until the earliest deadline it knows of: a
         // frame due later than that needs no wake-up, it is seen when the
         // thread next looks at the queue.
@@ -522,7 +519,7 @@ impl Scheduler {
     fn run(shared: Arc<SchedulerShared>) {
         loop {
             let action = {
-                let mut queue = recover_poison(shared.queue.lock());
+                let mut queue = unpoison(shared.queue.lock());
                 loop {
                     if queue.stop {
                         return;
@@ -530,23 +527,14 @@ impl Scheduler {
                     let now = Instant::now();
                     match queue.items.peek() {
                         None => {
-                            queue = recover_poison(shared.wake.wait(queue));
+                            queue = unpoison(shared.wake.wait(queue));
                         }
                         Some(head) if head.at <= now => {
                             break queue.items.pop().expect("peeked item").action;
                         }
                         Some(head) => {
                             let wait = head.at - now;
-                            queue = recover_poison(
-                                shared
-                                    .wake
-                                    .wait_timeout(queue, wait)
-                                    .map(|(guard, _timeout)| guard)
-                                    .map_err(|p| {
-                                        let (guard, _timeout) = p.into_inner();
-                                        std::sync::PoisonError::new(guard)
-                                    }),
-                            );
+                            (queue, _) = unpoison(shared.wake.wait_timeout(queue, wait));
                         }
                     }
                 }
@@ -559,11 +547,14 @@ impl Scheduler {
 
 impl Drop for PlanInner {
     fn drop(&mut self) {
-        if let Ok(mut queue) = self.scheduler.shared.queue.lock() {
+        let frames = {
+            let mut queue = unpoison(self.scheduler.shared.queue.lock());
             queue.stop = true;
-            queue.items.clear();
-        }
+            std::mem::take(&mut queue.items)
+        };
         self.scheduler.shared.wake.notify_all();
+        // Outside the lock: each frame's sink signals its sender as it drops.
+        drop(frames);
     }
 }
 
@@ -727,5 +718,47 @@ impl ReplyHook for FaultReplyHook {
     /// delay of replies apply on the production path.
     fn wrapped(&self) -> Option<&ReplySink> {
         self.sink.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{CallError, Gather};
+
+    /// A panic while the scheduler queue is locked must not keep the plan's
+    /// teardown from stopping the timer thread and dropping queued frames.
+    #[test]
+    fn a_poisoned_scheduler_still_stops_and_drops_its_frames() {
+        let plan = FaultPlan::new(7);
+        let gather = Gather::new(1, false);
+        let sink = gather.sink(0);
+        plan.scheduler().schedule(
+            Duration::from_secs(3600),
+            Box::new(move || sink.send(Reply::PutAck)),
+        );
+        let shared = Arc::clone(&plan.scheduler().shared);
+        let poisoner = Arc::clone(&shared);
+        // `resume_unwind` panics without the panic hook: tier-1's stderr
+        // stays silent.
+        let _ = thread::spawn(move || {
+            let _guard = poisoner.queue.lock();
+            std::panic::resume_unwind(Box::new("poisoning the scheduler queue"));
+        })
+        .join();
+        assert!(shared.queue.is_poisoned());
+
+        drop(plan);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Arc::strong_count(&shared) > 1 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "the timer thread outlived its plan"
+        );
+        let landed = gather.wait(Duration::ZERO).pop().unwrap();
+        assert_eq!(landed.outcome, Err(CallError::Dropped));
     }
 }

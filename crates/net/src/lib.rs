@@ -167,6 +167,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{LockResult, PoisonError};
+
 mod client;
 mod cluster;
 mod error;
@@ -197,6 +199,15 @@ pub use transport::{
     ReplyHook, ReplySink, ReplyWriter, SendRejected, Transport, TransportError,
 };
 pub use wire::{WireError, MAX_FRAME_LEN, WIRE_VERSION};
+
+/// The crate's one poison rule: a lock whose holder panicked is taken over
+/// as it stands. Each critical section here leaves its state coherent at
+/// every step (one insert, take, assignment or decrement at a time), so the
+/// guard of a poisoned lock is as good as any other, and a thread that
+/// panicked must not take every thread sharing the lock down with it.
+pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod proptests;

@@ -4,16 +4,16 @@
 //! peer thread, no timing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_storage::{FsyncPolicy, StorageOptions, SyncObserver};
 
 use super::*;
 use crate::tests::fresh_storage_root;
 use crate::transport::{CallError, ChannelTransport, ReplyHook, Transport};
+use crate::unpoison;
 
 const ID: PeerId = PeerId(7);
 
@@ -37,7 +37,7 @@ struct Recorder(Arc<Mutex<Vec<Reply>>>);
 
 impl ReplyHook for Recorder {
     fn deliver(self: Box<Self>, reply: Reply) {
-        self.0.lock().push(reply);
+        unpoison(self.0.lock()).push(reply);
     }
     fn dropped(self: Box<Self>) {}
 }
@@ -68,7 +68,7 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
     let (seen, fired) = (Arc::clone(&delivered), Arc::clone(&syncs));
     peer.engine.set_sync_observer(SyncObserver::new(move |_| {
         assert!(
-            seen.lock().is_empty(),
+            unpoison(seen.lock()).is_empty(),
             "a put was acknowledged before the sync that covers it"
         );
         fired.fetch_add(1, Ordering::SeqCst);
@@ -87,7 +87,10 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
 
     assert_eq!(syncs.load(Ordering::SeqCst), 1, "one sync covers the batch");
     assert_eq!(peer.engine.metrics().wal_syncs.get(), syncs_before + 1);
-    assert_eq!(*delivered.lock(), vec![Reply::PutAck; PUTS as usize]);
+    assert_eq!(
+        *unpoison(delivered.lock()),
+        vec![Reply::PutAck; PUTS as usize]
+    );
     drop(peer);
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -127,7 +130,7 @@ fn a_stamp_and_put_is_answered_only_after_the_sync_covering_counter_and_puts() {
     let (seen, at_sync) = (Arc::clone(&delivered), Arc::clone(&covered));
     peer.engine.set_sync_observer(SyncObserver::new(move |_| {
         assert!(
-            seen.lock().is_empty(),
+            unpoison(seen.lock()).is_empty(),
             "the stamp was answered before the sync that covers it"
         );
         at_sync.store(appended.get(), Ordering::SeqCst);
@@ -142,7 +145,7 @@ fn a_stamp_and_put_is_answered_only_after_the_sync_covering_counter_and_puts() {
     endpoint.send_no_reply(Request::Crash).unwrap();
     peer.run(&mailbox);
 
-    assert_eq!(*delivered.lock(), vec![STAMPED_THREE]);
+    assert_eq!(*unpoison(delivered.lock()), vec![STAMPED_THREE]);
     let after = peer.engine.metrics().ops_appended.get();
     assert_eq!(after - before, 1 + 3, "the counter record and three puts");
     assert_eq!(

@@ -65,12 +65,11 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;
@@ -79,6 +78,7 @@ use crate::transport::{
     EndpointImpl, Incoming, Mailbox, PeerEndpoint, ReplySink, ReplyWriter, SendRejected, Transport,
     TransportError, WaiterId,
 };
+use crate::unpoison;
 use crate::wire::{
     decode_payload, encode_reply, encode_request, Envelope, FrameError, FrameReader, WireError,
 };
@@ -170,7 +170,7 @@ struct ServerConnWriter {
 impl ReplyWriter for ServerConnWriter {
     fn write_reply(&self, request_id: u64, reply: &Reply) {
         let frame = encode_reply(request_id, reply);
-        let mut stream = self.stream.lock();
+        let mut stream = unpoison(self.stream.lock());
         // Best effort: the requester may already be gone. A failed reply
         // write is indistinguishable from a requester that disconnected —
         // it is *their* reply, no one else's state is affected.
@@ -193,7 +193,7 @@ impl Connection {
     /// drop (each sink's drop path signals the caller promptly).
     fn fail_pending(&self) {
         self.dead.store(true, Ordering::SeqCst);
-        let drained = self.pending.lock().take();
+        let drained = unpoison(self.pending.lock()).take();
         // Sinks are dropped outside the lock: a drop may itself write (a
         // relayed reply) or lock another connection.
         drop(drained);
@@ -244,7 +244,7 @@ impl TcpTransport {
     pub fn with_peers(peers: impl IntoIterator<Item = (PeerId, SocketAddr)>) -> Self {
         let transport = TcpTransport::new();
         {
-            let mut book = transport.inner.book.lock();
+            let mut book = unpoison(transport.inner.book.lock());
             for (peer, addr) in peers {
                 book.insert(peer.0, Booked::new(addr));
             }
@@ -254,7 +254,7 @@ impl TcpTransport {
 
     /// Registers (or overrides) the address of one peer.
     pub fn set_addr(&self, peer: PeerId, addr: SocketAddr) {
-        self.inner.book.lock().insert(peer.0, Booked::new(addr));
+        unpoison(self.inner.book.lock()).insert(peer.0, Booked::new(addr));
     }
 
     /// The address `peer` is known under, if any.
@@ -263,7 +263,7 @@ impl TcpTransport {
     }
 
     fn booked(&self, peer: PeerId) -> Option<Booked> {
-        self.inner.book.lock().get(&peer.0).copied()
+        unpoison(self.inner.book.lock()).get(&peer.0).copied()
     }
 
     /// Dials `addr` (bounded by `connect_timeout`), or reuses the pooled
@@ -274,7 +274,7 @@ impl TcpTransport {
         connect_timeout: Duration,
     ) -> Result<Arc<Connection>, TransportError> {
         {
-            let pool = self.inner.pool.lock();
+            let pool = unpoison(self.inner.pool.lock());
             if let Some(conn) = pool.get(&addr) {
                 if !conn.dead.load(Ordering::SeqCst) {
                     return Ok(Arc::clone(conn));
@@ -292,7 +292,7 @@ impl TcpTransport {
             dead: AtomicBool::new(false),
         });
         {
-            let mut pool = self.inner.pool.lock();
+            let mut pool = unpoison(self.inner.pool.lock());
             // Another thread may have raced us here; last-in wins and the
             // loser's connection simply serves the requests already bound
             // to it until it idles out with the process.
@@ -306,9 +306,7 @@ impl TcpTransport {
             while let Ok(Some(payload)) = frames.next_frame(&mut source) {
                 match decode_payload(payload) {
                     Ok(Envelope::Reply { request_id, reply }) => {
-                        let sink = demux
-                            .pending
-                            .lock()
+                        let sink = unpoison(demux.pending.lock())
                             .as_mut()
                             .and_then(|pending| pending.remove(&request_id));
                         if let Some(sink) = sink {
@@ -329,7 +327,7 @@ impl TcpTransport {
                 }
             }
             demux.fail_pending();
-            let mut pool = inner.pool.lock();
+            let mut pool = unpoison(inner.pool.lock());
             if let Some(current) = pool.get(&addr) {
                 if Arc::ptr_eq(current, &demux) {
                     pool.remove(&addr);
@@ -352,7 +350,7 @@ impl TcpTransport {
         // mutex below is what orders the insert against the reader.
         let request_id = conn.next_id.fetch_add(1, Ordering::Relaxed);
         {
-            let mut pending = conn.pending.lock();
+            let mut pending = unpoison(conn.pending.lock());
             match pending.as_mut() {
                 Some(pending) => {
                     pending.insert(request_id, sink);
@@ -363,16 +361,14 @@ impl TcpTransport {
         }
         let frame = encode_request(request_id, request, trace);
         let wrote = {
-            let mut stream = conn.stream.lock();
+            let mut stream = unpoison(conn.stream.lock());
             stream.write_all(&frame)
         };
         match wrote {
             Ok(()) => Ok(()),
             Err(_) => {
                 conn.dead.store(true, Ordering::SeqCst);
-                let sink = conn
-                    .pending
-                    .lock()
+                let sink = unpoison(conn.pending.lock())
                     .as_mut()
                     .and_then(|pending| pending.remove(&request_id));
                 Err(sink)
@@ -646,7 +642,7 @@ impl TcpEndpoint {
         };
         TcpTransport::try_send(&conn, request, sink, trace).map_err(|recovered| {
             if recovered.is_some() {
-                let mut pool = self.transport.inner.pool.lock();
+                let mut pool = unpoison(self.transport.inner.pool.lock());
                 if pool
                     .get(&addr)
                     .is_some_and(|current| Arc::ptr_eq(current, &conn))
@@ -755,7 +751,7 @@ struct Readers {
 
 impl Readers {
     fn new(peer: PeerId, queue: Sender<Incoming>) -> Self {
-        let (handoff, waiting) = unbounded();
+        let (handoff, waiting) = mpsc::channel();
         Readers {
             peer,
             queue,
@@ -785,7 +781,7 @@ impl Readers {
                 serve_connection(peer, stream, &queue);
                 idle.fetch_add(1, Ordering::SeqCst);
                 // The hand-off closes when the acceptor exits (unbind).
-                let Ok(next) = waiting.lock().recv() else {
+                let Ok(next) = unpoison(waiting.lock()).recv() else {
                     return;
                 };
                 stream = next;
@@ -889,7 +885,7 @@ impl Transport for TcpTransport {
             .map_err(|error| TransportError::Io(format!("local addr: {error}")))?;
         self.set_addr(peer, addr);
 
-        let (queue, mailbox) = unbounded();
+        let (queue, mailbox) = mpsc::channel();
         let closing = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor_closing = Arc::clone(&closing);
@@ -903,7 +899,7 @@ impl Transport for TcpTransport {
                 let Ok(stream) = accepted else { continue };
                 let _ = stream.set_nodelay(true);
                 if let Ok(clone) = stream.try_clone() {
-                    let mut conns = acceptor_conns.lock();
+                    let mut conns = unpoison(acceptor_conns.lock());
                     // Keep the teardown list from growing with closed
                     // connections on long-lived peers.
                     conns.retain(|c| c.take_error().is_ok());
@@ -912,7 +908,7 @@ impl Transport for TcpTransport {
                 readers.read(stream);
             }
         });
-        self.inner.listeners.lock().insert(
+        unpoison(self.inner.listeners.lock()).insert(
             peer.0,
             ListenerState {
                 addr,
@@ -935,7 +931,7 @@ impl Transport for TcpTransport {
     }
 
     fn unbind(&self, peer: PeerId) {
-        let Some(state) = self.inner.listeners.lock().remove(&peer.0) else {
+        let Some(state) = unpoison(self.inner.listeners.lock()).remove(&peer.0) else {
             return;
         };
         state.closing.store(true, Ordering::SeqCst);
@@ -948,7 +944,7 @@ impl Transport for TcpTransport {
         }
         // Shut every accepted connection down so reader threads unblock and
         // requesters observe closure instead of silence.
-        for conn in state.conns.lock().drain(..) {
+        for conn in unpoison(state.conns.lock()).drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
     }

@@ -161,7 +161,7 @@ fn a_client_round_over_tcp_dials_no_pooled_connection() {
         assert_eq!(got.data.unwrap(), vec![i]);
     }
     assert!(
-        transport.inner.pool.lock().is_empty(),
+        unpoison(transport.inner.pool.lock()).is_empty(),
         "a client round dialled a pooled connection"
     );
     let owned = own_connections(&transport);
@@ -277,7 +277,7 @@ fn the_fault_layer_applies_reply_faults_in_the_waiters_hands() {
     assert_eq!(lossy.counters().dropped.get(), 1);
 
     assert!(
-        transport.inner.pool.lock().is_empty(),
+        unpoison(transport.inner.pool.lock()).is_empty(),
         "the requests went out on the caller's own connection"
     );
     assert_eq!(own_connections(&transport), 1);

@@ -34,15 +34,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rdht_metrics::TraceContext;
 
 use crate::cluster::PeerId;
 use crate::message::{Reply, Request};
+use crate::unpoison;
 
 /// A typed transport failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,7 +137,7 @@ struct CollectState {
 impl CollectState {
     fn absorb(state: &Arc<Mutex<CollectState>>, index: usize, reply: Reply) {
         let completed = {
-            let mut guard = state.lock();
+            let mut guard = unpoison(state.lock());
             debug_assert!(guard.replies[index].is_none(), "collect slot filled twice");
             guard.replies[index] = Some(reply);
             guard.remaining -= 1;
@@ -511,7 +511,7 @@ struct GatherState {
 }
 
 struct GatherShared {
-    state: StdMutex<GatherState>,
+    state: Mutex<GatherState>,
     all_landed: Condvar,
     /// Whether slots record when they landed.
     timed: bool,
@@ -520,12 +520,6 @@ struct GatherShared {
 }
 
 impl GatherShared {
-    /// Every update leaves the slots coherent (one assignment and one
-    /// decrement under the lock), so a poisoned lock is recovered.
-    fn lock(&self) -> MutexGuard<'_, GatherState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// This gather's identity. A reply still owed to it holds a sink that
     /// holds this allocation, so no other gather can take the address over
     /// while the transport files anything under it.
@@ -536,7 +530,7 @@ impl GatherShared {
     /// Fills slot `index` unless it is already filled or the waiter already
     /// collected — each slot takes exactly one outcome, the first.
     fn fill(&self, index: usize, outcome: Result<Reply, CallError>) {
-        let mut state = self.lock();
+        let mut state = unpoison(self.state.lock());
         if state.closed || state.slots[index].is_some() {
             return;
         }
@@ -580,7 +574,7 @@ impl Gather {
     pub(crate) fn new(slots: usize, timed: bool) -> Self {
         Gather {
             shared: Arc::new(GatherShared {
-                state: StdMutex::new(GatherState {
+                state: Mutex::new(GatherState {
                     slots: (0..slots).map(|_| None).collect(),
                     remaining: slots,
                     parked: false,
@@ -634,14 +628,14 @@ impl Gather {
     /// order; a slot still empty reads [`CallError::Timeout`].
     pub(crate) fn wait(self, timeout: Duration) -> Vec<Gathered> {
         let timeout = crate::tcp::read_own_replies(self.shared.waiter(), timeout);
-        let mut state = self.shared.lock();
+        let mut state = unpoison(self.shared.state.lock());
         if state.remaining > 0 {
             state.parked = true;
-            (state, _) = self
-                .shared
-                .all_landed
-                .wait_timeout_while(state, timeout, |state| state.remaining > 0)
-                .unwrap_or_else(PoisonError::into_inner);
+            (state, _) = unpoison(self.shared.all_landed.wait_timeout_while(
+                state,
+                timeout,
+                |state| state.remaining > 0,
+            ));
         }
         state.closed = true;
         let timed = self.shared.timed;
@@ -837,15 +831,13 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn bind(&self, peer: PeerId) -> Result<Mailbox, TransportError> {
-        let (sender, receiver) = unbounded();
-        self.registry.lock().insert(peer.0, sender);
+        let (sender, receiver) = mpsc::channel();
+        unpoison(self.registry.lock()).insert(peer.0, sender);
         Ok(Mailbox::new(receiver))
     }
 
     fn endpoint(&self, peer: PeerId) -> Result<PeerEndpoint, TransportError> {
-        let sender = self
-            .registry
-            .lock()
+        let sender = unpoison(self.registry.lock())
             .get(&peer.0)
             .cloned()
             .ok_or(TransportError::UnknownPeer(peer.0))?;
@@ -853,7 +845,7 @@ impl Transport for ChannelTransport {
     }
 
     fn unbind(&self, peer: PeerId) {
-        self.registry.lock().remove(&peer.0);
+        unpoison(self.registry.lock()).remove(&peer.0);
     }
 }
 
