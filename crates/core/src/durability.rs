@@ -52,8 +52,8 @@ pub trait DurableState {
     /// increment and raise — the hook always reports the resulting value).
     fn record_counter_set(&mut self, _key: &Key, _value: Timestamp) {}
 
-    /// The counter for `key` left the valid set (Rule 3, RLU invalidation, or
-    /// the export half of a direct transfer).
+    /// The counter for `key` left the valid set (Rule 3: the export half of a
+    /// direct transfer).
     fn record_counter_remove(&mut self, _key: &Key) {}
 
     /// Every counter left the valid set at once (Rule 1: the peer re-joined).

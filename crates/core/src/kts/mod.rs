@@ -13,6 +13,17 @@
 //! added when it is initialized, and a counter is removed when the peer loses
 //! responsibility for its key.
 //!
+//! A fourth rule saves the initialization of keys nobody has stamped yet,
+//! the **founding rule** ([`KtsNode`]): a peer that founds an empty ring
+//! keeps its founding arc `(pred, id]`, less every range it hands away. A key
+//! timestamped there without a valid counter was never stamped, so its
+//! counter starts at 0 ([`KtsNode::initialize_unstamped`]) — what the
+//! observation of an empty DHT would give — without observing. Only a live
+//! cluster spawned over empty disks founds arcs. The simulator's peers never
+//! do: its figures keep Figure 5's cost model, in which the initial load pays
+//! the observation. Nor does a stand-alone TCP peer: its own empty disk
+//! cannot prove that the whole ring is empty.
+//!
 //! When responsibility moves, the new responsible initializes its counter:
 //!
 //! * **directly** — the departing responsible hands the counters for the

@@ -130,13 +130,69 @@ pub struct KtsStats {
     pub recovery_floor_seeds: u64,
 }
 
+/// Whether ring position `x` lies in the arc `(start, end]`; `start == end`
+/// is the whole ring.
+fn arc_contains(start: u64, end: u64, x: u64) -> bool {
+    start == end || (1..=end.wrapping_sub(start)).contains(&x.wrapping_sub(start))
+}
+
+/// The arc `(start, end]` minus the arc `cut`, when what is left is one
+/// non-empty arc (`start == end` is the whole ring on either side).
+fn arc_difference((start, end): (u64, u64), cut: (u64, u64)) -> Option<(u64, u64)> {
+    const RING: u128 = 1 << 64;
+    let span = |(from, to): (u64, u64)| match to.wrapping_sub(from) {
+        0 => RING,
+        len => u128::from(len),
+    };
+    let (len, cut_len) = (span((start, end)), span(cut));
+    if cut_len == RING {
+        return None;
+    }
+    if len == RING {
+        return Some((cut.1, cut.0));
+    }
+    // Offsets past `start`: the arc holds `[0, len)`, the cut
+    // `[from, from + cut_len)` modulo the ring.
+    let from = u128::from(cut.0.wrapping_sub(start));
+    let kept = if from + cut_len <= RING {
+        let left = (0, from.min(len));
+        let right = ((from + cut_len).min(len), len);
+        match (left.0 < left.1, right.0 < right.1) {
+            (true, false) => Some(left),
+            (false, true) => Some(right),
+            _ => None,
+        }
+    } else {
+        Some((from + cut_len - RING, from.min(len))).filter(|(lo, hi)| lo < hi)
+    };
+    // Offset `o` is position `start + 1 + o`, so `[lo, hi)` is
+    // `(start + lo, start + hi]`; `hi <= len` fits in a position.
+    kept.map(|(lo, hi)| (start.wrapping_add(lo as u64), start.wrapping_add(hi as u64)))
+}
+
 /// The KTS state of one peer: the valid counters for the keys it is currently
 /// the responsible of timestamping for.
+///
+/// Next to Rules 1–3 of the [`ValidCounterSet`] it keeps the **founding
+/// rule**. A peer that founds an empty ring knows that no key timestamped in
+/// its founding arc `(pred, id]` was ever stamped, so within that arc its
+/// VCS holds every counter ever generated and a missing counter means a new
+/// key: [`KtsNode::initialize_unstamped`] starts it at 0 without an
+/// observation, which is what the observation of an empty DHT gives. The arc
+/// is granted once, before the peer serves anything
+/// ([`KtsNode::found_arc`]), and only ever shrinks: every range handed away
+/// is cut out of it ([`KtsNode::cede_arc`]), and a range gained never enters
+/// it. A peer that joins, restarts or recovers anything from disk holds no
+/// arc. Neither do the simulator's peers, whose figures keep Figure 5's
+/// cost model (the initial load pays the observation), nor a stand-alone
+/// TCP peer, whose empty disk says nothing of the other processes'.
 #[derive(Clone, Debug, Default)]
 pub struct KtsNode {
     vcs: ValidCounterSet,
-    rlu_mode: bool,
     stats: KtsStats,
+    /// The part of the founding arc `(start, end]` still owned since the
+    /// founding (`start == end` is the whole ring), if any.
+    founding_arc: Option<(u64, u64)>,
     /// Per-key lower bounds recovered from a durable counter image
     /// ([`KtsNode::seed_recovery_floors`]). A recovered value is the last
     /// timestamp this peer *generated* for the key before it crashed — per
@@ -151,14 +207,41 @@ pub struct KtsNode {
 
 impl KtsNode {
     /// Creates the KTS state of a peer that has just joined the system
-    /// (Rule 1: the VCS starts empty).
-    pub fn new(rlu_mode: bool) -> Self {
-        KtsNode {
-            vcs: ValidCounterSet::new(),
-            rlu_mode,
-            stats: KtsStats::default(),
-            recovery_floors: BTreeMap::new(),
+    /// (Rule 1: the VCS starts empty), with no founding arc.
+    pub fn new() -> Self {
+        KtsNode::default()
+    }
+
+    /// Grants the founding arc `(start, end]` (`start == end`: the whole
+    /// ring) to a peer founding an empty ring, before it serves anything.
+    pub fn found_arc(&mut self, start: u64, end: u64) {
+        self.founding_arc = Some((start, end));
+    }
+
+    /// Cuts a range handed away, `(start, end]`, out of the founding arc.
+    /// When what is left is not a single arc, the whole arc is dropped.
+    pub fn cede_arc(&mut self, start: u64, end: u64) {
+        self.founding_arc = self
+            .founding_arc
+            .and_then(|arc| arc_difference(arc, (start, end)));
+    }
+
+    /// The founding rule: when `key`, timestamped at `position`, has no
+    /// valid counter and `position` lies in the founding arc, the key was
+    /// never stamped, so its counter starts at 0 without an observation
+    /// (Rule 2). Says whether it did. The start is not journaled: a durable
+    /// counter image of 0 is no recovery floor, and the `gen_ts` that follows
+    /// journals its own value.
+    pub fn initialize_unstamped(&mut self, key: &Key, position: u64) -> bool {
+        let founded = self
+            .founding_arc
+            .is_some_and(|(start, end)| arc_contains(start, end, position));
+        if !founded || self.vcs.contains(key) {
+            return false;
         }
+        let initial = self.raise_to_recovery_floor(key, Timestamp::ZERO);
+        self.vcs.initialize(key.clone(), initial);
+        true
     }
 
     /// Seeds per-key recovery floors from a recovered durable counter image.
@@ -254,9 +337,8 @@ impl KtsNode {
     /// the `observe` closure is invoked to run the indirect initialization
     /// (Figure 5): the counter starts at `ts_m + 1` where `ts_m` is the
     /// largest timestamp observed in the DHT (or at 0 when no replica
-    /// exists), and is then incremented to produce the new timestamp. Every
-    /// counter mutation (the post-increment value, and the RLU invalidation
-    /// when applicable) is recorded on `durable` after it is applied; a
+    /// exists), and is then incremented to produce the new timestamp. The
+    /// post-increment value is recorded on `durable` after it is applied; a
     /// caller without a journal passes [`NoDurability`].
     ///
     /// [`NoDurability`]: crate::durability::NoDurability
@@ -285,17 +367,7 @@ impl KtsNode {
             .increment(key)
             .expect("counter was just initialized or already valid");
         self.stats.timestamps_generated += 1;
-        if self.rlu_mode {
-            // In an RLU DHT the peer cannot detect responsibility loss, so it
-            // conservatively assumes it lost responsibility right after
-            // generating (Section 4.3) and invalidates the counter. The
-            // generation itself is not journaled: the counter never rests at
-            // the incremented value, and re-initialization is indirect anyway.
-            self.vcs.remove(key);
-            durable.record_counter_remove(key);
-        } else {
-            durable.record_counter_set(key, timestamp);
-        }
+        durable.record_counter_set(key, timestamp);
         GenTsOutcome {
             timestamp,
             used_indirect_init,
@@ -423,8 +495,72 @@ mod tests {
     }
 
     #[test]
+    fn the_founding_arc_difference_keeps_one_arc_or_none() {
+        const TOP: u64 = u64::MAX;
+        let cases = [
+            // A join takes a prefix, a later one the next prefix.
+            ((100, 200), (100, 150), Some((150, 200))),
+            ((150, 200), (150, 180), Some((180, 200))),
+            ((100, 200), (50, 150), Some((150, 200))),
+            ((100, 200), (150, 200), Some((100, 150))),
+            // Disjoint cuts leave the arc whole, on either side.
+            ((100, 200), (300, 400), Some((100, 200))),
+            ((100, 200), (0, 100), Some((100, 200))),
+            ((100, 200), (200, 300), Some((100, 200))),
+            // A covering cut, or one that splits the arc in two, drops it.
+            ((100, 200), (100, 200), None),
+            ((100, 200), (50, 250), None),
+            ((100, 200), (120, 150), None),
+            // Ring wrap-around, of the arc and of the cut.
+            ((TOP - 10, 20), (TOP - 10, 5), Some((5, 20))),
+            ((TOP - 10, 20), (5, 20), Some((TOP - 10, 5))),
+            ((TOP - 10, 20), (TOP - 20, TOP - 15), Some((TOP - 10, 20))),
+            ((TOP - 10, 20), (TOP - 5, 5), None),
+            ((100, 200), (150, 50), Some((100, 150))),
+            ((100, 200), (250, 120), Some((120, 200))),
+            ((100, 200), (150, 120), Some((120, 150))),
+            // `start == end` is the whole ring: a lone founder's arc, and
+            // a cut no arc survives.
+            ((7, 7), (7, 40), Some((40, 7))),
+            ((7, 7), (10, 20), Some((20, 10))),
+            ((7, 7), (20, 20), None),
+            ((100, 200), (5, 5), None),
+        ];
+        for (arc, cut, left) in cases {
+            assert_eq!(arc_difference(arc, cut), left, "{arc:?} minus {cut:?}");
+        }
+        assert!(arc_contains(7, 7, 7) && arc_contains(7, 7, 0));
+        assert!(arc_contains(TOP - 10, 20, 0) && arc_contains(TOP - 10, 20, 20));
+        assert!(!arc_contains(TOP - 10, 20, TOP - 10) && !arc_contains(TOP - 10, 20, 21));
+    }
+
+    #[test]
+    fn only_a_founded_position_starts_an_unstamped_counter_at_zero() {
+        let mut node = KtsNode::new();
+        let k = Key::new("doc");
+        assert!(!node.initialize_unstamped(&k, 150), "no arc, no founding");
+        node.found_arc(100, 200);
+        assert!(!node.initialize_unstamped(&k, 250), "outside the arc");
+        assert!(node.initialize_unstamped(&k, 150));
+        assert_eq!(node.counter_value(&k), Some(Timestamp::ZERO));
+        assert!(!node.initialize_unstamped(&k, 150), "the counter is valid");
+        let out = node.gen_ts(&k, || panic!("no observation"), &mut NoDurability);
+        assert_eq!(
+            (out.timestamp, out.used_indirect_init),
+            (Timestamp(1), false)
+        );
+        assert_eq!(node.stats().indirect_initializations, 0);
+        // A ceded range is no longer founded; the rest of the arc still is.
+        node.cede_arc(100, 160);
+        assert!(!node.initialize_unstamped(&Key::new("ceded"), 150));
+        assert!(node.initialize_unstamped(&Key::new("kept"), 170));
+        node.cede_arc(100, 200);
+        assert!(!node.initialize_unstamped(&Key::new("gone"), 190));
+    }
+
+    #[test]
     fn gen_ts_is_monotonic_for_a_key() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         let mut previous = Timestamp::ZERO;
         for _ in 0..100 {
@@ -438,7 +574,7 @@ mod tests {
 
     #[test]
     fn first_gen_ts_without_history_is_one() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let out = node.gen_ts(&Key::new("fresh"), no_observation, &mut NoDurability);
         assert_eq!(out.timestamp, Timestamp(1));
         assert!(out.used_indirect_init);
@@ -446,7 +582,7 @@ mod tests {
 
     #[test]
     fn gen_ts_after_indirect_observation_exceeds_observed() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let out = node.gen_ts(
             &Key::new("doc"),
             || IndirectObservation::observed(Timestamp(41)),
@@ -460,7 +596,7 @@ mod tests {
 
     #[test]
     fn second_gen_ts_does_not_invoke_observation() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.gen_ts(&k, no_observation, &mut NoDurability);
         let out = node.gen_ts(
@@ -473,7 +609,7 @@ mod tests {
 
     #[test]
     fn last_ts_returns_last_generated_value() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         let generated = node.gen_ts(&k, no_observation, &mut NoDurability).timestamp;
         let last = node.last_ts(&k, no_observation, &mut NoDurability);
@@ -484,7 +620,7 @@ mod tests {
 
     #[test]
     fn last_ts_for_unknown_key_initializes_from_observation() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         let out = node.last_ts(
             &k,
@@ -500,14 +636,14 @@ mod tests {
 
     #[test]
     fn last_ts_without_history_is_zero() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let out = node.last_ts(&Key::new("ghost"), no_observation, &mut NoDurability);
         assert_eq!(out.timestamp, Timestamp::ZERO);
     }
 
     #[test]
     fn direct_transfer_preserves_continuity() {
-        let mut old_responsible = KtsNode::new(false);
+        let mut old_responsible = KtsNode::new();
         let k = Key::new("doc");
         let mut last = Timestamp::ZERO;
         for _ in 0..5 {
@@ -518,7 +654,7 @@ mod tests {
         // Hand the counter to the next responsible (graceful leave).
         let exported = old_responsible.export_counters_in_range(|_| true, &mut NoDurability);
         assert!(!old_responsible.has_counter(&k));
-        let mut new_responsible = KtsNode::new(false);
+        let mut new_responsible = KtsNode::new();
         new_responsible.receive_transferred_counters(exported, &mut NoDurability);
         assert_eq!(new_responsible.counter_value(&k), Some(last));
         let next =
@@ -529,7 +665,7 @@ mod tests {
 
     #[test]
     fn transfer_does_not_downgrade_existing_counter() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.vcs_mut().initialize(k.clone(), Timestamp(10));
         node.receive_transferred_counters(vec![(k.clone(), Timestamp(3))], &mut NoDurability);
@@ -540,7 +676,7 @@ mod tests {
 
     #[test]
     fn export_only_covers_selected_keys() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         node.gen_ts(&Key::new("a"), no_observation, &mut NoDurability);
         node.gen_ts(&Key::new("b"), no_observation, &mut NoDurability);
         let exported = node.export_counters_in_range(|k| k.as_bytes() == b"a", &mut NoDurability);
@@ -550,29 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn rlu_mode_invalidates_counter_after_each_generation() {
-        let mut node = KtsNode::new(true);
-        let k = Key::new("doc");
-        let first = node.gen_ts(&k, no_observation, &mut NoDurability);
-        assert!(!node.has_counter(&k));
-        // The next generation must re-initialize; with the DHT still holding
-        // the previous timestamp, monotonicity is preserved.
-        let second = node.gen_ts(
-            &k,
-            || IndirectObservation::observed(first.timestamp),
-            &mut NoDurability,
-        );
-        assert!(second.timestamp > first.timestamp);
-        assert!(second.used_indirect_init);
-    }
-
-    #[test]
     fn recovery_floor_prevents_regression_when_observation_is_empty() {
         // The Section 4.2.2 corner case: the responsible crashed after
         // generating timestamp 5 and every replica holder crashed too, so
         // the indirect observation comes back empty. Without the floor, the
         // counter would restart at zero and re-issue timestamps 1..5.
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(5))]);
         assert_eq!(node.recovery_floor(&k), Some(Timestamp(5)));
@@ -588,7 +707,7 @@ mod tests {
         // Another peer generated newer timestamps while this one was down:
         // the observation (10) beats the stale floor (5) and the floor does
         // not distort the normal Figure 5 arithmetic.
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(5))]);
         let out = node.gen_ts(
@@ -603,7 +722,7 @@ mod tests {
 
     #[test]
     fn last_ts_reports_at_least_the_recovery_floor() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(7))]);
         let out = node.last_ts(
@@ -622,7 +741,7 @@ mod tests {
 
     #[test]
     fn recovery_floor_raises_a_stale_direct_transfer() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(9))]);
         node.receive_transferred_counters(vec![(k.clone(), Timestamp(4))], &mut NoDurability);
@@ -634,7 +753,7 @@ mod tests {
 
     #[test]
     fn duplicate_floor_seeds_keep_the_largest() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(3))]);
         node.seed_recovery_floors(vec![(k.clone(), Timestamp(8)), (k.clone(), Timestamp(2))]);
@@ -645,7 +764,7 @@ mod tests {
     fn journaled_variants_record_resulting_counter_states() {
         use crate::durability::recording::{Event, RecordingJournal};
 
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let mut journal = RecordingJournal::default();
         let k = Key::new("doc");
 
@@ -671,7 +790,7 @@ mod tests {
     fn rejected_transfer_and_last_ts_on_valid_counter_journal_nothing() {
         use crate::durability::recording::RecordingJournal;
 
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.vcs_mut().initialize(k.clone(), Timestamp(10));
         let mut journal = RecordingJournal::default();
@@ -680,16 +799,5 @@ mod tests {
         // last_ts on a valid counter does not mutate it: no journal entry.
         node.last_ts(&k, no_observation, &mut journal);
         assert!(journal.events.is_empty());
-    }
-
-    #[test]
-    fn rlu_generation_journals_the_invalidation() {
-        use crate::durability::recording::{Event, RecordingJournal};
-
-        let mut node = KtsNode::new(true);
-        let k = Key::new("doc");
-        let mut journal = RecordingJournal::default();
-        node.gen_ts(&k, no_observation, &mut journal);
-        assert_eq!(journal.events, vec![Event::RemoveCounter(k.clone())]);
     }
 }

@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn recovery_corrects_low_counters() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         // Indirect init observed only a stale replica (ts=3): counter = 4,
         // first generated = 5.
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn recovery_ignores_counters_that_are_already_ahead() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.gen_ts(
             &k,
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn recovery_adopts_unknown_counters_silently() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         let corrections = node.reconcile_with_recovered_counters(vec![(k.clone(), Timestamp(7))]);
         assert!(corrections.is_empty(), "adoption is not a correction");
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn inspection_raises_lagging_counter() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.gen_ts(
             &k,
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn inspection_of_up_to_date_counter_is_noop() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let k = Key::new("doc");
         node.gen_ts(
             &k,
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn periodic_inspection_covers_all_counters() {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         node.gen_ts(
             &Key::new("a"),
             || IndirectObservation::observed(Timestamp(1)),

@@ -60,7 +60,7 @@ impl<D: DurableState> InMemoryDht<D> {
         InMemoryDht {
             family: HashFamily::new(num_replicas, seed),
             replicas: HashMap::new(),
-            kts: KtsNode::new(false),
+            kts: KtsNode::new(),
             fail_all_puts: false,
             fail_puts_for: HashSet::new(),
             fail_gets_for: HashSet::new(),
@@ -123,7 +123,7 @@ impl<D: DurableState> InMemoryDht<D> {
     /// initialization against whatever replicas remain. Not journaled — this
     /// models the *loss* of volatile state, not a graceful mutation.
     pub fn crash_timestamp_service(&mut self) {
-        self.kts = KtsNode::new(false);
+        self.kts = KtsNode::new();
     }
 
     /// Re-loads a recovered replica into the store without journaling it

@@ -16,7 +16,7 @@ proptest! {
     /// Theorem 2).
     #[test]
     fn kts_timestamps_are_monotonic(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let mut node = KtsNode::new(false);
+        let mut node = KtsNode::new();
         let key = Key::new("k");
         let mut last_generated = Timestamp::ZERO;
         for is_gen in ops {
@@ -40,7 +40,7 @@ proptest! {
         schedule in proptest::collection::vec((any::<bool>(), 1u8..6), 1..60),
     ) {
         let key = Key::new("k");
-        let mut responsible = KtsNode::new(false);
+        let mut responsible = KtsNode::new();
         let mut last_generated = Timestamp::ZERO;
         for (fail, gens) in schedule {
             for _ in 0..gens {
@@ -58,11 +58,11 @@ proptest! {
             if fail {
                 // The responsible fails: the next responsible starts from an
                 // empty VCS and will use the indirect observation above.
-                responsible = KtsNode::new(false);
+                responsible = KtsNode::new();
             } else {
                 // Graceful leave: counters are transferred directly.
                 let exported = responsible.export_counters_in_range(|_| true, &mut NoDurability);
-                let mut next = KtsNode::new(false);
+                let mut next = KtsNode::new();
                 next.receive_transferred_counters(exported, &mut NoDurability);
                 responsible = next;
             }

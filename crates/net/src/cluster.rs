@@ -12,7 +12,7 @@
 //! deployments run one [`serve_tcp_peer`] per process and connect with
 //! [`crate::ClusterClient::connect_tcp`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
@@ -442,6 +442,14 @@ impl Cluster {
 
     /// Spawns a cluster from an explicit configuration.
     ///
+    /// The founder ids are drawn from the seed. When no founder recovers
+    /// anything from disk (always, without storage), the ring is founded
+    /// empty: each founder gets its range `(pred, id]` as its founding arc,
+    /// where a key without a counter was never stamped and is stamped from 0
+    /// with no indirect initialization (see [`rdht_core::kts::KtsNode`]). A
+    /// cluster spawned over journals founds nothing, and neither do peers
+    /// that join or restart later.
+    ///
     /// # Panics
     ///
     /// Panics when `num_peers` is zero, when durability is configured and a
@@ -468,33 +476,52 @@ impl Cluster {
             config,
         };
         let mut rng = StdRng::seed_from_u64(cluster.config.seed ^ 0xc1u64);
-        while cluster.handles.len() < cluster.config.num_peers {
-            let id = PeerId(rng.gen());
-            if cluster.handles.contains_key(&id) {
-                continue;
+        let mut ids = BTreeSet::new();
+        while ids.len() < cluster.config.num_peers {
+            ids.insert(PeerId(rng.gen()));
+        }
+        let mut founders: Vec<_> = ids.iter().map(|&id| cluster.open_peer(id)).collect();
+        // Founding an empty ring: only when no founder recovered anything is
+        // each one's range `(pred, id]` known never to have been stamped.
+        if founders.iter().all(|(peer, _)| peer.recovered_nothing()) {
+            let mut pred = ids.last().expect("a cluster needs at least one peer").0;
+            for (id, (peer, _)) in ids.iter().zip(&mut founders) {
+                peer.found_arc(pred, id.0);
+                pred = id.0;
             }
+        }
+        for (id, opened) in ids.into_iter().zip(founders) {
             let started = cluster
-                .start_peer(id)
+                .start_peer(opened)
                 .unwrap_or_else(|error| panic!("cannot bind peer {:016x}: {error}", id.0));
             cluster.directory.revive(id, started.endpoint);
         }
         cluster
     }
 
-    /// The one way a peer of this cluster comes up, whether at spawn, on
-    /// restart or as a joiner: recover it from its storage directory
-    /// ([`Peer::open`]), bind it on the transport and spawn its thread
-    /// ([`Peer::start`]), and keep the handles on its thread and registry.
-    /// The peer is *not* registered in the directory — the caller decides
-    /// when it becomes routable.
-    fn start_peer(&mut self, id: PeerId) -> Result<Started, TransportError> {
-        let (peer, recovered) = Peer::open(
+    /// Recovers peer `id` from its storage directory ([`Peer::open`]),
+    /// unstarted.
+    fn open_peer(&self, id: PeerId) -> (Peer, RestartReport) {
+        Peer::open(
             id,
             Arc::clone(&self.directory),
             &self.config.storage,
             self.config.faults.as_ref(),
             self.config.trace.clone(),
-        );
+        )
+    }
+
+    /// The one way a peer of this cluster comes up, whether at spawn, on
+    /// restart or as a joiner, once [`Cluster::open_peer`] recovered it:
+    /// bind it on the transport and spawn its thread ([`Peer::start`]), and
+    /// keep the handles on its thread and registry. The peer is *not*
+    /// registered in the directory — the caller decides when it becomes
+    /// routable.
+    fn start_peer(
+        &mut self,
+        (peer, recovered): (Peer, RestartReport),
+    ) -> Result<Started, TransportError> {
+        let id = peer.id();
         let registry = peer.registry();
         let floors = peer.recovery_floor_keys();
         let (endpoint, handle) = peer.start()?;
@@ -600,7 +627,9 @@ impl Cluster {
     /// lost; what its journal already holds survives on disk and
     /// [`Cluster::restart_peer`] can recover it. Until then the live
     /// successor serves the peer's range, and initialises the counters of
-    /// its keys indirectly (Section 4.2.2) as requests for them arrive.
+    /// its keys indirectly (Section 4.2.2) as requests for them arrive: a
+    /// range gained never enters the successor's founding arc, so none of
+    /// them is taken for never stamped.
     ///
     /// Errors with [`MembershipError::UnknownPeer`] for an id that was never
     /// a member and [`MembershipError::AlreadyDead`] for one that is already
@@ -721,7 +750,7 @@ impl Cluster {
         // hand-off commits and registers it in the directory. Reopening an
         // existing storage directory (a restart, or a retry after a crash
         // mid-transfer) recovers what it journaled before.
-        let started = self.start_peer(id).map_err(|error| {
+        let started = self.start_peer(self.open_peer(id)).map_err(|error| {
             MembershipError::TransferFailed(format!("cannot bind peer: {error}"))
         })?;
 

@@ -133,7 +133,9 @@ pub struct InstallReport {
 /// in `(range_start, range_end]` out of the table (the originals stay until
 /// [`commit_handoff`]) and drains the counters of every key whose
 /// *timestamping* position falls in the range — each drained counter is
-/// journaled as removed on the source, enforcing Rule 3 durably.
+/// journaled as removed on the source, enforcing Rule 3 durably. The range
+/// also leaves the source's founding arc, whether or not the install
+/// follows: once exported, its keys may be stamped elsewhere.
 pub fn export_handoff(
     table: &mut impl ReplicaTable,
     kts: &mut KtsNode,
@@ -154,6 +156,7 @@ pub fn export_handoff(
     // peer inherits the "resume at least here" guarantee, or a crash-then-
     // hand-off sequence would reopen the counter-regression corner.
     let floors = kts.drain_recovery_floors(moved);
+    kts.cede_arc(range_start, range_end);
     HandoffBundle {
         replicas,
         counters,
@@ -239,9 +242,9 @@ mod tests {
         let src_dir = temp_dir("full-src");
         let dst_dir = temp_dir("full-dst");
         let mut src = open(&src_dir);
-        let mut src_kts = KtsNode::new(false);
+        let mut src_kts = KtsNode::new();
         let mut dst = open(&dst_dir);
-        let mut dst_kts = KtsNode::new(false);
+        let mut dst_kts = KtsNode::new();
         populate(&mut src, &mut src_kts, &family, 8);
         let total = src.replicas().len();
 
@@ -294,7 +297,7 @@ mod tests {
     fn install_keeps_newest_on_duplicate_records() {
         let family = HashFamily::new(2, 1);
         let mut dst = StorageEngine::ephemeral();
-        let mut dst_kts = KtsNode::new(false);
+        let mut dst_kts = KtsNode::new();
         let key = Key::new("doc");
         let hash = HashId(0);
         let position = family.eval(hash, &key);
@@ -331,9 +334,9 @@ mod tests {
         // indirect initialization could restart the counter below 5.
         let family = HashFamily::new(2, 9);
         let mut src = StorageEngine::ephemeral();
-        let mut src_kts = KtsNode::new(false);
+        let mut src_kts = KtsNode::new();
         let mut dst = StorageEngine::ephemeral();
-        let mut dst_kts = KtsNode::new(false);
+        let mut dst_kts = KtsNode::new();
         let key = Key::new("resumed doc");
         src_kts.seed_recovery_floors(vec![(key.clone(), Timestamp(5))]);
 
@@ -358,7 +361,7 @@ mod tests {
         let family = HashFamily::new(3, 11);
         let src_dir = temp_dir("rollback-src");
         let mut src = open(&src_dir);
-        let mut src_kts = KtsNode::new(false);
+        let mut src_kts = KtsNode::new();
         populate(&mut src, &mut src_kts, &family, 6);
         let total = src.replicas().len();
 
@@ -387,7 +390,7 @@ mod tests {
     fn empty_range_handoff_is_a_no_op() {
         let family = HashFamily::new(2, 3);
         let mut src = StorageEngine::ephemeral();
-        let mut src_kts = KtsNode::new(false);
+        let mut src_kts = KtsNode::new();
         // A range covering no stored position moves nothing. Positions of
         // "doc-0" under 2 hash functions are essentially random; use an
         // empty engine instead for determinism.

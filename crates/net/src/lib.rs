@@ -59,11 +59,12 @@
 //! successor-on-the-ring responsibility, i.e. a one-hop DHT: clients resolve
 //! `rsp(k, h)` locally and send one message. The full multi-hop Chord
 //! routing is exercised by `rdht-overlay` and `rdht-sim`; this crate focuses
-//! on real concurrency. When the KTS responsible finds no valid counter, it
-//! answers `NeedsInitialization` and the *client* gathers the indirect
-//! observation (reading the replicas) before retrying — functionally the
-//! indirect algorithm of Section 4.2.2, restructured so that peer threads
-//! never block on each other.
+//! on real concurrency. When the KTS responsible finds no valid counter for
+//! a key it cannot prove never stamped (one outside its founding arc, see
+//! [`Cluster::spawn_with`]), it answers `NeedsInitialization` and the
+//! *client* gathers the indirect observation (reading the replicas) before
+//! retrying — functionally the indirect algorithm of Section 4.2.2,
+//! restructured so that peer threads never block on each other.
 //!
 //! Requests that do not need each other's answers are overlapped: the
 //! client sends them all, then blocks once on a countdown latch until the

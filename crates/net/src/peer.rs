@@ -246,7 +246,7 @@ fn open_engine(storage: &Option<ClusterStorage>, peer: PeerId) -> StorageEngine 
 /// recovery floors and the next indirect initialization takes
 /// `max(observed, recovered)`.
 fn kts_from_recovery(engine: &mut StorageEngine) -> KtsNode {
-    let mut kts = KtsNode::new(false);
+    let mut kts = KtsNode::new();
     if !engine.counters().is_empty() {
         let floors: Vec<(Key, Timestamp)> = engine
             .counters()
@@ -382,6 +382,24 @@ impl Peer {
             trace_pid: u64::from(std::process::id()),
         };
         (peer, recovered)
+    }
+
+    /// This peer's ring id.
+    pub(crate) fn id(&self) -> PeerId {
+        self.id
+    }
+
+    /// Whether recovery found nothing on disk: no snapshot and no journaled
+    /// op, as for every ephemeral engine.
+    pub(crate) fn recovered_nothing(&self) -> bool {
+        let recovery = self.engine.recovery();
+        recovery.wal_ops == 0 && !recovery.from_snapshot && !recovery.torn_tail
+    }
+
+    /// Grants this peer, before it serves anything, the founding arc
+    /// `(start, end]` of a ring it founds empty.
+    pub(crate) fn found_arc(&mut self, start: u64, end: u64) {
+        self.kts.found_arc(start, end);
     }
 
     /// The keys whose recovered durable counter waits as a recovery floor
@@ -841,11 +859,14 @@ impl Peer {
     }
 
     /// KTS `gen_ts` / `last_ts`: the `Timestamp` or `NeedsInitialization`
-    /// to answer, which the caller owes after the covering sync. A retried
-    /// `gen_ts` must not increment the counter again: the cached reply
-    /// returns the timestamp the first application generated. (A cached
-    /// `NeedsInitialization` is safe too — the client allocates a fresh op
-    /// for the hint-carrying call.)
+    /// to answer, which the caller owes after the covering sync. A key
+    /// without a counter is initialized from the client's hint when one
+    /// came, else by the founding rule when it is timestamped in this
+    /// peer's founding arc; otherwise the client is asked to observe. A
+    /// retried `gen_ts` must not increment the counter again: the cached
+    /// reply returns the timestamp the first application generated. (A
+    /// cached `NeedsInitialization` is safe too — the client allocates a
+    /// fresh op for the hint-carrying call.)
     fn stamp(
         &mut self,
         op: Option<OpId>,
@@ -854,20 +875,26 @@ impl Peer {
         observation_hint: Option<Timestamp>,
     ) -> Result<Reply, Stopped> {
         self.once(op, NO_SUB, |peer| {
-            let observation = if peer.kts.has_counter(key) {
-                IndirectObservation::nothing()
-            } else {
-                let Some(observed) = observation_hint else {
-                    return Ok(Reply::NeedsInitialization);
-                };
+            let observation = match observation_hint {
+                _ if peer.kts.has_counter(key) => IndirectObservation::nothing(),
                 // Section 4.2.2: the counter is (re)born from a gathered
                 // observation instead of a direct hand-over.
-                peer.metrics.indirect_initializations.inc();
-                if observed.is_zero() {
-                    IndirectObservation::nothing()
-                } else {
-                    IndirectObservation::observed(observed)
+                Some(observed) => {
+                    peer.metrics.indirect_initializations.inc();
+                    if observed.is_zero() {
+                        IndirectObservation::nothing()
+                    } else {
+                        IndirectObservation::observed(observed)
+                    }
                 }
+                // The founding rule: a key never stamped starts at 0.
+                None if peer
+                    .kts
+                    .initialize_unstamped(key, peer.directory.family.eval_timestamp(key)) =>
+                {
+                    IndirectObservation::nothing()
+                }
+                None => return Ok(Reply::NeedsInitialization),
             };
             let (kts, engine) = (&mut peer.kts, &mut peer.engine);
             Ok(Reply::Timestamp(if generate {

@@ -569,3 +569,56 @@ fn a_batch_keeps_an_error_in_the_slot_of_a_constituent_that_cannot_be_re_sent() 
     let stored = Reply::Replica(Some((5u64.to_le_bytes().to_vec(), Timestamp(5))));
     assert_eq!(replies[2], stored);
 }
+
+/// A founder whose hand-off target never acknowledged the install keeps
+/// serving the range, but the range has left its founding arc at the
+/// export: a key timestamped there is observed before it is stamped, while
+/// the rest of the arc still starts unstamped keys at 0.
+#[test]
+fn a_founder_whose_install_was_never_acknowledged_observes_the_exported_range() {
+    const TARGET: PeerId = PeerId(u64::MAX / 2);
+    let (mut peer, mailbox, endpoint) = bound_peer(None);
+    peer.found_arc(ID.0, ID.0);
+    // The target resolves but is gone: every install fails at once.
+    drop(peer.directory.transport.bind(TARGET).unwrap());
+    let family = peer.directory.family.clone();
+    let key_in = |inside: bool| {
+        (0..)
+            .map(|i| Key::new(format!("aborted:{i}")))
+            .find(|key| (ID.0 + 1..=TARGET.0).contains(&family.eval_timestamp(key)) == inside)
+            .unwrap()
+    };
+    let last_ts = |key: Key| Request::Timestamp {
+        op: None,
+        key,
+        generate: false,
+        observation_hint: None,
+    };
+    let join = endpoint
+        .send(Request::HandoffRange {
+            op: None,
+            start: ID.0,
+            end: TARGET.0,
+            target_id: TARGET,
+            kind: HandoffKind::Join,
+            fault: None,
+        })
+        .unwrap();
+    let exported = endpoint.send(last_ts(key_in(true))).unwrap();
+    let kept = endpoint.send(last_ts(key_in(false))).unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+
+    assert!(matches!(
+        join.wait(Duration::ZERO),
+        Ok(Reply::HandoffFailed { .. })
+    ));
+    assert_eq!(
+        exported.wait(Duration::ZERO),
+        Ok(Reply::NeedsInitialization)
+    );
+    assert_eq!(
+        kept.wait(Duration::ZERO),
+        Ok(Reply::Timestamp(Timestamp::ZERO))
+    );
+}

@@ -66,9 +66,9 @@ proptest! {
         let dst_dir = temp_dir("dst");
         let options = StorageOptions::with_fsync(FsyncPolicy::Never);
         let mut src = StorageEngine::open(&src_dir, options).unwrap();
-        let mut src_kts = KtsNode::new(false);
+        let mut src_kts = KtsNode::new();
         let mut dst = StorageEngine::open(&dst_dir, options).unwrap();
-        let mut dst_kts = KtsNode::new(false);
+        let mut dst_kts = KtsNode::new();
 
         // Populate the source: per key, `gens[i]` generated timestamps and
         // one replica per hash function stamped with the latest.

@@ -5,14 +5,15 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use rdht_core::{ums, UmsAccess};
+use rdht_core::{ums, Timestamp, UmsAccess};
 use rdht_hashing::{HashId, Key};
 use rdht_storage::{FsyncPolicy, StorageEngine, StorageOptions};
 
 use crate::{
     Cluster, ClusterConfig, ClusterStorage, FaultPlan, HandoffFault, LinkFaults, MembershipError,
-    PeerId,
+    PeerId, Reply, Request, TransportKind,
 };
 
 static STORAGE_ROOT_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1205,28 +1206,37 @@ fn restart_seeds_indirect_init_with_recovered_counter_floor() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Request frames of kind `get` or `batch` that `peers` served, read from
-/// their registries: the frames a batched observation sends.
-fn probe_frames(cluster: &Cluster, peers: &[PeerId]) -> f64 {
-    let frames = |text: String| -> f64 {
+/// The sum of the `name` samples `peers` expose whose labels pass `keep`,
+/// read from their registries.
+fn scraped_sum(
+    cluster: &Cluster,
+    peers: &[PeerId],
+    name: &str,
+    keep: impl Fn(&[(String, String)]) -> bool,
+) -> f64 {
+    let sum = |text: String| -> f64 {
         rdht_metrics::parse::parse(&text)
             .expect("exposition parses")
             .samples
             .iter()
-            .filter(|sample| sample.name == crate::metrics::names::REQUESTS)
-            .filter(|sample| {
-                sample
-                    .labels
-                    .iter()
-                    .any(|(name, kind)| name == "kind" && (kind == "get" || kind == "batch"))
-            })
+            .filter(|sample| sample.name == name && keep(&sample.labels))
             .map(|sample| sample.value)
             .sum()
     };
     peers
         .iter()
-        .map(|&peer| frames(cluster.scrape(peer).expect("a known peer")))
+        .map(|&peer| sum(cluster.scrape(peer).expect("a known peer")))
         .sum()
+}
+
+/// Request frames of kind `get` or `batch` that `peers` served: the frames
+/// a batched observation sends.
+fn probe_frames(cluster: &Cluster, peers: &[PeerId]) -> f64 {
+    scraped_sum(cluster, peers, crate::metrics::names::REQUESTS, |labels| {
+        labels
+            .iter()
+            .any(|(name, kind)| name == "kind" && (kind == "get" || kind == "batch"))
+    })
 }
 
 /// A restart re-initialises its recovered counters in batched rounds: each
@@ -1741,4 +1751,177 @@ mod gather {
         assert!(started.elapsed() < Duration::from_secs(10));
         assert_eq!(landed[0].outcome, Err(CallError::Dropped));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The founding rule: founders of an empty ring stamp first inserts directly
+// ---------------------------------------------------------------------------
+
+/// The first `tag:i` key timestamped at `peer`.
+fn key_stamped_at(cluster: &Cluster, peer: PeerId, tag: &str) -> Key {
+    (0..)
+        .map(|i| Key::new(format!("{tag}:{i}")))
+        .find(|key| cluster.timestamp_responsible(key) == Some(peer))
+        .expect("every peer timestamps some key")
+}
+
+/// What `peer` answers a `last_ts` of `key` that carries no hint.
+fn bare_last_ts(cluster: &Cluster, peer: PeerId, key: &Key) -> Reply {
+    let request = Request::Timestamp {
+        op: None,
+        key: key.clone(),
+        generate: false,
+        observation_hint: None,
+    };
+    let endpoint = cluster.peer_endpoint(peer).expect("a known peer");
+    endpoint.call(request, Duration::from_secs(5)).unwrap()
+}
+
+/// The indirect initializations every peer of `cluster` counted.
+fn peer_indirect_inits(cluster: &Cluster) -> f64 {
+    let peers = cluster.peer_ids();
+    scraped_sum(
+        cluster,
+        &peers,
+        crate::metrics::names::INDIRECT_INITS,
+        |_| true,
+    )
+}
+
+/// On a fresh cluster a key's first insert is stamped by the founding rule:
+/// no indirect initialization, at the client or at any peer, and exactly the
+/// frames of its second insert — on both transports.
+#[test]
+fn a_founders_first_insert_costs_what_a_second_insert_costs() {
+    for kind in [TransportKind::Channel, TransportKind::Tcp] {
+        let cluster = Cluster::spawn_with(ClusterConfig::new(6, 4, 0xF0).with_transport(kind));
+        let mut client = cluster.client();
+        for i in 0..8 {
+            let key = Key::new(format!("founded:{i}"));
+            let before = client.messages();
+            let first = ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
+            let first_frames = client.messages() - before;
+            let second = ums::insert(&mut client, &key, b"v2".to_vec()).unwrap();
+            let second_frames = client.messages() - before - first_frames;
+            assert_eq!(first.timestamp, Timestamp(1), "{kind:?}: {key:?}");
+            assert_eq!(second.timestamp, Timestamp(2), "{kind:?}: {key:?}");
+            assert_eq!(first_frames, second_frames, "{kind:?}: {key:?}");
+        }
+        assert_eq!(client.indirect_initializations(), 0, "{kind:?}");
+        assert_eq!(peer_indirect_inits(&cluster), 0.0, "{kind:?}");
+        // A crash takeover still initializes indirectly, and counts it.
+        let key = Key::new("founded:0");
+        cluster
+            .crash_peer(cluster.timestamp_responsible(&key).unwrap())
+            .unwrap();
+        let third = ums::insert(&mut client, &key, b"v3".to_vec()).unwrap();
+        assert!(third.timestamp > Timestamp(2), "{kind:?}: {third:?}");
+        assert_eq!(client.indirect_initializations(), 1, "{kind:?}");
+        assert_eq!(peer_indirect_inits(&cluster), 1.0, "{kind:?}");
+        cluster.shutdown();
+    }
+}
+
+/// A cluster spawned over journals founds no arc, even where a peer's own
+/// disk is empty: a key it never stamped may have been stamped before.
+#[test]
+fn no_founding_arc_over_recovered_journals() {
+    let root = fresh_storage_root("founding-respawn");
+    let storage =
+        ClusterStorage::with_options(&root, StorageOptions::with_fsync(FsyncPolicy::Never));
+    let config = || ClusterConfig::new(4, 3, 0xF1).with_storage(storage.clone());
+    let cluster = Cluster::spawn_with(config());
+    let founder = cluster.peer_ids()[0];
+    let key = key_stamped_at(&cluster, founder, "respawn");
+    assert_eq!(
+        bare_last_ts(&cluster, founder, &key),
+        Reply::Timestamp(Timestamp::ZERO),
+        "over empty disks every peer founds its range"
+    );
+    ums::insert(&mut cluster.client(), &key, b"v1".to_vec()).unwrap();
+    cluster.shutdown();
+
+    let cluster = Cluster::spawn_with(config());
+    for peer in cluster.peer_ids() {
+        let unstamped = key_stamped_at(&cluster, peer, "respawn-unstamped");
+        assert_eq!(
+            bare_last_ts(&cluster, peer, &unstamped),
+            Reply::NeedsInitialization,
+            "{peer:?}"
+        );
+    }
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A joiner and a restarted peer found no arc: the range a joiner takes
+/// over may hold keys its source stamped, and a restarted peer may have
+/// stamped keys of its own range before it crashed.
+#[test]
+fn no_founding_arc_for_a_joiner_or_a_restarted_peer() {
+    let mut cluster = Cluster::spawn(4, 3, 0xF2);
+    let joiner = unused_peer_id(&cluster, 0xF2F2_0000_0000_0001);
+    cluster.join_peer(joiner).unwrap();
+    let key = key_stamped_at(&cluster, joiner, "joiner");
+    assert_eq!(
+        bare_last_ts(&cluster, joiner, &key),
+        Reply::NeedsInitialization
+    );
+
+    let restarted = *cluster
+        .peer_ids()
+        .iter()
+        .find(|&&peer| peer != joiner)
+        .unwrap();
+    cluster.crash_peer(restarted).unwrap();
+    let report = cluster.restart_peer(restarted).unwrap();
+    assert_eq!(report.recovered_replicas + report.recovered_counters, 0);
+    let key = key_stamped_at(&cluster, restarted, "restarted");
+    assert_eq!(
+        bare_last_ts(&cluster, restarted, &key),
+        Reply::NeedsInitialization
+    );
+    cluster.shutdown();
+}
+
+/// A join cuts the joiner's range out of its source's founding arc: when
+/// the joiner crashes after stamping a key there, the founder that takes
+/// the range back initializes that key indirectly, above the stamp the
+/// joiner acknowledged, instead of starting it over at 0.
+#[test]
+fn a_founders_arc_shrinks_when_a_joiner_splits_it() {
+    let mut cluster = Cluster::spawn(4, 3, 0xF3);
+    let ids = cluster.peer_ids();
+    // Join midway into the first arc: the hand-off source is ids[1].
+    let joiner = PeerId(ids[0].0 + (ids[1].0 - ids[0].0) / 2);
+    cluster.join_peer(joiner).unwrap();
+    // A key the joiner stamps with at least one replica elsewhere, so its
+    // stamp survives the joiner.
+    let key = (0..)
+        .map(|i| Key::new(format!("split:{i}")))
+        .find(|key| {
+            cluster.timestamp_responsible(key) == Some(joiner)
+                && (0..3).any(|h| cluster.replica_responsible(HashId(h), key) != Some(joiner))
+        })
+        .expect("some key of the joiner has a replica elsewhere");
+    let mut client = cluster.client();
+    let mut acknowledged = Timestamp::ZERO;
+    for version in 0..3u8 {
+        acknowledged = ums::insert(&mut client, &key, vec![version])
+            .unwrap()
+            .timestamp;
+    }
+    assert_eq!(acknowledged, Timestamp(3));
+    cluster.crash_peer(joiner).unwrap();
+    assert_eq!(cluster.timestamp_responsible(&key), Some(ids[1]));
+
+    let inits = client.indirect_initializations();
+    let next = ums::insert(&mut client, &key, b"after".to_vec()).unwrap();
+    assert_eq!(client.indirect_initializations(), inits + 1);
+    assert!(
+        next.timestamp > acknowledged,
+        "{:?} after {acknowledged:?} was acknowledged",
+        next.timestamp
+    );
+    cluster.shutdown();
 }

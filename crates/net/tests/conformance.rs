@@ -381,7 +381,7 @@ fn an_insert_costs_one_frame_per_holder_and_the_stamping_peer_stores_its_own() {
             (&alone, 2),
         ];
         for (key, frames) in cases {
-            // The first insert initialises the counter indirectly.
+            // The first insert starts the counter (the founding rule).
             ums::insert(&mut client, key, b"v1".to_vec()).unwrap();
             let owner = owner(key);
             let put_frames = || {

@@ -401,7 +401,7 @@ fn an_insert_all_on_the_stamping_peer_takes_one_round_trip() {
                 .expect("both placements occur")
         };
         for (key, hops) in [(pick(true), 2), (pick(false), 4)] {
-            // The first insert initialises the counter indirectly.
+            // The first insert starts the counter (the founding rule).
             ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
             let started = Instant::now();
             ums::insert(&mut client, &key, b"v2".to_vec()).unwrap();
@@ -424,9 +424,13 @@ fn indirect_initialization_gathers_its_observation_in_one_round_trip() {
     both(|kind| {
         let cluster = spawn_slow(kind, REPLICAS);
         let mut client = cluster.client();
-        // A key KTS has never stamped: the responsible has no counter and
-        // asks for the indirect observation.
+        // A key whose counter died with its responsible: the successor that
+        // took the range over has no counter and asks for the indirect
+        // observation.
         let key = Key::new("overlap:fresh");
+        client.kts_gen_ts(&key).unwrap();
+        let responsible = cluster.timestamp_responsible(&key).unwrap();
+        cluster.crash_peer(responsible).unwrap();
         let started = Instant::now();
         client.kts_gen_ts(&key).unwrap();
         let took = started.elapsed();
@@ -659,7 +663,7 @@ fn a_lost_puts_ack_re_sends_that_holders_puts_packed_and_dedups_each() {
                 Some((key, holder, legs, puts.len() as u64))
             })
             .expect("some holder gets two puts");
-        // The first insert initialises the counter indirectly.
+        // The first insert starts the counter (the founding rule).
         ums::insert(&mut client, &key, b"v1".to_vec()).unwrap();
 
         let (messages, retries) = (client.messages(), client.retries());

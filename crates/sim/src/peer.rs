@@ -35,8 +35,8 @@ impl PeerState {
             store_direct: PeerStore::new(),
             store_indirect: PeerStore::new(),
             store_brk: PeerStore::new(),
-            kts_direct: KtsNode::new(false),
-            kts_indirect: KtsNode::new(false),
+            kts_direct: KtsNode::new(),
+            kts_indirect: KtsNode::new(),
         }
     }
 

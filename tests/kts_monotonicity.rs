@@ -32,7 +32,7 @@ fn timestamps_stay_monotonic_across_chord_churn() {
     let mut kts: std::collections::HashMap<NodeId, KtsNode> = overlay
         .alive_ids()
         .into_iter()
-        .map(|id| (id, KtsNode::new(false)))
+        .map(|id| (id, KtsNode::new()))
         .collect();
 
     let mut last_generated = Timestamp::ZERO;
@@ -43,9 +43,7 @@ fn timestamps_stay_monotonic_across_chord_churn() {
     for round in 0..200 {
         // Generate a timestamp at the current responsible.
         let responsible = overlay.responsible_for(ts_position).unwrap();
-        let node = kts
-            .entry(responsible)
-            .or_insert_with(|| KtsNode::new(false));
+        let node = kts.entry(responsible).or_default();
         let observation = if committed.is_zero() {
             IndirectObservation::nothing()
         } else {
@@ -70,9 +68,7 @@ fn timestamps_stay_monotonic_across_chord_churn() {
             } else {
                 overlay.leave(responsible)
             };
-            let mut departing = kts
-                .remove(&responsible)
-                .unwrap_or_else(|| KtsNode::new(false));
+            let mut departing = kts.remove(&responsible).unwrap_or_default();
             for change in &outcome.changes {
                 if change.handover_possible && change.kind == MembershipEventKind::Leave {
                     let exported = departing.export_counters_in_range(
@@ -80,14 +76,14 @@ fn timestamps_stay_monotonic_across_chord_churn() {
                         &mut NoDurability,
                     );
                     kts.entry(change.to)
-                        .or_insert_with(|| KtsNode::new(false))
+                        .or_default()
                         .receive_transferred_counters(exported, &mut NoDurability);
                 }
             }
         } else {
             let new_id = NodeId(rng.gen());
             let outcome = overlay.join(new_id);
-            kts.insert(new_id, KtsNode::new(false));
+            kts.insert(new_id, KtsNode::new());
             for change in &outcome.changes {
                 if change.kind == MembershipEventKind::Join {
                     let exported = kts
@@ -100,7 +96,7 @@ fn timestamps_stay_monotonic_across_chord_churn() {
                         })
                         .unwrap_or_default();
                     kts.entry(change.to)
-                        .or_insert_with(|| KtsNode::new(false))
+                        .or_default()
                         .receive_transferred_counters(exported, &mut NoDurability);
                 }
             }
@@ -115,7 +111,7 @@ fn timestamps_stay_monotonic_across_chord_churn() {
 #[test]
 fn recovery_corrects_underestimated_counters_after_failure() {
     let key = Key::new("doc");
-    let mut old_responsible = KtsNode::new(false);
+    let mut old_responsible = KtsNode::new();
     let mut latest = Timestamp::ZERO;
     for _ in 0..10 {
         latest = old_responsible
@@ -125,7 +121,7 @@ fn recovery_corrects_underestimated_counters_after_failure() {
 
     // The old responsible fails before the last timestamps reach any replica:
     // the new responsible can only observe an older timestamp in the DHT.
-    let mut new_responsible = KtsNode::new(false);
+    let mut new_responsible = KtsNode::new();
     let stale_observation = Timestamp(4);
     let first = new_responsible
         .gen_ts(
@@ -157,7 +153,7 @@ fn recovery_corrects_underestimated_counters_after_failure() {
 #[test]
 fn periodic_inspection_catches_up_with_stored_timestamps() {
     let key = Key::new("doc");
-    let mut responsible = KtsNode::new(false);
+    let mut responsible = KtsNode::new();
     responsible.gen_ts(
         &key,
         || IndirectObservation::observed(Timestamp(3)),
