@@ -90,7 +90,7 @@ impl ReplicaTable for Unjournaled<'_> {
     }
 
     fn prune_range(&mut self, start: u64, end: u64) {
-        self.0.drain_range(start, end);
+        self.0.prune_range(start, end);
     }
 }
 
@@ -143,12 +143,7 @@ pub fn export_handoff(
     range_start: u64,
     range_end: u64,
 ) -> HandoffBundle {
-    let replicas: Vec<(HashId, Key, Record)> = table
-        .table()
-        .iter()
-        .filter(|(_, _, replica)| in_open_closed_interval(range_start, range_end, replica.position))
-        .map(|(hash, key, replica)| (hash, key.clone(), replica.clone()))
-        .collect();
+    let replicas = table.table().copy_range(range_start, range_end);
     let moved =
         |key: &Key| in_open_closed_interval(range_start, range_end, family.eval_timestamp(key));
     let counters = kts.export_counters_in_range(moved, table);

@@ -102,18 +102,29 @@ fn replica_puts(
     op: Option<OpId>,
     hashes: Vec<HashId>,
     key: Key,
-    payload: Vec<u8>,
+    mut payload: Vec<u8>,
     timestamp: Timestamp,
     trace: Option<TraceContext>,
 ) -> Vec<(Request, Option<TraceContext>)> {
-    let put = |hash| Request::PutReplica {
+    // The last put takes the frame's buffer. The table keeps one buffer of
+    // all those it is handed: siblings of one stamp and equal bytes share.
+    let last = hashes.len().saturating_sub(1);
+    let mut put = |index, hash| Request::PutReplica {
         op,
         hash,
         key: key.clone(),
-        payload: payload.clone(),
+        payload: if index == last {
+            std::mem::take(&mut payload)
+        } else {
+            payload.clone()
+        },
         timestamp,
     };
-    hashes.into_iter().map(|hash| (put(hash), trace)).collect()
+    hashes
+        .into_iter()
+        .enumerate()
+        .map(|(index, hash)| (put(index, hash), trace))
+        .collect()
 }
 
 /// How the puts of a frame ended: `(written, failed)`, where only a

@@ -622,3 +622,121 @@ fn a_founder_whose_install_was_never_acknowledged_observes_the_exported_range() 
         Ok(Reply::Timestamp(Timestamp::ZERO))
     );
 }
+
+/// Whether the replicas of `key` that `peer` holds under `hashes` lend one
+/// buffer (a shared payload), checked by address.
+fn one_buffer(peer: &Peer, key: &Key, hashes: &[u32]) -> bool {
+    let payload = |hash: &u32| {
+        peer.engine
+            .replicas()
+            .get(HashId(*hash), key)
+            .unwrap()
+            .payload
+    };
+    let first = payload(&hashes[0]);
+    hashes.iter().all(|hash| std::ptr::eq(payload(hash), first))
+}
+
+/// A key stored with one stamp under four hashes — two carried by a
+/// `StampAndPut`, two by a `PutReplicas` — costs its peer one buffer: as
+/// written, as rebuilt from the journal, and as installed by a join's
+/// hand-off at the peer taking the range over.
+#[test]
+fn replicas_of_one_stamp_share_one_buffer_when_written_recovered_and_handed_off() {
+    const OTHER: PeerId = PeerId(1 << 63);
+    let root = fresh_storage_root("peer-shared-payload");
+    let storage = Some(ClusterStorage::new(&root));
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let directory = Arc::new(Directory::new(HashFamily::new(4, 1), transport, []));
+    let mailbox = directory.transport.bind(ID).unwrap();
+    let endpoint = directory.transport.endpoint(ID).unwrap();
+    directory.revive(ID, endpoint.clone());
+
+    // Every replica and the counter of the key move with the join below.
+    let joined = |position: u64| position > ID.0 && position <= OTHER.0;
+    let family = &directory.family;
+    let key = (0..)
+        .map(|i| Key::new(format!("doc-{i}")))
+        .find(|key| {
+            joined(family.eval_timestamp(key))
+                && (0..4).all(|hash| joined(family.eval(HashId(hash), key)))
+        })
+        .unwrap();
+    let hashes = [0, 1, 2, 3];
+
+    let (mut peer, _) = Peer::open(ID, Arc::clone(&directory), &storage, None, None);
+    let stamped = endpoint.send(stamp_and_put(0, &key, &[0, 1])).unwrap();
+    let puts = endpoint
+        .send(Request::PutReplicas {
+            op: Some(OpId { client: 1, seq: 1 }),
+            hashes: vec![HashId(2), HashId(3)],
+            key: key.clone(),
+            payload: b"v".to_vec(),
+            timestamp: Timestamp(1),
+        })
+        .unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+    assert!(matches!(
+        stamped.wait(Duration::ZERO),
+        Ok(Reply::Stamped {
+            timestamp: Timestamp(1),
+            written: 2,
+            ..
+        })
+    ));
+    let both = Reply::PutsAck {
+        written: 2,
+        failed: 0,
+    };
+    assert_eq!(puts.wait(Duration::ZERO), Ok(both));
+    assert!(one_buffer(&peer, &key, &hashes), "as written");
+    drop(peer);
+
+    let (mut peer, report) = Peer::open(ID, Arc::clone(&directory), &storage, None, None);
+    assert_eq!(report.recovered_replicas, 4);
+    assert!(one_buffer(&peer, &key, &hashes), "as recovered");
+
+    let other_mailbox = directory.transport.bind(OTHER).unwrap();
+    let other_endpoint = directory.transport.endpoint(OTHER).unwrap();
+    let (mut other, _) = Peer::open(OTHER, Arc::clone(&directory), &None, None, None);
+    let other = std::thread::spawn(move || {
+        other.run(&other_mailbox);
+        other
+    });
+    let join = endpoint
+        .send(Request::HandoffRange {
+            op: None,
+            start: ID.0,
+            end: OTHER.0,
+            target_id: OTHER,
+            kind: HandoffKind::Join,
+            fault: None,
+        })
+        .unwrap();
+    endpoint.send_no_reply(Request::Crash).unwrap();
+    peer.run(&mailbox);
+    assert!(matches!(
+        join.wait(Duration::ZERO),
+        Ok(Reply::HandoffComplete { .. })
+    ));
+    assert!(
+        peer.engine.replicas().is_empty(),
+        "the source pruned the range"
+    );
+    other_endpoint.send_no_reply(Request::Crash).unwrap();
+    let other = other.join().unwrap();
+    assert_eq!(other.engine.replicas().len(), 4);
+    assert!(one_buffer(&other, &key, &hashes), "as installed");
+    assert_eq!(
+        other
+            .engine
+            .replicas()
+            .get(HashId(3), &key)
+            .unwrap()
+            .payload,
+        b"v"
+    );
+    drop(peer);
+    std::fs::remove_dir_all(&root).unwrap();
+}

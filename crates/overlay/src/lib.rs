@@ -46,4 +46,4 @@ pub use cost::{
 };
 pub use id::{in_open_closed_interval, in_open_open_interval, NodeId};
 pub use ring::{Ring, RingError};
-pub use store::{PeerStore, Record, WritePolicy};
+pub use store::{PeerStore, Record, RecordRef, WritePolicy};

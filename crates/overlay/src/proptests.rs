@@ -3,7 +3,10 @@
 //! The central property: [`PeerStore`] is observationally equivalent to a
 //! plain `HashMap<(HashId, Key), Record>` with the write policies and the
 //! ring interval spelled out, under arbitrary sequences of `put` / `get` /
-//! `remove` / `drain_range` operations.
+//! `remove` / `drain_range` / `copy_range` / `prune_range` operations. The
+//! generated puts mostly repeat a key's bytes under several hashes with one
+//! stamp (what the table shares) and sometimes reuse a stamp with other
+//! bytes (a stale successor's re-stamped write, which it must not share).
 
 use std::collections::HashMap;
 
@@ -15,7 +18,7 @@ use crate::id::in_open_closed_interval;
 use crate::store::{PeerStore, Record, WritePolicy};
 
 /// Reference model: the store as one flat map.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ModelStore {
     entries: HashMap<(HashId, Key), Record>,
 }
@@ -74,13 +77,18 @@ impl ModelStore {
 /// position, payload.
 type FlatRecord = (u32, Vec<u8>, u64, u64, Vec<u8>);
 
-/// Canonical, order-independent rendering of a drained record set.
-fn canonical(mut moved: Vec<(HashId, Key, Record)>) -> Vec<FlatRecord> {
-    moved.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+/// A record set flattened in the order it came.
+fn flatten(moved: Vec<(HashId, Key, Record)>) -> Vec<FlatRecord> {
     moved
         .into_iter()
         .map(|(h, k, r)| (h.0, k.as_bytes().to_vec(), r.stamp, r.position, r.payload))
         .collect()
+}
+
+/// Canonical, order-independent rendering of a drained record set.
+fn canonical(mut moved: Vec<(HashId, Key, Record)>) -> Vec<FlatRecord> {
+    moved.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    flatten(moved)
 }
 
 /// Canonical rendering of a full store via its iterator.
@@ -130,21 +138,23 @@ fn lattice(point: u8) -> u64 {
 
 proptest! {
     /// The store and the flat-map model agree on every observable
-    /// result of every operation, for arbitrary op sequences.
+    /// result of every operation, for arbitrary op sequences, and the
+    /// store's sharing stays canonical throughout.
     #[test]
     fn indexed_store_is_observationally_equivalent(
         ops in proptest::collection::vec(
-            ((0u8..5, 0u8..5, 0u8..4), (0u64..6, 0u8..32, 0u8..32)),
+            ((0u8..7, 0u8..5, 0u8..4), (0u64..6, 0u8..32, 0u8..32, 0u8..4)),
             0..120,
         ),
     ) {
         let mut store = PeerStore::new();
         let mut model = ModelStore::default();
-        for ((op, key_id, hash_id), (stamp, a, b)) in ops {
+        for ((op, key_id, hash_id), (stamp, a, b, variant)) in ops {
             let key = Key::new(format!("key-{key_id}"));
             let hash = HashId(u32::from(hash_id));
             match op {
-                // put, both policies
+                // put, both policies: one stamp's bytes are mostly the same
+                // under every hash, and one time in four they differ
                 0 | 1 => {
                     let policy = if op == 0 {
                         WritePolicy::KeepNewest
@@ -152,7 +162,7 @@ proptest! {
                         WritePolicy::Overwrite
                     };
                     let record = Record {
-                        payload: vec![key_id, hash_id, stamp as u8],
+                        payload: vec![key_id, stamp as u8, variant / 3],
                         stamp,
                         position: lattice(a),
                     };
@@ -162,20 +172,40 @@ proptest! {
                 }
                 // get
                 2 => {
-                    prop_assert_eq!(store.get(hash, &key), model.get(hash, &key));
+                    let held = store.get(hash, &key).map(|view| view.to_record());
+                    prop_assert_eq!(held.as_ref(), model.get(hash, &key));
                 }
                 // remove
                 3 => {
                     prop_assert_eq!(store.remove(hash, &key), model.remove(hash, &key));
                 }
-                // drain_range (including degenerate and wrapped intervals)
+                // copy_range leaves the store as it is
+                4 => {
+                    let (start, end) = (lattice(a), lattice(b));
+                    let before = store.clone();
+                    let copied = store.copy_range(start, end);
+                    prop_assert_eq!(&store, &before);
+                    let model_copied = model.clone().drain_range(start, end);
+                    prop_assert_eq!(canonical(copied), canonical(model_copied));
+                }
+                // prune_range
+                5 => {
+                    let (start, end) = (lattice(a), lattice(b));
+                    let pruned = store.prune_range(start, end);
+                    prop_assert_eq!(pruned, model.drain_range(start, end).len());
+                }
+                // drain_range (including degenerate and wrapped intervals),
+                // in iteration order
                 _ => {
                     let (start, end) = (lattice(a), lattice(b));
                     let moved = store.drain_range(start, end);
                     let model_moved = model.drain_range(start, end);
-                    prop_assert_eq!(canonical(moved), canonical(model_moved));
+                    let in_order = canonical(moved.clone());
+                    prop_assert_eq!(flatten(moved), in_order.clone());
+                    prop_assert_eq!(in_order, canonical(model_moved));
                 }
             }
+            store.assert_canonical();
             prop_assert_eq!(store.len(), model.entries.len());
             prop_assert_eq!(store.is_empty(), model.entries.is_empty());
         }

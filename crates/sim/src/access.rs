@@ -265,7 +265,7 @@ impl UmsAccess for SimAccess<'_> {
             .peers
             .get(&holder)
             .and_then(|peer| peer.store(self.algorithm).get(hash, key))
-            .cloned();
+            .map(|record| record.to_record());
         match record {
             Some(record) => {
                 self.charge_data();
@@ -340,7 +340,7 @@ impl BrkAccess for SimAccess<'_> {
             .peers
             .get(&holder)
             .and_then(|peer| peer.store(self.algorithm).get(hash, key))
-            .cloned();
+            .map(|record| record.to_record());
         match record {
             Some(record) => {
                 self.charge_data();

@@ -583,7 +583,7 @@ impl Simulation {
                 continue;
             };
             if let Some(record) = peer.store(algorithm).get(hash, key) {
-                if record.payload == *latest {
+                if *record.payload == *latest {
                     current += 1;
                 }
             }

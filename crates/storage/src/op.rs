@@ -57,7 +57,7 @@ pub enum StorageOp {
         start: u64,
         /// Inclusive interval end. `start == end` denotes the whole ring
         /// (the single-node degenerate case); replay is
-        /// `rdht_overlay::PeerStore::drain_range`.
+        /// `rdht_overlay::PeerStore::prune_range`.
         end: u64,
     },
 }

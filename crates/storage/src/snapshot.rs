@@ -30,16 +30,18 @@ const TAG_FOOTER: u8 = 0xF1;
 const TAG_OP: u8 = 0x01;
 
 /// Bytes of framed records gathered before each `write` of a snapshot: what
-/// bounds compaction's memory to a constant (plus one record) instead of a
-/// second copy of the state.
+/// bounds the encoded output held to a constant (plus one record) instead of
+/// a second copy of the state.
 const WRITE_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Writes a snapshot of `state` to `tmp_path`, fsyncs it, then renames it
 /// into place at `final_path` (rename is the atomic commit point).
 ///
-/// Records are encoded from a borrow of the stores straight into the output
-/// buffer, framed in place, and handed to the file a chunk at a time —
-/// nothing of the state is cloned.
+/// Records are encoded from borrowed views of the stores straight into the
+/// output buffer, framed in place, and handed to the file a chunk at a time —
+/// nothing of the state is cloned. Replicas are written by hash function,
+/// then by key (the replica table's iteration order), so the bytes depend
+/// only on the state.
 pub fn write_snapshot(
     tmp_path: &Path,
     final_path: &Path,
@@ -75,7 +77,7 @@ pub fn write_snapshot(
                 out,
                 hash,
                 key,
-                &replica.payload,
+                replica.payload,
                 Timestamp(replica.stamp),
                 replica.position,
             );

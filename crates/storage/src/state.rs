@@ -141,7 +141,7 @@ impl MemoryState {
             }
             StorageOp::ClearCounters => self.counters.clear(),
             StorageOp::TransferRange { start, end } => {
-                self.replicas.drain_range(*start, *end);
+                self.replicas.prune_range(*start, *end);
             }
         }
     }
