@@ -13,6 +13,8 @@
 //! peers). Pass `--csv <dir>` to additionally write one CSV file per
 //! experiment.
 
+#![warn(clippy::too_many_lines)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

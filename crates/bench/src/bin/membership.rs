@@ -21,6 +21,8 @@
 //! cargo run --release -p rdht-bench --bin membership -- --out out.json
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 

@@ -31,6 +31,8 @@
 //! cargo run --release -p rdht-bench --bin storage -- --out out.json
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
