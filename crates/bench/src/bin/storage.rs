@@ -5,18 +5,16 @@
 //! Measured:
 //!
 //! * `ums_insert` against an in-memory DHT vs the same DHT journaling to a
-//!   write-ahead log under each [`FsyncPolicy`] — the per-operation price of
-//!   durability;
-//! * `ums_insert` under **group commit**, swept over the number of
-//!   concurrent writers: `w` logical writers each have one insert pending
-//!   per commit round, the round's ops are journaled with deferred syncs and
-//!   made durable by a *single* covering fsync before any of the round's
-//!   inserts is acknowledged (`ums_insert_group_commit_w{w}`) — full
-//!   `Always`-grade ack-after-fsync semantics at a fraction of the fsyncs;
-//! * the same comparison end to end through the threaded deployment
-//!   (`cluster_insert_{always,group_commit}_w{w}`): real writer threads and
-//!   real mailboxes against a single storage-backed peer running the
-//!   drain-apply-sync-reply request loop;
+//!   write-ahead log that is never synced (`ums_insert_wal_fsync_never`);
+//! * `ums_insert` under [`FsyncPolicy::Always`] (group commit), swept over
+//!   the number of concurrent writers: `w` logical writers each have one
+//!   insert pending per commit round, the round's ops are journaled and made
+//!   durable by a *single* covering fsync before any of the round's inserts
+//!   is acknowledged (`ums_insert_always_w{w}`);
+//! * the same sweep end to end through the threaded deployment
+//!   (`cluster_insert_always_w{w}`, `cluster_insert_tcp_always_w{w}`): real
+//!   writer threads and real mailboxes against a single storage-backed peer
+//!   running the drain-apply-sync-reply request loop;
 //! * the write path's own pieces: per record, the snapshot writer alone
 //!   (`snapshot_write_{1k,10k,100k}_records`) and a whole compaction —
 //!   snapshot, fresh WAL, directory sync, unlink —
@@ -99,53 +97,31 @@ fn measure(
     }
 }
 
-/// `ums::insert` throughput against a DHT journaling with the given policy
-/// (or not journaling at all when `policy` is `None`).
-fn bench_ums_insert(label: &str, policy: Option<FsyncPolicy>, calls: u64) -> BenchLine {
-    let keys = bench_keys(32);
-    let name = format!("ums_insert_{label}");
-    match policy {
-        None => {
-            let mut dht = InMemoryDht::new(10, 7);
-            measure(name, calls, keys.len() as u64, || {
-                for key in &keys {
-                    ums::insert(&mut dht, key, vec![1u8; 32]).expect("insert");
-                }
-            })
-        }
-        Some(policy) => {
-            let dir = temp_dir(label);
-            let mut options = StorageOptions::with_fsync(policy);
-            // Keep compaction out of this measurement; it is timed separately.
-            options.snapshot_every = 0;
-            let engine = StorageEngine::open(&dir, options).expect("open engine");
-            let mut dht = InMemoryDht::with_durability(10, 7, engine);
-            let line = measure(name, calls, keys.len() as u64, || {
-                for key in &keys {
-                    ums::insert(&mut dht, key, vec![1u8; 32]).expect("insert");
-                }
-            });
-            assert!(
-                !dht.durability_mut().is_poisoned(),
-                "journal must stay healthy during the bench"
-            );
-            drop(dht);
-            let _ = std::fs::remove_dir_all(&dir);
-            line
-        }
-    }
-}
-
-/// `ums::insert` throughput under group commit at `writers` concurrent
-/// writers: each commit round journals one pending insert per writer with
-/// deferred syncs, then a single covering fsync makes the whole round
-/// durable before any insert in it is acknowledged — the leader/follower
-/// write-group model at the engine level.
-fn bench_ums_insert_group_commit(writers: usize, calls: u64) -> BenchLine {
+/// `ums::insert` throughput against an in-memory DHT (`policy` `None`) or
+/// one journaling under `policy`. Under `Always`, `writers` logical writers
+/// each have one insert pending per commit round: the round's ops are
+/// journaled, then a single covering fsync makes the whole round durable
+/// before any insert in it is acknowledged — the leader/follower write-group
+/// model at the engine level. Under `Never` nothing is synced.
+fn bench_ums_insert(
+    label: &str,
+    policy: Option<FsyncPolicy>,
+    writers: usize,
+    calls: u64,
+) -> BenchLine {
     let keys = bench_keys(64);
-    let name = format!("ums_insert_group_commit_w{writers}");
-    let dir = temp_dir(&format!("group-w{writers}"));
-    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(1 << 20));
+    let name = format!("ums_insert_{label}");
+    let Some(policy) = policy else {
+        let mut dht = InMemoryDht::new(10, 7);
+        return measure(name, calls, keys.len() as u64, || {
+            for key in &keys {
+                ums::insert(&mut dht, key, vec![1u8; 32]).expect("insert");
+            }
+        });
+    };
+    let dir = temp_dir(label);
+    let mut options = StorageOptions::with_fsync(policy);
+    // Keep compaction out of this measurement; it is timed separately.
     options.snapshot_every = 0;
     let engine = StorageEngine::open(&dir, options).expect("open engine");
     let mut dht = InMemoryDht::with_durability(10, 7, engine);
@@ -156,7 +132,9 @@ fn bench_ums_insert_group_commit(writers: usize, calls: u64) -> BenchLine {
             }
             // The batch boundary: one fsync covers every op of the round;
             // only now are the round's inserts acknowledged.
-            dht.durability_mut().sync().expect("covering sync");
+            if policy.batching().is_some() {
+                dht.durability_mut().sync().expect("covering sync");
+            }
         }
     });
     let engine = dht.durability_mut();
@@ -180,21 +158,19 @@ fn bench_ums_insert_group_commit(writers: usize, calls: u64) -> BenchLine {
 /// write concurrency at one WAL, which is exactly the unit the
 /// drain-apply-sync-reply request loop batches over; more peers would just
 /// dilute the per-peer queue depth without changing what is measured. Under
-/// `FsyncPolicy::GroupCommit` the peer drains every queued request, applies
-/// and journals them, issues **one** covering fsync and then sends all the
-/// replies; under `Always` every journaled op pays its own. (Note these
-/// numbers also carry the full message-passing cost — thread wake-ups bound
-/// them long before the fsync amortization runs out, especially on
-/// few-core CI boxes.)
+/// `FsyncPolicy::Always` the peer drains every queued request, applies and
+/// journals them, issues **one** covering fsync and then sends all the
+/// replies. (Note these numbers also carry the full message-passing cost —
+/// thread wake-ups bound them long before the fsync amortization runs out,
+/// especially on few-core CI boxes.)
 fn bench_cluster_insert(
     label: &str,
-    policy: FsyncPolicy,
     writers: usize,
     inserts_per_writer: usize,
     transport: TransportKind,
 ) -> BenchLine {
     let dir = temp_dir(&format!("cluster-{label}-w{writers}"));
-    let mut options = StorageOptions::with_fsync(policy);
+    let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
     options.snapshot_every = 0;
     let config = ClusterConfig::new(1, 8, 0xc0ffee)
         .with_storage(ClusterStorage::with_options(&dir, options))
@@ -308,7 +284,7 @@ fn bench_cluster_insert_lossy(
 /// sampling at rate 1.0 is exactly the overhead the sweep must not carry.
 fn slowlog_report(writers: usize, inserts_per_writer: usize) -> Option<String> {
     let dir = temp_dir(&format!("slowlog-w{writers}"));
-    let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
+    let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
     options.snapshot_every = 0;
     let config = ClusterConfig::new(1, 8, 0x510e)
         .with_storage(ClusterStorage::with_options(&dir, options))
@@ -352,7 +328,7 @@ fn slowlog_report(writers: usize, inserts_per_writer: usize) -> Option<String> {
         .collect::<Vec<_>>()
         .join(", ");
     Some(format!(
-        "slowlog cluster_insert_group_commit_w{writers} ({}): p99 = {:.1} ms: {breakdown}",
+        "slowlog cluster_insert_always_w{writers} ({}): p99 = {:.1} ms: {breakdown}",
         tree.name,
         tree.total_us as f64 / 1_000.0,
     ))
@@ -400,7 +376,7 @@ fn bench_snapshot_and_compact(records: u64, label: &str, repeats: u64) -> Vec<Be
 
 fn to_json(mode: &str, lines: &[BenchLine]) -> String {
     let meta = BenchMeta::new("rdht-bench-storage/v2", mode)
-        .with_fsync("swept per row (never/every64/always/group_commit)")
+        .with_fsync("swept per row (never/always)")
         .with_transport("swept per row (in-process/channel/tcp)");
     let mut out = String::new();
     out.push_str("{\n");
@@ -429,42 +405,29 @@ fn main() {
         .unwrap_or_else(|| "BENCH_storage.json".to_string());
 
     let insert_calls = if quick { 3 } else { 20 };
-    // fsync=Always pays a real disk round-trip per op; keep its op count low
-    // enough for CI while still averaging over hundreds of syncs.
-    let always_calls = if quick { 1 } else { 4 };
-    let group_calls = if quick { 2 } else { 8 };
+    let always_calls = if quick { 2 } else { 8 };
     let mut lines = vec![
-        bench_ums_insert("inmem", None, insert_calls),
-        bench_ums_insert("wal_fsync_never", Some(FsyncPolicy::Never), insert_calls),
-        bench_ums_insert(
-            "wal_fsync_every64",
-            Some(FsyncPolicy::EveryN(64)),
-            insert_calls,
-        ),
-        bench_ums_insert("wal_fsync_always", Some(FsyncPolicy::Always), always_calls),
+        bench_ums_insert("inmem", None, 1, insert_calls),
+        bench_ums_insert("wal_fsync_never", Some(FsyncPolicy::Never), 1, insert_calls),
     ];
     // The group-commit sweep: concurrent-writer counts per commit round.
     for writers in [1usize, 8, 16, 64] {
-        lines.push(bench_ums_insert_group_commit(writers, group_calls));
+        lines.push(bench_ums_insert(
+            &format!("always_w{writers}"),
+            Some(FsyncPolicy::Always),
+            writers,
+            always_calls,
+        ));
     }
-    // End to end through the threaded cluster: per-op Always vs the
-    // drain-apply-sync-reply loop, at 1 and 8+ concurrent writer threads.
+    // End to end through the threaded cluster, at 1 and 8+ concurrent
+    // writer threads. Clients here are closed-loop (each writer has one
+    // request in flight), so every op that can join a batch is already
+    // queued when the leader drains. Batch size is bounded by the per-peer
+    // write concurrency, which is what the writer sweep varies.
     let cluster_inserts = if quick { 4 } else { 16 };
     for writers in [1usize, 8, 16, 32, 64] {
         lines.push(bench_cluster_insert(
             "always",
-            FsyncPolicy::Always,
-            writers,
-            cluster_inserts,
-            TransportKind::Channel,
-        ));
-        // Clients here are closed-loop (each writer has one request in
-        // flight), so every op that can join a batch is already queued when
-        // the leader drains. Batch size is bounded by the per-peer write
-        // concurrency, which is what the writer sweep varies.
-        lines.push(bench_cluster_insert(
-            "group_commit",
-            FsyncPolicy::group_commit(64),
             writers,
             cluster_inserts,
             TransportKind::Channel,
@@ -476,14 +439,6 @@ fn main() {
     for writers in [1usize, 8, 16] {
         lines.push(bench_cluster_insert(
             "tcp_always",
-            FsyncPolicy::Always,
-            writers,
-            cluster_inserts,
-            TransportKind::Tcp,
-        ));
-        lines.push(bench_cluster_insert(
-            "tcp_group_commit",
-            FsyncPolicy::group_commit(64),
             writers,
             cluster_inserts,
             TransportKind::Tcp,
@@ -500,7 +455,7 @@ fn main() {
     }
 
     // Where does the insert tail go? A traced rerun of the 8-writer
-    // group-commit deployment, reported from the peer's slow-request ring.
+    // deployment, reported from the peer's slow-request ring.
     let slowlog = slowlog_report(8, cluster_inserts * 4);
 
     let mode = if quick { "quick" } else { "full" };

@@ -266,12 +266,12 @@ mod tests {
     #[test]
     fn bench_meta_header_lists_all_provenance_fields() {
         let meta = BenchMeta::new("rdht-bench-demo/v2", "quick")
-            .with_fsync("group_commit(64)")
+            .with_fsync("always")
             .with_transport("channel");
         let header = meta.header_json();
         assert!(header.contains("\"schema\": \"rdht-bench-demo/v2\","));
         assert!(header.contains("\"mode\": \"quick\","));
-        assert!(header.contains("\"fsync\": \"group_commit(64)\","));
+        assert!(header.contains("\"fsync\": \"always\","));
         assert!(header.contains("\"transport\": \"channel\","));
         // The profile is whatever this test binary was compiled as — just
         // assert it is one of the two legal values.

@@ -88,10 +88,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&storage_root);
     let storage = ClusterStorage::with_options(
         &storage_root,
-        StorageOptions {
-            fsync: FsyncPolicy::group_commit(64),
-            ..StorageOptions::default()
-        },
+        StorageOptions::with_fsync(FsyncPolicy::Always),
     );
 
     println!("starting {NUM_PEERS} TCP peers (journaled, group commit):");

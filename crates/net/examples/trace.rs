@@ -5,9 +5,9 @@
 //!
 //! Run with no arguments and the process *orchestrates*: it reserves one
 //! loopback address per peer, re-launches itself as three peer processes
-//! (one of them artificially slow — its WAL fsyncs on every op) and one
-//! client process running fully-sampled inserts. Each process writes its
-//! span file on exit; the orchestrator merges them with
+//! (one of them artificially slow — it journals and fsyncs before every
+//! reply) and one client process running fully-sampled inserts. Each
+//! process writes its span file on exit; the orchestrator merges them with
 //! [`rdht_net::merge_chrome_trace_files`] and verifies the causal story:
 //!
 //! * the merged JSON is a loadable chrome-trace object,
@@ -140,7 +140,7 @@ fn orchestrate(merged_out: &str) {
         println!(
             "  peer {:>5} on {addr}{}",
             id.0,
-            if slow { "  (fsync per op)" } else { "" }
+            if slow { "  (journaled)" } else { "" }
         );
         let mut command = Command::new(&exe);
         command
@@ -231,8 +231,9 @@ fn orchestrate(merged_out: &str) {
 }
 
 /// Child process: one traced ring position. The slow variant journals to a
-/// WAL that fsyncs **every** op — the artificial straggler whose fsync
-/// phase dominates its slow-request breakdowns.
+/// WAL under `FsyncPolicy::Always`, one covering fsync before each batch's
+/// replies — the artificial straggler whose fsync phase dominates its
+/// slow-request breakdowns.
 fn run_peer(id: &str, book: &str, trace_out: &str, slow: bool) {
     let id = PeerId(id.parse().expect("peer id is a u64"));
     let storage = slow.then(|| {

@@ -122,13 +122,12 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// When set, every peer journals its replicas and counters to its own
     /// directory under `storage.root`, and [`Cluster::restart_peer`] can
-    /// bring a crashed peer back with its durable state. With
-    /// `FsyncPolicy::GroupCommit` in the storage options, every peer runs
-    /// its request loop in drain-apply-sync-reply mode: all queued client
-    /// requests (bounded by `max_batch`) are drained, applied and
-    /// journaled, made durable by **one** covering fsync, and only then
-    /// acknowledged — N concurrent writers share one fsync instead of
-    /// paying N.
+    /// bring a crashed peer back with its durable state. Under
+    /// `FsyncPolicy::Always` (the default) every peer runs its request loop
+    /// in drain-apply-sync-reply mode: the queued client requests (at most
+    /// [`rdht_storage::MAX_BATCH`]) are drained, applied and journaled,
+    /// made durable by **one** covering fsync, and only then acknowledged —
+    /// N concurrent writers share one fsync instead of paying N.
     pub storage: Option<ClusterStorage>,
     /// The transport backend peers and clients communicate over.
     pub transport: TransportKind,
@@ -589,6 +588,12 @@ impl Cluster {
             .unwrap_or(true)
     }
 
+    /// The peers whose thread the cluster holds a handle on.
+    #[cfg(test)]
+    pub(crate) fn threaded_peers(&self) -> Vec<PeerId> {
+        self.handles.keys().copied().collect()
+    }
+
     /// The transport endpoint of a peer. Requests sent through it bypass
     /// the directory — tests use this to model messages routed under a
     /// stale membership view (in flight across a hand-off commit); normal
@@ -860,9 +865,9 @@ impl Cluster {
     /// The departing peer ships every replica and counter of its range
     /// `(pred, leaving]` to its live successor and unregisters itself at the
     /// commit point. It then re-sends what is already queued to the
-    /// successor and exits: its thread, engine and transport binding go
-    /// right after this returns, and a request that reaches it later fails
-    /// typed, as after a crash. Because the counters move directly,
+    /// successor and exits: its thread is joined, and its engine and
+    /// transport binding gone, before this returns; a request that reaches
+    /// it later fails typed, as after a crash. Because the counters move directly,
     /// subsequent timestamp requests at the successor are served from a
     /// valid counter — **zero** indirect re-initializations, in contrast to
     /// a crash.
@@ -873,6 +878,11 @@ impl Cluster {
         let range = (change.range_start, change.range_end);
         let (replicas_moved, counters_moved) =
             self.drive_handoff(leaving, range, target, HandoffKind::Leave, None)?;
+        // The leave committed: the departed loop ends once its queue is
+        // re-sent, and its finished thread must not outlive the membership.
+        if let Some(handle) = self.handles.remove(&leaving) {
+            let _ = handle.join();
+        }
         Ok(LeaveReport {
             peer: leaving,
             target,

@@ -127,14 +127,14 @@
 //! takes the observable indirect-initialization path of Section 4.2.2
 //! against the (durable) replicas.
 //!
-//! With `FsyncPolicy::GroupCommit` in the storage options every peer runs
-//! its request loop in **drain-apply-sync-reply** mode — the group-commit
-//! deployment: all queued data requests (bounded by `max_batch`) are
-//! drained, applied and journaled, made durable by a single covering fsync,
-//! and only then acknowledged. N concurrent writers at `Always`-grade
-//! ack-after-fsync durability share one fsync instead of paying one each;
-//! the `storage` bench bin quantifies the win (tens of times the per-op
-//! `Always` throughput at 8+ writers).
+//! Under `FsyncPolicy::Always`, the default, every peer runs its request
+//! loop in **drain-apply-sync-reply** mode (group commit): the queued data
+//! requests (at most [`rdht_storage::MAX_BATCH`]) are drained, applied and
+//! journaled, made durable by a single covering fsync, and only then
+//! acknowledged. N concurrent writers share one fsync instead of paying one
+//! each; the `storage` bench bin's `*_always_w*` rows sweep the writer
+//! count. Under `FsyncPolicy::Never` a peer serves one request at a time
+//! and leaves flushing to the OS.
 //!
 //! ## Observability
 //!

@@ -77,11 +77,10 @@ pub enum HandoffFault {
 ///
 /// Data requests (the `data` column of the request kind table at the end of
 /// this module) may be drained into a group-commit batch when the peer's
-/// storage runs `FsyncPolicy::GroupCommit`: the peer applies and journals
-/// the whole batch, issues one covering fsync, and only then sends the
-/// replies — so an acknowledgement always means "durable", regardless of how
-/// many requests shared the fsync. Protocol and lifecycle messages never
-/// batch.
+/// storage runs `FsyncPolicy::Always`: the peer applies and journals the
+/// whole batch, issues one covering fsync, and only then sends the replies —
+/// so an acknowledgement always means "durable", regardless of how many
+/// requests shared the fsync. Protocol and lifecycle messages never batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Store a stamped replica; the peer keeps it only if the stamp is newer
@@ -203,8 +202,8 @@ pub enum Request {
     },
     /// Install the state bundle of an in-flight hand-off (sent by the
     /// exporting peer to the target). Every accepted replica and counter is
-    /// journaled **and fsynced** at the target before the ack (under any
-    /// fsync policy, including deferred-sync group commit), which is what
+    /// journaled **and fsynced** at the target before the ack (under either
+    /// fsync policy), which is what
     /// makes a crash from this point on completable: the source treats the
     /// ack as licence to prune its own copy at commit.
     InstallState {

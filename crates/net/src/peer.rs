@@ -300,9 +300,9 @@ pub(crate) struct Peer {
     dedup: DedupWindow,
     /// Seq allocator of the ops this peer originates (install bundles).
     local_seq: u64,
-    /// The group-commit `max_batch` when the engine's fsync policy batches;
-    /// `None` makes every batch a single request.
-    batching: Option<u64>,
+    /// The drain bound of one batch when the engine's fsync policy is
+    /// `Always`; `None` makes every batch a single request.
+    batching: Option<usize>,
     /// A journal I/O failure (disk full, directory removed, ...) is latched
     /// inside the engine; the peer keeps serving its in-memory state —
     /// availability over durability — but the degradation must not be
@@ -360,6 +360,12 @@ impl Peer {
             ..RestartReport::default()
         };
         let kts = kts_from_recovery(&mut engine);
+        let batching = engine.options().fsync.batching();
+        if batching.is_some() {
+            // Rule 1's counter clear is durable before the peer serves: no
+            // reply may leave on top of a clear a power loss could undo.
+            engine.sync_to_durable();
+        }
 
         let registry = Registry::new();
         let peer_label = format!("{:016x}", id.0);
@@ -376,7 +382,7 @@ impl Peer {
         let peer = Peer {
             id,
             directory,
-            batching: engine.options().fsync.batching(),
+            batching,
             engine,
             kts,
             dedup: DedupWindow::default(),
@@ -455,15 +461,14 @@ impl Peer {
     /// The peer loop, in **drain-apply-sync-reply** form.
     ///
     /// Each iteration collects a batch: the first item blocks on the mailbox,
-    /// and — when the engine's fsync policy is `GroupCommit` — every further
-    /// data request already queued is drained, up to `max_batch`; nothing
-    /// waits for stragglers. The whole batch is then applied and
-    /// journaled, made durable by **one** covering fsync at the batch
-    /// boundary, and only then acknowledged: N concurrent writers at
-    /// `Always`-grade durability share a single fsync instead of paying one
-    /// each. Under every other policy the batch is a single request and the
-    /// loop behaves exactly as the classic one-request-at-a-time server
-    /// (appends sync themselves per policy, the boundary sync is skipped).
+    /// and — when the engine's fsync policy is `Always` — every further data
+    /// request already queued is drained, up to
+    /// [`rdht_storage::MAX_BATCH`]; nothing waits for stragglers. The whole
+    /// batch is then applied and journaled, made durable by **one** covering
+    /// fsync at the batch boundary, and only then acknowledged: N concurrent
+    /// writers share a single fsync instead of paying one each. Under
+    /// `Never` the batch is a single request and the boundary sync is
+    /// skipped: the classic one-request-at-a-time server.
     ///
     /// Stops on `Shutdown` (with a final journal flush), on `Crash` (without
     /// one), and after a graceful leave as soon as its queue is empty: what
@@ -508,12 +513,12 @@ impl Peer {
                 _ => {}
             }
             batch.push(first);
-            if let Some(max_batch) = self.batching {
+            if let Some(bound) = self.batching {
                 if batchable(&batch[0].request) {
                     // Group-commit drain: this peer is the commit leader for
                     // whatever is queued right now; a non-batchable request
                     // ends the drain and is carried to the next iteration.
-                    while (batch.len() as u64) < max_batch {
+                    while batch.len() < bound {
                         match mailbox.try_recv() {
                             Some(incoming) if batchable(&incoming.request) => batch.push(incoming),
                             Some(incoming) => {
@@ -977,7 +982,7 @@ impl Peer {
 
     /// Phase `Exported`: copy the replicas in range, drain the counters of
     /// the keys timestamped there. The removals are synced before the bundle
-    /// ships — under a deferred-sync policy an unsynced removal could be
+    /// ships — under either policy an unsynced removal could be
     /// resurrected by a crash *after* the counters moved, breaking Rule 3's
     /// "at most one live counter" durably.
     fn handoff_export(&mut self, handoff: &Handoff) -> HandoffBundle {

@@ -56,10 +56,7 @@ fn put(seq: u64, hash: u32, key: &Key, stamp: u64) -> Request {
 fn a_batch_is_acknowledged_only_after_its_covering_sync() {
     const PUTS: u64 = 8;
     let root = fresh_storage_root("peer-ack-after-sync");
-    let options = StorageOptions {
-        fsync: FsyncPolicy::group_commit(64),
-        ..StorageOptions::default()
-    };
+    let options = StorageOptions::with_fsync(FsyncPolicy::Always);
     let storage = ClusterStorage::with_options(&root, options);
     let (mut peer, mailbox, endpoint) = bound_peer(Some(storage));
 
@@ -95,6 +92,48 @@ fn a_batch_is_acknowledged_only_after_its_covering_sync() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Rule 1 at open, durably: a peer recovered under `Always` over a journal
+/// holding counters has synced their clear before it serves anything.
+#[test]
+fn rule_one_counter_clear_is_synced_before_the_peer_serves() {
+    let root = fresh_storage_root("peer-rule-one-sync");
+    let storage =
+        ClusterStorage::with_options(&root, StorageOptions::with_fsync(FsyncPolicy::Always));
+    {
+        let mut engine = StorageEngine::open(storage.peer_dir(ID), storage.options).unwrap();
+        let counter = StorageOp::SetCounter {
+            key: Key::new("doc"),
+            value: Timestamp(5),
+        };
+        engine.apply(&counter).unwrap();
+        engine.sync().unwrap();
+    }
+    let (mut peer, _mailbox, _endpoint) = bound_peer(Some(storage));
+    assert_eq!(peer.recovery_floor_keys(), vec![Key::new("doc")]);
+    assert!(
+        peer.engine.counters().is_empty(),
+        "Rule 1 cleared the counter"
+    );
+
+    let exposition = encode(&peer.registry());
+    let syncs: u64 = exposition
+        .lines()
+        .find(|line| line.starts_with(rdht_storage::metrics::names::WAL_SYNCS))
+        .and_then(|line| line.rsplit(' ').next())
+        .and_then(|value| value.parse().ok())
+        .expect("the peer exposes its WAL syncs");
+    assert!(syncs >= 1, "the clear was synced at open: {exposition}");
+    let before = peer.engine.metrics().wal_syncs.get();
+    peer.engine.sync().unwrap();
+    assert_eq!(
+        peer.engine.metrics().wal_syncs.get(),
+        before,
+        "nothing was left pending for a later sync to cover"
+    );
+    drop(peer);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// A `gen_ts` carrying a store of `hashes`. Its hint lets a counterless key
 /// start at 1 instead of answering `NeedsInitialization`.
 fn stamp_and_put(seq: u64, key: &Key, hashes: &[u32]) -> Request {
@@ -117,10 +156,7 @@ const STAMPED_THREE: Reply = Reply::Stamped {
 #[test]
 fn a_stamp_and_put_is_answered_only_after_the_sync_covering_counter_and_puts() {
     let root = fresh_storage_root("peer-stamp-after-sync");
-    let options = StorageOptions {
-        fsync: FsyncPolicy::group_commit(64),
-        ..StorageOptions::default()
-    };
+    let options = StorageOptions::with_fsync(FsyncPolicy::Always);
     let storage = ClusterStorage::with_options(&root, options);
     let (mut peer, mailbox, endpoint) = bound_peer(Some(storage));
 

@@ -324,7 +324,7 @@ fn whole_cluster_crash_restart_serves_current_data_from_disk() {
     let root = fresh_storage_root("whole-cluster");
     let config = ClusterConfig::new(6, 4, 12).with_storage(ClusterStorage::with_options(
         &root,
-        StorageOptions::with_fsync(FsyncPolicy::EveryN(4)),
+        StorageOptions::with_fsync(FsyncPolicy::Always),
     ));
     let mut cluster = Cluster::spawn_with(config);
     let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("doc-{i}"))).collect();
@@ -351,8 +351,8 @@ fn whole_cluster_crash_restart_serves_current_data_from_disk() {
     }
     assert_eq!(cluster.live_peers(), peers.len());
     // Every (key, hash) replica written must be back: 8 keys × |Hr| = 4.
-    // (FsyncPolicy::EveryN leaves at most a tail unsynced on a *power*
-    // failure; a thread crash loses nothing already written to the fs.)
+    // (Every acknowledged insert followed its covering fsync; a thread crash
+    // loses nothing already written to the fs anyway.)
     assert_eq!(recovered_replicas, keys.len() * 4);
     // Every key's counter came back at its timestamp responsible's restart:
     // the holders restarted later were still down, so the observation may
@@ -580,7 +580,7 @@ fn empty_cluster_is_rejected() {
 
 /// The ISSUE 5 acceptance test: full-durability group commit under real
 /// concurrency. Eight writer threads hammer a storage-backed cluster whose
-/// peers run the drain-apply-sync-reply loop (`FsyncPolicy::GroupCommit`);
+/// peers run the drain-apply-sync-reply loop (`FsyncPolicy::Always`);
 /// every insert is acknowledged only after its covering fsync, and a
 /// whole-cluster crash + restart afterwards recovers every acknowledged
 /// value from the journals alone.
@@ -589,7 +589,7 @@ fn group_commit_concurrent_writers_recover_after_whole_cluster_crash() {
     let root = fresh_storage_root("group-commit-acceptance");
     let config = ClusterConfig::new(6, 4, 31).with_storage(ClusterStorage::with_options(
         &root,
-        StorageOptions::with_fsync(FsyncPolicy::group_commit(64)),
+        StorageOptions::with_fsync(FsyncPolicy::Always),
     ));
     let cluster = Arc::new(Cluster::spawn_with(config));
     let writers = 8;
@@ -644,19 +644,20 @@ fn group_commit_concurrent_writers_recover_after_whole_cluster_crash() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// The ISSUE 5 satellite, net half: the same deterministic request sequence
-/// issued against a per-op (`Always`) cluster and a group-commit cluster of
-/// the same seed produces **identical replies, reply for reply** — insert
-/// reports, retrieve payloads, certification flags and timestamps — and
-/// identical replica state afterwards. Batching changes syscalls, never
-/// observable semantics.
+/// The same deterministic request sequence issued against a cluster whose
+/// peers serve one request at a time (`Never`) and a group-commit cluster
+/// (`Always`: drained batches, one covering fsync each) of the same seed
+/// produces **identical replies, reply for reply** — insert reports,
+/// retrieve payloads, certification flags and timestamps — and identical
+/// replica state afterwards. Batching changes syscalls, never observable
+/// semantics.
 #[test]
 fn group_commit_is_reply_for_reply_identical_to_per_op_path() {
     let roots = [
+        fresh_storage_root("reply-for-reply-never"),
         fresh_storage_root("reply-for-reply-always"),
-        fresh_storage_root("reply-for-reply-group"),
     ];
-    let policies = [FsyncPolicy::Always, FsyncPolicy::group_commit(32)];
+    let policies = [FsyncPolicy::Never, FsyncPolicy::Always];
     let keys: Vec<Key> = (0..7).map(|i| Key::new(format!("doc-{i}"))).collect();
 
     let mut transcripts = Vec::new();
@@ -872,6 +873,32 @@ fn unused_peer_id(cluster: &Cluster, seed: u64) -> PeerId {
     PeerId(candidate)
 }
 
+/// A departed peer's thread is joined at its leave: after join → leave
+/// cycles the cluster holds a thread handle for exactly its live peers.
+#[test]
+fn departed_peers_threads_are_joined_at_their_leave() {
+    let mut cluster = Cluster::spawn(4, 3, 35);
+    let key = Key::new("doc");
+    let mut client = cluster.client();
+    ums::insert(&mut client, &key, b"kept".to_vec()).unwrap();
+    for cycle in 0..5u64 {
+        let joiner = unused_peer_id(&cluster, 0x5eed_0000_0000_0000 + cycle);
+        cluster.join_peer(joiner).unwrap();
+        cluster.leave_peer(joiner).unwrap();
+        let mut live: Vec<PeerId> = cluster
+            .peer_ids()
+            .into_iter()
+            .filter(|&peer| cluster.peer_is_alive(peer))
+            .collect();
+        live.sort();
+        assert_eq!(cluster.threaded_peers(), live, "after cycle {cycle}");
+    }
+    let got = ums::retrieve(&mut client, &key).unwrap();
+    assert!(got.is_current);
+    assert_eq!(got.data.unwrap(), b"kept");
+    cluster.shutdown();
+}
+
 /// The ISSUE 4 acceptance test: under ongoing UMS traffic, one peer joins
 /// and one peer gracefully leaves a storage-backed cluster; afterwards every
 /// retrieve is certified current and a fresh client reports **zero**
@@ -884,7 +911,7 @@ fn join_and_graceful_leave_under_traffic_stay_current_with_zero_indirect_inits()
     let root = fresh_storage_root("membership-acceptance");
     let config = ClusterConfig::new(8, 5, 21).with_storage(ClusterStorage::with_options(
         &root,
-        StorageOptions::with_fsync(FsyncPolicy::EveryN(8)),
+        StorageOptions::with_fsync(FsyncPolicy::Always),
     ));
     let mut cluster = Cluster::spawn_with(config);
     let keys: Vec<Key> = (0..6).map(|i| Key::new(format!("doc-{i}"))).collect();

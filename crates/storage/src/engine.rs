@@ -48,7 +48,7 @@ use crate::wal::{replay, FsyncPolicy, WalWriter};
 /// Tunables of a [`StorageEngine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StorageOptions {
-    /// When appended WAL records are fsynced ([`FsyncPolicy`]).
+    /// Whether acknowledged WAL records are fsynced ([`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
     /// The floor of the compaction rule: compact (write a snapshot, start a
     /// fresh WAL) once the current WAL holds `max(snapshot_every, live
@@ -249,8 +249,8 @@ fn discover(dir: &Path) -> io::Result<Discovered> {
 }
 
 /// Fsyncs a directory so the renames, creates and unlinks inside it are
-/// durable — without this, `FsyncPolicy::Always`'s power-loss guarantee
-/// would silently stop at each file's *contents*.
+/// durable — without this, a covering sync's power-loss guarantee would
+/// silently stop at each file's *contents*.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
@@ -268,7 +268,8 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 impl StorageEngine {
     /// An engine with no backing directory: state is memory-only and every
     /// journaling hook is a cheap in-memory apply. Used for peers configured
-    /// without durability.
+    /// without durability. Its policy is [`FsyncPolicy::Never`]: it has
+    /// nothing to sync.
     pub fn ephemeral() -> Self {
         StorageEngine {
             dir: None,
@@ -276,7 +277,7 @@ impl StorageEngine {
             generation: 0,
             ops_in_wal: 0,
             state: MemoryState::new(),
-            options: StorageOptions::default(),
+            options: StorageOptions::with_fsync(FsyncPolicy::Never),
             recovery: Recovery::default(),
             metrics: StorageMetrics::default(),
             sync_observer: None,
@@ -311,7 +312,6 @@ impl StorageEngine {
         let metrics = StorageMetrics::default();
         let wal = WalWriter::open_after_replay(
             generation_file(&dir, "wal", generation, "log"),
-            options.fsync,
             discovered.wal_valid_len,
             &metrics,
         )?;
@@ -388,12 +388,9 @@ impl StorageEngine {
         &self.metrics
     }
 
-    /// The options this engine was opened with (normalized fsync policy).
+    /// The options this engine was opened with.
     pub fn options(&self) -> StorageOptions {
-        StorageOptions {
-            fsync: self.options.fsync.normalized(),
-            ..self.options
-        }
+        self.options
     }
 
     /// The first I/O error a journaling hook swallowed, if any. A poisoned
@@ -415,7 +412,8 @@ impl StorageEngine {
 
     /// Applies one op to the in-memory state and journals it. Errors from
     /// the journal leave the in-memory state applied (serving continues) —
-    /// the caller decides whether to surface or latch them.
+    /// the caller decides whether to surface or latch them. The op is
+    /// durable once a later [`StorageEngine::sync`] returns.
     pub fn apply(&mut self, op: &StorageOp) -> io::Result<()> {
         self.apply_owned(op.clone())
     }
@@ -468,7 +466,7 @@ impl StorageEngine {
     }
 
     /// Forces everything journaled so far to stable storage — the covering
-    /// sync of a group-commit batch boundary. Free when nothing is pending.
+    /// sync of a batch boundary. Free when nothing is pending.
     pub fn sync(&mut self) -> io::Result<()> {
         let Some(wal) = self.wal.as_mut() else {
             return Ok(());
@@ -492,11 +490,7 @@ impl StorageEngine {
         let tmp = generation_file(&dir, "snapshot", next, "tmp");
         let fin = generation_file(&dir, "snapshot", next, "snap");
         write_snapshot(&tmp, &fin, next, &self.state)?;
-        let wal = WalWriter::create(
-            generation_file(&dir, "wal", next, "log"),
-            self.options.fsync,
-            &self.metrics,
-        )?;
+        let wal = WalWriter::create(generation_file(&dir, "wal", next, "log"), &self.metrics)?;
         // Persist the snapshot rename and the WAL creation *before* deleting
         // the old generation — otherwise a power loss could surface a
         // directory where only the unlinks survived.
@@ -750,7 +744,7 @@ mod tests {
     /// Group commit through the engine: batches, each journaled op by op and
     /// closed by one covering sync as the peer loop does, recover to the same
     /// state as per-op application, and the sync counter proves the
-    /// amortization (one covering `sync_data` per batch, not per op).
+    /// amortization (one covering `sync_data` per batch, none per append).
     #[test]
     fn group_commit_batches_recover_identically_and_amortize_syncs() {
         let per_op_dir = temp_dir("group-commit-per-op");
@@ -758,27 +752,27 @@ mod tests {
         let ops: Vec<StorageOp> = (0..96).map(put).collect();
 
         let expected = {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
+            let mut options = StorageOptions::with_fsync(FsyncPolicy::Never);
             options.snapshot_every = 0;
             let mut engine = StorageEngine::open(&per_op_dir, options).unwrap();
             for op in &ops {
                 engine.apply(op).unwrap();
             }
-            assert_eq!(
-                engine.metrics().wal_syncs.get(),
-                96,
-                "Always pays a sync per op"
-            );
             engine.state.clone()
         };
         {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
+            let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
             options.snapshot_every = 0;
             let mut engine = StorageEngine::open(&batched_dir, options).unwrap();
-            for batch in ops.chunks(8) {
+            for (index, batch) in ops.chunks(8).enumerate() {
                 for op in batch {
                     engine.apply(op).unwrap();
                 }
+                assert_eq!(
+                    engine.metrics().wal_syncs.get(),
+                    index as u64,
+                    "an append never syncs by itself"
+                );
                 engine.sync().unwrap();
             }
             assert_eq!(engine.state, expected);
@@ -811,7 +805,7 @@ mod tests {
             expected.apply(op);
         }
         {
-            let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(256));
+            let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
             options.snapshot_every = 16; // several compactions inside batches
             let mut engine = StorageEngine::open(&dir, options).unwrap();
             for batch in ops.chunks(12) {
@@ -978,6 +972,11 @@ mod tests {
         assert_eq!(engine.replicas().len(), 2);
         assert_eq!(engine.metrics().ops_appended.get(), 0);
         assert!(engine.dir().is_none());
+        assert_eq!(
+            engine.options().fsync,
+            FsyncPolicy::Never,
+            "nothing to sync"
+        );
         engine.sync().unwrap();
     }
 
@@ -1039,7 +1038,7 @@ mod tests {
     #[test]
     fn metrics_count_every_covering_sync_across_compactions() {
         let dir = temp_dir("metrics-compactions");
-        let mut options = StorageOptions::with_fsync(FsyncPolicy::group_commit(64));
+        let mut options = StorageOptions::with_fsync(FsyncPolicy::Always);
         options.snapshot_every = 32;
         let mut engine = StorageEngine::open(&dir, options).unwrap();
         // `put` cycles through 51 distinct records against a floor of 32:

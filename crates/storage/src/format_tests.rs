@@ -176,12 +176,7 @@ fn todays_writers_reproduce_the_fixtures_byte_for_byte() {
 
     let expected_wal = std::fs::read(dir.join(WAL)).unwrap();
     let per_op = out.join("per-op.log");
-    let mut wal = WalWriter::create(
-        per_op.clone(),
-        FsyncPolicy::Never,
-        &StorageMetrics::default(),
-    )
-    .unwrap();
+    let mut wal = WalWriter::create(per_op.clone(), &StorageMetrics::default()).unwrap();
     for op in wal_ops() {
         wal.append(&op).unwrap();
     }

@@ -32,15 +32,12 @@
 //!   record is tolerated and truncated away.
 //! * **WAL** (`wal.rs`): `wal-<generation:016x>.log`, a sequence of framed
 //!   [`StorageOp`] records in apply order, each written by
-//!   [`WalWriter::append`] — the one write path under every policy.
-//!   [`FsyncPolicy`] controls when appends reach stable storage (`Always` /
-//!   `EveryN(n)` / `GroupCommit { max_batch }` / `Never`). Group commit is
-//!   the production-fast durable path: the ops of every request a peer
-//!   drained are appended one by one and made durable by a **single**
-//!   covering `sync_data` at the batch boundary ([`StorageEngine::sync`]) —
-//!   each op is acknowledged only after the sync that covers it, so the
-//!   durability guarantee is `Always`-grade at a fraction of the fsync
-//!   count.
+//!   [`WalWriter::append`], which never syncs. [`FsyncPolicy`] says whether
+//!   acknowledged appends reach stable storage. Under `Always` (group
+//!   commit) the ops of every request a peer drained are appended one by
+//!   one and made durable by a **single** covering `sync_data` at the batch
+//!   boundary ([`StorageEngine::sync`]); each op is acknowledged only after
+//!   the sync that covers it. Under `Never` the OS flushes when it pleases.
 //! * **Snapshots** (`snapshot.rs`): `snapshot-<generation:016x>.snap`, a
 //!   framed header (magic `RDHTSNAP`, version, generation), one op per
 //!   replica/counter, and a footer with the op count; rejected as a whole
@@ -77,6 +74,8 @@
 //! let key = Key::new("agenda:room-42");
 //! ums::insert(&mut dht, &key, b"meeting at 10:00".to_vec()).unwrap();
 //! ums::insert(&mut dht, &key, b"meeting moved to 11:00".to_vec()).unwrap();
+//! // The batch boundary: one covering fsync before the inserts are acknowledged.
+//! dht.durability_mut().sync().unwrap();
 //!
 //! // CRASH: drop the whole DHT. In-memory state is gone.
 //! drop(dht);
@@ -123,7 +122,7 @@ pub use metrics::StorageMetrics;
 pub use op::StorageOp;
 pub use snapshot::write_snapshot;
 pub use state::{CounterSet, MemoryState};
-pub use wal::{replay, FsyncPolicy, WalReplay, WalWriter};
+pub use wal::{replay, FsyncPolicy, WalReplay, WalWriter, MAX_BATCH};
 
 #[cfg(test)]
 mod format_tests;

@@ -114,9 +114,7 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let wal_path = dir.join("wal-0000000000000000.log");
         {
-            let mut wal =
-                WalWriter::create(wal_path.clone(), FsyncPolicy::Never, &StorageMetrics::default())
-                    .unwrap();
+            let mut wal = WalWriter::create(wal_path.clone(), &StorageMetrics::default()).unwrap();
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -176,11 +174,7 @@ proptest! {
         let split = (synced_prefix % (ops.len() as u64 + 1)) as usize;
         let synced_len;
         {
-            let mut wal = WalWriter::create(
-                wal_path.clone(),
-                FsyncPolicy::group_commit(1 << 20),
-                &StorageMetrics::default(),
-            ).unwrap();
+            let mut wal = WalWriter::create(wal_path.clone(), &StorageMetrics::default()).unwrap();
             for op in &ops[..split] {
                 wal.append(op).unwrap();
             }
@@ -216,7 +210,7 @@ proptest! {
         prop_assert_eq!(&counters, &expected.counters);
         let mut engine = StorageEngine::open(
             &dir,
-            StorageOptions::with_fsync(FsyncPolicy::group_commit(64)),
+            StorageOptions::with_fsync(FsyncPolicy::Always),
         ).unwrap();
         engine.apply(&StorageOp::ClearCounters).unwrap();
         engine.sync().unwrap();

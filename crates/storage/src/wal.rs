@@ -2,9 +2,10 @@
 //!
 //! A WAL file is a sequence of CRC-framed [`StorageOp`] records
 //! ([`crate::frame`]). Appending is buffered through a scratch `Vec` (one
-//! `write_all` per op, no intermediate allocation per field) and flushed to
-//! stable storage according to the [`FsyncPolicy`]. The writer counts its
-//! appends, bytes and syncs into the [`StorageMetrics`] handles it is given.
+//! `write_all` per op, no intermediate allocation per field) and reaches
+//! stable storage only at an explicit [`WalWriter::sync`]. The writer counts
+//! its appends, bytes and syncs into the [`StorageMetrics`] handles it is
+//! given.
 //!
 //! Replay walks the frames from the front and stops at the first record that
 //! fails its checksum or decodes to garbage: everything before it is the
@@ -20,75 +21,39 @@ use crate::frame::{frame_with, read_frames, FRAME_HEADER_LEN};
 use crate::metrics::StorageMetrics;
 use crate::op::StorageOp;
 
-/// When appended records are `fsync`ed to stable storage.
+/// The most queued requests one peer batch drains under
+/// [`FsyncPolicy::Always`]: what one covering fsync may span.
+pub const MAX_BATCH: usize = 64;
+
+/// Whether acknowledged records are `fsync`ed to stable storage.
 ///
-/// The knob exists so the durability *tax* can be quantified (see the
-/// `storage` bench target): `Always` survives power loss at every op,
-/// `EveryN` bounds the loss window to `n` ops, `GroupCommit` amortizes one
-/// fsync over every op of a batch while still acknowledging each op only
-/// after its covering sync, `Never` leaves flushing to the OS page cache
-/// (process-crash-safe, power-loss-unsafe).
-///
-/// # Invariants
-///
-/// `EveryN(0)` and `GroupCommit { max_batch: 0 }` are degenerate — taken
-/// literally they would never trigger a sync, silently downgrading the
-/// policy to `Never`. Both are **normalized to `Always`** wherever a policy
-/// enters the write path ([`FsyncPolicy::normalized`], applied by
-/// [`WalWriter::create`] / [`WalWriter::open_after_replay`]): the zero case
-/// reads as "no batching", and the safe meaning of "no batching" is a sync
-/// per op, never no sync at all.
+/// The WAL itself never decides: [`WalWriter::append`] only writes, and the
+/// owner of the acknowledgement issues the covering [`WalWriter::sync`].
+/// A peer does so under `Always` at each batch boundary and after Rule 1's
+/// counter clear at open, and under either policy at its hand-off phases and
+/// on `Shutdown`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended op.
+    /// Group commit: a peer drains what is already queued (up to
+    /// [`MAX_BATCH`] requests, waiting for no straggler), applies and
+    /// journals it, issues one covering fsync and only then replies. Every
+    /// acknowledgement follows the fsync that covers it.
     #[default]
     Always,
-    /// `fsync` after every `n` appended ops (and on explicit `sync`).
-    /// `n == 0` is normalized to [`FsyncPolicy::Always`].
-    EveryN(u64),
-    /// Group commit: individual appends are *not* synced — the caller issues
-    /// one covering [`WalWriter::sync`] at each batch boundary and
-    /// acknowledges an op only after the sync that covers it. A peer's batch
-    /// is what is already queued when it wakes; nothing waits for
-    /// stragglers.
-    ///
-    /// `max_batch` is also a durability bound: should more than `max_batch`
-    /// appends accumulate without an explicit sync, the writer forces one.
-    /// `max_batch == 0` is normalized to [`FsyncPolicy::Always`].
-    GroupCommit {
-        /// Most appends one covering sync may span, and most requests one
-        /// peer batch drains.
-        max_batch: u64,
-    },
-    /// Never `fsync`; the OS flushes when it pleases.
+    /// No covering fsync at the batch boundary; the OS flushes when it
+    /// pleases (process-crash-safe, power-loss-unsafe). A peer serves one
+    /// request at a time.
     Never,
 }
 
 impl FsyncPolicy {
-    /// A group-commit policy, normalized (`max_batch == 0` becomes
-    /// [`FsyncPolicy::Always`]).
-    pub fn group_commit(max_batch: u64) -> Self {
-        FsyncPolicy::GroupCommit { max_batch }.normalized()
-    }
-
-    /// Replaces the degenerate zero-bound variants (`EveryN(0)`,
-    /// `GroupCommit { max_batch: 0 }`) with [`FsyncPolicy::Always`] — taken
-    /// literally they would never sync, which is a silent `Never`.
-    pub fn normalized(self) -> Self {
+    /// How many queued requests one batch may drain when this policy fsyncs
+    /// at the batch boundary: [`MAX_BATCH`] under `Always`, `None` under
+    /// `Never`, whose batches are single requests.
+    pub fn batching(self) -> Option<usize> {
         match self {
-            FsyncPolicy::EveryN(0) | FsyncPolicy::GroupCommit { max_batch: 0 } => {
-                FsyncPolicy::Always
-            }
-            other => other,
-        }
-    }
-
-    /// `max_batch` when this policy is group commit: the caller should batch
-    /// up to that many queued ops and issue one covering sync per batch.
-    pub fn batching(self) -> Option<u64> {
-        match self.normalized() {
-            FsyncPolicy::GroupCommit { max_batch } => Some(max_batch),
-            _ => None,
+            FsyncPolicy::Always => Some(MAX_BATCH),
+            FsyncPolicy::Never => None,
         }
     }
 }
@@ -165,18 +130,16 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    policy: FsyncPolicy,
     appends_since_sync: u64,
     metrics: StorageMetrics,
     scratch: Vec<u8>,
 }
 
 impl WalWriter {
-    fn new(file: File, path: PathBuf, policy: FsyncPolicy, metrics: &StorageMetrics) -> Self {
+    fn new(file: File, path: PathBuf, metrics: &StorageMetrics) -> Self {
         WalWriter {
             file,
             path,
-            policy: policy.normalized(),
             appends_since_sync: 0,
             metrics: metrics.clone(),
             scratch: Vec::new(),
@@ -185,18 +148,14 @@ impl WalWriter {
 
     /// Creates a fresh, empty WAL at `path` (truncating anything there) that
     /// counts into `metrics`.
-    pub fn create(
-        path: PathBuf,
-        policy: FsyncPolicy,
-        metrics: &StorageMetrics,
-    ) -> io::Result<Self> {
+    pub fn create(path: PathBuf, metrics: &StorageMetrics) -> io::Result<Self> {
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(&path)?;
         file.sync_all()?;
-        Ok(WalWriter::new(file, path, policy, metrics))
+        Ok(WalWriter::new(file, path, metrics))
     }
 
     /// Opens an existing WAL for appending after a replay: the file is
@@ -209,7 +168,6 @@ impl WalWriter {
     /// next append and corrupting its framing.
     pub fn open_after_replay(
         path: PathBuf,
-        policy: FsyncPolicy,
         valid_len: u64,
         metrics: &StorageMetrics,
     ) -> io::Result<Self> {
@@ -220,7 +178,7 @@ impl WalWriter {
             file.sync_all()?;
             sync_parent_dir(&path)?;
         }
-        Ok(WalWriter::new(file, path, policy, metrics))
+        Ok(WalWriter::new(file, path, metrics))
     }
 
     /// The file path of this WAL.
@@ -228,24 +186,18 @@ impl WalWriter {
         &self.path
     }
 
-    /// The (normalized) fsync policy this writer applies.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Ops appended but not yet covered by a sync.
     pub fn pending_appends(&self) -> u64 {
         self.appends_since_sync
     }
 
-    /// Appends one framed op and applies the fsync policy. The record is
-    /// framed in place in the reused scratch buffer (header reserved up
-    /// front, sealed after encoding) — no per-append allocation.
+    /// Appends one framed op. The record is framed in place in the reused
+    /// scratch buffer (header reserved up front, sealed after encoding) — no
+    /// per-append allocation.
     ///
-    /// Under [`FsyncPolicy::GroupCommit`] the append is **not** durable when
-    /// this returns (unless the `max_batch` bound forced a sync): the caller
-    /// owns the batch boundary and must call [`WalWriter::sync`] before
-    /// acknowledging the op.
+    /// The append is **not** durable when this returns: the caller owns the
+    /// batch boundary and calls [`WalWriter::sync`] before acknowledging the
+    /// op.
     pub fn append(&mut self, op: &StorageOp) -> io::Result<()> {
         self.scratch.clear();
         frame_with(&mut self.scratch, |out| op.encode(out));
@@ -253,20 +205,7 @@ impl WalWriter {
         self.appends_since_sync += 1;
         self.metrics.ops_appended.inc();
         self.metrics.wal_bytes.add(self.scratch.len() as u64);
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            // Group commit defers to the caller's covering sync; its bound
-            // only backstops a caller that never issues one.
-            FsyncPolicy::EveryN(n) | FsyncPolicy::GroupCommit { max_batch: n } => {
-                self.appends_since_sync >= n
-            }
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            self.sync()
-        } else {
-            Ok(())
-        }
+        Ok(())
     }
 
     /// Forces everything appended so far to stable storage. A no-op when no
@@ -297,9 +236,9 @@ mod tests {
     }
 
     /// A fresh writer at `path` and the handles it counts into.
-    fn writer(path: &Path, policy: FsyncPolicy) -> (WalWriter, StorageMetrics) {
+    fn writer(path: &Path) -> (WalWriter, StorageMetrics) {
         let metrics = StorageMetrics::default();
-        let wal = WalWriter::create(path.to_path_buf(), policy, &metrics).unwrap();
+        let wal = WalWriter::create(path.to_path_buf(), &metrics).unwrap();
         (wal, metrics)
     }
 
@@ -320,7 +259,7 @@ mod tests {
         let path = temp_path("round-trip");
         let ops = sample_ops(20);
         {
-            let (mut wal, _) = writer(&path, FsyncPolicy::EveryN(4));
+            let (mut wal, _) = writer(&path);
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -343,7 +282,7 @@ mod tests {
     fn a_frame_that_checksums_but_does_not_decode_ends_the_prefix() {
         let path = temp_path("undecodable");
         let ops = sample_ops(4);
-        let (mut wal, metrics) = writer(&path, FsyncPolicy::Never);
+        let (mut wal, metrics) = writer(&path);
         for op in &ops {
             wal.append(op).unwrap();
         }
@@ -369,15 +308,11 @@ mod tests {
     fn group_commit_defers_syncs_to_the_batch_boundary() {
         let path = temp_path("group-defer");
         let ops = sample_ops(10);
-        let (mut wal, metrics) = writer(&path, FsyncPolicy::group_commit(64));
+        let (mut wal, metrics) = writer(&path);
         for op in &ops {
             wal.append(op).unwrap();
         }
-        assert_eq!(
-            metrics.wal_syncs.get(),
-            0,
-            "appends below max_batch never sync"
-        );
+        assert_eq!(metrics.wal_syncs.get(), 0, "appends never sync");
         assert_eq!(wal.pending_appends(), 10);
         wal.sync().unwrap();
         assert_eq!(
@@ -392,40 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_max_batch_bound_forces_a_sync() {
-        let path = temp_path("group-bound");
-        let ops = sample_ops(9);
-        let (mut wal, metrics) = writer(&path, FsyncPolicy::group_commit(4));
-        for op in &ops {
-            wal.append(op).unwrap();
-        }
-        // 9 appends against a bound of 4: forced syncs at 4 and 8.
-        assert_eq!(metrics.wal_syncs.get(), 2);
-        assert_eq!(wal.pending_appends(), 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn degenerate_zero_bound_policies_normalize_to_always() {
-        assert_eq!(FsyncPolicy::EveryN(0).normalized(), FsyncPolicy::Always);
-        assert_eq!(FsyncPolicy::group_commit(0), FsyncPolicy::Always);
-        assert_eq!(FsyncPolicy::EveryN(3).normalized(), FsyncPolicy::EveryN(3));
-        assert_eq!(FsyncPolicy::Always.batching(), None);
-        assert_eq!(FsyncPolicy::group_commit(8).batching(), Some(8));
-
-        // EveryN(0) used to degrade to Never (appends never hit the `>= n`
-        // threshold); normalized it syncs every op, like Always.
-        let path = temp_path("every0");
-        let (mut wal, metrics) = writer(&path, FsyncPolicy::EveryN(0));
-        assert_eq!(wal.policy(), FsyncPolicy::Always);
-        wal.append(&sample_ops(1)[0]).unwrap();
-        assert_eq!(
-            metrics.wal_syncs.get(),
-            1,
-            "EveryN(0) must sync per op, not never"
-        );
-        assert_eq!(wal.pending_appends(), 0);
-        std::fs::remove_file(&path).unwrap();
+    fn always_is_the_default_and_the_only_batching_policy() {
+        assert_eq!(FsyncPolicy::default(), FsyncPolicy::Always);
+        assert_eq!(FsyncPolicy::Always.batching(), Some(MAX_BATCH));
+        assert_eq!(FsyncPolicy::Never.batching(), None);
     }
 
     #[test]
@@ -433,7 +338,7 @@ mod tests {
         let path = temp_path("torn");
         let ops = sample_ops(10);
         {
-            let (mut wal, _) = writer(&path, FsyncPolicy::Never);
+            let (mut wal, _) = writer(&path);
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -454,7 +359,6 @@ mod tests {
         {
             let mut wal = WalWriter::open_after_replay(
                 path.clone(),
-                FsyncPolicy::Always,
                 replayed.valid_len,
                 &StorageMetrics::default(),
             )
@@ -478,7 +382,7 @@ mod tests {
         let path = temp_path("truncate-crash");
         let ops = sample_ops(6);
         {
-            let (mut wal, _) = writer(&path, FsyncPolicy::Never);
+            let (mut wal, _) = writer(&path);
             for op in &ops {
                 wal.append(op).unwrap();
             }
@@ -496,7 +400,6 @@ mod tests {
             // file and its directory) and is dropped without appending.
             let wal = WalWriter::open_after_replay(
                 path.clone(),
-                FsyncPolicy::Always,
                 replayed.valid_len,
                 &StorageMetrics::default(),
             )
@@ -517,7 +420,6 @@ mod tests {
         {
             let mut wal = WalWriter::open_after_replay(
                 path.clone(),
-                FsyncPolicy::Always,
                 after.valid_len,
                 &StorageMetrics::default(),
             )
