@@ -372,4 +372,22 @@ mod tests {
         let bound = analysis::theorem1_upper_bound(0.35);
         assert!(bound < 3.0);
     }
+
+    /// BRK's figures (and UMS's beside them) at quick scale are exactly the
+    /// committed golden tables: the replica sweep is where BRK's fetch-all
+    /// cost shows, so any change to its insert, retrieve or holder rule that
+    /// moves a number fails here.
+    #[test]
+    fn fig9_fig10_quick_match_the_golden_file() {
+        let golden = include_str!("../golden/experiments_quick.md");
+        let (fig9, fig10) = fig9_fig10(Scale::Quick);
+        for result in [fig9, fig10] {
+            let table = result.to_markdown();
+            assert!(
+                golden.contains(&table),
+                "{} differs from crates/bench/golden/experiments_quick.md:\n{table}",
+                result.id
+            );
+        }
+    }
 }
