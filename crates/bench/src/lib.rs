@@ -20,7 +20,10 @@
 //! uses the paper's sizes (10,000 peers). The absolute times differ from the
 //! published numbers — the network model is a simulator, not the authors'
 //! 2007 testbed — but the orderings, growth trends and crossovers are the
-//! comparison targets, recorded in `EXPERIMENTS.md`.
+//! comparison targets. The quick-scale output is pinned in
+//! `crates/bench/golden/experiments_quick.md`: CI diffs the `experiments` bin
+//! against it, and a unit test (`fig9_fig10_quick_match_the_golden_file`)
+//! checks Figures 9–10, where BRK's fetch-all cost shows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,6 +17,10 @@ use crate::types::{ReplicaValue, Timestamp};
 ///   Chord overlay (every call is priced in simulated latency and messages);
 /// * `rdht_net::ClusterClient` — real message exchange with threaded peers.
 ///
+/// The BRK baseline ([`crate::brk`]) runs over the same trait but uses only
+/// `put_h` / `get_h` ([`UmsAccess::put_replica`], [`UmsAccess::get_replica`])
+/// over [`UmsAccess::replication_ids`]: it has no timestamping service.
+///
 /// The `&mut self` receivers exist because implementations mutate their
 /// environment: the simulator advances clocks and repairs routing state, the
 /// threaded client consumes its sockets.

@@ -38,6 +38,9 @@
 //! (`rdht-sim`) and the threaded deployment (`rdht-net`) both drive it
 //! through the [`UmsAccess`] trait.
 //!
+//! [`brk`] is the paper's baseline (BRICKS-style version counters, fetch-all
+//! retrieve), run over the same [`UmsAccess`] environments without KTS.
+//!
 //! # Quick example (in-memory access)
 //!
 //! ```
@@ -58,6 +61,7 @@
 
 mod access;
 pub mod analysis;
+pub mod brk;
 pub mod durability;
 mod error;
 pub mod kts;

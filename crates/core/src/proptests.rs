@@ -8,7 +8,7 @@ use crate::durability::NoDurability;
 use crate::kts::{IndirectObservation, KtsNode};
 use crate::memory::InMemoryDht;
 use crate::types::Timestamp;
-use crate::{analysis, ums};
+use crate::{analysis, brk, ums};
 
 proptest! {
     /// Timestamps generated for the same key are strictly increasing, no
@@ -184,5 +184,54 @@ proptest! {
         prop_assert!(eq1 <= analysis::theorem1_upper_bound(p_t) + 1e-9);
         let ps = analysis::indirect_success_probability(p_t, hr);
         prop_assert!((0.0..=1.0).contains(&ps));
+    }
+
+    /// Sequential (non-concurrent) updates behave correctly in BRK: the last
+    /// written value is returned, like UMS.
+    #[test]
+    fn sequential_updates_agree_with_ums(
+        num_replicas in 1usize..15,
+        seed in any::<u64>(),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 1..25),
+    ) {
+        let mut brk_dht = InMemoryDht::new(num_replicas, seed);
+        let mut ums_dht = InMemoryDht::new(num_replicas, seed);
+        let key = Key::new("shared");
+        for payload in &payloads {
+            brk::insert(&mut brk_dht, &key, payload.clone()).unwrap();
+            ums::insert(&mut ums_dht, &key, payload.clone()).unwrap();
+        }
+        let brk_result = brk::retrieve(&mut brk_dht, &key).unwrap();
+        let ums_result = ums::retrieve(&mut ums_dht, &key).unwrap();
+        prop_assert_eq!(brk_result.data.as_ref(), payloads.last());
+        prop_assert_eq!(brk_result.data, ums_result.data);
+        // BRK always pays |Hr| probes; UMS finds a current replica on the
+        // first probe in this failure-free setting.
+        prop_assert_eq!(brk_result.replicas_probed, num_replicas);
+        prop_assert_eq!(ums_result.replicas_probed, 1);
+    }
+
+    /// BRK's version numbers equal the number of updates applied so far.
+    #[test]
+    fn versions_count_updates(
+        seed in any::<u64>(),
+        updates in 1usize..30,
+    ) {
+        let mut dht = InMemoryDht::new(5, seed);
+        let key = Key::new("doc");
+        let mut last_version = Timestamp::ZERO;
+        for i in 0..updates {
+            last_version = brk::insert(&mut dht, &key, vec![i as u8]).unwrap().timestamp;
+        }
+        prop_assert_eq!(last_version, Timestamp(updates as u64));
+    }
+
+    /// Unknown keys never return data from BRK, regardless of replica count.
+    #[test]
+    fn unknown_keys_return_nothing(num_replicas in 1usize..30, seed in any::<u64>()) {
+        let mut dht = InMemoryDht::new(num_replicas, seed);
+        let got = brk::retrieve(&mut dht, &Key::new("never inserted")).unwrap();
+        prop_assert!(got.data.is_none());
+        prop_assert_eq!(got.replicas_probed, num_replicas);
     }
 }

@@ -7,7 +7,6 @@ use rdht_hashing::{HashId, Key};
 use rdht_net::fault::End;
 use rdht_overlay::{LookupError, NodeId, Record, WritePolicy};
 
-use rdht_baseline::{BrkAccess, Version, VersionedValue};
 use rdht_core::durability::NoDurability;
 use rdht_core::kts::{IndirectObservation, Probe};
 use rdht_core::{ReplicaValue, Timestamp, UmsAccess, UmsError};
@@ -18,11 +17,14 @@ use crate::simulation::Simulation;
 /// A cost-accounting view of the simulated DHT, bound to one origin peer and
 /// one algorithm universe.
 ///
-/// Every [`UmsAccess`] / [`BrkAccess`] call is executed against the real
-/// overlay (routing hops, timeouts, lazy repair) and the per-peer stores of
-/// the chosen universe, and its cost is added to the running totals returned
-/// by [`SimAccess::cost`]. The paper's response time and message-count
-/// metrics are exactly these totals.
+/// Every [`UmsAccess`] call is executed against the real overlay (routing
+/// hops, timeouts, lazy repair) and the per-peer stores of the chosen
+/// universe, and its cost is added to the running totals returned by
+/// [`SimAccess::cost`]. The paper's response time and message-count metrics
+/// are exactly these totals. UMS and BRK share the one `put_replica` (holders
+/// keep only a strictly newer stamp, [`WritePolicy::KeepNewest`]) and the one
+/// `get_replica`; BRK never calls the KTS methods, which fail in its
+/// universe.
 pub struct SimAccess<'a> {
     sim: &'a mut Simulation,
     origin: NodeId,
@@ -272,81 +274,6 @@ impl UmsAccess for SimAccess<'_> {
                 Ok(Some(ReplicaValue::new(
                     record.payload,
                     Timestamp(record.stamp),
-                )))
-            }
-            None => {
-                self.charge_control();
-                Ok(None)
-            }
-        }
-    }
-
-    fn replication_count(&self) -> usize {
-        self.sim.family.num_replication()
-    }
-}
-
-impl BrkAccess for SimAccess<'_> {
-    fn put_versioned(
-        &mut self,
-        hash: HashId,
-        key: &Key,
-        value: &VersionedValue,
-    ) -> Result<(), UmsError> {
-        let position = self.sim.family.eval(hash, key);
-        let holder = self.lookup_priced(self.origin, position)?;
-        if self.put_is_forced_to_fail(hash) {
-            self.elapsed += self.sim.network.timeout_penalty();
-            self.messages += 1;
-            return Err(UmsError::lookup("replica holder transiently unreachable"));
-        }
-        if self.data_message_dropped(holder) {
-            return Err(UmsError::lookup("replica write lost (fault plan)"));
-        }
-        self.charge_data();
-        self.charge_control();
-        let peer = self
-            .sim
-            .peers
-            .get_mut(&holder)
-            .ok_or_else(|| UmsError::lookup("replica holder vanished"))?;
-        let store = peer.store_mut(self.algorithm);
-        if store
-            .get(hash, key)
-            .is_none_or(|held| value.supersedes(Version(held.stamp)))
-        {
-            let record = Record {
-                payload: value.data.clone(),
-                stamp: value.version.0,
-                position,
-            };
-            store.put(hash, key.clone(), record, WritePolicy::Overwrite);
-        }
-        Ok(())
-    }
-
-    fn get_versioned(
-        &mut self,
-        hash: HashId,
-        key: &Key,
-    ) -> Result<Option<VersionedValue>, UmsError> {
-        let position = self.sim.family.eval(hash, key);
-        let holder = self.lookup_priced(self.origin, position)?;
-        if self.data_message_dropped(holder) {
-            return Err(UmsError::lookup("replica probe lost (fault plan)"));
-        }
-        let record = self
-            .sim
-            .peers
-            .get(&holder)
-            .and_then(|peer| peer.store(self.algorithm).get(hash, key))
-            .map(|record| record.to_record());
-        match record {
-            Some(record) => {
-                self.charge_data();
-                Ok(Some(VersionedValue::new(
-                    record.payload,
-                    Version(record.stamp),
                 )))
             }
             None => {

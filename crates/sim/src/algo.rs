@@ -20,11 +20,6 @@ impl Algorithm {
     /// All algorithms, in the order the experiment tables report them.
     pub const ALL: [Algorithm; 3] = [Algorithm::Brk, Algorithm::UmsIndirect, Algorithm::UmsDirect];
 
-    /// Whether this algorithm uses UMS/KTS (as opposed to the baseline).
-    pub fn is_ums(self) -> bool {
-        matches!(self, Algorithm::UmsDirect | Algorithm::UmsIndirect)
-    }
-
     /// The label used in tables and experiment output, matching the paper's
     /// figure legends.
     pub fn label(self) -> &'static str {
@@ -56,9 +51,9 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Algorithm::UmsDirect.is_ums());
-        assert!(Algorithm::UmsIndirect.is_ums());
-        assert!(!Algorithm::Brk.is_ums());
-        assert_eq!(Algorithm::ALL.len(), 3);
+        assert_eq!(
+            Algorithm::ALL,
+            [Algorithm::Brk, Algorithm::UmsIndirect, Algorithm::UmsDirect]
+        );
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! * a Chord overlay (`rdht-overlay`) whose routing state degrades under
 //!   churn and is repaired by periodic stabilization;
-//! * per-peer state (`rdht-core` KTS nodes and replica stores) for **three
-//!   parallel algorithm universes** sharing the same churn and update
-//!   history: UMS with direct counter initialization, UMS with indirect
-//!   counter initialization, and the BRK baseline;
+//! * per-peer state (`rdht-core` KTS nodes and `rdht-overlay` replica
+//!   stores) for **three parallel algorithm universes** sharing the same
+//!   churn and update history: UMS with direct counter initialization, UMS
+//!   with indirect counter initialization, and the BRK baseline;
 //! * a network model pricing every message with a normally distributed
 //!   latency plus a bandwidth term (Table 1: latency ~ N(200 ms, 100),
 //!   bandwidth ~ N(56 kbps, 32)), and a timeout penalty for probes sent to
@@ -23,10 +23,11 @@
 //!   each algorithm — the two metrics every figure of the paper reports.
 //!
 //! The measured operations run the *real* library code: queries call
-//! [`rdht_core::ums::retrieve`] and [`rdht_baseline::retrieve`]; updates call
-//! [`rdht_core::ums::insert`] and [`rdht_baseline::insert`] — all through
-//! [`SimAccess`], which executes lookups against the simulated overlay and
-//! accumulates simulated time and messages.
+//! [`rdht_core::ums::retrieve`] and [`rdht_core::brk::retrieve`]; updates call
+//! [`rdht_core::ums::insert`] and [`rdht_core::brk::insert`] — all through
+//! [`SimAccess`], the one [`rdht_core::UmsAccess`] of the simulator, which
+//! executes lookups against the simulated overlay and accumulates simulated
+//! time and messages.
 //!
 //! # Example
 //!

@@ -86,12 +86,6 @@ impl PeerState {
             Algorithm::Brk => (&mut self.store_brk, None),
         }
     }
-
-    /// Total number of replicas stored across the three universes (used by
-    /// capacity assertions in tests).
-    pub fn total_stored(&self) -> usize {
-        self.store_direct.len() + self.store_indirect.len() + self.store_brk.len()
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +110,6 @@ mod tests {
         assert_eq!(peer.store(Algorithm::UmsDirect).len(), 1);
         assert_eq!(peer.store(Algorithm::UmsIndirect).len(), 0);
         assert_eq!(peer.store(Algorithm::Brk).len(), 0);
-        assert_eq!(peer.total_stored(), 1);
     }
 
     #[test]
@@ -131,7 +124,9 @@ mod tests {
     #[test]
     fn new_peer_starts_empty() {
         let peer = PeerState::new();
-        assert_eq!(peer.total_stored(), 0);
+        assert!(Algorithm::ALL
+            .iter()
+            .all(|&algorithm| peer.store(algorithm).is_empty()));
         assert!(peer.kts_direct.vcs().is_empty());
         assert!(peer.kts_indirect.vcs().is_empty());
     }

@@ -11,7 +11,7 @@ use rdht_overlay::chord::{ChordConfig, ChordNetwork};
 use rdht_overlay::NodeId;
 
 use rdht_core::kts::{IndirectObservation, Probe};
-use rdht_core::{ums, Timestamp};
+use rdht_core::{brk, ums, Timestamp};
 
 use crate::access::SimAccess;
 use crate::algo::Algorithm;
@@ -373,18 +373,19 @@ impl Simulation {
             .filter(|_| self.rng.gen_bool(failure_probability))
             .collect();
 
+        // One insert per universe, in this order: the simulated delays draw
+        // from the shared RNG, so the order is part of every run's output.
         let mut committed = false;
-        for algorithm in [Algorithm::UmsDirect, Algorithm::UmsIndirect] {
+        for algorithm in [Algorithm::UmsDirect, Algorithm::UmsIndirect, Algorithm::Brk] {
             let mut access =
                 SimAccess::new(self, origin, algorithm).with_forced_put_failures(&forced_failures);
-            if let Ok(report) = ums::insert(&mut access, &key, payload.clone()) {
-                committed |= report.replicas_written > 0;
-            }
-        }
-        {
-            let mut access = SimAccess::new(self, origin, Algorithm::Brk)
-                .with_forced_put_failures(&forced_failures);
-            if let Ok(report) = rdht_baseline::insert(&mut access, &key, payload.clone()) {
+            let inserted = match algorithm {
+                Algorithm::UmsDirect | Algorithm::UmsIndirect => {
+                    ums::insert(&mut access, &key, payload.clone())
+                }
+                Algorithm::Brk => brk::insert(&mut access, &key, payload.clone()),
+            };
+            if let Ok(report) = inserted {
                 committed |= report.replicas_written > 0;
             }
         }
@@ -415,74 +416,49 @@ impl Simulation {
 
         for algorithm in Algorithm::ALL {
             let currency = self.measure_currency(key_index, algorithm);
-            let sample = match algorithm {
-                Algorithm::UmsDirect | Algorithm::UmsIndirect => {
-                    let mut access = SimAccess::new(self, origin, algorithm);
-                    match ums::retrieve(&mut access, &key) {
-                        Ok(report) => {
-                            let (elapsed, messages) = access.cost();
-                            let returned_latest = report.data.as_deref()
-                                == Some(self.latest_payload[key_index].as_slice());
-                            Some(QuerySample {
-                                time,
-                                algorithm,
-                                key_index,
-                                response_time: elapsed,
-                                messages,
-                                replicas_probed: report.replicas_probed,
-                                certified_current: report.is_current,
-                                returned_latest,
-                                currency_availability: currency,
-                            })
-                        }
-                        Err(_) => None,
-                    }
-                }
-                Algorithm::Brk => {
-                    let mut access = SimAccess::new(self, origin, algorithm);
-                    match rdht_baseline::retrieve(&mut access, &key) {
-                        Ok(report) => {
-                            let (elapsed, messages) = access.cost();
-                            let returned_latest = report.data.as_deref()
-                                == Some(self.latest_payload[key_index].as_slice());
-                            Some(QuerySample {
-                                time,
-                                algorithm,
-                                key_index,
-                                response_time: elapsed,
-                                messages,
-                                replicas_probed: report.replicas_probed,
-                                certified_current: false,
-                                returned_latest,
-                                currency_availability: currency,
-                            })
-                        }
-                        Err(_) => None,
-                    }
-                }
+            let mut access = SimAccess::new(self, origin, algorithm);
+            // BRK cannot certify currency: it has no timestamp to compare with.
+            let retrieved = match algorithm {
+                Algorithm::UmsDirect | Algorithm::UmsIndirect => ums::retrieve(&mut access, &key)
+                    .map(|report| (report.data, report.replicas_probed, report.is_current)),
+                Algorithm::Brk => brk::retrieve(&mut access, &key)
+                    .map(|report| (report.data, report.replicas_probed, false)),
             };
-            if let Some(sample) = sample {
-                if let Some(trace) = &self.trace {
-                    // One lane per algorithm; the span's length is the
-                    // simulated response time the figures plot. The span
-                    // carries a deterministic trace id (a counter, not the
-                    // RNG) so sim traces merge with live ones on equal
-                    // footing — same `trace_id` args key, same format.
-                    self.trace_query_seq += 1;
-                    trace.complete_with_args(
-                        algorithm.label(),
-                        TRACE_PID_QUERIES,
-                        trace_tid(algorithm),
-                        trace_us(time),
-                        trace_us(sample.response_time),
-                        vec![(
-                            "trace_id".to_string(),
-                            format!("{:016x}", self.trace_query_seq),
-                        )],
-                    );
-                }
-                self.samples.push(sample);
+            let (response_time, messages) = access.cost();
+            let Ok((data, replicas_probed, certified_current)) = retrieved else {
+                continue;
+            };
+            let sample = QuerySample {
+                time,
+                algorithm,
+                key_index,
+                response_time,
+                messages,
+                replicas_probed,
+                certified_current,
+                returned_latest: data.as_deref() == Some(self.latest_payload[key_index].as_slice()),
+                currency_availability: currency,
+            };
+            if let Some(trace) = &self.trace {
+                // One lane per algorithm; the span's length is the
+                // simulated response time the figures plot. The span
+                // carries a deterministic trace id (a counter, not the
+                // RNG) so sim traces merge with live ones on equal
+                // footing — same `trace_id` args key, same format.
+                self.trace_query_seq += 1;
+                trace.complete_with_args(
+                    algorithm.label(),
+                    TRACE_PID_QUERIES,
+                    trace_tid(algorithm),
+                    trace_us(time),
+                    trace_us(sample.response_time),
+                    vec![(
+                        "trace_id".to_string(),
+                        format!("{:016x}", self.trace_query_seq),
+                    )],
+                );
             }
+            self.samples.push(sample);
         }
     }
 

@@ -1,9 +1,8 @@
 //! Simulator-level tests: determinism, currency guarantees, cost ordering.
 
-use rdht_baseline::{BrkAccess, Version, VersionedValue};
 use rdht_core::durability::NoDurability;
 use rdht_core::kts::IndirectObservation;
-use rdht_core::Timestamp;
+use rdht_core::{InMemoryDht, ReplicaValue, Timestamp, UmsAccess};
 use rdht_hashing::{HashId, Key};
 use rdht_overlay::{NodeId, Record, WritePolicy};
 
@@ -70,23 +69,27 @@ fn ums_is_cheaper_than_brk() {
     assert!(ums.mean_replicas_probed < brk.mean_replicas_probed);
 }
 
-/// The simulator's BRK holders apply the reference holder rule
-/// (`InMemoryBrk`): of two writes with equal versions, the later one wins.
+/// The simulator's BRK holders apply the one holder rule of the reference
+/// (`InMemoryDht`): of two writes with equal versions, the one that arrived
+/// first stays, and a lower version never replaces a higher one.
 #[test]
 fn brk_equal_version_writes_take_arrival_order() {
     let mut sim = Simulation::new(SimConfig::small_test(48, 7));
     let origin = sim.overlay.sample_alive(0).unwrap();
     let hash = sim.family.replication_ids().next().unwrap();
+    let mut reference = InMemoryDht::new(sim.family.num_replication(), 7);
     let key = Key::new("doc");
     let mut access = SimAccess::new(&mut sim, origin, Algorithm::Brk);
     for (data, version) in [("first", 1), ("second", 1), ("older", 0)] {
-        let value = VersionedValue::new(data.as_bytes().to_vec(), Version(version));
-        access.put_versioned(hash, &key, &value).unwrap();
+        let value = ReplicaValue::new(data.as_bytes().to_vec(), Timestamp(version));
+        access.put_replica(hash, &key, &value).unwrap();
+        reference.put_replica(hash, &key, &value).unwrap();
     }
-    let got = access.get_versioned(hash, &key).unwrap().unwrap();
+    let got = access.get_replica(hash, &key).unwrap().unwrap();
+    assert_eq!(got, reference.get_replica(hash, &key).unwrap().unwrap());
     assert_eq!(
-        (got.data.as_slice(), got.version),
-        (&b"second"[..], Version(1))
+        (got.data.as_slice(), got.timestamp),
+        (&b"first"[..], Timestamp(1))
     );
 }
 

@@ -11,9 +11,7 @@
 //! cargo run --release --example auction
 //! ```
 
-use rdht::baseline::{self, InMemoryBrk, Version, VersionedValue};
-use rdht::core::ReplicaValue;
-use rdht::core::{ums, InMemoryDht, UmsAccess};
+use rdht::core::{brk, ums, InMemoryDht, ReplicaValue, Timestamp, UmsAccess};
 use rdht::hashing::Key;
 
 fn main() {
@@ -26,24 +24,25 @@ fn main() {
 /// (Section 6 of the paper, discussing BRICKS).
 fn brk_ambiguity(item: &Key) {
     println!("== BRK baseline (version counters) ==");
-    let mut dht = InMemoryBrk::new(6, 1);
-    baseline::insert(&mut dht, item, b"opening bid: 100".to_vec()).unwrap();
+    let mut dht = InMemoryDht::new(6, 1);
+    brk::insert(&mut dht, item, b"opening bid: 100".to_vec()).unwrap();
 
     // Both bidders read version 1, both mint version 2, and their writes
-    // reach the replicas in different orders (a reordered network).
-    let alice = VersionedValue::new(b"alice bids 150".to_vec(), Version(2));
-    let bob = VersionedValue::new(b"bob bids 160".to_vec(), Version(2));
+    // reach the replicas in different orders (a reordered network). Each
+    // replica keeps the bid that reached it first.
+    let alice = ReplicaValue::new(b"alice bids 150".to_vec(), Timestamp(2));
+    let bob = ReplicaValue::new(b"bob bids 160".to_vec(), Timestamp(2));
     for (i, hash) in dht.replication_ids_vec().into_iter().enumerate() {
         if i % 2 == 0 {
-            baseline::BrkAccess::put_versioned(&mut dht, hash, item, &alice).unwrap();
-            baseline::BrkAccess::put_versioned(&mut dht, hash, item, &bob).unwrap();
+            dht.put_replica(hash, item, &alice).unwrap();
+            dht.put_replica(hash, item, &bob).unwrap();
         } else {
-            baseline::BrkAccess::put_versioned(&mut dht, hash, item, &bob).unwrap();
-            baseline::BrkAccess::put_versioned(&mut dht, hash, item, &alice).unwrap();
+            dht.put_replica(hash, item, &bob).unwrap();
+            dht.put_replica(hash, item, &alice).unwrap();
         }
     }
 
-    let result = baseline::retrieve(&mut dht, item).unwrap();
+    let result = brk::retrieve(&mut dht, item).unwrap();
     println!(
         "highest version is {}, but the replicas disagree about what it contains:",
         result.version

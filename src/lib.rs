@@ -15,8 +15,7 @@
 //! |---|---|---|
 //! | [`hashing`] | `rdht-hashing` | keys, pairwise-independent hash families |
 //! | [`overlay`] | `rdht-overlay` | Chord overlay (routing, churn) and the per-peer replica store |
-//! | [`core`] | `rdht-core` | UMS + KTS + the probabilistic analysis |
-//! | [`baseline`] | `rdht-baseline` | the BRK (BRICKS-style) baseline |
+//! | [`core`] | `rdht-core` | UMS + KTS + the probabilistic analysis; the BRK baseline ([`core::brk`]) |
 //! | [`sim`] | `rdht-sim` | discrete-event simulator and workloads |
 //! | [`net`] | `rdht-net` | threaded in-process cluster deployment; the journaled join/leave hand-off ([`net::handoff`]) the simulator runs too |
 //! | [`storage`] | `rdht-storage` | durable peer state: WAL, snapshots, recovery |
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rdht_baseline as baseline;
 pub use rdht_core as core;
 pub use rdht_hashing as hashing;
 pub use rdht_net as net;

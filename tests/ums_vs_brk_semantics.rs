@@ -1,8 +1,7 @@
 //! Integration tests contrasting UMS semantics with the BRK baseline — the
 //! behavioural claims of Sections 3 and 6 of the paper.
 
-use rdht::baseline::{self, BrkAccess, InMemoryBrk, Version, VersionedValue};
-use rdht::core::{ums, InMemoryDht, ReplicaValue, UmsAccess};
+use rdht::core::{brk, ums, InMemoryDht, ReplicaValue, UmsAccess};
 use rdht::hashing::Key;
 
 /// Replays the paper's introductory scenario: an update misses one replica
@@ -36,17 +35,18 @@ fn missed_update_does_not_surface_stale_data() {
 fn concurrent_updates_brk_ambiguous_ums_deterministic() {
     let key = Key::new("k");
 
-    // BRK: both updaters mint version 2.
-    let mut brk = InMemoryBrk::new(2, 2);
-    baseline::insert(&mut brk, &key, b"d0".to_vec()).unwrap();
-    let ids = brk.replication_ids_vec();
-    let d2 = VersionedValue::new(b"d2".to_vec(), Version(2));
-    let d3 = VersionedValue::new(b"d3".to_vec(), Version(2));
-    brk.put_versioned(ids[0], &key, &d2).unwrap();
-    brk.put_versioned(ids[0], &key, &d3).unwrap();
-    brk.put_versioned(ids[1], &key, &d3).unwrap();
-    brk.put_versioned(ids[1], &key, &d2).unwrap();
-    let brk_result = baseline::retrieve(&mut brk, &key).unwrap();
+    // BRK: both updaters read version 1 and mint version 2; each holder keeps
+    // the write that reached it first.
+    let mut brk_dht = InMemoryDht::new(2, 2);
+    brk::insert(&mut brk_dht, &key, b"d0".to_vec()).unwrap();
+    let ids = brk_dht.replication_ids_vec();
+    let d2 = ReplicaValue::new(b"d2".to_vec(), rdht::Timestamp(2));
+    let d3 = ReplicaValue::new(b"d3".to_vec(), rdht::Timestamp(2));
+    brk_dht.put_replica(ids[0], &key, &d2).unwrap();
+    brk_dht.put_replica(ids[0], &key, &d3).unwrap();
+    brk_dht.put_replica(ids[1], &key, &d3).unwrap();
+    brk_dht.put_replica(ids[1], &key, &d2).unwrap();
+    let brk_result = brk::retrieve(&mut brk_dht, &key).unwrap();
     assert!(
         brk_result.ambiguity.is_some(),
         "same version, different payloads: BRK cannot identify the current replica"
@@ -80,9 +80,9 @@ fn probe_counts_diverge_with_replica_count() {
         let ums_result = ums::retrieve(&mut ums_dht, &key).unwrap();
         assert_eq!(ums_result.replicas_probed, 1);
 
-        let mut brk_dht = InMemoryBrk::new(replicas, 3);
-        baseline::insert(&mut brk_dht, &key, b"v".to_vec()).unwrap();
-        let brk_result = baseline::retrieve(&mut brk_dht, &key).unwrap();
+        let mut brk_dht = InMemoryDht::new(replicas, 3);
+        brk::insert(&mut brk_dht, &key, b"v".to_vec()).unwrap();
+        let brk_result = brk::retrieve(&mut brk_dht, &key).unwrap();
         assert_eq!(brk_result.replicas_probed, replicas);
     }
 }
