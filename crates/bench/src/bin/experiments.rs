@@ -49,12 +49,6 @@ fn main() {
     let run_all = requested.contains("all");
     let wants = |name: &str| run_all || requested.contains(name);
 
-    println!("# Experiment run ({:?} scale)\n", scale);
-
-    if wants("table1") {
-        println!("{}", experiments::table1());
-    }
-
     let mut results: Vec<ExperimentResult> = Vec::new();
     if wants("fig6") {
         results.push(experiments::fig6(scale));
@@ -87,9 +81,10 @@ fn main() {
         results.push(experiments::theorem1(scale));
     }
 
-    for result in &results {
-        println!("{}", result.to_markdown());
-    }
+    print!(
+        "{}",
+        experiments::markdown(scale, wants("table1"), &results)
+    );
 
     if let Some(dir) = csv_dir {
         if let Err(error) = std::fs::create_dir_all(&dir) {

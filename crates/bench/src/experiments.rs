@@ -317,9 +317,24 @@ pub fn theorem1(scale: Scale) -> ExperimentResult {
     result
 }
 
+/// The markdown the `experiments` bin prints: a heading naming the scale,
+/// Table 1 when `with_table1`, then each result's table. For every
+/// experiment at quick scale this is `crates/bench/golden/experiments_quick.md`.
+pub fn markdown(scale: Scale, with_table1: bool, results: &[ExperimentResult]) -> String {
+    let mut out = format!("# Experiment run ({scale:?} scale)\n\n");
+    if with_table1 {
+        out.push_str(&table1());
+        out.push('\n');
+    }
+    for result in results {
+        out.push_str(&result.to_markdown());
+        out.push('\n');
+    }
+    out
+}
+
 /// Runs every experiment at the given scale, in the order the paper presents
-/// them. Returns `(id, markdown)` pairs plus the raw results for programmatic
-/// checks.
+/// them.
 pub fn run_all(scale: Scale) -> Vec<ExperimentResult> {
     let mut results = Vec::new();
     results.push(fig6(scale));
@@ -373,21 +388,27 @@ mod tests {
         assert!(bound < 3.0);
     }
 
-    /// BRK's figures (and UMS's beside them) at quick scale are exactly the
-    /// committed golden tables: the replica sweep is where BRK's fetch-all
-    /// cost shows, so any change to its insert, retrieve or holder rule that
-    /// moves a number fails here.
+    /// Every quick table, Table 1 and Figures 6-12 with Theorem 1, is
+    /// exactly the committed golden file, byte for byte as the bin prints
+    /// it. Figures 9-10 are where BRK's fetch-all cost shows, so a change to
+    /// its insert, retrieve or holder rule fails here as surely as one to
+    /// UMS, KTS, the hand-off or the simulator.
     #[test]
     fn fig9_fig10_quick_match_the_golden_file() {
         let golden = include_str!("../golden/experiments_quick.md");
-        let (fig9, fig10) = fig9_fig10(Scale::Quick);
-        for result in [fig9, fig10] {
-            let table = result.to_markdown();
-            assert!(
-                golden.contains(&table),
-                "{} differs from crates/bench/golden/experiments_quick.md:\n{table}",
-                result.id
+        let output = markdown(Scale::Quick, true, &run_all(Scale::Quick));
+        if let Some((line, (want, got))) = golden
+            .lines()
+            .zip(output.lines())
+            .enumerate()
+            .find(|(_, (want, got))| want != got)
+        {
+            panic!(
+                "quick output differs from crates/bench/golden/experiments_quick.md at line {}:\n\
+                 golden: {want}\noutput: {got}",
+                line + 1
             );
         }
+        assert_eq!(output, golden, "same lines, different length or line ends");
     }
 }

@@ -7,6 +7,8 @@
 //! generated puts mostly repeat a key's bytes under several hashes with one
 //! stamp (what the table shares) and sometimes reuse a stamp with other
 //! bytes (a stale successor's re-stamped write, which it must not share).
+//! The store's iterator must yield the model's records in the model's
+//! `(hash, key)` order, unsorted: a snapshot's bytes follow that order.
 
 use std::collections::HashMap;
 
@@ -91,9 +93,10 @@ fn canonical(mut moved: Vec<(HashId, Key, Record)>) -> Vec<FlatRecord> {
     flatten(moved)
 }
 
-/// Canonical rendering of a full store via its iterator.
-fn canonical_contents(store: &PeerStore) -> Vec<FlatRecord> {
-    let mut all: Vec<_> = store
+/// A full store as its iterator yields it, unsorted: the order itself is
+/// what is compared.
+fn contents_in_iteration_order(store: &PeerStore) -> Vec<FlatRecord> {
+    store
         .iter()
         .map(|(h, k, r)| {
             (
@@ -104,11 +107,12 @@ fn canonical_contents(store: &PeerStore) -> Vec<FlatRecord> {
                 r.payload.clone(),
             )
         })
-        .collect();
-    all.sort();
-    all
+        .collect()
 }
 
+/// The model's records by hash function, then by key bytes: the order the
+/// store's iterator must yield them in (each `(hash, key)` is held once, so
+/// sorting the flat tuples sorts by that pair).
 fn canonical_model(model: &ModelStore) -> Vec<FlatRecord> {
     let mut all: Vec<_> = model
         .entries
@@ -209,7 +213,7 @@ proptest! {
             prop_assert_eq!(store.len(), model.entries.len());
             prop_assert_eq!(store.is_empty(), model.entries.is_empty());
         }
-        prop_assert_eq!(canonical_contents(&store), canonical_model(&model));
+        prop_assert_eq!(contents_in_iteration_order(&store), canonical_model(&model));
     }
 
     /// Draining the full ring in two complementary intervals moves every

@@ -56,7 +56,9 @@
 //!
 //! Only whole-table walks are ordered, and they are rare: a snapshot, a
 //! join or a leave. `iter` visits records by hash function, then by key —
-//! the order snapshots are written in — by sorting the keys once.
+//! the order snapshots are written in. It sorts one list of key references
+//! once and yields records lazily from it, so a snapshot streaming the table
+//! never holds a list of the records themselves.
 //! [`PeerStore::drain_range`], [`PeerStore::copy_range`] and
 //! [`PeerStore::prune_range`] scan the table once: the first two sort only
 //! the records that leave, into the same order, and `prune_range` builds
@@ -337,7 +339,8 @@ impl PeerStore {
     }
 
     /// Iterates over all records, by hash function and then by key: the
-    /// keys are sorted once, then walked once per hash function held.
+    /// keys are sorted once into a list of references, which the walk then
+    /// passes over once per hash function held, yielding as it goes.
     pub fn iter(&self) -> impl Iterator<Item = (HashId, &Key, RecordRef<'_>)> {
         let mut keys: Vec<(&Key, &Slots)> = self.keys.iter().collect();
         keys.sort_unstable_by_key(|(key, _)| *key);
@@ -347,15 +350,18 @@ impl PeerStore {
                 hashes.insert(at, slot.hash);
             }
         }
-        let mut records = Vec::with_capacity(self.records);
-        for hash in hashes {
-            for (key, slots) in &keys {
-                if let Ok(index) = slots.index(hash) {
-                    records.push((hash, *key, slots.view(index)));
-                }
+        let (mut hash, mut next_key) = (0, 0);
+        std::iter::from_fn(move || loop {
+            let current = *hashes.get(hash)?;
+            let Some(&(key, slots)) = keys.get(next_key) else {
+                (hash, next_key) = (hash + 1, 0);
+                continue;
+            };
+            next_key += 1;
+            if let Ok(index) = slots.index(current) {
+                return Some((current, key, slots.view(index)));
             }
-        }
-        records.into_iter()
+        })
     }
 
     /// Drains every record whose position falls inside the half-open ring

@@ -26,7 +26,9 @@
 //!
 //! Recovery ([`StorageEngine::recover`] / [`StorageEngine::open`]) picks the
 //! newest generation with a *valid* snapshot (generation 0 if none), replays
-//! its WAL tolerating a torn final record, and reports what it found.
+//! its WAL tolerating a torn final record, and reports what it found. Both
+//! files are streamed: each record is applied as it is read and checked, a
+//! snapshot's into a fresh state that is dropped if the file proves invalid.
 
 use std::fs;
 use std::io;
@@ -231,15 +233,14 @@ fn discover(dir: &Path) -> io::Result<Discovered> {
         // WAL on disk, which for an uncompacted engine is generation 0.
         generation = scan.wals.first().copied().unwrap_or(0);
     }
-    let wal_replay = replay(&generation_file(dir, "wal", generation, "log"))?;
+    let wal_replay = replay(&generation_file(dir, "wal", generation, "log"), |op| {
+        state.apply_owned(op)
+    })?;
     let recovery = Recovery {
-        wal_ops: wal_replay.ops.len() as u64,
+        wal_ops: wal_replay.applied,
         torn_tail: wal_replay.torn_tail,
         from_snapshot,
     };
-    for op in wal_replay.ops {
-        state.apply_owned(op);
-    }
     Ok(Discovered {
         state,
         generation,

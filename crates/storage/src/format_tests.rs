@@ -116,8 +116,9 @@ fn fixtures_written_before_the_change_recover() {
         Some(snapshot_state.clone())
     );
 
-    let replayed = replay(&dir.join(WAL)).unwrap();
-    assert_eq!(replayed.ops, wal_ops());
+    let mut replayed_ops = Vec::new();
+    let replayed = replay(&dir.join(WAL), |op| replayed_ops.push(op)).unwrap();
+    assert_eq!(replayed_ops, wal_ops());
     assert!(!replayed.torn_tail);
     assert_eq!(
         replayed.valid_len,

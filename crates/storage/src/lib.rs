@@ -50,8 +50,15 @@
 //!   therefore write at most one record per journaled op whatever the state
 //!   size, and recovery replays at most `max(snapshot_every, records)` ops
 //!   on top of a snapshot of `records`. The snapshot is streamed from the
-//!   stores in bounded chunks — compaction's memory is a constant, not a
-//!   copy of the state.
+//!   stores in chunks of 64 KiB, written before the next record would
+//!   overflow one (a larger record is written alone), so compaction holds
+//!   neither a list of the records nor a copy of their bytes.
+//! * **Recovery** ([`StorageEngine::recover`], [`StorageEngine::open`]):
+//!   the snapshot and the WAL are read back through one buffer of the same
+//!   64 KiB each, and every record is applied as soon as its checksum
+//!   holds. A snapshot is applied into a fresh state that is
+//!   dropped whole if the file turns out torn or miscounted; the WAL keeps
+//!   its valid prefix. Neither file is ever held in memory whole.
 //!
 //! The bytes are unchanged since the engine was introduced (PR 3): the
 //! `fixtures/pr13` snapshot and WAL, written before the checksum went eight

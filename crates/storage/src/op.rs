@@ -93,11 +93,21 @@ pub(crate) fn encode_put_replica(
     put_bytes(out, payload);
 }
 
+/// The bytes [`encode_put_replica`] appends for `key` and `payload`.
+pub(crate) fn put_replica_len(key: &Key, payload: &[u8]) -> usize {
+    1 + 4 + 8 + 8 + 4 + key.as_bytes().len() + 4 + payload.len()
+}
+
 /// Appends the encoding of a [`StorageOp::SetCounter`] from borrowed fields.
 pub(crate) fn encode_set_counter(out: &mut Vec<u8>, key: &Key, value: Timestamp) {
     out.push(TAG_SET_COUNTER);
     out.extend_from_slice(&value.0.to_le_bytes());
     put_bytes(out, key.as_bytes());
+}
+
+/// The bytes [`encode_set_counter`] appends for `key`.
+pub(crate) fn set_counter_len(key: &Key) -> usize {
+    1 + 8 + 4 + key.as_bytes().len()
 }
 
 /// Little-endian, bounds-checked cursor over an encoded op.

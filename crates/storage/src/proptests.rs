@@ -11,6 +11,16 @@
 //!    as truncation at any byte of the log past the synced prefix — loses at
 //!    most a suffix of the op sequence: replay yields a valid prefix, never a
 //!    torn interior record.
+//!
+//! Streaming recovery:
+//!
+//! 4. replay through the bounded reader gives the same ops, valid length and
+//!    torn flag as a frame-by-frame walk of the whole file in memory, for the
+//!    log cut at every byte, with a bit flipped in every byte, and with an
+//!    undecodable record spliced in;
+//! 5. a snapshot cut at any byte, with any one bit flipped, with a wrong
+//!    footer count or with bytes after its footer is rejected whole, and
+//!    recovery falls back to the previous generation.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +30,10 @@ use proptest::prelude::*;
 use rdht_core::Timestamp;
 use rdht_hashing::{HashId, Key};
 
+use crate::crc::crc32;
+use crate::frame::{append_frame, frame_with, FRAME_HEADER_LEN, MAX_PAYLOAD_LEN};
 use crate::op::StorageOp;
+use crate::snapshot::{load_snapshot, write_snapshot};
 use crate::state::MemoryState;
 use crate::wal::{replay, FsyncPolicy, WalWriter};
 use crate::{StorageEngine, StorageMetrics, StorageOptions};
@@ -67,6 +80,153 @@ fn ops_from(raw: &[(u8, u8, u8, u64, u64)]) -> Vec<StorageOp> {
     raw.iter()
         .map(|&(s, k, h, a, b)| make_op(s, k, h, a, b))
         .collect()
+}
+
+/// The replay model: the whole log in memory, walked frame by frame. Returns
+/// the ops of the valid prefix, its byte length, and whether bytes follow it.
+fn model_replay(bytes: &[u8]) -> (Vec<StorageOp>, u64, bool) {
+    let mut ops = Vec::new();
+    let mut offset = 0;
+    while bytes.len() - offset >= FRAME_HEADER_LEN {
+        let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let (len, crc) = (field(offset), field(offset + 4));
+        let body = offset + FRAME_HEADER_LEN;
+        if len > MAX_PAYLOAD_LEN || len as usize > bytes.len() - body {
+            break;
+        }
+        let payload = &bytes[body..body + len as usize];
+        if crc32(payload) != crc {
+            break;
+        }
+        let Some(op) = StorageOp::decode(payload) else {
+            break;
+        };
+        ops.push(op);
+        offset = body + len as usize;
+    }
+    (ops, offset as u64, offset != bytes.len())
+}
+
+/// `bytes` with one bit of byte `index` flipped, the bit drawn from `seed`.
+fn flipped(bytes: &[u8], index: usize, seed: u64) -> Vec<u8> {
+    let mut image = bytes.to_vec();
+    image[index] ^= 1 << ((seed >> (index % 61)) & 7);
+    image
+}
+
+fn state_of(ops: &[StorageOp]) -> MemoryState {
+    let mut state = MemoryState::new();
+    for op in ops {
+        state.apply(op);
+    }
+    state
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Property 4: streaming replay agrees with the frame-by-frame model on
+    /// every damaged image of a log.
+    #[test]
+    fn streaming_replay_matches_a_frame_by_frame_model(
+        raw in vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 1..24),
+        seed in any::<u64>(),
+    ) {
+        let ops = ops_from(&raw);
+        let dir = fresh_dir("streaming-replay");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-0000000000000000.log");
+        {
+            let mut wal = WalWriter::create(path.clone(), &StorageMetrics::default()).unwrap();
+            for op in &ops {
+                wal.append(op).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        // A record that checksums but does not decode, spliced in after an
+        // op boundary: it ends the prefix as a torn tail would.
+        let mut spliced = Vec::new();
+        let splice_at = (seed % (ops.len() as u64 + 1)) as usize;
+        for (index, op) in ops.iter().enumerate() {
+            if index == splice_at {
+                append_frame(&mut spliced, &[0xee, 1, 2]);
+            }
+            frame_with(&mut spliced, |out| op.encode(out));
+        }
+        let images = (0..=bytes.len())
+            .map(|cut| bytes[..cut].to_vec())
+            .chain((0..bytes.len()).map(|index| flipped(&bytes, index, seed)))
+            .chain([spliced]);
+        for image in images {
+            std::fs::write(&path, &image).unwrap();
+            let mut replayed_ops = Vec::new();
+            let replayed = replay(&path, |op| replayed_ops.push(op)).unwrap();
+            let (model_ops, valid_len, torn) = model_replay(&image);
+            prop_assert_eq!(&replayed_ops, &model_ops);
+            prop_assert_eq!(replayed.applied, model_ops.len() as u64);
+            prop_assert_eq!(replayed.valid_len, valid_len);
+            prop_assert_eq!(replayed.torn_tail, torn);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Property 5: a damaged newest snapshot is rejected whole, and
+    /// recovery rebuilds the previous generation: its snapshot and its WAL.
+    #[test]
+    fn a_damaged_snapshot_is_rejected_whole_and_recovery_falls_back(
+        raw in vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..12),
+        raw_wal in vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 0..8),
+        seed in any::<u64>(),
+    ) {
+        let (ops, wal_ops) = (ops_from(&raw), ops_from(&raw_wal));
+        let dir = fresh_dir("damaged-snapshot");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str| dir.join(name);
+        write_snapshot(&file("1.tmp"), &file("snapshot-0000000000000001.snap"), 1, &state_of(&ops))
+            .unwrap();
+        {
+            let path = file("wal-0000000000000001.log");
+            let mut wal = WalWriter::create(path, &StorageMetrics::default()).unwrap();
+            for op in &wal_ops {
+                wal.append(op).unwrap();
+            }
+        }
+        let expected = state_of(&[ops, wal_ops.clone()].concat());
+        let newest = file("snapshot-0000000000000002.snap");
+        write_snapshot(&file("2.tmp"), &newest, 2, &expected).unwrap();
+        prop_assert_eq!(load_snapshot(&newest).unwrap(), Some(expected.clone()));
+
+        let bytes = std::fs::read(&newest).unwrap();
+        let records = expected.records() as u64;
+        let footer_at = bytes.len() - (FRAME_HEADER_LEN + 9);
+        let miscounted = [records + 1, records.wrapping_sub(1), seed].into_iter()
+            .filter(|&count| count != records)
+            .map(|count| {
+                let mut image = bytes[..footer_at].to_vec();
+                let mut footer = vec![0xF1];
+                footer.extend_from_slice(&count.to_le_bytes());
+                append_frame(&mut image, &footer);
+                image
+            });
+        // Whatever follows the footer, a whole frame or a torn one, is damage.
+        let trailed = [&bytes[footer_at..], &bytes[footer_at..footer_at + 3]]
+            .map(|tail| [&bytes[..], tail].concat());
+        let images = (0..bytes.len())
+            .map(|cut| bytes[..cut].to_vec())
+            .chain((0..bytes.len()).map(|index| flipped(&bytes, index, seed)))
+            .chain(miscounted)
+            .chain(trailed);
+        for image in images {
+            std::fs::write(&newest, &image).unwrap();
+            prop_assert_eq!(load_snapshot(&newest).unwrap(), None);
+            let recovered = StorageEngine::recover_state(&dir).unwrap();
+            prop_assert_eq!(recovered.generation, 1);
+            prop_assert_eq!(recovered.wal_ops, wal_ops.len() as u64);
+            prop_assert_eq!(&recovered.replicas, &expected.replicas);
+            prop_assert_eq!(&recovered.counters, &expected.counters);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 proptest! {
@@ -128,15 +288,16 @@ proptest! {
         }
 
         // Raw replay yields a prefix…
-        let replayed = replay(&wal_path).unwrap();
-        prop_assert!(replayed.ops.len() <= ops.len());
-        prop_assert_eq!(&replayed.ops[..], &ops[..replayed.ops.len()]);
+        let mut replayed_ops = Vec::new();
+        let replayed = replay(&wal_path, |op| replayed_ops.push(op)).unwrap();
+        prop_assert!(replayed_ops.len() <= ops.len());
+        prop_assert_eq!(&replayed_ops[..], &ops[..replayed_ops.len()]);
         prop_assert!(replayed.valid_len <= cut);
         prop_assert_eq!(replayed.torn_tail, replayed.valid_len != cut);
 
         // …and full recovery applies exactly that prefix.
         let mut expected = MemoryState::new();
-        for op in &ops[..replayed.ops.len()] {
+        for op in &ops[..replayed_ops.len()] {
             expected.apply(op);
         }
         let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
@@ -148,7 +309,7 @@ proptest! {
         engine.apply(&StorageOp::ClearCounters).unwrap();
         engine.sync().unwrap();
         let recovered = StorageEngine::recover_state(&dir).unwrap();
-        prop_assert_eq!(recovered.wal_ops, replayed.ops.len() as u64 + 1);
+        prop_assert_eq!(recovered.wal_ops, replayed.applied + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -194,15 +355,16 @@ proptest! {
             file.set_len(cut).unwrap();
         }
 
-        let replayed = replay(&wal_path).unwrap();
+        let mut replayed_ops = Vec::new();
+        let replayed = replay(&wal_path, |op| replayed_ops.push(op)).unwrap();
         // At least the synced batches survive; at most a suffix is lost.
-        prop_assert!(replayed.ops.len() >= split);
-        prop_assert!(replayed.ops.len() <= ops.len());
-        prop_assert_eq!(&replayed.ops[..], &ops[..replayed.ops.len()]);
+        prop_assert!(replayed_ops.len() >= split);
+        prop_assert!(replayed_ops.len() <= ops.len());
+        prop_assert_eq!(&replayed_ops[..], &ops[..replayed_ops.len()]);
 
         // Recovery applies exactly that prefix, and the engine reopens.
         let mut expected = MemoryState::new();
-        for op in &ops[..replayed.ops.len()] {
+        for op in &ops[..replayed_ops.len()] {
             expected.apply(op);
         }
         let (replicas, counters) = StorageEngine::recover(&dir).unwrap();
@@ -215,7 +377,7 @@ proptest! {
         engine.apply(&StorageOp::ClearCounters).unwrap();
         engine.sync().unwrap();
         let recovered = StorageEngine::recover_state(&dir).unwrap();
-        prop_assert_eq!(recovered.wal_ops, replayed.ops.len() as u64 + 1);
+        prop_assert_eq!(recovered.wal_ops, replayed.applied + 1);
         prop_assert!(!recovered.torn_tail);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,17 +7,17 @@
 //! its appends, bytes and syncs into the [`StorageMetrics`] handles it is
 //! given.
 //!
-//! Replay walks the frames from the front and stops at the first record that
-//! fails its checksum or decodes to garbage: everything before it is the
-//! recovered prefix, everything after is a torn tail from an interrupted
-//! append (or corruption) and is truncated away before the log is appended
-//! to again.
+//! Replay walks the frames from the front through one bounded buffer,
+//! applying each op as it decodes, and stops at the first record that fails
+//! its checksum or decodes to garbage: everything before it is the recovered
+//! prefix, everything after is a torn tail from an interrupted append (or
+//! corruption) and is truncated away before the log is appended to again.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::frame::{frame_with, read_frames, FRAME_HEADER_LEN};
+use crate::frame::{frame_with, FrameReader, FRAME_HEADER_LEN};
 use crate::metrics::StorageMetrics;
 use crate::op::StorageOp;
 
@@ -59,10 +59,10 @@ impl FsyncPolicy {
 }
 
 /// Result of replaying one WAL file.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalReplay {
-    /// The decoded ops of the valid prefix, in append order.
-    pub ops: Vec<StorageOp>,
+    /// How many ops of the valid prefix were handed to `apply`.
+    pub applied: u64,
     /// Byte length of the valid prefix.
     pub valid_len: u64,
     /// Whether bytes after the valid prefix had to be discarded (torn final
@@ -70,38 +70,32 @@ pub struct WalReplay {
     pub torn_tail: bool,
 }
 
-/// Replays `path`. A missing file replays as empty (a fresh peer).
-pub fn replay(path: &Path) -> io::Result<WalReplay> {
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut buf)?;
-        }
-        Err(error) if error.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
-        Err(error) => return Err(error),
-    }
-    let (payloads, mut valid_len, mut torn) = read_frames(&buf);
-    let mut ops = Vec::with_capacity(payloads.len());
-    let mut decoded_len = 0;
-    for payload in payloads {
-        match StorageOp::decode(payload) {
-            Some(op) => {
-                ops.push(op);
-                decoded_len += FRAME_HEADER_LEN + payload.len();
-            }
-            None => {
-                // A frame that checksums but does not decode: corruption (or
-                // a future op tag). Keep the prefix before it.
-                torn = true;
-                valid_len = decoded_len;
-                break;
-            }
-        }
+/// Replays `path` through one bounded `FrameReader`, handing each op of the
+/// valid prefix to `apply` in append order as soon as its frame checks out
+/// and decodes. A missing file replays as empty (a fresh peer).
+pub fn replay(path: &Path, mut apply: impl FnMut(StorageOp)) -> io::Result<WalReplay> {
+    let Some(mut frames) = FrameReader::open(path)? else {
+        return Ok(WalReplay::default());
+    };
+    let mut applied = 0;
+    while let Some(payload) = frames.next_frame()? {
+        let Some(op) = StorageOp::decode(payload) else {
+            // A frame that checksums but does not decode: corruption (or a
+            // future op tag). Keep the prefix before it.
+            let frame_len = (FRAME_HEADER_LEN + payload.len()) as u64;
+            return Ok(WalReplay {
+                applied,
+                valid_len: frames.valid_len() - frame_len,
+                torn_tail: true,
+            });
+        };
+        apply(op);
+        applied += 1;
     }
     Ok(WalReplay {
-        ops,
-        valid_len: valid_len as u64,
-        torn_tail: torn,
+        applied,
+        valid_len: frames.valid_len(),
+        torn_tail: frames.torn(),
     })
 }
 
@@ -242,6 +236,14 @@ mod tests {
         (wal, metrics)
     }
 
+    /// Replays `path`, collecting the ops it applies.
+    fn replay_all(path: &Path) -> (Vec<StorageOp>, WalReplay) {
+        let mut ops = Vec::new();
+        let replayed = replay(path, |op| ops.push(op)).unwrap();
+        assert_eq!(replayed.applied, ops.len() as u64);
+        (ops, replayed)
+    }
+
     fn sample_ops(n: u64) -> Vec<StorageOp> {
         (0..n)
             .map(|i| StorageOp::PutReplica {
@@ -265,17 +267,17 @@ mod tests {
             }
             wal.sync().unwrap();
         }
-        let replayed = replay(&path).unwrap();
-        assert_eq!(replayed.ops, ops);
+        let (replayed_ops, replayed) = replay_all(&path);
+        assert_eq!(replayed_ops, ops);
         assert!(!replayed.torn_tail);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_wal_replays_empty() {
-        let replayed = replay(Path::new("/nonexistent/definitely/missing.log")).unwrap();
-        assert!(replayed.ops.is_empty());
-        assert!(!replayed.torn_tail);
+        let (ops, replayed) = replay_all(Path::new("/nonexistent/definitely/missing.log"));
+        assert!(ops.is_empty());
+        assert_eq!(replayed, WalReplay::default());
     }
 
     #[test]
@@ -297,8 +299,8 @@ mod tests {
         file.write_all(&tail).unwrap();
         drop(file);
 
-        let replayed = replay(&path).unwrap();
-        assert_eq!(replayed.ops, ops);
+        let (replayed_ops, replayed) = replay_all(&path);
+        assert_eq!(replayed_ops, ops);
         assert_eq!(replayed.valid_len, prefix_len);
         assert!(replayed.torn_tail);
         std::fs::remove_file(&path).unwrap();
@@ -350,8 +352,8 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
 
-        let replayed = replay(&path).unwrap();
-        assert_eq!(replayed.ops, ops[..9].to_vec());
+        let (replayed_ops, replayed) = replay_all(&path);
+        assert_eq!(replayed_ops, ops[..9].to_vec());
         assert!(replayed.torn_tail);
 
         // Re-open for append: the torn bytes are discarded and a fresh
@@ -365,9 +367,9 @@ mod tests {
             .unwrap();
             wal.append(&StorageOp::ClearCounters).unwrap();
         }
-        let after = replay(&path).unwrap();
-        assert_eq!(after.ops.len(), 10);
-        assert_eq!(after.ops[9], StorageOp::ClearCounters);
+        let (after_ops, after) = replay_all(&path);
+        assert_eq!(after_ops.len(), 10);
+        assert_eq!(after_ops[9], StorageOp::ClearCounters);
         assert!(!after.torn_tail);
         std::fs::remove_file(&path).unwrap();
     }
@@ -393,7 +395,7 @@ mod tests {
         file.set_len(full_len - 2).unwrap();
         drop(file);
 
-        let replayed = replay(&path).unwrap();
+        let (_, replayed) = replay_all(&path);
         assert!(replayed.torn_tail);
         {
             // Crash-at-truncate: the writer opens (truncating + fsyncing the
@@ -411,8 +413,8 @@ mod tests {
             replayed.valid_len,
             "the torn tail must be gone from the file itself"
         );
-        let after = replay(&path).unwrap();
-        assert_eq!(after.ops, ops[..5].to_vec());
+        let (after_ops, after) = replay_all(&path);
+        assert_eq!(after_ops, ops[..5].to_vec());
         assert!(!after.torn_tail, "no resurrected tail bytes");
 
         // A reopen with a clean tail must not pay the truncate-sync path
@@ -426,8 +428,8 @@ mod tests {
             .unwrap();
             wal.append(&StorageOp::ClearCounters).unwrap();
         }
-        let last = replay(&path).unwrap();
-        assert_eq!(last.ops.len(), 6);
+        let (_, last) = replay_all(&path);
+        assert_eq!(last.applied, 6);
         assert!(!last.torn_tail);
         std::fs::remove_file(&path).unwrap();
     }
