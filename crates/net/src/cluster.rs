@@ -54,10 +54,11 @@ const COORDINATION_ATTEMPTS: u32 = 4;
 
 /// How many replica probes one round of a restart's batched observation
 /// sends at most. Every probe of a round is in flight at once, so the round
-/// holds a request and a reply per probe in memory (close to 1 KB each); the
-/// cap bounds that near 1 MB however many counters a peer recovered, at the
-/// price of 2 frames per live holder peer per round.
-pub(crate) const OBSERVATION_ROUND_PROBES: usize = 1024;
+/// holds a call, a request on its way and a reply slot per probe (some
+/// 620 B together, in three vectors of one entry per probe); the cap keeps
+/// each of those vectors below 128 KiB however many counters a peer
+/// recovered, at the price of 2 frames per live holder peer per round.
+pub(crate) const OBSERVATION_ROUND_PROBES: usize = 256;
 
 /// Identifier of a peer on the cluster ring (the same 64-bit space keys are
 /// hashed into).
@@ -665,7 +666,7 @@ impl Cluster {
     ///    crash.
     /// 3. **Batched observation.** Every recovered counter of the
     ///    taken-back range is re-initialised from the replicas in batched
-    ///    rounds: the `|Hr|` probes of up to 1 024 / `|Hr|` keys go out
+    ///    rounds: the `|Hr|` probes of up to 256 / `|Hr|` keys go out
     ///    together, one frame per live holder peer, and each key whose
     ///    probes all answered is installed at
     ///    `max(observed, recovered)` — what the per-key indirect

@@ -1,8 +1,8 @@
 //! The range hand-off of a live join or a graceful leave — the *direct*
 //! algorithm of Section 4.2.1, which moves the counters of the moved keys
 //! with their replicas so the next responsible needs no indirect
-//! re-initialization — as three journaled phase functions that the live
-//! peers and the simulator both run.
+//! re-initialization — as journaled phase functions that the live peers
+//! and the simulator both run.
 //!
 //! One transfer moves responsibility for a ring interval `(start, end]`
 //! ([`rdht_overlay::Ring::join`] / [`rdht_overlay::Ring::leave`] name it)
@@ -10,9 +10,15 @@
 //!
 //! | Phase | Action | Journaled where |
 //! |---|---|---|
-//! | export | [`export_handoff`]: replicas in range *copied* (not removed), counters in range drained from the source's VCS | counter removes on the **source** |
-//! | install | [`install_handoff`]: the bundle applied at the target | replica puts + counter sets on the **target** |
+//! | export | [`export_handoff`]: counters in range drained from the source's VCS, recovery floors with them | counter removes on the **source** |
+//! | install | [`HandoffExport::bundles`] *copies* the replicas in range (they are not removed) into bounded [`HandoffBundle`]s, the counters and floors riding in the last; [`install_handoff`] applies each at the target, one after the other | replica puts, then counter sets, on the **target**, one synced batch per bundle |
 //! | commit | [`commit_handoff`]: one `TransferRange` record prunes the moved replicas from the source | `TransferRange` on the **source** |
+//!
+//! A bundle holds at most [`WRITE_CHUNK_BYTES`] of replicas, as
+//! [`bundled_bytes`] counts them, or one larger replica alone, and the
+//! source copies the next bundle only once the target acknowledged the
+//! previous one: however large the range, a transfer holds one bundle in
+//! flight, never a copy of the range.
 //!
 //! The phases are generic over the [`ReplicaTable`] they touch: a live peer
 //! passes its journaled `StorageEngine` and drives them from two peer
@@ -20,22 +26,24 @@
 //! [`PeerStore`] as [`Unjournaled`]. The ordering makes a crash at any point
 //! safe:
 //!
-//! * **before the install** the transfer *rolls back*: the source's journal
-//!   still holds every replica (they were only copied); the exported
-//!   counters are durably gone, but a missing counter only costs an indirect
-//!   re-initialization (Section 4.2.2), which is always safe — replicas, not
-//!   counters, are the currency ground truth.
-//! * **from the install on** the transfer *completes*: the target's journal
-//!   holds every moved replica and counter, and re-driving the protocol
-//!   (every step is idempotent) converges. Until the source commits, both
-//!   sides hold the moved replicas; duplicates are harmless because
-//!   replicas are immutable `(payload, stamp)` pairs and responsibility is
-//!   resolved by the ring, not by who stores what.
+//! * **before the last bundle installs** the transfer *rolls back*: the
+//!   source's journal still holds every replica (they were only copied);
+//!   the target holds at most duplicates of the bundles it installed, which
+//!   are harmless because replicas are immutable `(payload, stamp)` pairs
+//!   and responsibility is resolved by the ring, not by who stores what; the
+//!   exported counters are durably gone, but a missing counter only costs
+//!   an indirect re-initialization (Section 4.2.2), which is always safe —
+//!   replicas, not counters, are the currency ground truth.
+//! * **from the last bundle's install on** the transfer *completes*: the
+//!   target's journal holds every moved replica and counter, and re-driving
+//!   the protocol (every step is idempotent) converges. Until the source
+//!   commits, both sides hold the moved replicas.
 
 use rdht_core::kts::KtsNode;
 use rdht_core::{DurableState, Timestamp};
 use rdht_hashing::{HashFamily, HashId, Key};
 use rdht_overlay::{in_open_closed_interval, PeerStore, Record, WritePolicy};
+use rdht_storage::frame::WRITE_CHUNK_BYTES;
 use rdht_storage::{StorageEngine, StorageOp};
 
 /// The replica table a hand-off phase reads and writes; its
@@ -94,9 +102,10 @@ impl ReplicaTable for Unjournaled<'_> {
     }
 }
 
-/// Everything a range transfer ships from source to target: the replicas
-/// stored in the moved interval and the KTS counters of the keys whose
-/// *timestamping* position falls in it (the direct algorithm's payload).
+/// One shipment of a range transfer from source to target: some of the
+/// replicas stored in the moved interval and, in a transfer's last bundle,
+/// the KTS counters of the keys whose *timestamping* position falls in it
+/// (the direct algorithm's payload).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HandoffBundle {
     /// Replicas whose ring position lies in the moved interval (stamps are
@@ -119,6 +128,63 @@ impl HandoffBundle {
     }
 }
 
+/// The bytes a replica counts for in a bundle's [`WRITE_CHUNK_BYTES`]: its
+/// entry plus its key and payload bytes. That is more than the replica holds
+/// in the bundle (the key's bytes are shared) and more than it encodes to on
+/// the wire, so a bundle's memory and its frame are both bounded by the sum.
+pub fn bundled_bytes(key: &Key, payload: &[u8]) -> usize {
+    std::mem::size_of::<(HashId, Key, Record)>() + key.as_bytes().len() + payload.len()
+}
+
+/// What the export phase took out of the source's KTS, and the interval
+/// whose replicas follow it, copied lazily by [`HandoffExport::bundles`].
+#[derive(Debug)]
+pub struct HandoffExport {
+    /// The moved interval `(range_start, range_end]`.
+    pub range_start: u64,
+    /// See `range_start`.
+    pub range_end: u64,
+    /// Counters drained from the source's VCS (Section 4.2.1).
+    pub counters: Vec<(Key, Timestamp)>,
+    /// Recovery floors drained from the source.
+    pub floors: Vec<(Key, Timestamp)>,
+}
+
+impl HandoffExport {
+    /// The transfer's bundles: `table`'s replicas in the interval, walked
+    /// lazily in [`PeerStore::iter_range`]'s order and copied into bundles of
+    /// at most [`WRITE_CHUNK_BYTES`] (a larger replica travels alone). The
+    /// last bundle — the only one when no replica moves — also carries the
+    /// counters and floors, so a target holds them only once it holds every
+    /// replica. A bundle is copied only when asked for.
+    pub fn bundles(self, table: &PeerStore) -> impl Iterator<Item = HandoffBundle> + '_ {
+        let mut replicas = table
+            .iter_range(self.range_start, self.range_end)
+            .peekable();
+        let mut tail = Some((self.counters, self.floors));
+        std::iter::from_fn(move || {
+            tail.as_ref()?;
+            let mut bundle = HandoffBundle::default();
+            let mut bytes = 0;
+            while let Some((hash, key, record)) = replicas.peek() {
+                let size = bundled_bytes(key, record.payload);
+                if bytes > 0 && bytes + size > WRITE_CHUNK_BYTES {
+                    break;
+                }
+                bytes += size;
+                bundle
+                    .replicas
+                    .push((*hash, (*key).clone(), record.to_record()));
+                replicas.next();
+            }
+            if replicas.peek().is_none() {
+                (bundle.counters, bundle.floors) = tail.take()?;
+            }
+            Some(bundle)
+        })
+    }
+}
+
 /// What [`install_handoff`] applied at the target.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstallReport {
@@ -129,21 +195,21 @@ pub struct InstallReport {
     pub counters_received: usize,
 }
 
-/// Source side, export phase: copies every replica whose position falls
-/// in `(range_start, range_end]` out of the table (the originals stay until
-/// [`commit_handoff`]) and drains the counters of every key whose
-/// *timestamping* position falls in the range — each drained counter is
-/// journaled as removed on the source, enforcing Rule 3 durably. The range
-/// also leaves the source's founding arc, whether or not the install
-/// follows: once exported, its keys may be stamped elsewhere.
+/// Source side, export phase: drains the counters of every key whose
+/// *timestamping* position falls in `(range_start, range_end]` — each
+/// drained counter is journaled as removed on the source, enforcing Rule 3
+/// durably — and the recovery floors of those keys. The range also leaves
+/// the source's founding arc, whether or not the install follows: once
+/// exported, its keys may be stamped elsewhere. The replicas in range stay
+/// in the table until [`commit_handoff`]; [`HandoffExport::bundles`] copies
+/// them out.
 pub fn export_handoff(
     table: &mut impl ReplicaTable,
     kts: &mut KtsNode,
     family: &HashFamily,
     range_start: u64,
     range_end: u64,
-) -> HandoffBundle {
-    let replicas = table.table().copy_range(range_start, range_end);
+) -> HandoffExport {
     let moved =
         |key: &Key| in_open_closed_interval(range_start, range_end, family.eval_timestamp(key));
     let counters = kts.export_counters_in_range(moved, table);
@@ -152,14 +218,15 @@ pub fn export_handoff(
     // hand-off sequence would reopen the counter-regression corner.
     let floors = kts.drain_recovery_floors(moved);
     kts.cede_arc(range_start, range_end);
-    HandoffBundle {
-        replicas,
+    HandoffExport {
+        range_start,
+        range_end,
         counters,
         floors,
     }
 }
 
-/// Target side, install phase: applies the bundle. A replica installs only
+/// Target side, install phase: applies one bundle. A replica installs only
 /// if it wins the `put_h` comparison (a stale duplicate never overwrites a
 /// fresher local record), and every accepted put is journaled; counters
 /// install through the direct-transfer receive path, which journals each
@@ -231,6 +298,123 @@ mod tests {
         }
     }
 
+    /// Ships every bundle of `export`, copied from `source`, into the
+    /// target as a live source does, one after the other: the replicas
+    /// shipped and the summed install report.
+    fn install_all(
+        export: HandoffExport,
+        source: &PeerStore,
+        target: &mut impl ReplicaTable,
+        target_kts: &mut KtsNode,
+    ) -> (usize, InstallReport) {
+        let mut shipped = 0;
+        let mut total = InstallReport::default();
+        for bundle in export.bundles(source) {
+            shipped += bundle.replicas.len();
+            let report = install_handoff(target, target_kts, bundle);
+            total.replicas_installed += report.replicas_installed;
+            total.counters_received += report.counters_received;
+        }
+        (shipped, total)
+    }
+
+    /// A range over several bundles, with a replica larger than a bundle
+    /// among them, and both counters and a floor moving: the records 400
+    /// keys hold under 3 hash functions, one key's oversized.
+    fn several_bundles() -> (PeerStore, KtsNode, HashFamily) {
+        let n = 400;
+        let family = HashFamily::new(3, 5);
+        let mut store = PeerStore::new();
+        let mut kts = KtsNode::new();
+        for i in 0..n {
+            let key = Key::new(format!("doc-{i:04}"));
+            let stamp = kts
+                .gen_ts(
+                    &key,
+                    IndirectObservation::nothing,
+                    &mut Unjournaled(&mut store),
+                )
+                .timestamp;
+            let len = if i == n / 2 {
+                WRITE_CHUNK_BYTES + 1
+            } else {
+                100 + 9 * i
+            };
+            for hash in (0..3).map(HashId) {
+                let record = Record {
+                    payload: vec![i as u8; len],
+                    stamp: stamp.0,
+                    position: family.eval(hash, &key),
+                };
+                store.put(hash, key.clone(), record, WritePolicy::Overwrite);
+            }
+        }
+        kts.seed_recovery_floors(vec![(Key::new("recovered doc"), Timestamp(4))]);
+        (store, kts, family)
+    }
+
+    #[test]
+    fn bundles_are_bounded_and_concatenate_to_the_range_in_order() {
+        let (mut store, mut kts, family) = several_bundles();
+        // Full ring: every counter and the floor move.
+        let (start, end) = (11, 11);
+        let expected = store.clone().drain_range(start, end);
+        let export = export_handoff(&mut Unjournaled(&mut store), &mut kts, &family, start, end);
+        let (counters, floors) = (export.counters.clone(), export.floors.clone());
+        assert_eq!((counters.len(), floors.len()), (400, 1));
+        let bundles: Vec<HandoffBundle> = export.bundles(&store).collect();
+        assert!(bundles.len() >= 3, "{} bundles", bundles.len());
+
+        let bytes = |bundle: &HandoffBundle| -> usize {
+            bundle
+                .replicas
+                .iter()
+                .map(|(_, key, record)| bundled_bytes(key, &record.payload))
+                .sum()
+        };
+        let mut oversized = 0;
+        for (i, bundle) in bundles.iter().enumerate() {
+            if bytes(bundle) > WRITE_CHUNK_BYTES {
+                assert_eq!(bundle.replicas.len(), 1, "only a lone replica may overflow");
+                oversized += 1;
+            }
+            // Each bundle is as full as the budget allows: the next replica
+            // would not have fitted.
+            if let Some((_, key, record)) =
+                bundles.get(i + 1).and_then(|next| next.replicas.first())
+            {
+                assert!(bytes(bundle) + bundled_bytes(key, &record.payload) > WRITE_CHUNK_BYTES);
+            }
+            // A bundle of several replicas encodes to a frame within the
+            // budget too.
+            let install = crate::Request::InstallState {
+                op: None,
+                start,
+                end,
+                bundle: HandoffBundle {
+                    counters: Vec::new(),
+                    floors: Vec::new(),
+                    ..bundle.clone()
+                },
+            };
+            let frame = crate::wire::encode_request(0, &install, None).len();
+            assert!(frame <= WRITE_CHUNK_BYTES || bundle.replicas.len() == 1);
+            // Counters and floors ride in the last bundle only.
+            if i + 1 < bundles.len() {
+                assert!(bundle.counters.is_empty() && bundle.floors.is_empty());
+            }
+        }
+        assert_eq!(
+            oversized, 3,
+            "the large replica under each hash travels alone"
+        );
+        let last = bundles.last().unwrap();
+        assert_eq!((&last.counters, &last.floors), (&counters, &floors));
+
+        let concatenated: Vec<_> = bundles.into_iter().flat_map(|b| b.replicas).collect();
+        assert_eq!(concatenated, expected, "the range, in iteration order");
+    }
+
     #[test]
     fn full_handoff_moves_range_and_counters() {
         let family = HashFamily::new(4, 7);
@@ -245,16 +429,15 @@ mod tests {
 
         // Move half the ring.
         let (start, end) = (0u64, u64::MAX / 2);
-        let bundle = export_handoff(&mut src, &mut src_kts, &family, start, end);
-        let moved_replicas = bundle.replicas.len();
-        let moved_counters = bundle.counters.len();
-        assert!(moved_replicas > 0 && moved_replicas < total);
+        let export = export_handoff(&mut src, &mut src_kts, &family, start, end);
+        let moved_counters = export.counters.len();
         // Every exported counter left the source's VCS (Rule 3).
-        for (key, _) in &bundle.counters {
+        for (key, _) in &export.counters {
             assert!(!src_kts.has_counter(key));
         }
 
-        let report = install_handoff(&mut dst, &mut dst_kts, bundle);
+        let (moved_replicas, report) = install_all(export, src.replicas(), &mut dst, &mut dst_kts);
+        assert!(moved_replicas > 0 && moved_replicas < total);
         assert_eq!(report.replicas_installed, moved_replicas);
         assert_eq!(report.counters_received, moved_counters);
 
@@ -336,12 +519,12 @@ mod tests {
         src_kts.seed_recovery_floors(vec![(key.clone(), Timestamp(5))]);
 
         // Full-ring hand-off so the key's timestamp position is covered.
-        let bundle = export_handoff(&mut src, &mut src_kts, &family, 7, 7);
-        assert_eq!(bundle.counters.len(), 0, "a floor is not a valid counter");
-        assert_eq!(bundle.floors.len(), 1);
+        let export = export_handoff(&mut src, &mut src_kts, &family, 7, 7);
+        assert_eq!(export.counters.len(), 0, "a floor is not a valid counter");
+        assert_eq!(export.floors.len(), 1);
         assert_eq!(src_kts.recovery_floor(&key), None, "drained at the source");
 
-        install_handoff(&mut dst, &mut dst_kts, bundle);
+        install_all(export, src.replicas(), &mut dst, &mut dst_kts);
         assert!(
             !dst_kts.has_counter(&key),
             "the floor must not resurrect into the VCS (Rule 1)"
@@ -360,11 +543,11 @@ mod tests {
         populate(&mut src, &mut src_kts, &family, 6);
         let total = src.replicas().len();
 
-        // Export, then "crash" both sides before the target installs: the
-        // bundle is lost in flight.
-        let bundle = export_handoff(&mut src, &mut src_kts, &family, 0, u64::MAX / 2);
-        let exported_counters = bundle.counters.len();
-        drop(bundle);
+        // Export, then "crash" both sides before the target installs: no
+        // bundle ever ships.
+        let export = export_handoff(&mut src, &mut src_kts, &family, 0, u64::MAX / 2);
+        let exported_counters = export.counters.len();
+        drop(export);
         drop(src);
 
         let (replicas, counters) = StorageEngine::recover(&src_dir).unwrap();
@@ -389,8 +572,12 @@ mod tests {
         // A range covering no stored position moves nothing. Positions of
         // "doc-0" under 2 hash functions are essentially random; use an
         // empty engine instead for determinism.
-        let bundle = export_handoff(&mut src, &mut src_kts, &family, 5, 6);
-        assert!(bundle.is_empty());
+        let export = export_handoff(&mut src, &mut src_kts, &family, 5, 6);
+        // One bundle still ships: the last one, which carries the (here
+        // absent) counters.
+        let bundles: Vec<HandoffBundle> = export.bundles(src.replicas()).collect();
+        assert_eq!(bundles.len(), 1);
+        assert!(bundles[0].is_empty());
         assert_eq!(commit_handoff(&mut src, 5, 6), 0);
     }
 }

@@ -177,8 +177,8 @@ pub enum Request {
     },
     /// Drive a membership hand-off: the receiving peer exports the replicas
     /// and counters of the ring interval `(start, end]`, ships them to
-    /// `target_id` with [`Request::InstallState`], waits for the ack, and
-    /// then commits — flipping the shared directory and pruning its own
+    /// `target_id` in bounded bundles, one [`Request::InstallState`] at a
+    /// time, waits for each ack, and after the last commits — flipping the shared directory and pruning its own
     /// journal in one serially-processed step, so traffic never observes a
     /// half-moved range. The target is addressed by peer id and resolved
     /// through the transport (it may not be in the directory yet: a joiner
@@ -200,12 +200,14 @@ pub enum Request {
         /// Fault injection for crash-recovery tests; `None` in production.
         fault: Option<HandoffFault>,
     },
-    /// Install the state bundle of an in-flight hand-off (sent by the
-    /// exporting peer to the target). Every accepted replica and counter is
-    /// journaled **and fsynced** at the target before the ack (under either
-    /// fsync policy), which is what
-    /// makes a crash from this point on completable: the source treats the
-    /// ack as licence to prune its own copy at commit.
+    /// Install one state bundle of an in-flight hand-off (sent by the
+    /// exporting peer to the target; the counters ride in the transfer's
+    /// last bundle, and the restart's batched observation sends counters
+    /// alone). Every accepted replica and counter is journaled **and
+    /// fsynced** at the target before the ack (under either fsync policy),
+    /// which is what makes a crash after the last bundle's ack completable:
+    /// the source treats that ack as licence to prune its own copy at
+    /// commit.
     InstallState {
         /// Dedup identity of this install attempt. The source re-sends the
         /// bundle under the *same* id when an install ack is lost; the

@@ -25,7 +25,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::handoff::{commit_handoff, export_handoff, install_handoff, HandoffBundle};
+use crate::handoff::{
+    commit_handoff, export_handoff, install_handoff, HandoffBundle, HandoffExport,
+};
 use rdht_core::durability::DurableState;
 use rdht_core::kts::{IndirectObservation, KtsNode};
 use rdht_core::Timestamp;
@@ -938,25 +940,25 @@ impl Peer {
                     })
                 }
             };
-            let bundle = peer.handoff_export(handoff);
-            let replicas_moved = bundle.replicas.len();
-            let counters_moved = bundle.counters.len();
+            let export = peer.handoff_export(handoff);
+            let counters_moved = export.counters.len();
             if handoff.fault == Some(HandoffFault::CrashAfterExport) {
-                // Fail-stop mid-transfer: the bundle is lost in flight.
-                // Recovery rolls back — the journal still holds every
-                // replica, and the drained counters re-initialize indirectly.
+                // Fail-stop mid-transfer: nothing shipped yet. Recovery
+                // rolls back — the journal still holds every replica, and
+                // the drained counters re-initialize indirectly.
                 return Err(peer.fail_stop());
             }
-            if !peer.handoff_install(handoff, &target, bundle) {
+            let Some(replicas_moved) = peer.handoff_install(handoff, &target, export) else {
                 // The target died (or stayed silent through the whole retry
-                // budget) before journaling the bundle: abort without
-                // committing. This peer keeps its replicas (the export only
-                // copied them) and keeps serving; the moved counters are
-                // gone, which only costs indirect re-inits.
+                // budget) before journaling every bundle: abort without
+                // committing. This peer keeps its replicas (the bundles only
+                // copied them) and keeps serving; the target keeps at most
+                // duplicates of the bundles it acknowledged; the moved
+                // counters are gone, which only costs indirect re-inits.
                 return Ok(Reply::HandoffFailed {
                     reason: "hand-off target never acknowledged the install".to_string(),
                 });
-            }
+            };
             if handoff.fault == Some(HandoffFault::CrashAfterInstall) {
                 // Fail-stop between the target's ack and the commit: the
                 // target's journal holds the state, so a retried join/leave
@@ -980,14 +982,14 @@ impl Peer {
         Stopped
     }
 
-    /// Phase `Exported`: copy the replicas in range, drain the counters of
-    /// the keys timestamped there. The removals are synced before the bundle
-    /// ships — under either policy an unsynced removal could be
-    /// resurrected by a crash *after* the counters moved, breaking Rule 3's
-    /// "at most one live counter" durably.
-    fn handoff_export(&mut self, handoff: &Handoff) -> HandoffBundle {
+    /// Phase `Exported`: drain the counters of the keys timestamped in
+    /// range. The removals are synced before any bundle ships — under
+    /// either policy an unsynced removal could be resurrected by a crash
+    /// *after* the counters moved, breaking Rule 3's "at most one live
+    /// counter" durably.
+    fn handoff_export(&mut self, handoff: &Handoff) -> HandoffExport {
         let started = Instant::now();
-        let bundle = export_handoff(
+        let export = export_handoff(
             &mut self.engine,
             &mut self.kts,
             &self.directory.family,
@@ -1001,37 +1003,50 @@ impl Peer {
             started,
             handoff.sampled,
         );
-        bundle
+        export
     }
 
-    /// Phase `Installed`: ship the bundle and wait for the target to journal
-    /// it, re-sending on a pure timeout under the *same* install op — a
-    /// target that journaled the bundle but whose ack was lost
-    /// re-acknowledges from its dedup cache instead of re-applying a bundle
-    /// that interleaved counter activity may have superseded. Only silence
-    /// warrants a re-send; a teardown or rejection means the target is gone
-    /// or refused — definitive either way. Says whether the target
-    /// acknowledged.
+    /// Phase `Installed`: ship the export's bundles one at a time, each
+    /// under its own install op, copying the next only once the target
+    /// journaled the previous, so one bundle is in flight at a time. A
+    /// bundle is re-sent on a pure timeout under the *same* op — a target
+    /// that journaled it but whose ack was lost re-acknowledges from its
+    /// dedup cache instead of re-applying a bundle that interleaved counter
+    /// activity may have superseded. Only silence warrants a re-send; a
+    /// teardown or rejection means the target is gone or refused —
+    /// definitive either way. Returns the replicas shipped once the target
+    /// acknowledged the last bundle, `None` when a bundle went
+    /// unacknowledged.
     fn handoff_install(
         &mut self,
         handoff: &Handoff,
         target: &PeerEndpoint,
-        bundle: HandoffBundle,
-    ) -> bool {
-        let install = Request::InstallState {
-            op: Some(OpId {
-                client: self.id.0,
-                seq: self.local_seq,
-            }),
-            start: handoff.start,
-            end: handoff.end,
-            bundle,
-        };
-        self.local_seq += 1;
+        export: HandoffExport,
+    ) -> Option<usize> {
         let started = Instant::now();
-        let outcome = target.call_resending(&install, None, INSTALL_ATTEMPTS, INSTALL_ACK_TIMEOUT);
+        let mut shipped = Some(0);
+        for bundle in export.bundles(self.engine.replicas()) {
+            let replicas = bundle.replicas.len();
+            let install = Request::InstallState {
+                op: Some(OpId {
+                    client: self.id.0,
+                    seq: self.local_seq,
+                }),
+                start: handoff.start,
+                end: handoff.end,
+                bundle,
+            };
+            self.local_seq += 1;
+            let outcome =
+                target.call_resending(&install, None, INSTALL_ATTEMPTS, INSTALL_ACK_TIMEOUT);
+            if !matches!(outcome, Ok(Reply::InstallAck { .. })) {
+                shipped = None;
+                break;
+            }
+            shipped = shipped.map(|total| total + replicas);
+        }
         // Everything between the export and here is the hand-off stall: the
-        // peer loop serving nothing while the bundle ships, because install
+        // peer loop serving nothing while the bundles ship, because install
         // is the one place a peer waits on another.
         let stalled = self.end_phase(
             &self.metrics.handoff_install_ns,
@@ -1042,7 +1057,7 @@ impl Peer {
         self.metrics
             .handoff_stall_ns
             .add(u64::try_from(stalled.as_nanos()).unwrap_or(u64::MAX));
-        matches!(outcome, Ok(Reply::InstallAck { .. }))
+        shipped
     }
 
     /// Commit point — all three steps inside one serially processed request,

@@ -1058,6 +1058,108 @@ fn join_moves_replicas_and_responsibility_to_the_new_peer() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A join and a leave ship their range in bounded bundles on both
+/// transports: with 1 KiB values each range spans several bundles, each
+/// report counts every replica the source held in range, and the target
+/// serves one `install` request per bundle.
+#[test]
+fn join_and_leave_ship_bounded_bundles_on_both_backends() {
+    use crate::handoff::bundled_bytes;
+    use rdht_storage::frame::WRITE_CHUNK_BYTES;
+
+    let value = vec![0x5a; 1024];
+    let keys: Vec<Key> = (0..600).map(|i| Key::new(format!("doc-{i:04}"))).collect();
+    // Equal key lengths and values: every replica counts the same bytes.
+    let per_bundle = WRITE_CHUNK_BYTES / bundled_bytes(&keys[0], &value);
+    let bundles = |replicas: usize| replicas.div_ceil(per_bundle).max(1);
+    let installs = |cluster: &Cluster, peer: PeerId| {
+        scraped_sum(
+            cluster,
+            &[peer],
+            crate::metrics::names::REQUESTS,
+            |labels| {
+                labels
+                    .iter()
+                    .any(|(name, kind)| name == "kind" && kind == "install")
+            },
+        )
+    };
+    for kind in [TransportKind::Channel, TransportKind::Tcp] {
+        let mut cluster = Cluster::spawn_with(ClusterConfig::new(4, 3, 0xB0).with_transport(kind));
+        let mut client = cluster.client();
+        for key in &keys {
+            ums::insert(&mut client, key, value.clone()).unwrap();
+        }
+        let hashes: Vec<HashId> = client.replication_ids().collect();
+        let holders = |cluster: &Cluster| -> Vec<Option<PeerId>> {
+            keys.iter()
+                .flat_map(|key| {
+                    hashes
+                        .iter()
+                        .map(|&hash| cluster.replica_responsible(hash, key))
+                })
+                .collect()
+        };
+        // (pred, peer] of the peer with the widest range.
+        let widest = |cluster: &Cluster| -> (PeerId, PeerId) {
+            let ids = cluster.peer_ids();
+            let arcs = ids.iter().enumerate().map(|(i, &peer)| {
+                let pred = ids[(i + ids.len() - 1) % ids.len()];
+                (pred, peer)
+            });
+            arcs.max_by_key(|(pred, peer)| peer.0.wrapping_sub(pred.0))
+                .expect("a peer")
+        };
+
+        // The joiner splits the widest range in half.
+        let (pred, source) = widest(&cluster);
+        let joiner = PeerId(pred.0.wrapping_add(source.0.wrapping_sub(pred.0) / 2));
+        let before = holders(&cluster);
+        let report = cluster.join_peer(joiner).unwrap();
+        assert_eq!(report.source, source, "{kind:?}");
+        let in_range = before
+            .iter()
+            .zip(holders(&cluster))
+            .filter(|(was, now)| **was == Some(source) && *now == Some(joiner))
+            .count();
+        assert_eq!(report.replicas_moved, in_range, "{kind:?}");
+        assert!(bundles(in_range) >= 3, "{kind:?}: {in_range} replicas");
+        assert_eq!(
+            installs(&cluster, joiner),
+            bundles(in_range) as f64,
+            "{kind:?}"
+        );
+
+        // The peer with the widest range leaves to its successor.
+        let (_, leaving) = widest(&cluster);
+        let ids = cluster.peer_ids();
+        let at = ids.iter().position(|&peer| peer == leaving).unwrap();
+        let successor = ids[(at + 1) % ids.len()];
+        let installed_before = installs(&cluster, successor);
+        let in_range = holders(&cluster)
+            .iter()
+            .filter(|holder| **holder == Some(leaving))
+            .count();
+        let report = cluster.leave_peer(leaving).unwrap();
+        assert_eq!(report.target, successor, "{kind:?}");
+        assert_eq!(report.replicas_moved, in_range, "{kind:?}");
+        assert!(bundles(in_range) >= 3, "{kind:?}: {in_range} replicas");
+        assert_eq!(
+            installs(&cluster, successor) - installed_before,
+            bundles(in_range) as f64,
+            "{kind:?}"
+        );
+
+        let mut fresh = cluster.client();
+        for key in keys.iter().step_by(37) {
+            let got = ums::retrieve(&mut fresh, key).unwrap();
+            assert!(got.is_current, "{kind:?}: {key:?}");
+            assert_eq!(got.data.as_deref(), Some(&value[..]), "{kind:?}: {key:?}");
+        }
+        cluster.shutdown();
+    }
+}
+
 /// Crash mid-transfer, before the bundle ships (`CrashAfterExport`): the
 /// transfer **rolls back**. The crashed source restarts from its journal
 /// with every replica intact; the drained counters re-initialize indirectly

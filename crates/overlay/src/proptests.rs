@@ -3,7 +3,7 @@
 //! The central property: [`PeerStore`] is observationally equivalent to a
 //! plain `HashMap<(HashId, Key), Record>` with the write policies and the
 //! ring interval spelled out, under arbitrary sequences of `put` / `get` /
-//! `remove` / `drain_range` / `copy_range` / `prune_range` operations. The
+//! `remove` / `drain_range` / `iter_range` / `prune_range` operations. The
 //! generated puts mostly repeat a key's bytes under several hashes with one
 //! stamp (what the table shares) and sometimes reuse a stamp with other
 //! bytes (a stale successor's re-stamped write, which it must not share).
@@ -183,14 +183,19 @@ proptest! {
                 3 => {
                     prop_assert_eq!(store.remove(hash, &key), model.remove(hash, &key));
                 }
-                // copy_range leaves the store as it is
+                // iter_range, the walk a hand-off's export copies from,
+                // yields the model's records of the interval in iteration
+                // order and leaves the store as it is
                 4 => {
                     let (start, end) = (lattice(a), lattice(b));
                     let before = store.clone();
-                    let copied = store.copy_range(start, end);
+                    let walked: Vec<_> = store
+                        .iter_range(start, end)
+                        .map(|(hash, key, view)| (hash, key.clone(), view.to_record()))
+                        .collect();
                     prop_assert_eq!(&store, &before);
                     let model_copied = model.clone().drain_range(start, end);
-                    prop_assert_eq!(canonical(copied), canonical(model_copied));
+                    prop_assert_eq!(flatten(walked), canonical(model_copied));
                 }
                 // prune_range
                 5 => {

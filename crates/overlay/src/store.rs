@@ -50,19 +50,22 @@
 //! and the borrow cannot outlive a write that would re-home the bytes.
 //! [`Record`] stays the owned form that goes into the table (`put`,
 //! `bulk_load`) and comes out of it (`remove`, `drain_range`,
-//! `copy_range`): what hand-off bundles and snapshot loads carry.
+//! [`RecordRef::to_record`]): what hand-off bundles and snapshot loads
+//! carry.
 //!
 //! # Order
 //!
 //! Only whole-table walks are ordered, and they are rare: a snapshot, a
-//! join or a leave. `iter` visits records by hash function, then by key —
-//! the order snapshots are written in. It sorts one list of key references
-//! once and yields records lazily from it, so a snapshot streaming the table
-//! never holds a list of the records themselves.
-//! [`PeerStore::drain_range`], [`PeerStore::copy_range`] and
-//! [`PeerStore::prune_range`] scan the table once: the first two sort only
-//! the records that leave, into the same order, and `prune_range` builds
-//! none.
+//! join or a leave. [`PeerStore::iter`] visits records by hash function,
+//! then by key — the order snapshots are written in — and
+//! [`PeerStore::iter_range`] visits the records of one ring interval in the
+//! same order, the walk a hand-off's export copies its bounded bundles
+//! from. Both sort one list of key references once (`iter_range` only the
+//! keys holding a record in the interval) and yield records lazily from
+//! it, so neither a snapshot nor an export holds a list of the records
+//! themselves. [`PeerStore::drain_range`] and [`PeerStore::prune_range`]
+//! scan the table once: `drain_range` sorts only the records that leave,
+//! into the same order, and `prune_range` builds none.
 
 use std::collections::HashMap;
 
@@ -342,10 +345,40 @@ impl PeerStore {
     /// keys are sorted once into a list of references, which the walk then
     /// passes over once per hash function held, yielding as it goes.
     pub fn iter(&self) -> impl Iterator<Item = (HashId, &Key, RecordRef<'_>)> {
-        let mut keys: Vec<(&Key, &Slots)> = self.keys.iter().collect();
+        self.walk(|_| true)
+    }
+
+    /// Iterates over every record whose position falls inside `(range_start,
+    /// range_end]` (the whole ring when they are equal), in [`Self::iter`]'s
+    /// order, leaving the table as it is: the walk a hand-off's export
+    /// copies its bundles from. Only the keys holding such a record are
+    /// sorted.
+    pub fn iter_range(
+        &self,
+        range_start: u64,
+        range_end: u64,
+    ) -> impl Iterator<Item = (HashId, &Key, RecordRef<'_>)> {
+        self.walk(move |position| in_open_closed_interval(range_start, range_end, position))
+    }
+
+    /// The ordered walk over the slots whose position passes `keep`.
+    fn walk(
+        &self,
+        keep: impl Fn(u64) -> bool,
+    ) -> impl Iterator<Item = (HashId, &Key, RecordRef<'_>)> {
+        let kept = move |slot: &Slot| keep(slot.position);
+        let holds = |slots: &Slots| slots.0.iter().any(&kept);
+        // Counted first: a filtered collect would grow the list by doubling,
+        // up to twice the bytes it needs.
+        let mut keys: Vec<(&Key, &Slots)> =
+            Vec::with_capacity(self.keys.values().filter(|slots| holds(slots)).count());
+        keys.extend(self.keys.iter().filter(|(_, slots)| holds(slots)));
         keys.sort_unstable_by_key(|(key, _)| *key);
         let mut hashes: Vec<HashId> = Vec::new();
         for slot in keys.iter().flat_map(|(_, slots)| &slots.0) {
+            if !kept(slot) {
+                continue;
+            }
             if let Err(at) = hashes.binary_search(&slot.hash) {
                 hashes.insert(at, slot.hash);
             }
@@ -358,8 +391,11 @@ impl PeerStore {
                 continue;
             };
             next_key += 1;
-            if let Ok(index) = slots.index(current) {
-                return Some((current, key, slots.view(index)));
+            match slots.index(current) {
+                Ok(index) if kept(&slots.0[index]) => {
+                    return Some((current, key, slots.view(index)))
+                }
+                _ => {}
             }
         })
     }
@@ -376,21 +412,6 @@ impl PeerStore {
             moved.push((slots.0[index].hash, key.clone(), slots.take(index)));
         });
         by_hash_then_key(moved)
-    }
-
-    /// Copies every record whose position falls inside `(range_start,
-    /// range_end]` (the whole ring when they are equal), in iteration order,
-    /// leaving the table as it is: a hand-off's export.
-    pub fn copy_range(&self, range_start: u64, range_end: u64) -> Vec<(HashId, Key, Record)> {
-        let mut copied = Vec::new();
-        for (key, slots) in &self.keys {
-            for (index, slot) in slots.0.iter().enumerate() {
-                if in_open_closed_interval(range_start, range_end, slot.position) {
-                    copied.push((slot.hash, key.clone(), slots.view(index).to_record()));
-                }
-            }
-        }
-        by_hash_then_key(copied)
     }
 
     /// Removes every record whose position falls inside `(range_start,
@@ -640,7 +661,10 @@ mod tests {
         }
         // The holder leaves: the drained record owns its copy, the two
         // staying slots still share one.
-        let copied = store.copy_range(50, 150);
+        let copied: Vec<_> = store
+            .iter_range(50, 150)
+            .map(|(hash, key, view)| (hash, key.clone(), view.to_record()))
+            .collect();
         assert_eq!(store.len(), 3);
         let drained = store.drain_range(50, 150);
         assert_eq!(drained, copied);

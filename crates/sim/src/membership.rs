@@ -153,11 +153,11 @@ impl Simulation {
 }
 
 /// Hands `change`'s range from `source` to `target` in every universe with
-/// the live hand-off's export, install and commit. The UMS-Direct universe
-/// transfers the counters (Section 4.2.1); the UMS-Indirect universe drops
-/// them (Rule 3: the source invalidates the counters it is no longer
-/// responsible for), so the new responsible initializes them indirectly.
-/// BRK keeps no counters.
+/// the live hand-off's export, its bundles installed in the live order, and
+/// its commit. The UMS-Direct universe transfers the counters (Section
+/// 4.2.1); the UMS-Indirect universe drops them (Rule 3: the source
+/// invalidates the counters it is no longer responsible for), so the new
+/// responsible initializes them indirectly. BRK keeps no counters.
 fn hand_off(
     family: &HashFamily,
     change: &ResponsibilityChange,
@@ -169,13 +169,15 @@ fn hand_off(
         let mut no_counters = KtsNode::default();
         let (store, kts) = source.universe_mut(algorithm);
         let kts = kts.unwrap_or(&mut no_counters);
-        let mut bundle = export_handoff(&mut Unjournaled(store), kts, family, start, end);
+        let mut export = export_handoff(&mut Unjournaled(store), kts, family, start, end);
         if algorithm == Algorithm::UmsIndirect {
-            bundle.counters.clear();
+            export.counters.clear();
         }
-        let (store, kts) = target.universe_mut(algorithm);
-        let kts = kts.unwrap_or(&mut no_counters);
-        install_handoff(&mut Unjournaled(store), kts, bundle);
+        let (target_store, target_kts) = target.universe_mut(algorithm);
+        let target_kts = target_kts.unwrap_or(&mut no_counters);
+        for bundle in export.bundles(store) {
+            install_handoff(&mut Unjournaled(target_store), target_kts, bundle);
+        }
         commit_handoff(&mut Unjournaled(source.store_mut(algorithm)), start, end);
     }
 }

@@ -61,12 +61,13 @@ pub fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     seal_frame(&mut out[start..]);
 }
 
-/// Bytes of framed records a snapshot gathers before each `write`, and the
-/// bytes a [`FrameReader`] holds: the one buffer size of compaction and of
-/// recovery. A record larger than this is written from, and read into, a
-/// buffer of its own size, so the memory either path holds is this constant
-/// or the largest record, never a copy of the state.
-pub(crate) const WRITE_CHUNK_BYTES: usize = 64 * 1024;
+/// Bytes of framed records a snapshot gathers before each `write`, the
+/// bytes a [`FrameReader`] holds, and the bytes of replicas one hand-off
+/// bundle carries: the one buffer size of compaction, of recovery and of a
+/// range transfer. A record larger than this is written from, read into, or
+/// shipped in a buffer of its own size, so the memory any of these paths
+/// holds is this constant or the largest record, never a copy of the state.
+pub const WRITE_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Walks the framed records of a file from the front through one bounded
 /// buffer, handing out each record's payload once its checksum holds.
